@@ -12,9 +12,13 @@
 //! monitor, a null span, and the `None`/`Jacobi` preconditioners.  The
 //! multigrid V-cycle allocates per apply in its coarse solve and is
 //! deliberately outside the zero-allocation contract.
+//!
+//! The count is kept per thread, so libtest may run these tests in
+//! parallel: each measurement window sees only its own thread's heap
+//! traffic.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mffv_mesh::{Workload, WorkloadSpec};
 use mffv_solver::backend::{PreconditionerKind, SolveConfig};
@@ -22,10 +26,18 @@ use mffv_solver::context::SolveContext;
 use mffv_solver::monitor::NullMonitor;
 use mffv_telemetry::Span;
 
-/// Number of heap acquisitions since process start.  `realloc` and
-/// `alloc_zeroed` keep their default implementations, which route through
-/// `alloc`, so every acquisition path is counted.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap acquisitions made by this thread.  `realloc` and `alloc_zeroed`
+    /// keep their default implementations, which route through `alloc`, so
+    /// every acquisition path is counted.  Const-initialised with no
+    /// destructor: touching it from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Heap acquisitions made by the calling thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 struct CountingAllocator;
 
@@ -33,7 +45,9 @@ struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: the caller's layout contract is forwarded to `System` as-is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        // `try_with`: allocations during thread teardown, after the slot is
+        // gone, are simply not counted.
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
         System.alloc(layout)
     }
 
@@ -46,7 +60,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Run one pooled solve and return the allocation-count delta across it.
+/// Run one pooled solve and return the calling thread's allocation-count
+/// delta across it.
 fn solve_counting_allocations(
     ctx: &mut SolveContext<f64>,
     workload: &Workload,
@@ -54,9 +69,9 @@ fn solve_counting_allocations(
 ) -> u64 {
     let span = Span::null();
     let mut monitor = NullMonitor;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let stopped = ctx.solve(workload, config, &mut monitor, &span);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert!(stopped.is_none(), "steady solve must run to convergence");
     after - before
 }
