@@ -4,17 +4,39 @@
 //! counts 1 / 2 / 8.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mffv::telemetry::Span;
 use mffv::{Backend, Engine, Simulation, SweepBuilder};
 use mffv_bench::bench_workload;
 use mffv_fv::csr::AssembledOperator;
 use mffv_fv::residual::{newton_rhs, residual};
+use mffv_fv::LinearOperator;
 use mffv_fv::MatrixFreeOperator;
-use mffv_mesh::CellField;
-use mffv_mesh::Dims;
+use mffv_mesh::{CellField, Dims, Workload};
 use mffv_solver::cg::ConjugateGradient;
-use mffv_solver::newton::solve_pressure_with;
-use mffv_solver::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
+use mffv_solver::monitor::NullMonitor;
+use mffv_solver::newton::{solve_pressure, NewtonScratch};
+use mffv_solver::pcg::JacobiPreconditioner;
 use std::hint::black_box;
+
+/// One Newton step of `workload` on `op`, on fresh buffers.
+fn newton<Op: LinearOperator<f64>>(
+    workload: &Workload,
+    op: &Op,
+    solver: &ConjugateGradient,
+) -> NewtonScratch<f64> {
+    let mut buffers = NewtonScratch::new(workload.dims());
+    solve_pressure(
+        workload,
+        workload.transmissibility(),
+        op,
+        None,
+        solver,
+        &mut NullMonitor,
+        &Span::null(),
+        &mut buffers,
+    );
+    buffers
+}
 
 fn bench_cg_solves(c: &mut Criterion) {
     let workload = bench_workload();
@@ -25,24 +47,24 @@ fn bench_cg_solves(c: &mut Criterion) {
     group.bench_function("matrix_free_oracle_f64", |b| {
         let op = MatrixFreeOperator::<f64>::from_workload(&workload);
         let solver = ConjugateGradient::with_tolerance(tolerance, 10_000);
-        b.iter(|| black_box(solve_pressure_with::<f64, _>(&workload, &op, &solver)))
+        b.iter(|| black_box(newton(&workload, &op, &solver)))
     });
 
     group.bench_function("assembled_baseline_f64", |b| {
         let op = AssembledOperator::<f64>::from_workload(&workload);
         let solver = ConjugateGradient::with_tolerance(tolerance, 10_000);
-        b.iter(|| black_box(solve_pressure_with::<f64, _>(&workload, &op, &solver)))
+        b.iter(|| black_box(newton(&workload, &op, &solver)))
     });
 
     group.bench_function("jacobi_pcg_f64", |b| {
         let op = MatrixFreeOperator::<f64>::from_workload(&workload);
         let pc = JacobiPreconditioner::from_coefficients(op.coefficients(), workload.dirichlet());
-        let solver = PreconditionedConjugateGradient::with_tolerance(tolerance, 10_000);
+        let solver = ConjugateGradient::with_tolerance(tolerance, 10_000);
         let p0: CellField<f64> = workload.initial_pressure();
         let r = residual(&p0, workload.transmissibility(), workload.dirichlet());
         let rhs = newton_rhs(&r, workload.dirichlet());
         let x0 = CellField::zeros(workload.dims());
-        b.iter(|| black_box(solver.solve(&op, &pc, &rhs, &x0)))
+        b.iter(|| black_box(solver.solve(&op, Some(&pc), &rhs, &x0, &mut NullMonitor)))
     });
 
     group.bench_function("dataflow_fabric_f32", |b| {

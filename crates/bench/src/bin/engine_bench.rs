@@ -14,8 +14,9 @@
 //! * **bitwise invisibility** — every pooled residual history is bitwise
 //!   identical to a cold, fresh-context solve of the same workload.
 //!
-//! Also times the engine batch path with pooling on vs off.  Emits
-//! machine-readable `BENCH_engine.json`:
+//! Also times the engine batch path (warm per-worker contexts) against a
+//! serial fresh-context `JobSpec::execute` of every job, and checks the two
+//! agree bitwise.  Emits machine-readable `BENCH_engine.json`:
 //!
 //! ```text
 //! cargo run --release -p mffv-bench --bin engine_bench -- \
@@ -226,7 +227,7 @@ fn main() {
         stats.hits, stats.misses
     );
 
-    // --- engine batch: pooling on vs off ------------------------------------
+    // --- engine batch vs serial fresh-context execution ---------------------
     let engine_jobs = args.jobs.min(1000);
     let batch: Vec<JobSpec> = (0..engine_jobs)
         .map(|_| JobSpec::new(spec.clone(), Backend::host()).with_config(config))
@@ -236,14 +237,22 @@ fn main() {
     let engine_pooled_rate = engine_jobs as f64 / watch.elapsed_seconds().max(1e-12);
     assert!(pooled_batch.all_succeeded());
     let watch = Stopwatch::start();
-    let unpooled_batch = Engine::new(args.workers)
-        .with_context_pooling(false)
-        .run(batch);
+    let serial: Vec<SolveReport> = batch
+        .iter()
+        .map(|job| job.execute(&mut SolveRequest::new()).expect("serial job"))
+        .collect();
     let engine_unpooled_rate = engine_jobs as f64 / watch.elapsed_seconds().max(1e-12);
-    assert!(unpooled_batch.all_succeeded());
+    for (outcome, fresh) in pooled_batch.outcomes.iter().zip(&serial) {
+        let pooled = outcome.report().expect("completed job");
+        assert!(
+            pooled.history == fresh.history
+                && pooled.pressure.as_slice() == fresh.pressure.as_slice(),
+            "engine reports must be bitwise identical to serial fresh-context runs"
+        );
+    }
     println!(
         "  engine ({} workers, {engine_jobs} jobs): pooled {engine_pooled_rate:.1} jobs/s | \
-         unpooled {engine_unpooled_rate:.1} jobs/s",
+         serial fresh-context {engine_unpooled_rate:.1} jobs/s",
         args.workers
     );
 

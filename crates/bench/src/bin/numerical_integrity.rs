@@ -11,8 +11,7 @@
 
 use mffv::prelude::*;
 use mffv_fv::csr::AssembledOperator;
-use mffv_solver::cg::ConjugateGradient;
-use mffv_solver::newton::solve_pressure_with;
+use mffv_solver::newton::{solve_pressure, NewtonScratch};
 
 fn main() {
     let workloads = vec![
@@ -42,15 +41,21 @@ fn main() {
             .expect("host oracle ran")
             .pressure;
         let solver = ConjugateGradient::with_tolerance(1e-12, workload.max_iterations());
-        let assembled = solve_pressure_with::<f64, _>(
+        let mut assembled = NewtonScratch::new(workload.dims());
+        solve_pressure(
             workload,
+            workload.transmissibility(),
             &AssembledOperator::<f64>::from_workload(workload),
+            None,
             &solver,
+            &mut NullMonitor,
+            &Span::null(),
+            &mut assembled,
         );
         let scale = oracle.max_abs().max(f64::MIN_POSITIVE);
         println!(
             "assembled-CSR baseline vs oracle: {:.2e} (relative max diff)\n",
-            oracle.max_abs_diff(&assembled.pressure) / scale
+            oracle.max_abs_diff(assembled.pressure()) / scale
         );
     }
     println!("The assembled baseline matches the oracle to solver precision; the f32 GPU");

@@ -3,9 +3,9 @@
 //! Measures the two overhead budgets the telemetry subsystem promises
 //! (see README "Telemetry & tracing"):
 //!
-//! * **null path** — `solve_traced` with a null span must stay within noise
-//!   of the plain `solve` call (<1%; the CI smoke step warns above 1% and
-//!   fails above 5% with `--check`);
+//! * **null path** — a solve whose request carries a null span must stay
+//!   within noise of one with no span at all (<1%; the CI smoke step warns
+//!   above 1% and fails above 5% with `--check`);
 //! * **full tracing** — a recording tracer (spans + per-chunk CG iteration
 //!   marks) must cost <5% on a 64³ host solve and on a 12-job engine batch.
 //!
@@ -110,18 +110,24 @@ fn main() {
 
     // --- solve: untraced / null span / recording tracer ---------------------
     let solve_untraced = time_best_of(args.reps, || {
-        backend.solve(&workload, &config).expect("solve");
+        backend
+            .solve(&workload, &config, &mut SolveRequest::new())
+            .expect("solve");
     });
     let solve_null = time_best_of(args.reps, || {
         backend
-            .solve_traced(&workload, &config, &mut NullMonitor, &Span::null())
+            .solve(
+                &workload,
+                &config,
+                &mut SolveRequest::new().span(&Span::null()),
+            )
             .expect("solve");
     });
     let solve_traced = time_best_of(args.reps, || {
         let tracer = Tracer::new();
         let span = tracer.span("solve @ host-f64");
         backend
-            .solve_traced(&workload, &config, &mut NullMonitor, &span)
+            .solve(&workload, &config, &mut SolveRequest::new().span(&span))
             .expect("solve");
         span.finish();
     });
@@ -129,7 +135,7 @@ fn main() {
         let tracer = Tracer::new();
         let span = tracer.span("solve @ host-f64");
         backend
-            .solve_traced(&workload, &config, &mut NullMonitor, &span)
+            .solve(&workload, &config, &mut SolveRequest::new().span(&span))
             .expect("solve");
         span.finish();
         tracer.records().len()

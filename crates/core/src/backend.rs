@@ -13,10 +13,8 @@ use mffv_fabric::WseSpec;
 use mffv_mesh::Workload;
 use mffv_solver::backend::{
     DeviceSection, Precision, PreconditionerKind, SolveBackend, SolveConfig, SolveError,
-    SolveReport,
+    SolveReport, SolveRequest,
 };
-use mffv_solver::monitor::{NullMonitor, SolveMonitor};
-use mffv_solver::trace::{Span, TraceMonitor};
 
 /// The simulated WSE-2 dataflow fabric as a facade backend.
 #[derive(Clone, Copy, Debug, Default)]
@@ -55,46 +53,6 @@ impl DataflowBackend {
 }
 
 impl DataflowBackend {
-    /// Run the solve behind the facade's config, threading `monitor` through
-    /// the state machine.  The facade's settings win over any overrides baked
-    /// into the options; communication-only runs keep their forced iteration
-    /// count.
-    fn run(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-    ) -> Result<SolveReport, SolveError> {
-        let mut options = self.options;
-        if let Some(tolerance) = config.tolerance {
-            options = options.with_tolerance(tolerance);
-        }
-        if let Some(max_iterations) = config.max_iterations {
-            options = options.with_max_iterations(max_iterations);
-        }
-        // An explicit facade selection wins; the default (`None`) leaves any
-        // dataflow-specific choice in place.
-        if config.preconditioner != PreconditionerKind::None {
-            options = options.with_preconditioner(config.preconditioner);
-        }
-        let build = span.child("build-fabric-program");
-        let solver = match self.spec {
-            Some(spec) => DataflowFvSolver::with_spec(workload, options, spec),
-            None => DataflowFvSolver::new(workload, options),
-        };
-        build.finish();
-        let spec = *solver.spec();
-        let report = if span.is_recording() {
-            let mut traced = TraceMonitor::new(span, monitor);
-            solver.solve_monitored(&mut traced)
-        } else {
-            solver.solve_monitored(monitor)
-        }
-        .map_err(|e| SolveError::new(self.name(), e.to_string()))?;
-        Ok(self.unify(spec, report))
-    }
-
     /// Wrap the internal [`DataflowSolveReport`] into the unified shape.
     fn unify(&self, spec: WseSpec, report: DataflowSolveReport) -> SolveReport {
         let device = DeviceSection {
@@ -166,27 +124,38 @@ impl SolveBackend for DataflowBackend {
         Precision::F32
     }
 
-    fn solve(&self, workload: &Workload, config: &SolveConfig) -> Result<SolveReport, SolveError> {
-        self.run(workload, config, &mut NullMonitor, &Span::null())
-    }
-
-    fn solve_monitored(
+    /// Run the state machine behind the facade's config.  The facade's
+    /// settings win over any overrides baked into the options;
+    /// communication-only runs keep their forced iteration count.
+    fn solve(
         &self,
         workload: &Workload,
         config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
+        request: &mut SolveRequest<'_>,
     ) -> Result<SolveReport, SolveError> {
-        self.run(workload, config, monitor, &Span::null())
-    }
-
-    fn solve_traced(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-    ) -> Result<SolveReport, SolveError> {
-        self.run(workload, config, monitor, span)
+        let mut options = self.options;
+        if let Some(tolerance) = config.tolerance {
+            options = options.with_tolerance(tolerance);
+        }
+        if let Some(max_iterations) = config.max_iterations {
+            options = options.with_max_iterations(max_iterations);
+        }
+        // An explicit facade selection wins; the default (`None`) leaves any
+        // dataflow-specific choice in place.
+        if config.preconditioner != PreconditionerKind::None {
+            options = options.with_preconditioner(config.preconditioner);
+        }
+        let (spec, report) = request.run(|monitor, span, _| {
+            let build = span.child("build-fabric-program");
+            let solver = match self.spec {
+                Some(spec) => DataflowFvSolver::with_spec(workload, options, spec),
+                None => DataflowFvSolver::new(workload, options),
+            };
+            build.finish();
+            (*solver.spec(), solver.solve(monitor))
+        });
+        let report = report.map_err(|e| SolveError::new(self.name(), e.to_string()))?;
+        Ok(self.unify(spec, report))
     }
 }
 
@@ -196,6 +165,10 @@ mod tests {
     use mffv_mesh::workload::WorkloadSpec;
     use mffv_solver::backend::HostBackend;
 
+    fn solve(backend: DataflowBackend, w: &Workload, config: &SolveConfig) -> SolveReport {
+        backend.solve(w, config, &mut SolveRequest::new()).unwrap()
+    }
+
     #[test]
     fn backend_solves_and_matches_the_host_oracle() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
@@ -203,8 +176,10 @@ mod tests {
             tolerance: Some(1e-10),
             ..SolveConfig::default()
         };
-        let dataflow = DataflowBackend::paper().solve(&w, &config).unwrap();
-        let oracle = HostBackend::oracle().solve(&w, &config).unwrap();
+        let dataflow = solve(DataflowBackend::paper(), &w, &config);
+        let oracle = HostBackend::oracle()
+            .solve(&w, &config, &mut SolveRequest::new())
+            .unwrap();
         assert!(dataflow.converged());
         assert!(dataflow.max_abs_diff(&oracle) < 1e-3);
         let device = dataflow
@@ -220,7 +195,7 @@ mod tests {
     fn communication_only_mode_survives_the_facade_config() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
         let backend = DataflowBackend::with_options(SolverOptions::communication_only(5));
-        let report = backend.solve(&w, &SolveConfig::default()).unwrap();
+        let report = solve(backend, &w, &SolveConfig::default());
         assert_eq!(report.iterations(), 5);
         let device = report.device.unwrap();
         assert!(device.counter("fabric_link_bytes").unwrap() > 0.0);
@@ -230,7 +205,7 @@ mod tests {
     fn explicit_spec_changes_the_device_label() {
         let w = WorkloadSpec::quickstart().scaled(4).build();
         let backend = DataflowBackend::paper().with_spec(WseSpec::cs2());
-        let report = backend.solve(&w, &SolveConfig::default()).unwrap();
+        let report = solve(backend, &w, &SolveConfig::default());
         assert_eq!(report.device.unwrap().device, "CS-2 region 750x994");
     }
 }

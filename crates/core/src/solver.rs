@@ -26,7 +26,7 @@ use mffv_fv::residual::{newton_rhs, residual};
 use mffv_mesh::{CellField, Dims, Workload};
 use mffv_solver::backend::PreconditionerKind;
 use mffv_solver::convergence::{ConvergenceHistory, StoppingCriterion};
-use mffv_solver::monitor::{Flow, NullMonitor, SolveEvent, SolveMonitor, StopReason};
+use mffv_solver::monitor::{Flow, SolveEvent, SolveMonitor, StopReason};
 use mffv_solver::{MgConfig, MultigridVcycle, Preconditioner};
 use std::time::Instant;
 
@@ -147,11 +147,6 @@ impl<'w> DataflowFvSolver<'w> {
         &self.spec
     }
 
-    /// Run the solve.
-    pub fn solve(&self) -> Result<DataflowSolveReport> {
-        self.solve_monitored(&mut NullMonitor)
-    }
-
     /// Run the solve as an observable, cancellable session.
     ///
     /// The state machine reports every `ThresholdCheck` (the paper's line-8
@@ -160,7 +155,7 @@ impl<'w> DataflowFvSolver<'w> {
     /// recorded in the returned [`ConvergenceHistory`].  A [`Flow::Stop`]
     /// exits the state machine at that boundary; the partial solution columns
     /// are still extracted from the PEs and reported.
-    pub fn solve_monitored(&self, monitor: &mut dyn SolveMonitor) -> Result<DataflowSolveReport> {
+    pub fn solve(&self, monitor: &mut dyn SolveMonitor) -> Result<DataflowSolveReport> {
         // audit: allow(wall-clock) — telemetry: feeds the report's elapsed
         // seconds, never a numeric decision.
         #[allow(clippy::disallowed_methods)]
@@ -535,8 +530,18 @@ mod tests {
     use crate::options::SolverOptions;
     use mffv_mesh::workload::WorkloadSpec;
     use mffv_mesh::Dims;
-    use mffv_solver::backend::{SolveBackend, SolveConfig};
-    use mffv_solver::newton::solve_pressure;
+    use mffv_mesh::Workload;
+    use mffv_solver::backend::{HostBackend, SolveBackend, SolveConfig, SolveReport, SolveRequest};
+
+    fn oracle(w: &Workload) -> SolveReport {
+        HostBackend::oracle()
+            .solve(w, &SolveConfig::default(), &mut SolveRequest::new())
+            .unwrap()
+    }
+
+    fn solve(backend: DataflowBackend, w: &Workload, config: &SolveConfig) -> SolveReport {
+        backend.solve(w, config, &mut SolveRequest::new()).unwrap()
+    }
 
     fn config(tolerance: f64) -> SolveConfig {
         SolveConfig {
@@ -548,10 +553,10 @@ mod tests {
     #[test]
     fn dataflow_solve_matches_host_oracle_on_quickstart() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
-        let report = DataflowBackend::paper().solve(&w, &config(1e-10)).unwrap();
+        let report = solve(DataflowBackend::paper(), &w, &config(1e-10));
         assert!(report.converged(), "dataflow CG did not converge");
         assert!(report.final_residual_max < 1e-3);
-        let oracle = solve_pressure::<f64>(&w);
+        let oracle = oracle(&w);
         let diff = oracle.pressure.max_abs_diff(&report.pressure);
         assert!(diff < 2e-4, "dataflow vs host mismatch: {diff}");
     }
@@ -559,9 +564,9 @@ mod tests {
     #[test]
     fn dataflow_solve_on_heterogeneous_fig5_scenario() {
         let w = WorkloadSpec::fig5(Dims::new(6, 5, 4)).build();
-        let report = DataflowBackend::paper().solve(&w, &config(1e-12)).unwrap();
+        let report = solve(DataflowBackend::paper(), &w, &config(1e-12));
         assert!(report.converged());
-        let oracle = solve_pressure::<f64>(&w);
+        let oracle = oracle(&w);
         let scale = oracle.pressure.max_abs();
         let rel = oracle.pressure.max_abs_diff(&report.pressure) / scale;
         assert!(rel < 1e-3, "relative mismatch {rel}");
@@ -571,15 +576,15 @@ mod tests {
     fn preconditioned_dataflow_solves_match_the_oracle() {
         use mffv_solver::backend::PreconditionerKind;
         let w = WorkloadSpec::quickstart().scaled(2).build();
-        let oracle = solve_pressure::<f64>(&w);
-        let plain = DataflowBackend::paper().solve(&w, &config(1e-10)).unwrap();
+        let oracle = oracle(&w);
+        let plain = solve(DataflowBackend::paper(), &w, &config(1e-10));
         for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Mg] {
             let cfg = SolveConfig {
                 tolerance: Some(1e-10),
                 preconditioner: kind,
                 ..SolveConfig::default()
             };
-            let report = DataflowBackend::paper().solve(&w, &cfg).unwrap();
+            let report = solve(DataflowBackend::paper(), &w, &cfg);
             assert!(report.converged(), "{} did not converge", kind.label());
             let diff = oracle.pressure.max_abs_diff(&report.pressure);
             assert!(diff < 1e-3, "{} vs oracle gap {diff}", kind.label());
@@ -598,9 +603,7 @@ mod tests {
     #[test]
     fn iteration_count_is_bounded_by_unknowns() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
-        let report = DataflowBackend::paper()
-            .solve(&w, &SolveConfig::default())
-            .unwrap();
+        let report = solve(DataflowBackend::paper(), &w, &SolveConfig::default());
         assert!(report.iterations() <= w.dims().num_cells());
         assert!(report.iterations() > 1);
     }
@@ -608,12 +611,12 @@ mod tests {
     #[test]
     fn communication_only_run_moves_data_but_does_no_flops_in_the_kernel() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
-        let full = DataflowBackend::paper()
-            .solve(&w, &SolveConfig::default())
-            .unwrap();
-        let comm = DataflowBackend::with_options(SolverOptions::communication_only(5))
-            .solve(&w, &SolveConfig::default())
-            .unwrap();
+        let full = solve(DataflowBackend::paper(), &w, &SolveConfig::default());
+        let comm = solve(
+            DataflowBackend::with_options(SolverOptions::communication_only(5)),
+            &w,
+            &SolveConfig::default(),
+        );
         let full_device = full.device.as_ref().unwrap();
         let comm_device = comm.device.as_ref().unwrap();
         assert_eq!(comm.iterations(), 5);
@@ -628,9 +631,7 @@ mod tests {
     #[test]
     fn modelled_time_has_positive_components() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
-        let report = DataflowBackend::paper()
-            .solve(&w, &SolveConfig::default())
-            .unwrap();
+        let report = solve(DataflowBackend::paper(), &w, &SolveConfig::default());
         let device = report.device.as_ref().unwrap();
         assert!(device.modelled_time_seconds > 0.0);
         assert!(device.counter("compute_time_seconds").unwrap() > 0.0);
@@ -641,9 +642,7 @@ mod tests {
     #[test]
     fn residual_history_decreases_broadly() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
-        let report = DataflowBackend::paper()
-            .solve(&w, &SolveConfig::default())
-            .unwrap();
+        let report = solve(DataflowBackend::paper(), &w, &SolveConfig::default());
         assert!(report.history.is_broadly_decreasing(1e3));
         assert!(report.history.final_rr() < report.history.initial_rr());
     }

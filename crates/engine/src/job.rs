@@ -8,12 +8,13 @@
 //! jobs — which is what makes batch results independent of worker count.
 
 use crate::backend::Backend;
-use mffv_mesh::{TransientSpec, Workload, WorkloadSpec};
-use mffv_solver::backend::{PreconditionerKind, SolveConfig, SolveError, SolveReport};
-use mffv_solver::monitor::{
-    CancelToken, MonitorFanout, NullMonitor, SolveMonitor, StopPolicy, StopReason,
+use mffv_mesh::{TransientSpec, WorkloadSpec};
+use mffv_solver::backend::{
+    PreconditionerKind, SolveConfig, SolveError, SolveReport, SolveRequest,
 };
-use mffv_solver::transient::{run_transient_monitored, run_transient_traced};
+use mffv_solver::context::SolveContextCache;
+use mffv_solver::monitor::{SolveMonitor, StopPolicy, StopReason};
+use mffv_solver::transient::run_transient;
 use mffv_telemetry::Span;
 
 /// One unit of work for the engine: solve `workload_spec` on `backend` under
@@ -36,7 +37,8 @@ pub struct JobSpec {
     pub seed: Option<u64>,
     /// Per-job stop rules (deadline, iteration budget, stagnation /
     /// divergence detection, cancellation).  An empty policy (the default)
-    /// runs the exact unmonitored solve path.
+    /// runs the exact unmonitored solve path; the engine adds its own
+    /// cancel token here before executing.
     pub stop_policy: StopPolicy,
     /// When set, the job runs the transient scenario instead of a single
     /// steady solve: the full backward-Euler schedule executes on the
@@ -153,221 +155,72 @@ impl JobSpec {
         Ok(())
     }
 
-    /// Run the job to completion on the calling thread (validation, workload
-    /// materialisation, solve).  The engine calls this from its workers,
-    /// wrapped in panic isolation; it is also the serial reference path.
-    pub fn execute(&self) -> Result<SolveReport, SolveError> {
-        self.execute_cancellable(None)
-    }
-
-    /// [`execute`](Self::execute), additionally watching `engine_token` (the
-    /// engine threads its batch-level [`CancelToken`] through here so a
-    /// tripped token stops an in-flight job at its next iteration boundary).
+    /// Run the job to completion on the calling thread: validation,
+    /// workload materialisation, then the steady solve or the transient
+    /// schedule (whose summary report is returned).
     ///
-    /// A job whose effective policy is empty takes the plain unmonitored
-    /// solve path; monitored and unmonitored solves perform identical
-    /// arithmetic either way, so batch results stay bitwise deterministic.
-    pub fn execute_cancellable(
-        &self,
-        engine_token: Option<&CancelToken>,
-    ) -> Result<SolveReport, SolveError> {
-        self.execute_traced(engine_token, &Span::null())
-    }
-
-    /// [`execute_cancellable`](Self::execute_cancellable), additionally
-    /// recording phase spans under `span` (workload materialisation, then the
-    /// solve or transient schedule).  On a null span this is byte-for-byte
-    /// the untraced path — the engine threads each job's span through here,
-    /// and traced batches stay bitwise identical to untraced ones.
-    pub fn execute_traced(
-        &self,
-        engine_token: Option<&CancelToken>,
-        span: &Span,
-    ) -> Result<SolveReport, SolveError> {
-        self.execute_streamed(engine_token, span, None)
-    }
-
-    /// [`execute_traced`](Self::execute_traced) with a live observer:
-    /// `external` sees the job's full [`mffv_solver::monitor::SolveEvent`]
-    /// stream — the per-iteration events of a steady solve, or the
-    /// concatenated per-step sessions of a transient — bitwise-identical to
-    /// the recorded convergence history.  The observer can also *stop* the
-    /// job (return [`mffv_solver::monitor::Flow::Stop`]); the job's own
-    /// [`StopPolicy`] keeps stop precedence by sitting first in the fanout.
-    /// This is the serving path: a daemon streams the events over a socket
-    /// while policy deadlines and cancel tokens keep working unchanged.
-    pub fn execute_streamed(
-        &self,
-        engine_token: Option<&CancelToken>,
-        span: &Span,
-        external: Option<&mut dyn SolveMonitor>,
-    ) -> Result<SolveReport, SolveError> {
-        self.execute_pooled(engine_token, span, external, None)
-    }
-
-    /// [`execute_streamed`](Self::execute_streamed) on a warm, worker-owned
-    /// [`SolveContextCache`](mffv_solver::context::SolveContextCache): the
-    /// zero-allocation steady-state serving path.
+    /// `request` carries the job's live observer, span and cache:
+    /// * its monitor sees the job's full
+    ///   [`SolveEvent`](mffv_solver::monitor::SolveEvent) stream — the
+    ///   per-iteration events of a steady solve, or the concatenated per-step
+    ///   sessions of a transient — bitwise-identical to the recorded history,
+    ///   and may stop the job; the job's own [`StopPolicy`] keeps stop
+    ///   precedence.  This is the serving path: a daemon streams the events
+    ///   over a socket while policy deadlines and cancel tokens keep working.
+    /// * its span receives `materialise-workload` and the solve's phase spans.
+    /// * its cache (a worker's long-lived [`SolveContextCache`]) supplies the
+    ///   workload and operator of the previous job when the keys match.
     ///
-    /// With `cache = Some`, steady jobs reuse the worker's cached workload,
-    /// operator/preconditioner and CG scratch whenever the job's key matches
-    /// the previous one (see [`mffv_solver::context`]), and rebuild on a
-    /// mismatch.  Reports are **bitwise identical** with the cache on or off
-    /// — pinned by `tests/engine_batch.rs` across worker counts.  `None` is
-    /// the legacy cache-off path; transient jobs keep their own per-run
-    /// stepper cache and ignore `cache`.
-    pub fn execute_pooled(
-        &self,
-        engine_token: Option<&CancelToken>,
-        span: &Span,
-        external: Option<&mut dyn SolveMonitor>,
-        cache: Option<&mut mffv_solver::context::SolveContextCache>,
-    ) -> Result<SolveReport, SolveError> {
+    /// The engine calls this from its workers, behind panic isolation;
+    /// `execute(&mut SolveRequest::new())` — a fresh cache — is the serial
+    /// reference path.  Reports are bitwise identical either way.
+    pub fn execute(&self, request: &mut SolveRequest<'_>) -> Result<SolveReport, SolveError> {
         self.validate()?;
+        let null_span = Span::null();
+        let span = request.span.unwrap_or(&null_span);
         let materialise = span.child("materialise-workload");
         let spec = self.effective_spec();
-        // Transient jobs cache per-run stepper state instead; the pooled
-        // steady contexts don't apply to them.
-        let cache = if self.transient.is_none() {
-            cache
-        } else {
-            None
+        let mut fresh = SolveContextCache::new();
+        let cache = match request.cache.as_deref_mut() {
+            Some(cache) => cache,
+            None => &mut fresh,
         };
-        let (workload, cache) = match cache {
-            Some(cache) => {
-                let w = cache.checkout_workload(&spec).map_err(|e| {
-                    SolveError::new(self.backend.name(), format!("invalid workload: {e}"))
-                })?;
-                (w, Some(cache))
-            }
-            None => (
-                Workload::try_from_spec(&spec).map_err(|e| {
-                    SolveError::new(self.backend.name(), format!("invalid workload: {e}"))
-                })?,
-                None,
-            ),
-        };
+        let workload = cache
+            .checkout_workload(&spec)
+            .map_err(|e| SolveError::new(self.backend.name(), format!("invalid workload: {e}")))?;
         materialise.finish();
-        let mut policy = self.stop_policy.clone();
-        if let Some(token) = engine_token {
-            policy = policy.cancel_token(token.clone());
-        }
-        if let Some(transient) = &self.transient {
-            let backend = self.backend.instantiate();
-            let report = match external {
-                Some(observer) => run_transient_monitored(
-                    backend.as_ref(),
+        let backend = self.backend.instantiate();
+        let observer = request.monitor.as_deref_mut();
+        let result = match &self.transient {
+            Some(transient) => run_transient(
+                backend.as_ref(),
+                &workload,
+                transient,
+                &self.solve_config,
+                &self.stop_policy,
+                &mut SolveRequest {
+                    monitor: observer.map(|m| m as &mut dyn SolveMonitor),
+                    span: Some(span),
+                    cache: Some(&mut *cache),
+                },
+            )
+            .map(|report| report.summary_report()),
+            None => self.stop_policy.observe(observer, |monitor| {
+                backend.solve(
                     &workload,
-                    transient,
                     &self.solve_config,
-                    &policy,
-                    span,
-                    observer,
-                )?,
-                None => run_transient_traced(
-                    backend.as_ref(),
-                    &workload,
-                    transient,
-                    &self.solve_config,
-                    &policy,
-                    span,
-                )?,
-            };
-            return Ok(report.summary_report());
-        }
-        match cache {
-            Some(cache) => {
-                let backend = self.backend.instantiate();
-                let result = match external {
-                    None => {
-                        if policy.is_empty() {
-                            backend.solve_pooled(
-                                &workload,
-                                &self.solve_config,
-                                &mut NullMonitor,
-                                span,
-                                cache,
-                            )
-                        } else {
-                            backend.solve_pooled(
-                                &workload,
-                                &self.solve_config,
-                                &mut policy.session(),
-                                span,
-                                cache,
-                            )
-                        }
-                    }
-                    Some(observer) => {
-                        if policy.is_empty() {
-                            backend.solve_pooled(
-                                &workload,
-                                &self.solve_config,
-                                observer,
-                                span,
-                                cache,
-                            )
-                        } else {
-                            let mut session = policy.session();
-                            let mut fanout = MonitorFanout::new().push(&mut session).push(observer);
-                            backend.solve_pooled(
-                                &workload,
-                                &self.solve_config,
-                                &mut fanout,
-                                span,
-                                cache,
-                            )
-                        }
-                    }
-                };
-                // Hand the workload back so the next same-spec job skips
-                // materialisation entirely.
-                cache.checkin_workload(spec, workload);
-                result
-            }
-            None => match external {
-                None => {
-                    if policy.is_empty() {
-                        if !span.is_recording() {
-                            return self
-                                .backend
-                                .instantiate()
-                                .solve(&workload, &self.solve_config);
-                        }
-                        return self.backend.instantiate().solve_traced(
-                            &workload,
-                            &self.solve_config,
-                            &mut NullMonitor,
-                            span,
-                        );
-                    }
-                    self.backend.instantiate().solve_traced(
-                        &workload,
-                        &self.solve_config,
-                        &mut policy.session(),
-                        span,
-                    )
-                }
-                Some(observer) => {
-                    if policy.is_empty() {
-                        return self.backend.instantiate().solve_traced(
-                            &workload,
-                            &self.solve_config,
-                            observer,
-                            span,
-                        );
-                    }
-                    let mut session = policy.session();
-                    let mut fanout = MonitorFanout::new().push(&mut session).push(observer);
-                    self.backend.instantiate().solve_traced(
-                        &workload,
-                        &self.solve_config,
-                        &mut fanout,
-                        span,
-                    )
-                }
-            },
-        }
+                    &mut SolveRequest {
+                        monitor: Some(monitor),
+                        span: Some(span),
+                        cache: Some(&mut *cache),
+                    },
+                )
+            }),
+        };
+        // Hand the workload back so the next same-spec job skips
+        // materialisation entirely.
+        cache.checkin_workload(spec, workload);
+        result
     }
 }
 
@@ -378,7 +231,8 @@ pub enum JobStatus {
     /// [`SolveReport::converged`]).
     Completed(SolveReport),
     /// The solve session was stopped early — by its [`StopPolicy`], a
-    /// [`CancelToken`], or batch-level cancellation.  Distinct from
+    /// [`CancelToken`](mffv_solver::monitor::CancelToken), or batch-level
+    /// cancellation.  Distinct from
     /// [`Failed`](Self::Failed): nothing went wrong, the job was told to
     /// stop.  `report` carries the partial state for jobs stopped mid-solve
     /// and is `None` for queued jobs cancelled before they started.
@@ -544,7 +398,7 @@ mod tests {
     #[test]
     fn execute_solves_on_the_requested_backend() {
         let report = JobSpec::new(WorkloadSpec::quickstart(), Backend::host())
-            .execute()
+            .execute(&mut SolveRequest::new())
             .unwrap();
         assert_eq!(report.backend, "host-f64");
         assert!(report.converged());
@@ -565,7 +419,7 @@ mod tests {
             .with_wells(WellSet::empty().with(Well::rate("inj", CellIndex::new(2, 2, 1), 1.0)))
             .with_initial_pressure(1.0);
         let job = JobSpec::transient(spec, Backend::host(), transient);
-        let report = job.execute().unwrap();
+        let report = job.execute(&mut SolveRequest::new()).unwrap();
         assert_eq!(report.backend, "host-f64");
         assert!(report.converged());
         assert!(
@@ -576,7 +430,7 @@ mod tests {
 
         // Re-execution is bitwise identical (worker-count independence rests
         // on this).
-        let again = job.execute().unwrap();
+        let again = job.execute(&mut SolveRequest::new()).unwrap();
         let bits = |r: &SolveReport| -> Vec<u64> {
             r.pressure.as_slice().iter().map(|v| v.to_bits()).collect()
         };

@@ -19,6 +19,8 @@
 use crate::job::{JobOutcome, JobSpec, JobStatus};
 use crate::queue::BoundedQueue;
 use crate::report::{BatchReport, WorkerStats};
+use mffv_solver::backend::SolveRequest;
+use mffv_solver::context::SolveContextCache;
 use mffv_solver::monitor::{CancelToken, StopReason};
 use mffv_telemetry::{LogHistogram, MetricsRegistry, Span, Stopwatch, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,7 +48,6 @@ pub struct Engine {
     cancel: Option<CancelToken>,
     tracer: Tracer,
     metrics: Option<MetricsRegistry>,
-    pooling: bool,
 }
 
 impl Engine {
@@ -60,7 +61,6 @@ impl Engine {
             cancel: None,
             tracer: Tracer::disabled(),
             metrics: None,
-            pooling: true,
         }
     }
 
@@ -103,24 +103,6 @@ impl Engine {
     pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
         self.metrics = Some(registry);
         self
-    }
-
-    /// Enable or disable the per-worker solve-context pool (on by default).
-    ///
-    /// With pooling on, each worker keeps a warm
-    /// [`SolveContextCache`](mffv_solver::context::SolveContextCache) across
-    /// jobs: the stencil plan, preconditioner and CG scratch are rebuilt only
-    /// when a job's cache key differs from the previous job's.  Results are
-    /// **bitwise identical** either way, for any worker count — the switch
-    /// exists for A/B benchmarking, not correctness.
-    pub fn with_context_pooling(mut self, pooling: bool) -> Self {
-        self.pooling = pooling;
-        self
-    }
-
-    /// Whether workers keep warm solve contexts across jobs.
-    pub fn context_pooling(&self) -> bool {
-        self.pooling
     }
 
     /// Number of worker threads.
@@ -194,10 +176,8 @@ impl Engine {
                     };
                     let mut exec_hist = LogHistogram::new();
                     // One warm solve context per worker, reused across jobs
-                    // (results stay bitwise identical with or without it).
-                    let mut context_cache = self
-                        .pooling
-                        .then(mffv_solver::context::SolveContextCache::default);
+                    // (results are bitwise identical to fresh-context runs).
+                    let mut context_cache = SolveContextCache::new();
                     while let Some(item) = queue.pop() {
                         let queue_wait = item.queued.elapsed_seconds();
                         item.wait.finish();
@@ -221,11 +201,11 @@ impl Engine {
                             let exec_span = item.root.child_on_lane("execute", worker as u32 + 1);
                             let outcome = execute_job(
                                 item.index,
-                                &item.job,
+                                item.job,
                                 self.cancel.as_ref(),
                                 &exec_span,
                                 queue_wait,
-                                context_cache.as_mut(),
+                                &mut context_cache,
                             );
                             exec_span.finish();
                             local.busy_seconds += outcome.exec_seconds;
@@ -237,8 +217,8 @@ impl Engine {
                         let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
                         slots[index] = Some(outcome);
                     }
-                    if let (Some(metrics), Some(cache)) = (&self.metrics, &context_cache) {
-                        let stats = cache.stats();
+                    if let Some(metrics) = &self.metrics {
+                        let stats = context_cache.stats();
                         metrics.add("engine.context.hits", stats.hits);
                         metrics.add("engine.context.misses", stats.misses);
                         metrics.add("engine.context.scratch_reallocs", stats.scratch_reallocs);
@@ -298,21 +278,23 @@ impl Engine {
     }
 }
 
-/// Run one job behind panic isolation, timing its execution.  An
-/// early-stopped solve (job policy or batch cancellation) becomes
+/// Run one job behind panic isolation on the worker's warm `cache`, timing
+/// its execution.  The engine's cancel token joins the job's own stop
+/// policy; an early-stopped solve (job policy or batch cancellation) becomes
 /// [`JobStatus::Stopped`] carrying the partial report.
 fn execute_job(
     index: usize,
-    job: &JobSpec,
+    job: JobSpec,
     engine_token: Option<&CancelToken>,
     span: &Span,
     queue_wait_seconds: f64,
-    context_cache: Option<&mut mffv_solver::context::SolveContextCache>,
+    cache: &mut SolveContextCache,
 ) -> JobOutcome {
+    let job = with_engine_token(job, engine_token);
     let label = job.label();
     let started = Stopwatch::start();
     let status = status_from_result(catch_unwind(AssertUnwindSafe(|| {
-        job.execute_pooled(engine_token, span, None, context_cache)
+        job.execute(&mut SolveRequest::new().span(span).cache(cache))
     })));
     JobOutcome {
         index,
@@ -321,6 +303,15 @@ fn execute_job(
         queue_wait_seconds,
         exec_seconds: started.elapsed_seconds(),
     }
+}
+
+/// `job` with the engine's cancel token added to its stop policy, so a
+/// tripped token stops the in-flight solve at its next iteration boundary.
+pub(crate) fn with_engine_token(mut job: JobSpec, token: Option<&CancelToken>) -> JobSpec {
+    if let Some(token) = token {
+        job.stop_policy = job.stop_policy.cancel_token(token.clone());
+    }
+    job
 }
 
 /// Map a panic-isolated execution result onto a [`JobStatus`]: early stops
@@ -429,25 +420,25 @@ mod tests {
     #[test]
     fn context_pooling_is_bitwise_invisible_and_counted() {
         // Two specs alternating across one worker: every switch is a cache
-        // miss, every repeat a hit; outcomes must be bitwise identical to the
-        // cache-off engine.
+        // miss, every repeat a hit; outcomes must be bitwise identical to
+        // serial fresh-context executions.
         let jobs = tiny_jobs(6);
         let registry = MetricsRegistry::new();
         let pooled = Engine::new(1)
             .with_metrics(registry.clone())
             .run(jobs.clone());
-        let unpooled = Engine::new(1).with_context_pooling(false).run(jobs);
-        assert!(pooled.all_succeeded() && unpooled.all_succeeded());
-        for (a, b) in pooled.outcomes.iter().zip(&unpooled.outcomes) {
-            let (ra, rb) = (a.report().unwrap(), b.report().unwrap());
+        assert!(pooled.all_succeeded());
+        for (outcome, job) in pooled.outcomes.iter().zip(&jobs) {
+            let pooled = outcome.report().unwrap();
+            let fresh = job.execute(&mut SolveRequest::new()).unwrap();
             assert_eq!(
-                ra.history.residual_norms_squared,
-                rb.history.residual_norms_squared
+                pooled.history.residual_norms_squared,
+                fresh.history.residual_norms_squared
             );
             let bits = |r: &mffv_solver::backend::SolveReport| -> Vec<u64> {
                 r.pressure.as_slice().iter().map(|v| v.to_bits()).collect()
             };
-            assert_eq!(bits(ra), bits(rb));
+            assert_eq!(bits(pooled), bits(&fresh));
         }
         // tiny_jobs alternates two specs, so a single worker alternates
         // miss/hit; at minimum the first job of each spec misses.

@@ -23,9 +23,11 @@
 //!   fire — nothing is silently lost).
 
 use crate::job::{JobSpec, JobStatus};
-use crate::pool::{status_from_result, Engine};
+use crate::pool::{status_from_result, with_engine_token, Engine};
 use crate::queue::{BoundedQueue, TryPushError};
-use mffv_solver::monitor::{monitor_fn, CancelToken, Flow, SolveEvent, StopReason};
+use mffv_solver::backend::SolveRequest;
+use mffv_solver::context::{ContextStats, SolveContextCache};
+use mffv_solver::monitor::{monitor_fn, CancelToken, Flow, SolveEvent, SolveMonitor, StopReason};
 use mffv_telemetry::{MetricsRegistry, Span, Stopwatch, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,9 +166,6 @@ struct ServiceShared {
     tracer: Tracer,
     metrics: Option<MetricsRegistry>,
     next_ticket: AtomicU64,
-    /// Whether workers keep warm solve contexts across jobs (see
-    /// [`Engine::with_context_pooling`]).
-    pooling: bool,
 }
 
 /// Handle to a started engine service: submit jobs, inspect the queue, shut
@@ -189,7 +188,6 @@ impl Engine {
             tracer: self.tracer().clone(),
             metrics: self.metrics().cloned(),
             next_ticket: AtomicU64::new(0),
-            pooling: self.context_pooling(),
         });
         let workers = (0..self.workers())
             .map(|worker| {
@@ -315,10 +313,8 @@ fn worker_loop(shared: &ServiceShared, worker: usize) {
     // One warm solve context per worker, kept across jobs for the lifetime
     // of the service (the steady-state serving path: after the first job of
     // a spec, repeats reuse the operator, preconditioner and CG scratch).
-    let mut context_cache = shared
-        .pooling
-        .then(mffv_solver::context::SolveContextCache::default);
-    let mut last_context_stats = mffv_solver::context::ContextStats::default();
+    let mut context_cache = SolveContextCache::new();
+    let mut last_context_stats = ContextStats::default();
     while let Some(item) = shared.queue.pop() {
         let QueuedServiceJob {
             ticket,
@@ -351,13 +347,16 @@ fn worker_loop(shared: &ServiceShared, worker: usize) {
         } else {
             let exec_span = root.child_on_lane("execute", worker as u32 + 1);
             let started = Stopwatch::start();
-            let cache = context_cache.as_mut();
-            let result = catch_unwind(AssertUnwindSafe(|| match on_event.as_mut() {
-                Some(callback) => {
-                    let mut streamer = monitor_fn(|event: &SolveEvent| (callback)(event));
-                    job.execute_pooled(Some(&shared.cancel), &exec_span, Some(&mut streamer), cache)
-                }
-                None => job.execute_pooled(Some(&shared.cancel), &exec_span, None, cache),
+            let job = with_engine_token(job, Some(&shared.cancel));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let mut streamer = on_event
+                    .as_mut()
+                    .map(|callback| monitor_fn(|event: &SolveEvent| callback(event)));
+                job.execute(&mut SolveRequest {
+                    monitor: streamer.as_mut().map(|s| s as &mut dyn SolveMonitor),
+                    span: Some(&exec_span),
+                    cache: Some(&mut context_cache),
+                })
             }));
             exec_span.finish();
             ServiceOutcome {
@@ -378,22 +377,20 @@ fn worker_loop(shared: &ServiceShared, worker: usize) {
             };
             metrics.inc(key);
             metrics.observe("engine.service.exec_seconds", outcome.exec_seconds);
-            if let Some(cache) = &context_cache {
-                // Publish per-job context-cache deltas, so a long-lived
-                // service's counters stay live rather than appearing only
-                // at worker exit.
-                let stats = cache.stats();
-                metrics.add("engine.context.hits", stats.hits - last_context_stats.hits);
-                metrics.add(
-                    "engine.context.misses",
-                    stats.misses - last_context_stats.misses,
-                );
-                metrics.add(
-                    "engine.context.scratch_reallocs",
-                    stats.scratch_reallocs - last_context_stats.scratch_reallocs,
-                );
-                last_context_stats = stats;
-            }
+            // Publish per-job context-cache deltas, so a long-lived
+            // service's counters stay live rather than appearing only at
+            // worker exit.
+            let stats = context_cache.stats();
+            metrics.add("engine.context.hits", stats.hits - last_context_stats.hits);
+            metrics.add(
+                "engine.context.misses",
+                stats.misses - last_context_stats.misses,
+            );
+            metrics.add(
+                "engine.context.scratch_reallocs",
+                stats.scratch_reallocs - last_context_stats.scratch_reallocs,
+            );
+            last_context_stats = stats;
         }
         // Completion callbacks get the same isolation as jobs: a panicking
         // callback must not take the worker down with it.
@@ -547,7 +544,7 @@ mod tests {
         service.shutdown(ShutdownMode::Drain);
         let streamed: Vec<SolveEvent> = ev_rx.try_iter().collect();
         let mut recorder = RecordingMonitor::new();
-        job.execute_streamed(None, &Span::null(), Some(&mut recorder))
+        job.execute(&mut SolveRequest::new().monitor(&mut recorder))
             .unwrap();
         assert_eq!(
             streamed, recorder.events,

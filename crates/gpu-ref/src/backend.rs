@@ -9,10 +9,8 @@ use crate::device_model::GpuSpec;
 use mffv_mesh::{CellField, Workload};
 use mffv_solver::backend::{
     final_residual_max_f64, DeviceSection, Precision, SolveBackend, SolveConfig, SolveError,
-    SolveReport,
+    SolveReport, SolveRequest,
 };
-use mffv_solver::monitor::SolveMonitor;
-use mffv_solver::trace::{Span, TraceMonitor};
 
 /// The GPU-style reference as a facade backend: the CUDA block/thread kernel
 /// structure executed on the host, with device time modelled on `spec`.
@@ -90,43 +88,21 @@ impl SolveBackend for GpuRefBackend {
         Precision::F32
     }
 
-    fn solve(&self, workload: &Workload, config: &SolveConfig) -> Result<SolveReport, SolveError> {
-        let report = GpuReferenceSolver::new(workload, self.spec)
-            .with_tolerance(config.effective_tolerance(workload))
-            .with_max_iterations(config.effective_max_iterations(workload))
-            .with_preconditioner(config.preconditioner)
-            .solve();
-        Ok(self.unify(workload, report))
-    }
-
-    fn solve_monitored(
+    fn solve(
         &self,
         workload: &Workload,
         config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
+        request: &mut SolveRequest<'_>,
     ) -> Result<SolveReport, SolveError> {
-        self.solve_traced(workload, config, monitor, &Span::null())
-    }
-
-    fn solve_traced(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-    ) -> Result<SolveReport, SolveError> {
-        let build = span.child("build-device-model");
-        let solver = GpuReferenceSolver::new(workload, self.spec)
-            .with_tolerance(config.effective_tolerance(workload))
-            .with_max_iterations(config.effective_max_iterations(workload))
-            .with_preconditioner(config.preconditioner);
-        build.finish();
-        let report = if span.is_recording() {
-            let mut traced = TraceMonitor::new(span, monitor);
-            solver.solve_traced(&mut traced, span)
-        } else {
-            solver.solve_traced(monitor, span)
-        };
+        let report = request.run(|monitor, span, _| {
+            let build = span.child("build-device-model");
+            let solver = GpuReferenceSolver::new(workload, self.spec)
+                .with_tolerance(config.effective_tolerance(workload))
+                .with_max_iterations(config.effective_max_iterations(workload))
+                .with_preconditioner(config.preconditioner);
+            build.finish();
+            solver.solve(monitor, span)
+        });
         Ok(self.unify(workload, report))
     }
 }
@@ -150,8 +126,12 @@ mod tests {
             tolerance: Some(1e-10),
             ..SolveConfig::default()
         };
-        let gpu = GpuRefBackend::a100().solve(&w, &config).unwrap();
-        let oracle = HostBackend::oracle().solve(&w, &config).unwrap();
+        let gpu = GpuRefBackend::a100()
+            .solve(&w, &config, &mut SolveRequest::new())
+            .unwrap();
+        let oracle = HostBackend::oracle()
+            .solve(&w, &config, &mut SolveRequest::new())
+            .unwrap();
         assert!(gpu.converged());
         assert!(gpu.max_abs_diff(&oracle) < 1e-3);
         let device = gpu.device.expect("gpu backend must model a device");

@@ -2,9 +2,9 @@
 //!
 //! The paper's reference keeps the CG loop on the host and launches one kernel per
 //! operator application; dot products and vector updates are further device kernels.
-//! Here the same structure is expressed by running `mffv_solver`'s CG on top of
-//! [`GpuMatrixFreeOperator`], with the host/device transfer accounting of
-//! [`crate::memory::HostDeviceTransfers`] recorded alongside.
+//! Here the same structure is expressed by running `mffv_solver`'s Newton step and
+//! CG loop on top of [`GpuMatrixFreeOperator`], with the host/device transfer
+//! accounting of [`crate::memory::HostDeviceTransfers`] recorded alongside.
 
 use crate::device_model::{GpuSpec, GpuTimeModel};
 use crate::kernel::GpuMatrixFreeOperator;
@@ -13,11 +13,11 @@ use mffv_mesh::{CellField, Workload};
 use mffv_solver::backend::PreconditionerKind;
 use mffv_solver::cg::ConjugateGradient;
 use mffv_solver::convergence::ConvergenceHistory;
-use mffv_solver::monitor::{NullMonitor, SolveMonitor, StopReason};
-use mffv_solver::newton::{solve_pressure_monitored, solve_pressure_preconditioned};
-use mffv_solver::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
+use mffv_solver::monitor::{SolveMonitor, StopReason};
+use mffv_solver::newton::{solve_pressure, NewtonScratch};
+use mffv_solver::pcg::JacobiPreconditioner;
 use mffv_solver::trace::Span;
-use mffv_solver::{MgConfig, MultigridVcycle};
+use mffv_solver::{MgConfig, MultigridVcycle, Preconditioner};
 
 /// Result of a reference solve.
 #[derive(Clone, Debug)]
@@ -84,24 +84,14 @@ impl<'w> GpuReferenceSolver<'w> {
         self
     }
 
-    /// Run the reference solve.
-    pub fn solve(&self) -> GpuSolveReport {
-        self.solve_monitored(&mut NullMonitor)
-    }
-
     /// Run the reference solve as an observable, cancellable session: the
     /// host-resident CG loop (§IV keeps the loop on the host, one kernel
     /// launch per operator application) reports every iteration boundary to
     /// `monitor`, which may stop the solve early — the partial pressure and
-    /// history are still downloaded and reported.
-    pub fn solve_monitored(&self, monitor: &mut dyn SolveMonitor) -> GpuSolveReport {
-        self.solve_traced(monitor, &Span::null())
-    }
-
-    /// [`Self::solve_monitored`] with telemetry: `span` scopes the
+    /// history are still downloaded and reported.  `span` scopes the
     /// preconditioner's `mg.vcycle` / `mg.level` spans when multigrid is
     /// selected.
-    pub fn solve_traced(&self, monitor: &mut dyn SolveMonitor, span: &Span) -> GpuSolveReport {
+    pub fn solve(&self, monitor: &mut dyn SolveMonitor, span: &Span) -> GpuSolveReport {
         // audit: allow(wall-clock) — telemetry: feeds the report's elapsed
         // seconds, never a numeric decision.
         #[allow(clippy::disallowed_methods)]
@@ -114,69 +104,58 @@ impl<'w> GpuReferenceSolver<'w> {
         transfers.record_host_to_device(2 * self.workload.dims().num_cells() * 4);
 
         let n = self.workload.dims().num_cells();
-        let solution = match self.preconditioner {
-            PreconditionerKind::None => {
-                let solver = ConjugateGradient::with_tolerance(self.tolerance, self.max_iterations);
-                solve_pressure_monitored::<f32, _>(self.workload, &operator, &solver, monitor)
-            }
+        let coeffs = self.workload.transmissibility().convert::<f32>();
+        let precond: Option<Box<dyn Preconditioner<f32>>> = match self.preconditioner {
+            PreconditionerKind::None => None,
             PreconditionerKind::Jacobi => {
                 // The inverse diagonal lives on the device: one extra upload,
                 // then one elementwise kernel per iteration (no per-iteration
                 // transfers).
-                let coeffs = self.workload.transmissibility().convert::<f32>();
-                let jacobi =
-                    JacobiPreconditioner::from_coefficients(&coeffs, self.workload.dirichlet());
                 transfers.record_host_to_device(n * 4);
-                let solver = PreconditionedConjugateGradient::with_tolerance(
-                    self.tolerance,
-                    self.max_iterations,
-                );
-                solve_pressure_preconditioned::<f32, _, _>(
-                    self.workload,
-                    &operator,
-                    &jacobi,
-                    &solver,
-                    monitor,
-                    span,
-                )
+                Some(Box::new(JacobiPreconditioner::from_coefficients(
+                    &coeffs,
+                    self.workload.dirichlet(),
+                )))
             }
-            PreconditionerKind::Mg => {
-                // Host-assisted V-cycle: the device downloads the residual and
-                // uploads the correction every iteration.
-                let mg =
-                    MultigridVcycle::<f32>::from_workload(self.workload, 1, MgConfig::default());
-                let solver = PreconditionedConjugateGradient::with_tolerance(
-                    self.tolerance,
-                    self.max_iterations,
-                );
-                let solution = solve_pressure_preconditioned::<f32, _, _>(
-                    self.workload,
-                    &operator,
-                    &mg,
-                    &solver,
-                    monitor,
-                    span,
-                );
-                // One apply per iteration plus the initial z0 = M⁻¹ r0.
-                let applies = solution.history.iterations + 1;
-                transfers.record_device_to_host(applies * n * 4);
-                transfers.record_host_to_device(applies * n * 4);
-                solution
-            }
+            PreconditionerKind::Mg => Some(Box::new(MultigridVcycle::<f32>::from_workload(
+                self.workload,
+                1,
+                MgConfig::default(),
+            ))),
         };
+        let solver = ConjugateGradient::with_tolerance(self.tolerance, self.max_iterations);
+        let mut newton = NewtonScratch::new(self.workload.dims());
+        let stopped = solve_pressure(
+            self.workload,
+            &coeffs,
+            &operator,
+            precond.as_deref(),
+            &solver,
+            monitor,
+            span,
+            &mut newton,
+        );
+        if self.preconditioner == PreconditionerKind::Mg {
+            // Host-assisted V-cycle: the device downloads the residual and
+            // uploads the correction on every application — one per
+            // iteration plus the initial z0 = M⁻¹ r0.
+            let applies = newton.history().iterations + 1;
+            transfers.record_device_to_host(applies * n * 4);
+            transfers.record_host_to_device(applies * n * 4);
+        }
         // Final download of the pressure field.
-        transfers.record_device_to_host(self.workload.dims().num_cells() * 4);
+        transfers.record_device_to_host(n * 4);
 
         let model = GpuTimeModel::new(self.spec);
-        let modelled_kernel_time = model.cg_time(self.workload.dims(), solution.history.iterations);
+        let modelled_kernel_time = model.cg_time(self.workload.dims(), newton.history().iterations);
         GpuSolveReport {
-            pressure: solution.pressure,
-            history: solution.history,
-            final_residual_max: solution.final_residual_max,
+            pressure: newton.pressure().clone(),
+            history: newton.history().clone(),
+            final_residual_max: newton.final_residual_max(),
             transfers,
             modelled_kernel_time,
             host_wall_seconds: start.elapsed().as_secs_f64(),
-            stopped: solution.stopped,
+            stopped,
         }
     }
 }
@@ -186,8 +165,7 @@ mod tests {
     use crate::backend::GpuRefBackend;
     use mffv_mesh::workload::WorkloadSpec;
     use mffv_mesh::Dims;
-    use mffv_solver::backend::{SolveBackend, SolveConfig};
-    use mffv_solver::newton::solve_pressure;
+    use mffv_solver::backend::{HostBackend, SolveBackend, SolveConfig, SolveRequest};
 
     fn config(tolerance: f64) -> SolveConfig {
         SolveConfig {
@@ -199,9 +177,13 @@ mod tests {
     #[test]
     fn reference_solve_matches_host_oracle() {
         let w = WorkloadSpec::quickstart().build();
-        let report = GpuRefBackend::a100().solve(&w, &config(1e-10)).unwrap();
+        let report = GpuRefBackend::a100()
+            .solve(&w, &config(1e-10), &mut SolveRequest::new())
+            .unwrap();
         assert!(report.converged());
-        let oracle = solve_pressure::<f64>(&w);
+        let oracle = HostBackend::oracle()
+            .solve(&w, &SolveConfig::default(), &mut SolveRequest::new())
+            .unwrap();
         let diff = oracle.pressure.max_abs_diff(&report.pressure);
         assert!(diff < 1e-3, "gpu reference vs oracle gap {diff}");
         assert!(report.final_residual_max < 1e-3);
@@ -211,14 +193,18 @@ mod tests {
     fn preconditioned_paths_match_the_unpreconditioned_solve() {
         use mffv_solver::backend::PreconditionerKind;
         let w = WorkloadSpec::quickstart().build();
-        let base = GpuRefBackend::a100().solve(&w, &config(1e-12)).unwrap();
+        let base = GpuRefBackend::a100()
+            .solve(&w, &config(1e-12), &mut SolveRequest::new())
+            .unwrap();
         for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Mg] {
             let cfg = SolveConfig {
                 tolerance: Some(1e-12),
                 preconditioner: kind,
                 ..SolveConfig::default()
             };
-            let report = GpuRefBackend::a100().solve(&w, &cfg).unwrap();
+            let report = GpuRefBackend::a100()
+                .solve(&w, &cfg, &mut SolveRequest::new())
+                .unwrap();
             assert!(report.converged(), "{} did not converge", kind.label());
             let diff = report.max_abs_diff(&base);
             assert!(diff < 1e-3, "{} pressure gap {diff}", kind.label());
@@ -245,7 +231,9 @@ mod tests {
     #[test]
     fn transfers_and_model_are_populated() {
         let w = WorkloadSpec::fig5(Dims::new(8, 6, 5)).build();
-        let report = GpuRefBackend::h100().solve(&w, &config(1e-12)).unwrap();
+        let report = GpuRefBackend::h100()
+            .solve(&w, &config(1e-12), &mut SolveRequest::new())
+            .unwrap();
         let device = report.device.as_ref().unwrap();
         assert!(device.counter("host_to_device_bytes").unwrap() > 0.0);
         assert!(device.counter("device_to_host_bytes").unwrap() > 0.0);
@@ -257,9 +245,11 @@ mod tests {
     fn a100_is_modelled_slower_than_h100() {
         let w = WorkloadSpec::quickstart().build();
         let a = GpuRefBackend::a100()
-            .solve(&w.clone(), &config(1e-8))
+            .solve(&w, &config(1e-8), &mut SolveRequest::new())
             .unwrap();
-        let h = GpuRefBackend::h100().solve(&w, &config(1e-8)).unwrap();
+        let h = GpuRefBackend::h100()
+            .solve(&w, &config(1e-8), &mut SolveRequest::new())
+            .unwrap();
         assert!(a.modelled_time().unwrap() > h.modelled_time().unwrap());
     }
 }

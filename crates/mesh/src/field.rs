@@ -203,6 +203,16 @@ impl<T: Scalar> CellField<T> {
         }
     }
 
+    /// Overwrite every cell from `other`, converted to this field's
+    /// precision, without reallocating — the buffer-reusing counterpart of
+    /// [`convert`](Self::convert).
+    pub fn convert_from<U: Scalar>(&mut self, other: &CellField<U>) {
+        assert_eq!(self.dims, other.dims(), "field dimension mismatch");
+        for (a, &b) in self.data.iter_mut().zip(other.as_slice()) {
+            *a = T::from_f64(b.to_f64());
+        }
+    }
+
     /// Whether every entry is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())

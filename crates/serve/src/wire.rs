@@ -1436,7 +1436,7 @@ mod tests {
             WorkloadSpec::quickstart().scaled(2),
             BackendSel::Dataflow.to_backend(),
         )
-        .execute()
+        .execute(&mut mffv_solver::backend::SolveRequest::new())
         .unwrap();
         let bytes = roundtrip_bytes(&report);
         let decoded: SolveReport = from_bytes(&bytes).unwrap();

@@ -7,8 +7,8 @@ use mffv_mesh::WorkloadSpec;
 use mffv_serve::frame::{Frame, WireShutdownMode};
 use mffv_serve::wire::{BackendSel, WireJobSpec, WirePolicy};
 use mffv_serve::{Client, ClientControl, JobEnd, RunningServer, ServeConfig, Server};
+use mffv_solver::backend::SolveRequest;
 use mffv_solver::monitor::{RecordingMonitor, SolveEvent, StopReason};
-use mffv_telemetry::Span;
 use std::net::TcpStream;
 
 fn start(config: ServeConfig) -> RunningServer {
@@ -59,7 +59,7 @@ fn streamed_events_are_bitwise_the_inprocess_history_on_every_backend() {
         let mut recorder = RecordingMonitor::new();
         let report = spec
             .to_job_spec(None)
-            .execute_streamed(None, &Span::null(), Some(&mut recorder))
+            .execute(&mut SolveRequest::new().monitor(&mut recorder))
             .expect("in-process solve");
 
         assert_eq!(

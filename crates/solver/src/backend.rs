@@ -9,7 +9,10 @@
 //! * [`SolveConfig`] — the normalized cross-backend settings (tolerance,
 //!   iteration cap, host precision), with `None` meaning "use the workload's
 //!   own defaults";
-//! * [`SolveBackend`] — one object-safe trait every solver implements;
+//! * [`SolveBackend`] — one object-safe trait every solver implements, with
+//!   one [`solve`](SolveBackend::solve) entry point;
+//! * [`SolveRequest`] — the per-call half of a solve: the optional live
+//!   monitor, telemetry span and warm [`SolveContextCache`];
 //! * [`SolveReport`] — one report shape: pressure normalized to `f64`,
 //!   convergence history, final residual, and an optional [`DeviceSection`]
 //!   for backends that model device time;
@@ -21,17 +24,12 @@
 //! in their own crates (`mffv-gpu-ref`, `mffv-core`); the umbrella `mffv` crate
 //! wires all three into the `Simulation` builder.
 
-use crate::cg::ConjugateGradient;
-use crate::context::SolveContextCache;
+use crate::context::{ContextKey, SolveContextCache};
 use crate::convergence::ConvergenceHistory;
-use crate::monitor::{replay_history, NullMonitor, SolveMonitor, StopReason};
-use crate::newton::{solve_pressure_monitored, solve_pressure_preconditioned, PressureSolution};
-use crate::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
-use crate::trace::TraceMonitor;
-use crate::transient::{PlannedStepper, StepOutcome, StepRequest, TransientStepper};
+use crate::monitor::{NullMonitor, SolveMonitor, StopReason};
+use crate::trace::traced;
 use mffv_fv::residual::residual;
-use mffv_fv::{MatrixFreeOperator, MgConfig, MultigridVcycle};
-use mffv_mesh::{CellField, Scalar, Workload};
+use mffv_mesh::{CellField, Workload};
 use mffv_telemetry::{Span, Stopwatch};
 
 /// Floating-point precision of a host solve.  The device-style backends are
@@ -244,12 +242,16 @@ impl SolveReport {
 /// `Box<dyn std::error::Error>`:
 ///
 /// ```
-/// use mffv_solver::backend::{HostBackend, SolveBackend, SolveConfig};
+/// use mffv_solver::backend::{HostBackend, SolveBackend, SolveConfig, SolveRequest};
 /// use mffv_mesh::WorkloadSpec;
 ///
 /// fn main() -> Result<(), Box<dyn std::error::Error>> {
 ///     let w = WorkloadSpec::quickstart().build();
-///     let report = HostBackend::oracle().solve(&w, &SolveConfig::default())?;
+///     let report = HostBackend::oracle().solve(
+///         &w,
+///         &SolveConfig::default(),
+///         &mut SolveRequest::new(),
+///     )?;
 ///     assert!(report.converged());
 ///     Ok(())
 /// }
@@ -343,93 +345,94 @@ pub fn final_residual_max_f64(workload: &Workload, pressure: &CellField<f64>) ->
     residual(pressure, workload.transmissibility(), workload.dirichlet()).max_abs()
 }
 
+/// The per-call half of a solve: who observes it, where its spans go, and
+/// which warm cache it may reuse.  `SolveRequest::new()` asks for a plain
+/// solve — no monitor, no tracing, a throwaway cache.
+#[derive(Default)]
+pub struct SolveRequest<'a> {
+    /// Live observer of the Krylov loop: it receives a
+    /// [`SolveEvent`](crate::monitor::SolveEvent) at every iteration
+    /// boundary — `rr` payloads bitwise identical to the report's history —
+    /// and may stop the solve by returning
+    /// [`Flow::Stop`](crate::monitor::Flow::Stop), in which case the partial
+    /// report comes back with [`SolveReport::stopped`] set.
+    pub monitor: Option<&'a mut dyn SolveMonitor>,
+    /// Parent of the solve's phase spans (`build-operator`, `cg-loop` with
+    /// per-chunk `iters`, `mg.vcycle`, …; see [`crate::trace`]).  Tracing
+    /// never touches solve arithmetic: traced and untraced reports are
+    /// bitwise identical.
+    pub span: Option<&'a Span>,
+    /// Warm per-worker contexts to reuse (the zero-allocation serving path);
+    /// `None` solves on a throwaway cache.  Reports are bitwise identical
+    /// either way.
+    pub cache: Option<&'a mut SolveContextCache>,
+}
+
+impl<'a> SolveRequest<'a> {
+    /// A plain request: no monitor, no tracing, a throwaway cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Attach a live monitor.
+    pub fn monitor(mut self, monitor: &'a mut dyn SolveMonitor) -> Self {
+        self.monitor = Some(monitor);
+        self
+    }
+
+    /// Record phase spans under `span`.
+    pub fn span(mut self, span: &'a Span) -> Self {
+        self.span = Some(span);
+        self
+    }
+
+    /// Reuse the warm contexts of `cache`.
+    pub fn cache(mut self, cache: &'a mut SolveContextCache) -> Self {
+        self.cache = Some(cache);
+        self
+    }
+
+    /// Run `f` with the request's monitor (a [`NullMonitor`] when none),
+    /// mirrored into `cg-loop` spans when the span records; the request's
+    /// span (a null one when none); and its cache (a fresh one when none).
+    /// Every backend's [`solve`](SolveBackend::solve) goes through here, so
+    /// the monitor is wrapped exactly once per solve.
+    pub fn run<R>(
+        &mut self,
+        f: impl FnOnce(&mut dyn SolveMonitor, &Span, &mut SolveContextCache) -> R,
+    ) -> R {
+        let null_span = Span::null();
+        let span = self.span.unwrap_or(&null_span);
+        let mut fresh = SolveContextCache::default();
+        let cache = match self.cache.as_deref_mut() {
+            Some(cache) => cache,
+            None => &mut fresh,
+        };
+        let mut null_monitor = NullMonitor;
+        let monitor: &mut dyn SolveMonitor = match self.monitor.as_deref_mut() {
+            Some(monitor) => monitor,
+            None => &mut null_monitor,
+        };
+        traced(span, monitor, |monitor| f(monitor, span, cache))
+    }
+}
+
 /// One pressure-solve target: host oracle, GPU-style reference, dataflow
-/// fabric, or anything future PRs register.
-///
-/// The trait is object-safe and stays so: [`solve_monitored`] has a default
-/// implementation, so existing backends (and trait objects) keep compiling
-/// and working unchanged.
-///
-/// [`solve_monitored`]: Self::solve_monitored
+/// fabric, or anything future PRs register.  Object-safe.
 pub trait SolveBackend {
     /// Unique, stable name ("host-f64", "gpu-ref-A100", "dataflow"…).
     fn name(&self) -> String;
 
-    /// Solve `workload`'s pressure problem under `config`.
-    fn solve(&self, workload: &Workload, config: &SolveConfig) -> Result<SolveReport, SolveError>;
-
-    /// Solve `workload` as an observable, cancellable session: `monitor`
-    /// receives a [`SolveEvent`](crate::monitor::SolveEvent) at every
-    /// iteration boundary — with `rr` payloads bitwise identical to the
-    /// report's `ConvergenceHistory` entries — and may stop the solve by
-    /// returning [`Flow::Stop`](crate::monitor::Flow::Stop), in which case
-    /// the partial report is returned with [`SolveReport::stopped`] set.
-    ///
-    /// The default implementation runs [`solve`](Self::solve) to completion
-    /// and *replays* the finished history as an event stream: observation
-    /// works, control does not.  Backends with live inner loops (the three
-    /// paper targets all do) override this with real mid-solve event
-    /// threading, which is what makes deadlines and cancellation take effect
-    /// within one iteration boundary.
-    fn solve_monitored(
+    /// Solve `workload`'s pressure problem under `config`, observed,
+    /// traced and cached as `request` asks (see [`SolveRequest`]).  A
+    /// monitor stop returns the partial report with
+    /// [`SolveReport::stopped`] set.
+    fn solve(
         &self,
         workload: &Workload,
         config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-    ) -> Result<SolveReport, SolveError> {
-        let report = self.solve(workload, config)?;
-        replay_history(&report.history, report.stopped, monitor);
-        Ok(report)
-    }
-
-    /// Solve as an observable session that additionally records phase
-    /// spans under `span` (see [`crate::trace`]).
-    ///
-    /// On a null (non-recording) span this **is**
-    /// [`solve_monitored`](Self::solve_monitored) — no wrapper, no extra
-    /// per-iteration work — so callers can leave tracing wired in
-    /// permanently.  On a recording span the default implementation wraps
-    /// `monitor` in a [`TraceMonitor`], which mirrors the event stream
-    /// into a `cg-loop` span with per-chunk `iters` children.  Tracing
-    /// never touches solve arithmetic: traced and untraced reports are
-    /// bitwise identical (pinned per backend in `tests/telemetry.rs`).
-    /// Backends override this to add their own phase spans (the host adds
-    /// `build-operator`).
-    fn solve_traced(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-    ) -> Result<SolveReport, SolveError> {
-        if !span.is_recording() {
-            return self.solve_monitored(workload, config, monitor);
-        }
-        let mut traced = TraceMonitor::new(span, monitor);
-        self.solve_monitored(workload, config, &mut traced)
-    }
-
-    /// Solve on a warm, worker-owned [`SolveContextCache`]: the
-    /// zero-allocation steady-state serving path.
-    ///
-    /// Engine workers call this with the per-worker cache they keep across
-    /// jobs.  Backends with pooled state (the host backend) reuse the cached
-    /// operator/preconditioner and scratch arena when the workload key
-    /// matches, producing a report **bitwise identical** to
-    /// [`solve_traced`](Self::solve_traced); the default implementation just
-    /// forwards to `solve_traced`, so device-style backends behave exactly
-    /// as before and the cache is inert for them.
-    fn solve_pooled(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-        cache: &mut SolveContextCache,
-    ) -> Result<SolveReport, SolveError> {
-        let _ = cache;
-        self.solve_traced(workload, config, monitor, span)
-    }
+        request: &mut SolveRequest<'_>,
+    ) -> Result<SolveReport, SolveError>;
 
     /// The arithmetic precision this backend steps transient systems at.
     ///
@@ -440,48 +443,38 @@ pub trait SolveBackend {
         Precision::F64
     }
 
-    /// Advance one backward-Euler step of a transient scenario (see
-    /// [`crate::transient`]): solve `(A + D + W) δ = r(pⁿ) + q(pⁿ)` and
-    /// return `p^{n+1}`, with `monitor` threaded through the step's inner
-    /// CG loop exactly like [`solve_monitored`](Self::solve_monitored).
-    ///
-    /// The default implementation runs the shared shifted-CG step on the
-    /// host's planned stencil kernels at [`step_precision`](Self::step_precision)
-    /// — every backend therefore supports transient simulation out of the
-    /// box, in its native arithmetic, with the same bitwise thread-count
-    /// independence as steady solves.  Backends with genuinely different
-    /// stepping machinery can override it.
-    fn step(
-        &self,
-        request: &StepRequest<'_>,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-    ) -> Result<StepOutcome, SolveError> {
-        self.transient_session(request.workload, config)?
-            .step(request, config, monitor)
-    }
-
-    /// Arm a stepping session for a whole transient run: the returned
-    /// [`TransientStepper`] may cache per-run kernel state (the default one
-    /// builds the planned operator once and swaps only the `Δt`-dependent
-    /// diagonal between steps), producing outcomes bitwise identical to
-    /// repeated [`step`](Self::step) calls.
-    /// [`run_transient`](crate::transient::run_transient) drives the
-    /// schedule through one session.
+    /// Arm a cache for a transient run of `workload` (see
+    /// [`crate::transient`]): the planned operator and preconditioner are
+    /// built now, at [`step_precision`](Self::step_precision).  Hand it to
+    /// [`run_transient`](crate::transient::run_transient) as the request's
+    /// cache and every step of the run only swaps their `Δt`-dependent
+    /// diagonal in place; a run without a cache builds the same state on
+    /// its first step.
     fn transient_session(
         &self,
         workload: &Workload,
         config: &SolveConfig,
-    ) -> Result<Box<dyn TransientStepper>, SolveError> {
-        Ok(match self.step_precision() {
-            Precision::F64 => Box::new(PlannedStepper::<f64>::new(workload, config)),
-            Precision::F32 => Box::new(PlannedStepper::<f32>::new(workload, config)),
-        })
+    ) -> Result<SolveContextCache, SolveError> {
+        let mut cache = SolveContextCache::new();
+        let key = ContextKey::of(
+            workload,
+            config.effective_threads(),
+            config.preconditioner,
+            true,
+        );
+        let span = Span::null();
+        match self.step_precision() {
+            Precision::F64 => cache.f64_context.prepare(workload, key, &span),
+            Precision::F32 => cache.f32_context.prepare(workload, key, &span),
+        };
+        Ok(cache)
     }
 }
 
-/// The sequential host oracle (`solve_pressure` behind the trait): matrix-free
-/// CG at a selectable precision, no device model.
+/// The host oracle: matrix-free (P)CG on the planned stencil kernels at a
+/// selectable precision, no device model.  Every solve runs on a
+/// [`SolveContext`](crate::context::SolveContext) — the request's warm one,
+/// or a throwaway.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HostBackend {
     /// Arithmetic precision of the solve.
@@ -513,52 +506,36 @@ impl SolveBackend for HostBackend {
         self.precision
     }
 
-    fn solve(&self, workload: &Workload, config: &SolveConfig) -> Result<SolveReport, SolveError> {
-        self.solve_monitored(workload, config, &mut NullMonitor)
-    }
-
-    fn solve_monitored(
+    fn solve(
         &self,
         workload: &Workload,
         config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-    ) -> Result<SolveReport, SolveError> {
-        self.solve_traced(workload, config, monitor, &Span::null())
-    }
-
-    fn solve_traced(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
+        request: &mut SolveRequest<'_>,
     ) -> Result<SolveReport, SolveError> {
         let start = Stopwatch::start();
-        let (pressure, history, final_residual_max, stopped) = match self.precision {
-            Precision::F64 => {
-                let solution = host_solve_pressure::<f64>(workload, config, monitor, span);
-                (
-                    solution.pressure,
-                    solution.history,
-                    solution.final_residual_max,
-                    solution.stopped,
-                )
-            }
-            Precision::F32 => {
-                let solution = host_solve_pressure::<f32>(workload, config, monitor, span);
-                let pressure: CellField<f64> = solution.pressure.convert();
-                // Re-evaluate the residual in f64 so the field keeps its
-                // backend-independent contract (the f32 solve evaluated it in
-                // device precision).
-                let final_residual_max = final_residual_max_f64(workload, &pressure);
-                (
-                    pressure,
-                    solution.history,
-                    final_residual_max,
-                    solution.stopped,
-                )
-            }
-        };
+        let (pressure, history, final_residual_max, stopped) =
+            request.run(|monitor, span, cache| match self.precision {
+                Precision::F64 => {
+                    let ctx = &mut cache.f64_context;
+                    let stopped = ctx.solve(workload, config, monitor, span);
+                    (
+                        ctx.pressure().clone(),
+                        ctx.history().clone(),
+                        ctx.final_residual_max(),
+                        stopped,
+                    )
+                }
+                Precision::F32 => {
+                    let ctx = &mut cache.f32_context;
+                    let stopped = ctx.solve(workload, config, monitor, span);
+                    let pressure: CellField<f64> = ctx.pressure().convert();
+                    // Re-evaluate the residual in f64 so the field keeps its
+                    // backend-independent contract (the f32 solve evaluated
+                    // it in device precision).
+                    let final_residual_max = final_residual_max_f64(workload, &pressure);
+                    (pressure, ctx.history().clone(), final_residual_max, stopped)
+                }
+            });
         Ok(SolveReport {
             backend: self.name(),
             pressure,
@@ -568,120 +545,6 @@ impl SolveBackend for HostBackend {
             device: None,
             stopped,
         })
-    }
-
-    fn solve_pooled(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-        cache: &mut SolveContextCache,
-    ) -> Result<SolveReport, SolveError> {
-        let start = Stopwatch::start();
-        let (pressure, history, final_residual_max, stopped) = match self.precision {
-            Precision::F64 => {
-                let ctx = &mut cache.f64_context;
-                let stopped = ctx.solve(workload, config, monitor, span);
-                (
-                    ctx.pressure().clone(),
-                    ctx.history().clone(),
-                    ctx.final_residual_max(),
-                    stopped,
-                )
-            }
-            Precision::F32 => {
-                let ctx = &mut cache.f32_context;
-                let stopped = ctx.solve(workload, config, monitor, span);
-                let pressure: CellField<f64> = ctx.pressure().convert();
-                // Same contract as the un-pooled f32 path: the reported
-                // residual is re-evaluated on the host in f64.
-                let final_residual_max = final_residual_max_f64(workload, &pressure);
-                (pressure, ctx.history().clone(), final_residual_max, stopped)
-            }
-        };
-        Ok(SolveReport {
-            backend: self.name(),
-            pressure,
-            history,
-            final_residual_max,
-            host_wall_seconds: start.elapsed().as_secs_f64(),
-            device: None,
-            stopped,
-        })
-    }
-}
-
-/// The host pressure solve at one precision: build the planned operator, then
-/// run the Krylov loop selected by [`SolveConfig::preconditioner`].  Every
-/// path threads the monitor (wrapped in a [`TraceMonitor`] when `span`
-/// records) through the live inner loop, so cancellation and deadlines keep
-/// working identically under any preconditioner.
-fn host_solve_pressure<T: Scalar>(
-    workload: &Workload,
-    config: &SolveConfig,
-    monitor: &mut dyn SolveMonitor,
-    span: &Span,
-) -> PressureSolution<T> {
-    let tolerance = config.effective_tolerance(workload);
-    let max_iterations = config.effective_max_iterations(workload);
-    let threads = config.effective_threads();
-    let build = span.child("build-operator");
-    let operator = MatrixFreeOperator::<T>::from_workload(workload).with_threads(threads);
-    build.finish();
-    match config.preconditioner {
-        PreconditionerKind::None => {
-            let solver = ConjugateGradient::with_tolerance(tolerance, max_iterations);
-            if span.is_recording() {
-                let mut traced = TraceMonitor::new(span, monitor);
-                solve_pressure_monitored::<T, _>(workload, &operator, &solver, &mut traced)
-            } else {
-                solve_pressure_monitored::<T, _>(workload, &operator, &solver, monitor)
-            }
-        }
-        PreconditionerKind::Jacobi => {
-            let pc = JacobiPreconditioner::from_coefficients(
-                operator.coefficients(),
-                workload.dirichlet(),
-            );
-            let solver = PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations);
-            if span.is_recording() {
-                let mut traced = TraceMonitor::new(span, monitor);
-                solve_pressure_preconditioned::<T, _, _>(
-                    workload,
-                    &operator,
-                    &pc,
-                    &solver,
-                    &mut traced,
-                    span,
-                )
-            } else {
-                solve_pressure_preconditioned::<T, _, _>(
-                    workload, &operator, &pc, &solver, monitor, span,
-                )
-            }
-        }
-        PreconditionerKind::Mg => {
-            let mg_build = span.child("mg.build");
-            let pc = MultigridVcycle::<T>::from_workload(workload, threads, MgConfig::default());
-            mg_build.finish();
-            let solver = PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations);
-            if span.is_recording() {
-                let mut traced = TraceMonitor::new(span, monitor);
-                solve_pressure_preconditioned::<T, _, _>(
-                    workload,
-                    &operator,
-                    &pc,
-                    &solver,
-                    &mut traced,
-                    span,
-                )
-            } else {
-                solve_pressure_preconditioned::<T, _, _>(
-                    workload, &operator, &pc, &solver, monitor, span,
-                )
-            }
-        }
     }
 }
 
@@ -709,7 +572,7 @@ mod tests {
     fn host_backend_solves_and_reports() {
         let w = WorkloadSpec::quickstart().build();
         let report = HostBackend::oracle()
-            .solve(&w, &SolveConfig::default())
+            .solve(&w, &SolveConfig::default(), &mut SolveRequest::new())
             .unwrap();
         assert_eq!(report.backend, "host-f64");
         assert!(report.converged());
@@ -726,8 +589,12 @@ mod tests {
             tolerance: Some(1e-10),
             ..SolveConfig::default()
         };
-        let f64_report = HostBackend::oracle().solve(&w, &config).unwrap();
-        let f32_report = HostBackend::f32().solve(&w, &config).unwrap();
+        let f64_report = HostBackend::oracle()
+            .solve(&w, &config, &mut SolveRequest::new())
+            .unwrap();
+        let f32_report = HostBackend::f32()
+            .solve(&w, &config, &mut SolveRequest::new())
+            .unwrap();
         assert_eq!(f32_report.backend, "host-f32");
         assert!(f64_report.max_abs_diff(&f32_report) < 1e-3);
     }
@@ -757,54 +624,6 @@ mod tests {
         let _: Box<dyn std::error::Error> = Box::new(s);
     }
 
-    /// A third-party backend that only implements the required methods: the
-    /// default `solve_monitored` must replay the finished history so
-    /// observation keeps working without live threading.
-    struct ReplayOnlyBackend;
-
-    impl SolveBackend for ReplayOnlyBackend {
-        fn name(&self) -> String {
-            "replay-only".into()
-        }
-        fn solve(
-            &self,
-            workload: &Workload,
-            config: &SolveConfig,
-        ) -> Result<SolveReport, SolveError> {
-            HostBackend::oracle()
-                .solve(workload, config)
-                .map(|mut report| {
-                    report.backend = self.name();
-                    report
-                })
-        }
-    }
-
-    #[test]
-    fn default_solve_monitored_replays_the_history() {
-        use crate::monitor::RecordingMonitor;
-        let w = WorkloadSpec::quickstart().build();
-        let mut recorder = RecordingMonitor::new();
-        let report = ReplayOnlyBackend
-            .solve_monitored(&w, &SolveConfig::default(), &mut recorder)
-            .unwrap();
-        assert_eq!(report.backend, "replay-only");
-        let streamed: Vec<u64> = recorder
-            .iteration_rrs()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let recorded: Vec<u64> = report.history.residual_norms_squared[1..]
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(streamed, recorded);
-        assert_eq!(
-            recorder.initial_rr().unwrap().to_bits(),
-            report.history.initial_rr().to_bits()
-        );
-    }
-
     #[test]
     fn host_backend_reports_a_deadline_stop_with_partial_state() {
         use crate::monitor::StopPolicy;
@@ -817,7 +636,7 @@ mod tests {
             .deadline(std::time::Duration::ZERO)
             .session();
         let report = HostBackend::oracle()
-            .solve_monitored(&w, &config, &mut session)
+            .solve(&w, &config, &mut SolveRequest::new().monitor(&mut session))
             .unwrap();
         assert_eq!(report.stopped, Some(StopReason::DeadlineExpired));
         assert!(!report.converged());

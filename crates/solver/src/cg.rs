@@ -1,4 +1,5 @@
-//! The conjugate-gradient method of the paper's Algorithm 1.
+//! The conjugate-gradient method of the paper's Algorithm 1, optionally
+//! preconditioned.
 //!
 //! The loop body is the textbook CG recurrence the paper lists (with its `x` being
 //! the search direction and `y` the iterate; here they are called `direction` and
@@ -16,6 +17,14 @@
 //! One operator application and two dot products per iteration — exactly the
 //! structure the dataflow implementation reproduces with Algorithm 2 for `A d` and
 //! the whole-fabric all-reduce for the dot products.
+//!
+//! With a [`Preconditioner`] `M⁻¹` (Jacobi, or the multigrid V-cycle of
+//! [`mffv_fv::mg`]) the same loop runs PCG: `z = M⁻¹ r` replaces `r` in the
+//! direction update and `rᵀz` replaces `rᵀr` in `α` and `β`.  Without one,
+//! the identity is special-cased — no `r → z` copy and no extra dot product —
+//! so plain CG is exactly the arithmetic of Algorithm 1.  Convergence is
+//! always tested on the *unpreconditioned* `rᵀr`, so histories are
+//! comparable across preconditioners.
 //!
 //! The host loop executes those passes through the two **fused kernels** of
 //! [`LinearOperator`]: [`apply_dot`](LinearOperator::apply_dot) computes `A d`
@@ -35,12 +44,12 @@
 //! Grids of at most `SLAB_CELLS` cells have a single slab and are bitwise
 //! unchanged.
 
-use crate::context::CgScratch;
 use crate::convergence::{ConvergenceHistory, StoppingCriterion};
-use crate::monitor::{Flow, NullMonitor, SolveEvent, SolveMonitor, StopReason};
-use mffv_fv::plan::det_norm_squared;
-use mffv_fv::LinearOperator;
-use mffv_mesh::{CellField, Scalar};
+use crate::monitor::{Flow, SolveEvent, SolveMonitor, StopReason};
+use mffv_fv::plan::{det_dot, det_norm_squared};
+use mffv_fv::{LinearOperator, Preconditioner};
+use mffv_mesh::{CellField, Dims, Scalar};
+use mffv_telemetry::Span;
 
 /// Result of a CG solve.
 #[derive(Clone, Debug)]
@@ -54,10 +63,60 @@ pub struct SolveOutcome<T: Scalar> {
     pub stopped: Option<StopReason>,
 }
 
+/// Reusable work vectors of one Krylov solve.
+///
+/// Holds the five fields of the loop (`solution`, `residual`, `direction`,
+/// `ad`, `z`) plus the [`ConvergenceHistory`] entry buffer.  Every field is
+/// fully overwritten by the solver before it is read — `copy_from` replaces
+/// `clone()`, a full `apply` overwrite replaces `apply_new`,
+/// [`ConvergenceHistory::reset_from`] replaces `starting_from` — so reuse is
+/// bitwise invisible.
+#[derive(Clone, Debug)]
+pub struct CgScratch<T: Scalar> {
+    pub(crate) solution: CellField<T>,
+    pub(crate) residual: CellField<T>,
+    pub(crate) direction: CellField<T>,
+    /// The `A·d` product; also reused for the initial `A·x₀`.
+    pub(crate) ad: CellField<T>,
+    /// The preconditioned residual (unpreconditioned solves never touch it).
+    pub(crate) z: CellField<T>,
+    pub(crate) history: ConvergenceHistory,
+}
+
+impl<T: Scalar> CgScratch<T> {
+    /// Allocate scratch for `dims`-shaped solves.
+    pub fn new(dims: Dims) -> Self {
+        Self {
+            solution: CellField::zeros(dims),
+            residual: CellField::zeros(dims),
+            direction: CellField::zeros(dims),
+            ad: CellField::zeros(dims),
+            z: CellField::zeros(dims),
+            history: ConvergenceHistory::default(),
+        }
+    }
+
+    /// The grid shape this scratch serves.
+    pub fn dims(&self) -> Dims {
+        self.solution.dims()
+    }
+
+    /// The solution vector of the last solve run on this scratch.
+    pub fn solution(&self) -> &CellField<T> {
+        &self.solution
+    }
+
+    /// The convergence history of the last solve run on this scratch.
+    pub fn history(&self) -> &ConvergenceHistory {
+        &self.history
+    }
+}
+
 /// Conjugate-gradient solver configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ConjugateGradient {
-    /// Stopping criterion (tolerance on `rᵀr` and iteration cap).
+    /// Stopping criterion (tolerance on the unpreconditioned `rᵀr` and
+    /// iteration cap).
     pub criterion: StoppingCriterion,
 }
 
@@ -81,63 +140,71 @@ impl ConjugateGradient {
         }
     }
 
-    /// Solve `A x = b` starting from `x0`.
-    ///
-    /// `A` must be symmetric positive definite over the non-Dirichlet degrees of
-    /// freedom (see `mffv-fv`'s sign convention).  Returns the solution together
-    /// with the convergence history.
+    /// [`solve_into`](Self::solve_into) on freshly allocated scratch,
+    /// starting from `x0`, returning the solution and its history.
     pub fn solve<T: Scalar, Op: LinearOperator<T>>(
         &self,
         operator: &Op,
-        rhs: &CellField<T>,
-        x0: &CellField<T>,
-    ) -> SolveOutcome<T> {
-        self.solve_monitored(operator, rhs, x0, &mut NullMonitor)
-    }
-
-    /// Solve `A x = b` as an observable, cancellable session.
-    ///
-    /// `monitor` receives a [`SolveEvent`] at every iteration boundary — the
-    /// `rr` payloads are bitwise identical to the entries recorded in the
-    /// returned [`ConvergenceHistory`] — and may end the solve early by
-    /// returning [`Flow::Stop`], in which case the partial solution and
-    /// history are returned with [`SolveOutcome::stopped`] set.  Monitoring
-    /// performs no extra arithmetic: an unstopped monitored solve is bitwise
-    /// identical to [`solve`](Self::solve).
-    pub fn solve_monitored<T: Scalar, Op: LinearOperator<T>>(
-        &self,
-        operator: &Op,
+        preconditioner: Option<&dyn Preconditioner<T>>,
         rhs: &CellField<T>,
         x0: &CellField<T>,
         monitor: &mut dyn SolveMonitor,
     ) -> SolveOutcome<T> {
         let mut scratch = CgScratch::new(operator.dims());
-        let stopped = self.solve_into(operator, rhs, Some(x0), monitor, &mut scratch);
-        scratch.into_outcome(stopped)
+        let stopped = self.solve_into(
+            operator,
+            preconditioner,
+            rhs,
+            Some(x0),
+            monitor,
+            &Span::null(),
+            &mut scratch,
+        );
+        SolveOutcome {
+            solution: scratch.solution,
+            history: scratch.history,
+            stopped,
+        }
     }
 
-    /// [`solve_monitored`](Self::solve_monitored) into a caller-owned
-    /// [`CgScratch`] — the zero-allocation form of the pooled serving path.
+    /// Solve `A x = b` into a caller-owned [`CgScratch`], preconditioned by
+    /// `M⁻¹` when `preconditioner` is set.
     ///
-    /// `x0 = None` starts from the zero vector (the Newton-step convention)
-    /// without needing a zeros field.  Every scratch buffer is fully
-    /// overwritten before it is read, so the recorded history and the
-    /// solution left in `scratch` are bitwise identical to a fresh-allocation
-    /// solve.  On a numerical breakdown (non-positive or non-finite
-    /// `dᵀ(A d)`) the solve ends with a terminal
+    /// `A` must be symmetric positive definite over the non-Dirichlet degrees
+    /// of freedom (see `mffv-fv`'s sign convention).  `x0 = None` starts from
+    /// the zero vector (the Newton-step convention) without needing a zeros
+    /// field.  `monitor` receives a [`SolveEvent`] at every iteration
+    /// boundary — the `rr` payloads are bitwise identical to the entries
+    /// recorded in the scratch's [`ConvergenceHistory`] — and may end the
+    /// solve early by returning [`Flow::Stop`]; the reason is returned and
+    /// the partial solution stays in `scratch`.  Every preconditioner
+    /// application runs under `span`, so the multigrid V-cycle emits its
+    /// `mg.vcycle` / `mg.level` spans; monitoring and tracing perform no
+    /// arithmetic, so they never change a result.
+    ///
+    /// Every scratch buffer is fully overwritten before it is read, so
+    /// results are bitwise identical to a fresh-allocation solve.  On a
+    /// numerical breakdown (non-positive or non-finite `dᵀ(A d)`) the solve
+    /// ends with a terminal
     /// [`SolveEvent::Stopped`]`(`[`StopReason::Breakdown`]`)` and returns
     /// that reason.
+    #[allow(clippy::too_many_arguments)]
     pub fn solve_into<T: Scalar, Op: LinearOperator<T>>(
         &self,
         operator: &Op,
+        preconditioner: Option<&dyn Preconditioner<T>>,
         rhs: &CellField<T>,
         x0: Option<&CellField<T>>,
         monitor: &mut dyn SolveMonitor,
+        span: &Span,
         scratch: &mut CgScratch<T>,
     ) -> Option<StopReason> {
         let dims = operator.dims();
         assert_eq!(rhs.dims(), dims, "rhs dimension mismatch");
         assert_eq!(scratch.dims(), dims, "scratch dimension mismatch");
+        if let Some(pc) = preconditioner {
+            assert_eq!(pc.dims(), dims, "preconditioner dimension mismatch");
+        }
         match x0 {
             Some(x0) => {
                 assert_eq!(x0.dims(), dims, "initial guess dimension mismatch");
@@ -150,23 +217,36 @@ impl ConjugateGradient {
         scratch.residual.copy_from(rhs);
         operator.apply(&scratch.solution, &mut scratch.ad);
         scratch.residual.axpy(-T::ONE, &scratch.ad);
-        // d_0 = r_0
-        scratch.direction.copy_from(&scratch.residual);
 
-        let mut rr = det_norm_squared(&scratch.residual).to_f64();
-        scratch.history.reset_from(rr);
-        if self.criterion.is_converged(rr) {
+        // d_0 = z_0 = M⁻¹ r_0 (the preconditioner runs before the
+        // convergence check, like every later application), or d_0 = r_0.
+        let rr0 = det_norm_squared(&scratch.residual).to_f64();
+        let mut rz = match preconditioner {
+            Some(pc) => {
+                pc.apply_traced(&scratch.residual, &mut scratch.z, span);
+                scratch.direction.copy_from(&scratch.z);
+                det_dot(&scratch.residual, &scratch.z).to_f64()
+            }
+            None => {
+                scratch.direction.copy_from(&scratch.residual);
+                rr0
+            }
+        };
+        scratch.history.reset_from(rr0);
+        if self.criterion.is_converged(rr0) {
             scratch.history.converged = true;
-            monitor.on_event(&SolveEvent::Started { initial_rr: rr });
-            monitor.on_event(&SolveEvent::Converged { iterations: 0, rr });
+            monitor.on_event(&SolveEvent::Started { initial_rr: rr0 });
+            monitor.on_event(&SolveEvent::Converged {
+                iterations: 0,
+                rr: rr0,
+            });
             return None;
         }
-        if let Flow::Stop(reason) = monitor.on_event(&SolveEvent::Started { initial_rr: rr }) {
+        if let Flow::Stop(reason) = monitor.on_event(&SolveEvent::Started { initial_rr: rr0 }) {
             monitor.on_event(&SolveEvent::Stopped(reason));
             return Some(reason);
         }
 
-        let mut stopped = None;
         for _ in 0..self.criterion.max_iterations {
             // Fused kernel 1: A d and dᵀ(A d) in one pass.
             let d_ad = operator
@@ -177,12 +257,11 @@ impl ConjugateGradient {
                 // numerics broke down); stop rather than produce garbage, and
                 // say so — streams must always end with a terminal event.
                 monitor.on_event(&SolveEvent::Stopped(StopReason::Breakdown));
-                stopped = Some(StopReason::Breakdown);
-                break;
+                return Some(StopReason::Breakdown);
             }
-            let alpha = T::from_f64(rr / d_ad);
+            let alpha = T::from_f64(rz / d_ad);
             // Fused kernel 2: x += α d, r −= α (A d), and the new rᵀr.
-            let rr_new = operator
+            let rr = operator
                 .cg_update(
                     alpha,
                     &scratch.direction,
@@ -191,38 +270,38 @@ impl ConjugateGradient {
                     &mut scratch.residual,
                 )
                 .to_f64();
-            scratch.history.record(rr_new);
-            if self.criterion.is_converged(rr_new) {
+            scratch.history.record(rr);
+            let k = scratch.history.iterations;
+            if self.criterion.is_converged(rr) {
                 scratch.history.converged = true;
-                monitor.on_event(&SolveEvent::Iteration {
-                    k: scratch.history.iterations,
-                    rr: rr_new,
-                });
-                monitor.on_event(&SolveEvent::Converged {
-                    iterations: scratch.history.iterations,
-                    rr: rr_new,
-                });
-                break;
+                monitor.on_event(&SolveEvent::Iteration { k, rr });
+                monitor.on_event(&SolveEvent::Converged { iterations: k, rr });
+                return None;
             }
-            if let Flow::Stop(reason) = monitor.on_event(&SolveEvent::Iteration {
-                k: scratch.history.iterations,
-                rr: rr_new,
-            }) {
+            if let Flow::Stop(reason) = monitor.on_event(&SolveEvent::Iteration { k, rr }) {
                 monitor.on_event(&SolveEvent::Stopped(reason));
-                stopped = Some(reason);
-                break;
+                return Some(reason);
             }
-            let beta = T::from_f64(rr_new / rr);
-            scratch.direction.xpby(&scratch.residual, beta);
-            rr = rr_new;
+            // β = r_{k+1}ᵀz_{k+1} / r_kᵀz_k and d = z + β d, with z = r (and
+            // the fused kernel's rᵀr reused) when unpreconditioned.
+            let (rz_new, z) = match preconditioner {
+                Some(pc) => {
+                    pc.apply_traced(&scratch.residual, &mut scratch.z, span);
+                    (det_dot(&scratch.residual, &scratch.z).to_f64(), &scratch.z)
+                }
+                None => (rr, &scratch.residual),
+            };
+            scratch.direction.xpby(z, T::from_f64(rz_new / rz));
+            rz = rz_new;
         }
-        stopped
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::NullMonitor;
     use mffv_fv::csr::AssembledOperator;
     use mffv_fv::matrix_free::MatrixFreeOperator;
     use mffv_fv::operator::ScaledIdentity;
@@ -235,8 +314,13 @@ mod tests {
         let dims = Dims::new(4, 4, 2);
         let op = ScaledIdentity::new(dims, 2.0f64);
         let b = CellField::from_fn(dims, |c| (c.x + c.y) as f64);
-        let out =
-            ConjugateGradient::with_tolerance(1e-24, 10).solve(&op, &b, &CellField::zeros(dims));
+        let out = ConjugateGradient::with_tolerance(1e-24, 10).solve(
+            &op,
+            None,
+            &b,
+            &CellField::zeros(dims),
+            &mut NullMonitor,
+        );
         assert!(out.history.converged);
         assert!(out.history.iterations <= 1);
         for i in 0..b.len() {
@@ -257,8 +341,13 @@ mod tests {
         dirichlet.impose(&mut p0);
         let r = residual(&p0, &coeffs, &dirichlet);
         let b = newton_rhs(&r, &dirichlet);
-        let out =
-            ConjugateGradient::with_tolerance(1e-20, 500).solve(&op, &b, &CellField::zeros(dims));
+        let out = ConjugateGradient::with_tolerance(1e-20, 500).solve(
+            &op,
+            None,
+            &b,
+            &CellField::zeros(dims),
+            &mut NullMonitor,
+        );
         assert!(
             out.history.converged,
             "CG did not converge: {:?}",
@@ -284,8 +373,14 @@ mod tests {
         let r = residual(&p0, w.transmissibility(), w.dirichlet());
         let b = newton_rhs(&r, w.dirichlet());
         let solver = ConjugateGradient::with_tolerance(1e-18, 500);
-        let out_mf = solver.solve(&mf, &b, &CellField::zeros(w.dims()));
-        let out_asm = solver.solve(&asm, &b, &CellField::zeros(w.dims()));
+        let out_mf = solver.solve(&mf, None, &b, &CellField::zeros(w.dims()), &mut NullMonitor);
+        let out_asm = solver.solve(
+            &asm,
+            None,
+            &b,
+            &CellField::zeros(w.dims()),
+            &mut NullMonitor,
+        );
         assert_eq!(out_mf.history.iterations, out_asm.history.iterations);
         assert!(out_mf.solution.max_abs_diff(&out_asm.solution) < 1e-10);
     }
@@ -297,8 +392,13 @@ mod tests {
         let dirichlet = DirichletSet::source_producer(dims, 1.0, 0.0);
         let op = MatrixFreeOperator::new(coeffs, &dirichlet);
         let b = CellField::constant(dims, 1.0);
-        let out =
-            ConjugateGradient::with_tolerance(1e-30, 3).solve(&op, &b, &CellField::zeros(dims));
+        let out = ConjugateGradient::with_tolerance(1e-30, 3).solve(
+            &op,
+            None,
+            &b,
+            &CellField::zeros(dims),
+            &mut NullMonitor,
+        );
         assert!(!out.history.converged);
         assert_eq!(out.history.iterations, 3);
     }
@@ -307,8 +407,13 @@ mod tests {
     fn zero_rhs_converges_immediately() {
         let dims = Dims::new(4, 4, 4);
         let op = ScaledIdentity::new(dims, 1.0f64);
-        let out =
-            ConjugateGradient::paper().solve(&op, &CellField::zeros(dims), &CellField::zeros(dims));
+        let out = ConjugateGradient::paper().solve(
+            &op,
+            None,
+            &CellField::zeros(dims),
+            &CellField::zeros(dims),
+            &mut NullMonitor,
+        );
         assert!(out.history.converged);
         assert_eq!(out.history.iterations, 0);
         assert_eq!(out.solution.max_abs(), 0.0);
@@ -323,8 +428,10 @@ mod tests {
         let b = newton_rhs(&r, w.dirichlet());
         let out = ConjugateGradient::with_tolerance(1e-16, 2000).solve(
             &op,
+            None,
             &b,
             &CellField::zeros(w.dims()),
+            &mut NullMonitor,
         );
         assert!(out.history.converged);
         assert!(out.history.is_broadly_decreasing(50.0));
@@ -341,9 +448,9 @@ mod tests {
         let solver = ConjugateGradient::with_tolerance(1e-12, 2000);
         let x0 = CellField::zeros(w.dims());
 
-        let plain = solver.solve(&op, &b, &x0);
+        let plain = solver.solve(&op, None, &b, &x0, &mut NullMonitor);
         let mut recorder = RecordingMonitor::new();
-        let monitored = solver.solve_monitored(&op, &b, &x0, &mut recorder);
+        let monitored = solver.solve(&op, None, &b, &x0, &mut recorder);
 
         assert_eq!(plain.history, monitored.history);
         assert_eq!(monitored.stopped, None);
@@ -377,7 +484,7 @@ mod tests {
         let b = CellField::constant(w.dims(), 1.0);
         let solver = ConjugateGradient::with_tolerance(1e-20, 2000);
         let mut session = StopPolicy::new().iteration_budget(5).session();
-        let out = solver.solve_monitored(&op, &b, &CellField::zeros(w.dims()), &mut session);
+        let out = solver.solve(&op, None, &b, &CellField::zeros(w.dims()), &mut session);
         assert_eq!(out.stopped, Some(StopReason::IterationBudget));
         assert!(!out.history.converged);
         assert_eq!(out.history.iterations, 5);
@@ -395,7 +502,7 @@ mod tests {
         let b = CellField::constant(dims, 1.0);
         let mut recorder = RecordingMonitor::new();
         let solver = ConjugateGradient::with_tolerance(1e-20, 50);
-        let out = solver.solve_monitored(&op, &b, &CellField::zeros(dims), &mut recorder);
+        let out = solver.solve(&op, None, &b, &CellField::zeros(dims), &mut recorder);
         assert_eq!(out.stopped, Some(StopReason::Breakdown));
         assert!(!out.history.converged);
         assert_eq!(out.history.iterations, 0);
@@ -407,21 +514,27 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_bitwise_identical_across_solves() {
-        use crate::context::CgScratch;
-        use crate::monitor::NullMonitor;
         let w = WorkloadSpec::quickstart().build();
         let op = MatrixFreeOperator::<f64>::from_workload(&w);
         let p0: CellField<f64> = w.initial_pressure();
         let r = residual(&p0, w.transmissibility(), w.dirichlet());
         let b = newton_rhs(&r, w.dirichlet());
         let solver = ConjugateGradient::with_tolerance(1e-12, 2000);
-        let fresh = solver.solve(&op, &b, &CellField::zeros(w.dims()));
+        let fresh = solver.solve(&op, None, &b, &CellField::zeros(w.dims()), &mut NullMonitor);
 
         // One scratch, three solves: the second and third start from dirty
         // buffers and a used history, and must still reproduce every bit.
         let mut scratch = CgScratch::new(w.dims());
         for round in 0..3 {
-            let stopped = solver.solve_into(&op, &b, None, &mut NullMonitor, &mut scratch);
+            let stopped = solver.solve_into(
+                &op,
+                None,
+                &b,
+                None,
+                &mut NullMonitor,
+                &Span::null(),
+                &mut scratch,
+            );
             assert_eq!(stopped, None);
             assert_eq!(
                 scratch.history(),
@@ -447,8 +560,10 @@ mod tests {
         let b = newton_rhs(&r, w.dirichlet());
         let out = ConjugateGradient::with_tolerance(1e-10, 2000).solve(
             &op,
+            None,
             &b,
             &CellField::zeros(w.dims()),
+            &mut NullMonitor,
         );
         assert!(out.history.converged);
         assert!(out.solution.all_finite());

@@ -1,130 +1,43 @@
-//! Pooled solve contexts for the zero-allocation steady-state serving path.
+//! Pooled solve contexts: the one operator/preconditioner cache.
 //!
-//! A service worker solving the same problem family job after job should not
-//! rebuild the stencil plan, the preconditioner, or the five CG work vectors
-//! on every request.  [`SolveContext`] keeps all of that warm across solves,
-//! keyed the same way [`crate::transient::PlannedStepper`] caches across
-//! transient steps: identical dims + Dirichlet topology + transmissibility
-//! values + diagonal shift ⇒ reuse, anything else ⇒ rebuild.  The cached path
-//! is **bitwise identical** to the one-shot
-//! [`HostBackend`](crate::backend::HostBackend) path — every reused buffer is
-//! fully overwritten before it is read (see [`CgScratch`]) — so turning the
-//! cache on or off never changes a residual history.
-//!
-//! [`SolveContextCache`] bundles one context per host precision plus a
-//! spec-keyed [`Workload`] cache; the engine gives each worker one and
-//! threads it through [`SolveBackend::solve_pooled`](crate::backend::SolveBackend::solve_pooled).
+//! Every host solve runs on a [`SolveContext`]: the planned operator, its
+//! preconditioner and every Newton/Krylov buffer, kept warm across solves
+//! and keyed by [`ContextKey`] — identical dims + apply threads +
+//! preconditioner kind + Dirichlet topology + transmissibility values ⇒
+//! reuse, anything else ⇒ rebuild.  A one-shot steady solve runs on a
+//! throwaway context, an engine worker on its long-lived
+//! [`SolveContextCache`], and a transient run on one context for all of its
+//! steps: a step only swaps its `Δt`/well diagonal shift in place (operator,
+//! Jacobi diagonal, multigrid levels), keyed by the step's `Δt` bits and
+//! active-well productivity indices rather than a hash of the shift field.  Every reused buffer
+//! is fully overwritten before it is read, so a warm context is **bitwise
+//! identical** to a cold one — turning reuse on or off never changes a
+//! residual history.
 
 use crate::backend::{PreconditionerKind, SolveConfig};
 use crate::cg::ConjugateGradient;
 use crate::convergence::ConvergenceHistory;
 use crate::monitor::{SolveMonitor, StopReason};
-use crate::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
-use crate::trace::TraceMonitor;
-use mffv_fv::{newton_rhs_into, residual_into, MatrixFreeOperator, MgConfig, MultigridVcycle};
-use mffv_mesh::{CellField, Dims, Fnv1a, Scalar, Workload, WorkloadSpec};
+use crate::newton::{solve_pressure, NewtonScratch};
+use crate::pcg::JacobiPreconditioner;
+use crate::transient::ShiftKey;
+use mffv_fv::{LinearOperator, MatrixFreeOperator, MgConfig, MultigridVcycle, Preconditioner};
+use mffv_mesh::{CellField, Dims, Scalar, Workload, WorkloadSpec};
 use mffv_telemetry::Span;
-
-/// Reusable work vectors of one Krylov solve.
-///
-/// Holds exactly the five fields `cg.rs` / `pcg.rs` historically allocated
-/// per solve (`solution`, `residual`, `direction`, `ad`, `z`) plus the
-/// [`ConvergenceHistory`] entry buffer.  Every field is fully overwritten by
-/// the solver before it is read — `copy_from` replaces `clone()`, a full
-/// `apply` overwrite replaces `apply_new`, [`ConvergenceHistory::reset_from`]
-/// replaces `starting_from` — so reuse is bitwise invisible.
-#[derive(Clone, Debug)]
-pub struct CgScratch<T: Scalar> {
-    pub(crate) solution: CellField<T>,
-    pub(crate) residual: CellField<T>,
-    pub(crate) direction: CellField<T>,
-    /// The `A·d` product; also reused for the initial `A·x₀`.
-    pub(crate) ad: CellField<T>,
-    /// The preconditioned residual (PCG only; plain CG never touches it).
-    pub(crate) z: CellField<T>,
-    pub(crate) history: ConvergenceHistory,
-}
-
-impl<T: Scalar> CgScratch<T> {
-    /// Allocate scratch for `dims`-shaped solves.
-    pub fn new(dims: Dims) -> Self {
-        Self {
-            solution: CellField::zeros(dims),
-            residual: CellField::zeros(dims),
-            direction: CellField::zeros(dims),
-            ad: CellField::zeros(dims),
-            z: CellField::zeros(dims),
-            history: ConvergenceHistory::default(),
-        }
-    }
-
-    /// The grid shape this scratch serves.
-    pub fn dims(&self) -> Dims {
-        self.solution.dims()
-    }
-
-    /// Make the scratch fit `dims`, reallocating only on a shape change.
-    /// Returns `true` when a reallocation happened (an allocation-counter
-    /// signal for the steady-state metrics).
-    pub fn ensure(&mut self, dims: Dims) -> bool {
-        if self.dims() == dims {
-            return false;
-        }
-        *self = Self::new(dims);
-        true
-    }
-
-    /// The solution vector of the last solve run on this scratch.
-    pub fn solution(&self) -> &CellField<T> {
-        &self.solution
-    }
-
-    /// The convergence history of the last solve run on this scratch.
-    pub fn history(&self) -> &ConvergenceHistory {
-        &self.history
-    }
-
-    /// Consume the scratch into the [`SolveOutcome`](crate::cg::SolveOutcome)
-    /// shape of the one-shot API.
-    pub fn into_outcome(self, stopped: Option<StopReason>) -> crate::cg::SolveOutcome<T> {
-        crate::cg::SolveOutcome {
-            solution: self.solution,
-            history: self.history,
-            stopped,
-        }
-    }
-}
-
-/// Reusable buffers of the outer Newton step (one linear step for the paper's
-/// linear problem): initial pressure, residual, and CG right-hand side.
-#[derive(Clone, Debug)]
-struct NewtonScratch<T: Scalar> {
-    pressure: CellField<T>,
-    residual: CellField<T>,
-    rhs: CellField<T>,
-}
-
-impl<T: Scalar> NewtonScratch<T> {
-    fn new(dims: Dims) -> Self {
-        Self {
-            pressure: CellField::zeros(dims),
-            residual: CellField::zeros(dims),
-            rhs: CellField::zeros(dims),
-        }
-    }
-}
 
 /// The reuse key of a cached operator + preconditioner pair.
 ///
 /// Two solves may share a context exactly when every field matches: the grid
 /// shape, the apply thread count (threads change work *partitioning*, and the
 /// planned operator bakes its slab schedule in), the preconditioner kind, the
-/// Dirichlet set (indices *and* values), the transmissibility table, and the
-/// diagonal shift.  Value equality is tracked by FNV-1a fingerprints over the
-/// exact bit patterns ([`mffv_mesh::Fnv1a`]) — a collision could only alias
-/// two different workloads onto one operator, and 64-bit FNV over
-/// deterministic inputs makes that vanishingly unlikely while keeping the key
-/// `Copy` and comparison O(1).
+/// Dirichlet set (indices *and* values), the transmissibility table, and
+/// whether the operator carries a transient diagonal shift.  Value equality
+/// is tracked by FNV-1a fingerprints over the exact bit patterns
+/// ([`mffv_mesh::Fnv1a`]) — a collision could only alias two different
+/// workloads onto one operator, and 64-bit FNV over deterministic inputs
+/// makes that vanishingly unlikely while keeping the key `Copy` and
+/// comparison O(1).  Computing a key hashes the whole transmissibility
+/// table, so multi-solve drivers (transient runs) compute it once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ContextKey {
     /// Grid shape.
@@ -137,9 +50,10 @@ pub struct ContextKey {
     pub dirichlet_fp: u64,
     /// Fingerprint of the transmissibility table (all face coefficients).
     pub transmissibility_fp: u64,
-    /// Fingerprint of the diagonal shift, when one is applied (transient
-    /// steps); `None` for steady solves.
-    pub shift_fp: Option<u64>,
+    /// Whether the operator carries a transient diagonal shift.  *Which*
+    /// shift is tracked per step (its `Δt` and active-well signature):
+    /// swapping it is in place, not a rebuild.
+    pub shifted: bool,
 }
 
 impl ContextKey {
@@ -148,7 +62,7 @@ impl ContextKey {
         workload: &Workload,
         threads: usize,
         kind: PreconditionerKind,
-        shift: Option<&CellField<f64>>,
+        shifted: bool,
     ) -> Self {
         Self {
             dims: workload.dims(),
@@ -156,13 +70,7 @@ impl ContextKey {
             kind,
             dirichlet_fp: workload.dirichlet().fingerprint(),
             transmissibility_fp: workload.transmissibility().fingerprint(),
-            shift_fp: shift.map(|s| {
-                let mut hash = Fnv1a::new();
-                for &v in s.as_slice() {
-                    hash.write_f64(v);
-                }
-                hash.finish()
-            }),
+            shifted,
         }
     }
 }
@@ -174,11 +82,23 @@ enum ContextPrecond<T: Scalar> {
     Mg(MultigridVcycle<T>),
 }
 
-/// A cached operator + preconditioner pair and the key it was built for.
+impl<T: Scalar> ContextPrecond<T> {
+    fn as_dyn(&self) -> Option<&dyn Preconditioner<T>> {
+        match self {
+            ContextPrecond::None => None,
+            ContextPrecond::Jacobi(pc) => Some(pc),
+            ContextPrecond::Mg(pc) => Some(pc),
+        }
+    }
+}
+
+/// A cached operator + preconditioner pair, the key it was built for and
+/// the diagonal shift currently installed in it.
 struct ContextState<T: Scalar> {
     key: ContextKey,
     operator: MatrixFreeOperator<T>,
     precond: ContextPrecond<T>,
+    shift: Option<ShiftKey>,
 }
 
 /// Cache-behaviour counters of a [`SolveContext`] (and, summed, of a
@@ -186,11 +106,12 @@ struct ContextState<T: Scalar> {
 /// `MetricsRegistry` as `engine.context.*`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ContextStats {
-    /// Solves that reused the cached operator + preconditioner.
+    /// Solves that reused the cached operator + preconditioner (a swapped
+    /// diagonal shift counts as reuse).
     pub hits: u64,
     /// Solves that had to (re)build them.
     pub misses: u64,
-    /// Times the CG scratch arena had to reallocate for a new shape.
+    /// Times the solve buffers had to reallocate for a new shape.
     pub scratch_reallocs: u64,
 }
 
@@ -205,21 +126,17 @@ impl ContextStats {
     }
 }
 
-/// A warm, reusable steady-solve context at one precision.
+/// A warm, reusable solve context at one precision.
 ///
-/// Owns the keyed operator/preconditioner cache, the [`CgScratch`] arena and
-/// the Newton buffers.  After the first solve of a given shape ("warmup"),
+/// Owns the keyed operator/preconditioner cache and the [`NewtonScratch`]
+/// buffers.  After the first solve of a given shape ("warmup"),
 /// [`solve`](Self::solve) performs **zero heap allocations** for the
 /// `None`/`Jacobi` preconditioner kinds (the MG V-cycle's coarse solve still
-/// allocates internally), and its pressure, history and final residual are
-/// bitwise identical to [`HostBackend`](crate::backend::HostBackend)'s
-/// one-shot path — pinned by `tests/alloc_regression.rs` and the cache
-/// equivalence tests.
+/// allocates internally) — pinned by `tests/alloc_regression.rs`.
 #[derive(Default)]
 pub struct SolveContext<T: Scalar> {
     state: Option<ContextState<T>>,
-    scratch: Option<CgScratch<T>>,
-    newton: Option<NewtonScratch<T>>,
+    buffers: Option<NewtonScratch<T>>,
     stats: ContextStats,
 }
 
@@ -228,8 +145,7 @@ impl<T: Scalar> SolveContext<T> {
     pub fn new() -> Self {
         Self {
             state: None,
-            scratch: None,
-            newton: None,
+            buffers: None,
             stats: ContextStats::default(),
         }
     }
@@ -239,77 +155,47 @@ impl<T: Scalar> SolveContext<T> {
         self.stats
     }
 
-    /// Ensure the cached operator + preconditioner match `workload` under the
-    /// given knobs, rebuilding on a key mismatch.  Returns `true` on a cache
-    /// hit.  Build-phase spans (`build-operator`, `mg.build`) are recorded
-    /// under `span` on hits and misses alike — on a hit they close
-    /// immediately, so span-tree *shape* stays independent of cache warmth
-    /// (job-to-worker assignment varies with worker count, and shape is
-    /// pinned across worker counts by `tests/telemetry.rs`).  The cache
-    /// counters, not span presence, are the reuse observable; a hit costs
-    /// two fingerprints and a key compare.
-    pub fn prepare(
-        &mut self,
-        workload: &Workload,
-        threads: usize,
-        kind: PreconditionerKind,
-        shift: Option<&CellField<f64>>,
-        span: &Span,
-    ) -> bool {
-        let key = ContextKey::of(workload, threads, kind, shift);
-        if let Some(state) = &self.state {
-            if state.key == key {
-                self.stats.hits += 1;
-                // Emit the build-phase skeleton even when nothing rebuilds:
-                // a null span makes these free, and a recording span keeps
-                // the tree shape identical whether this worker's cache was
-                // warm or cold.
-                span.child("build-operator").finish();
-                if matches!(kind, PreconditionerKind::Mg) {
-                    span.child("mg.build").finish();
-                }
-                return true;
+    /// Ensure the cached operator + preconditioner match `key` (computed
+    /// for `workload`), rebuilding on a mismatch.  Returns `true` on a cache
+    /// hit.  A rebuild frees the old pair first, so a context never holds
+    /// two operators at once, and starts without a diagonal shift.
+    ///
+    /// Build-phase spans (`build-operator`, `mg.build`) are recorded under
+    /// `span` on hits and misses alike — on a hit they close immediately, so
+    /// span-tree *shape* stays independent of cache warmth (job-to-worker
+    /// assignment varies with worker count, and shape is pinned across
+    /// worker counts by `tests/telemetry.rs`).  The cache counters, not span
+    /// presence, are the reuse observable.
+    pub fn prepare(&mut self, workload: &Workload, key: ContextKey, span: &Span) -> bool {
+        if self.state.as_ref().is_some_and(|state| state.key == key) {
+            self.stats.hits += 1;
+            // Emit the build-phase skeleton even when nothing rebuilds: a
+            // null span makes these free, and a recording span keeps the
+            // tree shape identical whether this worker's cache was warm or
+            // cold.
+            span.child("build-operator").finish();
+            if matches!(key.kind, PreconditionerKind::Mg) {
+                span.child("mg.build").finish();
             }
+            return true;
         }
         self.stats.misses += 1;
+        self.state = None;
         let build = span.child("build-operator");
-        let mut operator = MatrixFreeOperator::<T>::from_workload(workload).with_threads(threads);
-        if let Some(diag) = shift {
-            operator.set_diagonal_shift(diag);
-        }
+        let operator = MatrixFreeOperator::<T>::from_workload(workload).with_threads(key.threads);
         build.finish();
-        let precond = match kind {
+        let precond = match key.kind {
             PreconditionerKind::None => ContextPrecond::None,
-            PreconditionerKind::Jacobi => ContextPrecond::Jacobi(match shift {
-                // Bitwise-match the steady host path: Jacobi from the raw
-                // coefficient row sums.
-                None => JacobiPreconditioner::from_coefficients(
+            PreconditionerKind::Jacobi => {
+                ContextPrecond::Jacobi(JacobiPreconditioner::from_coefficients(
                     operator.coefficients(),
                     workload.dirichlet(),
-                ),
-                // Bitwise-match the transient path: shifted row-sum diagonal
-                // (see `PlannedStepper::refresh_precond`).
-                Some(diag) => {
-                    let dims = workload.dims();
-                    let coeffs = operator.coefficients();
-                    let shifted = CellField::from_fn(dims, |c| {
-                        let k = dims.linear(c);
-                        if operator.is_dirichlet(k) {
-                            T::ONE
-                        } else {
-                            coeffs.row_sum(k) + T::from_f64(diag.get(k))
-                        }
-                    });
-                    JacobiPreconditioner::from_diagonal(&shifted)
-                }
-            }),
+                ))
+            }
             PreconditionerKind::Mg => {
                 let mg_build = span.child("mg.build");
-                let mut mg =
-                    MultigridVcycle::<T>::from_workload(workload, threads, MgConfig::default());
-                if let Some(diag) = shift {
-                    mg.set_diagonal_shift(diag);
-                }
+                let mg =
+                    MultigridVcycle::<T>::from_workload(workload, key.threads, MgConfig::default());
                 mg_build.finish();
                 ContextPrecond::Mg(mg)
             }
@@ -318,16 +204,74 @@ impl<T: Scalar> SolveContext<T> {
             key,
             operator,
             precond,
+            shift: None,
         });
         false
     }
 
-    /// Run one steady pressure solve on the warm context, mirroring
-    /// [`HostBackend`](crate::backend::HostBackend)'s un-pooled path bitwise:
-    /// same operator build parameters, same Newton step, same Krylov loop,
-    /// same monitor/tracing semantics.  Results stay in the context's own
-    /// buffers — read them through [`pressure`](Self::pressure),
-    /// [`history`](Self::history) and
+    /// Install the diagonal shift identified by `key` into the prepared
+    /// operator and its preconditioner, unless it is already installed.
+    /// `diag` builds the shift field and runs only on a change: the
+    /// operator and multigrid levels swap their diagonals in place, and the
+    /// Jacobi inverse is rebuilt from the shifted row sums.
+    pub(crate) fn set_shift(&mut self, key: ShiftKey, diag: impl FnOnce() -> CellField<f64>) {
+        // audit: allow(panic) — invariant: callers `prepare` before stepping
+        let state = self.state.as_mut().expect("prepare runs before set_shift");
+        if state.shift.as_ref() == Some(&key) {
+            return;
+        }
+        let diag = diag();
+        state.operator.set_diagonal_shift(&diag);
+        match &mut state.precond {
+            ContextPrecond::None => {}
+            ContextPrecond::Jacobi(pc) => {
+                let operator = &state.operator;
+                let dims = operator.dims();
+                let coeffs = operator.coefficients();
+                // Boundary faces carry zero coefficients, so the raw row sum
+                // is exactly the operator diagonal.
+                let shifted = CellField::from_fn(dims, |c| {
+                    let k = dims.linear(c);
+                    if operator.is_dirichlet(k) {
+                        T::ONE
+                    } else {
+                        coeffs.row_sum(k) + T::from_f64(diag.get(k))
+                    }
+                });
+                *pc = JacobiPreconditioner::from_diagonal(&shifted);
+            }
+            ContextPrecond::Mg(mg) => mg.set_diagonal_shift(&diag),
+        }
+        state.shift = Some(key);
+    }
+
+    /// The prepared operator and preconditioner, with solve buffers sized
+    /// for `dims` (reallocated only on a shape change).
+    pub(crate) fn parts(
+        &mut self,
+        dims: Dims,
+    ) -> (
+        &MatrixFreeOperator<T>,
+        Option<&dyn Preconditioner<T>>,
+        &mut NewtonScratch<T>,
+    ) {
+        if self.buffers.as_ref().is_some_and(|b| b.dims() != dims) {
+            self.stats.scratch_reallocs += 1;
+            self.buffers = None;
+        }
+        let buffers = self.buffers.get_or_insert_with(|| NewtonScratch::new(dims));
+        // audit: allow(panic) — invariant: callers `prepare` before solving
+        let state = self.state.as_ref().expect("prepare runs before parts");
+        (&state.operator, state.precond.as_dyn(), buffers)
+    }
+
+    /// Run one steady pressure solve (one Newton step, see
+    /// [`solve_pressure`]) on the warm context.  `monitor` sees every
+    /// iteration boundary and may stop the solve; `span` scopes the build
+    /// and preconditioner spans (callers that want the `cg-loop` span wrap
+    /// `monitor` in a [`TraceMonitor`](crate::trace::TraceMonitor)).
+    /// Results stay in the context's own buffers — read them through
+    /// [`pressure`](Self::pressure), [`history`](Self::history) and
     /// [`final_residual_max`](Self::final_residual_max).
     pub fn solve(
         &mut self,
@@ -336,120 +280,36 @@ impl<T: Scalar> SolveContext<T> {
         monitor: &mut dyn SolveMonitor,
         span: &Span,
     ) -> Option<StopReason> {
-        let tolerance = config.effective_tolerance(workload);
-        let max_iterations = config.effective_max_iterations(workload);
-        let threads = config.effective_threads();
-        let dims = workload.dims();
+        let key = ContextKey::of(
+            workload,
+            config.effective_threads(),
+            config.preconditioner,
+            false,
+        );
+        self.prepare(workload, key, span);
+        let solver = ConjugateGradient::with_tolerance(
+            config.effective_tolerance(workload),
+            config.effective_max_iterations(workload),
+        );
+        let (operator, precond, buffers) = self.parts(workload.dims());
+        solve_pressure(
+            workload,
+            operator.coefficients(),
+            operator,
+            precond,
+            &solver,
+            monitor,
+            span,
+            buffers,
+        )
+    }
 
-        self.prepare(workload, threads, config.preconditioner, None, span);
-        if self
-            .scratch
-            .get_or_insert_with(|| CgScratch::new(dims))
-            .ensure(dims)
-        {
-            self.stats.scratch_reallocs += 1;
-        }
-        if self
-            .newton
+    /// The solve buffers of the last solve.
+    fn last(&self) -> &NewtonScratch<T> {
+        self.buffers
             .as_ref()
-            .map(|n| n.pressure.dims() != dims)
-            .unwrap_or(true)
-        {
-            self.newton = Some(NewtonScratch::new(dims));
-        }
-
-        // `state` was just prepared; split the borrows so the operator (shared)
-        // and the scratch buffers (exclusive) can be used together.
-        // audit: allow(panic) — invariant: `prepare` above always sets `state`
-        let state = self.state.as_ref().expect("prepare populated the state");
-        // audit: allow(panic) — invariant: `get_or_insert_with` above always sets `scratch`
-        let scratch = self.scratch.as_mut().expect("scratch was just ensured");
-        // audit: allow(panic) — invariant: the block above always sets `newton`
-        let newton = self.newton.as_mut().expect("newton was just ensured");
-
-        // The Newton step of `solve_pressure_monitored`, on reused buffers:
-        // every `_into` target is fully overwritten.
-        workload.initial_pressure_into(&mut newton.pressure);
-        residual_into(
-            &newton.pressure,
-            state.operator.coefficients(),
-            workload.dirichlet(),
-            &mut newton.residual,
-        );
-        newton_rhs_into(&newton.residual, workload.dirichlet(), &mut newton.rhs);
-
-        let stopped = match &state.precond {
-            ContextPrecond::None => {
-                let solver = ConjugateGradient::with_tolerance(tolerance, max_iterations);
-                if span.is_recording() {
-                    let mut traced = TraceMonitor::new(span, monitor);
-                    solver.solve_into(&state.operator, &newton.rhs, None, &mut traced, scratch)
-                } else {
-                    solver.solve_into(&state.operator, &newton.rhs, None, monitor, scratch)
-                }
-            }
-            ContextPrecond::Jacobi(pc) => {
-                let solver =
-                    PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations);
-                if span.is_recording() {
-                    let mut traced = TraceMonitor::new(span, monitor);
-                    solver.solve_traced_into(
-                        &state.operator,
-                        pc,
-                        &newton.rhs,
-                        None,
-                        &mut traced,
-                        span,
-                        scratch,
-                    )
-                } else {
-                    solver.solve_traced_into(
-                        &state.operator,
-                        pc,
-                        &newton.rhs,
-                        None,
-                        monitor,
-                        span,
-                        scratch,
-                    )
-                }
-            }
-            ContextPrecond::Mg(pc) => {
-                let solver =
-                    PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations);
-                if span.is_recording() {
-                    let mut traced = TraceMonitor::new(span, monitor);
-                    solver.solve_traced_into(
-                        &state.operator,
-                        pc,
-                        &newton.rhs,
-                        None,
-                        &mut traced,
-                        span,
-                        scratch,
-                    )
-                } else {
-                    solver.solve_traced_into(
-                        &state.operator,
-                        pc,
-                        &newton.rhs,
-                        None,
-                        monitor,
-                        span,
-                        scratch,
-                    )
-                }
-            }
-        };
-
-        newton.pressure.axpy(T::ONE, &scratch.solution);
-        residual_into(
-            &newton.pressure,
-            state.operator.coefficients(),
-            workload.dirichlet(),
-            &mut newton.residual,
-        );
-        stopped
+            // audit: allow(panic) — invariant: documented accessor contract, callers read results only after `solve`
+            .expect("no solve has run on this context")
     }
 
     /// The pressure field of the last [`solve`](Self::solve).
@@ -458,43 +318,27 @@ impl<T: Scalar> SolveContext<T> {
     ///
     /// If no solve has run on this context yet.
     pub fn pressure(&self) -> &CellField<T> {
-        &self
-            .newton
-            .as_ref()
-            // audit: allow(panic) — invariant: documented accessor contract, callers read results only after `solve`
-            .expect("no solve has run on this context")
-            .pressure
+        self.last().pressure()
     }
 
-    /// The convergence history of the last [`solve`](Self::solve).
+    /// The convergence history of the last solve.
     ///
     /// # Panics
     ///
     /// If no solve has run on this context yet.
     pub fn history(&self) -> &ConvergenceHistory {
-        self.scratch
-            .as_ref()
-            // audit: allow(panic) — invariant: documented accessor contract, callers read results only after `solve`
-            .expect("no solve has run on this context")
-            .history()
+        self.last().history()
     }
 
     /// Max-norm of the Eq. (3) residual at the last solve's pressure,
-    /// evaluated at this context's precision (the `HostBackend` pooled path
-    /// re-evaluates in `f64` for `f32` contexts, exactly like its un-pooled
-    /// path).
+    /// evaluated at this context's precision (the host backend re-evaluates
+    /// in `f64` for `f32` contexts).
     ///
     /// # Panics
     ///
     /// If no solve has run on this context yet.
     pub fn final_residual_max(&self) -> f64 {
-        self.newton
-            .as_ref()
-            // audit: allow(panic) — invariant: documented accessor contract, callers read results only after `solve`
-            .expect("no solve has run on this context")
-            .residual
-            .max_abs()
-            .to_f64()
+        self.last().final_residual_max()
     }
 }
 
@@ -562,31 +406,50 @@ impl SolveContextCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{HostBackend, SolveBackend, SolveRequest};
+    use crate::monitor::NullMonitor;
     use mffv_mesh::WorkloadSpec;
 
     fn workload() -> Workload {
         WorkloadSpec::quickstart().build()
     }
 
+    fn key(w: &Workload, threads: usize, kind: PreconditionerKind, shifted: bool) -> ContextKey {
+        ContextKey::of(w, threads, kind, shifted)
+    }
+
+    fn shift_key(dt: f64) -> ShiftKey {
+        ShiftKey {
+            dt_bits: dt.to_bits(),
+            wells: Vec::new(),
+        }
+    }
+
     #[test]
-    fn same_topology_hits_different_shift_misses() {
+    fn shift_presence_is_keyed_but_shift_swaps_are_hits() {
         let w = workload();
         let mut ctx = SolveContext::<f64>::new();
         let span = Span::null();
-        assert!(!ctx.prepare(&w, 1, PreconditionerKind::None, None, &span));
-        assert!(ctx.prepare(&w, 1, PreconditionerKind::None, None, &span));
-        // A diagonal shift is part of the operator: same topology, new key.
-        let shift = CellField::constant(w.dims(), 0.25);
-        assert!(!ctx.prepare(&w, 1, PreconditionerKind::None, Some(&shift), &span));
-        // Different shift *values* also miss.
-        let shift2 = CellField::constant(w.dims(), 0.5);
-        assert!(!ctx.prepare(&w, 1, PreconditionerKind::None, Some(&shift2), &span));
-        // Back to the first shift: the cache keeps only one entry, so this
-        // rebuilds — the key contract is equality, not history.
-        assert!(!ctx.prepare(&w, 1, PreconditionerKind::None, Some(&shift), &span));
-        assert!(ctx.prepare(&w, 1, PreconditionerKind::None, Some(&shift), &span));
-        assert_eq!(ctx.stats().hits, 2);
-        assert_eq!(ctx.stats().misses, 4);
+        let steady = key(&w, 1, PreconditionerKind::Jacobi, false);
+        let shifted = key(&w, 1, PreconditionerKind::Jacobi, true);
+        assert!(!ctx.prepare(&w, steady, &span));
+        assert!(ctx.prepare(&w, steady, &span));
+        // A shifted operator is a different operator: same topology, new key.
+        assert!(!ctx.prepare(&w, shifted, &span));
+        let mut built = 0;
+        for dt in [0.5, 0.5, 0.25, 0.25, 0.5] {
+            assert!(ctx.prepare(&w, shifted, &span));
+            ctx.set_shift(shift_key(dt), || {
+                built += 1;
+                CellField::constant(w.dims(), 1.0 / dt)
+            });
+        }
+        // The field is built only when the shift changes, never rebuilt.
+        assert_eq!(built, 3);
+        assert_eq!(ctx.stats().hits, 6);
+        assert_eq!(ctx.stats().misses, 2);
+        // Back to the steady key: the cache holds one entry, so this rebuilds.
+        assert!(!ctx.prepare(&w, steady, &span));
     }
 
     #[test]
@@ -594,10 +457,10 @@ mod tests {
         let w = workload();
         let mut ctx = SolveContext::<f64>::new();
         let span = Span::null();
-        assert!(!ctx.prepare(&w, 1, PreconditionerKind::None, None, &span));
-        assert!(!ctx.prepare(&w, 2, PreconditionerKind::None, None, &span));
-        assert!(!ctx.prepare(&w, 2, PreconditionerKind::Jacobi, None, &span));
-        assert!(ctx.prepare(&w, 2, PreconditionerKind::Jacobi, None, &span));
+        assert!(!ctx.prepare(&w, key(&w, 1, PreconditionerKind::None, false), &span));
+        assert!(!ctx.prepare(&w, key(&w, 2, PreconditionerKind::None, false), &span));
+        assert!(!ctx.prepare(&w, key(&w, 2, PreconditionerKind::Jacobi, false), &span));
+        assert!(ctx.prepare(&w, key(&w, 2, PreconditionerKind::Jacobi, false), &span));
     }
 
     #[test]
@@ -609,19 +472,18 @@ mod tests {
         let w2 = thick.build();
         let mut ctx = SolveContext::<f64>::new();
         let span = Span::null();
-        assert!(!ctx.prepare(&w1, 1, PreconditionerKind::None, None, &span));
-        assert!(!ctx.prepare(&w2, 1, PreconditionerKind::None, None, &span));
-        assert!(ctx.prepare(&w2, 1, PreconditionerKind::None, None, &span));
+        assert!(!ctx.prepare(&w1, key(&w1, 1, PreconditionerKind::None, false), &span));
+        assert!(!ctx.prepare(&w2, key(&w2, 1, PreconditionerKind::None, false), &span));
+        assert!(ctx.prepare(&w2, key(&w2, 1, PreconditionerKind::None, false), &span));
     }
 
     #[test]
     fn pooled_solve_matches_unpooled_bitwise_and_reuses_context() {
-        use crate::backend::{HostBackend, SolveBackend};
-        use crate::monitor::NullMonitor;
-
         let w = workload();
         let config = SolveConfig::default();
-        let reference = HostBackend::oracle().solve(&w, &config).unwrap();
+        let reference = HostBackend::oracle()
+            .solve(&w, &config, &mut SolveRequest::new())
+            .unwrap();
 
         let mut ctx = SolveContext::<f64>::new();
         for round in 0..3 {
@@ -642,16 +504,15 @@ mod tests {
 
     #[test]
     fn pooled_jacobi_and_mg_match_unpooled_bitwise() {
-        use crate::backend::{HostBackend, SolveBackend};
-        use crate::monitor::NullMonitor;
-
         for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Mg] {
             let w = workload();
             let config = SolveConfig {
                 preconditioner: kind,
                 ..SolveConfig::default()
             };
-            let reference = HostBackend::oracle().solve(&w, &config).unwrap();
+            let reference = HostBackend::oracle()
+                .solve(&w, &config, &mut SolveRequest::new())
+                .unwrap();
             let mut ctx = SolveContext::<f64>::new();
             for _ in 0..2 {
                 ctx.solve(&w, &config, &mut NullMonitor, &Span::null());
@@ -663,6 +524,19 @@ mod tests {
                 assert_eq!(ctx.pressure().as_slice(), reference.pressure.as_slice());
             }
         }
+    }
+
+    #[test]
+    fn a_shape_change_reallocates_the_buffers_once() {
+        let small = WorkloadSpec::quickstart().build();
+        let large = WorkloadSpec::quickstart().scaled(2).build();
+        let config = SolveConfig::default();
+        let mut ctx = SolveContext::<f64>::new();
+        for w in [&small, &small, &large, &large] {
+            ctx.solve(w, &config, &mut NullMonitor, &Span::null());
+        }
+        assert_eq!(ctx.stats().scratch_reallocs, 1);
+        assert_eq!(ctx.pressure().dims(), large.dims());
     }
 
     #[test]

@@ -411,7 +411,7 @@ impl StopPolicy {
     }
 
     /// Arm the policy for one solve: the returned [`PolicySession`] is the
-    /// [`SolveMonitor`] to pass to `solve_monitored`.  The deadline clock
+    /// [`SolveMonitor`] to thread through the solve.  The deadline clock
     /// starts at the session's `Started` event.
     pub fn session(&self) -> PolicySession {
         PolicySession {
@@ -419,6 +419,26 @@ impl StopPolicy {
             started_at: None,
             best_rr: f64::INFINITY,
             stale_iterations: 0,
+        }
+    }
+
+    /// Run `f` with this policy armed ahead of `observer`: the policy's
+    /// session first (it keeps stop precedence), then the observer, fanned
+    /// out when both are present.  With neither a rule nor an observer `f`
+    /// gets a [`NullMonitor`] — the plain unmonitored solve.
+    pub fn observe<R>(
+        &self,
+        observer: Option<&mut (dyn SolveMonitor + '_)>,
+        f: impl FnOnce(&mut dyn SolveMonitor) -> R,
+    ) -> R {
+        let mut session = (!self.is_empty()).then(|| self.session());
+        match (session.as_mut(), observer) {
+            (None, None) => f(&mut NullMonitor),
+            (None, Some(observer)) => f(observer),
+            (Some(session), None) => f(session),
+            (Some(session), Some(observer)) => {
+                f(&mut MonitorFanout::new().push(session).push(observer))
+            }
         }
     }
 }
@@ -505,40 +525,9 @@ impl SolveMonitor for PolicySession {
     }
 }
 
-/// Replay a finished convergence history to a monitor as an event stream —
-/// the default [`solve_monitored`](crate::backend::SolveBackend::solve_monitored)
-/// path for backends that have not (yet) threaded live events through their
-/// inner loop.  Observation works (the stream bitwise-matches the history);
-/// control does not (the solve already finished), so returned [`Flow`]s are
-/// ignored.
-pub fn replay_history(
-    history: &crate::convergence::ConvergenceHistory,
-    stopped: Option<StopReason>,
-    monitor: &mut dyn SolveMonitor,
-) {
-    let mut entries = history.residual_norms_squared.iter().copied();
-    if let Some(initial_rr) = entries.next() {
-        monitor.on_event(&SolveEvent::Started { initial_rr });
-    }
-    let mut last_rr = history.initial_rr();
-    for (i, rr) in entries.enumerate() {
-        monitor.on_event(&SolveEvent::Iteration { k: i + 1, rr });
-        last_rr = rr;
-    }
-    if let Some(reason) = stopped {
-        monitor.on_event(&SolveEvent::Stopped(reason));
-    } else if history.converged {
-        monitor.on_event(&SolveEvent::Converged {
-            iterations: history.iterations,
-            rr: last_rr,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convergence::ConvergenceHistory;
 
     fn iteration(k: usize, rr: f64) -> SolveEvent {
         SolveEvent::Iteration { k, rr }
@@ -672,37 +661,6 @@ mod tests {
             Flow::Stop(StopReason::IterationBudget)
         );
         assert_eq!(seen.get(), 1, "later monitors still observe the event");
-    }
-
-    #[test]
-    fn replayed_history_matches_the_recorded_trajectory() {
-        let mut history = ConvergenceHistory::starting_from(8.0);
-        history.record(4.0);
-        history.record(1.0);
-        history.converged = true;
-        let mut recorder = RecordingMonitor::new();
-        replay_history(&history, None, &mut recorder);
-        assert_eq!(recorder.initial_rr(), Some(8.0));
-        assert_eq!(recorder.iteration_rrs(), vec![4.0, 1.0]);
-        assert_eq!(
-            recorder.terminal(),
-            Some(&SolveEvent::Converged {
-                iterations: 2,
-                rr: 1.0
-            })
-        );
-    }
-
-    #[test]
-    fn replayed_stop_emits_the_stop_event() {
-        let mut history = ConvergenceHistory::starting_from(8.0);
-        history.record(7.0);
-        let mut recorder = RecordingMonitor::new();
-        replay_history(&history, Some(StopReason::Cancelled), &mut recorder);
-        assert_eq!(
-            recorder.terminal(),
-            Some(&SolveEvent::Stopped(StopReason::Cancelled))
-        );
     }
 
     #[test]

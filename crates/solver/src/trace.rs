@@ -77,6 +77,21 @@ impl<'a> TraceMonitor<'a> {
     }
 }
 
+/// Run `f` with `monitor` mirrored into `cg-loop` / `iters` spans under
+/// `span` — or with `monitor` itself when `span` does not record, so the
+/// untraced path pays nothing.  The one place solve paths wrap a monitor.
+pub fn traced<R>(
+    span: &Span,
+    monitor: &mut dyn SolveMonitor,
+    f: impl FnOnce(&mut dyn SolveMonitor) -> R,
+) -> R {
+    if span.is_recording() {
+        f(&mut TraceMonitor::new(span, monitor))
+    } else {
+        f(monitor)
+    }
+}
+
 impl SolveMonitor for TraceMonitor<'_> {
     fn on_event(&mut self, event: &SolveEvent) -> Flow {
         match event {

@@ -18,60 +18,60 @@
 //! where `A` is the existing SPD flux operator, `D = diag(V·c_t/Δt)` the
 //! accumulation term and `W = diag(Σ WI)` the productivity indices of active
 //! BHP wells — both folded into the planned stencil kernels through
-//! [`MatrixFreeOperator::with_diagonal_shift`], so the branch-free, fused,
-//! multithreaded apply path (and its bitwise thread-count independence)
-//! carries over unchanged to every step.
+//! [`MatrixFreeOperator::set_diagonal_shift`](mffv_fv::MatrixFreeOperator::set_diagonal_shift),
+//! so the branch-free, fused, multithreaded apply path (and its bitwise
+//! thread-count independence) carries over unchanged to every step.
 //!
-//! Steps **warm-start**: each CG solve begins from the previous step's `δ`
+//! Every step runs on one [`SolveContext`] at the backend's
+//! [`step_precision`](SolveBackend::step_precision): the operator and
+//! preconditioner are built once per run, and a step only swaps the
+//! `Δt`/well diagonal in place when `Δt` or the active wells change.  Steps
+//! **warm-start**: each CG solve begins from the previous step's `δ`
 //! (successive updates are similar for smooth schedules), which measurably
 //! reduces total CG iterations against cold zero starts while remaining
 //! fully deterministic.  [`run_transient`] drives the schedule of a
-//! [`TransientSpec`] through any [`SolveBackend`]'s
-//! [`step`](SolveBackend::step) and assembles the [`TransientReport`]:
-//! per-step [`SolveReport`]s, requested pressure snapshots, and cumulative
-//! per-well volumes.
+//! [`TransientSpec`] and assembles the [`TransientReport`]: per-step
+//! [`SolveReport`]s, requested pressure snapshots, and cumulative per-well
+//! volumes.
 
-use crate::backend::{PreconditionerKind, SolveBackend, SolveConfig, SolveError, SolveReport};
+use crate::backend::{Precision, SolveBackend, SolveConfig, SolveError, SolveReport, SolveRequest};
 use crate::cg::ConjugateGradient;
+use crate::context::{ContextKey, SolveContext, SolveContextCache};
 use crate::convergence::ConvergenceHistory;
-use crate::monitor::{MonitorFanout, NullMonitor, SolveMonitor, StopPolicy, StopReason};
-use crate::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
-use crate::trace::TraceMonitor;
-use mffv_fv::residual::{interior_mass_imbalance, newton_rhs, residual};
-use mffv_fv::{MatrixFreeOperator, MgConfig, MultigridVcycle, Preconditioner};
+use crate::monitor::{SolveMonitor, StopPolicy, StopReason};
+use crate::trace::traced;
+use mffv_fv::residual::{interior_mass_imbalance, residual};
+use mffv_fv::{newton_rhs_into, residual_into};
 use mffv_mesh::{CellField, Scalar, TransientSpec, Well, Workload};
 use mffv_telemetry::{Span, Stopwatch};
 
 /// Everything one backward-Euler step needs, borrowed from the driver's
 /// state: the (steady) workload, the transient spec, the current pressure
 /// `pⁿ` and the optional warm-start update from the previous step.
-#[derive(Clone, Copy, Debug)]
-pub struct StepRequest<'a> {
-    /// The steady problem (grid, transmissibilities, Dirichlet set).
-    pub workload: &'a Workload,
-    /// The transient scenario (compressibility, wells, warm-start flag).
-    pub spec: &'a TransientSpec,
+struct StepRequest<'a> {
+    workload: &'a Workload,
+    spec: &'a TransientSpec,
     /// Pressure at the start of the step, `pⁿ` (Dirichlet values imposed).
-    pub pressure: &'a CellField<f64>,
+    pressure: &'a CellField<f64>,
     /// The previous step's `δ`, when warm starting; `None` starts CG from
     /// zero.
-    pub warm_delta: Option<&'a CellField<f64>>,
+    warm_delta: Option<&'a CellField<f64>>,
     /// Step start time, seconds (well schedules are evaluated here).
-    pub time: f64,
+    time: f64,
     /// Step size, seconds.
-    pub dt: f64,
+    dt: f64,
 }
 
 impl StepRequest<'_> {
     /// The accumulation diagonal coefficient `V·c_t/Δt` (uniform over the
     /// grid: the mesh has uniform spacing).
-    pub fn accumulation_coefficient(&self) -> f64 {
+    fn accumulation_coefficient(&self) -> f64 {
         self.workload.mesh().cell_volume() * self.spec.total_compressibility / self.dt
     }
 
     /// The wells active during this step, with their completion cells'
     /// linear indices (schedule evaluated at the step start time).
-    pub fn active_wells(&self) -> Vec<(usize, &Well)> {
+    fn active_wells(&self) -> Vec<(usize, &Well)> {
         let dims = self.workload.dims();
         self.spec
             .wells
@@ -81,282 +81,134 @@ impl StepRequest<'_> {
             .map(|w| (dims.linear(w.cell), w))
             .collect()
     }
-}
 
-/// What one backward-Euler step produced.
-#[derive(Clone, Debug)]
-pub struct StepOutcome {
-    /// Pressure at the end of the step, `p^{n+1}`, in canonical `f64`.
-    pub pressure: CellField<f64>,
-    /// The update `δ = p^{n+1} − pⁿ` (the next step's warm start).
-    pub delta: CellField<f64>,
-    /// Convergence history of the step's CG solve.
-    pub history: ConvergenceHistory,
-    /// `Some(reason)` when a stop policy or monitor ended the solve early;
-    /// `pressure` then carries the partial update reached at the boundary.
-    pub stopped: Option<StopReason>,
-    /// Per-well volumetric rate (m³/s, positive = injection) evaluated at
-    /// `p^{n+1}`, in the spec's well order; zero for inactive wells.
-    pub well_rates: Vec<f64>,
-}
-
-/// One armed stepping session: backends hand [`run_transient`] a stepper so
-/// per-run kernel state (the planned operator, converted coefficient
-/// tables) is built **once** and reused across every step, instead of per
-/// step.  Object-safe, like [`SolveBackend`] itself.
-pub trait TransientStepper {
-    /// Advance one backward-Euler step (see [`SolveBackend::step`] for the
-    /// contract; the outcome is bitwise identical to the one-shot path).
-    fn step(
-        &mut self,
-        request: &StepRequest<'_>,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-    ) -> Result<StepOutcome, SolveError>;
-}
-
-/// Signature of the diagonal shift a step installed: the dt bits plus the
-/// active wells' completion cells and productivity indices.  While it is
-/// unchanged between steps (the common case: fixed dt, static schedule),
-/// the cached operator's diagonal is reused as-is.
-type DiagKey = (u64, Vec<(usize, u64)>);
-
-/// The default stepping session at precision `T`: the planned matrix-free
-/// operator is built once, and only the `Δt`/well-dependent diagonal shift
-/// is swapped (via [`MatrixFreeOperator::set_diagonal_shift`]) when the
-/// schedule actually changes it.
-pub struct PlannedStepper<T: Scalar> {
-    operator: MatrixFreeOperator<T>,
-    diag_key: Option<DiagKey>,
-    /// The step preconditioner, armed lazily on the first preconditioned
-    /// step and refreshed only when the diagonal shift actually changes.
-    precond: Option<StepPrecond<T>>,
-}
-
-/// The per-session preconditioner state of a [`PlannedStepper`]: Jacobi is
-/// rebuilt from the shifted diagonal; the multigrid hierarchy is built once
-/// and only its diagonal shift is re-propagated down the levels when `Δt`
-/// or the active well set changes.
-enum StepPrecond<T: Scalar> {
-    Jacobi(JacobiPreconditioner<T>),
-    Mg(MultigridVcycle<T>),
-}
-
-impl<T: Scalar> StepPrecond<T> {
-    fn as_dyn(&self) -> &dyn Preconditioner<T> {
-        match self {
-            StepPrecond::Jacobi(pc) => pc,
-            StepPrecond::Mg(pc) => pc,
+    /// The step's diagonal shift `D + W`: accumulation everywhere plus WI
+    /// at the `active` BHP wells.
+    fn diagonal_shift(&self, active: &[(usize, &Well)]) -> CellField<f64> {
+        let mut diag = CellField::constant(self.workload.dims(), self.accumulation_coefficient());
+        for &(k, well) in active {
+            diag.set(k, diag.get(k) + well.diagonal_coefficient());
         }
+        diag
     }
 }
 
-impl<T: Scalar> PlannedStepper<T> {
-    /// Build the session's operator for `workload` (threads from `config`).
-    pub fn new(workload: &Workload, config: &SolveConfig) -> Self {
+/// Identifies a step's diagonal shift without touching the field: the `Δt`
+/// bits plus the active wells' completion cells and productivity indices.
+/// While it is unchanged between steps (fixed `Δt`, static schedule) the
+/// installed shift is reused as-is.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct ShiftKey {
+    pub(crate) dt_bits: u64,
+    pub(crate) wells: Vec<(usize, u64)>,
+}
+
+impl ShiftKey {
+    fn of(request: &StepRequest<'_>, active: &[(usize, &Well)]) -> Self {
         Self {
-            operator: MatrixFreeOperator::<T>::from_workload(workload)
-                .with_threads(config.effective_threads()),
-            diag_key: None,
-            precond: None,
-        }
-    }
-
-    /// (Re)arm the preconditioner for the current shifted operator.  `diag`
-    /// is the freshly installed shift; `changed` says whether it differs
-    /// from the previous step's (when it doesn't, a cached preconditioner is
-    /// reused as-is).
-    fn refresh_precond(
-        &mut self,
-        kind: PreconditionerKind,
-        workload: &Workload,
-        diag: Option<&CellField<f64>>,
-        changed: bool,
-        threads: usize,
-    ) {
-        match kind {
-            PreconditionerKind::None => self.precond = None,
-            PreconditionerKind::Jacobi => {
-                if changed || !matches!(self.precond, Some(StepPrecond::Jacobi(_))) {
-                    let dims = workload.dims();
-                    let coeffs = self.operator.coefficients();
-                    let shifted = CellField::from_fn(dims, |c| {
-                        let k = dims.linear(c);
-                        if self.operator.is_dirichlet(k) {
-                            T::ONE
-                        } else {
-                            // Boundary faces carry zero coefficients, so the
-                            // raw row sum is exactly the operator diagonal.
-                            let mut acc = coeffs.row_sum(k);
-                            if let Some(d) = diag {
-                                acc += T::from_f64(d.get(k));
-                            }
-                            acc
-                        }
-                    });
-                    self.precond = Some(StepPrecond::Jacobi(JacobiPreconditioner::from_diagonal(
-                        &shifted,
-                    )));
-                }
-            }
-            PreconditionerKind::Mg => {
-                if !matches!(self.precond, Some(StepPrecond::Mg(_))) {
-                    let mg = MultigridVcycle::new(
-                        self.operator.coefficients().clone(),
-                        workload.dirichlet(),
-                        threads,
-                        MgConfig::default(),
-                    );
-                    self.precond = Some(StepPrecond::Mg(mg));
-                    // A fresh hierarchy has no shift yet: force-install it.
-                    if let (Some(StepPrecond::Mg(mg)), Some(d)) = (&mut self.precond, diag) {
-                        mg.set_diagonal_shift(d);
-                    }
-                } else if changed {
-                    if let (Some(StepPrecond::Mg(mg)), Some(d)) = (&mut self.precond, diag) {
-                        mg.set_diagonal_shift(d);
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<T: Scalar> TransientStepper for PlannedStepper<T> {
-    fn step(
-        &mut self,
-        request: &StepRequest<'_>,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-    ) -> Result<StepOutcome, SolveError> {
-        let workload = request.workload;
-        let dims = workload.dims();
-        let active = request.active_wells();
-
-        // Diagonal shift: accumulation everywhere, plus WI at active BHP
-        // wells (`set_diagonal_shift` zeroes Dirichlet rows).  Rebuilt only
-        // when dt or the active well set changes.
-        let key: DiagKey = (
-            request.dt.to_bits(),
-            active
+            dt_bits: request.dt.to_bits(),
+            wells: active
                 .iter()
                 .map(|&(k, well)| (k, well.diagonal_coefficient().to_bits()))
                 .collect(),
-        );
-        let diag_changed = self.diag_key.as_ref() != Some(&key);
-        let make_diag = || {
-            let mut diag = CellField::constant(dims, request.accumulation_coefficient());
-            for &(k, well) in &active {
-                diag.set(k, diag.get(k) + well.diagonal_coefficient());
-            }
-            diag
-        };
-        let mut installed_diag = None;
-        if diag_changed {
-            let diag = make_diag();
-            self.operator.set_diagonal_shift(&diag);
-            self.diag_key = Some(key);
-            installed_diag = Some(diag);
         }
-        // Arm/refresh the configured preconditioner.  The shifted diagonal
-        // must propagate into it (down the whole multigrid hierarchy), so it
-        // is keyed on the same dt/well signature as the operator's shift.
-        let need_refresh = diag_changed
-            || match (config.preconditioner, &self.precond) {
-                (PreconditionerKind::None, p) => p.is_some(),
-                (PreconditionerKind::Jacobi, Some(StepPrecond::Jacobi(_))) => false,
-                (PreconditionerKind::Mg, Some(StepPrecond::Mg(_))) => false,
-                _ => true,
-            };
-        if need_refresh {
-            let diag = installed_diag.take().unwrap_or_else(make_diag);
-            self.refresh_precond(
-                config.preconditioner,
-                workload,
-                Some(&diag),
-                diag_changed,
-                config.effective_threads(),
-            );
-        }
-
-        // RHS: flux residual at pⁿ (Dirichlet rows zeroed) plus well
-        // sources.  The operator's coefficient table is the same converted
-        // `Transmissibilities<T>` the one-shot path used, so reusing it
-        // keeps the outcome bitwise identical.
-        let p_n: CellField<T> = request.pressure.convert();
-        let r = residual(&p_n, self.operator.coefficients(), workload.dirichlet());
-        let mut b = newton_rhs(&r, workload.dirichlet());
-        for &(k, well) in &active {
-            b.set(
-                k,
-                b.get(k) + T::from_f64(well.rate_at(request.pressure.get(k))),
-            );
-        }
-
-        let x0 = match request.warm_delta {
-            Some(delta) => delta.convert(),
-            None => CellField::zeros(dims),
-        };
-        let tolerance = config.effective_tolerance(workload);
-        let max_iterations = config.effective_max_iterations(workload);
-        let outcome = match &self.precond {
-            Some(pc) => {
-                let solver =
-                    PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations);
-                solver.solve_monitored(&self.operator, pc.as_dyn(), &b, &x0, monitor)
-            }
-            None => {
-                let solver = ConjugateGradient::with_tolerance(tolerance, max_iterations);
-                solver.solve_monitored(&self.operator, &b, &x0, monitor)
-            }
-        };
-
-        let delta: CellField<f64> = outcome.solution.convert();
-        let mut pressure = request.pressure.clone();
-        pressure.axpy(1.0, &delta);
-
-        let well_rates = request
-            .spec
-            .wells
-            .wells()
-            .iter()
-            .map(|w| {
-                if w.is_active(request.time) {
-                    w.rate_at(pressure.get(dims.linear(w.cell)))
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-
-        Ok(StepOutcome {
-            pressure,
-            delta,
-            history: outcome.history,
-            stopped: outcome.stopped,
-            well_rates,
-        })
     }
 }
 
-/// Solve one backward-Euler step at precision `T` on the host's planned
-/// stencil kernels — the one-shot form of [`PlannedStepper`], and the
-/// shared implementation behind the default [`SolveBackend::step`].
+/// What one backward-Euler step produced.
+struct StepOutcome {
+    /// Pressure at the end of the step, `p^{n+1}`, in canonical `f64`.
+    pressure: CellField<f64>,
+    /// The update `δ = p^{n+1} − pⁿ` (the next step's warm start).
+    delta: CellField<f64>,
+    history: ConvergenceHistory,
+    stopped: Option<StopReason>,
+    /// Per-well volumetric rate (m³/s, positive = injection) evaluated at
+    /// `p^{n+1}`, in the spec's well order; zero for inactive wells.
+    well_rates: Vec<f64>,
+}
+
+/// Solve one backward-Euler step at precision `T` on `ctx` (prepared for
+/// `key`, the run's shifted context key).
 ///
 /// The step system `(A + D + W) δ = r(pⁿ) + q(pⁿ)` is SPD for any `Δt > 0`
 /// (even without Dirichlet cells: the accumulation diagonal regularises the
 /// pure-Neumann operator), so the unmodified CG loop applies.  Dirichlet
 /// rows are pinned to `δ = 0`, keeping boundary pressures exact.
-pub fn solve_step<T: Scalar>(
+fn step<T: Scalar>(
+    ctx: &mut SolveContext<T>,
+    key: ContextKey,
     request: &StepRequest<'_>,
     config: &SolveConfig,
     monitor: &mut dyn SolveMonitor,
 ) -> StepOutcome {
-    PlannedStepper::<T>::new(request.workload, config)
-        .step(request, config, monitor)
-        // audit: allow(panic) — invariant: PlannedStepper::step's only error
-        // path is a dims mismatch, and new() just built it from this workload.
-        .expect("the planned stepper is infallible")
+    let workload = request.workload;
+    let dims = workload.dims();
+    let active = request.active_wells();
+    // Build-phase spans stay off the step: the run's operator is built once.
+    ctx.prepare(workload, key, &Span::null());
+    ctx.set_shift(ShiftKey::of(request, &active), || {
+        request.diagonal_shift(&active)
+    });
+    let solver = ConjugateGradient::with_tolerance(
+        config.effective_tolerance(workload),
+        config.effective_max_iterations(workload),
+    );
+    let (operator, precond, buffers) = ctx.parts(dims);
+
+    // RHS: flux residual at pⁿ (Dirichlet rows zeroed) plus well sources,
+    // evaluated with the operator's own converted coefficient table.
+    buffers.pressure.convert_from(request.pressure);
+    residual_into(
+        &buffers.pressure,
+        operator.coefficients(),
+        workload.dirichlet(),
+        &mut buffers.residual,
+    );
+    newton_rhs_into(&buffers.residual, workload.dirichlet(), &mut buffers.rhs);
+    for &(k, well) in &active {
+        let source = T::from_f64(well.rate_at(request.pressure.get(k)));
+        buffers.rhs.set(k, buffers.rhs.get(k) + source);
+    }
+    // The pressure buffer is free once the RHS is built: it carries the
+    // warm start.
+    let x0 = request.warm_delta.map(|delta| {
+        buffers.pressure.convert_from(delta);
+        &buffers.pressure
+    });
+    let stopped = solver.solve_into(
+        operator,
+        precond,
+        &buffers.rhs,
+        x0,
+        monitor,
+        &Span::null(),
+        &mut buffers.cg,
+    );
+
+    let delta: CellField<f64> = buffers.cg.solution().convert();
+    let mut pressure = request.pressure.clone();
+    pressure.axpy(1.0, &delta);
+    let well_rates = request
+        .spec
+        .wells
+        .wells()
+        .iter()
+        .map(|w| {
+            if w.is_active(request.time) {
+                w.rate_at(pressure.get(dims.linear(w.cell)))
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    StepOutcome {
+        pressure,
+        delta,
+        history: buffers.cg.history().clone(),
+        stopped,
+        well_rates,
+    }
 }
 
 /// One completed (or stopped) step of a transient run.
@@ -579,11 +431,28 @@ impl std::fmt::Display for TransientReport {
     }
 }
 
-/// Drive a [`TransientSpec`]'s full schedule through one
-/// [`transient_session`](SolveBackend::transient_session) of `backend`
-/// (kernel state cached across steps), warm-starting successive steps and
-/// threading `policy` through every per-step session (one shared wall-clock
-/// deadline; per-step budgets and stagnation rules).
+/// Drive a [`TransientSpec`]'s full schedule on `backend`'s step precision,
+/// warm-starting successive steps and threading `policy` through every
+/// per-step session (one shared wall-clock deadline; per-step budgets and
+/// stagnation rules).
+///
+/// `request` carries the run's observer, span and cache:
+/// * its monitor sees the concatenated
+///   [`SolveEvent`](crate::monitor::SolveEvent) stream of every step — each
+///   step re-emits `Started` with its own initial residual, then its
+///   iterations — exactly as the per-step histories record them (bitwise).
+///   A [`Flow::Stop`](crate::monitor::Flow::Stop) it returns ends the
+///   current step (and thereby the run) at the next iteration boundary,
+///   exactly like a policy stop; the policy keeps stop precedence.  This is
+///   the serving path: a daemon streams the events over a socket while the
+///   shared `policy` keeps its one wall-clock deadline across steps.
+/// * under its span each time step records a `step` span, with the inner CG
+///   loop traced beneath it (see [`crate::trace`]) and the
+///   mass-ledger/residual bookkeeping in an `accounting` child.  Tracing
+///   never perturbs the numerics.
+/// * its cache (a fresh one when it brings none, or one armed by
+///   [`transient_session`](SolveBackend::transient_session)) holds the
+///   run's one operator and preconditioner.
 ///
 /// A stopped step truncates the run: the partial step is kept and the
 /// report's `stopped` is set.  Invalid specs (bad dt policy, wells outside
@@ -595,58 +464,7 @@ pub fn run_transient(
     spec: &TransientSpec,
     config: &SolveConfig,
     policy: &StopPolicy,
-) -> Result<TransientReport, SolveError> {
-    run_transient_traced(backend, workload, spec, config, policy, &Span::null())
-}
-
-/// [`run_transient`] with phase spans: each time step records a `step`
-/// span under `span`, with the inner CG loop traced beneath it (see
-/// [`crate::trace`]) and the mass-ledger/residual bookkeeping in an
-/// `accounting` child.  On a null span this is exactly [`run_transient`];
-/// tracing never perturbs the numerics either way (the traced and
-/// untraced trajectories are bitwise identical).
-pub fn run_transient_traced(
-    backend: &dyn SolveBackend,
-    workload: &Workload,
-    spec: &TransientSpec,
-    config: &SolveConfig,
-    policy: &StopPolicy,
-    span: &Span,
-) -> Result<TransientReport, SolveError> {
-    run_transient_inner(backend, workload, spec, config, policy, span, None)
-}
-
-/// [`run_transient_traced`] with a live observer: `monitor` sees the
-/// concatenated [`crate::monitor::SolveEvent`] stream of every per-step CG
-/// session — each
-/// step re-emits `Started` with its own initial residual, then its
-/// iterations — exactly as the per-step histories record them (bitwise).
-/// The external monitor *observes and controls*: a
-/// [`crate::monitor::Flow::Stop`] it
-/// returns ends the current step (and thereby the run) at the next
-/// iteration boundary, exactly like a policy stop.  This is the serving
-/// path: a daemon streams the events over a socket while the shared
-/// `policy` keeps its one wall-clock deadline across steps.
-pub fn run_transient_monitored(
-    backend: &dyn SolveBackend,
-    workload: &Workload,
-    spec: &TransientSpec,
-    config: &SolveConfig,
-    policy: &StopPolicy,
-    span: &Span,
-    monitor: &mut dyn SolveMonitor,
-) -> Result<TransientReport, SolveError> {
-    run_transient_inner(backend, workload, spec, config, policy, span, Some(monitor))
-}
-
-fn run_transient_inner(
-    backend: &dyn SolveBackend,
-    workload: &Workload,
-    spec: &TransientSpec,
-    config: &SolveConfig,
-    policy: &StopPolicy,
-    span: &Span,
-    mut external: Option<&mut dyn SolveMonitor>,
+    request: &mut SolveRequest<'_>,
 ) -> Result<TransientReport, SolveError> {
     let name = backend.name();
     let dims = workload.dims();
@@ -668,6 +486,21 @@ fn run_transient_inner(
     // Anchors the run's shared StopPolicy deadline (consume_deadline) and
     // elapsed-seconds telemetry; it never feeds the numerics of a step.
     let started = Stopwatch::start();
+    let mut fresh = SolveContextCache::new();
+    let cache = match request.cache.as_deref_mut() {
+        Some(cache) => cache,
+        None => &mut fresh,
+    };
+    // Hashed once per run: every step prepares the same operator.
+    let key = ContextKey::of(
+        workload,
+        config.effective_threads(),
+        config.preconditioner,
+        true,
+    );
+    let precision = backend.step_precision();
+    let null_span = Span::null();
+    let span = request.span.unwrap_or(&null_span);
     let mut pressure: CellField<f64> = match spec.initial_pressure {
         Some(p0) => {
             let mut field = CellField::constant(dims, p0);
@@ -707,12 +540,8 @@ fn run_transient_inner(
         .collect();
     let mut run_stopped = None;
 
-    // One stepping session for the whole run: the backend's kernel state
-    // (planned operator, converted coefficients) is built once, not per
-    // step.
-    let mut stepper = backend.transient_session(workload, config)?;
     for (index, (time, dt)) in spec.schedule().into_iter().enumerate() {
-        let request = StepRequest {
+        let step_request = StepRequest {
             workload,
             spec,
             pressure: &pressure,
@@ -722,49 +551,22 @@ fn run_transient_inner(
         };
         let step_span = span.child("step");
         let step_started = Stopwatch::start();
-        // One monitor per step: the armed policy session (when any rule is
-        // configured), fanned out with the external observer (when one is
-        // attached).  The policy keeps stop precedence by sitting first in
-        // the fanout; a pure observer changes no arithmetic either way, so
-        // every combination below is bitwise-identical on the solve values.
-        let mut session =
-            (!policy.is_empty()).then(|| policy.consume_deadline(started.elapsed()).session());
-        let outcome = match (session.as_mut(), external.as_deref_mut()) {
-            (None, None) => {
-                if step_span.is_recording() {
-                    let mut null = NullMonitor;
-                    let mut traced = TraceMonitor::new(&step_span, &mut null);
-                    stepper.step(&request, config, &mut traced)?
-                } else {
-                    stepper.step(&request, config, &mut NullMonitor)?
-                }
-            }
-            (Some(session), None) => {
-                if step_span.is_recording() {
-                    let mut traced = TraceMonitor::new(&step_span, session);
-                    stepper.step(&request, config, &mut traced)?
-                } else {
-                    stepper.step(&request, config, session)?
-                }
-            }
-            (None, Some(observer)) => {
-                if step_span.is_recording() {
-                    let mut traced = TraceMonitor::new(&step_span, observer);
-                    stepper.step(&request, config, &mut traced)?
-                } else {
-                    stepper.step(&request, config, observer)?
-                }
-            }
-            (Some(session), Some(observer)) => {
-                let mut fanout = MonitorFanout::new().push(session).push(observer);
-                if step_span.is_recording() {
-                    let mut traced = TraceMonitor::new(&step_span, &mut fanout);
-                    stepper.step(&request, config, &mut traced)?
-                } else {
-                    stepper.step(&request, config, &mut fanout)?
-                }
-            }
-        };
+        // One monitor per step: the policy session (its deadline shared
+        // across the run) ahead of the request's observer, mirrored into
+        // the step's CG spans.  Observers change no arithmetic.
+        let outcome = policy.consume_deadline(started.elapsed()).observe(
+            request.monitor.as_deref_mut(),
+            |monitor| {
+                traced(&step_span, monitor, |monitor| match precision {
+                    Precision::F64 => {
+                        step(&mut cache.f64_context, key, &step_request, config, monitor)
+                    }
+                    Precision::F32 => {
+                        step(&mut cache.f32_context, key, &step_request, config, monitor)
+                    }
+                })
+            },
+        );
         let step_wall = step_started.elapsed_seconds();
         let accounting = step_span.child("accounting");
 
@@ -905,6 +707,7 @@ mod tests {
             &spec,
             &config,
             &StopPolicy::new(),
+            &mut SolveRequest::new(),
         )
         .unwrap();
         assert_eq!(report.num_steps(), 5);
@@ -951,6 +754,7 @@ mod tests {
             &spec,
             &config,
             &StopPolicy::new(),
+            &mut SolveRequest::new(),
         )
         .unwrap();
         assert!(report.all_converged());
@@ -988,6 +792,7 @@ mod tests {
             &spec,
             &config,
             &StopPolicy::new(),
+            &mut SolveRequest::new(),
         )
         .unwrap();
         assert_eq!(report.snapshots.len(), 2);
@@ -1018,6 +823,7 @@ mod tests {
             &spec,
             &SolveConfig::default(),
             &StopPolicy::new(),
+            &mut SolveRequest::new(),
         )
         .unwrap_err();
         assert!(err.detail().contains("Dirichlet"), "{}", err.detail());
@@ -1043,6 +849,7 @@ mod tests {
             &spec,
             &config,
             &StopPolicy::new(),
+            &mut SolveRequest::new(),
         )
         .unwrap();
         let merged = report.merged_history();
@@ -1073,8 +880,15 @@ mod tests {
             ..SolveConfig::default()
         };
         let policy = StopPolicy::new().iteration_budget(2);
-        let report =
-            run_transient(&HostBackend::oracle(), &workload, &spec, &config, &policy).unwrap();
+        let report = run_transient(
+            &HostBackend::oracle(),
+            &workload,
+            &spec,
+            &config,
+            &policy,
+            &mut SolveRequest::new(),
+        )
+        .unwrap();
         assert_eq!(report.stopped, Some(StopReason::IterationBudget));
         assert_eq!(report.num_steps(), 1);
         assert_eq!(report.steps[0].report.iterations(), 2);
@@ -1107,6 +921,7 @@ mod tests {
             &spec,
             &config,
             &StopPolicy::new(),
+            &mut SolveRequest::new(),
         )
         .unwrap();
         let requested: Vec<f64> = report.snapshots.iter().map(|s| s.requested_time).collect();
@@ -1121,13 +936,19 @@ mod tests {
     }
 
     #[test]
-    fn planned_stepper_session_matches_the_one_shot_step_bitwise() {
-        use crate::backend::SolveBackend;
+    fn runs_on_an_armed_session_match_a_fresh_run_bitwise() {
+        use crate::backend::PreconditionerKind;
         let workload = closed_workload(Dims::new(6, 5, 4));
-        let spec = TransientSpec::new(2.0, 0.5, 1e-3)
+        // A ramped dt and a shut-in well change the diagonal shift between
+        // steps; the BHP producer adds its WI to the shift.
+        let spec = TransientSpec::new(2.0, 0.25, 1e-3)
+            .with_dt_policy(mffv_mesh::DtPolicy::ramp(0.1, 1.5, 0.5))
             .with_wells(
                 WellSet::empty()
-                    .with(mffv_mesh::Well::rate("inj", CellIndex::new(0, 0, 0), 1.0))
+                    .with(
+                        mffv_mesh::Well::rate("inj", CellIndex::new(0, 0, 0), 1.0)
+                            .scheduled(0.0, 1.0),
+                    )
                     .with(mffv_mesh::Well::bhp(
                         "prod",
                         CellIndex::new(5, 4, 3),
@@ -1136,37 +957,46 @@ mod tests {
                     )),
             )
             .with_initial_pressure(10.0);
-        let config = SolveConfig {
-            tolerance: Some(1e-20),
-            ..SolveConfig::default()
-        };
-        let backend = HostBackend::oracle();
-        let mut session = backend.transient_session(&workload, &config).unwrap();
-        let mut pressure: CellField<f64> = CellField::constant(workload.dims(), 10.0);
-        workload.dirichlet().impose(&mut pressure);
-        let mut warm: Option<CellField<f64>> = None;
-        for (time, dt) in spec.schedule() {
-            let request = StepRequest {
-                workload: &workload,
-                spec: &spec,
-                pressure: &pressure,
-                warm_delta: warm.as_ref(),
-                time,
-                dt,
+        for preconditioner in PreconditionerKind::ALL {
+            let config = SolveConfig {
+                tolerance: Some(1e-20),
+                preconditioner,
+                ..SolveConfig::default()
             };
-            let cached = session
-                .step(&request, &config, &mut crate::monitor::NullMonitor)
-                .unwrap();
-            let one_shot = backend
-                .step(&request, &config, &mut crate::monitor::NullMonitor)
-                .unwrap();
-            let bits = |f: &CellField<f64>| -> Vec<u64> {
-                f.as_slice().iter().map(|v| v.to_bits()).collect()
+            let run = |request: &mut SolveRequest<'_>| {
+                run_transient(
+                    &HostBackend::oracle(),
+                    &workload,
+                    &spec,
+                    &config,
+                    &StopPolicy::new(),
+                    request,
+                )
+                .unwrap()
             };
-            assert_eq!(bits(&cached.pressure), bits(&one_shot.pressure));
-            assert_eq!(cached.history, one_shot.history);
-            pressure = cached.pressure;
-            warm = Some(cached.delta);
+            let fresh = run(&mut SolveRequest::new());
+            // An armed session builds the operator up front; both runs on it
+            // only swap the diagonal shift.
+            let mut cache = HostBackend::oracle()
+                .transient_session(&workload, &config)
+                .unwrap();
+            for round in 0..2 {
+                let warm = run(&mut SolveRequest::new().cache(&mut cache));
+                assert_eq!(warm.num_steps(), fresh.num_steps());
+                for (a, b) in fresh.steps.iter().zip(&warm.steps) {
+                    let bits = |f: &CellField<f64>| -> Vec<u64> {
+                        f.as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&a.report.pressure), bits(&b.report.pressure));
+                    assert_eq!(
+                        a.report.history, b.report.history,
+                        "{preconditioner:?} round {round}"
+                    );
+                }
+            }
+            let stats = cache.f64_context.stats();
+            assert_eq!(stats.misses, 1, "{preconditioner:?}");
+            assert_eq!(stats.hits as usize, 2 * fresh.num_steps());
         }
     }
 }

@@ -31,9 +31,9 @@ use crate::backend::Backend;
 use crate::report::{AgreementReport, SolveReport};
 use mffv_engine::{BatchReport, Engine, JobSpec};
 use mffv_mesh::{TransientSpec, Workload, WorkloadSpec};
-use mffv_solver::backend::{Precision, PreconditionerKind, SolveConfig, SolveError};
-use mffv_solver::monitor::{CancelToken, MonitorFanout, NullMonitor, SolveMonitor, StopPolicy};
-use mffv_solver::transient::{run_transient_traced, TransientReport};
+use mffv_solver::backend::{Precision, PreconditionerKind, SolveConfig, SolveError, SolveRequest};
+use mffv_solver::monitor::{CancelToken, SolveMonitor, StopPolicy};
+use mffv_solver::transient::{run_transient, TransientReport};
 use mffv_telemetry::{Span, Tracer};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -187,10 +187,7 @@ impl Simulation {
     /// [`Flow::Stop`](mffv_solver::Flow::Stop).  Any attached stop policy is
     /// active alongside and takes precedence.
     pub fn monitor(&self, monitor: &mut dyn SolveMonitor) -> Result<SolveReport, SolveError> {
-        let backend = self.primary_backend();
-        let mut session = self.policy.session();
-        let fanout = MonitorFanout::new().push(&mut session).push(monitor);
-        self.solve_on(&backend, Some(fanout))
+        self.solve_on(&self.primary_backend(), Some(monitor))
     }
 
     /// Run one specific backend under this simulation's workload, config and
@@ -221,13 +218,13 @@ impl Simulation {
         spec: &TransientSpec,
     ) -> Result<TransientReport, SolveError> {
         let span = self.root_span("transient", backend);
-        run_transient_traced(
+        run_transient(
             backend.instantiate().as_ref(),
             &self.workload,
             spec,
             &self.config,
             &self.policy,
-            &span,
+            &mut SolveRequest::new().span(&span),
         )
     }
 
@@ -283,32 +280,21 @@ impl Simulation {
         }
     }
 
-    /// Dispatch one backend solve, monitored only when there is something to
-    /// observe or enforce — the policy-free, monitor-free, tracer-free path
-    /// stays the plain `solve()` call.
+    /// Dispatch one backend solve under the stop policy, with `observer`
+    /// (when any) watching behind it.
     fn solve_on(
         &self,
         backend: &Backend,
-        extra: Option<MonitorFanout<'_>>,
+        observer: Option<&mut dyn SolveMonitor>,
     ) -> Result<SolveReport, SolveError> {
-        let live = backend.instantiate();
         let span = self.root_span("solve", backend);
-        match extra {
-            Some(mut fanout) => live.solve_traced(&self.workload, &self.config, &mut fanout, &span),
-            None if self.policy.is_empty() => {
-                if span.is_recording() {
-                    live.solve_traced(&self.workload, &self.config, &mut NullMonitor, &span)
-                } else {
-                    live.solve(&self.workload, &self.config)
-                }
-            }
-            None => live.solve_traced(
+        self.policy.observe(observer, |monitor| {
+            backend.instantiate().solve(
                 &self.workload,
                 &self.config,
-                &mut self.policy.session(),
-                &span,
-            ),
-        }
+                &mut SolveRequest::new().monitor(monitor).span(&span),
+            )
+        })
     }
 
     /// Run every registered backend — or [`Backend::standard_set`] when none

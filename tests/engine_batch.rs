@@ -5,6 +5,8 @@
 //! poisoning the pool.
 
 use mffv::prelude::*;
+use mffv_mesh::workload::BoundarySpec;
+use mffv_mesh::CellIndex;
 
 /// A 12-job sweep (3 grids × 2 permeability seeds × 2 backends) over a
 /// stochastic log-normal workload, so the seed axis genuinely changes the
@@ -82,45 +84,128 @@ fn batch_results_are_bitwise_identical_across_worker_counts_and_to_serial_runs()
     }
 }
 
+fn history_bits(report: &mffv::SolveReport) -> Vec<u64> {
+    report
+        .history
+        .residual_norms_squared
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
 #[test]
 fn context_pooling_is_bitwise_invisible_across_worker_counts() {
-    // The pooled serving path (keyed operator cache + reusable scratch) must
-    // be a pure performance change: with pooling disabled the engine takes
-    // the historical allocate-per-job path, and every report — residual
-    // history and pressure field — must match the pooled run bit for bit,
+    // Engine workers keep warm solve contexts (keyed operator cache +
+    // reusable scratch) across jobs.  That must be a pure performance
+    // change: every report — residual history and pressure field — must
+    // match a serial fresh-context execution of the same job bit for bit,
     // on any worker count.
     let jobs = sweep_jobs();
+    let fresh: Vec<mffv::SolveReport> = jobs
+        .iter()
+        .map(|job| job.execute(&mut SolveRequest::new()).expect("serial solve"))
+        .collect();
     for workers in [1usize, 2, 8] {
         let pooled = Engine::new(workers).run(jobs.clone());
-        let unpooled = Engine::new(workers)
-            .with_context_pooling(false)
-            .run(jobs.clone());
         assert!(pooled.all_succeeded(), "{workers} workers pooled");
-        assert!(unpooled.all_succeeded(), "{workers} workers unpooled");
-        for (i, (a, b)) in pooled
-            .outcomes
-            .iter()
-            .zip(unpooled.outcomes.iter())
-            .enumerate()
-        {
+        for (i, (a, b)) in pooled.outcomes.iter().zip(&fresh).enumerate() {
             let ra = a.report().unwrap();
-            let rb = b.report().unwrap();
-            let history_bits = |r: &mffv::SolveReport| -> Vec<u64> {
-                r.history
-                    .residual_norms_squared
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect()
-            };
             assert_eq!(
                 history_bits(ra),
-                history_bits(rb),
+                history_bits(b),
                 "{workers} workers, job {i}: residual history must be bitwise identical"
             );
             assert_eq!(
                 pressure_bits(ra),
-                pressure_bits(rb),
+                pressure_bits(b),
                 "{workers} workers, job {i}: pressure must be bitwise identical"
+            );
+        }
+    }
+}
+
+/// A sealed reservoir with an injector that shuts in part-way and a BHP
+/// producer, stepped with a ramped `dt`: the step operator's diagonal shift
+/// changes on almost every step.
+fn ramped_transient_job(name: &str, preconditioner: PreconditionerKind) -> JobSpec {
+    let spec = WorkloadSpec {
+        name: name.to_string(),
+        dims: Dims::new(12, 10, 6),
+        boundary: BoundarySpec::None,
+        permeability: PermeabilityModel::LogNormal {
+            mean_log: 0.0,
+            std_log: 0.5,
+            seed: 3,
+        },
+        tolerance: 1e-16,
+        ..WorkloadSpec::quickstart()
+    };
+    let transient = TransientSpec::new(3.0, 0.1, 1e-3)
+        .with_dt_policy(DtPolicy::ramp(0.1, 1.5, 1.0))
+        .with_wells(
+            WellSet::empty()
+                .with(Well::rate("inj", CellIndex::new(2, 2, 1), 1.0).scheduled(0.0, 1.5))
+                .with(Well::bhp("prod", CellIndex::new(9, 7, 4), 5.0, 0.5)),
+        )
+        .with_initial_pressure(10.0);
+    JobSpec::transient(spec, Backend::host(), transient).with_preconditioner(preconditioner)
+}
+
+#[test]
+fn a_ramped_mg_transient_job_builds_its_operator_once() {
+    let job = ramped_transient_job("ramped-mg", PreconditionerKind::Mg);
+    let steps = job.transient.as_ref().unwrap().num_steps();
+    assert!(steps > 3);
+    let mut cache = SolveContextCache::new();
+    let report = job
+        .execute(&mut SolveRequest::new().cache(&mut cache))
+        .unwrap();
+    assert!(report.converged());
+    // One build; every step's in-place shift swap is a hit.
+    let stats = cache.f64_context.stats();
+    assert_eq!(stats.misses, 1);
+    assert_eq!(stats.hits as usize, steps - 1);
+}
+
+#[test]
+fn engine_transient_jobs_match_simulation_transient_bitwise() {
+    // Repeated specs and an interleaved steady job make workers reuse (and
+    // re-key) their warm contexts between transient runs.
+    let jobs = vec![
+        ramped_transient_job("ramped-jacobi", PreconditionerKind::Jacobi),
+        ramped_transient_job("ramped-mg", PreconditionerKind::Mg),
+        JobSpec::new(WorkloadSpec::quickstart(), Backend::host()),
+        ramped_transient_job("ramped-mg", PreconditionerKind::Mg),
+        ramped_transient_job("ramped-jacobi", PreconditionerKind::Jacobi),
+        ramped_transient_job("ramped-cg", PreconditionerKind::None),
+    ];
+    let reference: Vec<Option<TransientReport>> = jobs
+        .iter()
+        .map(|job| {
+            job.transient.as_ref().map(|spec| {
+                Simulation::new(Workload::try_from_spec(&job.effective_spec()).unwrap())
+                    .preconditioner(job.solve_config.preconditioner)
+                    .transient(spec)
+                    .unwrap()
+            })
+        })
+        .collect();
+    for workers in [1usize, 2] {
+        let batch = Engine::new(workers).run(jobs.clone());
+        assert!(batch.all_succeeded(), "{workers} workers");
+        for (i, (outcome, reference)) in batch.outcomes.iter().zip(&reference).enumerate() {
+            let Some(reference) = reference else { continue };
+            let report = outcome.report().unwrap();
+            let expected = reference.summary_report();
+            assert_eq!(
+                history_bits(report),
+                history_bits(&expected),
+                "{workers} workers, job {i}: merged step histories"
+            );
+            assert_eq!(
+                pressure_bits(report),
+                pressure_bits(&expected),
+                "{workers} workers, job {i}: final pressure"
             );
         }
     }
@@ -226,7 +311,10 @@ fn mid_batch_cancellation_stops_remaining_jobs_and_keeps_finished_ones_exact() {
         .collect();
     let serial: Vec<mffv::SolveReport> = jobs
         .iter()
-        .map(|job| job.execute().expect("serial solve failed"))
+        .map(|job| {
+            job.execute(&mut SolveRequest::new())
+                .expect("serial solve failed")
+        })
         .collect();
 
     let token = CancelToken::new();

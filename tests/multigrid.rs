@@ -9,9 +9,31 @@ use mffv_fv::{det_dot, Preconditioner};
 use mffv_mesh::boundary::DirichletCell;
 use mffv_mesh::permeability::PermeabilityModel;
 use mffv_mesh::workload::{BoundarySpec, WorkloadSpec};
-use mffv_solver::newton::solve_pressure_with;
+use mffv_solver::newton::{solve_pressure, NewtonScratch};
 use mffv_solver::trace::Span;
 use proptest::prelude::*;
+
+/// One Newton step of `w` on `operator` at the workload's own settings,
+/// preconditioned by `preconditioner` when given.
+fn newton(
+    w: &Workload,
+    operator: &MatrixFreeOperator<f64>,
+    preconditioner: Option<&dyn Preconditioner<f64>>,
+) -> NewtonScratch<f64> {
+    let solver = ConjugateGradient::with_tolerance(w.tolerance(), w.max_iterations());
+    let mut buffers = NewtonScratch::new(w.dims());
+    solve_pressure(
+        w,
+        operator.coefficients(),
+        operator,
+        preconditioner,
+        &solver,
+        &mut NullMonitor,
+        &Span::null(),
+        &mut buffers,
+    );
+    buffers
+}
 
 /// A Dirichlet set of the requested flavour that is valid on *any* dims,
 /// including 1-cell-thin grids (mirrors `tests/property_invariants.rs`).
@@ -179,34 +201,29 @@ fn mg_pcg_reaches_the_same_pressure_as_plain_cg() {
         (WorkloadSpec::quickstart().scaled(2).build(), 1e-3),
     ] {
         let operator = MatrixFreeOperator::<f64>::from_workload(&w);
-        let cg = ConjugateGradient::with_tolerance(w.tolerance(), w.max_iterations());
-        let base = solve_pressure_with::<f64, _>(&w, &operator, &cg);
-        assert!(base.history.converged);
+        let base = newton(&w, &operator, None);
+        assert!(base.history().converged);
 
         let mg = MultigridVcycle::<f64>::from_workload(&w, 1, MgConfig::default());
-        let pcg =
-            PreconditionedConjugateGradient::with_tolerance(w.tolerance(), w.max_iterations());
-        let sol = solve_pressure_preconditioned::<f64, _, _>(
-            &w,
-            &operator,
-            &mg,
-            &pcg,
-            &mut NullMonitor,
-            &Span::null(),
-        );
+        let sol = newton(&w, &operator, Some(&mg));
         assert!(
-            sol.history.converged,
+            sol.history().converged,
             "MG-PCG did not converge on {}",
             w.name()
         );
         assert!(
-            sol.history.iterations <= base.history.iterations,
+            sol.history().iterations <= base.history().iterations,
             "MG-PCG took {} iterations vs plain CG's {}",
-            sol.history.iterations,
-            base.history.iterations
+            sol.history().iterations,
+            base.history().iterations
         );
         let mut max_diff = 0.0f64;
-        for (a, b) in sol.pressure.as_slice().iter().zip(base.pressure.as_slice()) {
+        for (a, b) in sol
+            .pressure()
+            .as_slice()
+            .iter()
+            .zip(base.pressure().as_slice())
+        {
             max_diff = max_diff.max((a - b).abs());
         }
         assert!(
@@ -229,27 +246,18 @@ fn mg_pcg_residual_history_is_bitwise_identical_across_thread_counts() {
     let solve = |threads: usize| {
         let operator = MatrixFreeOperator::<f64>::from_workload(&w).with_threads(threads);
         let mg = MultigridVcycle::<f64>::from_workload(&w, threads, MgConfig::default());
-        let pcg =
-            PreconditionedConjugateGradient::with_tolerance(w.tolerance(), w.max_iterations());
-        solve_pressure_preconditioned::<f64, _, _>(
-            &w,
-            &operator,
-            &mg,
-            &pcg,
-            &mut NullMonitor,
-            &Span::null(),
-        )
+        newton(&w, &operator, Some(&mg))
     };
     let base = solve(1);
-    assert!(base.history.converged);
+    assert!(base.history().converged);
     let base_history: Vec<u64> = base
-        .history
+        .history()
         .residual_norms_squared
         .iter()
         .map(|v| v.to_bits())
         .collect();
     let base_pressure: Vec<u64> = base
-        .pressure
+        .pressure()
         .as_slice()
         .iter()
         .map(|v| v.to_bits())
@@ -257,7 +265,7 @@ fn mg_pcg_residual_history_is_bitwise_identical_across_thread_counts() {
     for threads in [2usize, 8] {
         let other = solve(threads);
         let history: Vec<u64> = other
-            .history
+            .history()
             .residual_norms_squared
             .iter()
             .map(|v| v.to_bits())
@@ -267,7 +275,7 @@ fn mg_pcg_residual_history_is_bitwise_identical_across_thread_counts() {
             "MG-PCG residual history differs at {threads} threads"
         );
         let pressure: Vec<u64> = other
-            .pressure
+            .pressure()
             .as_slice()
             .iter()
             .map(|v| v.to_bits())
@@ -289,18 +297,9 @@ fn mg_pcg_iterations_stay_flat_under_refinement() {
         let w = WorkloadSpec::paper_grid(n, n, n).build();
         let operator = MatrixFreeOperator::<f64>::from_workload(&w);
         let mg = MultigridVcycle::<f64>::from_workload(&w, 1, MgConfig::default());
-        let pcg =
-            PreconditionedConjugateGradient::with_tolerance(w.tolerance(), w.max_iterations());
-        let sol = solve_pressure_preconditioned::<f64, _, _>(
-            &w,
-            &operator,
-            &mg,
-            &pcg,
-            &mut NullMonitor,
-            &Span::null(),
-        );
-        assert!(sol.history.converged, "MG-PCG did not converge at {n}^3");
-        sol.history.iterations
+        let sol = newton(&w, &operator, Some(&mg));
+        assert!(sol.history().converged, "MG-PCG did not converge at {n}^3");
+        sol.history().iterations
     };
     let at32 = iters(32);
     let at64 = iters(64);

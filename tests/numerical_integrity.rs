@@ -5,8 +5,27 @@
 
 use mffv::prelude::*;
 use mffv_fv::csr::AssembledOperator;
-use mffv_solver::cg::ConjugateGradient;
-use mffv_solver::newton::solve_pressure_with;
+use mffv_solver::newton::{solve_pressure, NewtonScratch};
+
+/// One Newton step of `workload` on `operator` under `solver`.
+fn newton<Op: LinearOperator<f64>>(
+    workload: &Workload,
+    operator: &Op,
+    solver: &ConjugateGradient,
+) -> NewtonScratch<f64> {
+    let mut buffers = NewtonScratch::new(workload.dims());
+    solve_pressure(
+        workload,
+        workload.transmissibility(),
+        operator,
+        None,
+        solver,
+        &mut NullMonitor,
+        &Span::null(),
+        &mut buffers,
+    );
+    buffers
+}
 
 fn workloads() -> Vec<Workload> {
     vec![
@@ -24,19 +43,19 @@ fn assembled_baseline_matches_oracle_to_solver_precision() {
         // baseline is an operator, not a facade backend, so this test stays on
         // the lower-level driver deliberately.
         let solver = ConjugateGradient::with_tolerance(1e-16, workload.max_iterations());
-        let oracle = solve_pressure_with::<f64, _>(
+        let oracle = newton(
             &workload,
             &mffv_fv::MatrixFreeOperator::<f64>::from_workload(&workload),
             &solver,
         );
-        let assembled = solve_pressure_with::<f64, _>(
+        let assembled = newton(
             &workload,
             &AssembledOperator::<f64>::from_workload(&workload),
             &solver,
         );
-        assert!(oracle.history.converged && assembled.history.converged);
-        let scale = oracle.pressure.max_abs().max(f64::MIN_POSITIVE);
-        let rel = oracle.pressure.max_abs_diff(&assembled.pressure) / scale;
+        assert!(oracle.history().converged && assembled.history().converged);
+        let scale = oracle.pressure().max_abs().max(f64::MIN_POSITIVE);
+        let rel = oracle.pressure().max_abs_diff(assembled.pressure()) / scale;
         assert!(
             rel < 1e-9,
             "{}: assembled baseline off by {rel}",
