@@ -380,7 +380,10 @@ impl SolveContextCache {
                 self.workload_hits += 1;
                 Ok(workload)
             }
-            _ => {
+            stale => {
+                // Free the stale workload before materialising its
+                // replacement, so a miss never holds two at once.
+                drop(stale);
                 self.workload_misses += 1;
                 Workload::try_from_spec(spec)
             }
