@@ -15,7 +15,6 @@ use mffv_solver::backend::{
 use mffv_solver::context::SolveContextCache;
 use mffv_solver::monitor::{SolveMonitor, StopPolicy, StopReason};
 use mffv_solver::transient::run_transient;
-use mffv_telemetry::Span;
 
 /// One unit of work for the engine: solve `workload_spec` on `backend` under
 /// `solve_config`, with stochastic permeability reseeded from `seed` and the
@@ -176,9 +175,7 @@ impl JobSpec {
     /// reference path.  Reports are bitwise identical either way.
     pub fn execute(&self, request: &mut SolveRequest<'_>) -> Result<SolveReport, SolveError> {
         self.validate()?;
-        let null_span = Span::null();
-        let span = request.span.unwrap_or(&null_span);
-        let materialise = span.child("materialise-workload");
+        let materialise = request.span.child("materialise-workload");
         let spec = self.effective_spec();
         let mut fresh = SolveContextCache::new();
         let cache = match request.cache.as_deref_mut() {
@@ -200,7 +197,7 @@ impl JobSpec {
                 &self.stop_policy,
                 &mut SolveRequest {
                     monitor: observer.map(|m| m as &mut dyn SolveMonitor),
-                    span: Some(span),
+                    span: request.span,
                     cache: Some(&mut *cache),
                 },
             )
@@ -211,7 +208,7 @@ impl JobSpec {
                     &self.solve_config,
                     &mut SolveRequest {
                         monitor: Some(monitor),
-                        span: Some(span),
+                        span: request.span,
                         cache: Some(&mut *cache),
                     },
                 )

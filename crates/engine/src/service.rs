@@ -354,7 +354,7 @@ fn worker_loop(shared: &ServiceShared, worker: usize) {
                     .map(|callback| monitor_fn(|event: &SolveEvent| callback(event)));
                 job.execute(&mut SolveRequest {
                     monitor: streamer.as_mut().map(|s| s as &mut dyn SolveMonitor),
-                    span: Some(&exec_span),
+                    span: &exec_span,
                     cache: Some(&mut context_cache),
                 })
             }));

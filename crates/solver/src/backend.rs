@@ -345,10 +345,12 @@ pub fn final_residual_max_f64(workload: &Workload, pressure: &CellField<f64>) ->
     residual(pressure, workload.transmissibility(), workload.dirichlet()).max_abs()
 }
 
+/// The parent span of requests that record nothing.
+static NULL_SPAN: Span = Span::null();
+
 /// The per-call half of a solve: who observes it, where its spans go, and
 /// which warm cache it may reuse.  `SolveRequest::new()` asks for a plain
 /// solve — no monitor, no tracing, a throwaway cache.
-#[derive(Default)]
 pub struct SolveRequest<'a> {
     /// Live observer of the Krylov loop: it receives a
     /// [`SolveEvent`](crate::monitor::SolveEvent) at every iteration
@@ -358,14 +360,24 @@ pub struct SolveRequest<'a> {
     /// report comes back with [`SolveReport::stopped`] set.
     pub monitor: Option<&'a mut dyn SolveMonitor>,
     /// Parent of the solve's phase spans (`build-operator`, `cg-loop` with
-    /// per-chunk `iters`, `mg.vcycle`, …; see [`crate::trace`]).  Tracing
-    /// never touches solve arithmetic: traced and untraced reports are
-    /// bitwise identical.
-    pub span: Option<&'a Span>,
+    /// per-chunk `iters`, `mg.vcycle`, …; see [`crate::trace`]); a null span
+    /// by default.  Tracing never touches solve arithmetic: traced and
+    /// untraced reports are bitwise identical.
+    pub span: &'a Span,
     /// Warm per-worker contexts to reuse (the zero-allocation serving path);
     /// `None` solves on a throwaway cache.  Reports are bitwise identical
     /// either way.
     pub cache: Option<&'a mut SolveContextCache>,
+}
+
+impl Default for SolveRequest<'_> {
+    fn default() -> Self {
+        Self {
+            monitor: None,
+            span: &NULL_SPAN,
+            cache: None,
+        }
+    }
 }
 
 impl<'a> SolveRequest<'a> {
@@ -382,7 +394,7 @@ impl<'a> SolveRequest<'a> {
 
     /// Record phase spans under `span`.
     pub fn span(mut self, span: &'a Span) -> Self {
-        self.span = Some(span);
+        self.span = span;
         self
     }
 
@@ -394,15 +406,14 @@ impl<'a> SolveRequest<'a> {
 
     /// Run `f` with the request's monitor (a [`NullMonitor`] when none),
     /// mirrored into `cg-loop` spans when the span records; the request's
-    /// span (a null one when none); and its cache (a fresh one when none).
-    /// Every backend's [`solve`](SolveBackend::solve) goes through here, so
-    /// the monitor is wrapped exactly once per solve.
+    /// span; and its cache (a fresh one when none).  Every backend's
+    /// [`solve`](SolveBackend::solve) goes through here, so the monitor is
+    /// wrapped exactly once per solve.
     pub fn run<R>(
         &mut self,
         f: impl FnOnce(&mut dyn SolveMonitor, &Span, &mut SolveContextCache) -> R,
     ) -> R {
-        let null_span = Span::null();
-        let span = self.span.unwrap_or(&null_span);
+        let span = self.span;
         let mut fresh = SolveContextCache::default();
         let cache = match self.cache.as_deref_mut() {
             Some(cache) => cache,

@@ -65,12 +65,10 @@ pub struct SolveOutcome<T: Scalar> {
 
 /// Reusable work vectors of one Krylov solve.
 ///
-/// Holds the five fields of the loop (`solution`, `residual`, `direction`,
-/// `ad`, `z`) plus the [`ConvergenceHistory`] entry buffer.  Every field is
-/// fully overwritten by the solver before it is read — `copy_from` replaces
-/// `clone()`, a full `apply` overwrite replaces `apply_new`,
-/// [`ConvergenceHistory::reset_from`] replaces `starting_from` — so reuse is
-/// bitwise invisible.
+/// Holds the five vectors of the loop (`solution`, `residual`, `direction`,
+/// `ad`, `z`) plus the [`ConvergenceHistory`] entry buffer.  The loop fully
+/// overwrites every field before reading it (`copy_from`, a full `apply`,
+/// [`ConvergenceHistory::reset_from`]), so reuse is bitwise invisible.
 #[derive(Clone, Debug)]
 pub struct CgScratch<T: Scalar> {
     pub(crate) solution: CellField<T>,

@@ -9,10 +9,10 @@
 //! [`SolveContextCache`], and a transient run on one context for all of its
 //! steps: a step only swaps its `Δt`/well diagonal shift in place (operator,
 //! Jacobi diagonal, multigrid levels), keyed by the step's `Δt` bits and
-//! active-well productivity indices rather than a hash of the shift field.  Every reused buffer
-//! is fully overwritten before it is read, so a warm context is **bitwise
-//! identical** to a cold one — turning reuse on or off never changes a
-//! residual history.
+//! active-well productivity indices so that no step hashes a field.  Every
+//! reused buffer is fully overwritten before it is read, so a warm context
+//! is **bitwise identical** to a cold one — turning reuse on or off never
+//! changes a residual history.
 
 use crate::backend::{PreconditionerKind, SolveConfig};
 use crate::cg::ConjugateGradient;

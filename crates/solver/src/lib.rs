@@ -38,7 +38,7 @@ pub use monitor::{
 };
 pub use newton::{solve_pressure, NewtonScratch};
 pub use pcg::JacobiPreconditioner;
-pub use trace::{traced, TraceMonitor, TRACE_CHUNK_ITERS};
+pub use trace::{TraceMonitor, TRACE_CHUNK_ITERS};
 pub use transient::{run_transient, PressureSnapshot, TransientReport, TransientStep, WellTotal};
 
 /// Convenient glob import.
@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::newton::{solve_pressure, NewtonScratch};
     pub use crate::pcg::JacobiPreconditioner;
     pub use crate::reduction::{fabric_ordered_dot, fabric_ordered_sum};
-    pub use crate::trace::{traced, TraceMonitor, TRACE_CHUNK_ITERS};
+    pub use crate::trace::{TraceMonitor, TRACE_CHUNK_ITERS};
     pub use crate::transient::{
         run_transient, PressureSnapshot, TransientReport, TransientStep, WellTotal,
     };

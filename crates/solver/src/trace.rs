@@ -80,7 +80,7 @@ impl<'a> TraceMonitor<'a> {
 /// Run `f` with `monitor` mirrored into `cg-loop` / `iters` spans under
 /// `span` — or with `monitor` itself when `span` does not record, so the
 /// untraced path pays nothing.  The one place solve paths wrap a monitor.
-pub fn traced<R>(
+pub(crate) fn traced<R>(
     span: &Span,
     monitor: &mut dyn SolveMonitor,
     f: impl FnOnce(&mut dyn SolveMonitor) -> R,

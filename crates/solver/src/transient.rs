@@ -499,8 +499,6 @@ pub fn run_transient(
         true,
     );
     let precision = backend.step_precision();
-    let null_span = Span::null();
-    let span = request.span.unwrap_or(&null_span);
     let mut pressure: CellField<f64> = match spec.initial_pressure {
         Some(p0) => {
             let mut field = CellField::constant(dims, p0);
@@ -549,7 +547,7 @@ pub fn run_transient(
             time,
             dt,
         };
-        let step_span = span.child("step");
+        let step_span = request.span.child("step");
         let step_started = Stopwatch::start();
         // One monitor per step: the policy session (its deadline shared
         // across the run) ahead of the request's observer, mirrored into

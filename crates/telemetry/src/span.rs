@@ -176,7 +176,7 @@ impl Span {
     }
 
     /// A span that records nothing — the disabled-tracing fast path.
-    pub fn null() -> Span {
+    pub const fn null() -> Span {
         Span { inner: None }
     }
 
