@@ -429,7 +429,7 @@ impl<'a> SolveRequest<'a> {
 }
 
 /// One pressure-solve target: host oracle, GPU-style reference, dataflow
-/// fabric, or anything future PRs register.  Object-safe.
+/// fabric, or any other.  Object-safe.
 pub trait SolveBackend {
     /// Unique, stable name ("host-f64", "gpu-ref-A100", "dataflow"…).
     fn name(&self) -> String;
