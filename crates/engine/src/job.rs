@@ -196,6 +196,7 @@ impl JobSpec {
                 &self.solve_config,
                 &self.stop_policy,
                 &mut SolveRequest {
+                    // The cast reborrows the observer for this call only.
                     monitor: observer.map(|m| m as &mut dyn SolveMonitor),
                     span: request.span,
                     cache: Some(&mut *cache),
