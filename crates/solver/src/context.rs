@@ -8,11 +8,12 @@
 //! throwaway context, an engine worker on its long-lived
 //! [`SolveContextCache`], and a transient run on one context for all of its
 //! steps: a step only swaps its `Δt`/well diagonal shift in place (operator,
-//! Jacobi diagonal, multigrid levels), keyed by the step's `Δt` bits and
-//! active-well productivity indices so that no step hashes a field.  Every
-//! reused buffer is fully overwritten before it is read, so a warm context
-//! is **bitwise identical** to a cold one — turning reuse on or off never
-//! changes a residual history.
+//! Jacobi diagonal, multigrid levels), keyed by the bits of the step's
+//! accumulation coefficient `V·c_t/Δt` and its active-well productivity
+//! indices so that no step hashes a field.  Every reused buffer is fully
+//! overwritten before it is read, so a warm context is **bitwise
+//! identical** to a cold one — turning reuse on or off never changes a
+//! residual history.
 
 use crate::backend::{PreconditionerKind, SolveConfig};
 use crate::cg::ConjugateGradient;
@@ -51,8 +52,8 @@ pub struct ContextKey {
     /// Fingerprint of the transmissibility table (all face coefficients).
     pub transmissibility_fp: u64,
     /// Whether the operator carries a transient diagonal shift.  *Which*
-    /// shift is tracked per step (its `Δt` and active-well signature):
-    /// swapping it is in place, not a rebuild.
+    /// shift is tracked per step (its `V·c_t/Δt` and active-well
+    /// signature): swapping it is in place, not a rebuild.
     pub shifted: bool,
 }
 
@@ -423,7 +424,7 @@ mod tests {
 
     fn shift_key(dt: f64) -> ShiftKey {
         ShiftKey {
-            dt_bits: dt.to_bits(),
+            accumulation_bits: (1.0 / dt).to_bits(),
             wells: Vec::new(),
         }
     }

@@ -25,14 +25,14 @@
 //! Every step runs on one [`SolveContext`] at the backend's
 //! [`step_precision`](SolveBackend::step_precision): the operator and
 //! preconditioner are built once per run, and a step only swaps the
-//! `Δt`/well diagonal in place when `Δt` or the active wells change.  Steps
-//! **warm-start**: each CG solve begins from the previous step's `δ`
-//! (successive updates are similar for smooth schedules), which measurably
-//! reduces total CG iterations against cold zero starts while remaining
-//! fully deterministic.  [`run_transient`] drives the schedule of a
-//! [`TransientSpec`] and assembles the [`TransientReport`]: per-step
-//! [`SolveReport`]s, requested pressure snapshots, and cumulative per-well
-//! volumes.
+//! `V·c_t/Δt`/well diagonal in place when that coefficient or the active
+//! wells change.  Steps **warm-start**: each CG solve begins from the
+//! previous step's `δ` (successive updates are similar for smooth
+//! schedules), which measurably reduces total CG iterations against cold
+//! zero starts while remaining fully deterministic.  [`run_transient`]
+//! drives the schedule of a [`TransientSpec`] and assembles the
+//! [`TransientReport`]: per-step [`SolveReport`]s, requested pressure
+//! snapshots, and cumulative per-well volumes.
 
 use crate::backend::{Precision, SolveBackend, SolveConfig, SolveError, SolveReport, SolveRequest};
 use crate::cg::ConjugateGradient;
@@ -93,20 +93,24 @@ impl StepRequest<'_> {
     }
 }
 
-/// Identifies a step's diagonal shift without touching the field: the `Δt`
-/// bits plus the active wells' completion cells and productivity indices.
-/// While it is unchanged between steps (fixed `Δt`, static schedule) the
-/// installed shift is reused as-is.
+/// Identifies a step's diagonal shift without touching the field: the bits
+/// of the accumulation coefficient `V·c_t/Δt` plus the active wells'
+/// completion cells and productivity indices — exactly the inputs of
+/// [`StepRequest::diagonal_shift`].  Keying the coefficient rather than `Δt`
+/// alone keeps a cached context from reusing the shift of an earlier run
+/// with another compressibility or cell volume.  While the key is unchanged
+/// (fixed `Δt`, static schedule, same spec) the installed shift is reused
+/// as-is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct ShiftKey {
-    pub(crate) dt_bits: u64,
+    pub(crate) accumulation_bits: u64,
     pub(crate) wells: Vec<(usize, u64)>,
 }
 
 impl ShiftKey {
     fn of(request: &StepRequest<'_>, active: &[(usize, &Well)]) -> Self {
         Self {
-            dt_bits: request.dt.to_bits(),
+            accumulation_bits: request.accumulation_coefficient().to_bits(),
             wells: active
                 .iter()
                 .map(|&(k, well)| (k, well.diagonal_coefficient().to_bits()))
@@ -996,5 +1000,52 @@ mod tests {
             assert_eq!(stats.misses, 1, "{preconditioner:?}");
             assert_eq!(stats.hits as usize, 2 * fresh.num_steps());
         }
+    }
+
+    #[test]
+    fn a_shared_session_never_reuses_another_specs_shift() {
+        use crate::backend::PreconditionerKind;
+        let workload = closed_workload(Dims::new(6, 5, 4));
+        let config = SolveConfig {
+            tolerance: Some(1e-20),
+            preconditioner: PreconditionerKind::Jacobi,
+            ..SolveConfig::default()
+        };
+        // Same Δt and wells: the runs' shifts differ only through c_t.
+        let spec = |ct: f64| {
+            TransientSpec::new(1.0, 0.25, ct)
+                .with_wells(WellSet::empty().with(mffv_mesh::Well::bhp(
+                    "prod",
+                    CellIndex::new(5, 4, 3),
+                    5.0,
+                    0.25,
+                )))
+                .with_initial_pressure(10.0)
+        };
+        let run = |ct: f64, request: &mut SolveRequest<'_>| {
+            run_transient(
+                &HostBackend::oracle(),
+                &workload,
+                &spec(ct),
+                &config,
+                &StopPolicy::new(),
+                request,
+            )
+            .unwrap()
+        };
+        let mut cache = SolveContextCache::new();
+        for ct in [1e-3, 1e-5, 1e-3] {
+            let fresh = run(ct, &mut SolveRequest::new());
+            let shared = run(ct, &mut SolveRequest::new().cache(&mut cache));
+            for (a, b) in fresh.steps.iter().zip(&shared.steps) {
+                assert_eq!(a.report.history, b.report.history, "c_t {ct}");
+                assert_eq!(
+                    a.report.pressure.as_slice(),
+                    b.report.pressure.as_slice(),
+                    "c_t {ct}"
+                );
+            }
+        }
+        assert_eq!(cache.f64_context.stats().misses, 1);
     }
 }

@@ -124,11 +124,9 @@ fn context_pooling_is_bitwise_invisible_across_worker_counts() {
     }
 }
 
-/// A sealed reservoir with an injector that shuts in part-way and a BHP
-/// producer, stepped with a ramped `dt`: the step operator's diagonal shift
-/// changes on almost every step.
-fn ramped_transient_job(name: &str, preconditioner: PreconditionerKind) -> JobSpec {
-    let spec = WorkloadSpec {
+/// A sealed, heterogeneous 12×10×6 reservoir for the transient jobs.
+fn sealed_reservoir(name: &str) -> WorkloadSpec {
+    WorkloadSpec {
         name: name.to_string(),
         dims: Dims::new(12, 10, 6),
         boundary: BoundarySpec::None,
@@ -139,7 +137,14 @@ fn ramped_transient_job(name: &str, preconditioner: PreconditionerKind) -> JobSp
         },
         tolerance: 1e-16,
         ..WorkloadSpec::quickstart()
-    };
+    }
+}
+
+/// The sealed reservoir with an injector that shuts in part-way and a BHP
+/// producer, stepped with a ramped `dt`: the step operator's diagonal shift
+/// changes on almost every step.
+fn ramped_transient_job(name: &str, preconditioner: PreconditionerKind) -> JobSpec {
+    let spec = sealed_reservoir(name);
     let transient = TransientSpec::new(3.0, 0.1, 1e-3)
         .with_dt_policy(DtPolicy::ramp(0.1, 1.5, 1.0))
         .with_wells(
@@ -208,6 +213,50 @@ fn engine_transient_jobs_match_simulation_transient_bitwise() {
                 "{workers} workers, job {i}: final pressure"
             );
         }
+    }
+}
+
+#[test]
+fn transient_jobs_differing_only_in_compressibility_keep_their_own_shift() {
+    // Fixed Δt and always-on wells: every run ends on the Δt and wells it
+    // starts with, so consecutive jobs on the one worker share a context key
+    // and differ only in the compressibility folded into the step's shift.
+    let transient = TransientSpec::new(1.0, 0.25, 1e-3)
+        .with_wells(
+            WellSet::empty()
+                .with(Well::rate("inj", CellIndex::new(2, 2, 1), 1.0))
+                .with(Well::bhp("prod", CellIndex::new(9, 7, 4), 5.0, 0.5)),
+        )
+        .with_initial_pressure(10.0);
+    let jobs: Vec<JobSpec> = [PreconditionerKind::Jacobi, PreconditionerKind::Mg]
+        .into_iter()
+        .flat_map(|preconditioner| {
+            SweepBuilder::new(sealed_reservoir("ct-sweep"))
+                .transient(transient.clone())
+                .compressibilities([1e-3, 1e-5, 1e-3])
+                .preconditioners([preconditioner])
+                .jobs()
+        })
+        .collect();
+    let batch = Engine::new(1).run(jobs.clone());
+    assert!(batch.all_succeeded());
+    for (i, (outcome, job)) in batch.outcomes.iter().zip(&jobs).enumerate() {
+        let expected = Simulation::new(Workload::try_from_spec(&job.effective_spec()).unwrap())
+            .preconditioner(job.solve_config.preconditioner)
+            .transient(job.transient.as_ref().unwrap())
+            .unwrap()
+            .summary_report();
+        let report = outcome.report().unwrap();
+        assert_eq!(
+            history_bits(report),
+            history_bits(&expected),
+            "job {i}: merged step histories"
+        );
+        assert_eq!(
+            pressure_bits(report),
+            pressure_bits(&expected),
+            "job {i}: final pressure"
+        );
     }
 }
 
