@@ -14,9 +14,9 @@
 //! * **bitwise invisibility** — every pooled residual history is bitwise
 //!   identical to a cold, fresh-context solve of the same workload.
 //!
-//! Also times the engine batch path (warm per-worker contexts) against a
-//! serial fresh-context `JobSpec::execute` of every job, and checks the two
-//! agree bitwise.  Emits machine-readable `BENCH_engine.json`:
+//! Also times the engine batch path (warm per-worker contexts) and checks
+//! every report against a serial fresh-context `JobSpec::execute` of the
+//! same job, bit for bit.  Emits machine-readable `BENCH_engine.json`:
 //!
 //! ```text
 //! cargo run --release -p mffv-bench --bin engine_bench -- \
@@ -236,14 +236,9 @@ fn main() {
     let pooled_batch = Engine::new(args.workers).run(batch.clone());
     let engine_pooled_rate = engine_jobs as f64 / watch.elapsed_seconds().max(1e-12);
     assert!(pooled_batch.all_succeeded());
-    let watch = Stopwatch::start();
-    let serial: Vec<SolveReport> = batch
-        .iter()
-        .map(|job| job.execute(&mut SolveRequest::new()).expect("serial job"))
-        .collect();
-    let engine_unpooled_rate = engine_jobs as f64 / watch.elapsed_seconds().max(1e-12);
-    for (outcome, fresh) in pooled_batch.outcomes.iter().zip(&serial) {
+    for (job, outcome) in batch.iter().zip(&pooled_batch.outcomes) {
         let pooled = outcome.report().expect("completed job");
+        let fresh = job.execute(&mut SolveRequest::new()).expect("serial job");
         assert!(
             pooled.history == fresh.history
                 && pooled.pressure.as_slice() == fresh.pressure.as_slice(),
@@ -251,8 +246,8 @@ fn main() {
         );
     }
     println!(
-        "  engine ({} workers, {engine_jobs} jobs): pooled {engine_pooled_rate:.1} jobs/s | \
-         serial fresh-context {engine_unpooled_rate:.1} jobs/s",
+        "  engine ({} workers, {engine_jobs} jobs): pooled {engine_pooled_rate:.1} jobs/s, \
+         bitwise identical to serial fresh-context runs",
         args.workers
     );
 
@@ -269,8 +264,7 @@ fn main() {
          \"speedup\": {:.3}, \"window_jobs_per_second\": [{}], \"flatness_pct\": {:.3}, \
          \"allocations_per_job_max\": {}, \"allocations_total\": {}, \"bitwise_identical\": {}, \
          \"cache\": {{\"hits\": {}, \"misses\": {}, \"scratch_reallocs\": {}}}}},\n  \
-         \"engine\": {{\"workers\": {}, \"jobs\": {}, \"pooled_jobs_per_second\": {:.3}, \
-         \"unpooled_jobs_per_second\": {:.3}}}\n}}\n",
+         \"engine\": {{\"workers\": {}, \"jobs\": {}, \"pooled_jobs_per_second\": {:.3}}}\n}}\n",
         args.nx,
         args.ny,
         args.nz,
@@ -292,7 +286,6 @@ fn main() {
         args.workers,
         engine_jobs,
         engine_pooled_rate,
-        engine_unpooled_rate,
     );
     std::fs::write(&args.out, &json).expect("write JSON report");
     println!("wrote {}", args.out);
