@@ -168,7 +168,9 @@ impl JobSpec {
     ///   over a socket while policy deadlines and cancel tokens keep working.
     /// * its span receives `materialise-workload` and the solve's phase spans.
     /// * its cache (a worker's long-lived [`SolveContextCache`]) supplies the
-    ///   workload and operator of the previous job when the keys match.
+    ///   workload and operator of the previous job when the keys match.  A
+    ///   steady and a transient operator key differently, so alternating the
+    ///   two kinds on one spec rebuilds the operator at every switch.
     ///
     /// The engine calls this from its workers, behind panic isolation;
     /// `execute(&mut SolveRequest::new())` — a fresh cache — is the serial
