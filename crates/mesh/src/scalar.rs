@@ -53,8 +53,12 @@ pub trait Scalar:
     fn abs(self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
-    /// Fused multiply-add `self * a + b` (maps onto the FMA instruction counted in
-    /// Table V of the paper).
+    /// Fused multiply-add `self * a + b`, rounded once (maps onto the FMA
+    /// instruction counted in Table V of the paper).  On x86-64 the
+    /// repository's `.cargo/config.toml` enables the `fma` target feature, so
+    /// this compiles to one inline `vfmadd`; without it (`RUSTFLAGS=""`) it is
+    /// a call into libm's `fma`.  IEEE 754 defines the fused result exactly,
+    /// so both builds return the same value.
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// Elementwise maximum.
     fn max_with(self, other: Self) -> Self;
@@ -144,6 +148,25 @@ mod tests {
         assert_eq!(a.mul_add(3.0, 4.0), 10.0);
         let b = 2.0f64;
         assert_eq!(b.mul_add(3.0, 4.0), 10.0);
+    }
+
+    /// Inputs whose exact product has a term below the type's precision: the
+    /// fused result keeps it, an unfused `a * a + c` rounds it away and
+    /// cancels to zero.  `black_box` keeps the compiler from folding the
+    /// constants, so this checks the instruction that runs.
+    #[test]
+    fn mul_add_rounds_once() {
+        use std::hint::black_box;
+        // (1 + 2⁻³⁰)² = 1 + 2⁻²⁹ + 2⁻⁶⁰
+        let a = black_box(1.0 + 2f64.powi(-30));
+        let c = black_box(-(1.0 + 2f64.powi(-29)));
+        assert_eq!(<f64 as Scalar>::mul_add(a, a, c), 2f64.powi(-60));
+        assert_eq!(a * a + c, 0.0);
+        // (1 + 2⁻¹³)² = 1 + 2⁻¹² + 2⁻²⁶
+        let a = black_box(1.0 + 2f32.powi(-13));
+        let c = black_box(-(1.0 + 2f32.powi(-12)));
+        assert_eq!(<f32 as Scalar>::mul_add(a, a, c), 2f32.powi(-26));
+        assert_eq!(a * a + c, 0.0);
     }
 
     #[test]
