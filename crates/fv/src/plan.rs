@@ -393,12 +393,6 @@ impl StencilPlan {
         combine_partials(&partials)
     }
 
-    /// Contiguous slab-index groups for `threads` scoped threads: a balanced
-    /// partition (the first `slabs % threads` groups take one extra slab), so
-    /// every requested thread gets work whenever there are enough slabs.  At
-    /// most one group per slab; a single group short-circuits the spawn
-    /// entirely.  Grouping never affects results — reductions are combined in
-    /// slab order, not group order.
     /// Number of groups [`thread_groups`](Self::thread_groups) would build,
     /// without materialising them.  The kernels test this for 1 to take the
     /// serial path with no per-call allocation — the steady-state serving
@@ -407,6 +401,12 @@ impl StencilPlan {
         threads.clamp(1, self.slabs.len().max(1))
     }
 
+    /// Contiguous slab-index groups for `threads` scoped threads: a balanced
+    /// partition (the first `slabs % threads` groups take one extra slab), so
+    /// every requested thread gets work whenever there are enough slabs.  At
+    /// most one group per slab; a single group short-circuits the spawn
+    /// entirely.  Grouping never affects results — reductions are combined in
+    /// slab order, not group order.
     fn thread_groups(&self, threads: usize) -> Vec<Range<usize>> {
         let slabs = self.slabs.len();
         let threads = threads.clamp(1, slabs.max(1));
