@@ -20,7 +20,7 @@
 //!
 //! ```text
 //! cargo run --release -p mffv-bench --bin engine_bench -- \
-//!     --nx 16 --ny 16 --nz 8 --jobs 10000 --windows 10 --workers 4 \
+//!     --nx 16 --ny 16 --nz 8 --jobs 10000 --windows 10 --workers 2 \
 //!     --precond jacobi --out BENCH_engine.json [--check]
 //! ```
 
@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mffv::prelude::*;
 use mffv::telemetry::Stopwatch;
+use mffv_bench::machine_json;
 
 /// Heap acquisitions since process start.  `realloc`/`alloc_zeroed` keep
 /// their default implementations, which route through `alloc`, so every
@@ -74,7 +75,7 @@ impl Args {
             nz: 8,
             jobs: 10_000,
             windows: 10,
-            workers: 4,
+            workers: 2,
             precond: PreconditionerKind::Jacobi,
             out: "BENCH_engine.json".to_string(),
             check: false,
@@ -257,7 +258,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"engine\",\n  \"dims\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \
+        "{{\n  \"bench\": \"engine\",\n  \"machine\": {},\n  \"dims\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \
          \"cells\": {},\n  \"jobs\": {},\n  \"windows\": {},\n  \"preconditioner\": \"{}\",\n  \
          \"budgets\": {{\"flatness_pct\": 10.0, \"allocations_per_job\": 0}},\n  \
          \"steady\": {{\"pooled_jobs_per_second\": {:.3}, \"unpooled_jobs_per_second\": {:.3}, \
@@ -265,6 +266,7 @@ fn main() {
          \"allocations_per_job_max\": {}, \"allocations_total\": {}, \"bitwise_identical\": {}, \
          \"cache\": {{\"hits\": {}, \"misses\": {}, \"scratch_reallocs\": {}}}}},\n  \
          \"engine\": {{\"workers\": {}, \"jobs\": {}, \"pooled_jobs_per_second\": {:.3}}}\n}}\n",
+        machine_json(),
         args.nx,
         args.ny,
         args.nz,

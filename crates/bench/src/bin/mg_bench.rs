@@ -17,6 +17,7 @@
 //! exiting non-zero otherwise.
 
 use mffv::prelude::*;
+use mffv_bench::machine_json;
 use mffv_solver::newton::{solve_pressure, NewtonScratch};
 
 struct Args {
@@ -210,8 +211,9 @@ fn main() {
 
     let result_lines: Vec<String> = rows.iter().map(Row::json).collect();
     let json = format!(
-        "{{\n  \"bench\": \"mg\",\n  \"sizes\": {:?},\n  \"reps\": {},\n  \"threads\": {},\n  \
+        "{{\n  \"bench\": \"mg\",\n  \"machine\": {},\n  \"sizes\": {:?},\n  \"reps\": {},\n  \"threads\": {},\n  \
          \"results\": [\n{}\n  ]\n}}\n",
+        machine_json(),
         args.sizes,
         args.reps,
         args.threads,

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! cargo run --release -p mffv-bench --bin spmv_bench -- \
-//!     --nx 128 --ny 128 --nz 128 --reps 5 --threads 1,2,8 --out BENCH_spmv.json
+//!     --nx 128 --ny 128 --nz 128 --reps 5 --threads 1,2 --out BENCH_spmv.json
 //! ```
 //!
 //! The effective-bandwidth model charges each apply with the streams the
@@ -17,6 +17,7 @@
 //! `x` and the Dirichlet mask are not charged.
 
 use mffv::prelude::*;
+use mffv_bench::machine_json;
 
 struct Args {
     nx: usize,
@@ -34,7 +35,7 @@ impl Args {
             ny: 128,
             nz: 128,
             reps: 5,
-            threads: vec![1, 2, 8],
+            threads: vec![1, 2],
             out: "BENCH_spmv.json".to_string(),
         };
         let mut iter = std::env::args().skip(1);
@@ -171,11 +172,12 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"spmv\",\n  \"dims\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \
+        "{{\n  \"bench\": \"spmv\",\n  \"machine\": {},\n  \"dims\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \
          \"cells\": {},\n  \"reps\": {},\n  \"slab_cells\": {},\n  \"plan\": {{\"run_cells\": {}, \
          \"general_cells\": {}, \"dirichlet_cells\": {}, \"num_runs\": {}, \"num_slabs\": {}, \
          \"run_fraction\": {:.4}}},\n  \"traffic_model_bytes_per_cell\": {{\"f32\": {}, \"f64\": {}}},\n  \
          \"results\": [\n{}\n  ]\n}}\n",
+        machine_json(),
         args.nx,
         args.ny,
         args.nz,

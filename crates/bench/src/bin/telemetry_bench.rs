@@ -9,16 +9,21 @@
 //! * **full tracing** — a recording tracer (spans + per-chunk CG iteration
 //!   marks) must cost <5% on a 64³ host solve and on a 12-job engine batch.
 //!
+//! The configurations being compared take turns, one timed repetition at a
+//! time, and each keeps its best time: a stretch of host noise then lands on
+//! every configuration rather than on all of one configuration's repetitions.
+//!
 //! Emits machine-readable `BENCH_telemetry.json`:
 //!
 //! ```text
 //! cargo run --release -p mffv-bench --bin telemetry_bench -- \
-//!     --nx 64 --ny 64 --nz 64 --jobs 12 --workers 4 --reps 5 \
+//!     --nx 64 --ny 64 --nz 64 --jobs 12 --workers 2 --reps 5 \
 //!     --out BENCH_telemetry.json [--check]
 //! ```
 
 use mffv::prelude::*;
-use mffv::telemetry::{Span, Tracer};
+use mffv::telemetry::{Span, Stopwatch, Tracer};
+use mffv_bench::machine_json;
 
 struct Args {
     nx: usize,
@@ -38,7 +43,7 @@ impl Args {
             ny: 64,
             nz: 64,
             jobs: 12,
-            workers: 4,
+            workers: 2,
             reps: 5,
             out: "BENCH_telemetry.json".to_string(),
             check: false,
@@ -78,6 +83,23 @@ fn overhead_pct(base: f64, variant: f64) -> f64 {
     }
 }
 
+/// Best-of-`reps` seconds of each of `runs`, after one untimed warmup each.
+/// Every round times each run once, in order.
+fn best_of_interleaved<const N: usize>(reps: usize, mut runs: [&mut dyn FnMut(); N]) -> [f64; N] {
+    for run in runs.iter_mut() {
+        run();
+    }
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..reps {
+        for (run, best) in runs.iter_mut().zip(best.iter_mut()) {
+            let watch = Stopwatch::start();
+            run();
+            *best = best.min(watch.elapsed_seconds());
+        }
+    }
+    best
+}
+
 fn sweep_jobs(n: usize) -> Vec<JobSpec> {
     SweepBuilder::new(WorkloadSpec::quickstart())
         .grids([Dims::new(12, 12, 6), Dims::new(16, 16, 8)])
@@ -109,28 +131,33 @@ fn main() {
     );
 
     // --- solve: untraced / null span / recording tracer ---------------------
-    let solve_untraced = time_best_of(args.reps, || {
-        backend
-            .solve(&workload, &config, &mut SolveRequest::new())
-            .expect("solve");
-    });
-    let solve_null = time_best_of(args.reps, || {
-        backend
-            .solve(
-                &workload,
-                &config,
-                &mut SolveRequest::new().span(&Span::null()),
-            )
-            .expect("solve");
-    });
-    let solve_traced = time_best_of(args.reps, || {
-        let tracer = Tracer::new();
-        let span = tracer.span("solve @ host-f64");
-        backend
-            .solve(&workload, &config, &mut SolveRequest::new().span(&span))
-            .expect("solve");
-        span.finish();
-    });
+    let [solve_untraced, solve_null, solve_traced] = best_of_interleaved(
+        args.reps,
+        [
+            &mut || {
+                backend
+                    .solve(&workload, &config, &mut SolveRequest::new())
+                    .expect("solve");
+            },
+            &mut || {
+                backend
+                    .solve(
+                        &workload,
+                        &config,
+                        &mut SolveRequest::new().span(&Span::null()),
+                    )
+                    .expect("solve");
+            },
+            &mut || {
+                let tracer = Tracer::new();
+                let span = tracer.span("solve @ host-f64");
+                backend
+                    .solve(&workload, &config, &mut SolveRequest::new().span(&span))
+                    .expect("solve");
+                span.finish();
+            },
+        ],
+    );
     let trace_spans = {
         let tracer = Tracer::new();
         let span = tracer.span("solve @ host-f64");
@@ -154,16 +181,21 @@ fn main() {
 
     // --- engine batch: untraced / traced ------------------------------------
     let jobs = sweep_jobs(args.jobs);
-    let batch_untraced = time_best_of(args.reps, || {
-        let report = Engine::new(args.workers).run(jobs.clone());
-        assert!(report.all_succeeded());
-    });
-    let batch_traced = time_best_of(args.reps, || {
-        let report = Engine::new(args.workers)
-            .with_tracer(Tracer::new())
-            .run(jobs.clone());
-        assert!(report.all_succeeded());
-    });
+    let [batch_untraced, batch_traced] = best_of_interleaved(
+        args.reps,
+        [
+            &mut || {
+                let report = Engine::new(args.workers).run(jobs.clone());
+                assert!(report.all_succeeded());
+            },
+            &mut || {
+                let report = Engine::new(args.workers)
+                    .with_tracer(Tracer::new())
+                    .run(jobs.clone());
+                assert!(report.all_succeeded());
+            },
+        ],
+    );
     let batch_pct = overhead_pct(batch_untraced, batch_traced);
     println!(
         "  batch: untraced {:.3} ms | traced {:.3} ms ({:+.2}%)",
@@ -173,13 +205,14 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"telemetry\",\n  \"dims\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \
+        "{{\n  \"bench\": \"telemetry\",\n  \"machine\": {},\n  \"dims\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \
          \"cells\": {},\n  \"reps\": {},\n  \"budgets_pct\": {{\"null_warn\": 1.0, \"null_fail\": 5.0, \"full\": 5.0}},\n  \
          \"solve\": {{\"untraced_seconds\": {:.6e}, \"null_traced_seconds\": {:.6e}, \
          \"full_traced_seconds\": {:.6e}, \"null_overhead_pct\": {:.3}, \
          \"full_overhead_pct\": {:.3}, \"spans_recorded\": {}}},\n  \
          \"engine\": {{\"jobs\": {}, \"workers\": {}, \"untraced_seconds\": {:.6e}, \
          \"traced_seconds\": {:.6e}, \"traced_overhead_pct\": {:.3}}}\n}}\n",
+        machine_json(),
         args.nx,
         args.ny,
         args.nz,

@@ -52,9 +52,43 @@ pub fn bench_workload_large() -> Workload {
     WorkloadSpec::paper_grid(24, 20, 36).build()
 }
 
+/// The `"machine"` object every `BENCH_*.json` report carries: core count,
+/// CPU model (`"unknown"` where `/proc/cpuinfo` does not exist) and whether
+/// the `fma`, `avx` and `avx2` target features were compiled in.  The
+/// kernels' speed depends on the last three (see `.cargo/config.toml`).
+pub fn machine_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|line| line.starts_with("model name"))
+                .and_then(|line| line.split_once(':'))
+                .map(|(_, model)| model.trim().replace(['"', '\\'], ""))
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    format!(
+        "{{\"nproc\": {nproc}, \"cpu_model\": \"{cpu_model}\", \"target_features\": \
+         {{\"fma\": {}, \"avx\": {}, \"avx2\": {}}}}}",
+        cfg!(target_feature = "fma"),
+        cfg!(target_feature = "avx"),
+        cfg!(target_feature = "avx2"),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn machine_json_records_the_compiled_features() {
+        let json = machine_json();
+        assert!(json.starts_with("{\"nproc\": "), "{json}");
+        assert!(json.contains("\"cpu_model\": \""), "{json}");
+        let fma = format!("\"fma\": {}", cfg!(target_feature = "fma"));
+        assert!(json.contains(&fma), "{json}");
+        assert!(json.ends_with("}}"), "{json}");
+    }
 
     #[test]
     fn grid_families_are_consistent() {
