@@ -54,8 +54,8 @@ pub fn bench_workload_large() -> Workload {
 
 /// The `"machine"` object every `BENCH_*.json` report carries: core count,
 /// CPU model (`"unknown"` where `/proc/cpuinfo` does not exist) and whether
-/// the `fma`, `avx` and `avx2` target features were compiled in.  The
-/// kernels' speed depends on the last three (see `.cargo/config.toml`).
+/// the `fma`, `avx` and `avx2` target features were compiled in, since the
+/// kernels' speed depends on them (see `.cargo/config.toml`).
 pub fn machine_json() -> String {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
