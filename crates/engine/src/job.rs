@@ -250,19 +250,22 @@ pub enum JobStatus {
     Panicked(String),
 }
 
-/// The result of one job, in submission order within a
-/// [`BatchReport`](crate::BatchReport).
+/// How one job ended: the payload of a service job's completion callback,
+/// and one row of a [`BatchReport`](crate::BatchReport), in submission order.
 #[derive(Clone, Debug)]
 pub struct JobOutcome {
-    /// Index of the job in the submitted batch.
+    /// The job's service ticket: its submission index on the
+    /// [`EngineService`](crate::EngineService) that ran it.  Each batch runs
+    /// on a fresh service, so in a batch this is the job's index in the
+    /// submitted `Vec`.
     pub index: usize,
     /// Human-readable job label (`workload @ backend`).
     pub label: String,
     /// How the job ended.
     pub status: JobStatus,
     /// Wall-clock seconds the job spent queued before a worker picked it up
-    /// (submission back-pressure; `0.0` for jobs cancelled while queued is
-    /// *not* special-cased — they report their real wait).
+    /// (submission back-pressure).  Jobs cancelled while queued report their
+    /// real wait too.
     pub queue_wait_seconds: f64,
     /// Wall-clock seconds the job spent executing on its worker (validation +
     /// materialisation + solve).  `0.0` for jobs cancelled before they

@@ -8,14 +8,20 @@
 //!
 //! ## Queue / worker / report design
 //!
+//! One worker loop serves both fronts: [`Engine::run`] for batches and
+//! [`EngineService`] ([`Engine::start`]) for a long-running daemon.  A batch
+//! is a client of the service: it starts one sized to the batch, submits
+//! every job and drains.
+//!
 //! ```text
-//!  JobSpec, JobSpec, …            (index, JobSpec)
-//!  ───────────────────▶ BoundedQueue ──▶ worker 0 ──▶ slots[index]
-//!   submitting thread        │     └───▶ worker 1 ──▶ slots[index]
-//!   (blocks when full)       └─────────▶ worker N ──▶ slots[index]
-//!                                                         │
-//!                                 BatchReport  ◀──────────┘
-//!                    (outcomes in submission order + throughput/latency)
+//!  submit_blocking            (ticket, ServiceJob)
+//!  ───────────────▶ BoundedQueue ──▶ worker 0 ──┐
+//!  (blocks when full)   │     └───▶ worker 1 ──┤ on_done(JobOutcome)
+//!                       └─────────▶ worker N ──┤
+//!                                              ├──▶ daemon: terminal frame to the client
+//!                                              └──▶ Engine::run: slots[ticket] ──▶ BatchReport
+//!                                                   (outcomes in submission order
+//!                                                    + throughput/latency)
 //! ```
 //!
 //! * **Jobs are values.**  A [`JobSpec`] carries a `WorkloadSpec`, a
@@ -30,11 +36,12 @@
 //!   [`JobStatus::Panicked`] / [`JobStatus::Failed`] outcome and the pool
 //!   keeps draining.  Invalid specs are rejected at job intake with a
 //!   descriptive `SolveError` (see `WorkloadSpec::validate`).
-//! * **Deterministic results.**  Outcomes land in slots addressed by
-//!   submission index, so [`BatchReport::outcomes`] is ordered identically
-//!   for 1 or 64 workers — and because every solve is sequential and
-//!   self-contained, per-job results are **bitwise identical** across worker
-//!   counts and to a serial run of the same spec.
+//! * **Deterministic results.**  A fresh service numbers its tickets `0..n`
+//!   in submission order, and a batch files each outcome by its ticket, so
+//!   [`BatchReport::outcomes`] is ordered identically for 1 or 64 workers —
+//!   and because every solve is sequential and self-contained, per-job
+//!   results are **bitwise identical** across worker counts and to a serial
+//!   run of the same spec.
 //! * **Seed reproducibility.**  [`JobSpec::seed`] reseeds stochastic
 //!   permeability models through `WorkloadSpec::with_permeability_seed`;
 //!   `(spec, backend, config, seed)` fully determines a job's result, so any
@@ -67,7 +74,11 @@
 //! ([`Engine::with_tracer`](pool::Engine::with_tracer)) to additionally get
 //! a span tree — `engine-batch` → per-job label → `queue-wait`/`execute` —
 //! exportable as a Chrome trace via `mffv_telemetry`; job results stay
-//! bitwise identical with tracing on or off.
+//! bitwise identical with tracing on or off.  Both fronts publish into an
+//! attached `MetricsRegistry` under one namespace:
+//! `engine.service.jobs.{submitted,ok,stopped,failed,panicked}`,
+//! `engine.service.exec_seconds`, `engine.service.queue.high_water` and
+//! `engine.context.{hits,misses,scratch_reallocs}`.
 
 pub mod backend;
 pub mod job;
@@ -81,9 +92,7 @@ pub use backend::Backend;
 pub use job::{JobOutcome, JobSpec, JobStatus};
 pub use pool::Engine;
 pub use report::{BatchReport, WorkerStats};
-pub use service::{
-    EngineService, RejectedJob, ServiceJob, ServiceOutcome, ShutdownMode, SubmitError,
-};
+pub use service::{EngineService, ServiceJob, ShutdownMode};
 pub use sweep::SweepBuilder;
 // The session-control vocabulary of `mffv-solver`, re-exported so engine
 // users can cancel batches and attach stop policies without a direct
@@ -98,9 +107,7 @@ pub mod prelude {
     pub use crate::job::{JobOutcome, JobSpec, JobStatus};
     pub use crate::pool::Engine;
     pub use crate::report::{BatchReport, WorkerStats};
-    pub use crate::service::{
-        EngineService, RejectedJob, ServiceJob, ServiceOutcome, ShutdownMode, SubmitError,
-    };
+    pub use crate::service::{EngineService, ServiceJob, ShutdownMode};
     pub use crate::sweep::SweepBuilder;
     pub use mffv_solver::monitor::{CancelToken, StopPolicy, StopReason};
     pub use mffv_telemetry::{LogHistogram, MetricsRegistry, Tracer};

@@ -1,44 +1,31 @@
-//! The worker-pool batch executor.
+//! The [`Engine`] configuration and its batch front.
 //!
-//! [`Engine::run`] pushes queued jobs through a [`BoundedQueue`] to a pool
-//! of scoped `std::thread` workers.  Each worker pops jobs, executes them
-//! behind [`std::panic::catch_unwind`], and writes the outcome into a result
-//! slot addressed by the job's submission index — so the returned
+//! [`Engine::run`] is a batch client of the engine's one worker pool
+//! ([`crate::service`]): it starts a service sized to the batch, submits
+//! every job through [`EngineService::submit_blocking`], drains, and files
+//! each outcome by its ticket.  A fresh service numbers its tickets `0..n` in
+//! submission order, so the ticket is the job's index and the returned
 //! [`BatchReport`] lists outcomes in submission order no matter how many
-//! workers ran or how execution interleaved, and a panicking job costs
-//! exactly one result slot, never the pool.
+//! workers ran or how execution interleaved; a panicking job costs exactly
+//! one outcome, never the pool.
 //!
 //! With a recording [`Tracer`] attached ([`Engine::with_tracer`]) the batch
 //! emits a span tree — `engine-batch` → one span per job label →
 //! `queue-wait` (opened at submission, closed at pop) and `execute` on the
 //! executing worker's lane — whose aggregated *shape* is identical for any
 //! worker count.  Per-worker busy/idle stats and a merged execution-latency
-//! histogram land in the report either way, and optionally in an attached
-//! [`MetricsRegistry`] ([`Engine::with_metrics`]).
+//! histogram land in the report either way, and an attached
+//! [`MetricsRegistry`] ([`Engine::with_metrics`]) receives the same
+//! `engine.service.*` and `engine.context.*` metrics as the daemon's.
+//!
+//! [`EngineService::submit_blocking`]: crate::EngineService::submit_blocking
 
-use crate::job::{JobOutcome, JobSpec, JobStatus};
-use crate::queue::BoundedQueue;
-use crate::report::{BatchReport, WorkerStats};
-use mffv_solver::backend::SolveRequest;
-use mffv_solver::context::SolveContextCache;
-use mffv_solver::monitor::{CancelToken, StopReason};
-use mffv_telemetry::{LogHistogram, MetricsRegistry, Span, Stopwatch, Tracer};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
-
-/// One queued unit of work: the job plus its telemetry context.  The
-/// `queue-wait` span is opened on the submitting thread and closed on the
-/// worker that pops the job — span parentage travels in the value.
-struct QueuedJob {
-    index: usize,
-    job: JobSpec,
-    /// Started at submission; read at pop for `queue_wait_seconds`.
-    queued: Stopwatch,
-    /// Per-job root span (child of `engine-batch`, named by the job label).
-    root: Span,
-    /// Open `queue-wait` child, finished the moment a worker dequeues.
-    wait: Span,
-}
+use crate::job::{JobOutcome, JobSpec};
+use crate::report::BatchReport;
+use crate::service::{ServiceJob, ShutdownMode};
+use mffv_solver::monitor::CancelToken;
+use mffv_telemetry::{LogHistogram, MetricsRegistry, Stopwatch, Tracer};
+use std::sync::mpsc;
 
 /// The concurrent batch-solve engine.
 #[derive(Clone, Debug)]
@@ -81,10 +68,11 @@ impl Engine {
 
     /// Watch `token` for batch-level cancellation.  When the token trips,
     /// in-flight solves stop at their next iteration boundary and every job
-    /// still queued is drained as [`JobStatus::Stopped`] with
-    /// [`StopReason::Cancelled`] — the pool never blocks on a cancelled
-    /// batch, and [`Engine::run`] still returns a complete, submission-
-    /// ordered [`BatchReport`].
+    /// still queued is drained as
+    /// [`JobStatus::Stopped`](crate::JobStatus::Stopped) with
+    /// [`StopReason::Cancelled`](crate::StopReason::Cancelled) — the pool
+    /// never blocks on a cancelled batch, and [`Engine::run`] still returns
+    /// a complete, submission-ordered [`BatchReport`].
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -98,8 +86,11 @@ impl Engine {
         self
     }
 
-    /// Publish batch rollups (job counts by status, queue high-water, the
-    /// merged execution-latency histogram) into `registry` after each run.
+    /// Publish the workers' metrics into `registry` as jobs run:
+    /// `engine.service.jobs.*` counts by status, the
+    /// `engine.service.queue.high_water` gauge, the
+    /// `engine.service.exec_seconds` histogram and the `engine.context.*`
+    /// counters.
     pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
         self.metrics = Some(registry);
         self
@@ -139,7 +130,8 @@ impl Engine {
     /// * **deterministic ordering** — `report.outcomes[i]` is job `i`, for
     ///   any worker count;
     /// * **failure isolation** — a job that returns an error or panics is
-    ///   reported as [`JobStatus::Failed`] / [`JobStatus::Panicked`] without
+    ///   reported as [`JobStatus::Failed`](crate::JobStatus::Failed) /
+    ///   [`JobStatus::Panicked`](crate::JobStatus::Panicked) without
     ///   affecting other jobs or the pool;
     /// * **determinism of results** — each job materialises its own workload
     ///   from its spec and seed, so its report is bitwise identical to a
@@ -147,210 +139,46 @@ impl Engine {
     pub fn run(&self, jobs: Vec<JobSpec>) -> BatchReport {
         let started = Stopwatch::start();
         let total = jobs.len();
-        let batch_span = self.tracer.span("engine-batch");
-        let queue: BoundedQueue<QueuedJob> = BoundedQueue::new(self.queue_capacity);
-        let slots: Mutex<Vec<Option<JobOutcome>>> = Mutex::new((0..total).map(|_| None).collect());
-        // An empty batch spawns no workers: there is nothing to pop, and a
+        // An empty batch starts no workers: there is nothing to pop, and a
         // phantom worker would report a `WorkerStats` row for work that never
         // existed.
-        let spawned = if total == 0 {
-            0
-        } else {
-            self.workers.min(total)
-        };
-        // Each worker folds its stats locally (no per-job contention) and
-        // pushes one `(stats, histogram)` pair at shutdown.
-        let worker_stats: Mutex<Vec<(WorkerStats, LogHistogram)>> =
-            Mutex::new(Vec::with_capacity(spawned));
-
-        std::thread::scope(|scope| {
-            for worker in 0..spawned {
-                let queue = &queue;
-                let slots = &slots;
-                let worker_stats = &worker_stats;
-                scope.spawn(move || {
-                    let mut local = WorkerStats {
-                        worker,
-                        jobs: 0,
-                        busy_seconds: 0.0,
-                    };
-                    let mut exec_hist = LogHistogram::new();
-                    // One warm solve context per worker, reused across jobs
-                    // (results are bitwise identical to fresh-context runs).
-                    let mut context_cache = SolveContextCache::new();
-                    while let Some(item) = queue.pop() {
-                        let queue_wait = item.queued.elapsed_seconds();
-                        item.wait.finish();
-                        // A tripped batch token drains the queue instead of
-                        // blocking the pool: jobs that never started report
-                        // `Stopped(Cancelled)` with no partial state (and no
-                        // execution latency — only their real queue wait).
-                        let outcome = if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-                        {
-                            JobOutcome {
-                                index: item.index,
-                                label: item.job.label(),
-                                status: JobStatus::Stopped {
-                                    reason: StopReason::Cancelled,
-                                    report: None,
-                                },
-                                queue_wait_seconds: queue_wait,
-                                exec_seconds: 0.0,
-                            }
-                        } else {
-                            let exec_span = item.root.child_on_lane("execute", worker as u32 + 1);
-                            let outcome = execute_job(
-                                item.index,
-                                item.job,
-                                self.cancel.as_ref(),
-                                &exec_span,
-                                queue_wait,
-                                &mut context_cache,
-                            );
-                            exec_span.finish();
-                            local.busy_seconds += outcome.exec_seconds;
-                            exec_hist.record(outcome.exec_seconds);
-                            outcome
-                        };
-                        local.jobs += 1;
-                        let index = outcome.index;
-                        let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
-                        slots[index] = Some(outcome);
-                    }
-                    if let Some(metrics) = &self.metrics {
-                        let stats = context_cache.stats();
-                        metrics.add("engine.context.hits", stats.hits);
-                        metrics.add("engine.context.misses", stats.misses);
-                        metrics.add("engine.context.scratch_reallocs", stats.scratch_reallocs);
-                    }
-                    let mut stats = worker_stats.lock().unwrap_or_else(PoisonError::into_inner);
-                    stats.push((local, exec_hist));
-                });
-            }
-            for (index, job) in jobs.into_iter().enumerate() {
-                let root = batch_span.child(&job.label());
-                let wait = root.child("queue-wait");
-                queue.push(QueuedJob {
-                    index,
-                    job,
-                    queued: Stopwatch::start(),
-                    root,
-                    wait,
-                });
-            }
-            queue.close();
-        });
-
-        let queue_high_water = queue.high_water();
-        let outcomes: Vec<JobOutcome> = slots
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_iter()
-            // audit: allow(panic) — invariant: queue.close() plus the scope
-            // join guarantee every submitted index was popped and its slot
-            // written before we get here (panicking jobs are caught earlier).
-            .map(|slot| slot.expect("every queued job writes its result slot"))
-            .collect();
-        let mut per_worker = worker_stats
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        per_worker.sort_by_key(|(stats, _)| stats.worker);
+        let workers = self.workers.min(total);
+        let service = self.start_pool(workers, Some(self.tracer.span("engine-batch")));
+        let (sender, receiver) = mpsc::channel();
+        for job in jobs {
+            let sender = sender.clone();
+            let submitted = service.submit_blocking(ServiceJob::new(job, move |outcome| {
+                // The receiver outlives the workers, so the send cannot fail.
+                let _ = sender.send(outcome);
+            }));
+            // audit: allow(panic) — invariant: only `join` or dropping the
+            // service closes its queue, and neither has happened yet.
+            assert!(submitted.is_ok(), "a fresh service accepts every job");
+        }
+        drop(sender);
+        let queue_high_water = service.queue_high_water();
+        let (worker_stats, histograms): (Vec<_>, Vec<_>) =
+            service.join(ShutdownMode::Drain).into_iter().unzip();
         let mut exec_histogram = LogHistogram::new();
-        for (_, hist) in &per_worker {
+        for hist in &histograms {
             exec_histogram.merge(hist);
         }
-        batch_span.finish();
-        let report = BatchReport::new(outcomes, spawned, started.elapsed_seconds())
-            .with_engine_stats(
-                per_worker.into_iter().map(|(stats, _)| stats).collect(),
-                exec_histogram,
-                queue_high_water,
-            );
-        if let Some(metrics) = &self.metrics {
-            metrics.add("engine.jobs.submitted", report.jobs() as u64);
-            metrics.add("engine.jobs.ok", report.succeeded() as u64);
-            metrics.add("engine.jobs.stopped", report.stopped() as u64);
-            metrics.add("engine.jobs.failed", report.failed() as u64);
-            metrics.max_gauge("engine.queue.high_water", report.queue_high_water as f64);
-            metrics.merge_histogram("engine.exec_seconds", &report.exec_histogram);
+        let mut slots: Vec<Option<JobOutcome>> = (0..total).map(|_| None).collect();
+        for outcome in receiver {
+            let index = outcome.index;
+            slots[index] = Some(outcome);
         }
-        report
-    }
-}
-
-/// Run one job behind panic isolation on the worker's warm `cache`, timing
-/// its execution.  The engine's cancel token joins the job's own stop
-/// policy; an early-stopped solve (job policy or batch cancellation) becomes
-/// [`JobStatus::Stopped`] carrying the partial report.
-fn execute_job(
-    index: usize,
-    job: JobSpec,
-    engine_token: Option<&CancelToken>,
-    span: &Span,
-    queue_wait_seconds: f64,
-    cache: &mut SolveContextCache,
-) -> JobOutcome {
-    let job = with_engine_token(job, engine_token);
-    let label = job.label();
-    let started = Stopwatch::start();
-    let status = status_from_result(catch_unwind(AssertUnwindSafe(|| {
-        job.execute(&mut SolveRequest::new().span(span).cache(cache))
-    })));
-    JobOutcome {
-        index,
-        label,
-        status,
-        queue_wait_seconds,
-        exec_seconds: started.elapsed_seconds(),
-    }
-}
-
-/// `job` with the engine's cancel token added to its stop policy, so a
-/// tripped token stops the in-flight solve at its next iteration boundary.
-pub(crate) fn with_engine_token(mut job: JobSpec, token: Option<&CancelToken>) -> JobSpec {
-    if let Some(token) = token {
-        job.stop_policy = job.stop_policy.cancel_token(token.clone());
-    }
-    job
-}
-
-/// Map a panic-isolated execution result onto a [`JobStatus`]: early stops
-/// (policy, deadline, cancellation) are `Stopped`, typed backend errors are
-/// `Failed`, and a caught panic becomes `Panicked` with its message.  Shared
-/// by the batch workers above and the persistent service workers
-/// ([`crate::service`]).
-pub(crate) fn status_from_result(
-    result: std::thread::Result<
-        Result<mffv_solver::backend::SolveReport, mffv_solver::backend::SolveError>,
-    >,
-) -> JobStatus {
-    match result {
-        Ok(Ok(report)) => match report.stopped {
-            Some(reason) => JobStatus::Stopped {
-                reason,
-                report: Some(report),
-            },
-            None => JobStatus::Completed(report),
-        },
-        Ok(Err(error)) => match error.stop_reason() {
-            Some(reason) => JobStatus::Stopped {
-                reason,
-                report: None,
-            },
-            None => JobStatus::Failed(error),
-        },
-        Err(payload) => JobStatus::Panicked(panic_message(payload.as_ref())),
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        let outcomes = slots
+            .into_iter()
+            // audit: allow(panic) — invariant: Drain joins every worker, and a
+            // worker fires each popped job's `on_done` before popping again.
+            .map(|slot| slot.expect("every submitted job reports its outcome"))
+            .collect();
+        BatchReport::new(outcomes, workers, started.elapsed_seconds()).with_engine_stats(
+            worker_stats,
+            exec_histogram,
+            queue_high_water,
+        )
     }
 }
 
@@ -358,7 +186,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::backend::Backend;
-    use mffv_mesh::WorkloadSpec;
+    use crate::StopPolicy;
+    use mffv_mesh::{PermeabilityModel, WorkloadSpec};
+    use mffv_solver::backend::SolveRequest;
 
     fn tiny_jobs(n: usize) -> Vec<JobSpec> {
         (0..n)
@@ -488,18 +318,65 @@ mod tests {
 
     #[test]
     fn metrics_registry_collects_batch_rollups() {
+        let spec = WorkloadSpec::quickstart().scaled(2);
+        let completed = JobSpec::new(spec.clone(), Backend::host());
+        let stopped = JobSpec::new(spec.clone(), Backend::host())
+            .with_stop_policy(StopPolicy::new().iteration_budget(3));
+        let invalid = JobSpec::new(
+            WorkloadSpec {
+                max_iterations: 0,
+                ..spec.clone()
+            },
+            Backend::host(),
+        );
+        // An empty layer list passes intake but panics on the worker.
+        let panicking = JobSpec::new(
+            WorkloadSpec {
+                permeability: PermeabilityModel::Layered {
+                    layer_values: Vec::new(),
+                },
+                ..spec
+            },
+            Backend::host(),
+        );
         let registry = MetricsRegistry::new();
         let report = Engine::new(2)
             .with_metrics(registry.clone())
-            .run(tiny_jobs(3));
-        assert!(report.all_succeeded());
-        assert_eq!(registry.counter("engine.jobs.submitted"), 3);
-        assert_eq!(registry.counter("engine.jobs.ok"), 3);
-        assert_eq!(registry.counter("engine.jobs.failed"), 0);
-        assert!(registry.gauge("engine.queue.high_water").unwrap() >= 1.0);
+            .run(vec![completed, stopped, invalid, panicking]);
+        let labels: Vec<&str> = report.outcomes.iter().map(|o| o.status_label()).collect();
+        assert_eq!(labels, ["ok", "stopped", "failed", "panicked"]);
+        // Batches publish under the daemon's namespace, panics included.
+        for (status, count) in [
+            ("submitted", 4),
+            ("ok", 1),
+            ("stopped", 1),
+            ("failed", 1),
+            ("panicked", 1),
+        ] {
+            let name = format!("engine.service.jobs.{status}");
+            assert_eq!(registry.counter(&name), count, "{name}");
+        }
+        // Nothing lands outside the one namespace.
+        let snapshot = registry.snapshot();
+        let names = snapshot
+            .counters
+            .iter()
+            .map(|(name, _)| name)
+            .chain(snapshot.gauges.iter().map(|(name, _)| name))
+            .chain(snapshot.histograms.iter().map(|(name, _)| name));
+        for name in names {
+            assert!(
+                name.starts_with("engine.service.") || name.starts_with("engine.context."),
+                "{name}"
+            );
+        }
+        assert!(registry.gauge("engine.service.queue.high_water").unwrap() >= 1.0);
         assert_eq!(
-            registry.histogram("engine.exec_seconds").unwrap().count(),
-            3
+            registry
+                .histogram("engine.service.exec_seconds")
+                .unwrap()
+                .count(),
+            4
         );
     }
 }

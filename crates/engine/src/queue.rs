@@ -19,15 +19,6 @@ struct QueueState<T> {
     high_water: usize,
 }
 
-/// Why a [`BoundedQueue::try_push`] was refused; the rejected item rides
-/// along so nothing is silently dropped.
-pub enum TryPushError<T> {
-    /// The queue is at capacity — typed back-pressure for service callers.
-    Full(T),
-    /// The queue has been closed; no further items are accepted.
-    Closed(T),
-}
-
 /// A blocking FIFO queue with a fixed capacity.
 pub struct BoundedQueue<T> {
     capacity: usize,
@@ -65,16 +56,10 @@ impl<T> BoundedQueue<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enqueue `item`, blocking while the queue is full.  Returns `false`
-    /// (dropping the item) if the queue was closed in the meantime.
-    pub fn push(&self, item: T) -> bool {
-        self.push_returning(item).is_ok()
-    }
-
-    /// [`push`](Self::push) that hands the item back instead of dropping it
-    /// when the queue has been closed — service submitters need the rejected
-    /// job's callbacks to reply to their client.
-    pub fn push_returning(&self, item: T) -> Result<(), T> {
+    /// Enqueue `item`, blocking while the queue is full.  Hands the item
+    /// back if the queue was closed in the meantime — a submitter needs the
+    /// rejected job's callbacks to reply to its client.
+    pub fn push(&self, item: T) -> Result<(), T> {
         let mut state = self.lock();
         while state.items.len() >= self.capacity && !state.closed {
             state = self
@@ -89,35 +74,6 @@ impl<T> BoundedQueue<T> {
         state.high_water = state.high_water.max(state.items.len());
         self.not_empty.notify_one();
         Ok(())
-    }
-
-    /// Non-blocking enqueue attempt — the service-mode admission path, where
-    /// a full queue must surface as typed back-pressure (`Busy`) instead of
-    /// blocking a protocol thread.  The item is handed back on failure so
-    /// the caller can reply-and-drop or retry.
-    pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
-        let mut state = self.lock();
-        if state.closed {
-            return Err(TryPushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(TryPushError::Full(item));
-        }
-        state.items.push_back(item);
-        state.high_water = state.high_water.max(state.items.len());
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Number of items currently queued (a racy snapshot — by the time the
-    /// caller looks, workers may have drained it further).
-    pub fn depth(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     /// Largest queue depth observed so far.
@@ -162,9 +118,9 @@ mod tests {
     fn fifo_order_within_capacity() {
         let q = BoundedQueue::new(4);
         assert_eq!(q.high_water(), 0);
-        assert!(q.push(1));
-        assert!(q.push(2));
-        assert!(q.push(3));
+        assert!(q.push(1).is_ok());
+        assert!(q.push(2).is_ok());
+        assert!(q.push(3).is_ok());
         q.close();
         assert_eq!(q.high_water(), 3);
         assert_eq!(q.pop(), Some(1));
@@ -178,7 +134,7 @@ mod tests {
     fn push_after_close_is_rejected() {
         let q = BoundedQueue::new(2);
         q.close();
-        assert!(!q.push(42));
+        assert_eq!(q.push(42), Err(42));
         assert_eq!(q.pop(), None);
     }
 
@@ -198,7 +154,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..total {
-                    assert!(q.push(i));
+                    assert!(q.push(i).is_ok());
                     produced.fetch_add(1, Ordering::SeqCst);
                 }
                 q.close();
@@ -212,28 +168,6 @@ mod tests {
             }
             assert_eq!(got, (0..total).collect::<Vec<_>>());
         });
-    }
-
-    #[test]
-    fn try_push_reports_full_and_closed_with_the_item_back() {
-        let q = BoundedQueue::new(1);
-        assert_eq!(q.depth(), 0);
-        assert!(q.try_push(1).is_ok());
-        assert_eq!(q.depth(), 1);
-        match q.try_push(2) {
-            Err(TryPushError::Full(item)) => assert_eq!(item, 2),
-            other => panic!("expected Full, got {:?}", other.map_err(|_| "err")),
-        }
-        assert_eq!(q.pop(), Some(1));
-        assert!(q.try_push(3).is_ok());
-        q.close();
-        assert!(q.is_closed());
-        match q.try_push(4) {
-            Err(TryPushError::Closed(item)) => assert_eq!(item, 4),
-            other => panic!("expected Closed, got {:?}", other.map_err(|_| "err")),
-        }
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

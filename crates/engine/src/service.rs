@@ -1,15 +1,20 @@
-//! Persistent service mode: the long-running counterpart of the one-shot
-//! [`Engine::run`] batch.
+//! The engine's one worker pool, and its persistent front.
 //!
-//! [`Engine::start`] spawns the worker pool once and keeps it alive behind an
+//! [`Engine::start`] spawns the workers once and keeps them alive behind an
 //! [`EngineService`] handle; jobs arrive one at a time through
-//! [`EngineService::try_submit`] (non-blocking — a full queue is a typed
-//! [`SubmitError::Busy`], never a hang) or
-//! [`EngineService::submit_blocking`] (the dispatcher path, which *wants* the
-//! queue's back-pressure).  Each submitted job carries its own completion
-//! callback and, optionally, a live [`SolveEvent`] observer — the hook a
-//! solve daemon uses to stream convergence over a socket while the solve
-//! runs.
+//! [`EngineService::submit_blocking`], which rides the bounded queue's
+//! back-pressure.  Each submitted job carries its own completion callback
+//! and, optionally, a live [`SolveEvent`] observer — the hook a solve daemon
+//! uses to stream convergence over a socket while the solve runs.
+//! [`Engine::run`] is a batch client of the same pool: it starts a service
+//! sized to the batch, submits every job and drains.
+//!
+//! Every worker runs the same loop: pop a job, close its `queue-wait` span,
+//! run it behind [`catch_unwind`] on the worker's warm
+//! [`SolveContextCache`] (an `execute` span on the worker's lane), publish
+//! the `engine.service.*` and `engine.context.*` metrics, and hand the
+//! [`JobOutcome`] to the job's callback.  A panicking job or callback costs
+//! one outcome, never the worker.
 //!
 //! Shutdown is explicit and two-flavoured ([`EngineService::shutdown`]):
 //!
@@ -21,16 +26,20 @@
 //!   boundary and still-queued jobs complete as
 //!   [`JobStatus::Stopped`]/[`StopReason::Cancelled`] (their callbacks still
 //!   fire — nothing is silently lost).
+//!
+//! Dropping the handle without a shutdown closes the queue: the workers
+//! finish what is queued and exit, unjoined.
 
-use crate::job::{JobSpec, JobStatus};
-use crate::pool::{status_from_result, with_engine_token, Engine};
-use crate::queue::{BoundedQueue, TryPushError};
-use mffv_solver::backend::SolveRequest;
+use crate::job::{JobOutcome, JobSpec, JobStatus};
+use crate::pool::Engine;
+use crate::queue::BoundedQueue;
+use crate::report::WorkerStats;
+use mffv_solver::backend::{SolveError, SolveReport, SolveRequest};
 use mffv_solver::context::{ContextStats, SolveContextCache};
 use mffv_solver::monitor::{monitor_fn, CancelToken, Flow, SolveEvent, SolveMonitor, StopReason};
-use mffv_telemetry::{MetricsRegistry, Span, Stopwatch, Tracer};
+use mffv_telemetry::{LogHistogram, MetricsRegistry, Span, Stopwatch, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -43,72 +52,6 @@ pub enum ShutdownMode {
     Abort,
 }
 
-/// Why a submission was refused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The bounded queue is full — typed back-pressure.  `depth` is the
-    /// queue's occupancy at refusal time, `capacity` its bound.
-    Busy {
-        /// Items queued when the submission was refused.
-        depth: usize,
-        /// The queue bound.
-        capacity: usize,
-    },
-    /// The service has begun shutting down and accepts nothing new.
-    ShuttingDown,
-}
-
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::Busy { depth, capacity } => {
-                write!(f, "engine queue full ({depth}/{capacity})")
-            }
-            SubmitError::ShuttingDown => f.write_str("engine service is shutting down"),
-        }
-    }
-}
-
-/// A refused submission: the error plus the job handed back, so the caller
-/// can reply to its client (or retry) instead of losing the callbacks.
-pub struct RejectedJob {
-    /// Why the submission was refused.
-    pub error: SubmitError,
-    /// The job, returned unexecuted.
-    pub job: ServiceJob,
-}
-
-/// How one service job ended — the payload of its completion callback.
-#[derive(Debug)]
-pub struct ServiceOutcome {
-    /// The ticket [`EngineService::try_submit`] returned for this job.
-    pub ticket: u64,
-    /// Human-readable job label (`workload @ backend`).
-    pub label: String,
-    /// How the job ended (same vocabulary as batch outcomes).
-    pub status: JobStatus,
-    /// Wall-clock seconds spent queued before a worker picked the job up.
-    pub queue_wait_seconds: f64,
-    /// Wall-clock seconds spent executing (`0.0` for jobs cancelled while
-    /// still queued).
-    pub exec_seconds: f64,
-}
-
-impl ServiceOutcome {
-    /// Whether the job produced a completed report.
-    pub fn is_success(&self) -> bool {
-        matches!(self.status, JobStatus::Completed(_))
-    }
-
-    /// Why the job was stopped, when it was.
-    pub fn stop_reason(&self) -> Option<StopReason> {
-        match &self.status {
-            JobStatus::Stopped { reason, .. } => Some(*reason),
-            _ => None,
-        }
-    }
-}
-
 /// A live [`SolveEvent`] observer attached to a [`ServiceJob`].
 pub type EventObserver = Box<dyn FnMut(&SolveEvent) -> Flow + Send>;
 
@@ -117,20 +60,20 @@ pub type EventObserver = Box<dyn FnMut(&SolveEvent) -> Flow + Send>;
 /// `on_event` (optional) observes the live [`SolveEvent`] stream on the
 /// worker thread — bitwise the recorded convergence history — and may stop
 /// the solve by returning [`Flow::Stop`].  `on_done` always fires exactly
-/// once, on the worker, with the job's [`ServiceOutcome`]; it runs behind
-/// the same panic isolation as the job itself.
+/// once, on the worker, with the job's [`JobOutcome`]; it runs behind the
+/// same panic isolation as the job itself.
 pub struct ServiceJob {
     /// The solve to run.
     pub job: JobSpec,
     /// Live event observer, called at every iteration boundary.
     pub on_event: Option<EventObserver>,
     /// Completion callback (fires exactly once per accepted job).
-    pub on_done: Box<dyn FnOnce(ServiceOutcome) + Send>,
+    pub on_done: Box<dyn FnOnce(JobOutcome) + Send>,
 }
 
 impl ServiceJob {
     /// A service job delivering its outcome to `on_done`.
-    pub fn new(job: JobSpec, on_done: impl FnOnce(ServiceOutcome) + Send + 'static) -> Self {
+    pub fn new(job: JobSpec, on_done: impl FnOnce(JobOutcome) + Send + 'static) -> Self {
         Self {
             job,
             on_event: None,
@@ -148,33 +91,44 @@ impl ServiceJob {
     }
 }
 
-/// A queued service job plus its telemetry context (mirrors the batch
-/// pool's `QueuedJob`: span parentage travels in the value).
+/// One queued job plus its telemetry context.  The `queue-wait` span is
+/// opened on the submitting thread and closed on the worker that pops the
+/// job — span parentage travels in the value.
 struct QueuedServiceJob {
-    ticket: u64,
+    ticket: usize,
     job: ServiceJob,
+    /// Started at submission; read at pop for `queue_wait_seconds`.
     queued: Stopwatch,
+    /// The job's label span.
     root: Span,
+    /// Open `queue-wait` child, finished the moment a worker dequeues.
     wait: Span,
 }
 
 struct ServiceShared {
     queue: BoundedQueue<QueuedServiceJob>,
-    /// Tripped by [`ShutdownMode::Abort`]; threaded into every job as its
-    /// engine token, so in-flight solves stop at the next boundary.
+    /// Tripped by [`ShutdownMode::Abort`] or the batch's own token; threaded
+    /// into every job as its engine token, so in-flight solves stop at the
+    /// next boundary.
     cancel: CancelToken,
-    tracer: Tracer,
     metrics: Option<MetricsRegistry>,
-    next_ticket: AtomicU64,
 }
 
-/// Handle to a started engine service: submit jobs, inspect the queue, shut
-/// down.  Dropping the handle without calling
-/// [`shutdown`](EngineService::shutdown) detaches the workers (they keep
-/// draining); explicit shutdown is the orderly path.
+/// What a worker hands back when it is joined: its busy/idle stats and the
+/// histogram of the execution latencies of the jobs it ran.
+pub(crate) type WorkerTally = (WorkerStats, LogHistogram);
+
+/// Handle to a started engine service: submit jobs, shut down.  Dropping
+/// the handle without calling [`shutdown`](EngineService::shutdown) closes
+/// the queue: the workers finish what is queued and exit, unjoined.
 pub struct EngineService {
     shared: Arc<ServiceShared>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<WorkerTally>>,
+    tracer: Tracer,
+    /// Parent of every job's label span: `engine-batch` for a batch; `None`
+    /// roots each job's span at the tracer.
+    parent: Option<Span>,
+    next_ticket: AtomicUsize,
 }
 
 impl Engine {
@@ -182,91 +136,78 @@ impl Engine {
     /// a `queue_capacity()`-bounded queue, inheriting the engine's tracer,
     /// metrics registry and (if configured) cancel token.
     pub fn start(&self) -> EngineService {
+        self.start_pool(self.workers(), None)
+    }
+
+    /// [`start`](Self::start) with `workers` threads, opening every job's
+    /// span under `parent` when one is given.
+    pub(crate) fn start_pool(&self, workers: usize, parent: Option<Span>) -> EngineService {
         let shared = Arc::new(ServiceShared {
             queue: BoundedQueue::new(self.queue_capacity()),
             cancel: self.cancel().cloned().unwrap_or_default(),
-            tracer: self.tracer().clone(),
             metrics: self.metrics().cloned(),
-            next_ticket: AtomicU64::new(0),
         });
-        let workers = (0..self.workers())
+        let workers = (0..workers)
             .map(|worker| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared, worker))
             })
             .collect();
-        EngineService { shared, workers }
+        EngineService {
+            shared,
+            workers,
+            tracer: self.tracer().clone(),
+            parent,
+            next_ticket: AtomicUsize::new(0),
+        }
     }
 }
 
 impl EngineService {
-    /// Number of jobs currently queued (racy snapshot; excludes in-flight
-    /// jobs already claimed by a worker).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.depth()
-    }
-
-    /// The queue bound submissions are admitted against.
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.queue.capacity()
-    }
-
-    /// Whether shutdown has begun (new submissions are refused).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.queue.is_closed()
-    }
-
     /// The service-wide cancel token ([`ShutdownMode::Abort`] trips it; a
     /// daemon may also trip it directly for an emergency stop).
     pub fn cancel_token(&self) -> CancelToken {
         self.shared.cancel.clone()
     }
 
-    /// Submit without blocking.  Returns the job's ticket, or hands the job
-    /// back with [`SubmitError::Busy`] (queue full — the protocol reply, not
-    /// a hang) / [`SubmitError::ShuttingDown`].
+    /// Submit, blocking while the queue is full.  Returns the job's ticket —
+    /// its submission index on this service, which its [`JobOutcome::index`]
+    /// carries — or hands the job back unexecuted when the service is
+    /// shutting down.
     // Handing the whole job back by value is the point of the Err: the
-    // caller keeps its callbacks to reply/retry with.
+    // caller keeps its callbacks to reply with.
     #[allow(clippy::result_large_err)]
-    pub fn try_submit(&self, job: ServiceJob) -> Result<u64, RejectedJob> {
-        let queued = self.enqueueable(job);
-        let ticket = queued.ticket;
-        match self.shared.queue.try_push(queued) {
-            Ok(()) => {
-                self.note_submitted();
-                Ok(ticket)
-            }
-            Err(TryPushError::Full(item)) => Err(RejectedJob {
-                error: SubmitError::Busy {
-                    depth: self.shared.queue.depth(),
-                    capacity: self.shared.queue.capacity(),
-                },
-                job: item.job,
-            }),
-            Err(TryPushError::Closed(item)) => Err(RejectedJob {
-                error: SubmitError::ShuttingDown,
-                job: item.job,
-            }),
+    pub fn submit_blocking(&self, job: ServiceJob) -> Result<usize, ServiceJob> {
+        let ticket = self.next_ticket.fetch_add(1, Ordering::SeqCst);
+        let label = job.job.label();
+        let root = match &self.parent {
+            Some(parent) => parent.child(&label),
+            None => self.tracer.span(&label),
+        };
+        let wait = root.child("queue-wait");
+        self.shared
+            .queue
+            .push(QueuedServiceJob {
+                ticket,
+                job,
+                queued: Stopwatch::start(),
+                root,
+                wait,
+            })
+            .map_err(|item| item.job)?;
+        if let Some(metrics) = &self.shared.metrics {
+            metrics.inc("engine.service.jobs.submitted");
+            metrics.max_gauge(
+                "engine.service.queue.high_water",
+                self.queue_high_water() as f64,
+            );
         }
+        Ok(ticket)
     }
 
-    /// Submit, blocking while the queue is full — the dispatcher path, which
-    /// deliberately rides the queue's back-pressure.  Fails only when the
-    /// service is shutting down (the job is handed back intact).
-    #[allow(clippy::result_large_err)]
-    pub fn submit_blocking(&self, job: ServiceJob) -> Result<u64, RejectedJob> {
-        let queued = self.enqueueable(job);
-        let ticket = queued.ticket;
-        match self.shared.queue.push_returning(queued) {
-            Ok(()) => {
-                self.note_submitted();
-                Ok(ticket)
-            }
-            Err(item) => Err(RejectedJob {
-                error: SubmitError::ShuttingDown,
-                job: item.job,
-            }),
-        }
+    /// Largest number of jobs ever queued at once.
+    pub(crate) fn queue_high_water(&self) -> usize {
+        self.shared.queue.high_water()
     }
 
     /// Shut the service down.  [`ShutdownMode::Drain`] finishes everything
@@ -274,45 +215,47 @@ impl EngineService {
     /// (their `on_done` callbacks still fire, as `Stopped(Cancelled)`).
     /// Joins every worker before returning.
     pub fn shutdown(self, mode: ShutdownMode) {
+        self.join(mode);
+    }
+
+    /// [`shutdown`](Self::shutdown), returning each joined worker's tally in
+    /// worker order.
+    pub(crate) fn join(mut self, mode: ShutdownMode) -> Vec<WorkerTally> {
         if matches!(mode, ShutdownMode::Abort) {
             self.shared.cancel.cancel();
         }
         self.shared.queue.close();
-        for handle in self.workers {
+        std::mem::take(&mut self.workers)
+            .into_iter()
             // A worker that panicked outside job isolation has already lost
-            // its thread; joining the rest is still the right cleanup.
-            let _ = handle.join();
-        }
-    }
-
-    fn enqueueable(&self, job: ServiceJob) -> QueuedServiceJob {
-        let ticket = self.shared.next_ticket.fetch_add(1, Ordering::SeqCst);
-        let root = self.shared.tracer.span(&job.job.label());
-        let wait = root.child("queue-wait");
-        QueuedServiceJob {
-            ticket,
-            job,
-            queued: Stopwatch::start(),
-            root,
-            wait,
-        }
-    }
-
-    fn note_submitted(&self) {
-        if let Some(metrics) = &self.shared.metrics {
-            metrics.inc("engine.service.jobs.submitted");
-            metrics.max_gauge(
-                "engine.service.queue.high_water",
-                self.shared.queue.high_water() as f64,
-            );
-        }
+            // its thread and its tally; joining the rest is still the right
+            // cleanup.
+            .filter_map(|handle| handle.join().ok())
+            .collect()
     }
 }
 
-fn worker_loop(shared: &ServiceShared, worker: usize) {
+impl Drop for EngineService {
+    fn drop(&mut self) {
+        // Without this, a handle dropped before `shutdown` would leave every
+        // worker parked in `pop` forever, holding its context cache.
+        self.shared.queue.close();
+    }
+}
+
+/// The one worker loop, shared by the daemon's service and
+/// [`Engine::run`].
+fn worker_loop(shared: &ServiceShared, worker: usize) -> WorkerTally {
+    let mut worker_stats = WorkerStats {
+        worker,
+        jobs: 0,
+        busy_seconds: 0.0,
+    };
+    let mut exec_histogram = LogHistogram::new();
     // One warm solve context per worker, kept across jobs for the lifetime
-    // of the service (the steady-state serving path: after the first job of
-    // a spec, repeats reuse the operator, preconditioner and CG scratch).
+    // of the pool: after the first job of a spec, repeats reuse the
+    // operator, preconditioner and CG scratch (results are bitwise identical
+    // to fresh-context runs).
     let mut context_cache = SolveContextCache::new();
     let mut last_context_stats = ContextStats::default();
     while let Some(item) = shared.queue.pop() {
@@ -331,23 +274,19 @@ fn worker_loop(shared: &ServiceShared, worker: usize) {
             on_done,
         } = service_job;
         let label = job.label();
-        let outcome = if shared.cancel.is_cancelled() {
-            // Abort drains the queue as cancelled instead of solving: queued
-            // jobs complete immediately, callbacks included.
-            ServiceOutcome {
-                ticket,
-                label,
-                status: JobStatus::Stopped {
-                    reason: StopReason::Cancelled,
-                    report: None,
-                },
-                queue_wait_seconds,
-                exec_seconds: 0.0,
-            }
+        let (status, exec_seconds) = if shared.cancel.is_cancelled() {
+            // A tripped token drains the queue instead of solving: jobs that
+            // never started report `Stopped(Cancelled)` with no partial
+            // state and no execution latency — only their real queue wait.
+            let status = JobStatus::Stopped {
+                reason: StopReason::Cancelled,
+                report: None,
+            };
+            (status, 0.0)
         } else {
             let exec_span = root.child_on_lane("execute", worker as u32 + 1);
             let started = Stopwatch::start();
-            let job = with_engine_token(job, Some(&shared.cancel));
+            let job = with_engine_token(job, &shared.cancel);
             let result = catch_unwind(AssertUnwindSafe(|| {
                 let mut streamer = on_event
                     .as_mut()
@@ -359,24 +298,24 @@ fn worker_loop(shared: &ServiceShared, worker: usize) {
                 })
             }));
             exec_span.finish();
-            ServiceOutcome {
-                ticket,
-                label,
-                status: status_from_result(result),
-                queue_wait_seconds,
-                exec_seconds: started.elapsed_seconds(),
+            let exec_seconds = started.elapsed_seconds();
+            worker_stats.busy_seconds += exec_seconds;
+            exec_histogram.record(exec_seconds);
+            if let Some(metrics) = &shared.metrics {
+                metrics.observe("engine.service.exec_seconds", exec_seconds);
             }
+            (status_from_result(result), exec_seconds)
         };
+        worker_stats.jobs += 1;
         root.finish();
         if let Some(metrics) = &shared.metrics {
-            let key = match &outcome.status {
+            let key = match &status {
                 JobStatus::Completed(_) => "engine.service.jobs.ok",
                 JobStatus::Stopped { .. } => "engine.service.jobs.stopped",
                 JobStatus::Failed(_) => "engine.service.jobs.failed",
                 JobStatus::Panicked(_) => "engine.service.jobs.panicked",
             };
             metrics.inc(key);
-            metrics.observe("engine.service.exec_seconds", outcome.exec_seconds);
             // Publish per-job context-cache deltas, so a long-lived
             // service's counters stay live rather than appearing only at
             // worker exit.
@@ -392,9 +331,58 @@ fn worker_loop(shared: &ServiceShared, worker: usize) {
             );
             last_context_stats = stats;
         }
+        let outcome = JobOutcome {
+            index: ticket,
+            label,
+            status,
+            queue_wait_seconds,
+            exec_seconds,
+        };
         // Completion callbacks get the same isolation as jobs: a panicking
         // callback must not take the worker down with it.
         let _ = catch_unwind(AssertUnwindSafe(move || (on_done)(outcome)));
+    }
+    (worker_stats, exec_histogram)
+}
+
+/// `job` with the service's cancel token added to its stop policy, so a
+/// tripped token stops the in-flight solve at its next iteration boundary.
+fn with_engine_token(mut job: JobSpec, token: &CancelToken) -> JobSpec {
+    job.stop_policy = job.stop_policy.cancel_token(token.clone());
+    job
+}
+
+/// Map a panic-isolated execution result onto a [`JobStatus`]: early stops
+/// (policy, deadline, cancellation) are `Stopped`, typed backend errors are
+/// `Failed`, and a caught panic becomes `Panicked` with its message.
+fn status_from_result(result: std::thread::Result<Result<SolveReport, SolveError>>) -> JobStatus {
+    match result {
+        Ok(Ok(report)) => match report.stopped {
+            Some(reason) => JobStatus::Stopped {
+                reason,
+                report: Some(report),
+            },
+            None => JobStatus::Completed(report),
+        },
+        Ok(Err(error)) => match error.stop_reason() {
+            Some(reason) => JobStatus::Stopped {
+                reason,
+                report: None,
+            },
+            None => JobStatus::Failed(error),
+        },
+        Err(payload) => JobStatus::Panicked(panic_message(payload.as_ref())),
+    }
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -404,6 +392,7 @@ mod tests {
     use crate::backend::Backend;
     use mffv_mesh::WorkloadSpec;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     fn quick_job() -> JobSpec {
         JobSpec::new(WorkloadSpec::quickstart().scaled(2), Backend::host())
@@ -413,24 +402,24 @@ mod tests {
     fn service_executes_jobs_and_delivers_outcomes() {
         let service = Engine::new(2).start();
         let (tx, rx) = mpsc::channel();
-        for _ in 0..4 {
+        for ticket in 0..4 {
             let tx = tx.clone();
-            let submitted = service.try_submit(ServiceJob::new(quick_job(), move |outcome| {
+            let submitted = service.submit_blocking(ServiceJob::new(quick_job(), move |outcome| {
                 tx.send(outcome).ok();
             }));
-            assert!(submitted.is_ok());
+            assert_eq!(submitted.ok(), Some(ticket));
         }
-        let outcomes: Vec<ServiceOutcome> = (0..4).map(|_| rx.recv().unwrap()).collect();
+        let outcomes: Vec<JobOutcome> = (0..4).map(|_| rx.recv().unwrap()).collect();
         assert!(outcomes.iter().all(|o| o.is_success()));
         service.shutdown(ShutdownMode::Drain);
     }
 
     #[test]
-    fn full_queue_surfaces_as_typed_busy_not_a_hang() {
-        // One worker plugged by a slow job + a capacity-1 queue: the second
-        // queued submission must be refused as Busy.
-        let service = Engine::new(1).with_queue_capacity(1).start();
-        let (plug_tx, plug_rx) = mpsc::channel();
+    fn abort_stops_the_in_flight_job_and_drains_the_queue_unexecuted() {
+        // One worker plugged by a slow job, two quick jobs queued behind it.
+        let registry = MetricsRegistry::new();
+        let service = Engine::new(1).with_metrics(registry.clone()).start();
+        let (tx, rx) = mpsc::channel();
         let slow = JobSpec::new(
             WorkloadSpec {
                 tolerance: 1e-30,
@@ -439,11 +428,11 @@ mod tests {
             },
             Backend::host(),
         );
-        let plug_started = mpsc::channel::<()>();
-        let started_tx = plug_started.0.clone();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let plug_tx = tx.clone();
         service
-            .try_submit(
-                ServiceJob::new(slow.clone(), move |o| {
+            .submit_blocking(
+                ServiceJob::new(slow, move |o| {
                     plug_tx.send(o).ok();
                 })
                 .with_events(move |_| {
@@ -454,37 +443,39 @@ mod tests {
             .ok()
             .expect("plug accepted");
         // Wait until the plug is actually executing (first event), so the
-        // next submission stays queued.
-        plug_started.1.recv().unwrap();
-        assert!(service
-            .try_submit(ServiceJob::new(quick_job(), |_| {}))
-            .is_ok());
-        match service.try_submit(ServiceJob::new(quick_job(), |_| {})) {
-            Err(rejected) => {
-                assert_eq!(
-                    rejected.error,
-                    SubmitError::Busy {
-                        depth: 1,
-                        capacity: 1
-                    }
-                );
-            }
-            Ok(_) => panic!("expected Busy"),
+        // next submissions stay queued.
+        started_rx.recv().unwrap();
+        for _ in 0..2 {
+            let tx = tx.clone();
+            service
+                .submit_blocking(ServiceJob::new(quick_job(), move |o| {
+                    tx.send(o).ok();
+                }))
+                .ok()
+                .expect("accepted");
         }
-        assert_eq!(service.queue_depth(), 1);
         service.shutdown(ShutdownMode::Abort);
-        let plugged = plug_rx.recv().unwrap();
+        let outcomes: Vec<JobOutcome> = rx.try_iter().collect();
+        assert_eq!(outcomes.len(), 3);
+        for outcome in &outcomes {
+            assert_eq!(outcome.stop_reason(), Some(StopReason::Cancelled));
+        }
+        let plug = &outcomes[0];
+        assert_eq!(plug.index, 0);
         assert!(
-            matches!(
-                plugged.status,
-                JobStatus::Stopped {
-                    reason: StopReason::Cancelled,
-                    ..
-                }
-            ),
-            "abort cancels the in-flight plug: {:?}",
-            plugged.status
+            plug.partial_report().is_some(),
+            "abort cancels the plug mid-solve"
         );
+        assert!(plug.exec_seconds > 0.0);
+        for queued in &outcomes[1..] {
+            assert!(queued.partial_report().is_none());
+            assert_eq!(queued.exec_seconds, 0.0);
+        }
+        // Only the job that ran has an execution latency.
+        let exec = registry.histogram("engine.service.exec_seconds").unwrap();
+        assert_eq!(exec.count(), 1);
+        assert_eq!(exec.clamped(), 0);
+        assert_eq!(registry.counter("engine.service.jobs.stopped"), 3);
     }
 
     #[test]
@@ -493,8 +484,6 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for _ in 0..3 {
             let tx = tx.clone();
-            // Blocking submit: this test exercises drain semantics, not
-            // back-pressure, and `try_submit` races the worker's dequeue.
             service
                 .submit_blocking(ServiceJob::new(quick_job(), move |o| {
                     tx.send(o).ok();
@@ -503,7 +492,7 @@ mod tests {
                 .expect("accepted");
         }
         service.shutdown(ShutdownMode::Drain);
-        let outcomes: Vec<ServiceOutcome> = rx.try_iter().collect();
+        let outcomes: Vec<JobOutcome> = rx.try_iter().collect();
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes.iter().all(|o| o.is_success()));
     }
@@ -512,12 +501,27 @@ mod tests {
     fn submissions_after_shutdown_begin_are_refused() {
         let service = Engine::new(1).start();
         service.shared.queue.close();
-        match service.try_submit(ServiceJob::new(quick_job(), |_| {})) {
-            Err(rejected) => assert_eq!(rejected.error, SubmitError::ShuttingDown),
-            Ok(_) => panic!("expected ShuttingDown"),
-        }
-        assert!(service.is_shutting_down());
+        let refused = service.submit_blocking(ServiceJob::new(quick_job(), |_| {}));
+        assert!(refused.is_err(), "a closed queue hands the job back");
         service.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn a_dropped_service_lets_its_workers_exit() {
+        let service = Engine::new(2).start();
+        let shared = Arc::downgrade(&service.shared);
+        drop(service);
+        // Each worker holds a strong reference until its loop returns.
+        for _ in 0..500 {
+            if shared.strong_count() == 0 {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!(
+            "{} workers still parked after the handle was dropped",
+            shared.strong_count()
+        );
     }
 
     #[test]
@@ -528,7 +532,7 @@ mod tests {
         let (ev_tx, ev_rx) = mpsc::channel();
         let job = quick_job();
         service
-            .try_submit(
+            .submit_blocking(
                 ServiceJob::new(job.clone(), move |o| {
                     tx.send(o).ok();
                 })

@@ -99,6 +99,14 @@ fn run(args: Args) -> Result<(), String> {
         for (name, value) in &snapshot.gauges {
             println!("  {name} = {value}");
         }
+        for (name, hist) in &snapshot.histograms {
+            println!(
+                "  {name}: count {}, p50 {:.3e} s, p99 {:.3e} s",
+                hist.count(),
+                hist.p50(),
+                hist.p99()
+            );
+        }
     }
     println!("mffv-serve stopped");
     Ok(())

@@ -622,12 +622,12 @@ fn dispatcher_loop(shared: &Arc<ServerShared>, service: EngineService) {
                 // the engine full this blocks, and every other session's next
                 // job is already ordered behind the cursor — one job per
                 // session per turn.
-                if let Err(rejected) = service.submit_blocking(item.service_job) {
+                if service.submit_blocking(item.service_job).is_err() {
                     reject_pending(
                         shared,
                         &item.session,
                         item.job_id,
-                        &rejected.error.to_string(),
+                        "engine service is shutting down",
                     );
                 }
             }
