@@ -12,9 +12,15 @@
 //! ```
 //!
 //! The effective-bandwidth model charges each apply with the streams the
-//! kernel actually touches per cell: the six-coefficient row, the input read
-//! and the output write (`8 · sizeof(T)` bytes per cell); stencil reuse of
-//! `x` and the Dirichlet mask are not charged.
+//! kernel actually touches per cell (`APPLY_STREAMS_PER_CELL`): the three
+//! face arrays, the input read and the output write (`5 · sizeof(T)` bytes
+//! per cell); stencil reuse of `x` and of the faces, and the Dirichlet mask
+//! are not charged.
+//!
+//! Every timed kernel checks its own bits: each `planned` output, at every
+//! `--threads` value, and the `fused-apply-dot` output must equal the naive
+//! `apply_spd_naive` output bit for bit, or the bin exits non-zero without
+//! writing the report.
 
 use mffv::prelude::*;
 use mffv_bench::machine_json;
@@ -91,21 +97,28 @@ impl Row {
     }
 }
 
+/// Time every kernel of one precision into `rows`, and return a message for
+/// each kernel whose output differs from the naive oracle's in any bit.
 fn bench_precision<T: Scalar>(
     workload: &Workload,
     precision: &'static str,
     reps: usize,
     threads: &[usize],
     rows: &mut Vec<Row>,
-) {
+) -> Vec<String> {
     let dims = workload.dims();
     let op = MatrixFreeOperator::<T>::from_workload(workload);
     let x = CellField::<T>::from_fn(dims, |c| {
         T::from_f64(((c.x * 13 + c.y * 7 + c.z * 3) % 32) as f64 * 0.0625 - 1.0)
     });
     let mut y = CellField::<T>::zeros(dims);
+    let mut mismatches = Vec::new();
+    let bits = |f: &CellField<T>| -> Vec<u64> {
+        f.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+    };
 
     let naive = time_best_of(reps, || op.apply_spd_naive(&x, &mut y));
+    let oracle = bits(&y);
     rows.push(Row {
         kernel: "naive",
         precision,
@@ -113,9 +126,21 @@ fn bench_precision<T: Scalar>(
         seconds: naive,
         speedup_vs_naive: 1.0,
     });
+    // Poison the output before each kernel, so a kernel that skips a cell
+    // cannot pass on a previous kernel's value.
+    let mut check = |y: &mut CellField<T>, kernel: &str, threads: usize| {
+        if bits(y) != oracle {
+            mismatches.push(format!(
+                "{kernel} {precision} x{threads} differs from naive"
+            ));
+        }
+        y.fill(T::from_f64(f64::NAN));
+    };
+    y.fill(T::from_f64(f64::NAN));
     for &t in threads {
         let threaded = op.clone().with_threads(t);
         let planned = time_best_of(reps, || threaded.apply_spd(&x, &mut y));
+        check(&mut y, "planned", t);
         rows.push(Row {
             kernel: "planned",
             precision,
@@ -127,6 +152,7 @@ fn bench_precision<T: Scalar>(
     let fused = time_best_of(reps, || {
         std::hint::black_box(op.apply_dot(&x, &mut y));
     });
+    check(&mut y, "fused-apply-dot", 1);
     rows.push(Row {
         kernel: "fused-apply-dot",
         precision,
@@ -134,6 +160,7 @@ fn bench_precision<T: Scalar>(
         seconds: fused,
         speedup_vs_naive: naive / fused,
     });
+    mismatches
 }
 
 fn main() {
@@ -150,9 +177,16 @@ fn main() {
     );
 
     let mut rows32 = Vec::new();
-    bench_precision::<f32>(&workload, "f32", args.reps, &args.threads, &mut rows32);
+    let mut mismatches =
+        bench_precision::<f32>(&workload, "f32", args.reps, &args.threads, &mut rows32);
     let mut rows64 = Vec::new();
-    bench_precision::<f64>(&workload, "f64", args.reps, &args.threads, &mut rows64);
+    mismatches.extend(bench_precision::<f64>(
+        &workload,
+        "f64",
+        args.reps,
+        &args.threads,
+        &mut rows64,
+    ));
 
     let bytes32 = APPLY_STREAMS_PER_CELL * std::mem::size_of::<f32>();
     let bytes64 = APPLY_STREAMS_PER_CELL * std::mem::size_of::<f64>();
@@ -169,6 +203,14 @@ fn main() {
             );
             result_lines.push(row.json(cells, bytes_per_cell));
         }
+    }
+
+    if !mismatches.is_empty() {
+        for m in &mismatches {
+            eprintln!("bit mismatch: {m}");
+        }
+        eprintln!("not writing {}", args.out);
+        std::process::exit(1);
     }
 
     let json = format!(

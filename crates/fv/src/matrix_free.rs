@@ -15,7 +15,8 @@ use mffv_mesh::{CellField, Dims, Direction, DirichletSet, Scalar, Transmissibili
 /// Jacobian without assembling it.
 ///
 /// At construction the operator precomputes a [`StencilPlan`] — the partition
-/// of the grid into branch-free interior x-line runs and a general remainder —
+/// of the grid into branch-free x-line runs and a general remainder of
+/// Dirichlet cells and their neighbours —
 /// so [`apply_spd`](Self::apply_spd) runs the planned kernel by default.  The
 /// planned apply is bitwise identical to the naive per-neighbour loop (kept as
 /// [`apply_spd_naive`](Self::apply_spd_naive)) for every thread count; see the
@@ -166,7 +167,7 @@ impl<T: Scalar> MatrixFreeOperator<T> {
     pub fn apply_spd(&self, x: &CellField<T>, y: &mut CellField<T>) {
         self.check_dims(x, y);
         self.plan.apply(
-            self.coeffs.cell_rows(),
+            &self.coeffs,
             &self.dirichlet_mask,
             self.diagonal.as_deref(),
             x,
@@ -228,7 +229,7 @@ impl<T: Scalar> LinearOperator<T> for MatrixFreeOperator<T> {
     fn apply_dot(&self, d: &CellField<T>, ad: &mut CellField<T>) -> T {
         self.check_dims(d, ad);
         self.plan.apply_dot(
-            self.coeffs.cell_rows(),
+            &self.coeffs,
             &self.dirichlet_mask,
             self.diagonal.as_deref(),
             d,

@@ -229,26 +229,22 @@ struct MgLevel<T: Scalar> {
 
 impl<T: Scalar> MgLevel<T> {
     fn rebuild_inv_diag(&mut self) {
-        let dims = self.operator.dims();
         let coeffs = self.operator.coefficients();
         let shift = self.operator.diagonal_shift();
-        let mut inv = vec![T::ONE; dims.num_cells()];
-        for c in dims.iter_cells() {
-            let k = dims.linear(c);
+        let mut inv = vec![T::ONE; self.operator.dims().num_cells()];
+        for (k, inv_k) in inv.iter_mut().enumerate() {
             if self.operator.is_dirichlet(k) {
                 continue;
             }
-            let mut acc = T::ZERO;
-            for dir in Direction::ALL {
-                if dims.neighbor(c, dir).is_some() {
-                    acc += coeffs.get(k, dir);
-                }
-            }
+            // The six-term row sum: a boundary face is exactly +0, and adding
+            // +0 to a sum that starts at +0 never changes its bits, so this is
+            // the sum over the cell's existing neighbours.
+            let mut acc = coeffs.row_sum(k);
             if let Some(d) = shift {
                 acc += d[k];
             }
             if acc.to_f64() > 0.0 {
-                inv[k] = T::ONE / acc;
+                *inv_k = T::ONE / acc;
             }
         }
         self.inv_diag = inv;
@@ -277,6 +273,9 @@ pub struct MultigridVcycle<T: Scalar> {
     config: MgConfig,
     omega: T,
     workspace: RefCell<Vec<LevelWorkspace<T>>>,
+    /// The coarsest-level CG's search direction, the one extra buffer that
+    /// level's solve needs beyond its workspace.
+    coarse_direction: RefCell<CellField<T>>,
 }
 
 impl<T: Scalar> MultigridVcycle<T> {
@@ -342,11 +341,13 @@ impl<T: Scalar> MultigridVcycle<T> {
                 })
                 .collect(),
         );
+        let coarsest = levels[levels.len() - 1].operator.dims();
         Self {
             levels,
             config,
             omega: T::from_f64(config.omega),
             workspace,
+            coarse_direction: RefCell::new(CellField::zeros(coarsest)),
         }
     }
 
@@ -506,26 +507,28 @@ impl<T: Scalar> MultigridVcycle<T> {
     /// with the standard breakdown guards so degenerate levels — singular
     /// operators under an empty Dirichlet set, 1-thin grids — stay finite.
     fn coarse_solve(&self, level: &MgLevel<T>, ws: &mut LevelWorkspace<T>) {
+        // CG in preallocated buffers: the residual in place in `ws.r` (the
+        // level's right-hand side is not read again this cycle), `A d` in
+        // `ws.ax` and the direction in `coarse_direction`.
         ws.z.fill(T::ZERO);
-        let mut res = ws.r.clone();
-        let rr0 = det_norm_squared(&res).to_f64();
+        let rr0 = det_norm_squared(&ws.r).to_f64();
         if rr0 <= 0.0 || !rr0.is_finite() {
             return;
         }
         let eps = T::EPSILON.to_f64() * 8.0;
         let threshold = rr0 * self.config.coarse_rr_reduction.max(eps * eps);
-        let mut direction = res.clone();
-        let mut ad = ws.ax.clone();
+        let mut direction = self.coarse_direction.borrow_mut();
+        direction.copy_from(&ws.r);
         let mut rr = rr0;
         for _ in 0..self.config.coarse_max_iterations {
-            let d_ad = level.operator.apply_dot(&direction, &mut ad).to_f64();
+            let d_ad = level.operator.apply_dot(&direction, &mut ws.ax).to_f64();
             if d_ad <= 0.0 || !d_ad.is_finite() {
                 break;
             }
             let alpha = T::from_f64(rr / d_ad);
             let rr_new = level
                 .operator
-                .cg_update(alpha, &direction, &ad, &mut ws.z, &mut res)
+                .cg_update(alpha, &direction, &ws.ax, &mut ws.z, &mut ws.r)
                 .to_f64();
             if !rr_new.is_finite() {
                 break;
@@ -534,7 +537,7 @@ impl<T: Scalar> MultigridVcycle<T> {
                 break;
             }
             let beta = T::from_f64(rr_new / rr);
-            direction.xpby(&res, beta);
+            direction.xpby(&ws.r, beta);
             rr = rr_new;
         }
     }
@@ -569,29 +572,34 @@ impl<T: Scalar> Preconditioner<T> for MultigridVcycle<T> {
 }
 
 /// Aggregate the fine coefficient table onto the coarse grid: for every fine
-/// face whose endpoints have different parents, add half its coefficient to
-/// the parent's face in the same direction.  Fixed fine-cell order, explicit
-/// accumulation (no iterator reductions — see AUDIT.md).
+/// plus face whose endpoints have different parents, add half its coefficient
+/// to the lower parent's plus face on that axis.  Fixed fine-cell order,
+/// explicit accumulation (no iterator reductions — see AUDIT.md).  Each coarse
+/// face receives the same addends in the same order as a two-sided table's
+/// rows would from either side, so the face table keeps their bits.
 fn coarsen_coefficients<T: Scalar>(
     fine: &mffv_mesh::Transmissibilities<T>,
     coarse_dims: Dims,
 ) -> mffv_mesh::Transmissibilities<T> {
     let fine_dims = fine.dims();
     let half = T::from_f64(0.5);
-    let mut rows = vec![[T::ZERO; 6]; coarse_dims.num_cells()];
+    let fine_faces = fine.faces();
+    let mut faces: [Vec<T>; 3] = std::array::from_fn(|_| vec![T::ZERO; coarse_dims.num_cells()]);
     for c in fine_dims.iter_cells() {
         let k = fine_dims.linear(c);
-        let parent = coarse_dims.linear(parent_of(c, coarse_dims));
-        for dir in Direction::ALL {
+        let parent = parent_of(c, coarse_dims);
+        for (axis, dir) in [Direction::XP, Direction::YP, Direction::ZP]
+            .into_iter()
+            .enumerate()
+        {
             if let Some(n) = fine_dims.neighbor(c, dir) {
-                let nparent = coarse_dims.linear(parent_of(n, coarse_dims));
-                if nparent != parent {
-                    rows[parent][dir.index()] += half * fine.get(k, dir);
+                if parent_of(n, coarse_dims) != parent {
+                    faces[axis][coarse_dims.linear(parent)] += half * fine_faces[axis][k];
                 }
             }
         }
     }
-    mffv_mesh::Transmissibilities::from_rows(coarse_dims, rows)
+    mffv_mesh::Transmissibilities::from_faces(coarse_dims, faces)
 }
 
 /// A coarse cell is Dirichlet when any of its children is.  Values are
@@ -720,7 +728,107 @@ mod tests {
         for dir in Direction::ALL {
             assert_eq!(coarse.get(center, dir), 2.0);
         }
-        assert!(coarse.max_asymmetry() < 1e-14);
+        let fine_rows: Vec<[f64; 6]> = dims
+            .iter_cells()
+            .map(|c| Direction::ALL.map(|d| f64::from(u8::from(dims.neighbor(c, d).is_some()))))
+            .collect();
+        assert_matches_rows(&coarse, &coarsen_rows(&fine_rows, dims, coarse_dims));
+    }
+
+    /// The six-per-cell table the face table replaced: each cell computes
+    /// the harmonic mean of every face from its own side.
+    fn two_sided_rows<T: Scalar>(w: &mffv_mesh::Workload) -> Vec<[T; 6]> {
+        let dims = w.dims();
+        let mobility = 1.0 / w.spec().viscosity;
+        let mut rows = vec![[T::ZERO; 6]; dims.num_cells()];
+        for c in dims.iter_cells() {
+            for dir in Direction::ALL {
+                if let Some(n) = dims.neighbor(c, dir) {
+                    let half = w.mesh().half_geometric_factor(dir);
+                    let t_c = w.permeability().at(c) * half;
+                    let t_n = w.permeability().at(n) * half;
+                    let upsilon = if t_c > 0.0 && t_n > 0.0 {
+                        1.0 / (1.0 / t_c + 1.0 / t_n)
+                    } else {
+                        0.0
+                    };
+                    rows[dims.linear(c)][dir.index()] = T::from_f64(upsilon * mobility);
+                }
+            }
+        }
+        rows
+    }
+
+    /// The two-sided coarsening the face coarsening replaced: every fine face
+    /// whose endpoints have different parents adds half its coefficient to
+    /// its parent's face in the same direction, on both sides of the face.
+    fn coarsen_rows<T: Scalar>(fine: &[[T; 6]], fine_dims: Dims, coarse_dims: Dims) -> Vec<[T; 6]> {
+        let half = T::from_f64(0.5);
+        let mut rows = vec![[T::ZERO; 6]; coarse_dims.num_cells()];
+        for c in fine_dims.iter_cells() {
+            let parent = coarse_dims.linear(parent_of(c, coarse_dims));
+            for dir in Direction::ALL {
+                if let Some(n) = fine_dims.neighbor(c, dir) {
+                    if coarse_dims.linear(parent_of(n, coarse_dims)) != parent {
+                        rows[parent][dir.index()] += half * fine[fine_dims.linear(c)][dir.index()];
+                    }
+                }
+            }
+        }
+        rows
+    }
+
+    fn assert_matches_rows<T: Scalar>(table: &Transmissibilities<T>, rows: &[[T; 6]]) {
+        assert_eq!(rows.len(), table.dims().num_cells());
+        for (k, row) in rows.iter().enumerate() {
+            for dir in Direction::ALL {
+                assert_eq!(
+                    table.get(k, dir).to_f64().to_bits(),
+                    row[dir.index()].to_f64().to_bits(),
+                    "cell {k}, {dir:?} on {}",
+                    table.dims()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn coarsened_faces_match_the_two_sided_hierarchy_bit_for_bit() {
+        fn check<T: Scalar>(w: &mffv_mesh::Workload) {
+            let mut table: Transmissibilities<T> = w.transmissibility().convert();
+            let mut rows = two_sided_rows::<T>(w);
+            for level in 0..=4 {
+                assert_matches_rows(&table, &rows);
+                if level == 4 {
+                    break;
+                }
+                let fine = table.dims();
+                let coarse = Dims::new(
+                    fine.nx.div_ceil(2),
+                    fine.ny.div_ceil(2),
+                    fine.nz.div_ceil(2),
+                );
+                rows = coarsen_rows(&rows, fine, coarse);
+                table = coarsen_coefficients(&table, coarse);
+            }
+        }
+        let mut anisotropic = WorkloadSpec::paper_grid(24, 18, 10);
+        anisotropic.spacing = [2.0, 3.0, 0.5];
+        anisotropic.permeability = PermeabilityModel::LogNormal {
+            mean_log: 0.0,
+            std_log: 1.5,
+            seed: 3,
+        };
+        for spec in [
+            WorkloadSpec::quickstart(),
+            WorkloadSpec::paper_grid(33, 17, 9),
+            WorkloadSpec::fig5(Dims::new(36, 24, 8)),
+            anisotropic,
+        ] {
+            let w = spec.build();
+            check::<f64>(&w);
+            check::<f32>(&w);
+        }
     }
 
     #[test]

@@ -6,17 +6,29 @@
 //! `Option` lookups and Dirichlet branches.  A [`StencilPlan`] is a precomputed
 //! partition of the grid into
 //!
-//! * **interior x-line runs** — maximal contiguous stretches of cells whose six
-//!   neighbours all exist at fixed linear offsets (`±1`, `±nx`, `±nx·ny`) and
-//!   whose closed stencil contains no Dirichlet cell.  These are applied by a
-//!   tight, branch-free, autovectorizable loop over raw slices; and
-//! * a **general remainder** — boundary cells, Dirichlet cells and cells
-//!   adjacent to Dirichlet cells, handled by the same per-neighbour logic as the
-//!   naive kernel.
+//! * **runs** — maximal stretches of an x-line (clipped to a slab) whose cells
+//!   share one *neighbour set* (which of the six directions have a neighbour)
+//!   and whose closed stencil contains no Dirichlet cell.  Every neighbour sits
+//!   at a fixed linear offset (`±1`, `±nx`, `±nx·ny`), so one generic kernel,
+//!   specialised at compile time on the 6-bit neighbour set, applies a run as
+//!   a tight, branch-free, autovectorizable loop over raw slices.  Interior
+//!   cells, domain-boundary faces, edges and corners are all runs; and
+//! * a **general remainder** — exactly the Dirichlet cells and their
+//!   neighbours, handled by the same per-neighbour logic as the naive kernel.
+//!
+//! The kernels read the coefficient table as its three face arrays
+//! ([`Transmissibilities::faces`]): a cell's +x, +y and +z coefficients are its
+//! own entries, and its −x, −y and −z coefficients are the +x entry of `k − 1`,
+//! the +y entry of `k − nx` and the +z entry of `k − nx·ny`.  An apply thus
+//! streams five arrays per cell ([`APPLY_STREAMS_PER_CELL`]).
 //!
 //! Every cell's output value is computed with *exactly* the arithmetic (same
-//! operations, same order) as the naive `apply_spd` loop, so planned and naive
-//! applies are bitwise identical.
+//! operations, same order) as the naive `apply_spd` loop: the run kernel adds
+//! one `coeff · (x_K − x_L)` term per present neighbour in [`Direction::ALL`]
+//! order, skips exactly the absent ones (a zero coefficient or a
+//! self-neighbour term would change the bits when `x` holds a non-finite
+//! value), and adds the diagonal-shift term last.  Planned and naive applies
+//! are bitwise identical.
 //!
 //! # Deterministic slabs
 //!
@@ -39,7 +51,7 @@
 //! [`CellField::dot`].
 
 use crate::flux::ax_contribution_spd;
-use mffv_mesh::{CellField, Dims, Direction, Scalar};
+use mffv_mesh::{CellField, Dims, Direction, Scalar, Transmissibilities};
 use std::ops::Range;
 
 /// Cells per deterministic reduction/scheduling slab.
@@ -50,20 +62,33 @@ use std::ops::Range;
 /// a typical L2 cache, which is what makes slab-level fusion profitable.
 pub const SLAB_CELLS: usize = 4096;
 
-/// Memory streams the planned apply touches per cell: the six-coefficient row
-/// plus the input read and the output write.  Multiplied by `size_of::<T>()`
-/// this is the charged bytes/cell of the effective-bandwidth model shared by
-/// the `spmv_bench` report bin and the `roofline_report` example (stencil
-/// reuse of `x` and the Dirichlet mask are deliberately not charged).
-pub const APPLY_STREAMS_PER_CELL: usize = 8;
+/// Memory streams the planned apply touches per cell: the three face arrays
+/// (+x, +y, +z) plus the input read and the output write.  Multiplied by
+/// `size_of::<T>()` this is the charged bytes/cell of the effective-bandwidth
+/// model shared by the `spmv_bench` report bin and the `roofline_report`
+/// example (stencil reuse of `x` and of the face arrays, and the Dirichlet
+/// mask are deliberately not charged).
+pub const APPLY_STREAMS_PER_CELL: usize = 5;
 
-/// One maximal branch-free stretch of an interior x-line (clipped to a slab).
+/// Neighbour-set bits, one per direction at its [`Direction::index`]: a cell
+/// has a neighbour in direction `d` when bit `d.index()` is set.
+const XP: u8 = 1 << 0;
+const XM: u8 = 1 << 1;
+const YP: u8 = 1 << 2;
+const YM: u8 = 1 << 3;
+const ZP: u8 = 1 << 4;
+const ZM: u8 = 1 << 5;
+
+/// One maximal branch-free stretch of an x-line (clipped to a slab) whose
+/// cells share one neighbour set.
 #[derive(Clone, Copy, Debug)]
 struct Run {
     /// Linear index of the first cell.
     start: usize,
     /// Number of cells.
     len: usize,
+    /// The directions every cell of the run has a neighbour in (see [`XP`]).
+    neighbours: u8,
 }
 
 /// One deterministic slab: a contiguous linear cell range with its branch-free
@@ -72,10 +97,10 @@ struct Run {
 struct Slab {
     /// The linear cell range `[start, end)` this slab owns.
     range: Range<usize>,
-    /// Branch-free interior runs, in increasing cell order.
+    /// Branch-free runs, in increasing cell order.
     runs: Vec<Run>,
-    /// Remainder cells (boundary / Dirichlet / Dirichlet-adjacent), in
-    /// increasing cell order.
+    /// Remainder cells (Dirichlet cells and their neighbours), in increasing
+    /// cell order.
     general: Vec<usize>,
 }
 
@@ -84,9 +109,9 @@ struct Slab {
 pub struct PlanStats {
     /// Total cells in the grid.
     pub num_cells: usize,
-    /// Cells covered by branch-free interior runs.
+    /// Cells covered by branch-free runs.
     pub run_cells: usize,
-    /// Cells on the general path (boundary, Dirichlet, Dirichlet-adjacent).
+    /// Cells on the general path (Dirichlet cells and their neighbours).
     pub general_cells: usize,
     /// Dirichlet cells (a subset of `general_cells`).
     pub dirichlet_cells: usize,
@@ -143,43 +168,40 @@ impl StencilPlan {
             ..PlanStats::default()
         };
 
-        let sy = dims.y_stride();
-        let sz = dims.z_stride();
+        let (nx, sy, sz) = (dims.nx, dims.y_stride(), dims.z_stride());
         for (y, z, line) in dims.iter_x_lines() {
-            // A run cell needs all six neighbours present (so the line must be
-            // interior in y and z, and the cell interior in x) and a stencil
-            // free of Dirichlet cells.
-            let line_is_interior = dims.nx >= 3
-                && dims.ny >= 3
-                && dims.nz >= 3
-                && (1..dims.ny - 1).contains(&y)
-                && (1..dims.nz - 1).contains(&z);
-            let base = line.start;
-            let mut run_start: Option<usize> = None;
-            for x in 0..dims.nx {
-                let k = base + x;
-                let eligible = line_is_interior
-                    && x >= 1
-                    && x < dims.nx - 1
-                    && !dirichlet_mask[k]
-                    && !dirichlet_mask[k - 1]
-                    && !dirichlet_mask[k + 1]
-                    && !dirichlet_mask[k - sy]
-                    && !dirichlet_mask[k + sy]
-                    && !dirichlet_mask[k - sz]
-                    && !dirichlet_mask[k + sz];
-                if eligible {
-                    run_start.get_or_insert(k);
-                } else {
-                    if let Some(start) = run_start.take() {
-                        push_run(&mut slabs, &mut stats, start, k);
+            // The y and z neighbours are the same for the whole line.
+            let line_neighbours = bit(y + 1 < dims.ny, YP)
+                | bit(y > 0, YM)
+                | bit(z + 1 < dims.nz, ZP)
+                | bit(z > 0, ZM);
+            let mut open: Option<(usize, u8)> = None;
+            for x in 0..nx {
+                let k = line.start + x;
+                let neighbours = line_neighbours | bit(x + 1 < nx, XP) | bit(x > 0, XM);
+                // A run cell's closed stencil holds no Dirichlet cell.
+                let touches_dirichlet = dirichlet_mask[k]
+                    || (neighbours & XP != 0 && dirichlet_mask[k + 1])
+                    || (neighbours & XM != 0 && dirichlet_mask[k - 1])
+                    || (neighbours & YP != 0 && dirichlet_mask[k + sy])
+                    || (neighbours & YM != 0 && dirichlet_mask[k - sy])
+                    || (neighbours & ZP != 0 && dirichlet_mask[k + sz])
+                    || (neighbours & ZM != 0 && dirichlet_mask[k - sz]);
+                let continues = matches!(open, Some((_, set)) if set == neighbours);
+                if touches_dirichlet || !continues {
+                    if let Some((start, set)) = open.take() {
+                        push_run(&mut slabs, &mut stats, start, k, set);
                     }
+                }
+                if touches_dirichlet {
                     slabs[k / SLAB_CELLS].general.push(k);
                     stats.general_cells += 1;
+                } else if open.is_none() {
+                    open = Some((k, neighbours));
                 }
             }
-            if let Some(start) = run_start.take() {
-                push_run(&mut slabs, &mut stats, start, line.end);
+            if let Some((start, set)) = open {
+                push_run(&mut slabs, &mut stats, start, line.end, set);
             }
         }
         Self { dims, slabs, stats }
@@ -199,14 +221,14 @@ impl StencilPlan {
     ///
     /// `diag` is the optional **diagonal shift** of the transient
     /// (accumulation-augmented) operator: when present, every non-Dirichlet
-    /// cell `K` gains `diag[K] · x_K` *after* its six stencil terms — the
+    /// cell `K` gains `diag[K] · x_K` *after* its stencil terms — the
     /// exact operation order of the naive shifted loop, so planned and naive
     /// shifted applies stay bitwise identical.  Dirichlet rows remain the
     /// identity regardless of their `diag` entry.  `None` is the steady
-    /// operator, bitwise unchanged from earlier releases.
+    /// operator.
     pub fn apply<T: Scalar>(
         &self,
-        coeffs: &[[T; 6]],
+        coeffs: &Transmissibilities<T>,
         mask: &[bool],
         diag: Option<&[T]>,
         x: &CellField<T>,
@@ -214,12 +236,7 @@ impl StencilPlan {
         threads: usize,
     ) {
         self.check_fields(coeffs, mask, diag, x.dims(), y.dims());
-        let ctx = KernelCtx {
-            dims: self.dims,
-            coeffs,
-            mask,
-            diag,
-        };
+        let ctx = KernelCtx::new(self.dims, coeffs, mask, diag);
         let xs = x.as_slice();
         if self.group_count(threads) == 1 {
             for slab in &self.slabs {
@@ -255,7 +272,7 @@ impl StencilPlan {
     /// [`det_dot`]`(d, ad)`, for every thread count.
     pub fn apply_dot<T: Scalar>(
         &self,
-        coeffs: &[[T; 6]],
+        coeffs: &Transmissibilities<T>,
         mask: &[bool],
         diag: Option<&[T]>,
         d: &CellField<T>,
@@ -263,12 +280,7 @@ impl StencilPlan {
         threads: usize,
     ) -> T {
         self.check_fields(coeffs, mask, diag, d.dims(), ad.dims());
-        let ctx = KernelCtx {
-            dims: self.dims,
-            coeffs,
-            mask,
-            diag,
-        };
+        let ctx = KernelCtx::new(self.dims, coeffs, mask, diag);
         let ds = d.as_slice();
         if self.group_count(threads) == 1 {
             // Serial path: fold the per-slab partials inline in slab order —
@@ -424,17 +436,13 @@ impl StencilPlan {
 
     fn check_fields<T: Scalar>(
         &self,
-        coeffs: &[[T; 6]],
+        coeffs: &Transmissibilities<T>,
         mask: &[bool],
         diag: Option<&[T]>,
         xd: Dims,
         yd: Dims,
     ) {
-        assert_eq!(
-            coeffs.len(),
-            self.dims.num_cells(),
-            "coefficient table mismatch"
-        );
+        assert_eq!(coeffs.dims(), self.dims, "coefficient table mismatch");
         assert_eq!(mask.len(), self.dims.num_cells(), "Dirichlet mask mismatch");
         if let Some(diag) = diag {
             assert_eq!(
@@ -448,7 +456,17 @@ impl StencilPlan {
     }
 }
 
-fn push_run(slabs: &mut [Slab], stats: &mut PlanStats, start: usize, end: usize) {
+/// `set` when `present`, else no bits.
+#[inline]
+fn bit(present: bool, set: u8) -> u8 {
+    if present {
+        set
+    } else {
+        0
+    }
+}
+
+fn push_run(slabs: &mut [Slab], stats: &mut PlanStats, start: usize, end: usize, neighbours: u8) {
     // Clip the run at slab boundaries so each slab owns its cells exclusively.
     let mut s = start;
     while s < end {
@@ -457,6 +475,7 @@ fn push_run(slabs: &mut [Slab], stats: &mut PlanStats, start: usize, end: usize)
         slabs[slab_idx].runs.push(Run {
             start: s,
             len: e - s,
+            neighbours,
         });
         stats.num_runs += 1;
         stats.run_cells += e - s;
@@ -469,11 +488,30 @@ fn push_run(slabs: &mut [Slab], stats: &mut PlanStats, start: usize, end: usize)
 #[derive(Clone, Copy)]
 struct KernelCtx<'a, T: Scalar> {
     dims: Dims,
-    coeffs: &'a [[T; 6]],
+    coeffs: &'a Transmissibilities<T>,
+    /// `coeffs`' +x, +y and +z face arrays.
+    faces: [&'a [T]; 3],
     mask: &'a [bool],
     /// Optional diagonal shift (the transient accumulation term); ignored on
     /// Dirichlet rows.
     diag: Option<&'a [T]>,
+}
+
+impl<'a, T: Scalar> KernelCtx<'a, T> {
+    fn new(
+        dims: Dims,
+        coeffs: &'a Transmissibilities<T>,
+        mask: &'a [bool],
+        diag: Option<&'a [T]>,
+    ) -> Self {
+        Self {
+            dims,
+            coeffs,
+            faces: coeffs.faces(),
+            mask,
+            diag,
+        }
+    }
 }
 
 /// Apply one slab into `y_part`, the output sub-slice starting at global cell
@@ -485,73 +523,121 @@ fn apply_slab<T: Scalar>(
     y_part: &mut [T],
     offset: usize,
 ) {
+    let shift = ctx.diag.is_some();
     for run in &slab.runs {
-        apply_run(*run, ctx, x, y_part, offset);
+        run_kernel::<T>(run.neighbours, shift)(*run, ctx, x, y_part, offset);
     }
     for &k in &slab.general {
         y_part[k - offset] = general_cell(k, ctx, x);
     }
 }
 
-/// The branch-free inner loop: equal-length pre-sliced windows let the bounds
-/// checks vanish and the six FMA-free multiply/sub/add chains autovectorize.
-#[inline]
-fn apply_run<T: Scalar>(
+/// A run kernel: `(run, ctx, x, y_part, offset)`, writing the run's cells of
+/// `y_part` (the output sub-slice starting at global cell `offset`).
+type RunKernel<T> = fn(Run, &KernelCtx<'_, T>, &[T], &mut [T], usize);
+
+macro_rules! run_kernel_table {
+    ($($set:literal)*) => {
+        /// The kernel specialised on one neighbour set, with or without the
+        /// diagonal shift.
+        fn run_kernel<T: Scalar>(neighbours: u8, shift: bool) -> RunKernel<T> {
+            match (neighbours, shift) {
+                $(
+                    ($set, false) => apply_run::<T, $set, false>,
+                    ($set, true) => apply_run::<T, $set, true>,
+                )*
+                // audit: allow(panic) — invariant: `StencilPlan::new` builds every
+                // neighbour set from the six direction bits, so it is below 64
+                _ => unreachable!("neighbour set {neighbours:#b} has more than six bits"),
+            }
+        }
+    };
+}
+
+run_kernel_table!(
+    0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+    32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63
+);
+
+/// The branch-free inner loop for cells with neighbour set `N`: one
+/// `acc += coeff · (x_K − x_L)` per present neighbour in [`Direction::ALL`]
+/// order, then `diag · x_K` when `SHIFT`.  `N` and `SHIFT` are compile-time
+/// constants, so the absent terms vanish and equal-length pre-sliced windows
+/// let the bounds checks fold away and the loop autovectorize.
+fn apply_run<T: Scalar, const N: u8, const SHIFT: bool>(
     run: Run,
     ctx: &KernelCtx<'_, T>,
     x: &[T],
     y_part: &mut [T],
     offset: usize,
 ) {
-    let (coeffs, diag) = (ctx.coeffs, ctx.diag);
-    let sy = ctx.dims.y_stride();
-    let sz = ctx.dims.z_stride();
-    let Run { start, len } = run;
+    let [fx, fy, fz] = ctx.faces;
+    let (sy, sz) = (ctx.dims.y_stride(), ctx.dims.z_stride());
+    let Run { start, len, .. } = run;
     let out = &mut y_part[start - offset..start - offset + len];
-    let cs = &coeffs[start..start + len];
     let xc = &x[start..start + len];
-    let xe = &x[start + 1..start + 1 + len];
-    let xw = &x[start - 1..start - 1 + len];
-    let xs = &x[start + sy..start + sy + len];
-    let xn = &x[start - sy..start - sy + len];
-    let xu = &x[start + sz..start + sz + len];
-    let xd = &x[start - sz..start - sz + len];
-    match diag {
-        None => {
-            for (i, o) in out.iter_mut().enumerate() {
-                let c = &cs[i];
-                let xk = xc[i];
-                // Same operations in the same Direction::ALL order as the
-                // naive kernel: acc += coeff · (x_K − x_L), six times.
-                let mut acc = T::ZERO;
-                acc += c[0] * (xk - xe[i]);
-                acc += c[1] * (xk - xw[i]);
-                acc += c[2] * (xk - xs[i]);
-                acc += c[3] * (xk - xn[i]);
-                acc += c[4] * (xk - xu[i]);
-                acc += c[5] * (xk - xd[i]);
-                *o = acc;
-            }
+    let (c_xp, x_xp) = window(N & XP != 0, fx, start, x, start + 1, xc);
+    let below = start.wrapping_sub(1);
+    let (c_xm, x_xm) = window(N & XM != 0, fx, below, x, below, xc);
+    let (c_yp, x_yp) = window(N & YP != 0, fy, start, x, start + sy, xc);
+    let below = start.wrapping_sub(sy);
+    let (c_ym, x_ym) = window(N & YM != 0, fy, below, x, below, xc);
+    let (c_zp, x_zp) = window(N & ZP != 0, fz, start, x, start + sz, xc);
+    let below = start.wrapping_sub(sz);
+    let (c_zm, x_zm) = window(N & ZM != 0, fz, below, x, below, xc);
+    let dg = match ctx.diag {
+        Some(dg) if SHIFT => &dg[start..start + len],
+        _ => xc,
+    };
+    for (i, o) in out.iter_mut().enumerate() {
+        let xk = xc[i];
+        // Same operations in the same Direction::ALL order as the naive
+        // kernel, skipping exactly the neighbours it skips.
+        let mut acc = T::ZERO;
+        if N & XP != 0 {
+            acc += c_xp[i] * (xk - x_xp[i]);
         }
-        Some(dg) => {
-            // The shifted kernel stays branch-free: the diagonal is a dense
-            // pre-sliced stream, one extra multiply/add per cell appended in
-            // the same order the naive shifted loop uses.
-            let dgs = &dg[start..start + len];
-            for (i, o) in out.iter_mut().enumerate() {
-                let c = &cs[i];
-                let xk = xc[i];
-                let mut acc = T::ZERO;
-                acc += c[0] * (xk - xe[i]);
-                acc += c[1] * (xk - xw[i]);
-                acc += c[2] * (xk - xs[i]);
-                acc += c[3] * (xk - xn[i]);
-                acc += c[4] * (xk - xu[i]);
-                acc += c[5] * (xk - xd[i]);
-                acc += dgs[i] * xk;
-                *o = acc;
-            }
+        if N & XM != 0 {
+            acc += c_xm[i] * (xk - x_xm[i]);
         }
+        if N & YP != 0 {
+            acc += c_yp[i] * (xk - x_yp[i]);
+        }
+        if N & YM != 0 {
+            acc += c_ym[i] * (xk - x_ym[i]);
+        }
+        if N & ZP != 0 {
+            acc += c_zp[i] * (xk - x_zp[i]);
+        }
+        if N & ZM != 0 {
+            acc += c_zm[i] * (xk - x_zm[i]);
+        }
+        if SHIFT {
+            acc += dg[i] * xk;
+        }
+        *o = acc;
+    }
+}
+
+/// The coefficient and neighbour windows of one direction of a run: as many
+/// entries as `centre` (the run's own `x` window) of `face` from `face_at`
+/// and of `x` from `x_at`; or `(centre, centre)` for a direction the run
+/// lacks, which its kernel never reads but which keeps every window one
+/// length.
+#[inline(always)]
+fn window<'a, T>(
+    has: bool,
+    face: &'a [T],
+    face_at: usize,
+    x: &'a [T],
+    x_at: usize,
+    centre: &'a [T],
+) -> (&'a [T], &'a [T]) {
+    let len = centre.len();
+    if has {
+        (&face[face_at..face_at + len], &x[x_at..x_at + len])
+    } else {
+        (centre, centre)
     }
 }
 
@@ -564,12 +650,11 @@ fn general_cell<T: Scalar>(k: usize, ctx: &KernelCtx<'_, T>, x: &[T]) -> T {
     }
     let c = ctx.dims.unlinear(k);
     let xk = x[k];
-    let row = &ctx.coeffs[k];
     let mut acc = T::ZERO;
     for dir in Direction::ALL {
         if let Some(nb) = ctx.dims.neighbor(c, dir) {
             let l = ctx.dims.linear(nb);
-            acc += ax_contribution_spd(row[dir.index()], xk, x[l], ctx.mask[l]);
+            acc += ax_contribution_spd(ctx.coeffs.get(k, dir), xk, x[l], ctx.mask[l]);
         }
     }
     if let Some(dg) = ctx.diag {
@@ -648,7 +733,7 @@ pub fn det_norm_squared<T: Scalar>(a: &CellField<T>) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mffv_mesh::{DirichletSet, Transmissibilities};
+    use mffv_mesh::DirichletSet;
 
     fn pseudorandom_field(dims: Dims, seed: u64) -> CellField<f64> {
         let mut state = 0x0123_4567_89AB_CDEFu64 ^ seed;
@@ -660,23 +745,107 @@ mod tests {
         })
     }
 
-    #[test]
-    fn empty_dirichlet_plan_covers_all_interior_cells() {
-        let dims = Dims::new(7, 5, 4);
-        let plan = StencilPlan::new(dims, &vec![false; dims.num_cells()]);
+    /// Cells whose closed stencil holds a Dirichlet cell: the Dirichlet cells
+    /// and their neighbours, counted by brute force.
+    fn dirichlet_neighbourhood(dims: Dims, mask: &[bool]) -> Vec<usize> {
+        dims.iter_cells()
+            .filter(|&c| {
+                mask[dims.linear(c)]
+                    || Direction::ALL
+                        .iter()
+                        .any(|&d| dims.neighbor(c, d).is_some_and(|n| mask[dims.linear(n)]))
+            })
+            .map(|c| dims.linear(c))
+            .collect()
+    }
+
+    fn general_cells(plan: &StencilPlan) -> Vec<usize> {
+        plan.slabs
+            .iter()
+            .flat_map(|s| s.general.iter().copied())
+            .collect()
+    }
+
+    /// Every cell is covered exactly once, by the slab that owns it, and
+    /// each run's cells share the neighbour set the run records.
+    fn assert_partition(plan: &StencilPlan) {
+        let dims = plan.dims();
+        let mut seen = vec![0u8; dims.num_cells()];
+        for slab in &plan.slabs {
+            for run in &slab.runs {
+                assert!(slab.range.contains(&run.start));
+                assert!(run.start + run.len <= slab.range.end);
+                let cells = seen.iter_mut().enumerate().skip(run.start);
+                for (k, count) in cells.take(run.len) {
+                    *count += 1;
+                    let c = dims.unlinear(k);
+                    let expect = Direction::ALL
+                        .iter()
+                        .filter(|&&d| dims.neighbor(c, d).is_some())
+                        .fold(0u8, |set, &d| set | 1 << d.index());
+                    assert_eq!(run.neighbours, expect, "cell {c:?} in {dims}");
+                }
+            }
+            for &k in &slab.general {
+                assert!(slab.range.contains(&k));
+                seen[k] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n == 1), "{dims}: cells covered once");
         let stats = plan.stats();
-        assert_eq!(stats.run_cells, dims.num_interior_cells());
-        assert_eq!(stats.run_cells + stats.general_cells, dims.num_cells());
-        assert_eq!(stats.dirichlet_cells, 0);
-        assert!(stats.run_fraction() > 0.0);
+        assert_eq!(stats.run_cells + stats.general_cells, stats.num_cells);
     }
 
     #[test]
-    fn thin_grids_have_no_runs_but_full_coverage() {
-        for dims in [Dims::new(1, 6, 6), Dims::new(6, 1, 6), Dims::new(2, 2, 2)] {
+    fn empty_dirichlet_plan_runs_every_cell() {
+        let dims = Dims::new(7, 5, 4);
+        let plan = StencilPlan::new(dims, &vec![false; dims.num_cells()]);
+        assert_partition(&plan);
+        let stats = plan.stats();
+        assert_eq!(stats.run_cells, dims.num_cells());
+        assert_eq!(stats.general_cells, 0);
+        assert_eq!(stats.dirichlet_cells, 0);
+        // Three runs per x-line: the x = 0 cell, the inner cells, x = nx − 1.
+        assert_eq!(stats.num_runs, 3 * dims.ny * dims.nz);
+    }
+
+    #[test]
+    fn thin_grids_run_every_cell() {
+        for dims in [
+            Dims::new(1, 6, 6),
+            Dims::new(6, 1, 6),
+            Dims::new(6, 6, 1),
+            Dims::new(1, 1, 9),
+            Dims::new(2, 2, 2),
+        ] {
             let plan = StencilPlan::new(dims, &vec![false; dims.num_cells()]);
-            assert_eq!(plan.stats().run_cells, 0, "{dims}");
-            assert_eq!(plan.stats().general_cells, dims.num_cells(), "{dims}");
+            assert_partition(&plan);
+            assert_eq!(plan.stats().run_cells, dims.num_cells(), "{dims}");
+            assert_eq!(plan.stats().general_cells, 0, "{dims}");
+        }
+    }
+
+    #[test]
+    fn general_cells_are_exactly_the_dirichlet_cells_and_their_neighbours() {
+        use mffv_mesh::workload::WorkloadSpec;
+        for spec in [
+            WorkloadSpec::quickstart(),
+            WorkloadSpec::paper_grid(48, 48, 16),
+            WorkloadSpec::paper_grid(64, 64, 64),
+            WorkloadSpec::fig5(Dims::new(33, 17, 9)),
+        ] {
+            let w = spec.build();
+            let dims = w.dims();
+            let mask: Vec<bool> = (0..dims.num_cells())
+                .map(|k| w.dirichlet().contains_linear(k))
+                .collect();
+            let plan = StencilPlan::new(dims, &mask);
+            assert_partition(&plan);
+            let expect = dirichlet_neighbourhood(dims, &mask);
+            assert_eq!(plan.stats().general_cells, expect.len(), "{dims}");
+            let mut general = general_cells(&plan);
+            general.sort_unstable();
+            assert_eq!(general, expect, "{dims}");
         }
     }
 
@@ -753,10 +922,10 @@ mod tests {
         for threads in [1, 2, 8] {
             // apply + det_dot == apply_dot
             let mut ad_ref = CellField::zeros(dims);
-            plan.apply(coeffs.cell_rows(), &mask, None, &d, &mut ad_ref, 1);
+            plan.apply(&coeffs, &mask, None, &d, &mut ad_ref, 1);
             let unfused = det_dot(&d, &ad_ref);
             let mut ad = CellField::zeros(dims);
-            let fused = plan.apply_dot(coeffs.cell_rows(), &mask, None, &d, &mut ad, threads);
+            let fused = plan.apply_dot(&coeffs, &mask, None, &d, &mut ad, threads);
             assert_eq!(fused.to_bits(), unfused.to_bits(), "threads = {threads}");
             assert_eq!(ad, ad_ref);
 
@@ -791,17 +960,10 @@ mod tests {
             .collect();
 
         let mut plain = CellField::zeros(dims);
-        plan.apply(coeffs.cell_rows(), &mask, None, &x, &mut plain, 1);
+        plan.apply(&coeffs, &mask, None, &x, &mut plain, 1);
         for threads in [1, 2, 8] {
             let mut shifted = CellField::zeros(dims);
-            plan.apply(
-                coeffs.cell_rows(),
-                &mask,
-                Some(&diag),
-                &x,
-                &mut shifted,
-                threads,
-            );
+            plan.apply(&coeffs, &mask, Some(&diag), &x, &mut shifted, threads);
             for k in 0..dims.num_cells() {
                 let expect = if mask[k] {
                     plain.get(k)
@@ -813,10 +975,9 @@ mod tests {
 
             // The fused shifted apply_dot matches apply + det_dot bitwise.
             let mut ad = CellField::zeros(dims);
-            let fused =
-                plan.apply_dot(coeffs.cell_rows(), &mask, Some(&diag), &x, &mut ad, threads);
+            let fused = plan.apply_dot(&coeffs, &mask, Some(&diag), &x, &mut ad, threads);
             let mut ad_ref = CellField::zeros(dims);
-            plan.apply(coeffs.cell_rows(), &mask, Some(&diag), &x, &mut ad_ref, 1);
+            plan.apply(&coeffs, &mask, Some(&diag), &x, &mut ad_ref, 1);
             assert_eq!(fused.to_bits(), det_dot(&x, &ad_ref).to_bits());
             assert_eq!(ad, ad_ref);
         }

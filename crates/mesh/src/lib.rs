@@ -19,7 +19,7 @@
 //! * [`permeability`] — synthetic permeability generators (homogeneous, layered,
 //!   log-normal, channelised) substituting for proprietary geomodels;
 //! * [`DirichletSet`] — Dirichlet boundary cells (wells / fixed-pressure columns);
-//! * [`Transmissibilities`] — the six per-cell TPFA transmissibilities Υ_KL;
+//! * [`Transmissibilities`] — the TPFA transmissibilities Υ_KL, stored once per face;
 //! * [`workload`] — named problem setups reproducing the paper's grid family
 //!   (Table III) and the Figure-5 injection scenario.
 

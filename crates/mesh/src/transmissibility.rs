@@ -4,13 +4,28 @@
 //! transmissibility `Υ_KL` "is a coefficient accounting for the geometry of the cells
 //! and their permeability" and the interfacial mobility `λ_KL` is the arithmetic
 //! average of the (constant) cell mobilities.  This module precomputes, for every
-//! cell and every one of its six faces, the combined coefficient `Υ_KL λ_KL` — the
-//! exact quantity each PE stores ("six transmissibilities for the computation of
+//! interior face, the combined coefficient `Υ_KL λ_KL` — the quantity each PE
+//! stores six of per cell ("six transmissibilities for the computation of
 //! Eq. (6)", §III-A).
 //!
 //! `Υ_KL` is the standard harmonic average of the two half-transmissibilities
 //! `T_K = κ_K A / (d/2)`; faces on the domain boundary get a zero coefficient
 //! (no-flow), which is how the boundary of the Cartesian box is closed.
+//!
+//! # Face layout
+//!
+//! Each face is stored once: three arrays hold every cell's +x, +y and +z face
+//! (zero on the plus boundary), so a host apply streams three coefficients per
+//! cell instead of six.  The −x face of cell `k` is the +x face of cell `k − 1`,
+//! and likewise the −y and −z faces are the +y face of `k − nx` and the +z face
+//! of `k − nx·ny`.  The cell one stride below a minus-boundary cell sits on the
+//! previous line's or plane's plus boundary, whose face is zero, so a lookup
+//! needs no coordinates: only `k < stride` has no such cell.  Symmetry
+//! `Υ_KL λ_KL == Υ_LK λ_LK` therefore holds by construction, and the
+//! six-per-cell views ([`get`](Transmissibilities::get),
+//! [`all`](Transmissibilities::all), [`column_dir`](Transmissibilities::column_dir))
+//! read the same bits both neighbours of a face would have computed on their
+//! own: the harmonic mean `1/(1/t_c + 1/t_n)` adds its two terms commutatively.
 
 use crate::dims::Dims;
 use crate::field::CellField;
@@ -18,12 +33,16 @@ use crate::mesh::CartesianMesh;
 use crate::neighbors::Direction;
 use crate::scalar::Scalar;
 
-/// Per-cell, per-direction transmissibility coefficients `Υ_KL λ_KL`.
+/// The plus direction of each axis, indexed like [`Transmissibilities::faces`].
+const PLUS: [Direction; 3] = [Direction::XP, Direction::YP, Direction::ZP];
+
+/// Per-face transmissibility coefficients `Υ_KL λ_KL`, stored once per face.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Transmissibilities<T: Scalar> {
     dims: Dims,
-    /// `data[cell][Direction::index()]`.
-    data: Vec<[T; 6]>,
+    /// `faces[axis][k]`: the +x / +y / +z face of cell `k` (`axis` 0 / 1 / 2),
+    /// exactly `+0` on the plus boundary.
+    faces: [Vec<T>; 3],
 }
 
 impl<T: Scalar> Transmissibilities<T> {
@@ -41,54 +60,59 @@ impl<T: Scalar> Transmissibilities<T> {
         );
         let dims = mesh.dims();
         let mobility = 1.0 / viscosity; // λ_K = λ_L = 1/μ, so λ_KL = 1/μ as well.
-        let mut data = vec![[T::ZERO; 6]; dims.num_cells()];
-        for c in dims.iter_cells() {
-            let idx = dims.linear(c);
-            let k_c = permeability.at(c);
-            for dir in Direction::ALL {
-                if let Some(n) = dims.neighbor(c, dir) {
-                    let k_n = permeability.at(n);
-                    let half = mesh.half_geometric_factor(dir);
-                    let t_c = k_c * half;
-                    let t_n = k_n * half;
-                    // Harmonic average of the two half-transmissibilities.
-                    let upsilon = if t_c > 0.0 && t_n > 0.0 {
-                        1.0 / (1.0 / t_c + 1.0 / t_n)
-                    } else {
-                        0.0
-                    };
-                    data[idx][dir.index()] = T::from_f64(upsilon * mobility);
-                }
-            }
+        let perm = permeability.as_slice();
+        let mut faces: [Vec<T>; 3] = std::array::from_fn(|_| vec![T::ZERO; dims.num_cells()]);
+        for (axis, face) in faces.iter_mut().enumerate() {
+            let half = mesh.half_geometric_factor(PLUS[axis]);
+            let stride = axis_stride(dims, axis);
+            for_each_plus_face(dims, axis, true, |k| {
+                let t_c = perm[k] * half;
+                let t_n = perm[k + stride] * half;
+                // Harmonic average of the two half-transmissibilities.
+                let upsilon = if t_c > 0.0 && t_n > 0.0 {
+                    1.0 / (1.0 / t_c + 1.0 / t_n)
+                } else {
+                    0.0
+                };
+                face[k] = T::from_f64(upsilon * mobility);
+            });
         }
-        Self { dims, data }
+        Self { dims, faces }
     }
 
     /// A uniform coefficient on every interior face (zero on boundary faces).  This
     /// is the setting of the kernel-level experiments, where the operator reduces to
     /// a scaled 7-point Laplacian.
     pub fn uniform(dims: Dims, coefficient: T) -> Self {
-        let mut data = vec![[T::ZERO; 6]; dims.num_cells()];
-        for c in dims.iter_cells() {
-            let idx = dims.linear(c);
-            for dir in Direction::ALL {
-                if dims.neighbor(c, dir).is_some() {
-                    data[idx][dir.index()] = coefficient;
-                }
-            }
+        let mut faces: [Vec<T>; 3] = std::array::from_fn(|_| vec![T::ZERO; dims.num_cells()]);
+        for (axis, face) in faces.iter_mut().enumerate() {
+            for_each_plus_face(dims, axis, true, |k| face[k] = coefficient);
         }
-        Self { dims, data }
+        Self { dims, faces }
     }
 
-    /// Build from an explicit per-cell coefficient table (one `[T; 6]` row per
-    /// cell in linear-layout order, each row in [`Direction::ALL`] order).
-    /// The caller is responsible for face symmetry (`Υ_KL λ_KL == Υ_LK λ_LK`)
-    /// and for zero coefficients on boundary faces; this is the constructor
-    /// coarsened multigrid levels use, where the coarse table is derived from
-    /// an already-symmetric fine table.
-    pub fn from_rows(dims: Dims, data: Vec<[T; 6]>) -> Self {
-        assert_eq!(data.len(), dims.num_cells(), "coefficient row count");
-        Self { dims, data }
+    /// Build from explicit face arrays: `faces[axis][k]` is the +x / +y / +z
+    /// face of cell `k` (`axis` 0 / 1 / 2) in linear-layout order.  This is the
+    /// constructor coarsened multigrid levels use.
+    ///
+    /// # Panics
+    ///
+    /// When an array's length is not the cell count, or when a face on the
+    /// plus boundary is not exactly `+0`: the minus-face lookups of
+    /// [`get`](Self::get) read those entries as the boundary's zero.
+    pub fn from_faces(dims: Dims, faces: [Vec<T>; 3]) -> Self {
+        for (axis, face) in faces.iter().enumerate() {
+            assert_eq!(face.len(), dims.num_cells(), "face array {axis} length");
+            for_each_plus_face(dims, axis, false, |k| {
+                assert!(
+                    face[k].to_f64().to_bits() == 0,
+                    "the {:?} face of cell {k} is on the domain boundary and must be +0, got {}",
+                    PLUS[axis],
+                    face[k]
+                );
+            });
+        }
+        Self { dims, faces }
     }
 
     /// Grid extents.
@@ -100,21 +124,49 @@ impl<T: Scalar> Transmissibilities<T> {
     /// the face lies on the domain boundary).
     #[inline]
     pub fn get(&self, cell_linear: usize, dir: Direction) -> T {
-        self.data[cell_linear][dir.index()]
+        debug_assert!(cell_linear < self.dims.num_cells());
+        match dir {
+            Direction::XP => self.faces[0][cell_linear],
+            Direction::XM => self.minus_face(0, cell_linear),
+            Direction::YP => self.faces[1][cell_linear],
+            Direction::YM => self.minus_face(1, cell_linear),
+            Direction::ZP => self.faces[2][cell_linear],
+            Direction::ZM => self.minus_face(2, cell_linear),
+        }
     }
 
     /// All six coefficients of a cell in [`Direction::ALL`] order.
     #[inline]
     pub fn all(&self, cell_linear: usize) -> [T; 6] {
-        self.data[cell_linear]
+        debug_assert!(cell_linear < self.dims.num_cells());
+        let k = cell_linear;
+        [
+            self.faces[0][k],
+            self.minus_face(0, k),
+            self.faces[1][k],
+            self.minus_face(1, k),
+            self.faces[2][k],
+            self.minus_face(2, k),
+        ]
     }
 
-    /// The whole coefficient table as a raw slice — one `[T; 6]` row per cell
-    /// in linear-layout order, each row in [`Direction::ALL`] order.  This is
-    /// the zero-copy view the planned stencil kernels stream through.
+    /// The minus face of cell `k` along `axis`: the plus face of the cell one
+    /// stride below, or zero when `k` has no such cell.
     #[inline]
-    pub fn cell_rows(&self) -> &[[T; 6]] {
-        &self.data
+    fn minus_face(&self, axis: usize, k: usize) -> T {
+        match k.checked_sub(axis_stride(self.dims, axis)) {
+            Some(below) => self.faces[axis][below],
+            None => T::ZERO,
+        }
+    }
+
+    /// The three face arrays, `[+x, +y, +z]`, each one coefficient per cell in
+    /// linear-layout order and `+0` on the plus boundary.  This is the
+    /// zero-copy view the planned stencil kernels stream through; see the
+    /// [module docs](self) for how the minus faces map onto it.
+    #[inline]
+    pub fn faces(&self) -> [&[T]; 3] {
+        [&self.faces[0], &self.faces[1], &self.faces[2]]
     }
 
     /// The coefficients of the z-column at `(x, y)` for one direction, ordered
@@ -123,65 +175,37 @@ impl<T: Scalar> Transmissibilities<T> {
         let base = self.dims.column_base(x, y);
         let stride = self.dims.column_stride();
         (0..self.dims.nz)
-            .map(|z| self.data[base + z * stride][dir.index()])
+            .map(|z| self.get(base + z * stride, dir))
             .collect()
     }
 
     /// Sum of the six coefficients of a cell (the magnitude of the operator's
     /// diagonal entry for interior cells).
+    #[inline]
     pub fn row_sum(&self, cell_linear: usize) -> T {
         let mut s = T::ZERO;
-        for v in self.data[cell_linear] {
+        for v in self.all(cell_linear) {
             s += v;
         }
         s
-    }
-
-    /// Verify the face symmetry `Υ_KL λ_KL == Υ_LK λ_LK` to within `tolerance`
-    /// (relative).  Returns the largest relative asymmetry found.
-    pub fn max_asymmetry(&self) -> f64 {
-        let mut worst = 0.0f64;
-        for c in self.dims.iter_cells() {
-            let idx = self.dims.linear(c);
-            for dir in Direction::ALL {
-                if let Some(n) = self.dims.neighbor(c, dir) {
-                    let nidx = self.dims.linear(n);
-                    let a = self.get(idx, dir).to_f64();
-                    let b = self.get(nidx, dir.opposite()).to_f64();
-                    let denom = a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
-                    worst = worst.max((a - b).abs() / denom);
-                }
-            }
-        }
-        worst
     }
 
     /// Convert to a different scalar precision.
     pub fn convert<U: Scalar>(&self) -> Transmissibilities<U> {
         Transmissibilities {
             dims: self.dims,
-            data: self
-                .data
-                .iter()
-                .map(|row| {
-                    let mut out = [U::ZERO; 6];
-                    for (o, v) in out.iter_mut().zip(row.iter()) {
-                        *o = U::from_f64(v.to_f64());
-                    }
-                    out
-                })
-                .collect(),
+            faces: std::array::from_fn(|axis| {
+                self.faces[axis]
+                    .iter()
+                    .map(|v| U::from_f64(v.to_f64()))
+                    .collect()
+            }),
         }
     }
 
-    /// Approximate memory footprint in bytes of the per-cell coefficient table; used
-    /// by the PE local-memory budgeting in `mffv-core`.
-    pub fn bytes(&self) -> usize {
-        self.data.len() * 6 * std::mem::size_of::<T>()
-    }
-
     /// FNV-1a fingerprint over the grid extents and every coefficient's
-    /// exact bit pattern, in fixed cell-then-direction order — the
+    /// exact bit pattern, in fixed cell-then-direction order (all six of
+    /// each cell, as [`all`](Self::all) returns them) — the
     /// transmissibility component of a solve-context cache key (see
     /// [`crate::fingerprint`]).  Equal tables fingerprint equal; any single
     /// bit of any coefficient changes the digest.
@@ -190,12 +214,85 @@ impl<T: Scalar> Transmissibilities<T> {
         hash.write_usize(self.dims.nx);
         hash.write_usize(self.dims.ny);
         hash.write_usize(self.dims.nz);
-        for row in &self.data {
-            for v in row {
+        for k in 0..self.dims.num_cells() {
+            for v in self.all(k) {
                 hash.write_f64(v.to_f64());
             }
         }
         hash.finish()
+    }
+}
+
+/// Linear-index distance between a cell and its plus neighbour along `axis`.
+#[inline]
+fn axis_stride(dims: Dims, axis: usize) -> usize {
+    match axis {
+        0 => 1,
+        1 => dims.y_stride(),
+        _ => dims.z_stride(),
+    }
+}
+
+/// Call `f(k)`, in increasing `k`, for every cell whose plus face along
+/// `axis` is interior (`inner`) or lies on the domain boundary (`!inner`).
+fn for_each_plus_face(dims: Dims, axis: usize, inner: bool, mut f: impl FnMut(usize)) {
+    for (y, z, line) in dims.iter_x_lines() {
+        let cells = match axis {
+            0 if inner => line.start..line.end - 1,
+            0 => line.end - 1..line.end,
+            1 if (y + 1 < dims.ny) == inner => line,
+            2 if (z + 1 < dims.nz) == inner => line,
+            _ => continue,
+        };
+        cells.for_each(&mut f);
+    }
+}
+
+/// The six-per-cell coefficient table built the way the face table replaced:
+/// each cell computes the harmonic mean of every face from its own side.
+/// Tests across the crate compare [`Transmissibilities::get`] with it bit for
+/// bit.
+#[cfg(test)]
+pub(crate) fn two_sided_rows<T: Scalar>(
+    mesh: &CartesianMesh,
+    permeability: &CellField<f64>,
+    viscosity: f64,
+) -> Vec<[T; 6]> {
+    let dims = mesh.dims();
+    let mobility = 1.0 / viscosity;
+    let mut rows = vec![[T::ZERO; 6]; dims.num_cells()];
+    for c in dims.iter_cells() {
+        let k_c = permeability.at(c);
+        for dir in Direction::ALL {
+            if let Some(n) = dims.neighbor(c, dir) {
+                let half = mesh.half_geometric_factor(dir);
+                let (t_c, t_n) = (k_c * half, permeability.at(n) * half);
+                let upsilon = if t_c > 0.0 && t_n > 0.0 {
+                    1.0 / (1.0 / t_c + 1.0 / t_n)
+                } else {
+                    0.0
+                };
+                rows[dims.linear(c)][dir.index()] = T::from_f64(upsilon * mobility);
+            }
+        }
+    }
+    rows
+}
+
+/// Assert that `table.get(k, dir)` has the bits of `rows[k][dir]` for every
+/// cell and direction.
+#[cfg(test)]
+pub(crate) fn assert_matches_rows<T: Scalar>(table: &Transmissibilities<T>, rows: &[[T; 6]]) {
+    assert_eq!(rows.len(), table.dims().num_cells());
+    for (k, row) in rows.iter().enumerate() {
+        for dir in Direction::ALL {
+            assert_eq!(
+                table.get(k, dir).to_f64().to_bits(),
+                row[dir.index()].to_f64().to_bits(),
+                "cell {k}, {dir:?} on {}",
+                table.dims()
+            );
+        }
     }
 }
 
@@ -204,6 +301,7 @@ mod tests {
     use super::*;
     use crate::dims::CellIndex;
     use crate::permeability::PermeabilityModel;
+    use crate::workload::{Workload, WorkloadSpec};
     use proptest::prelude::*;
 
     #[test]
@@ -258,18 +356,91 @@ mod tests {
         assert!((t.get(1, Direction::XM) - 1.5).abs() < 1e-14);
     }
 
+    /// The face table of `workload`, in both precisions, against the
+    /// two-sided six-per-cell construction, bit for bit.
+    fn assert_workload_matches_two_sided(workload: &Workload) {
+        let (mesh, perm, mu) = (
+            workload.mesh(),
+            workload.permeability(),
+            workload.spec().viscosity,
+        );
+        assert_matches_rows(
+            workload.transmissibility(),
+            &two_sided_rows::<f64>(mesh, perm, mu),
+        );
+        assert_matches_rows(
+            &Transmissibilities::<f32>::from_mesh(mesh, perm, mu),
+            &two_sided_rows::<f32>(mesh, perm, mu),
+        );
+    }
+
     #[test]
-    fn symmetry_holds_for_heterogeneous_fields() {
-        let dims = Dims::new(6, 5, 4);
-        let mesh = CartesianMesh::with_spacing(dims, 2.0, 3.0, 1.0);
-        let perm = PermeabilityModel::LogNormal {
+    fn faces_match_the_two_sided_table_bit_for_bit() {
+        let mut anisotropic = WorkloadSpec::paper_grid(11, 7, 5);
+        anisotropic.spacing = [2.0, 3.0, 0.5];
+        anisotropic.permeability = PermeabilityModel::LogNormal {
             mean_log: 0.0,
             std_log: 1.5,
             seed: 3,
+        };
+        for spec in [
+            WorkloadSpec::quickstart(),
+            WorkloadSpec::paper_grid(33, 17, 9),
+            WorkloadSpec::fig5(Dims::new(36, 24, 8)),
+            anisotropic,
+        ] {
+            assert_workload_matches_two_sided(&spec.build());
         }
-        .generate(dims);
-        let t = Transmissibilities::<f64>::from_mesh(&mesh, &perm, 0.5);
-        assert!(t.max_asymmetry() < 1e-12);
+    }
+
+    #[test]
+    fn minus_faces_read_the_neighbours_plus_face() {
+        let dims = Dims::new(4, 3, 2);
+        let faces: [Vec<f64>; 3] = std::array::from_fn(|axis| {
+            (0..dims.num_cells())
+                .map(|k| {
+                    let c = dims.unlinear(k);
+                    let last = [c.x + 1 == dims.nx, c.y + 1 == dims.ny, c.z + 1 == dims.nz];
+                    if last[axis] {
+                        0.0
+                    } else {
+                        (100 * axis + k + 1) as f64
+                    }
+                })
+                .collect()
+        });
+        let t = Transmissibilities::from_faces(dims, faces.clone());
+        for c in dims.iter_cells() {
+            let k = dims.linear(c);
+            for dir in Direction::ALL {
+                let expect = match dims.neighbor(c, dir) {
+                    None => 0.0,
+                    Some(_) if dir == PLUS[dir.axis()] => faces[dir.axis()][k],
+                    Some(n) => faces[dir.axis()][dims.linear(n)],
+                };
+                assert_eq!(t.get(k, dir).to_bits(), expect.to_bits(), "{c:?} {dir:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be +0")]
+    fn from_faces_rejects_a_nonzero_plus_boundary_face() {
+        let dims = Dims::new(3, 2, 2);
+        let mut faces = Transmissibilities::<f64>::uniform(dims, 1.0).faces.clone();
+        // Cell (2, 0, 0) has no +x neighbour.
+        faces[0][2] = 1.0;
+        Transmissibilities::from_faces(dims, faces);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be +0")]
+    fn from_faces_rejects_a_negative_zero_plus_boundary_face() {
+        let dims = Dims::new(2, 2, 3);
+        let mut faces = Transmissibilities::<f32>::uniform(dims, 1.0).faces.clone();
+        // The last plane has no +z neighbours.
+        faces[2][dims.num_cells() - 1] = -0.0;
+        Transmissibilities::from_faces(dims, faces);
     }
 
     #[test]
@@ -285,37 +456,37 @@ mod tests {
     }
 
     #[test]
-    fn cell_rows_exposes_the_linear_layout() {
+    fn faces_hold_three_coefficients_per_cell() {
         let dims = Dims::new(3, 2, 2);
         let t = Transmissibilities::<f64>::uniform(dims, 4.0);
-        let rows = t.cell_rows();
-        assert_eq!(rows.len(), dims.num_cells());
-        for (idx, row) in rows.iter().enumerate() {
-            for dir in Direction::ALL {
-                assert_eq!(row[dir.index()], t.get(idx, dir));
+        for (axis, face) in t.faces().into_iter().enumerate() {
+            assert_eq!(face.len(), dims.num_cells());
+            for (k, &v) in face.iter().enumerate() {
+                assert_eq!(v, t.get(k, PLUS[axis]));
             }
         }
     }
 
     #[test]
-    fn conversion_and_bytes() {
+    fn conversion_keeps_every_face() {
         let dims = Dims::new(2, 2, 2);
         let t = Transmissibilities::<f64>::uniform(dims, 1.25);
         let tf: Transmissibilities<f32> = t.convert();
-        assert_eq!(tf.get(0, Direction::XP), 1.25);
-        assert_eq!(t.bytes(), 8 * 6 * 8);
-        assert_eq!(tf.bytes(), 8 * 6 * 4);
+        assert_eq!(tf.dims(), dims);
+        for k in 0..dims.num_cells() {
+            assert_eq!(tf.all(k).map(f64::from), t.all(k));
+        }
     }
 
     proptest! {
         #[test]
-        fn symmetry_property(seed in 0u64..50, nx in 2usize..6, ny in 2usize..6, nz in 2usize..6) {
+        fn faces_match_two_sided_rows_property(seed in 0u64..50, nx in 1usize..6, ny in 1usize..6, nz in 1usize..6) {
             let dims = Dims::new(nx, ny, nz);
             let mesh = CartesianMesh::unit(dims);
             let perm = PermeabilityModel::LogNormal { mean_log: 0.0, std_log: 1.0, seed }
                 .generate(dims);
             let t = Transmissibilities::<f64>::from_mesh(&mesh, &perm, 1.0);
-            prop_assert!(t.max_asymmetry() < 1e-12);
+            assert_matches_rows(&t, &two_sided_rows(&mesh, &perm, 1.0));
         }
 
         #[test]

@@ -450,9 +450,14 @@ mod tests {
     }
 
     #[test]
-    fn transmissibilities_are_symmetric_for_fig5() {
+    fn transmissibilities_match_the_two_sided_table_for_fig5() {
         let w = WorkloadSpec::fig5(Dims::new(6, 5, 8)).build();
-        assert!(w.transmissibility().max_asymmetry() < 1e-12);
+        let rows = crate::transmissibility::two_sided_rows::<f64>(
+            w.mesh(),
+            w.permeability(),
+            w.spec().viscosity,
+        );
+        crate::transmissibility::assert_matches_rows(w.transmissibility(), &rows);
     }
 
     #[test]

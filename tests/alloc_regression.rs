@@ -8,10 +8,9 @@
 //! future `clone()`/`zeros()` snuck back into the hot loop fails this test
 //! with a nonzero per-job delta.
 //!
-//! Scope of the claim (mirrors `engine_bench`): `threads = 1`, a null
-//! monitor, a null span, and the `None`/`Jacobi` preconditioners.  The
-//! multigrid V-cycle allocates per apply in its coarse solve and is
-//! deliberately outside the zero-allocation contract.
+//! Scope of the claim: `threads = 1`, a null monitor, a null span, and each
+//! of the `None`, `Jacobi` and `Mg` preconditioners (the V-cycle, its
+//! coarsest-level CG included, runs in its per-level workspace).
 //!
 //! The count is kept per thread, so libtest may run these tests in
 //! parallel: each measurement window sees only its own thread's heap
@@ -81,7 +80,11 @@ fn warmed_solve_context_performs_zero_heap_allocations_per_job() {
     let spec = WorkloadSpec::quickstart();
     let workload = Workload::try_from_spec(&spec).expect("quickstart spec is valid");
 
-    for kind in [PreconditionerKind::None, PreconditionerKind::Jacobi] {
+    for kind in [
+        PreconditionerKind::None,
+        PreconditionerKind::Jacobi,
+        PreconditionerKind::Mg,
+    ] {
         let config = SolveConfig {
             threads: Some(1),
             preconditioner: kind,

@@ -5,6 +5,7 @@
 
 use mffv::prelude::*;
 use mffv_fv::csr::AssembledOperator;
+use mffv_mesh::workload::BoundarySpec;
 use mffv_solver::newton::{solve_pressure, NewtonScratch};
 
 /// One Newton step of `workload` on `operator` under `solver`.
@@ -147,8 +148,10 @@ fn run_all_executes_the_full_standard_set() {
 }
 
 /// The grids the planned-kernel equivalence contract is pinned on: the
-/// quickstart and scaled workloads, an all-Dirichlet-faces configuration, and
-/// 1-cell-thin extents in each axis (no branch-free runs at all).
+/// quickstart and scaled workloads, an all-Dirichlet-faces configuration,
+/// 1-cell-thin extents in each axis, and lognormal grids covering every
+/// neighbour set a cell can have, so a kernel that read one face for
+/// another would change bits.
 fn planned_kernel_workloads() -> Vec<(String, Transmissibilities<f64>, DirichletSet)> {
     let mut cases: Vec<(String, Transmissibilities<f64>, DirichletSet)> = Vec::new();
     for spec in [
@@ -169,9 +172,8 @@ fn planned_kernel_workloads() -> Vec<(String, Transmissibilities<f64>, Dirichlet
         Transmissibilities::uniform(dims, 1.0),
         DirichletSet::all_faces(dims, 1.0),
     ));
-    // 1-cell-thin grids: no cell has all six neighbours, pure general path.
-    // (On the 1xNxM grid the "left face" is the whole domain — also a useful
-    // degenerate case.)
+    // 1-cell-thin grids whose left face is Dirichlet.  (On the 1xNxM grid
+    // the "left face" is the whole domain — also a useful degenerate case.)
     for dims in [Dims::new(1, 9, 7), Dims::new(9, 1, 7), Dims::new(9, 7, 1)] {
         let left_face: Vec<mffv_mesh::DirichletCell> = dims
             .iter_cells()
@@ -184,6 +186,55 @@ fn planned_kernel_workloads() -> Vec<(String, Transmissibilities<f64>, Dirichlet
             DirichletSet::new(dims, left_face),
         ));
     }
+    // Heterogeneous, anisotropic coefficients with no Dirichlet cell: every
+    // cell runs on a branch-free kernel, thin grids included.
+    let lognormal = |dims: Dims| {
+        let spec = WorkloadSpec {
+            name: format!("lognormal-{dims}"),
+            dims,
+            spacing: [2.0, 3.0, 0.5],
+            permeability: PermeabilityModel::LogNormal {
+                mean_log: 0.0,
+                std_log: 1.5,
+                seed: 11,
+            },
+            viscosity: 0.7,
+            boundary: BoundarySpec::None,
+            tolerance: 1e-10,
+            max_iterations: 100,
+        };
+        spec.build().transmissibility().clone()
+    };
+    for dims in [
+        Dims::new(1, 6, 6),
+        Dims::new(6, 1, 6),
+        Dims::new(6, 6, 1),
+        Dims::new(1, 1, 9),
+        Dims::new(2, 2, 2),
+        Dims::new(3, 3, 3),
+        Dims::new(33, 17, 9),
+    ] {
+        cases.push((
+            format!("lognormal-{dims}"),
+            lognormal(dims),
+            DirichletSet::empty(),
+        ));
+    }
+    // The same heterogeneous grid with Dirichlet cells on a corner, an edge,
+    // a face and in the interior.
+    let dims = Dims::new(33, 17, 9);
+    let pinned = [
+        CellIndex::new(32, 16, 8),
+        CellIndex::new(0, 8, 0),
+        CellIndex::new(16, 0, 4),
+        CellIndex::new(10, 9, 5),
+    ]
+    .map(|cell| mffv_mesh::DirichletCell { cell, value: 1.0 });
+    cases.push((
+        "lognormal-corner-edge-face".into(),
+        lognormal(dims),
+        DirichletSet::new(dims, pinned.to_vec()),
+    ));
     cases
 }
 
@@ -191,20 +242,24 @@ fn planned_kernel_workloads() -> Vec<(String, Transmissibilities<f64>, Dirichlet
 fn planned_apply_is_bitwise_identical_to_naive_on_pinned_workloads() {
     for (name, coeffs, dirichlet) in planned_kernel_workloads() {
         let dims = coeffs.dims();
-        let op = mffv_fv::MatrixFreeOperator::new(coeffs, &dirichlet);
+        let steady = mffv_fv::MatrixFreeOperator::new(coeffs, &dirichlet);
+        let diag = CellField::from_fn(dims, |c| 0.25 + (c.x + 2 * c.y + 3 * c.z) as f64 * 0.125);
+        let shifted = steady.clone().with_diagonal_shift(&diag);
         let x = CellField::<f64>::from_fn(dims, |c| {
             (c.x as f64 * 1.7 - c.y as f64 * 0.9 + c.z as f64 * 0.4).sin()
         });
-        let mut naive = CellField::zeros(dims);
-        op.apply_spd_naive(&x, &mut naive);
-        for threads in [1usize, 2, 8] {
-            let planned = op.clone().with_threads(threads).apply_new(&x);
-            for i in 0..dims.num_cells() {
-                assert_eq!(
-                    planned.get(i).to_bits(),
-                    naive.get(i).to_bits(),
-                    "{name}: cell {i} differs with {threads} threads"
-                );
+        for (shift, op) in [("steady", steady), ("shifted", shifted)] {
+            let mut naive = CellField::zeros(dims);
+            op.apply_spd_naive(&x, &mut naive);
+            for threads in [1usize, 2, 8] {
+                let planned = op.clone().with_threads(threads).apply_new(&x);
+                for i in 0..dims.num_cells() {
+                    assert_eq!(
+                        planned.get(i).to_bits(),
+                        naive.get(i).to_bits(),
+                        "{name} ({shift}): cell {i} differs with {threads} threads"
+                    );
+                }
             }
         }
     }
