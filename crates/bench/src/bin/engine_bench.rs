@@ -9,8 +9,8 @@
 //!   mean over the whole run (no allocator-driven drift), enforced by
 //!   `--check` when the run is at least 1000 jobs;
 //! * **zero allocations** — a counting global allocator shows zero heap
-//!   allocations per job once the context is warm (`None`/`Jacobi`
-//!   preconditioners; the multigrid V-cycle is outside this contract);
+//!   allocations per job once the context is warm, for every
+//!   preconditioner (`--precond none|jacobi|mg`);
 //! * **bitwise invisibility** — every pooled residual history is bitwise
 //!   identical to a cold, fresh-context solve of the same workload.
 //!
@@ -98,11 +98,10 @@ impl Args {
                 "--windows" => args.windows = value().parse::<usize>().expect("--windows").max(1),
                 "--workers" => args.workers = value().parse::<usize>().expect("--workers").max(1),
                 "--precond" => {
-                    args.precond = match value().as_str() {
-                        "none" => PreconditionerKind::None,
-                        "jacobi" => PreconditionerKind::Jacobi,
-                        other => panic!("--precond must be none or jacobi, got {other}"),
-                    }
+                    let label = value();
+                    args.precond = PreconditionerKind::parse(&label).unwrap_or_else(|| {
+                        panic!("--precond must be none, jacobi or mg, got {label}")
+                    })
                 }
                 "--out" => args.out = value(),
                 other => panic!(

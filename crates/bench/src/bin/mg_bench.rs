@@ -123,11 +123,15 @@ fn bench_precision<T: Scalar>(
     let cells = workload.dims().num_cells();
     let tolerance = workload.tolerance();
     let max_iterations = workload.max_iterations();
-    let operator = MatrixFreeOperator::<T>::from_workload(workload).with_threads(threads);
     let solver = ConjugateGradient::with_tolerance(tolerance, max_iterations);
-    let jacobi =
-        JacobiPreconditioner::from_coefficients(operator.coefficients(), workload.dirichlet());
-    let mg = MultigridVcycle::<T>::from_workload(workload, threads, mg_config);
+    // One operator, as a solve context holds it: the hierarchy's level 0
+    // is what every method solves on.
+    let mg = MultigridVcycle::from_operator(
+        MatrixFreeOperator::<T>::from_workload(workload).with_threads(threads),
+        mg_config,
+    );
+    let operator = mg.fine_operator();
+    let jacobi = JacobiPreconditioner::from_operator(operator);
     let methods: [(&'static str, Option<&dyn Preconditioner<T>>); 3] = [
         ("cg", None),
         ("jacobi-pcg", Some(&jacobi)),
@@ -140,7 +144,7 @@ fn bench_precision<T: Scalar>(
             solve_pressure(
                 workload,
                 operator.coefficients(),
-                &operator,
+                operator,
                 preconditioner,
                 &solver,
                 &mut NullMonitor,

@@ -38,17 +38,22 @@ pub struct MatrixFreeOperator<T: Scalar> {
 impl<T: Scalar> MatrixFreeOperator<T> {
     /// Build the operator from a coefficient table and the Dirichlet set.
     pub fn new(coeffs: Transmissibilities<T>, dirichlet: &DirichletSet) -> Self {
+        let mask = (0..coeffs.dims().num_cells())
+            .map(|k| dirichlet.contains_linear(k))
+            .collect();
+        Self::from_mask(coeffs, mask)
+    }
+
+    /// Build from a coefficient table and a per-cell Dirichlet mask (how the
+    /// multigrid hierarchy builds its coarse levels).
+    pub(crate) fn from_mask(coeffs: Transmissibilities<T>, dirichlet_mask: Vec<bool>) -> Self {
         let dims = coeffs.dims();
-        let mut mask = vec![false; dims.num_cells()];
-        for (idx, flag) in mask.iter_mut().enumerate() {
-            *flag = dirichlet.contains_linear(idx);
-        }
-        let plan = StencilPlan::new(dims, &mask);
+        let plan = StencilPlan::new(dims, &dirichlet_mask);
         Self {
             dims,
             coeffs,
             num_dirichlet: plan.stats().dirichlet_cells,
-            dirichlet_mask: mask,
+            dirichlet_mask,
             plan,
             threads: 1,
             diagonal: None,
@@ -97,14 +102,19 @@ impl<T: Scalar> MatrixFreeOperator<T> {
         self.diagonal = Some(values);
     }
 
-    /// Drop the diagonal shift, restoring the steady operator.
-    pub fn clear_diagonal_shift(&mut self) {
-        self.diagonal = None;
-    }
-
     /// The active diagonal shift, when one is set.
     pub fn diagonal_shift(&self) -> Option<&[T]> {
         self.diagonal.as_deref()
+    }
+
+    /// `1/diag(A)` of the operator as it stands, diagonal shift included
+    /// (see [`inverse_diagonal`]): what Jacobi and every smoother apply.
+    pub fn inverse_diagonal(&self) -> Vec<T> {
+        inverse_diagonal(
+            &self.coeffs,
+            |k| self.dirichlet_mask[k],
+            self.diagonal.as_deref(),
+        )
     }
 
     /// The precomputed stencil execution plan.
@@ -215,6 +225,33 @@ impl<T: Scalar> MatrixFreeOperator<T> {
     }
 }
 
+/// The inverse diagonal `1/(row_sum(k) + shift[k])` of the SPD operator of a
+/// coefficient table, a Dirichlet predicate and an optional diagonal shift,
+/// with 1 on Dirichlet rows and on rows whose sum is not positive.
+pub fn inverse_diagonal<T: Scalar>(
+    coeffs: &Transmissibilities<T>,
+    is_dirichlet: impl Fn(usize) -> bool,
+    shift: Option<&[T]>,
+) -> Vec<T> {
+    let mut inv = vec![T::ONE; coeffs.dims().num_cells()];
+    for (k, inv_k) in inv.iter_mut().enumerate() {
+        if is_dirichlet(k) {
+            continue;
+        }
+        // The six-term row sum: a boundary face is exactly +0, and adding
+        // +0 to a sum that starts at +0 never changes its bits, so this is
+        // the sum over the cell's existing neighbours.
+        let mut acc = coeffs.row_sum(k);
+        if let Some(d) = shift {
+            acc += d[k];
+        }
+        if acc.to_f64() > 0.0 {
+            *inv_k = T::ONE / acc;
+        }
+    }
+    inv
+}
+
 impl<T: Scalar> LinearOperator<T> for MatrixFreeOperator<T> {
     fn dims(&self) -> Dims {
         self.dims
@@ -257,7 +294,8 @@ impl<T: Scalar> LinearOperator<T> for MatrixFreeOperator<T> {
 mod tests {
     use super::*;
     use crate::operator::{min_rayleigh_quotient, symmetry_defect};
-    use mffv_mesh::workload::WorkloadSpec;
+    use mffv_mesh::permeability::PermeabilityModel;
+    use mffv_mesh::workload::{BoundarySpec, WorkloadSpec};
     use mffv_mesh::{CellIndex, DirichletCell};
 
     fn small_workload() -> mffv_mesh::Workload {
@@ -405,12 +443,114 @@ mod tests {
             };
             assert_eq!(shifted.get(k).to_bits(), expect.to_bits());
         }
+    }
 
-        // set/clear round-trips back to the steady operator.
-        let mut op = op;
-        op.clear_diagonal_shift();
-        assert!(op.diagonal_shift().is_none());
-        assert_eq!(op.apply_new(&x), plain);
+    /// `JacobiPreconditioner::from_diagonal`'s inversion: 1 where `d ≤ 0`.
+    fn invert<T: Scalar>(d: T) -> T {
+        if d.to_f64() > 0.0 {
+            T::ONE / d
+        } else {
+            T::ONE
+        }
+    }
+
+    /// The neighbour loop `JacobiPreconditioner::from_coefficients` ran
+    /// before it shared [`inverse_diagonal`].
+    fn neighbour_loop_reference<T: Scalar>(
+        coeffs: &Transmissibilities<T>,
+        dirichlet: &DirichletSet,
+    ) -> Vec<T> {
+        let dims = coeffs.dims();
+        dims.iter_cells()
+            .map(|c| {
+                let k = dims.linear(c);
+                let diag = if dirichlet.contains_linear(k) {
+                    T::ONE
+                } else {
+                    let mut acc = T::ZERO;
+                    for dir in Direction::ALL {
+                        if dims.neighbor(c, dir).is_some() {
+                            acc += coeffs.get(k, dir);
+                        }
+                    }
+                    if acc.to_f64() > 0.0 {
+                        acc
+                    } else {
+                        T::ONE
+                    }
+                };
+                invert(diag)
+            })
+            .collect()
+    }
+
+    /// The shifted-Jacobi closure the solve context ran before it shared
+    /// [`inverse_diagonal`].
+    fn shifted_row_sum_reference<T: Scalar>(
+        op: &MatrixFreeOperator<T>,
+        shift: &CellField<f64>,
+    ) -> Vec<T> {
+        (0..op.dims().num_cells())
+            .map(|k| {
+                invert(if op.is_dirichlet(k) {
+                    T::ONE
+                } else {
+                    op.coefficients().row_sum(k) + T::from_f64(shift.get(k))
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn inverse_diagonal_matches_the_loops_it_replaced_bit_for_bit() {
+        fn assert_same_bits<T: Scalar>(got: &[T], want: &[T], what: &str) {
+            assert_eq!(got.len(), want.len());
+            for (k, (g, w)) in got.iter().zip(want).enumerate() {
+                assert_eq!(
+                    g.to_f64().to_bits(),
+                    w.to_f64().to_bits(),
+                    "{what}, cell {k}"
+                );
+            }
+        }
+        fn check<T: Scalar>(w: &mffv_mesh::Workload) {
+            let dims = w.dims();
+            // Positive like `V·c_t/Δt` on most rows; on every seventh row
+            // negative enough to take the shifted sum below zero.
+            let shift = CellField::from_fn(dims, |c| match dims.linear(c) % 7 {
+                3 => -1e9,
+                r => 0.5 + r as f64 * 0.375,
+            });
+            let op = MatrixFreeOperator::<T>::from_workload(w);
+            let want = neighbour_loop_reference(op.coefficients(), w.dirichlet());
+            assert_same_bits(&op.inverse_diagonal(), &want, w.spec().name.as_str());
+            let op = op.with_diagonal_shift(&shift);
+            let want = shifted_row_sum_reference(&op, &shift);
+            assert_same_bits(&op.inverse_diagonal(), &want, "shifted");
+        }
+        let lognormal = WorkloadSpec {
+            name: "lognormal-no-dirichlet".to_string(),
+            dims: Dims::new(20, 14, 6),
+            spacing: [1.0, 2.0, 0.5],
+            permeability: PermeabilityModel::LogNormal {
+                mean_log: 0.0,
+                std_log: 1.5,
+                seed: 5,
+            },
+            viscosity: 1.0,
+            boundary: BoundarySpec::None,
+            tolerance: 1e-12,
+            max_iterations: 100,
+        };
+        for spec in [
+            WorkloadSpec::quickstart(),
+            WorkloadSpec::fig5(Dims::new(36, 24, 8)),
+            lognormal,
+        ] {
+            let w = spec.build();
+            check::<f64>(&w);
+            check::<f32>(&w);
+        }
     }
 
     #[test]

@@ -28,6 +28,16 @@
 //! transient diagonal shift coarsens by summing the children's entries —
 //! exactly the aggregation of the accumulation term `V·c_t/Δt`.
 //!
+//! ## Constructors
+//!
+//! When the solve already holds its [`MatrixFreeOperator`], hand it to
+//! [`MultigridVcycle::from_operator`]: it becomes level 0, and the Krylov loop
+//! reads it back through [`MultigridVcycle::fine_operator`], so the fine
+//! table, mask, plan and shift exist once (the solve context does this).
+//! [`MultigridVcycle::new`] (a coefficient table and Dirichlet set) and
+//! [`MultigridVcycle::from_workload`] build level 0 themselves, for callers
+//! with no host operator to share: the device backends and standalone probes.
+//!
 //! ## Cycle
 //!
 //! * **Smoother**: weighted Jacobi `z ← z + ω D⁻¹ (r − A z)` with ω = 2/3 —
@@ -50,10 +60,9 @@
 use crate::matrix_free::MatrixFreeOperator;
 use crate::operator::{LinearOperator, Preconditioner};
 use crate::plan::{det_norm_squared, SLAB_CELLS};
-use mffv_mesh::{CellField, Dims, Direction, DirichletCell, DirichletSet, Scalar};
+use mffv_mesh::{CellField, Dims, Direction, DirichletSet, Scalar};
 use mffv_telemetry::Span;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 /// Tuning knobs of the V-cycle.  The defaults are the configuration every
 /// backend ships: V(2,2) with ω = 2/3 weighted Jacobi and a coarsest level
@@ -228,26 +237,12 @@ struct MgLevel<T: Scalar> {
 }
 
 impl<T: Scalar> MgLevel<T> {
-    fn rebuild_inv_diag(&mut self) {
-        let coeffs = self.operator.coefficients();
-        let shift = self.operator.diagonal_shift();
-        let mut inv = vec![T::ONE; self.operator.dims().num_cells()];
-        for (k, inv_k) in inv.iter_mut().enumerate() {
-            if self.operator.is_dirichlet(k) {
-                continue;
-            }
-            // The six-term row sum: a boundary face is exactly +0, and adding
-            // +0 to a sum that starts at +0 never changes its bits, so this is
-            // the sum over the cell's existing neighbours.
-            let mut acc = coeffs.row_sum(k);
-            if let Some(d) = shift {
-                acc += d[k];
-            }
-            if acc.to_f64() > 0.0 {
-                *inv_k = T::ONE / acc;
-            }
+    fn new(operator: MatrixFreeOperator<T>) -> Self {
+        Self {
+            inv_diag: operator.inverse_diagonal(),
+            operator,
+            transfer: None,
         }
-        self.inv_diag = inv;
     }
 }
 
@@ -279,55 +274,40 @@ pub struct MultigridVcycle<T: Scalar> {
 }
 
 impl<T: Scalar> MultigridVcycle<T> {
-    /// Build the hierarchy for a fine-level coefficient table and Dirichlet
-    /// set.  `threads` is forwarded to every level's planned kernels; results
-    /// are bitwise identical for every thread count.
-    pub fn new(
-        coeffs: mffv_mesh::Transmissibilities<T>,
-        dirichlet: &DirichletSet,
-        threads: usize,
-        config: MgConfig,
-    ) -> Self {
-        let fine = MatrixFreeOperator::new(coeffs, dirichlet).with_threads(threads);
-        let mut levels = vec![MgLevel {
-            operator: fine,
-            inv_diag: Vec::new(),
-            transfer: None,
-        }];
-        let mut dirichlet = dirichlet.clone();
-        for _ in 0..64 {
-            // audit: allow(panic) — invariant: `levels` starts with the fine level
-            let finest = levels.last().expect("hierarchy is never empty");
-            let fine_dims = finest.operator.dims();
-            if fine_dims.num_cells() <= config.coarse_cells.max(1) {
-                break;
-            }
+    /// Build the hierarchy on top of a solve's own operator, which becomes
+    /// level 0 ([`fine_operator`](Self::fine_operator) lends it back).  Use
+    /// this when the same operator also drives the Krylov loop, so the fine
+    /// table, mask, plan and shift are held once.  Every coarse level runs on
+    /// `fine.threads()` threads; results are bitwise identical for every
+    /// thread count.  `fine` carries no diagonal shift yet:
+    /// [`set_diagonal_shift`](Self::set_diagonal_shift) installs one on
+    /// every level.
+    pub fn from_operator(fine: MatrixFreeOperator<T>, config: MgConfig) -> Self {
+        debug_assert!(fine.diagonal_shift().is_none());
+        let threads = fine.threads();
+        let mut levels = Vec::new();
+        // The coarsest level so far; every pass halves an extent, so this ends.
+        let mut coarsest = MgLevel::new(fine);
+        loop {
+            let fine_dims = coarsest.operator.dims();
             let coarse_dims = Dims::new(
                 fine_dims.nx.div_ceil(2),
                 fine_dims.ny.div_ceil(2),
                 fine_dims.nz.div_ceil(2),
             );
-            if coarse_dims == fine_dims {
+            if fine_dims.num_cells() <= config.coarse_cells.max(1) || coarse_dims == fine_dims {
                 break;
             }
-            let coarse_dirichlet = coarsen_dirichlet(&dirichlet, fine_dims, coarse_dims);
-            // audit: allow(panic) — invariant: `levels` starts with the fine level
-            let fine_level = levels.last_mut().expect("hierarchy is never empty");
-            let coarse_coeffs =
-                coarsen_coefficients(fine_level.operator.coefficients(), coarse_dims);
-            fine_level.transfer = Some(Transfer::new(fine_dims, coarse_dims));
-            let coarse_op =
-                MatrixFreeOperator::new(coarse_coeffs, &coarse_dirichlet).with_threads(threads);
-            levels.push(MgLevel {
-                operator: coarse_op,
-                inv_diag: Vec::new(),
-                transfer: None,
-            });
-            dirichlet = coarse_dirichlet;
+            let coarse = MatrixFreeOperator::from_mask(
+                coarsen_coefficients(coarsest.operator.coefficients(), coarse_dims),
+                coarsen_dirichlet(&coarsest.operator, coarse_dims),
+            )
+            .with_threads(threads);
+            coarsest.transfer = Some(Transfer::new(fine_dims, coarse_dims));
+            levels.push(std::mem::replace(&mut coarsest, MgLevel::new(coarse)));
         }
-        for level in &mut levels {
-            level.rebuild_inv_diag();
-        }
+        let coarse_direction = RefCell::new(CellField::zeros(coarsest.operator.dims()));
+        levels.push(coarsest);
         let workspace = RefCell::new(
             levels
                 .iter()
@@ -341,25 +321,45 @@ impl<T: Scalar> MultigridVcycle<T> {
                 })
                 .collect(),
         );
-        let coarsest = levels[levels.len() - 1].operator.dims();
         Self {
             levels,
             config,
             omega: T::from_f64(config.omega),
             workspace,
-            coarse_direction: RefCell::new(CellField::zeros(coarsest)),
+            coarse_direction,
         }
     }
 
-    /// Build from a workload, converting the coefficient table to precision
-    /// `T` (mirrors [`MatrixFreeOperator::from_workload`]).
-    pub fn from_workload(workload: &mffv_mesh::Workload, threads: usize, config: MgConfig) -> Self {
-        Self::new(
-            workload.transmissibility().convert(),
-            workload.dirichlet(),
-            threads,
+    /// Build a standalone hierarchy for a fine-level coefficient table and
+    /// Dirichlet set, for callers that keep no operator of their own:
+    /// [`from_operator`](Self::from_operator) on a fresh
+    /// [`MatrixFreeOperator::new`] with `threads` threads.
+    pub fn new(
+        coeffs: mffv_mesh::Transmissibilities<T>,
+        dirichlet: &DirichletSet,
+        threads: usize,
+        config: MgConfig,
+    ) -> Self {
+        Self::from_operator(
+            MatrixFreeOperator::new(coeffs, dirichlet).with_threads(threads),
             config,
         )
+    }
+
+    /// Build a standalone hierarchy from a workload, converting the
+    /// coefficient table to precision `T`: [`from_operator`](Self::from_operator)
+    /// on a fresh [`MatrixFreeOperator::from_workload`] with `threads` threads.
+    pub fn from_workload(workload: &mffv_mesh::Workload, threads: usize, config: MgConfig) -> Self {
+        Self::from_operator(
+            MatrixFreeOperator::from_workload(workload).with_threads(threads),
+            config,
+        )
+    }
+
+    /// The fine-level operator (level 0): with
+    /// [`from_operator`](Self::from_operator), the solve's own operator.
+    pub fn fine_operator(&self) -> &MatrixFreeOperator<T> {
+        &self.levels[0].operator
     }
 
     /// Number of levels in the hierarchy (≥ 1; the fine grid is level 0).
@@ -372,11 +372,6 @@ impl<T: Scalar> MultigridVcycle<T> {
         self.levels[level].operator.dims()
     }
 
-    /// The cycle configuration.
-    pub fn config(&self) -> &MgConfig {
-        &self.config
-    }
-
     /// Install a transient diagonal shift on the fine level and propagate it
     /// down the hierarchy: the coarse shift of a cell is the **sum** of its
     /// children's entries — the aggregation of the accumulation term
@@ -385,23 +380,12 @@ impl<T: Scalar> MultigridVcycle<T> {
     /// between transient steps costs only the diagonal rebuild.
     pub fn set_diagonal_shift(&mut self, diag: &CellField<f64>) {
         let mut shift = diag.clone();
-        for l in 0..self.levels.len() {
-            self.levels[l].operator.set_diagonal_shift(&shift);
-            self.levels[l].rebuild_inv_diag();
-            if l + 1 == self.levels.len() {
-                break;
-            }
-            let fine_dims = self.levels[l].operator.dims();
-            let coarse_dims = self.levels[l + 1].operator.dims();
-            shift = coarsen_shift(&shift, fine_dims, coarse_dims);
-        }
-    }
-
-    /// Drop the diagonal shift on every level, restoring the steady hierarchy.
-    pub fn clear_diagonal_shift(&mut self) {
         for level in &mut self.levels {
-            level.operator.clear_diagonal_shift();
-            level.rebuild_inv_diag();
+            level.operator.set_diagonal_shift(&shift);
+            level.inv_diag = level.operator.inverse_diagonal();
+            if let Some(transfer) = &level.transfer {
+                shift = coarsen_shift(&shift, level.operator.dims(), transfer.coarse_dims);
+            }
         }
     }
 
@@ -602,22 +586,18 @@ fn coarsen_coefficients<T: Scalar>(
     mffv_mesh::Transmissibilities::from_faces(coarse_dims, faces)
 }
 
-/// A coarse cell is Dirichlet when any of its children is.  Values are
-/// irrelevant — the hierarchy only ever solves homogeneous error equations —
-/// so they coarsen to 0.
-fn coarsen_dirichlet(fine: &DirichletSet, fine_dims: Dims, coarse_dims: Dims) -> DirichletSet {
-    let _ = fine_dims;
-    let mut coarse: BTreeMap<usize, DirichletCell> = BTreeMap::new();
-    for dc in fine.cells() {
-        let parent = parent_of(dc.cell, coarse_dims);
-        coarse
-            .entry(coarse_dims.linear(parent))
-            .or_insert(DirichletCell {
-                cell: parent,
-                value: 0.0,
-            });
+/// The coarse Dirichlet mask: a coarse cell is Dirichlet when any of its
+/// children is.  Values are irrelevant — the hierarchy only ever solves
+/// homogeneous error equations — so only the mask coarsens.
+fn coarsen_dirichlet<T: Scalar>(fine: &MatrixFreeOperator<T>, coarse_dims: Dims) -> Vec<bool> {
+    let fine_dims = fine.dims();
+    let mut coarse = vec![false; coarse_dims.num_cells()];
+    for c in fine_dims.iter_cells() {
+        if fine.is_dirichlet(fine_dims.linear(c)) {
+            coarse[coarse_dims.linear(parent_of(c, coarse_dims))] = true;
+        }
     }
-    DirichletSet::new(coarse_dims, coarse.into_values().collect())
+    coarse
 }
 
 /// Sum a fine diagonal shift into its parents (fixed fine-cell order).
@@ -918,8 +898,6 @@ mod tests {
         for &v in coarse_shift {
             assert_eq!(v, 4.0);
         }
-        mg.clear_diagonal_shift();
-        assert!(mg.levels[1].operator.diagonal_shift().is_none());
     }
 
     #[test]

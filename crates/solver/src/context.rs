@@ -22,7 +22,7 @@ use crate::monitor::{SolveMonitor, StopReason};
 use crate::newton::{solve_pressure, NewtonScratch};
 use crate::pcg::JacobiPreconditioner;
 use crate::transient::ShiftKey;
-use mffv_fv::{LinearOperator, MatrixFreeOperator, MgConfig, MultigridVcycle, Preconditioner};
+use mffv_fv::{MatrixFreeOperator, MgConfig, MultigridVcycle, Preconditioner};
 use mffv_mesh::{CellField, Dims, Scalar, Workload, WorkloadSpec};
 use mffv_telemetry::Span;
 
@@ -76,29 +76,19 @@ impl ContextKey {
     }
 }
 
-/// The preconditioner half of a cached context.
-enum ContextPrecond<T: Scalar> {
-    None,
-    Jacobi(JacobiPreconditioner<T>),
+/// The one operator of a cached context: alone, with its Jacobi
+/// preconditioner, or as level 0 of a multigrid hierarchy.
+enum Prepared<T: Scalar> {
+    Plain(MatrixFreeOperator<T>),
+    Jacobi(MatrixFreeOperator<T>, JacobiPreconditioner<T>),
     Mg(MultigridVcycle<T>),
 }
 
-impl<T: Scalar> ContextPrecond<T> {
-    fn as_dyn(&self) -> Option<&dyn Preconditioner<T>> {
-        match self {
-            ContextPrecond::None => None,
-            ContextPrecond::Jacobi(pc) => Some(pc),
-            ContextPrecond::Mg(pc) => Some(pc),
-        }
-    }
-}
-
-/// A cached operator + preconditioner pair, the key it was built for and
-/// the diagonal shift currently installed in it.
+/// A cached operator (+ preconditioner), the key it was built for and the
+/// diagonal shift currently installed in it.
 struct ContextState<T: Scalar> {
     key: ContextKey,
-    operator: MatrixFreeOperator<T>,
-    precond: ContextPrecond<T>,
+    prepared: Prepared<T>,
     shift: Option<ShiftKey>,
 }
 
@@ -131,9 +121,10 @@ impl ContextStats {
 ///
 /// Owns the keyed operator/preconditioner cache and the [`NewtonScratch`]
 /// buffers.  After the first solve of a given shape ("warmup"),
-/// [`solve`](Self::solve) performs **zero heap allocations** for the
-/// `None`/`Jacobi` preconditioner kinds (the MG V-cycle's coarse solve still
-/// allocates internally) — pinned by `tests/alloc_regression.rs`.
+/// [`solve`](Self::solve) performs **zero heap allocations** for every
+/// preconditioner kind, the MG V-cycle included (each level, its coarsest CG
+/// too, runs in preallocated workspace) — pinned by
+/// `tests/alloc_regression.rs`.
 #[derive(Default)]
 pub struct SolveContext<T: Scalar> {
     state: Option<ContextState<T>>,
@@ -159,7 +150,8 @@ impl<T: Scalar> SolveContext<T> {
     /// Ensure the cached operator + preconditioner match `key` (computed
     /// for `workload`), rebuilding on a mismatch.  Returns `true` on a cache
     /// hit.  A rebuild frees the old pair first, so a context never holds
-    /// two operators at once, and starts without a diagonal shift.
+    /// two operators at once, and starts without a diagonal shift.  An MG
+    /// context's one operator is its hierarchy's level 0.
     ///
     /// Build-phase spans (`build-operator`, `mg.build`) are recorded under
     /// `span` on hits and misses alike — on a hit they close immediately, so
@@ -185,26 +177,22 @@ impl<T: Scalar> SolveContext<T> {
         let build = span.child("build-operator");
         let operator = MatrixFreeOperator::<T>::from_workload(workload).with_threads(key.threads);
         build.finish();
-        let precond = match key.kind {
-            PreconditionerKind::None => ContextPrecond::None,
+        let prepared = match key.kind {
+            PreconditionerKind::None => Prepared::Plain(operator),
             PreconditionerKind::Jacobi => {
-                ContextPrecond::Jacobi(JacobiPreconditioner::from_coefficients(
-                    operator.coefficients(),
-                    workload.dirichlet(),
-                ))
+                let jacobi = JacobiPreconditioner::from_operator(&operator);
+                Prepared::Jacobi(operator, jacobi)
             }
             PreconditionerKind::Mg => {
                 let mg_build = span.child("mg.build");
-                let mg =
-                    MultigridVcycle::<T>::from_workload(workload, key.threads, MgConfig::default());
+                let mg = MultigridVcycle::from_operator(operator, MgConfig::default());
                 mg_build.finish();
-                ContextPrecond::Mg(mg)
+                Prepared::Mg(mg)
             }
         };
         self.state = Some(ContextState {
             key,
-            operator,
-            precond,
+            prepared,
             shift: None,
         });
         false
@@ -212,9 +200,10 @@ impl<T: Scalar> SolveContext<T> {
 
     /// Install the diagonal shift identified by `key` into the prepared
     /// operator and its preconditioner, unless it is already installed.
-    /// `diag` builds the shift field and runs only on a change: the
-    /// operator and multigrid levels swap their diagonals in place, and the
-    /// Jacobi inverse is rebuilt from the shifted row sums.
+    /// `diag` builds the shift field and runs only on a change, and each
+    /// install runs once: the operator (for MG, the hierarchy's level 0 and
+    /// then every coarse level) swaps its diagonal in place, and the Jacobi
+    /// inverse is rebuilt from the shifted operator.
     pub(crate) fn set_shift(&mut self, key: ShiftKey, diag: impl FnOnce() -> CellField<f64>) {
         // audit: allow(panic) — invariant: callers `prepare` before stepping
         let state = self.state.as_mut().expect("prepare runs before set_shift");
@@ -222,26 +211,13 @@ impl<T: Scalar> SolveContext<T> {
             return;
         }
         let diag = diag();
-        state.operator.set_diagonal_shift(&diag);
-        match &mut state.precond {
-            ContextPrecond::None => {}
-            ContextPrecond::Jacobi(pc) => {
-                let operator = &state.operator;
-                let dims = operator.dims();
-                let coeffs = operator.coefficients();
-                // Boundary faces carry zero coefficients, so the raw row sum
-                // is exactly the operator diagonal.
-                let shifted = CellField::from_fn(dims, |c| {
-                    let k = dims.linear(c);
-                    if operator.is_dirichlet(k) {
-                        T::ONE
-                    } else {
-                        coeffs.row_sum(k) + T::from_f64(diag.get(k))
-                    }
-                });
-                *pc = JacobiPreconditioner::from_diagonal(&shifted);
+        match &mut state.prepared {
+            Prepared::Plain(op) => op.set_diagonal_shift(&diag),
+            Prepared::Jacobi(op, pc) => {
+                op.set_diagonal_shift(&diag);
+                *pc = JacobiPreconditioner::from_operator(op);
             }
-            ContextPrecond::Mg(mg) => mg.set_diagonal_shift(&diag),
+            Prepared::Mg(mg) => mg.set_diagonal_shift(&diag),
         }
         state.shift = Some(key);
     }
@@ -263,7 +239,11 @@ impl<T: Scalar> SolveContext<T> {
         let buffers = self.buffers.get_or_insert_with(|| NewtonScratch::new(dims));
         // audit: allow(panic) — invariant: callers `prepare` before solving
         let state = self.state.as_ref().expect("prepare runs before parts");
-        (&state.operator, state.precond.as_dyn(), buffers)
+        match &state.prepared {
+            Prepared::Plain(op) => (op, None, buffers),
+            Prepared::Jacobi(op, pc) => (op, Some(pc), buffers),
+            Prepared::Mg(mg) => (mg.fine_operator(), Some(mg), buffers),
+        }
     }
 
     /// Run one steady pressure solve (one Newton step, see
@@ -454,6 +434,55 @@ mod tests {
         assert_eq!(ctx.stats().misses, 2);
         // Back to the steady key: the cache holds one entry, so this rebuilds.
         assert!(!ctx.prepare(&w, steady, &span));
+    }
+
+    #[test]
+    fn an_mg_context_solves_on_its_hierarchys_level_0_with_the_last_shift() {
+        // Large enough for a two-level hierarchy.
+        let w = WorkloadSpec::fig5(Dims::new(36, 24, 8)).build();
+        let dims = w.dims();
+        let mut ctx = SolveContext::<f64>::new();
+        assert!(!ctx.prepare(&w, key(&w, 1, PreconditionerKind::Mg, true), &Span::null()));
+        let first = CellField::from_fn(dims, |c| 0.5 + c.x as f64);
+        let last = CellField::from_fn(dims, |c| 2.0 + (c.y + 3 * c.z) as f64 * 0.25);
+        ctx.set_shift(shift_key(0.5), || first);
+        ctx.set_shift(shift_key(0.25), || last.clone());
+
+        let r = CellField::from_fn(dims, |c| ((c.x * 5 + c.y + c.z) % 9) as f64 - 4.0);
+        let mut z = CellField::zeros(dims);
+        let (operator, precond, _) = ctx.parts(dims);
+        let precond = precond.expect("an Mg key prepares a preconditioner");
+        precond.apply(&r, &mut z);
+        let operator: *const MatrixFreeOperator<f64> = operator;
+        let Some(ContextState {
+            prepared: Prepared::Mg(mg),
+            ..
+        }) = &ctx.state
+        else {
+            panic!("an Mg key prepares a hierarchy");
+        };
+        assert!(mg.num_levels() >= 2);
+        assert!(
+            std::ptr::eq(operator, mg.fine_operator()),
+            "the solve operator must be the hierarchy's level 0"
+        );
+        let fine = mg.fine_operator();
+        let shift = fine.diagonal_shift().expect("the last shift is installed");
+        for (k, &d) in shift.iter().enumerate() {
+            let want = if fine.is_dirichlet(k) {
+                0.0
+            } else {
+                last.get(k)
+            };
+            assert_eq!(d.to_bits(), want.to_bits(), "cell {k}");
+        }
+        // Every level carries the last shift: the cycle matches a fresh
+        // hierarchy given only that shift, bit for bit.
+        let mut fresh = MultigridVcycle::<f64>::from_workload(&w, 1, MgConfig::default());
+        fresh.set_diagonal_shift(&last);
+        let mut want = CellField::zeros(dims);
+        fresh.apply(&r, &mut want);
+        assert_eq!(z.as_slice(), want.as_slice());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! win is iteration *count* roughly flat in grid size); the ablation
 //! benchmarks compare all of them against plain CG.
 
-use mffv_fv::Preconditioner;
-use mffv_mesh::{CellField, Dims, Direction, DirichletSet, Scalar, Transmissibilities};
+use mffv_fv::matrix_free::inverse_diagonal;
+use mffv_fv::{MatrixFreeOperator, Preconditioner};
+use mffv_mesh::{CellField, Dims, DirichletSet, Scalar, Transmissibilities};
 
 /// A diagonal (Jacobi) preconditioner `M⁻¹ = diag(A)⁻¹`.
 #[derive(Clone, Debug)]
@@ -37,26 +38,23 @@ impl<T: Scalar> JacobiPreconditioner<T> {
     /// Build the diagonal of the SPD FV operator directly from the TPFA coefficient
     /// table: `diag_K = Σ_L Υ_KL λ_KL` for interior cells and 1 for Dirichlet cells.
     pub fn from_coefficients(coeffs: &Transmissibilities<T>, dirichlet: &DirichletSet) -> Self {
-        let dims = coeffs.dims();
-        let diag = CellField::from_fn(dims, |c| {
-            let k = dims.linear(c);
-            if dirichlet.contains_linear(k) {
-                T::ONE
-            } else {
-                let mut acc = T::ZERO;
-                for dir in Direction::ALL {
-                    if dims.neighbor(c, dir).is_some() {
-                        acc += coeffs.get(k, dir);
-                    }
-                }
-                if acc.to_f64() > 0.0 {
-                    acc
-                } else {
-                    T::ONE
-                }
-            }
-        });
-        Self::from_diagonal(&diag)
+        Self {
+            inverse_diagonal: CellField::from_vec(
+                coeffs.dims(),
+                inverse_diagonal(coeffs, |k| dirichlet.contains_linear(k), None),
+            ),
+        }
+    }
+
+    /// The Jacobi preconditioner of an operator as it stands, its diagonal
+    /// shift included ([`MatrixFreeOperator::inverse_diagonal`]).
+    pub fn from_operator(operator: &MatrixFreeOperator<T>) -> Self {
+        Self {
+            inverse_diagonal: CellField::from_vec(
+                operator.coefficients().dims(),
+                operator.inverse_diagonal(),
+            ),
+        }
     }
 
     /// Apply `z = M⁻¹ r`.
