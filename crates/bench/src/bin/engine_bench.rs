@@ -5,8 +5,9 @@
 //! the daemon-session steady state — and proves the three claims the
 //! serving path makes (see README "Serving at steady state"):
 //!
-//! * **flat throughput** — jobs/s per window stays within ±10% of the run
-//!   mean over the whole run (no allocator-driven drift), enforced by
+//! * **flat throughput** — each window's pooled seconds over the seconds of
+//!   a fixed control timed after every job (host noise slows both) spread
+//!   by at most 10% of their mean (`paired_spread_pct`), enforced by
 //!   `--check` when the run is at least 1000 jobs;
 //! * **zero allocations** — a counting global allocator shows zero heap
 //!   allocations per job once the context is warm, for every
@@ -27,9 +28,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mffv::perf::timing::time_rounds;
 use mffv::prelude::*;
 use mffv::telemetry::Stopwatch;
-use mffv_bench::machine_json;
+use mffv_bench::{machine_json, Flags};
 
 /// Heap acquisitions since process start.  `realloc`/`alloc_zeroed` keep
 /// their default implementations, which route through `alloc`, so every
@@ -55,61 +57,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-struct Args {
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    jobs: usize,
-    windows: usize,
-    workers: usize,
-    precond: PreconditionerKind,
-    out: String,
-    check: bool,
-}
+/// `--precond`'s value.
+struct Precond(PreconditionerKind);
 
-impl Args {
-    fn parse() -> Args {
-        let mut args = Args {
-            nx: 16,
-            ny: 16,
-            nz: 8,
-            jobs: 10_000,
-            windows: 10,
-            workers: 2,
-            precond: PreconditionerKind::Jacobi,
-            out: "BENCH_engine.json".to_string(),
-            check: false,
-        };
-        let mut iter = std::env::args().skip(1);
-        while let Some(flag) = iter.next() {
-            if flag == "--check" {
-                args.check = true;
-                continue;
-            }
-            let mut value = || {
-                iter.next()
-                    .unwrap_or_else(|| panic!("missing value for {flag}"))
-            };
-            match flag.as_str() {
-                "--nx" => args.nx = value().parse().expect("--nx"),
-                "--ny" => args.ny = value().parse().expect("--ny"),
-                "--nz" => args.nz = value().parse().expect("--nz"),
-                "--jobs" => args.jobs = value().parse::<usize>().expect("--jobs").max(1),
-                "--windows" => args.windows = value().parse::<usize>().expect("--windows").max(1),
-                "--workers" => args.workers = value().parse::<usize>().expect("--workers").max(1),
-                "--precond" => {
-                    let label = value();
-                    args.precond = PreconditionerKind::parse(&label).unwrap_or_else(|| {
-                        panic!("--precond must be none, jacobi or mg, got {label}")
-                    })
-                }
-                "--out" => args.out = value(),
-                other => panic!(
-                    "unknown flag {other} (use --nx --ny --nz --jobs --windows --workers --precond --out --check)"
-                ),
-            }
-        }
-        args
+impl std::str::FromStr for Precond {
+    type Err = ();
+    fn from_str(label: &str) -> Result<Precond, ()> {
+        PreconditionerKind::parse(label).map(Precond).ok_or(())
     }
 }
 
@@ -126,6 +80,23 @@ fn pooled_solve(
     ALLOCATIONS.load(Ordering::SeqCst) - before
 }
 
+/// The largest deviation of any window's value from their mean, in percent.
+fn max_deviation_pct(windows: &[f64]) -> f64 {
+    let mean = windows.iter().sum::<f64>() / windows.len() as f64;
+    windows
+        .iter()
+        .map(|w| ((w - mean) / mean).abs() * 100.0)
+        .fold(0.0, f64::max)
+}
+
+/// The spread (max − min) of the windows' values over their mean, in percent.
+fn spread_pct(windows: &[f64]) -> f64 {
+    let mean = windows.iter().sum::<f64>() / windows.len() as f64;
+    let max = windows.iter().copied().fold(f64::MIN, f64::max);
+    let min = windows.iter().copied().fold(f64::MAX, f64::min);
+    (max - min) / mean * 100.0
+}
+
 /// Whether the context's last history matches `reference` bit for bit,
 /// without allocating.
 fn history_matches(ctx: &SolveContext<f64>, reference: &[u64]) -> bool {
@@ -138,22 +109,30 @@ fn history_matches(ctx: &SolveContext<f64>, reference: &[u64]) -> bool {
 }
 
 fn main() {
-    let args = Args::parse();
-    let dims = Dims::new(args.nx, args.ny, args.nz);
-    let spec = WorkloadSpec::paper_grid(args.nx, args.ny, args.nz);
+    let mut flags = Flags::new(std::env::args().skip(1), &["--check"]);
+    let nx = flags.value("--nx", 16);
+    let ny = flags.value("--ny", 16);
+    let nz = flags.value("--nz", 8);
+    let jobs = flags.value("--jobs", 10_000).max(1);
+    let windows = flags.value("--windows", 10).max(1);
+    let workers = flags.value("--workers", 2).max(1);
+    let Precond(precond) = flags.value("--precond", Precond(PreconditionerKind::Jacobi));
+    let out = flags.value("--out", "BENCH_engine.json".to_string());
+    let check = flags.switch("--check");
+    flags.finish();
+    let dims = Dims::new(nx, ny, nz);
+    let spec = WorkloadSpec::paper_grid(nx, ny, nz);
     let workload = Workload::try_from_spec(&spec).expect("workload spec is valid");
     let config = SolveConfig {
         threads: Some(1),
-        preconditioner: args.precond,
+        preconditioner: precond,
         ..SolveConfig::default()
     };
     let span = Span::null();
     println!(
-        "engine bench: {dims} steady jobs ({} cells), {} jobs in {} windows, {:?} preconditioner",
+        "engine bench: {dims} steady jobs ({} cells), {jobs} jobs in {windows} windows, \
+         {precond:?} preconditioner",
         dims.num_cells(),
-        args.jobs,
-        args.windows,
-        args.precond
     );
 
     // Cold reference: a fresh context per solve is the cache-off serving
@@ -176,38 +155,53 @@ fn main() {
     pooled_solve(&mut ctx, &workload, &config, &span);
     assert!(history_matches(&ctx, &reference), "warmup diverged");
 
-    // --- sustained pooled run, windowed ------------------------------------
-    let window_size = args.jobs.div_ceil(args.windows);
-    let mut window_rates: Vec<f64> = Vec::new();
-    let mut max_alloc_delta = 0u64;
-    let mut total_allocs = 0u64;
-    let mut bitwise_identical = true;
-    let mut executed = 0usize;
-    let run_watch = Stopwatch::start();
-    while executed < args.jobs {
-        let n = window_size.min(args.jobs - executed);
-        let watch = Stopwatch::start();
-        for _ in 0..n {
-            let delta = pooled_solve(&mut ctx, &workload, &config, &span);
-            max_alloc_delta = max_alloc_delta.max(delta);
-            total_allocs += delta;
-            bitwise_identical &= history_matches(&ctx, &reference);
-        }
-        window_rates.push(n as f64 / watch.elapsed_seconds().max(1e-12));
-        executed += n;
+    // --- sustained pooled run: each job, then the fixed control, timed -----
+    // The control, a Jacobi-PCG solve of a separate 16×16×8 system on its
+    // own scratch, runs the job's kernels without the pooling: once warm it
+    // allocates nothing, and it keeps no state between jobs.
+    let system = WorkloadSpec::paper_grid(16, 16, 8).build();
+    let op = MatrixFreeOperator::<f64>::from_workload(&system);
+    let pc = JacobiPreconditioner::from_operator(&op);
+    let rhs = CellField::from_fn(op.dims(), |c| ((c.x + 3 * c.y + 7 * c.z) % 5) as f64);
+    let cg = ConjugateGradient::with_tolerance(system.tolerance(), system.max_iterations());
+    let mut scratch = CgScratch::new(op.dims());
+    let (mut max_alloc_delta, mut total_allocs, mut bitwise_identical) = (0u64, 0u64, true);
+    let [pooled, control] = time_rounds(
+        jobs,
+        [
+            &mut || {
+                let delta = pooled_solve(&mut ctx, &workload, &config, &span);
+                max_alloc_delta = max_alloc_delta.max(delta);
+                total_allocs += delta;
+                bitwise_identical &= history_matches(&ctx, &reference);
+            },
+            &mut || {
+                cg.solve_into(
+                    &op,
+                    Some(&pc),
+                    &rhs,
+                    None,
+                    &mut NullMonitor,
+                    &span,
+                    &mut scratch,
+                );
+            },
+        ],
+    );
+    let (mut window_rates, mut window_ratios) = (Vec::new(), Vec::new());
+    let window = jobs.div_ceil(windows);
+    for (pooled, control) in pooled.chunks(window).zip(control.chunks(window)) {
+        let seconds: f64 = pooled.iter().sum();
+        window_rates.push(pooled.len() as f64 / seconds);
+        window_ratios.push(seconds / control.iter().sum::<f64>());
     }
-    let pooled_seconds = run_watch.elapsed_seconds();
-    let pooled_rate = args.jobs as f64 / pooled_seconds.max(1e-12);
-
-    let mean_rate = window_rates.iter().sum::<f64>() / window_rates.len() as f64;
-    let flatness_pct = window_rates
-        .iter()
-        .map(|r| ((r - mean_rate) / mean_rate).abs() * 100.0)
-        .fold(0.0f64, f64::max);
+    let pooled_rate = jobs as f64 / pooled.iter().sum::<f64>();
+    let flatness_pct = max_deviation_pct(&window_rates);
+    let paired_spread_pct = spread_pct(&window_ratios);
     let stats = ctx.stats();
 
     // --- cold (cache-off) per-job path for comparison -----------------------
-    let unpooled_jobs = args.jobs.clamp(1, 200);
+    let unpooled_jobs = jobs.clamp(1, 200);
     let watch = Stopwatch::start();
     for _ in 0..unpooled_jobs {
         let mut fresh = SolveContext::new();
@@ -222,18 +216,18 @@ fn main() {
     );
     println!(
         "  steady: pooled {pooled_rate:.1} jobs/s | cold {unpooled_rate:.1} jobs/s | \
-         flatness {flatness_pct:.2}% | max allocs/job {max_alloc_delta} | \
+         flatness {flatness_pct:.2}% | paired spread {paired_spread_pct:.2}% | max allocs/job {max_alloc_delta} | \
          cache {}h/{}m",
         stats.hits, stats.misses
     );
 
     // --- engine batch vs serial fresh-context execution ---------------------
-    let engine_jobs = args.jobs.min(1000);
+    let engine_jobs = jobs.min(1000);
     let batch: Vec<JobSpec> = (0..engine_jobs)
         .map(|_| JobSpec::new(spec.clone(), Backend::host()).with_config(config))
         .collect();
     let watch = Stopwatch::start();
-    let pooled_batch = Engine::new(args.workers).run(batch.clone());
+    let pooled_batch = Engine::new(workers).run(batch.clone());
     let engine_pooled_rate = engine_jobs as f64 / watch.elapsed_seconds().max(1e-12);
     assert!(pooled_batch.all_succeeded());
     for (job, outcome) in batch.iter().zip(&pooled_batch.outcomes) {
@@ -248,7 +242,7 @@ fn main() {
     println!(
         "  engine ({} workers, {engine_jobs} jobs): pooled {engine_pooled_rate:.1} jobs/s, \
          bitwise identical to serial fresh-context runs",
-        args.workers
+        workers
     );
 
     let windows_json = window_rates
@@ -257,51 +251,37 @@ fn main() {
         .collect::<Vec<_>>()
         .join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"engine\",\n  \"machine\": {},\n  \"dims\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \
-         \"cells\": {},\n  \"jobs\": {},\n  \"windows\": {},\n  \"preconditioner\": \"{}\",\n  \
-         \"budgets\": {{\"flatness_pct\": 10.0, \"allocations_per_job\": 0}},\n  \
-         \"steady\": {{\"pooled_jobs_per_second\": {:.3}, \"unpooled_jobs_per_second\": {:.3}, \
-         \"speedup\": {:.3}, \"window_jobs_per_second\": [{}], \"flatness_pct\": {:.3}, \
-         \"allocations_per_job_max\": {}, \"allocations_total\": {}, \"bitwise_identical\": {}, \
+        "{{\n  \"bench\": \"engine\",\n  \"machine\": {},\n  \"dims\": {{\"nx\": {nx}, \"ny\": {ny}, \"nz\": {nz}}},\n  \
+         \"cells\": {},\n  \"jobs\": {jobs},\n  \"windows\": {windows},\n  \"preconditioner\": \"{}\",\n  \
+         \"budgets\": {{\"flatness_pct\": 10.0, \"flatness_gated_key\": \"paired_spread_pct\", \"allocations_per_job\": 0}},\n  \
+         \"steady\": {{\"pooled_jobs_per_second\": {pooled_rate:.3}, \"unpooled_jobs_per_second\": {unpooled_rate:.3}, \
+         \"speedup\": {:.3}, \"window_jobs_per_second\": [{windows_json}], \"flatness_pct\": {flatness_pct:.3}, \
+         \"paired_spread_pct\": {paired_spread_pct:.3}, \"allocations_per_job_max\": {max_alloc_delta}, \
+         \"allocations_total\": {total_allocs}, \"bitwise_identical\": {bitwise_identical}, \
          \"cache\": {{\"hits\": {}, \"misses\": {}, \"scratch_reallocs\": {}}}}},\n  \
-         \"engine\": {{\"workers\": {}, \"jobs\": {}, \"pooled_jobs_per_second\": {:.3}}}\n}}\n",
+         \"engine\": {{\"workers\": {workers}, \"jobs\": {engine_jobs}, \"pooled_jobs_per_second\": {engine_pooled_rate:.3}}}\n}}\n",
         machine_json(),
-        args.nx,
-        args.ny,
-        args.nz,
         dims.num_cells(),
-        args.jobs,
-        args.windows,
-        args.precond.label(),
-        pooled_rate,
-        unpooled_rate,
+        precond.label(),
         pooled_rate / unpooled_rate.max(1e-12),
-        windows_json,
-        flatness_pct,
-        max_alloc_delta,
-        total_allocs,
-        bitwise_identical,
         stats.hits,
         stats.misses,
         stats.scratch_reallocs,
-        args.workers,
-        engine_jobs,
-        engine_pooled_rate,
     );
-    std::fs::write(&args.out, &json).expect("write JSON report");
-    println!("wrote {}", args.out);
+    std::fs::write(&out, &json).expect("write JSON report");
+    println!("wrote {out}");
 
     if max_alloc_delta != 0 {
         println!("WARN: warmed hot path allocated (max {max_alloc_delta} allocations/job)");
-        if args.check {
+        if check {
             eprintln!("FAIL: the warmed steady path must perform zero heap allocations per job");
             std::process::exit(1);
         }
     }
-    if flatness_pct > 10.0 {
-        println!("WARN: window throughput deviates {flatness_pct:.2}% from the mean");
-        if args.check && args.jobs >= 1000 {
-            eprintln!("FAIL: steady-state jobs/s must stay within ±10% over a >=1000-job run");
+    if paired_spread_pct > 10.0 {
+        println!("WARN: the windows' pooled/control ratios spread {paired_spread_pct:.2}%");
+        if check && jobs >= 1000 {
+            eprintln!("FAIL: the pooled/control ratios must spread at most 10% over >=1000 jobs");
             std::process::exit(1);
         }
     }

@@ -2,10 +2,11 @@
 //!
 //! Solves the paper-grid pressure problem at a ladder of cube sizes with
 //! plain CG, Jacobi-preconditioned CG and the matrix-free geometric-multigrid
-//! V-cycle (`mffv_fv::mg`), in both precisions, and emits a machine-readable
-//! `BENCH_mg.json` (iterations, wall seconds, speedups).  The headline claim
-//! it documents: MG-PCG iteration counts stay flat as the grid is refined,
-//! where CG and Jacobi-PCG grow roughly with the grid edge.
+//! V-cycle (`mffv_fv::mg`, the default V(2,2) cycle), in both precisions on
+//! one thread, and emits a machine-readable `BENCH_mg.json` (iterations,
+//! wall seconds, speedups).  The headline claim it documents: MG-PCG
+//! iteration counts stay flat as the grid is refined, where CG and
+//! Jacobi-PCG grow roughly with the grid edge.
 //!
 //! ```text
 //! cargo run --release -p mffv-bench --bin mg_bench -- \
@@ -17,69 +18,8 @@
 //! exiting non-zero otherwise.
 
 use mffv::prelude::*;
-use mffv_bench::machine_json;
+use mffv_bench::{machine_json, Flags};
 use mffv_solver::newton::{solve_pressure, NewtonScratch};
-
-struct Args {
-    sizes: Vec<usize>,
-    reps: usize,
-    threads: usize,
-    sweeps: Option<usize>,
-    omega: Option<f64>,
-    out: String,
-    check: bool,
-}
-
-impl Args {
-    fn parse() -> Args {
-        let mut args = Args {
-            sizes: vec![32, 64, 128],
-            reps: 3,
-            threads: 1,
-            sweeps: None,
-            omega: None,
-            out: "BENCH_mg.json".to_string(),
-            check: false,
-        };
-        let mut iter = std::env::args().skip(1);
-        while let Some(flag) = iter.next() {
-            let mut value = || {
-                iter.next()
-                    .unwrap_or_else(|| panic!("missing value for {flag}"))
-            };
-            match flag.as_str() {
-                "--sizes" => {
-                    args.sizes = value()
-                        .split(',')
-                        .map(|t| t.trim().parse().expect("--sizes"))
-                        .collect()
-                }
-                "--reps" => args.reps = value().parse::<usize>().expect("--reps").max(1),
-                "--threads" => args.threads = value().parse().expect("--threads"),
-                "--sweeps" => args.sweeps = Some(value().parse().expect("--sweeps")),
-                "--omega" => args.omega = Some(value().parse().expect("--omega")),
-                "--out" => args.out = value(),
-                "--check" => args.check = true,
-                other => panic!(
-                    "unknown flag {other} (use --sizes --reps --threads --sweeps --omega --out --check)"
-                ),
-            }
-        }
-        args
-    }
-
-    fn mg_config(&self) -> MgConfig {
-        let mut config = MgConfig::default();
-        if let Some(sweeps) = self.sweeps {
-            config.pre_sweeps = sweeps;
-            config.post_sweeps = sweeps;
-        }
-        if let Some(omega) = self.omega {
-            config.omega = omega;
-        }
-        config
-    }
-}
 
 /// One measured solve configuration.
 struct Row {
@@ -116,8 +56,6 @@ fn bench_precision<T: Scalar>(
     n: usize,
     precision: &'static str,
     reps: usize,
-    threads: usize,
-    mg_config: MgConfig,
     rows: &mut Vec<Row>,
 ) {
     let cells = workload.dims().num_cells();
@@ -127,8 +65,8 @@ fn bench_precision<T: Scalar>(
     // One operator, as a solve context holds it: the hierarchy's level 0
     // is what every method solves on.
     let mg = MultigridVcycle::from_operator(
-        MatrixFreeOperator::<T>::from_workload(workload).with_threads(threads),
-        mg_config,
+        MatrixFreeOperator::<T>::from_workload(workload),
+        MgConfig::default(),
     );
     let operator = mg.fine_operator();
     let jacobi = JacobiPreconditioner::from_operator(operator);
@@ -169,36 +107,24 @@ fn bench_precision<T: Scalar>(
 }
 
 fn main() {
-    let args = Args::parse();
+    let mut flags = Flags::new(std::env::args().skip(1), &["--check"]);
+    let sizes = flags.list("--sizes", vec![32, 64, 128]);
+    let reps = flags.value("--reps", 3).max(1);
+    let out = flags.value("--out", "BENCH_mg.json".to_string());
+    let check = flags.switch("--check");
+    flags.finish();
     let mut rows: Vec<Row> = Vec::new();
-    let mg_config = args.mg_config();
-    for &n in &args.sizes {
+    for &n in &sizes {
         let workload = WorkloadSpec::paper_grid(n, n, n).build();
         let levels =
-            MultigridVcycle::<f64>::from_workload(&workload, args.threads, mg_config).num_levels();
+            MultigridVcycle::<f64>::from_workload(&workload, 1, MgConfig::default()).num_levels();
         println!(
             "mg bench on {n}^3 ({} cells, {} MG levels)",
             workload.dims().num_cells(),
             levels
         );
-        bench_precision::<f32>(
-            &workload,
-            n,
-            "f32",
-            args.reps,
-            args.threads,
-            mg_config,
-            &mut rows,
-        );
-        bench_precision::<f64>(
-            &workload,
-            n,
-            "f64",
-            args.reps,
-            args.threads,
-            mg_config,
-            &mut rows,
-        );
+        bench_precision::<f32>(&workload, n, "f32", reps, &mut rows);
+        bench_precision::<f64>(&workload, n, "f64", reps, &mut rows);
     }
 
     for row in &rows {
@@ -215,18 +141,15 @@ fn main() {
 
     let result_lines: Vec<String> = rows.iter().map(Row::json).collect();
     let json = format!(
-        "{{\n  \"bench\": \"mg\",\n  \"machine\": {},\n  \"sizes\": {:?},\n  \"reps\": {},\n  \"threads\": {},\n  \
+        "{{\n  \"bench\": \"mg\",\n  \"machine\": {},\n  \"sizes\": {sizes:?},\n  \"reps\": {reps},\n  \"threads\": 1,\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         machine_json(),
-        args.sizes,
-        args.reps,
-        args.threads,
         result_lines.join(",\n"),
     );
-    std::fs::write(&args.out, &json).expect("write JSON report");
-    println!("wrote {}", args.out);
+    std::fs::write(&out, &json).expect("write JSON report");
+    println!("wrote {out}");
 
-    if args.check {
+    if check {
         let mut failures = Vec::new();
         for row in &rows {
             if row.method != "mg-pcg" {

@@ -23,51 +23,7 @@
 //! writing the report.
 
 use mffv::prelude::*;
-use mffv_bench::machine_json;
-
-struct Args {
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    reps: usize,
-    threads: Vec<usize>,
-    out: String,
-}
-
-impl Args {
-    fn parse() -> Args {
-        let mut args = Args {
-            nx: 128,
-            ny: 128,
-            nz: 128,
-            reps: 5,
-            threads: vec![1, 2],
-            out: "BENCH_spmv.json".to_string(),
-        };
-        let mut iter = std::env::args().skip(1);
-        while let Some(flag) = iter.next() {
-            let mut value = || {
-                iter.next()
-                    .unwrap_or_else(|| panic!("missing value for {flag}"))
-            };
-            match flag.as_str() {
-                "--nx" => args.nx = value().parse().expect("--nx"),
-                "--ny" => args.ny = value().parse().expect("--ny"),
-                "--nz" => args.nz = value().parse().expect("--nz"),
-                "--reps" => args.reps = value().parse::<usize>().expect("--reps").max(1),
-                "--threads" => {
-                    args.threads = value()
-                        .split(',')
-                        .map(|t| t.trim().parse().expect("--threads"))
-                        .collect()
-                }
-                "--out" => args.out = value(),
-                other => panic!("unknown flag {other} (use --nx --ny --nz --reps --threads --out)"),
-            }
-        }
-        args
-    }
-}
+use mffv_bench::{machine_json, Flags};
 
 /// One measured kernel configuration.
 struct Row {
@@ -164,9 +120,16 @@ fn bench_precision<T: Scalar>(
 }
 
 fn main() {
-    let args = Args::parse();
-    let dims = Dims::new(args.nx, args.ny, args.nz);
-    let workload = WorkloadSpec::paper_grid(args.nx, args.ny, args.nz).build();
+    let mut flags = Flags::new(std::env::args().skip(1), &[]);
+    let nx = flags.value("--nx", 128);
+    let ny = flags.value("--ny", 128);
+    let nz = flags.value("--nz", 128);
+    let reps = flags.value("--reps", 5).max(1);
+    let threads = flags.list("--threads", vec![1, 2]);
+    let out = flags.value("--out", "BENCH_spmv.json".to_string());
+    flags.finish();
+    let dims = Dims::new(nx, ny, nz);
+    let workload = WorkloadSpec::paper_grid(nx, ny, nz).build();
     let cells = dims.num_cells();
     let stats = MatrixFreeOperator::<f32>::from_workload(&workload).plan_stats();
     println!(
@@ -177,14 +140,13 @@ fn main() {
     );
 
     let mut rows32 = Vec::new();
-    let mut mismatches =
-        bench_precision::<f32>(&workload, "f32", args.reps, &args.threads, &mut rows32);
+    let mut mismatches = bench_precision::<f32>(&workload, "f32", reps, &threads, &mut rows32);
     let mut rows64 = Vec::new();
     mismatches.extend(bench_precision::<f64>(
         &workload,
         "f64",
-        args.reps,
-        &args.threads,
+        reps,
+        &threads,
         &mut rows64,
     ));
 
@@ -209,22 +171,17 @@ fn main() {
         for m in &mismatches {
             eprintln!("bit mismatch: {m}");
         }
-        eprintln!("not writing {}", args.out);
+        eprintln!("not writing {out}");
         std::process::exit(1);
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"spmv\",\n  \"machine\": {},\n  \"dims\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \
-         \"cells\": {},\n  \"reps\": {},\n  \"slab_cells\": {},\n  \"plan\": {{\"run_cells\": {}, \
+        "{{\n  \"bench\": \"spmv\",\n  \"machine\": {},\n  \"dims\": {{\"nx\": {nx}, \"ny\": {ny}, \"nz\": {nz}}},\n  \
+         \"cells\": {cells},\n  \"reps\": {reps},\n  \"slab_cells\": {},\n  \"plan\": {{\"run_cells\": {}, \
          \"general_cells\": {}, \"dirichlet_cells\": {}, \"num_runs\": {}, \"num_slabs\": {}, \
          \"run_fraction\": {:.4}}},\n  \"traffic_model_bytes_per_cell\": {{\"f32\": {}, \"f64\": {}}},\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         machine_json(),
-        args.nx,
-        args.ny,
-        args.nz,
-        cells,
-        args.reps,
         SLAB_CELLS,
         stats.run_cells,
         stats.general_cells,
@@ -236,6 +193,6 @@ fn main() {
         bytes64,
         result_lines.join(",\n"),
     );
-    std::fs::write(&args.out, &json).expect("write JSON report");
-    println!("wrote {}", args.out);
+    std::fs::write(&out, &json).expect("write JSON report");
+    println!("wrote {out}");
 }

@@ -9,95 +9,38 @@
 //! * **full tracing** — a recording tracer (spans + per-chunk CG iteration
 //!   marks) must cost <5% on a 64³ host solve and on a 12-job engine batch.
 //!
-//! The configurations being compared take turns, one timed repetition at a
-//! time, and each keeps its best time: a stretch of host noise then lands on
-//! every configuration rather than on all of one configuration's repetitions.
+//! The configurations being compared take turns, one timed round at a time
+//! (`mffv_perf::timing::time_rounds`).  Each overhead is the median over
+//! rounds of `variant_i / base_i − 1`: host noise that lands on one round
+//! lands on both sides of its ratio.  The `*_seconds` keys are the best
+//! round of each configuration.
 //!
 //! Emits machine-readable `BENCH_telemetry.json`:
 //!
 //! ```text
 //! cargo run --release -p mffv-bench --bin telemetry_bench -- \
-//!     --nx 64 --ny 64 --nz 64 --jobs 12 --workers 2 --reps 5 \
+//!     --nx 64 --ny 64 --nz 64 --jobs 12 --workers 2 --reps 25 \
 //!     --out BENCH_telemetry.json [--check]
 //! ```
 
+use mffv::perf::timing::{percentile, time_rounds};
 use mffv::prelude::*;
-use mffv::telemetry::{Span, Stopwatch, Tracer};
-use mffv_bench::machine_json;
+use mffv::telemetry::{Span, Tracer};
+use mffv_bench::{machine_json, Flags};
 
-struct Args {
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    jobs: usize,
-    workers: usize,
-    reps: usize,
-    out: String,
-    check: bool,
+/// Median over rounds of `variant_i / base_i − 1`, in percent.
+fn overhead_pct(base: &[f64], variant: &[f64]) -> f64 {
+    let mut pct: Vec<f64> = base
+        .iter()
+        .zip(variant)
+        .map(|(base, variant)| (variant / base - 1.0) * 100.0)
+        .collect();
+    pct.sort_by(f64::total_cmp);
+    percentile(&pct, 0.5)
 }
 
-impl Args {
-    fn parse() -> Args {
-        let mut args = Args {
-            nx: 64,
-            ny: 64,
-            nz: 64,
-            jobs: 12,
-            workers: 2,
-            reps: 5,
-            out: "BENCH_telemetry.json".to_string(),
-            check: false,
-        };
-        let mut iter = std::env::args().skip(1);
-        while let Some(flag) = iter.next() {
-            if flag == "--check" {
-                args.check = true;
-                continue;
-            }
-            let mut value = || {
-                iter.next()
-                    .unwrap_or_else(|| panic!("missing value for {flag}"))
-            };
-            match flag.as_str() {
-                "--nx" => args.nx = value().parse().expect("--nx"),
-                "--ny" => args.ny = value().parse().expect("--ny"),
-                "--nz" => args.nz = value().parse().expect("--nz"),
-                "--jobs" => args.jobs = value().parse::<usize>().expect("--jobs").max(1),
-                "--workers" => args.workers = value().parse::<usize>().expect("--workers").max(1),
-                "--reps" => args.reps = value().parse::<usize>().expect("--reps").max(1),
-                "--out" => args.out = value(),
-                other => panic!(
-                    "unknown flag {other} (use --nx --ny --nz --jobs --workers --reps --out --check)"
-                ),
-            }
-        }
-        args
-    }
-}
-
-fn overhead_pct(base: f64, variant: f64) -> f64 {
-    if base > 0.0 {
-        (variant / base - 1.0) * 100.0
-    } else {
-        0.0
-    }
-}
-
-/// Best-of-`reps` seconds of each of `runs`, after one untimed warmup each.
-/// Every round times each run once, in order.
-fn best_of_interleaved<const N: usize>(reps: usize, mut runs: [&mut dyn FnMut(); N]) -> [f64; N] {
-    for run in runs.iter_mut() {
-        run();
-    }
-    let mut best = [f64::INFINITY; N];
-    for _ in 0..reps {
-        for (run, best) in runs.iter_mut().zip(best.iter_mut()) {
-            let watch = Stopwatch::start();
-            run();
-            *best = best.min(watch.elapsed_seconds());
-        }
-    }
-    best
+fn best(rounds: &[f64]) -> f64 {
+    rounds.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
 fn sweep_jobs(n: usize) -> Vec<JobSpec> {
@@ -111,11 +54,20 @@ fn sweep_jobs(n: usize) -> Vec<JobSpec> {
 }
 
 fn main() {
-    let args = Args::parse();
-    let dims = Dims::new(args.nx, args.ny, args.nz);
+    let mut flags = Flags::new(std::env::args().skip(1), &["--check"]);
+    let nx = flags.value("--nx", 64);
+    let ny = flags.value("--ny", 64);
+    let nz = flags.value("--nz", 64);
+    let jobs = flags.value("--jobs", 12).max(1);
+    let workers = flags.value("--workers", 2).max(1);
+    let reps = flags.value("--reps", 25).max(1);
+    let out = flags.value("--out", "BENCH_telemetry.json".to_string());
+    let check = flags.switch("--check");
+    flags.finish();
+    let dims = Dims::new(nx, ny, nz);
     // A fixed iteration budget keeps the measured work identical across the
     // three variants whether or not the solve converges at this size.
-    let workload = WorkloadSpec::paper_grid(args.nx, args.ny, args.nz).build();
+    let workload = WorkloadSpec::paper_grid(nx, ny, nz).build();
     let config = SolveConfig {
         tolerance: Some(1e-12),
         max_iterations: Some(200),
@@ -123,16 +75,14 @@ fn main() {
     };
     let backend = Backend::host().instantiate();
     println!(
-        "telemetry bench: {dims} host solve ({} cells, <=200 iters), {} jobs on {} workers, best of {}",
+        "telemetry bench: {dims} host solve ({} cells, <=200 iters), {jobs} jobs on {workers} \
+         workers, {reps} rounds",
         dims.num_cells(),
-        args.jobs,
-        args.workers,
-        args.reps
     );
 
     // --- solve: untraced / null span / recording tracer ---------------------
-    let [solve_untraced, solve_null, solve_traced] = best_of_interleaved(
-        args.reps,
+    let [untraced, null, traced] = time_rounds(
+        reps,
         [
             &mut || {
                 backend
@@ -167,8 +117,9 @@ fn main() {
         span.finish();
         tracer.records().len()
     };
-    let solve_null_pct = overhead_pct(solve_untraced, solve_null);
-    let solve_full_pct = overhead_pct(solve_untraced, solve_traced);
+    let solve_null_pct = overhead_pct(&untraced, &null);
+    let solve_full_pct = overhead_pct(&untraced, &traced);
+    let [solve_untraced, solve_null, solve_traced] = [untraced, null, traced].map(|r| best(&r));
     println!(
         "  solve: untraced {:.3} ms | null {:.3} ms ({:+.2}%) | traced {:.3} ms ({:+.2}%, {} spans)",
         solve_untraced * 1e3,
@@ -180,23 +131,24 @@ fn main() {
     );
 
     // --- engine batch: untraced / traced ------------------------------------
-    let jobs = sweep_jobs(args.jobs);
-    let [batch_untraced, batch_traced] = best_of_interleaved(
-        args.reps,
+    let batch = sweep_jobs(jobs);
+    let [untraced, traced] = time_rounds(
+        reps,
         [
             &mut || {
-                let report = Engine::new(args.workers).run(jobs.clone());
+                let report = Engine::new(workers).run(batch.clone());
                 assert!(report.all_succeeded());
             },
             &mut || {
-                let report = Engine::new(args.workers)
+                let report = Engine::new(workers)
                     .with_tracer(Tracer::new())
-                    .run(jobs.clone());
+                    .run(batch.clone());
                 assert!(report.all_succeeded());
             },
         ],
     );
-    let batch_pct = overhead_pct(batch_untraced, batch_traced);
+    let batch_pct = overhead_pct(&untraced, &traced);
+    let [batch_untraced, batch_traced] = [untraced, traced].map(|r| best(&r));
     println!(
         "  batch: untraced {:.3} ms | traced {:.3} ms ({:+.2}%)",
         batch_untraced * 1e3,
@@ -205,38 +157,23 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"telemetry\",\n  \"machine\": {},\n  \"dims\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \
-         \"cells\": {},\n  \"reps\": {},\n  \"budgets_pct\": {{\"null_warn\": 1.0, \"null_fail\": 5.0, \"full\": 5.0}},\n  \
-         \"solve\": {{\"untraced_seconds\": {:.6e}, \"null_traced_seconds\": {:.6e}, \
-         \"full_traced_seconds\": {:.6e}, \"null_overhead_pct\": {:.3}, \
-         \"full_overhead_pct\": {:.3}, \"spans_recorded\": {}}},\n  \
-         \"engine\": {{\"jobs\": {}, \"workers\": {}, \"untraced_seconds\": {:.6e}, \
-         \"traced_seconds\": {:.6e}, \"traced_overhead_pct\": {:.3}}}\n}}\n",
+        "{{\n  \"bench\": \"telemetry\",\n  \"machine\": {},\n  \"dims\": {{\"nx\": {nx}, \"ny\": {ny}, \"nz\": {nz}}},\n  \
+         \"cells\": {},\n  \"reps\": {reps},\n  \"budgets_pct\": {{\"null_warn\": 1.0, \"null_fail\": 5.0, \"full\": 5.0}},\n  \
+         \"solve\": {{\"untraced_seconds\": {solve_untraced:.6e}, \"null_traced_seconds\": {solve_null:.6e}, \
+         \"full_traced_seconds\": {solve_traced:.6e}, \"null_overhead_pct\": {solve_null_pct:.3}, \
+         \"full_overhead_pct\": {solve_full_pct:.3}, \"spans_recorded\": {trace_spans}}},\n  \
+         \"engine\": {{\"jobs\": {jobs}, \"workers\": {workers}, \"untraced_seconds\": {batch_untraced:.6e}, \
+         \"traced_seconds\": {batch_traced:.6e}, \"traced_overhead_pct\": {batch_pct:.3}}}\n}}\n",
         machine_json(),
-        args.nx,
-        args.ny,
-        args.nz,
         dims.num_cells(),
-        args.reps,
-        solve_untraced,
-        solve_null,
-        solve_traced,
-        solve_null_pct,
-        solve_full_pct,
-        trace_spans,
-        args.jobs,
-        args.workers,
-        batch_untraced,
-        batch_traced,
-        batch_pct,
     );
-    std::fs::write(&args.out, &json).expect("write JSON report");
-    println!("wrote {}", args.out);
+    std::fs::write(&out, &json).expect("write JSON report");
+    println!("wrote {out}");
 
     if solve_null_pct > 1.0 {
         println!("WARN: null-span solve overhead {solve_null_pct:.2}% exceeds the 1% budget");
     }
-    if args.check && solve_null_pct > 5.0 {
+    if check && solve_null_pct > 5.0 {
         eprintln!("FAIL: null-span solve overhead {solve_null_pct:.2}% exceeds the 5% hard budget");
         std::process::exit(1);
     }

@@ -8,6 +8,9 @@
 //! does not fit host memory); the analytic models in `mffv-perf` are additionally
 //! evaluated at the paper's full sizes.
 
+use std::collections::BTreeMap;
+use std::str::FromStr;
+
 use mffv_mesh::workload::WorkloadSpec;
 use mffv_mesh::{Dims, Workload};
 
@@ -76,6 +79,90 @@ pub fn machine_json() -> String {
     )
 }
 
+/// A report binary's command line: `--flag value` pairs and bare switches.
+/// Each lookup consumes its flag, or returns its default when the flag is
+/// absent.  A flag that is unknown, lacks its value or does not parse makes
+/// [`Flags::finish`] print the binary's flags and exit with status 2.
+#[derive(Default)]
+pub struct Flags {
+    given: BTreeMap<String, String>,
+    known: Vec<String>,
+    error: Option<String>,
+}
+
+impl Flags {
+    /// Read `args` (the program name already skipped).  A flag listed in
+    /// `switches` stands alone; every other flag takes the next argument as
+    /// its value.  The last of repeated flags wins.
+    pub fn new(args: impl IntoIterator<Item = String>, switches: &[&str]) -> Flags {
+        let mut flags = Flags::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if switches.contains(&arg.as_str()) {
+                flags.given.insert(arg, String::new());
+            } else if !arg.starts_with("--") {
+                flags.fail(format!("unexpected argument {arg}"));
+            } else if let Some(value) = args.next() {
+                flags.given.insert(arg, value);
+            } else {
+                flags.fail(format!("missing value for {arg}"));
+            }
+        }
+        flags
+    }
+
+    /// The value of flag `name`, or `default` when it is absent.
+    pub fn value<T: FromStr>(&mut self, name: &str, default: T) -> T {
+        self.take(name, default, |value| value.parse().ok())
+    }
+
+    /// The comma-separated values of flag `name`, or `default` when it is
+    /// absent.
+    pub fn list<T: FromStr>(&mut self, name: &str, default: Vec<T>) -> Vec<T> {
+        self.take(name, default, |value| {
+            value.split(',').map(|v| v.trim().parse().ok()).collect()
+        })
+    }
+
+    /// Whether the bare switch `name` was given.
+    pub fn switch(&mut self, name: &str) -> bool {
+        self.known.push(name.to_string());
+        self.given.remove(name).is_some()
+    }
+
+    /// Exit with status 2 if a flag was bad or no lookup consumed it.
+    pub fn finish(self) {
+        if let Err(usage) = self.verdict() {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        }
+    }
+
+    fn verdict(self) -> Result<(), String> {
+        let error = match (self.error, self.given.keys().next()) {
+            (Some(error), _) => error,
+            (None, Some(flag)) => format!("unknown flag {flag}"),
+            (None, None) => return Ok(()),
+        };
+        Err(format!("{error} (use {})", self.known.join(" ")))
+    }
+
+    fn take<T>(&mut self, name: &str, default: T, parse: impl FnOnce(&str) -> Option<T>) -> T {
+        self.known.push(name.to_string());
+        match self.given.remove(name) {
+            None => default,
+            Some(value) => parse(&value).unwrap_or_else(|| {
+                self.fail(format!("invalid value {value} for {name}"));
+                default
+            }),
+        }
+    }
+
+    fn fail(&mut self, error: String) {
+        self.error.get_or_insert(error);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,6 +175,57 @@ mod tests {
         let fma = format!("\"fma\": {}", cfg!(target_feature = "fma"));
         assert!(json.contains(&fma), "{json}");
         assert!(json.ends_with("}}"), "{json}");
+    }
+
+    fn flags(args: &[&str]) -> Flags {
+        Flags::new(args.iter().map(|arg| arg.to_string()), &["--check"])
+    }
+
+    #[test]
+    fn flags_read_values_lists_switches_and_defaults() {
+        let mut given = flags(&["--nx", "24", "--threads", "1, 2,4", "--check", "--nx", "32"]);
+        assert_eq!(given.value("--nx", 128usize), 32, "the last repeat wins");
+        assert_eq!(given.value("--ny", 128usize), 128);
+        assert_eq!(given.list("--threads", vec![1usize]), [1, 2, 4]);
+        assert_eq!(given.list("--sizes", vec![32usize, 64]), [32, 64]);
+        assert!(given.switch("--check"));
+        let out: String = given.value("--out", "BENCH.json".into());
+        assert_eq!(out, "BENCH.json");
+        assert_eq!(given.verdict(), Ok(()));
+        assert!(!flags(&[]).switch("--check"));
+    }
+
+    #[test]
+    fn finish_names_the_bad_flag_and_every_flag_looked_up() {
+        let mut leftover = flags(&["--reps", "3", "--sweeps", "2"]);
+        assert_eq!(leftover.value("--reps", 1usize), 3);
+        assert!(!leftover.switch("--check"));
+        assert_eq!(
+            leftover.verdict(),
+            Err("unknown flag --sweeps (use --reps --check)".to_string())
+        );
+
+        let mut unparseable = flags(&["--sizes", "16,x"]);
+        assert_eq!(unparseable.list("--sizes", vec![8usize]), [8]);
+        assert_eq!(
+            unparseable.verdict(),
+            Err("invalid value 16,x for --sizes (use --sizes)".to_string())
+        );
+
+        let mut missing = flags(&["--check", "--reps"]);
+        missing.value("--reps", 1usize);
+        missing.switch("--check");
+        assert_eq!(
+            missing.verdict(),
+            Err("missing value for --reps (use --reps --check)".to_string())
+        );
+
+        let mut stray = flags(&["16", "--nx", "8"]);
+        assert_eq!(stray.value("--nx", 1usize), 8);
+        assert_eq!(
+            stray.verdict(),
+            Err("unexpected argument 16 (use --nx)".to_string())
+        );
     }
 
     #[test]

@@ -18,21 +18,33 @@ use mffv_gpu_ref::device_model::{GpuSpec, GpuTimeModel};
 use mffv_mesh::Dims;
 use mffv_telemetry::LogHistogram;
 
-/// Best-of-`reps` wall time of `f` in seconds, after one untimed warmup —
-/// the measurement discipline shared by the kernel report binaries
-/// (`spmv_bench`) and the measured section of `roofline_report`.
-pub fn time_best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        // mffv-perf is the blessed wall-clock crate (AUDIT.md rule 5); the
-        // clippy mirror still needs a site-level allow.
-        #[allow(clippy::disallowed_methods)]
-        let start = std::time::Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
+/// Wall time in seconds of every round of `runs`, after one untimed warmup
+/// each — the measurement loop of the kernel report binaries.  Each of the
+/// `reps` rounds times every run once, in order, so host noise lands on
+/// every run alike and round `i` of one run pairs with round `i` of another.
+pub fn time_rounds<const N: usize>(reps: usize, mut runs: [&mut dyn FnMut(); N]) -> [Vec<f64>; N] {
+    for run in runs.iter_mut() {
+        run();
     }
-    best
+    let mut rounds: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(reps));
+    for _ in 0..reps {
+        for (run, seconds) in runs.iter_mut().zip(rounds.iter_mut()) {
+            // mffv-perf is the blessed wall-clock crate (AUDIT.md rule 5); the
+            // clippy mirror still needs a site-level allow.
+            #[allow(clippy::disallowed_methods)]
+            let start = std::time::Instant::now();
+            run();
+            seconds.push(start.elapsed().as_secs_f64());
+        }
+    }
+    rounds
+}
+
+/// Best-of-`reps` wall time of `f` in seconds, after one untimed warmup:
+/// the fastest of [`time_rounds`]' rounds.
+pub fn time_best_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    let [rounds] = time_rounds(reps.max(1), [&mut f]);
+    rounds.into_iter().fold(f64::INFINITY, f64::min)
 }
 
 /// Nearest-rank percentile of an **ascending-sorted** sample set; `q` in
@@ -285,6 +297,17 @@ mod tests {
 
     fn paper_grid() -> Dims {
         Dims::new(750, 994, 922)
+    }
+
+    #[test]
+    fn time_rounds_warms_each_run_up_once_then_takes_turns() {
+        let log = std::cell::RefCell::new(String::new());
+        let mut run_a = || log.borrow_mut().push('a');
+        let mut run_b = || log.borrow_mut().push('b');
+        let [a, b] = time_rounds(3, [&mut run_a, &mut run_b]);
+        assert_eq!(log.into_inner(), "abababab");
+        assert_eq!((a.len(), b.len()), (3, 3));
+        assert!(a.iter().chain(&b).all(|&s| s >= 0.0));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! isolation, concurrent-client fairness under a full queue, deadline
 //! ceilings and drain shutdown.
 
-use mffv_mesh::WorkloadSpec;
+use mffv_mesh::workload::BoundarySpec;
+use mffv_mesh::{CellIndex, Dims, TransientSpec, Well, WellSet, WorkloadSpec};
 use mffv_serve::frame::{Frame, WireShutdownMode};
 use mffv_serve::wire::{BackendSel, WireJobSpec, WirePolicy};
 use mffv_serve::{Client, ClientControl, JobEnd, RunningServer, ServeConfig, Server};
@@ -19,22 +20,32 @@ fn quick_spec(backend: BackendSel) -> WireJobSpec {
     WireJobSpec::new(WorkloadSpec::quickstart().scaled(2), backend)
 }
 
-/// A job that runs for a long time unless stopped: a scaled-up grid (so
-/// every CG iteration costs real wall-clock) with an unreachable tolerance.
-/// CG's numeric-breakdown guard eventually ends it even unstopped, but only
-/// after thousands of iterations — far beyond every cancel/deadline in
-/// these tests.
+/// A job that only a cancel or a deadline can end: a million one-second
+/// transient steps on a 4×4×2 grid.  Each step is a cold-started CG capped
+/// at 20 iterations, far short of its 1e-300 tolerance, and an injector
+/// with no Dirichlet boundary keeps the pressure rising, so every step
+/// iterates.  A steady plug cannot do this: CG on a steady problem
+/// converges, even to 1e-300, within seconds.
 fn plug_spec() -> WireJobSpec {
-    WireJobSpec::new(
+    let mut spec = WireJobSpec::new(
         WorkloadSpec {
-            name: "plug-48x48x24".to_string(),
-            dims: mffv_mesh::Dims::new(48, 48, 24),
-            tolerance: 1e-30,
-            max_iterations: 500_000,
+            name: "plug-4x4x2".to_string(),
+            dims: Dims::new(4, 4, 2),
+            boundary: BoundarySpec::None,
+            tolerance: 1e-300,
+            max_iterations: 20,
             ..WorkloadSpec::quickstart()
         },
         BackendSel::HostF64,
-    )
+    );
+    let injector = Well::rate("inj", CellIndex::new(1, 1, 0), 1.0);
+    spec.transient = Some(
+        TransientSpec::new(1e6, 1.0, 1e-3)
+            .with_wells(WellSet::empty().with(injector))
+            .with_initial_pressure(0.0)
+            .cold_start(),
+    );
+    spec
 }
 
 #[test]
@@ -310,8 +321,9 @@ fn drain_shutdown_finishes_accepted_work_and_refuses_new_work() {
     let server = start(ServeConfig::default());
     let addr = server.local_addr();
 
-    // A job that takes a little while (bounded by its iteration budget), on
-    // a raw stream so we can interleave the shutdown request.
+    // A steady job that its 200-iteration budget ends: to its 1e-300
+    // tolerance CG needs thousands of iterations.  A raw stream lets the
+    // test interleave the shutdown request.
     let mut stream = TcpStream::connect(addr).expect("connect");
     Frame::Hello {
         client: "drain".into(),
@@ -322,7 +334,15 @@ fn drain_shutdown_finishes_accepted_work_and_refuses_new_work() {
         Frame::read_from(&mut stream).unwrap(),
         Some(Frame::Welcome { .. })
     ));
-    let mut bounded_plug = plug_spec();
+    let mut bounded_plug = WireJobSpec::new(
+        WorkloadSpec {
+            name: "steady-48x48x24".to_string(),
+            dims: Dims::new(48, 48, 24),
+            tolerance: 1e-300,
+            ..WorkloadSpec::quickstart()
+        },
+        BackendSel::HostF64,
+    );
     bounded_plug.policy = WirePolicy {
         iteration_budget: Some(200),
         ..WirePolicy::default()
@@ -368,10 +388,6 @@ fn drain_shutdown_finishes_accepted_work_and_refuses_new_work() {
                 job_id: 7, reason, ..
             }) => {
                 terminal = Some(reason);
-                break;
-            }
-            Some(Frame::Done { job_id: 7, .. }) => {
-                terminal = Some(StopReason::IterationBudget);
                 break;
             }
             Some(Frame::ShuttingDown) => continue,
