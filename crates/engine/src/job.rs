@@ -264,7 +264,7 @@ pub struct JobOutcome {
     /// How the job ended.
     pub status: JobStatus,
     /// Wall-clock seconds the job spent queued before a worker picked it up
-    /// (submission back-pressure).  Jobs cancelled while queued report their
+    /// (all workers were busy).  Jobs cancelled while queued report their
     /// real wait too.
     pub queue_wait_seconds: f64,
     /// Wall-clock seconds the job spent executing on its worker (validation +

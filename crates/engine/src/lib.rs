@@ -14,10 +14,10 @@
 //! every job and drains.
 //!
 //! ```text
-//!  submit_blocking            (ticket, ServiceJob)
-//!  ───────────────▶ BoundedQueue ──▶ worker 0 ──┐
-//!  (blocks when full)   │     └───▶ worker 1 ──┤ on_done(JobOutcome)
-//!                       └─────────▶ worker N ──┤
+//!  submit                   (ticket, ServiceJob)
+//!  ───────────────▶ JobQueue ──┬──▶ worker 0 ──┐
+//!  (never blocks)              ├──▶ worker 1 ──┤ on_done(JobOutcome)
+//!                              └──▶ worker N ──┤
 //!                                              ├──▶ daemon: terminal frame to the client
 //!                                              └──▶ Engine::run: slots[ticket] ──▶ BatchReport
 //!                                                   (outcomes in submission order
@@ -28,9 +28,11 @@
 //!   [`Backend`], a `SolveConfig` and a seed; the heavy workload fields are
 //!   materialised *on the worker*, never shared, so jobs are independent by
 //!   construction.
-//! * **Bounded intake.**  Jobs flow through a [`queue::BoundedQueue`]
-//!   (`Mutex` + `Condvar`), giving back-pressure on the submitter instead of
-//!   unbounded buffering.
+//! * **One queue, bounded by its producers.**  Jobs flow through a
+//!   [`queue::JobQueue`] (`Mutex` + `Condvar`) whose push never blocks: a
+//!   batch submits a `Vec` it already holds, and a daemon session holds at
+//!   most its admission window, so the queue never holds more than its
+//!   producers already do.
 //! * **Failure isolation.**  Workers run each job behind
 //!   `std::panic::catch_unwind`; a panicking or failing job becomes a
 //!   [`JobStatus::Panicked`] / [`JobStatus::Failed`] outcome and the pool

@@ -2,7 +2,7 @@
 //!
 //! [`Engine::run`] is a batch client of the engine's one worker pool
 //! ([`crate::service`]): it starts a service sized to the batch, submits
-//! every job through [`EngineService::submit_blocking`], drains, and files
+//! every job through [`EngineService::submit`], drains, and files
 //! each outcome by its ticket.  A fresh service numbers its tickets `0..n` in
 //! submission order, so the ticket is the job's index and the returned
 //! [`BatchReport`] lists outcomes in submission order no matter how many
@@ -18,7 +18,7 @@
 //! [`MetricsRegistry`] ([`Engine::with_metrics`]) receives the same
 //! `engine.service.*` and `engine.context.*` metrics as the daemon's.
 //!
-//! [`EngineService::submit_blocking`]: crate::EngineService::submit_blocking
+//! [`EngineService::submit`]: crate::EngineService::submit
 
 use crate::job::{JobOutcome, JobSpec};
 use crate::report::BatchReport;
@@ -31,20 +31,16 @@ use std::sync::mpsc;
 #[derive(Clone, Debug)]
 pub struct Engine {
     workers: usize,
-    queue_capacity: usize,
     cancel: Option<CancelToken>,
     tracer: Tracer,
     metrics: Option<MetricsRegistry>,
 }
 
 impl Engine {
-    /// An engine with `workers` worker threads (at least 1) and a default
-    /// queue bound of twice the worker count.
+    /// An engine with `workers` worker threads (at least 1).
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         Self {
-            workers,
-            queue_capacity: workers * 2,
+            workers: workers.max(1),
             cancel: None,
             tracer: Tracer::disabled(),
             metrics: None,
@@ -58,12 +54,6 @@ impl Engine {
             .map(|n| n.get())
             .unwrap_or(1);
         Self::new(workers)
-    }
-
-    /// Override the job-queue bound (back-pressure on the submitting thread).
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
-        self
     }
 
     /// Watch `token` for batch-level cancellation.  When the token trips,
@@ -119,11 +109,6 @@ impl Engine {
         self.cancel.as_ref()
     }
 
-    /// Bound of the job queue.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
-    }
-
     /// Execute `jobs` across the worker pool and aggregate the results.
     ///
     /// Guarantees:
@@ -147,7 +132,7 @@ impl Engine {
         let (sender, receiver) = mpsc::channel();
         for job in jobs {
             let sender = sender.clone();
-            let submitted = service.submit_blocking(ServiceJob::new(job, move |outcome| {
+            let submitted = service.submit(ServiceJob::new(job, move |outcome| {
                 // The receiver outlives the workers, so the send cannot fail.
                 let _ = sender.send(outcome);
             }));
@@ -279,10 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn worker_and_queue_floors() {
-        let engine = Engine::new(0).with_queue_capacity(0);
-        assert_eq!(engine.workers(), 1);
-        assert_eq!(engine.queue_capacity(), 1);
+    fn worker_floors() {
+        assert_eq!(Engine::new(0).workers(), 1);
         assert!(Engine::with_available_parallelism().workers() >= 1);
     }
 
@@ -294,7 +277,7 @@ mod tests {
         assert_eq!(jobs, 5);
         assert_eq!(report.exec_histogram.count(), 5);
         assert!(report.queue_high_water >= 1);
-        assert!(report.queue_high_water <= Engine::new(3).queue_capacity());
+        assert!(report.queue_high_water <= 5);
         for (i, w) in report.worker_stats.iter().enumerate() {
             assert_eq!(w.worker, i);
             assert!(w.busy_seconds <= report.busy_seconds() + 1e-9);

@@ -1,12 +1,12 @@
-//! A bounded multi-producer/multi-consumer job queue built from `std` only
-//! (`Mutex` + two `Condvar`s) — the hand-off point between the engine's
-//! submitting thread and its worker pool.
+//! The engine's job queue: a closable multi-producer/multi-consumer FIFO
+//! built from `std` only (`Mutex` + `Condvar`) — the hand-off point between
+//! the threads that submit jobs and the worker pool.
 //!
-//! The bound provides back-pressure: a sweep of thousands of jobs never
-//! materialises more than `capacity` queued entries at once, so the submitter
-//! blocks in [`BoundedQueue::push`] until a worker drains a slot.  Closing the
-//! queue wakes every blocked party; consumers then drain the remaining items
-//! before [`BoundedQueue::pop`] returns `None`.
+//! A push never blocks, because every producer already bounds its own
+//! input: a batch hands over a `Vec` it already holds, and a daemon session
+//! holds at most its admission window.  Closing the queue refuses further
+//! pushes and wakes every blocked consumer; consumers then drain the
+//! remaining items before [`JobQueue::pop`] returns `None`.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -14,39 +14,35 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// Largest number of items ever queued at once — the back-pressure
-    /// telemetry `BatchReport` surfaces as `queue_high_water`.
+    /// Largest number of items ever queued at once — the depth telemetry
+    /// `BatchReport` surfaces as `queue_high_water`.
     high_water: usize,
 }
 
-/// A blocking FIFO queue with a fixed capacity.
-pub struct BoundedQueue<T> {
-    capacity: usize,
+/// A closable FIFO queue whose consumers block while it is empty.
+pub struct JobQueue<T> {
     state: Mutex<QueueState<T>>,
     /// Signalled when an item is enqueued or the queue is closed.
     not_empty: Condvar,
-    /// Signalled when an item is dequeued or the queue is closed.
-    not_full: Condvar,
 }
 
-impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items (at least 1).
-    pub fn new(capacity: usize) -> Self {
+impl<T> Default for JobQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> JobQueue<T> {
+    /// An empty, open queue.
+    pub fn new() -> Self {
         Self {
-            capacity: capacity.max(1),
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 closed: false,
                 high_water: 0,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
         }
-    }
-
-    /// Maximum number of queued items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Lock the state, shrugging off poisoning: workers catch job panics
@@ -56,17 +52,11 @@ impl<T> BoundedQueue<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enqueue `item`, blocking while the queue is full.  Hands the item
-    /// back if the queue was closed in the meantime — a submitter needs the
-    /// rejected job's callbacks to reply to its client.
+    /// Enqueue `item` without blocking.  Hands the item back if the queue
+    /// is closed — a submitter needs the refused job's callbacks to reply to
+    /// its client.
     pub fn push(&self, item: T) -> Result<(), T> {
         let mut state = self.lock();
-        while state.items.len() >= self.capacity && !state.closed {
-            state = self
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
         if state.closed {
             return Err(item);
         }
@@ -87,7 +77,6 @@ impl<T> BoundedQueue<T> {
         let mut state = self.lock();
         loop {
             if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
                 return Some(item);
             }
             if state.closed {
@@ -100,23 +89,21 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Close the queue: no further pushes are accepted, every blocked thread
-    /// is woken, and consumers drain what is left.
+    /// Close the queue: no further pushes are accepted, every blocked
+    /// consumer is woken, and consumers drain what is left.
     pub fn close(&self) {
         self.lock().closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn fifo_order_within_capacity() {
-        let q = BoundedQueue::new(4);
+    fn fifo_order_and_high_water() {
+        let q = JobQueue::new();
         assert_eq!(q.high_water(), 0);
         assert!(q.push(1).is_ok());
         assert!(q.push(2).is_ok());
@@ -132,47 +119,15 @@ mod tests {
 
     #[test]
     fn push_after_close_is_rejected() {
-        let q = BoundedQueue::new(2);
+        let q = JobQueue::new();
         q.close();
         assert_eq!(q.push(42), Err(42));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn capacity_is_at_least_one() {
-        assert_eq!(BoundedQueue::<u8>::new(0).capacity(), 1);
-        assert_eq!(BoundedQueue::<u8>::new(7).capacity(), 7);
-    }
-
-    #[test]
-    fn bounded_push_blocks_until_a_consumer_drains() {
-        // A capacity-1 queue forces the producer to interleave with the
-        // consumer: every push beyond the first must wait for a pop.
-        let q = BoundedQueue::new(1);
-        let produced = AtomicUsize::new(0);
-        let total = 64usize;
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..total {
-                    assert!(q.push(i).is_ok());
-                    produced.fetch_add(1, Ordering::SeqCst);
-                }
-                q.close();
-            });
-            let mut got = Vec::new();
-            while let Some(item) = q.pop() {
-                // Back-pressure: the producer can never run more than
-                // `capacity + 1` items ahead of what we have consumed.
-                assert!(produced.load(Ordering::SeqCst) <= got.len() + 2);
-                got.push(item);
-            }
-            assert_eq!(got, (0..total).collect::<Vec<_>>());
-        });
-    }
-
-    #[test]
     fn close_wakes_blocked_consumers() {
-        let q = BoundedQueue::<u8>::new(2);
+        let q = JobQueue::<u8>::new();
         std::thread::scope(|s| {
             let h = s.spawn(|| q.pop());
             std::thread::sleep(std::time::Duration::from_millis(10));

@@ -64,8 +64,8 @@ pub struct BatchReport {
     /// workers' thread-local histograms.  Empty when the engine did not
     /// collect one.
     pub exec_histogram: LogHistogram,
-    /// Largest queue depth the bounded job queue reached (back-pressure
-    /// indicator; at most the engine's queue capacity).
+    /// Largest depth the job queue reached (at most the number of jobs in
+    /// the batch).
     pub queue_high_water: usize,
 }
 
@@ -169,8 +169,8 @@ impl BatchReport {
         mffv_mesh::seq_sum(self.outcomes.iter().map(|o| o.exec_seconds))
     }
 
-    /// Sum of per-job queue waits — the back-pressure cost the bounded queue
-    /// imposed across the batch.
+    /// Sum of per-job queue waits — the time jobs spent queued behind busy
+    /// workers across the batch.
     pub fn queue_wait_seconds(&self) -> f64 {
         mffv_mesh::seq_sum(self.outcomes.iter().map(|o| o.queue_wait_seconds))
     }

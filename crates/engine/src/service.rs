@@ -2,12 +2,13 @@
 //!
 //! [`Engine::start`] spawns the workers once and keeps them alive behind an
 //! [`EngineService`] handle; jobs arrive one at a time through
-//! [`EngineService::submit_blocking`], which rides the bounded queue's
-//! back-pressure.  Each submitted job carries its own completion callback
-//! and, optionally, a live [`SolveEvent`] observer — the hook a solve daemon
-//! uses to stream convergence over a socket while the solve runs.
-//! [`Engine::run`] is a batch client of the same pool: it starts a service
-//! sized to the batch, submits every job and drains.
+//! [`EngineService::submit`], which queues the job and returns at once (each
+//! producer bounds its own input, see [`crate::queue`]).  Each submitted job
+//! carries its own completion callback and, optionally, a live
+//! [`SolveEvent`] observer — the hook a solve daemon uses to stream
+//! convergence over a socket while the solve runs.  [`Engine::run`] is a
+//! batch client of the same pool: it starts a service sized to the batch,
+//! submits every job and drains.
 //!
 //! Every worker runs the same loop: pop a job, close its `queue-wait` span,
 //! run it behind [`catch_unwind`] on the worker's warm
@@ -16,7 +17,8 @@
 //! [`JobOutcome`] to the job's callback.  A panicking job or callback costs
 //! one outcome, never the worker.
 //!
-//! Shutdown is explicit and two-flavoured ([`EngineService::shutdown`]):
+//! Shutdown is explicit and two-flavoured ([`EngineService::shutdown`],
+//! callable through a shared handle):
 //!
 //! * [`ShutdownMode::Drain`] — refuse new submissions, let every queued job
 //!   run to completion, then join the workers (the SIGTERM path: nothing
@@ -32,7 +34,7 @@
 
 use crate::job::{JobOutcome, JobSpec, JobStatus};
 use crate::pool::Engine;
-use crate::queue::BoundedQueue;
+use crate::queue::JobQueue;
 use crate::report::WorkerStats;
 use mffv_solver::backend::{SolveError, SolveReport, SolveRequest};
 use mffv_solver::context::{ContextStats, SolveContextCache};
@@ -40,7 +42,7 @@ use mffv_solver::monitor::{monitor_fn, CancelToken, Flow, SolveEvent, SolveMonit
 use mffv_telemetry::{LogHistogram, MetricsRegistry, Span, Stopwatch, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// How [`EngineService::shutdown`] winds the pool down.
@@ -106,7 +108,7 @@ struct QueuedServiceJob {
 }
 
 struct ServiceShared {
-    queue: BoundedQueue<QueuedServiceJob>,
+    queue: JobQueue<QueuedServiceJob>,
     /// Tripped by [`ShutdownMode::Abort`] or the batch's own token; threaded
     /// into every job as its engine token, so in-flight solves stop at the
     /// next boundary.
@@ -118,12 +120,14 @@ struct ServiceShared {
 /// histogram of the execution latencies of the jobs it ran.
 pub(crate) type WorkerTally = (WorkerStats, LogHistogram);
 
-/// Handle to a started engine service: submit jobs, shut down.  Dropping
-/// the handle without calling [`shutdown`](EngineService::shutdown) closes
-/// the queue: the workers finish what is queued and exit, unjoined.
+/// Handle to a started engine service: submit jobs, shut down.  Both take
+/// `&self`, so one handle can be shared by every submitting thread.
+/// Dropping the handle without calling [`shutdown`](EngineService::shutdown)
+/// closes the queue: the workers finish what is queued and exit, unjoined.
 pub struct EngineService {
     shared: Arc<ServiceShared>,
-    workers: Vec<JoinHandle<WorkerTally>>,
+    /// Taken (left empty) by the first shutdown.
+    workers: Mutex<Vec<JoinHandle<WorkerTally>>>,
     tracer: Tracer,
     /// Parent of every job's label span: `engine-batch` for a batch; `None`
     /// roots each job's span at the tracer.
@@ -133,8 +137,8 @@ pub struct EngineService {
 
 impl Engine {
     /// Start the engine in persistent service mode: `workers()` threads over
-    /// a `queue_capacity()`-bounded queue, inheriting the engine's tracer,
-    /// metrics registry and (if configured) cancel token.
+    /// one job queue, inheriting the engine's tracer, metrics registry and
+    /// (if configured) cancel token.
     pub fn start(&self) -> EngineService {
         self.start_pool(self.workers(), None)
     }
@@ -143,7 +147,7 @@ impl Engine {
     /// span under `parent` when one is given.
     pub(crate) fn start_pool(&self, workers: usize, parent: Option<Span>) -> EngineService {
         let shared = Arc::new(ServiceShared {
-            queue: BoundedQueue::new(self.queue_capacity()),
+            queue: JobQueue::new(),
             cancel: self.cancel().cloned().unwrap_or_default(),
             metrics: self.metrics().cloned(),
         });
@@ -155,7 +159,7 @@ impl Engine {
             .collect();
         EngineService {
             shared,
-            workers,
+            workers: Mutex::new(workers),
             tracer: self.tracer().clone(),
             parent,
             next_ticket: AtomicUsize::new(0),
@@ -164,20 +168,14 @@ impl Engine {
 }
 
 impl EngineService {
-    /// The service-wide cancel token ([`ShutdownMode::Abort`] trips it; a
-    /// daemon may also trip it directly for an emergency stop).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.shared.cancel.clone()
-    }
-
-    /// Submit, blocking while the queue is full.  Returns the job's ticket —
-    /// its submission index on this service, which its [`JobOutcome::index`]
+    /// Queue `job` without blocking.  Returns the job's ticket — its
+    /// submission index on this service, which its [`JobOutcome::index`]
     /// carries — or hands the job back unexecuted when the service is
     /// shutting down.
     // Handing the whole job back by value is the point of the Err: the
     // caller keeps its callbacks to reply with.
     #[allow(clippy::result_large_err)]
-    pub fn submit_blocking(&self, job: ServiceJob) -> Result<usize, ServiceJob> {
+    pub fn submit(&self, job: ServiceJob) -> Result<usize, ServiceJob> {
         let ticket = self.next_ticket.fetch_add(1, Ordering::SeqCst);
         let label = job.job.label();
         let root = match &self.parent {
@@ -213,20 +211,22 @@ impl EngineService {
     /// Shut the service down.  [`ShutdownMode::Drain`] finishes everything
     /// queued; [`ShutdownMode::Abort`] cancels in-flight and queued jobs
     /// (their `on_done` callbacks still fire, as `Stopped(Cancelled)`).
-    /// Joins every worker before returning.
-    pub fn shutdown(self, mode: ShutdownMode) {
+    /// Joins every worker before returning; a later call finds none left.
+    pub fn shutdown(&self, mode: ShutdownMode) {
         self.join(mode);
     }
 
     /// [`shutdown`](Self::shutdown), returning each joined worker's tally in
     /// worker order.
-    pub(crate) fn join(mut self, mode: ShutdownMode) -> Vec<WorkerTally> {
+    pub(crate) fn join(&self, mode: ShutdownMode) -> Vec<WorkerTally> {
         if matches!(mode, ShutdownMode::Abort) {
             self.shared.cancel.cancel();
         }
         self.shared.queue.close();
-        std::mem::take(&mut self.workers)
-            .into_iter()
+        self.workers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
             // A worker that panicked outside job isolation has already lost
             // its thread and its tally; joining the rest is still the right
             // cleanup.
@@ -404,7 +404,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for ticket in 0..4 {
             let tx = tx.clone();
-            let submitted = service.submit_blocking(ServiceJob::new(quick_job(), move |outcome| {
+            let submitted = service.submit(ServiceJob::new(quick_job(), move |outcome| {
                 tx.send(outcome).ok();
             }));
             assert_eq!(submitted.ok(), Some(ticket));
@@ -431,7 +431,7 @@ mod tests {
         let (started_tx, started_rx) = mpsc::channel::<()>();
         let plug_tx = tx.clone();
         service
-            .submit_blocking(
+            .submit(
                 ServiceJob::new(slow, move |o| {
                     plug_tx.send(o).ok();
                 })
@@ -448,7 +448,7 @@ mod tests {
         for _ in 0..2 {
             let tx = tx.clone();
             service
-                .submit_blocking(ServiceJob::new(quick_job(), move |o| {
+                .submit(ServiceJob::new(quick_job(), move |o| {
                     tx.send(o).ok();
                 }))
                 .ok()
@@ -485,7 +485,7 @@ mod tests {
         for _ in 0..3 {
             let tx = tx.clone();
             service
-                .submit_blocking(ServiceJob::new(quick_job(), move |o| {
+                .submit(ServiceJob::new(quick_job(), move |o| {
                     tx.send(o).ok();
                 }))
                 .ok()
@@ -501,7 +501,7 @@ mod tests {
     fn submissions_after_shutdown_begin_are_refused() {
         let service = Engine::new(1).start();
         service.shared.queue.close();
-        let refused = service.submit_blocking(ServiceJob::new(quick_job(), |_| {}));
+        let refused = service.submit(ServiceJob::new(quick_job(), |_| {}));
         assert!(refused.is_err(), "a closed queue hands the job back");
         service.shutdown(ShutdownMode::Drain);
     }
@@ -532,7 +532,7 @@ mod tests {
         let (ev_tx, ev_rx) = mpsc::channel();
         let job = quick_job();
         service
-            .submit_blocking(
+            .submit(
                 ServiceJob::new(job.clone(), move |o| {
                     tx.send(o).ok();
                 })

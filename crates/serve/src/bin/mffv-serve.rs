@@ -1,9 +1,8 @@
 //! The solve daemon binary.
 //!
 //! ```text
-//! mffv-serve [--addr 127.0.0.1:7419] [--workers N] [--queue-capacity N]
-//!            [--session-window N] [--max-session-seconds S]
-//!            [--port-file PATH] [--metrics]
+//! mffv-serve [--addr 127.0.0.1:7419] [--workers N] [--session-window N]
+//!            [--max-session-seconds S] [--port-file PATH] [--metrics]
 //! ```
 //!
 //! Binds, prints the bound address (and writes it to `--port-file` if given,
@@ -22,9 +21,8 @@ struct Args {
 }
 
 fn usage() -> &'static str {
-    "usage: mffv-serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]\n\
-     \x20                 [--session-window N] [--max-session-seconds S]\n\
-     \x20                 [--port-file PATH] [--metrics]"
+    "usage: mffv-serve [--addr HOST:PORT] [--workers N] [--session-window N]\n\
+     \x20                 [--max-session-seconds S] [--port-file PATH] [--metrics]"
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -44,11 +42,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 config.workers = value("--workers")?
                     .parse()
                     .map_err(|_| "--workers needs an integer".to_string())?
-            }
-            "--queue-capacity" => {
-                config.queue_capacity = value("--queue-capacity")?
-                    .parse()
-                    .map_err(|_| "--queue-capacity needs an integer".to_string())?
             }
             "--session-window" => {
                 config.session_window = value("--session-window")?

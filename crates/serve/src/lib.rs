@@ -27,9 +27,9 @@
 //! * one TCP connection = one session; at most
 //!   [`ServeConfig::session_window`] jobs outstanding per session — the
 //!   window overflowing is a typed `Busy` reply, not a hang;
-//! * accepted jobs are dispatched round-robin across sessions into the
-//!   bounded engine queue, so concurrent clients interleave fairly even
-//!   with the queue full;
+//! * an accepted job goes straight from its session's reader into the
+//!   engine's one FIFO queue; the per-session window caps how many jobs any
+//!   session holds ahead of another, so no session starves;
 //! * a `Cancel` frame trips that one job's [`CancelToken`] — the solve
 //!   stops at its next iteration boundary; other sessions' jobs are
 //!   untouched; a dropped connection cancels its orphans the same way;

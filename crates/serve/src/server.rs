@@ -4,27 +4,26 @@
 //! ## Thread structure
 //!
 //! ```text
-//!  accept loop ──▶ reader thread per connection ──▶ per-session pending deque
-//!                     (decodes frames, replies          │
-//!                      Accepted/Busy/Rejected)          ▼ round-robin
-//!                                              dispatcher thread
-//!                                                       │ submit_blocking
-//!                                                       ▼ (fairness throttle)
-//!                                              EngineService workers
-//!                                                       │ on_event / on_done
-//!                                                       ▼
-//!                                              session writer (Mutex<TcpStream>)
+//!  accept loop ──▶ reader thread per connection
+//!                    (decodes frames; replies Welcome/Busy/Rejected/Pong;
+//!                     writes Accepted, then submits)
+//!                            │ EngineService::submit
+//!                            ▼
+//!                  engine job queue (one FIFO) ──▶ EngineService workers
+//!                                                        │ on_event / on_done
+//!                                                        ▼
+//!                                        session writer (Mutex<TcpStream>)
 //! ```
 //!
 //! * **Admission is per session.**  Each connection may have at most
 //!   [`ServeConfig::session_window`] jobs outstanding; a `Submit` beyond the
 //!   window gets a typed `Busy` frame immediately — back-pressure is a
-//!   protocol reply, never a hang.
-//! * **Fairness is structural.**  Accepted jobs wait in per-session deques; a
-//!   single dispatcher thread round-robins across sessions and feeds the
-//!   engine through `submit_blocking`, deliberately riding the bounded
-//!   queue's back-pressure.  With the engine queue full, every session still
-//!   advances one job per turn of the cursor — no session can starve another.
+//!   protocol reply, never a hang.  A `Submit` reusing the id of one of the
+//!   session's in-flight jobs is `Rejected`.
+//! * **The window is the fairness bound.**  A session's reader submits each
+//!   accepted job straight into the engine's one queue, so jobs start in
+//!   admission order.  No session can hold more than its window in that
+//!   queue, so no session can starve another.
 //! * **Cancellation is a token trip.**  Every accepted job gets its own
 //!   [`CancelToken`] (tripped by a `Cancel` frame for that `job_id`) plus the
 //!   session's disconnect token (tripped when the connection drops, so
@@ -34,16 +33,17 @@
 //!   [`mffv_engine::ShutdownMode`]: `Drain` finishes every
 //!   accepted job (terminal frames included) before the daemon exits; `Abort`
 //!   trips the service-wide token so in-flight solves stop at their next
-//!   boundary and still-pending jobs come back as `Rejected`.
+//!   boundary and queued jobs end `Stopped(Cancelled)` with no report.  A
+//!   submit that loses the race with either gets `Rejected`.
 
 use crate::frame::{Frame, WireShutdownMode};
 use crate::wire::WireError;
 use mffv_engine::{Engine, EngineService, JobStatus, ServiceJob, ShutdownMode};
 use mffv_solver::monitor::{CancelToken, Flow, SolveEvent};
 use mffv_telemetry::{MetricsRegistry, Tracer};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -60,8 +60,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Engine worker threads.
     pub workers: usize,
-    /// Engine queue bound (jobs admitted past the dispatcher).
-    pub queue_capacity: usize,
     /// Jobs one session may have outstanding before `Submit` gets `Busy`.
     pub session_window: usize,
     /// Per-session deadline ceiling in seconds; clamps (and, when the client
@@ -76,7 +74,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            queue_capacity: 4,
             session_window: 2,
             max_session_seconds: None,
             banner: "mffv-serve".to_string(),
@@ -96,12 +93,6 @@ impl ServeConfig {
     /// Set the engine worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Set the engine queue bound.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
         self
     }
 
@@ -125,10 +116,9 @@ struct Session {
     /// frames from the reader, the streaming callback and the terminal
     /// callback interleave whole, never interleaved byte-wise.
     writer: Mutex<TcpStream>,
-    /// Per-job cancel tokens for this session's in-flight jobs.
+    /// Cancel tokens of this session's accepted, not yet terminal jobs, by
+    /// job id; its length is the admission window's occupancy.
     jobs: Mutex<BTreeMap<u64, CancelToken>>,
-    /// Jobs accepted and not yet terminal (admission window occupancy).
-    in_flight: AtomicUsize,
     /// Tripped when the connection drops: orphaned solves stop at their
     /// next iteration boundary instead of running to convergence unread.
     disconnect: CancelToken,
@@ -143,33 +133,19 @@ impl Session {
     }
 }
 
-/// A job admitted to a session window, waiting for the dispatcher.
-struct PendingJob {
-    session: Arc<Session>,
-    job_id: u64,
-    service_job: ServiceJob,
-}
-
-struct DispatchState {
-    /// Per-session FIFO of admitted jobs, keyed by session id (BTreeMap so
-    /// the round-robin cursor has a stable total order to walk).
-    pending: BTreeMap<u64, VecDeque<PendingJob>>,
-    /// Set once at shutdown; `Drain` lets the dispatcher empty `pending`
-    /// into the engine first, `Abort` rejects whatever is still here.
-    stop: Option<WireShutdownMode>,
-}
-
 struct ServerShared {
     config: ServeConfig,
     tracer: Tracer,
     metrics: Option<MetricsRegistry>,
+    /// The engine every session reader submits into.
+    service: EngineService,
     /// Once true, new connections and new `Submit`s are refused.
     shutting: AtomicBool,
     sessions: Mutex<BTreeMap<u64, Arc<Session>>>,
+    /// Reader threads not yet known to have finished; finished ones are
+    /// dropped as new connections arrive.
     readers: Mutex<Vec<JoinHandle<()>>>,
     next_session: AtomicU64,
-    dispatch: Mutex<DispatchState>,
-    dispatch_cv: Condvar,
     /// A client asked the daemon to stop (`Shutdown` frame); the embedding
     /// process observes it via [`RunningServer::wait_for_shutdown_request`].
     shutdown_request: Mutex<Option<WireShutdownMode>>,
@@ -213,48 +189,34 @@ impl Server {
         self
     }
 
-    /// Bind the listener, start the engine service, the dispatcher and the
-    /// accept loop, and return the running daemon's handle.
+    /// Bind the listener, start the engine service and the accept loop, and
+    /// return the running daemon's handle.
     pub fn bind(self) -> Result<RunningServer, WireError> {
         let listener = TcpListener::bind(&self.config.addr)?;
         let local_addr = listener.local_addr()?;
-        let mut engine = Engine::new(self.config.workers)
-            .with_queue_capacity(self.config.queue_capacity)
-            .with_tracer(self.tracer.clone());
+        let mut engine = Engine::new(self.config.workers).with_tracer(self.tracer.clone());
         if let Some(metrics) = &self.metrics {
             engine = engine.with_metrics(metrics.clone());
         }
-        let service = engine.start();
-        let abort_token = service.cancel_token();
         let shared = Arc::new(ServerShared {
             config: self.config,
             tracer: self.tracer,
             metrics: self.metrics,
+            service: engine.start(),
             shutting: AtomicBool::new(false),
             sessions: Mutex::new(BTreeMap::new()),
             readers: Mutex::new(Vec::new()),
             next_session: AtomicU64::new(1),
-            dispatch: Mutex::new(DispatchState {
-                pending: BTreeMap::new(),
-                stop: None,
-            }),
-            dispatch_cv: Condvar::new(),
             shutdown_request: Mutex::new(None),
             shutdown_cv: Condvar::new(),
         });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || dispatcher_loop(&shared, service))
-        };
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&shared, &listener))
         };
         Ok(RunningServer {
             shared,
-            abort_token,
             accept,
-            dispatcher,
             local_addr,
         })
     }
@@ -263,12 +225,7 @@ impl Server {
 /// Handle to a live daemon.
 pub struct RunningServer {
     shared: Arc<ServerShared>,
-    /// The engine service's own cancel token, tripped *before* the
-    /// dispatcher is signalled on `Abort` so a dispatcher blocked on a full
-    /// queue is unblocked by the cancelling solves, never deadlocked.
-    abort_token: CancelToken,
     accept: JoinHandle<()>,
-    dispatcher: JoinHandle<()>,
     local_addr: SocketAddr,
 }
 
@@ -302,26 +259,21 @@ impl RunningServer {
 
     /// Wind the daemon down.  `Drain`: every accepted job runs to its
     /// terminal frame first.  `Abort`: in-flight solves are cancelled at
-    /// their next iteration boundary, still-pending jobs come back as
-    /// `Rejected`.  Joins every daemon thread before returning.
+    /// their next iteration boundary, and queued jobs end
+    /// `Stopped(Cancelled)` with no report.  Joins every daemon thread
+    /// before returning.
     pub fn shutdown(self, mode: WireShutdownMode) {
         self.shared.shutting.store(true, Ordering::SeqCst);
-        if matches!(mode, WireShutdownMode::Abort) {
-            self.abort_token.cancel();
-        }
         // Wake the accept loop out of its blocking accept() with a throwaway
         // connection to ourselves; it re-checks the flag and exits.
         let _ = TcpStream::connect(self.local_addr);
         let _ = self.accept.join();
-        {
-            let mut state = lock(&self.shared.dispatch);
-            state.stop = Some(mode);
-            self.shared.dispatch_cv.notify_all();
-        }
-        // The dispatcher drains (or rejects) its pending deques, shuts the
-        // engine service down in the matching mode and exits; when this join
-        // returns, every accepted job has sent its terminal frame.
-        let _ = self.dispatcher.join();
+        // Closing the queue refuses later submits; when the workers are
+        // joined, every queued job has sent its terminal frame.
+        self.shared.service.shutdown(match mode {
+            WireShutdownMode::Drain => ShutdownMode::Drain,
+            WireShutdownMode::Abort => ShutdownMode::Abort,
+        });
         let sessions: Vec<Arc<Session>> = lock(&self.shared.sessions).values().cloned().collect();
         for session in sessions {
             let _ = session.send(&Frame::ShuttingDown);
@@ -358,7 +310,6 @@ fn accept_loop(shared: &Arc<ServerShared>, listener: &TcpListener) {
             id,
             writer: Mutex::new(writer),
             jobs: Mutex::new(BTreeMap::new()),
-            in_flight: AtomicUsize::new(0),
             disconnect: CancelToken::new(),
         });
         lock(&shared.sessions).insert(id, Arc::clone(&session));
@@ -366,7 +317,14 @@ fn accept_loop(shared: &Arc<ServerShared>, listener: &TcpListener) {
             let shared = Arc::clone(shared);
             std::thread::spawn(move || session_reader(&shared, &session, stream))
         };
-        lock(&shared.readers).push(reader);
+        {
+            // A finished thread's stack stays mapped until its handle is
+            // joined or dropped, so drop the handles of closed sessions
+            // here: connection churn must not grow the daemon.
+            let mut readers = lock(&shared.readers);
+            readers.retain(|reader| !reader.is_finished());
+            readers.push(reader);
+        }
         span.finish();
     }
 }
@@ -463,26 +421,29 @@ fn handle_submit(
     spec: &crate::wire::WireJobSpec,
 ) {
     if shared.shutting.load(Ordering::SeqCst) {
-        shared.count("serve.jobs.rejected");
-        let _ = session.send(&Frame::Rejected {
-            job_id,
-            reason: "daemon is shutting down".to_string(),
-        });
+        reject(shared, session, job_id, "daemon is shutting down");
         return;
     }
     let mut job_spec = spec.to_job_spec(shared.config.max_session_seconds);
     if let Err(error) = job_spec.validate() {
-        shared.count("serve.jobs.rejected");
-        let _ = session.send(&Frame::Rejected {
-            job_id,
-            reason: error.to_string(),
-        });
+        reject(shared, session, job_id, &error.to_string());
+        return;
+    }
+    // Only this reader inserts into `jobs` (terminal callbacks only remove),
+    // so neither check below can be invalidated before the insert.
+    let (duplicate, occupied) = {
+        let jobs = lock(&session.jobs);
+        (jobs.contains_key(&job_id), jobs.len())
+    };
+    // A reused in-flight id would share that job's cancel token and event
+    // numbering, and its end would unregister this one.
+    if duplicate {
+        reject(shared, session, job_id, "job id is already in flight");
         return;
     }
     // Per-session admission window: typed Busy, never a hang.  The reply
     // reports the window occupancy — that is the bound the client hit.
     let window = shared.config.session_window;
-    let occupied = session.in_flight.load(Ordering::SeqCst);
     if occupied >= window {
         shared.count("serve.jobs.busy");
         let _ = session.send(&Frame::Busy {
@@ -502,7 +463,6 @@ fn handle_submit(
         .cancel_token(token.clone())
         .cancel_token(session.disconnect.clone());
     lock(&session.jobs).insert(job_id, token);
-    session.in_flight.fetch_add(1, Ordering::SeqCst);
 
     let streamer_session = Arc::clone(session);
     let streamer_shared = Arc::clone(shared);
@@ -530,9 +490,8 @@ fn handle_submit(
         };
         // Release the window slot before the terminal frame goes out, so a
         // client that has seen Done/Stopped/JobFailed can submit again
-        // immediately without racing the decrement into a spurious Busy.
+        // immediately without racing the removal into a spurious Busy.
         lock(&done_session.jobs).remove(&job_id);
-        done_session.in_flight.fetch_sub(1, Ordering::SeqCst);
         let _ = done_session.send(&frame);
     })
     .with_events(move |event: &SolveEvent| {
@@ -548,112 +507,73 @@ fn handle_submit(
         Flow::Continue
     });
 
-    // Accepted goes out before the dispatcher can see the job, so the
-    // client always observes Accepted before the first Event frame.
+    // Accepted goes out before the job is queued, so the client always
+    // observes Accepted before the first Event frame.
     shared.count("serve.jobs.accepted");
     let _ = session.send(&Frame::Accepted { job_id });
-    {
-        let mut state = lock(&shared.dispatch);
-        state
-            .pending
-            .entry(session.id)
-            .or_default()
-            .push_back(PendingJob {
-                session: Arc::clone(session),
-                job_id,
-                service_job,
-            });
-    }
-    shared.dispatch_cv.notify_all();
-}
-
-/// Round-robin pick: the first session with pending work whose id is
-/// strictly greater than the cursor, wrapping to the smallest.  Advances the
-/// cursor to the served session, so consecutive picks rotate.
-fn take_round_robin(state: &mut DispatchState, cursor: &mut u64) -> Option<PendingJob> {
-    let pick = state
-        .pending
-        .range(cursor.saturating_add(1)..)
-        .next()
-        .or_else(|| state.pending.range(..).next())
-        .map(|(id, _)| *id)?;
-    *cursor = pick;
-    let mut queue = state.pending.remove(&pick)?;
-    let item = queue.pop_front();
-    if !queue.is_empty() {
-        state.pending.insert(pick, queue);
-    }
-    item
-}
-
-fn dispatcher_loop(shared: &Arc<ServerShared>, service: EngineService) {
-    enum Step {
-        Submit(Box<PendingJob>),
-        RejectAll(Vec<PendingJob>),
-        DrainDone,
-    }
-    let mut cursor: u64 = 0;
-    loop {
-        let step = {
-            let mut state = lock(&shared.dispatch);
-            loop {
-                if matches!(state.stop, Some(WireShutdownMode::Abort)) {
-                    let all: Vec<PendingJob> = std::mem::take(&mut state.pending)
-                        .into_values()
-                        .flatten()
-                        .collect();
-                    break Step::RejectAll(all);
-                }
-                if let Some(item) = take_round_robin(&mut state, &mut cursor) {
-                    break Step::Submit(Box::new(item));
-                }
-                if matches!(state.stop, Some(WireShutdownMode::Drain)) {
-                    break Step::DrainDone;
-                }
-                state = shared
-                    .dispatch_cv
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        match step {
-            Step::Submit(item) => {
-                // Deliberately rides the bounded queue's back-pressure: with
-                // the engine full this blocks, and every other session's next
-                // job is already ordered behind the cursor — one job per
-                // session per turn.
-                if service.submit_blocking(item.service_job).is_err() {
-                    reject_pending(
-                        shared,
-                        &item.session,
-                        item.job_id,
-                        "engine service is shutting down",
-                    );
-                }
-            }
-            Step::RejectAll(all) => {
-                for item in all {
-                    reject_pending(shared, &item.session, item.job_id, "daemon aborted");
-                }
-                service.shutdown(ShutdownMode::Abort);
-                return;
-            }
-            Step::DrainDone => {
-                service.shutdown(ShutdownMode::Drain);
-                return;
-            }
-        }
+    if shared.service.submit(service_job).is_err() {
+        // Shutdown closed the queue after the check above: free the window
+        // slot, then refuse.
+        lock(&session.jobs).remove(&job_id);
+        reject(shared, session, job_id, "engine service is shutting down");
     }
 }
 
-/// A job refused after admission (shutdown won the race): undo its session
-/// accounting and tell the client.
-fn reject_pending(shared: &Arc<ServerShared>, session: &Arc<Session>, job_id: u64, reason: &str) {
+/// Refuse a `Submit`: count it and tell the client why.
+fn reject(shared: &ServerShared, session: &Session, job_id: u64, reason: &str) {
     shared.count("serve.jobs.rejected");
     let _ = session.send(&Frame::Rejected {
         job_id,
         reason: reason.to_string(),
     });
-    lock(&session.jobs).remove(&job_id);
-    session.in_flight.fetch_sub(1, Ordering::SeqCst);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mffv_telemetry::Stopwatch;
+    use std::time::Duration;
+
+    /// Connection churn must not grow the daemon: the handles of finished
+    /// session readers are dropped as new connections arrive.
+    #[test]
+    fn finished_session_readers_are_reaped() {
+        let server = Server::new(ServeConfig::default()).bind().expect("bind");
+        let addr = server.local_addr();
+        // One connect-and-close cycle, over once the daemon echoes Goodbye.
+        let cycle = || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            Frame::Goodbye.write_to(&mut stream).expect("write Goodbye");
+            assert!(matches!(
+                Frame::read_from(&mut stream),
+                Ok(Some(Frame::Goodbye))
+            ));
+        };
+        for _ in 0..200 {
+            cycle();
+        }
+        // Each reader exits right after its echo.  Wait until every filed
+        // handle has finished (the last cycle's may not be filed yet).
+        let waited = Stopwatch::start();
+        while !lock(&server.shared.readers)
+            .iter()
+            .all(JoinHandle::is_finished)
+        {
+            assert!(
+                waited.elapsed_seconds() < 30.0,
+                "a session reader never ended"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The accept loop files each handle before it accepts again.  So the
+        // first cycle below drops every finished handle, and the second
+        // cycle's echo proves that the first one's handle is filed.  What can
+        // remain is the 200th reader's handle (if it was filed unfinished)
+        // and the two new ones.
+        cycle();
+        cycle();
+        let kept = lock(&server.shared.readers).len();
+        assert!(kept <= 3, "{kept} reader handles kept after 202 sessions");
+        server.shutdown(WireShutdownMode::Drain);
+    }
 }

@@ -1,7 +1,7 @@
 //! End-to-end daemon tests over real sockets: streamed-event bitwise
-//! fidelity on every backend, typed Busy back-pressure, per-job cancel
-//! isolation, concurrent-client fairness under a full queue, deadline
-//! ceilings and drain shutdown.
+//! fidelity on every backend, typed Busy back-pressure, duplicate job ids,
+//! per-job cancel isolation, concurrent-client progress with the worker
+//! busy, deadline ceilings, and drain and abort shutdown.
 
 use mffv_mesh::workload::BoundarySpec;
 use mffv_mesh::{CellIndex, Dims, TransientSpec, Well, WellSet, WorkloadSpec};
@@ -10,10 +10,46 @@ use mffv_serve::wire::{BackendSel, WireJobSpec, WirePolicy};
 use mffv_serve::{Client, ClientControl, JobEnd, RunningServer, ServeConfig, Server};
 use mffv_solver::backend::SolveRequest;
 use mffv_solver::monitor::{RecordingMonitor, SolveEvent, StopReason};
-use std::net::TcpStream;
+use std::collections::BTreeMap;
+use std::net::{SocketAddr, TcpStream};
 
 fn start(config: ServeConfig) -> RunningServer {
     Server::new(config).bind().expect("bind")
+}
+
+/// A raw-frame session past its `Hello`/`Welcome` handshake.
+fn raw_session(addr: SocketAddr, client: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    Frame::Hello {
+        client: client.into(),
+    }
+    .write_to(&mut stream)
+    .unwrap();
+    assert!(matches!(
+        Frame::read_from(&mut stream).unwrap(),
+        Some(Frame::Welcome { .. })
+    ));
+    stream
+}
+
+fn submit(stream: &mut TcpStream, job_id: u64, spec: WireJobSpec) {
+    Frame::Submit {
+        job_id,
+        spec: Box::new(spec),
+    }
+    .write_to(stream)
+    .unwrap();
+}
+
+/// The next frame that is not an `Event` of job `streaming`.
+fn next_past_events(stream: &mut TcpStream, streaming: u64) -> Frame {
+    loop {
+        match Frame::read_from(stream).unwrap() {
+            Some(Frame::Event { job_id, .. }) if job_id == streaming => continue,
+            Some(frame) => return frame,
+            None => panic!("eof"),
+        }
+    }
 }
 
 fn quick_spec(backend: BackendSel) -> WireJobSpec {
@@ -110,7 +146,6 @@ fn a_full_session_window_is_a_typed_busy_not_a_hang() {
     let server = start(
         ServeConfig::default()
             .with_workers(1)
-            .with_queue_capacity(1)
             .with_session_window(1),
     );
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
@@ -203,11 +238,7 @@ fn a_full_session_window_is_a_typed_busy_not_a_hang() {
 /// untouched and converges — cancellation is strictly per-job.
 #[test]
 fn cancel_stops_only_the_cancelling_clients_solve() {
-    let server = start(
-        ServeConfig::default()
-            .with_workers(2)
-            .with_queue_capacity(4),
-    );
+    let server = start(ServeConfig::default().with_workers(2));
     let addr = server.local_addr();
 
     let steady = std::thread::spawn(move || {
@@ -255,16 +286,15 @@ fn cancel_stops_only_the_cancelling_clients_solve() {
     );
 }
 
-/// One worker, a capacity-1 engine queue, and two clients each submitting
-/// two jobs: the round-robin dispatcher interleaves sessions, so both
-/// clients finish all their work even though the queue never has room for
-/// one session's whole backlog.
+/// One worker and two clients each submitting two jobs.  Jobs reach the
+/// engine queue in admission order; the per-session window, not a
+/// round-robin, caps how many jobs either session can hold ahead of the
+/// other, so both clients finish all their work.
 #[test]
 fn concurrent_clients_both_progress_under_a_full_queue() {
     let server = start(
         ServeConfig::default()
             .with_workers(1)
-            .with_queue_capacity(1)
             .with_session_window(2),
     );
     let addr = server.local_addr();
@@ -398,4 +428,107 @@ fn drain_shutdown_finishes_accepted_work_and_refuses_new_work() {
     assert!(rejected, "post-shutdown submit was not refused");
     assert_eq!(terminal, Some(StopReason::IterationBudget));
     server.shutdown(WireShutdownMode::Drain);
+}
+
+/// A `Submit` that reuses the id of a job still in flight is `Rejected`:
+/// the running job keeps its cancel token, and the id is free again once
+/// that job has ended.
+#[test]
+fn a_duplicate_in_flight_job_id_is_rejected() {
+    let server = start(ServeConfig::default());
+    let mut stream = raw_session(server.local_addr(), "duplicate-id");
+
+    submit(&mut stream, 1, plug_spec());
+    assert!(matches!(
+        Frame::read_from(&mut stream).unwrap(),
+        Some(Frame::Accepted { job_id: 1 })
+    ));
+    submit(&mut stream, 1, quick_spec(BackendSel::HostF64));
+    match next_past_events(&mut stream, 1) {
+        Frame::Rejected { job_id: 1, .. } => {}
+        other => panic!("expected Rejected, got {}", other.name()),
+    }
+
+    // The cancel still reaches the plug.
+    Frame::Cancel { job_id: 1 }.write_to(&mut stream).unwrap();
+    match next_past_events(&mut stream, 1) {
+        Frame::Stopped {
+            job_id: 1, reason, ..
+        } => assert_eq!(reason, StopReason::Cancelled),
+        other => panic!("expected Stopped, got {}", other.name()),
+    }
+
+    // With the plug ended, id 1 is accepted again.
+    submit(&mut stream, 1, quick_spec(BackendSel::HostF64));
+    assert!(matches!(
+        Frame::read_from(&mut stream).unwrap(),
+        Some(Frame::Accepted { job_id: 1 })
+    ));
+    match next_past_events(&mut stream, 1) {
+        Frame::Done { job_id: 1, .. } => {}
+        other => panic!("expected Done, got {}", other.name()),
+    }
+    Frame::Goodbye.write_to(&mut stream).unwrap();
+    server.shutdown(WireShutdownMode::Drain);
+}
+
+/// Abort has one outcome for every accepted job: the running plug and the
+/// job queued behind it both end `Stopped(Cancelled)`, the queued one with
+/// no report, each with exactly one terminal frame before `Goodbye`.
+#[test]
+fn abort_stops_running_and_queued_jobs_alike() {
+    let server = start(
+        ServeConfig::default()
+            .with_workers(1)
+            .with_session_window(2),
+    );
+    let mut stream = raw_session(server.local_addr(), "abort");
+
+    submit(&mut stream, 1, plug_spec());
+    assert!(matches!(
+        Frame::read_from(&mut stream).unwrap(),
+        Some(Frame::Accepted { job_id: 1 })
+    ));
+    // The plug is running once its first event arrives.
+    assert!(matches!(
+        Frame::read_from(&mut stream).unwrap(),
+        Some(Frame::Event { job_id: 1, .. })
+    ));
+    submit(&mut stream, 2, quick_spec(BackendSel::HostF64));
+    match next_past_events(&mut stream, 1) {
+        Frame::Accepted { job_id: 2 } => {}
+        other => panic!("expected Accepted, got {}", other.name()),
+    }
+    // The reader handles frames in order, so its Pong proves that job 2's
+    // submit has returned: the job waits in the engine queue.
+    Frame::Ping { token: 7 }.write_to(&mut stream).unwrap();
+    match next_past_events(&mut stream, 1) {
+        Frame::Pong { token: 7 } => {}
+        other => panic!("expected Pong, got {}", other.name()),
+    }
+
+    // Keep reading while the daemon shuts down: a worker blocked on a full
+    // socket would never reach its next iteration boundary.
+    let shutdown = std::thread::spawn(move || server.shutdown(WireShutdownMode::Abort));
+    let mut ends: BTreeMap<u64, (StopReason, bool)> = BTreeMap::new();
+    loop {
+        match next_past_events(&mut stream, 1) {
+            Frame::Stopped {
+                job_id,
+                reason,
+                report,
+            } => {
+                let first = ends.insert(job_id, (reason, report.is_some()));
+                assert!(first.is_none(), "job {job_id} ended twice");
+            }
+            Frame::ShuttingDown => continue,
+            Frame::Goodbye => break,
+            other => panic!("unexpected {} during abort", other.name()),
+        }
+    }
+    assert!(matches!(Frame::read_from(&mut stream), Ok(None)));
+    shutdown.join().expect("shutdown thread");
+    assert_eq!(ends.len(), 2, "{ends:?}");
+    assert_eq!(ends[&1].0, StopReason::Cancelled);
+    assert_eq!(ends[&2], (StopReason::Cancelled, false));
 }
