@@ -1,13 +1,13 @@
-//! Golden fixtures pinning every host-side solve path bit for bit.
+//! Golden fixtures pinning every backend's solve paths bit for bit.
 //!
-//! `golden_differential.rs` pins the dataflow steady solves and plain-CG
-//! fixed-`dt` transients; these fixtures cover the remaining paths through
-//! the host Krylov loop:
+//! `golden_differential.rs` pins the plain-CG fixed-`dt` transients and
+//! `table_reproduction.rs` the plain-CG fig5 and communication-only dataflow
+//! solves; these fixtures cover the remaining Krylov paths:
 //!
 //! * steady `host-f64` and `host-f32` solves under every preconditioner, on
 //!   a heterogeneous grid larger than one reduction slab, at 1 and 2 apply
 //!   threads (both thread counts must reproduce the same fixture);
-//! * `gpu-ref` steady solves under every preconditioner;
+//! * `gpu-ref` and `dataflow` steady solves under every preconditioner;
 //! * `host-f64` transients under Jacobi and multigrid with a ramped `dt` and
 //!   a scheduled well, so the step operator's diagonal shift changes every
 //!   step.
@@ -105,6 +105,14 @@ fn gpu_ref_steady_solves_match_the_pinned_fixtures() {
     for kind in PreconditionerKind::ALL {
         let report = steady(Backend::gpu_ref(), kind, 1);
         steady_record(&format!("steady_gpu_ref_{}", kind.label()), &report).check();
+    }
+}
+
+#[test]
+fn dataflow_steady_solves_match_the_pinned_fixtures() {
+    for kind in PreconditionerKind::ALL {
+        let report = steady(Backend::dataflow(), kind, 1);
+        steady_record(&format!("steady_dataflow_{}", kind.label()), &report).check();
     }
 }
 
