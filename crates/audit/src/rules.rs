@@ -105,10 +105,10 @@ const ORDERED_CRATES: [&str; 8] = [
 ];
 
 /// Files that ARE the blessed deterministic-reduction implementations: the
-/// float-reduction rule does not apply to the homes of
-/// `fabric_ordered_dot`/`pairwise_sum` (`mffv_solver::reduction`),
-/// `det_dot`/`det_norm_squared` (`mffv_fv::plan`), and the sequential-fold
-/// helper itself (`mffv_mesh::reduce`).
+/// float-reduction rule does not apply to the homes of `fabric_ordered_dot`
+/// (`mffv_solver::reduction`), `det_dot`/`det_norm_squared`
+/// (`mffv_fv::plan`), and the sequential-fold helper itself
+/// (`mffv_mesh::reduce`).
 const REDUCTION_HOMES: [&str; 3] = [
     "crates/solver/src/reduction.rs",
     "crates/fv/src/plan.rs",

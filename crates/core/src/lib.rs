@@ -19,10 +19,14 @@
 //!   z-column (Algorithm 2), vertical neighbours resolved in local memory, horizontal
 //!   neighbours from the received halos, executed with DSD vector operations;
 //! * [`state_machine`] — the 14-state conjugate-gradient state machine of §III-D;
-//! * [`solver`] — [`solver::DataflowFvSolver`], the top-level API tying everything
-//!   together and producing a pressure field plus measured/modelled statistics;
+//! * [`backend`] — [`DataflowBackend`], the crate's one entry point: its
+//!   [`solve`](mffv_solver::SolveBackend::solve) reads tolerance, iteration cap and
+//!   preconditioner from the facade's `SolveConfig`, runs the state machine on a
+//!   freshly loaded fabric in `f32`, and returns the unified `SolveReport` with the
+//!   measured counters and modelled device time;
 //! * [`options`] — the optimisation toggles of §III-E (buffer reuse, communication
-//!   overlap, vectorisation) used by the ablation benchmarks;
+//!   overlap, vectorisation) and the communication-only mode, used by the ablation
+//!   benchmarks;
 //! * [`stats`] — the per-run statistics behind Table IV (data-movement versus
 //!   computation time split) and the roofline inputs.
 
@@ -32,7 +36,6 @@ pub mod comm;
 pub mod kernel;
 pub mod mapping;
 pub mod options;
-pub mod solver;
 pub mod state_machine;
 pub mod stats;
 
@@ -40,7 +43,6 @@ pub use backend::DataflowBackend;
 pub use comm::CardinalExchange;
 pub use mapping::{MemoryPlan, PeColumnBuffers, ProblemMapping, ReuseStrategy};
 pub use options::SolverOptions;
-pub use solver::{DataflowFvSolver, DataflowSolveReport};
 pub use state_machine::{CgEvent, CgState, CgStateMachine};
 pub use stats::DataflowRunStats;
 
@@ -51,7 +53,6 @@ pub mod prelude {
     pub use crate::comm::CardinalExchange;
     pub use crate::mapping::{MemoryPlan, ProblemMapping, ReuseStrategy};
     pub use crate::options::SolverOptions;
-    pub use crate::solver::{DataflowFvSolver, DataflowSolveReport};
     pub use crate::state_machine::{CgEvent, CgState, CgStateMachine};
     pub use crate::stats::DataflowRunStats;
 }

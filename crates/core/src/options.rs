@@ -5,12 +5,16 @@
 //! toggles here let the ablation benchmarks quantify each one, and the
 //! `compute_enabled` switch reproduces the Table-IV experiment in which "all
 //! floating-point operations" are excluded to measure data-communication time alone.
+//!
+//! These are the only dataflow-specific settings.  Tolerance, iteration cap and
+//! preconditioner come from the facade's
+//! [`SolveConfig`](mffv_solver::SolveConfig), like on every other backend.
 
 use crate::mapping::ReuseStrategy;
 use mffv_fabric::timing::OverlapMode;
-use mffv_solver::backend::PreconditionerKind;
 
-/// Configuration of a dataflow solve.
+/// The dataflow-specific half of a solve's configuration: how the fabric
+/// program is built and modelled.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SolverOptions {
     /// Buffer-reuse strategy assumed by the memory plan (§III-E1).
@@ -24,23 +28,12 @@ pub struct SolverOptions {
     pub vectorized: bool,
     /// When `false`, floating-point work is skipped and only the communication
     /// schedule runs — the Table-IV "data movement only" configuration.  The solve
-    /// then runs exactly `forced_iterations` iterations.
+    /// then runs exactly `forced_iterations` iterations of plain CG's schedule,
+    /// whatever the `SolveConfig`'s iteration cap and preconditioner.
     pub compute_enabled: bool,
     /// Iteration count used when `compute_enabled` is `false` (the paper terminates
     /// its communication-only run at step 225 to match the converged run).
     pub forced_iterations: usize,
-    /// Override of the workload's convergence tolerance on `rᵀr` (`None` keeps the
-    /// workload's setting).
-    pub tolerance_override: Option<f64>,
-    /// Override of the workload's iteration cap (`None` keeps the workload's
-    /// setting).
-    pub max_iterations_override: Option<usize>,
-    /// Preconditioner for the CG loop.  Jacobi runs on-fabric (one extra fused
-    /// DSD pass per iteration on a resident inverse-diagonal column); the
-    /// multigrid V-cycle runs host-assisted, with the residual columns read
-    /// back and the correction columns written per application.  Ignored in
-    /// communication-only mode.
-    pub preconditioner: PreconditionerKind,
 }
 
 impl Default for SolverOptions {
@@ -51,9 +44,6 @@ impl Default for SolverOptions {
             vectorized: true,
             compute_enabled: true,
             forced_iterations: 0,
-            tolerance_override: None,
-            max_iterations_override: None,
-            preconditioner: PreconditionerKind::None,
         }
     }
 }
@@ -88,24 +78,6 @@ impl SolverOptions {
     /// Use the straightforward (no reuse) memory plan (ablation).
     pub fn without_buffer_reuse(mut self) -> Self {
         self.reuse = ReuseStrategy::None;
-        self
-    }
-
-    /// Override the convergence tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance_override = Some(tolerance);
-        self
-    }
-
-    /// Override the iteration cap.
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations_override = Some(max_iterations);
-        self
-    }
-
-    /// Select the CG preconditioner.
-    pub fn with_preconditioner(mut self, preconditioner: PreconditionerKind) -> Self {
-        self.preconditioner = preconditioner;
         self
     }
 
@@ -152,14 +124,5 @@ mod tests {
         let o = SolverOptions::communication_only(225);
         assert!(!o.compute_enabled);
         assert_eq!(o.forced_iterations, 225);
-    }
-
-    #[test]
-    fn overrides() {
-        let o = SolverOptions::paper()
-            .with_tolerance(1e-6)
-            .with_max_iterations(42);
-        assert_eq!(o.tolerance_override, Some(1e-6));
-        assert_eq!(o.max_iterations_override, Some(42));
     }
 }

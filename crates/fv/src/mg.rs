@@ -64,37 +64,33 @@ use mffv_mesh::{CellField, Dims, Direction, DirichletSet, Scalar};
 use mffv_telemetry::Span;
 use std::cell::RefCell;
 
-/// Tuning knobs of the V-cycle.  The defaults are the configuration every
-/// backend ships: V(2,2) with ω = 2/3 weighted Jacobi and a coarsest level
-/// solved to near machine precision.  Two sweeps per side keep the PCG
-/// iteration count flat (within 1.5x) from 32³ to 128³ on the paper grid
-/// where V(1,1) grows past it, at essentially the same wall time per solve.
+/// Damping factor of the weighted-Jacobi smoother.
+const OMEGA: f64 = 2.0 / 3.0;
+/// Pre-smoothing sweeps per level.
+const PRE_SWEEPS: usize = 2;
+/// Post-smoothing sweeps per level.
+const POST_SWEEPS: usize = 2;
+/// Relative `rᵀr` reduction demanded of the coarsest-level CG solve.
+const COARSE_RR_REDUCTION: f64 = 1e-24;
+/// Iteration cap of the coarsest-level CG solve.
+const COARSE_MAX_ITERATIONS: usize = 4 * SLAB_CELLS;
+
+/// Where the hierarchy stops coarsening.  The cycle itself is fixed: V(2,2)
+/// with ω = 2/3 weighted Jacobi and a coarsest level solved to near machine
+/// precision.  Two sweeps per side keep the PCG iteration count flat (within
+/// 1.5x) from 32³ to 128³ on the paper grid where V(1,1) grows past it, at
+/// essentially the same wall time per solve.
 #[derive(Clone, Copy, Debug)]
 pub struct MgConfig {
-    /// Damping factor of the weighted-Jacobi smoother.
-    pub omega: f64,
-    /// Pre-smoothing sweeps per level.
-    pub pre_sweeps: usize,
-    /// Post-smoothing sweeps per level.
-    pub post_sweeps: usize,
     /// Stop coarsening once a level has at most this many cells (default
     /// [`SLAB_CELLS`], the planned-kernel slab size).
     pub coarse_cells: usize,
-    /// Relative `rᵀr` reduction demanded of the coarsest-level CG solve.
-    pub coarse_rr_reduction: f64,
-    /// Iteration cap of the coarsest-level CG solve.
-    pub coarse_max_iterations: usize,
 }
 
 impl Default for MgConfig {
     fn default() -> Self {
         Self {
-            omega: 2.0 / 3.0,
-            pre_sweeps: 2,
-            post_sweeps: 2,
             coarse_cells: SLAB_CELLS,
-            coarse_rr_reduction: 1e-24,
-            coarse_max_iterations: 4 * SLAB_CELLS,
         }
     }
 }
@@ -265,7 +261,6 @@ struct LevelWorkspace<T: Scalar> {
 #[derive(Debug)]
 pub struct MultigridVcycle<T: Scalar> {
     levels: Vec<MgLevel<T>>,
-    config: MgConfig,
     omega: T,
     workspace: RefCell<Vec<LevelWorkspace<T>>>,
     /// The coarsest-level CG's search direction, the one extra buffer that
@@ -323,8 +318,7 @@ impl<T: Scalar> MultigridVcycle<T> {
         );
         Self {
             levels,
-            config,
-            omega: T::from_f64(config.omega),
+            omega: T::from_f64(OMEGA),
             workspace,
             coarse_direction,
         }
@@ -425,7 +419,7 @@ impl<T: Scalar> MultigridVcycle<T> {
         // to z = ω D⁻¹ r (A·0 = 0), later sweeps do the full correction.
         head.z.fill(T::ZERO);
         self.smooth_first(level, &head.r, &mut head.z);
-        for _ in 1..self.config.pre_sweeps {
+        for _ in 1..PRE_SWEEPS {
             self.smooth(level, &head.r, &mut head.z, &mut head.ax);
         }
 
@@ -449,7 +443,7 @@ impl<T: Scalar> MultigridVcycle<T> {
         self.zero_dirichlet(l, &mut head.z);
 
         // Post-smooth (same smoother: the cycle stays symmetric).
-        for _ in 0..self.config.post_sweeps {
+        for _ in 0..POST_SWEEPS {
             self.smooth(level, &head.r, &mut head.z, &mut head.ax);
         }
         lspan.finish();
@@ -500,11 +494,11 @@ impl<T: Scalar> MultigridVcycle<T> {
             return;
         }
         let eps = T::EPSILON.to_f64() * 8.0;
-        let threshold = rr0 * self.config.coarse_rr_reduction.max(eps * eps);
+        let threshold = rr0 * COARSE_RR_REDUCTION.max(eps * eps);
         let mut direction = self.coarse_direction.borrow_mut();
         direction.copy_from(&ws.r);
         let mut rr = rr0;
-        for _ in 0..self.config.coarse_max_iterations {
+        for _ in 0..COARSE_MAX_ITERATIONS {
             let d_ad = level.operator.apply_dot(&direction, &mut ws.ax).to_f64();
             if d_ad <= 0.0 || !d_ad.is_finite() {
                 break;
@@ -815,10 +809,7 @@ mod tests {
     fn vcycle_reduces_the_residual() {
         let w = test_workload(Dims::new(16, 16, 8));
         // Force a genuinely multi-level hierarchy on this small test grid.
-        let config = MgConfig {
-            coarse_cells: 256,
-            ..MgConfig::default()
-        };
+        let config = MgConfig { coarse_cells: 256 };
         let mg = MultigridVcycle::<f64>::from_workload(&w, 1, config);
         assert!(mg.num_levels() >= 2);
         let op = MatrixFreeOperator::<f64>::from_workload(&w);
@@ -848,10 +839,7 @@ mod tests {
     #[test]
     fn vcycle_inner_product_is_symmetric_and_positive() {
         let w = test_workload(Dims::new(12, 10, 6));
-        let config = MgConfig {
-            coarse_cells: 64,
-            ..MgConfig::default()
-        };
+        let config = MgConfig { coarse_cells: 64 };
         let mg = MultigridVcycle::<f64>::from_workload(&w, 1, config);
         assert!(mg.num_levels() >= 2);
         let dims = w.dims();
@@ -885,10 +873,7 @@ mod tests {
     fn diagonal_shift_propagates_by_child_summation() {
         let dims = Dims::new(8, 8, 8);
         let coeffs = Transmissibilities::<f64>::uniform(dims, 1.0);
-        let config = MgConfig {
-            coarse_cells: 64,
-            ..MgConfig::default()
-        };
+        let config = MgConfig { coarse_cells: 64 };
         let mut mg = MultigridVcycle::new(coeffs, &DirichletSet::empty(), 1, config);
         assert_eq!(mg.num_levels(), 2);
         let shift = CellField::constant(dims, 0.5);
@@ -912,10 +897,7 @@ mod tests {
                 coeffs,
                 &DirichletSet::all_faces(dims, 0.0),
                 1,
-                MgConfig {
-                    coarse_cells: 8,
-                    ..MgConfig::default()
-                },
+                MgConfig { coarse_cells: 8 },
             );
             let r = CellField::from_fn(dims, |c| (c.x + c.y + c.z) as f64 * 0.25);
             let mut z = CellField::zeros(dims);

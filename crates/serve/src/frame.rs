@@ -13,9 +13,7 @@
 //! it never sends.  The version byte is checked before the tag, so a future
 //! protocol revision can change everything after it.
 
-use crate::wire::{
-    from_bytes, to_bytes, ByteReader, ByteWriter, WireDecode, WireEncode, WireError, WireJobSpec,
-};
+use crate::wire::{ByteReader, ByteWriter, WireDecode, WireEncode, WireError, WireJobSpec};
 use mffv_solver::backend::SolveReport;
 use mffv_solver::monitor::{SolveEvent, StopReason};
 use std::io::{Read, Write};
@@ -82,9 +80,10 @@ pub enum Frame {
     Busy {
         /// Echo of the `Submit` correlation id.
         job_id: u64,
-        /// Queue depth observed at rejection time.
+        /// The session window's occupancy at refusal time.
         depth: usize,
-        /// Queue capacity.
+        /// The session window's size
+        /// ([`ServeConfig::session_window`](crate::ServeConfig::session_window)).
         capacity: usize,
     },
     /// The job was refused outright (invalid spec, daemon shutting down).
@@ -491,17 +490,6 @@ pub fn fnv1a32(bytes: &[u8]) -> u32 {
         hash = hash.wrapping_mul(0x0100_0193);
     }
     hash
-}
-
-/// Helper for tests and clients: the wire bytes of an arbitrary encodable
-/// value wrapped in nothing (no frame) — useful for golden assertions.
-pub fn value_bytes<T: WireEncode>(value: &T) -> Vec<u8> {
-    to_bytes(value)
-}
-
-/// Inverse of [`value_bytes`].
-pub fn value_from_bytes<T: WireDecode>(bytes: &[u8]) -> Result<T, WireError> {
-    from_bytes(bytes)
 }
 
 #[cfg(test)]

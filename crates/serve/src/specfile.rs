@@ -24,6 +24,18 @@
 //! well = inj  rate 2 3 1 0.25
 //! well = prod bhp 12 12 2 1e6 1e-9
 //! ```
+//!
+//! Top-level keys: `name`, `dims`, `spacing`, `backend`, `viscosity`,
+//! `tolerance`, `max_iterations`, `permeability`, `boundary`, `seed`,
+//! `threads`, `preconditioner`, and the stop policy's `iteration_budget`,
+//! `deadline_seconds`, `stagnation` and `divergence`.  `[transient]` keys:
+//! `total_time`, `dt`, `total_compressibility`, `initial_pressure`,
+//! `snapshot_times`, `warm_start` and any number of `well` lines.
+//!
+//! There is no `precision` key: the backend fixes the arithmetic (`host` is
+//! `f64`, `host-f32` is `f32`, and `gpu-ref` and `dataflow` compute in
+//! `f32`).  A spec that sets `precision` fails with a [`SpecError`] that
+//! names `backend = host-f32`.
 
 use crate::wire::{BackendSel, WireJobSpec, WirePolicy};
 use mffv_mesh::workload::BoundarySpec;
@@ -31,7 +43,7 @@ use mffv_mesh::{
     CellIndex, Dims, DtPolicy, PermeabilityModel, TransientSpec, Well, WellControl, WellSet,
     WorkloadSpec,
 };
-use mffv_solver::backend::{Precision, PreconditionerKind};
+use mffv_solver::backend::PreconditionerKind;
 
 /// A parse failure, with the offending line number.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -286,11 +298,11 @@ pub fn parse_spec(text: &str) -> Result<WireJobSpec, SpecError> {
             }
             "seed" => job.seed = Some(parse_u64(line, value, "seed")?),
             "precision" => {
-                job.config.precision = match value {
-                    "f32" => Precision::F32,
-                    "f64" => Precision::F64,
-                    _ => return Err(err(line, "precision is `f32` or `f64`")),
-                }
+                return Err(err(
+                    line,
+                    "`precision` is not a key: the backend sets it \
+                     (`backend = host-f32` for a single-precision host solve)",
+                ))
             }
             "threads" => job.config.threads = Some(parse_usize(line, value, "threads")?),
             "preconditioner" => {
@@ -359,7 +371,6 @@ boundary       = xfaces 2e7 1e7
 tolerance      = 1e-9
 max_iterations = 900
 seed           = 7
-precision      = f32
 preconditioner = mg
 iteration_budget = 500
 stagnation     = 25 1e-3
@@ -379,7 +390,6 @@ well = prod bhp 6 6 2 1e6 1e-9
         assert_eq!(job.workload.dims, Dims::new(8, 8, 4));
         assert_eq!(job.backend, BackendSel::GpuRefH100);
         assert_eq!(job.seed, Some(7));
-        assert_eq!(job.config.precision, Precision::F32);
         assert_eq!(job.config.preconditioner, PreconditionerKind::Mg);
         assert_eq!(job.policy.iteration_budget, Some(500));
         assert_eq!(job.policy.stagnation, Some((25, 1e-3)));
@@ -403,6 +413,28 @@ well = prod bhp 6 6 2 1e6 1e-9
         let e = parse_spec(bad).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("`jacobi`, `mg` or `none`"));
+    }
+
+    #[test]
+    fn every_shipped_example_spec_parses() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/specs");
+        let mut parsed = 0;
+        for entry in std::fs::read_dir(dir).expect("examples/specs exists") {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "mffv") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                parse_spec(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                parsed += 1;
+            }
+        }
+        assert!(parsed >= 3, "only {parsed} example specs found in {dir}");
+    }
+
+    #[test]
+    fn a_precision_key_is_an_error_naming_the_f32_host_backend() {
+        let e = parse_spec("name = x\nbackend = host\nprecision = f32\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("backend = host-f32"), "{e}");
     }
 
     #[test]

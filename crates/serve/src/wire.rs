@@ -555,7 +555,10 @@ impl WireEncode for SolveConfig {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_opt_f64(self.tolerance);
         w.put_opt_usize(self.max_iterations);
-        self.precision.encode(w);
+        // The v3 layout has a precision byte here.  Precision belongs to the
+        // backend, not the config, so the byte is a fixed `f64` tag that
+        // decoders of every version accept.
+        Precision::F64.encode(w);
         w.put_opt_usize(self.threads);
         // Version 2 appends the preconditioner selection.
         self.preconditioner.encode(w);
@@ -564,10 +567,14 @@ impl WireEncode for SolveConfig {
 
 impl WireDecode for SolveConfig {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let tolerance = r.opt_f64()?;
+        let max_iterations = r.opt_usize()?;
+        // The retired precision byte: still a typed error when it is no
+        // `Precision` tag, otherwise ignored (the backend decides).
+        Precision::decode(r)?;
         Ok(SolveConfig {
-            tolerance: r.opt_f64()?,
-            max_iterations: r.opt_usize()?,
-            precision: Precision::decode(r)?,
+            tolerance,
+            max_iterations,
             threads: r.opt_usize()?,
             // Version-1 senders never wrote the trailing preconditioner byte;
             // treat their configs as "no preconditioner" (the old behaviour).
@@ -1377,7 +1384,6 @@ mod tests {
         roundtrip_bytes(&SolveConfig {
             tolerance: Some(3e-11),
             max_iterations: None,
-            precision: Precision::F32,
             threads: Some(4),
             preconditioner: PreconditionerKind::Mg,
         });
@@ -1404,11 +1410,44 @@ mod tests {
     }
 
     #[test]
+    fn solve_config_keeps_its_version_3_byte_layout() {
+        #[rustfmt::skip]
+        let pinned: [u8; 21] = [
+            1, 0x3F, 0xE0, 0, 0, 0, 0, 0, 0, // tolerance: Some(0.5)
+            1, 0, 0, 0, 0, 0, 0, 0, 200,     // max_iterations: Some(200)
+            1,                               // precision: the f64 tag
+            0,                               // threads: None
+            2,                               // preconditioner: Mg
+        ];
+        let config = SolveConfig {
+            tolerance: Some(0.5),
+            max_iterations: Some(200),
+            threads: None,
+            preconditioner: PreconditionerKind::Mg,
+        };
+        assert_eq!(to_bytes(&config), pinned);
+        assert_eq!(to_bytes(&SolveConfig::default()), [0, 0, 1, 0, 0]);
+        // A peer that still sends the f32 tag decodes to the same config;
+        // a byte that is no precision tag stays a typed error.
+        let mut f32_tag = pinned;
+        f32_tag[18] = 0;
+        assert_eq!(from_bytes::<SolveConfig>(&f32_tag).unwrap(), config);
+        let mut bad_tag = pinned;
+        bad_tag[18] = 2;
+        assert!(matches!(
+            from_bytes::<SolveConfig>(&bad_tag),
+            Err(WireError::UnknownTag {
+                context: "Precision",
+                tag: 2
+            })
+        ));
+    }
+
+    #[test]
     fn version_one_solve_config_decodes_without_the_preconditioner_byte() {
         let config = SolveConfig {
             tolerance: Some(1e-9),
             max_iterations: Some(200),
-            precision: Precision::F64,
             threads: None,
             preconditioner: PreconditionerKind::Mg,
         };

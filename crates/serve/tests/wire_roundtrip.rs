@@ -8,7 +8,7 @@ use mffv_mesh::{
 };
 use mffv_serve::frame::{fnv1a32, Frame, WireShutdownMode, MAX_FRAME_LEN, WIRE_VERSION};
 use mffv_serve::wire::{BackendSel, WireError, WireJobSpec, WirePolicy};
-use mffv_solver::backend::{Precision, PreconditionerKind, SolveConfig};
+use mffv_solver::backend::{PreconditionerKind, SolveConfig};
 use mffv_solver::monitor::{SolveEvent, StopReason};
 use proptest::{prop_assert, proptest, ProptestConfig};
 
@@ -90,11 +90,6 @@ fn arbitrary_job(pick: u64, a: f64, b: u64) -> WireJobSpec {
         config: SolveConfig {
             tolerance: (pick.is_multiple_of(2)).then_some(a.abs()),
             max_iterations: (b.is_multiple_of(2)).then_some((b % 10_000) as usize),
-            precision: if pick.is_multiple_of(2) {
-                Precision::F64
-            } else {
-                Precision::F32
-            },
             threads: (pick.is_multiple_of(3)).then_some(1 + (b % 8) as usize),
             preconditioner: PreconditionerKind::ALL[(pick % 3) as usize],
         },

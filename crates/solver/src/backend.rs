@@ -7,8 +7,9 @@
 //! shared contract they all implement instead:
 //!
 //! * [`SolveConfig`] — the normalized cross-backend settings (tolerance,
-//!   iteration cap, host precision), with `None` meaning "use the workload's
-//!   own defaults";
+//!   iteration cap, apply threads, preconditioner), with `None` meaning "use
+//!   the workload's own defaults" — the one place any backend reads them
+//!   from; the arithmetic [`Precision`] belongs to the backend;
 //! * [`SolveBackend`] — one object-safe trait every solver implements, with
 //!   one [`solve`](SolveBackend::solve) entry point;
 //! * [`SolveRequest`] — the per-call half of a solve: the optional live
@@ -32,9 +33,9 @@ use mffv_fv::residual::residual;
 use mffv_mesh::{CellField, Workload};
 use mffv_telemetry::{Span, Stopwatch};
 
-/// Floating-point precision of a host solve.  The device-style backends are
-/// `f32` by construction (the paper's machines compute in single precision);
-/// the host oracle can run either way.
+/// Floating-point precision of a solve, a property of the backend: the
+/// device-style backends are `f32` by construction (the paper's machines
+/// compute in single precision); [`HostBackend`] runs either way.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Precision {
     /// IEEE single precision (the device precision of the paper).
@@ -101,7 +102,10 @@ impl PreconditionerKind {
     }
 }
 
-/// Cross-backend solve settings.
+/// Cross-backend solve settings: the only home of a solve's tolerance,
+/// iteration cap and preconditioner, which every backend reads from here.
+/// The arithmetic precision is not a setting of the solve but of the
+/// backend ([`SolveBackend::step_precision`]).
 ///
 /// `None` fields fall back to the workload's own tolerance / iteration cap, so
 /// a default `SolveConfig` reproduces each backend's historical defaults.
@@ -109,10 +113,9 @@ impl PreconditionerKind {
 pub struct SolveConfig {
     /// Convergence tolerance on `rᵀr` (the paper's Algorithm 1, line 8).
     pub tolerance: Option<f64>,
-    /// Iteration cap (`k_max`).
+    /// Iteration cap (`k_max`).  A dataflow backend in communication-only
+    /// mode runs its own forced iteration count instead.
     pub max_iterations: Option<usize>,
-    /// Host-solve precision; device-style backends always compute in `f32`.
-    pub precision: Precision,
     /// Scoped threads for the host backend's planned stencil kernels (`None`
     /// = 1, the sequential path).  Results are bitwise identical for every
     /// thread count; device-style backends model their own parallelism and

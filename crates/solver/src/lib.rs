@@ -56,7 +56,7 @@ pub mod prelude {
     };
     pub use crate::newton::{solve_pressure, NewtonScratch};
     pub use crate::pcg::JacobiPreconditioner;
-    pub use crate::reduction::{fabric_ordered_dot, fabric_ordered_sum};
+    pub use crate::reduction::fabric_ordered_dot;
     pub use crate::trace::{TraceMonitor, TRACE_CHUNK_ITERS};
     pub use crate::transient::{
         run_transient, PressureSnapshot, TransientReport, TransientStep, WellTotal,

@@ -6,9 +6,8 @@
 //! addition is not associative, so reproducing *the same order* on the host is what
 //! allows bit-for-bit comparison between the fabric execution and the host oracle.
 //!
-//! [`fabric_ordered_dot`] and [`fabric_ordered_sum`] implement exactly that order on
-//! [`CellField`]s; [`pairwise_sum`] is a deterministic tree reduction provided for
-//! accuracy comparisons.
+//! [`fabric_ordered_dot`] implements exactly that order on [`CellField`]s: the host
+//! oracle of the fabric all-reduce.
 
 use mffv_mesh::{CellField, Scalar};
 
@@ -38,64 +37,11 @@ pub fn fabric_ordered_dot<T: Scalar>(a: &CellField<T>, b: &CellField<T>) -> T {
     total
 }
 
-/// Sum a single field in fabric all-reduce order (dot with an implicit all-ones
-/// field, without the multiplications).
-pub fn fabric_ordered_sum<T: Scalar>(a: &CellField<T>) -> T {
-    let dims = a.dims();
-    let mut total = T::ZERO;
-    for y in 0..dims.ny {
-        let mut row_acc = T::ZERO;
-        for x in 0..dims.nx {
-            let mut pe_acc = T::ZERO;
-            for v in a.column(x, y) {
-                pe_acc += v;
-            }
-            row_acc += pe_acc;
-        }
-        total += row_acc;
-    }
-    total
-}
-
-/// Deterministic pairwise (tree) summation of a slice — the "well conditioned"
-/// reference reduction used in accuracy comparisons against the fabric order.
-pub fn pairwise_sum<T: Scalar>(values: &[T]) -> T {
-    match values.len() {
-        0 => T::ZERO,
-        1 => values[0],
-        2 => values[0] + values[1],
-        n => {
-            let mid = n / 2;
-            pairwise_sum(&values[..mid]) + pairwise_sum(&values[mid..])
-        }
-    }
-}
-
-/// Dot product via pairwise summation of the per-cell products.
-pub fn pairwise_dot<T: Scalar>(a: &CellField<T>, b: &CellField<T>) -> T {
-    assert_eq!(a.dims(), b.dims(), "field dimension mismatch");
-    let products: Vec<T> = a
-        .as_slice()
-        .iter()
-        .zip(b.as_slice().iter())
-        .map(|(&x, &y)| x * y)
-        .collect();
-    pairwise_sum(&products)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mffv_mesh::Dims;
     use proptest::prelude::*;
-
-    #[test]
-    fn fabric_sum_matches_naive_sum_for_exact_values() {
-        let dims = Dims::new(4, 3, 5);
-        let f = CellField::<f64>::from_fn(dims, |c| (c.x + c.y * 10 + c.z * 100) as f64);
-        let naive: f64 = f.as_slice().iter().sum();
-        assert_eq!(fabric_ordered_sum(&f), naive);
-    }
 
     #[test]
     fn fabric_dot_matches_field_dot_in_f64() {
@@ -107,45 +53,15 @@ mod tests {
         assert!((expected - got).abs() < 1e-9 * expected.abs().max(1.0));
     }
 
-    #[test]
-    fn pairwise_sum_handles_edge_cases() {
-        assert_eq!(pairwise_sum::<f64>(&[]), 0.0);
-        assert_eq!(pairwise_sum(&[3.0f64]), 3.0);
-        assert_eq!(pairwise_sum(&[1.0f64, 2.0, 3.0, 4.0, 5.0]), 15.0);
-    }
-
-    #[test]
-    fn pairwise_is_at_least_as_accurate_as_sequential_for_adversarial_input() {
-        // Large head value followed by many tiny values: sequential f32 summation
-        // loses them all, pairwise keeps some.
-        let n = 4096;
-        let mut values = vec![1.0e8f32];
-        values.extend(std::iter::repeat_n(1.0f32, n));
-        let sequential: f32 = values.iter().copied().sum();
-        let pairwise = pairwise_sum(&values);
-        let exact = 1.0e8f64 + n as f64;
-        let err_seq = (sequential as f64 - exact).abs();
-        let err_pair = (pairwise as f64 - exact).abs();
-        assert!(err_pair <= err_seq);
-    }
-
     proptest! {
         #[test]
-        fn fabric_dot_is_close_to_pairwise_dot(values in proptest::collection::vec(-1.0f64..1.0, 60)) {
+        fn fabric_dot_is_close_to_the_field_dot(values in proptest::collection::vec(-1.0f64..1.0, 60)) {
             let dims = Dims::new(5, 4, 3);
             let a = CellField::from_vec(dims, values);
             let b = CellField::from_fn(dims, |c| 0.1 * (c.x as f64 + c.y as f64 + c.z as f64));
             let d1 = fabric_ordered_dot(&a, &b);
-            let d2 = pairwise_dot(&a, &b);
+            let d2 = a.dot(&b);
             prop_assert!((d1 - d2).abs() < 1e-10);
-        }
-
-        #[test]
-        fn fabric_sum_is_permutation_invariant_at_f64(values in proptest::collection::vec(-10.0f64..10.0, 24)) {
-            let dims = Dims::new(4, 3, 2);
-            let f = CellField::from_vec(dims, values.clone());
-            let naive: f64 = values.iter().sum();
-            prop_assert!((fabric_ordered_sum(&f) - naive).abs() < 1e-9);
         }
     }
 }

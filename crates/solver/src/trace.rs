@@ -30,7 +30,6 @@ pub const TRACE_CHUNK_ITERS: usize = 32;
 pub struct TraceMonitor<'a> {
     inner: &'a mut dyn SolveMonitor,
     parent: &'a Span,
-    chunk_len: usize,
     // Declared before `loop_span` so chunks close first on drop.
     chunk_span: Option<Span>,
     loop_span: Option<Span>,
@@ -38,23 +37,15 @@ pub struct TraceMonitor<'a> {
 }
 
 impl<'a> TraceMonitor<'a> {
-    /// Wrap `inner`, recording spans under `parent` with the default
-    /// chunk length.
+    /// Wrap `inner`, recording spans under `parent`.
     pub fn new(parent: &'a Span, inner: &'a mut dyn SolveMonitor) -> TraceMonitor<'a> {
         TraceMonitor {
             inner,
             parent,
-            chunk_len: TRACE_CHUNK_ITERS,
             chunk_span: None,
             loop_span: None,
             in_chunk: 0,
         }
-    }
-
-    /// Override the per-chunk iteration count (`0` behaves as `1`).
-    pub fn with_chunk(mut self, iterations: usize) -> TraceMonitor<'a> {
-        self.chunk_len = iterations.max(1);
-        self
     }
 
     fn ensure_loop_open(&mut self) {
@@ -100,7 +91,7 @@ impl SolveMonitor for TraceMonitor<'_> {
                 // Robust to backends that skip `Started`: open lazily.
                 self.ensure_loop_open();
                 self.in_chunk += 1;
-                if self.in_chunk >= self.chunk_len {
+                if self.in_chunk >= TRACE_CHUNK_ITERS {
                     self.in_chunk = 0;
                     self.chunk_span = self
                         .loop_span
@@ -139,12 +130,13 @@ mod tests {
         {
             let root = tracer.span("solve");
             let mut inner = NullMonitor;
-            let mut monitor = TraceMonitor::new(&root, &mut inner).with_chunk(4);
+            let mut monitor = TraceMonitor::new(&root, &mut inner);
+            let iterations = 2 * TRACE_CHUNK_ITERS + 2;
             pump(
                 &mut monitor,
-                10,
+                iterations,
                 Some(SolveEvent::Converged {
-                    iterations: 10,
+                    iterations,
                     rr: 1e-12,
                 }),
             );
@@ -152,7 +144,8 @@ mod tests {
         let tree = tracer.phase_tree();
         let cg = tree.find("solve").unwrap().find("cg-loop").unwrap();
         assert_eq!(cg.count, 1);
-        // 10 iterations at chunk 4: spans close after 4, 8, and terminal.
+        // Two full chunks and a partial one: spans close after each full
+        // chunk and at the terminal event.
         assert_eq!(cg.find("iters").unwrap().count, 3);
     }
 
@@ -162,7 +155,7 @@ mod tests {
         {
             let root = tracer.span("solve");
             let mut inner = NullMonitor;
-            let mut monitor = TraceMonitor::new(&root, &mut inner).with_chunk(8);
+            let mut monitor = TraceMonitor::new(&root, &mut inner);
             // k_max-exhaustion style exit: the loop just stops emitting.
             pump(&mut monitor, 3, None);
         }

@@ -31,7 +31,7 @@ use crate::backend::Backend;
 use crate::report::{AgreementReport, SolveReport};
 use mffv_engine::{BatchReport, Engine, JobSpec};
 use mffv_mesh::{TransientSpec, Workload, WorkloadSpec};
-use mffv_solver::backend::{Precision, PreconditionerKind, SolveConfig, SolveError, SolveRequest};
+use mffv_solver::backend::{PreconditionerKind, SolveConfig, SolveError, SolveRequest};
 use mffv_solver::monitor::{CancelToken, SolveMonitor, StopPolicy};
 use mffv_solver::transient::{run_transient, TransientReport};
 use mffv_telemetry::{Span, Tracer};
@@ -39,6 +39,11 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Builder facade over the three solver implementations.
+///
+/// The solve settings (tolerance, iteration cap, preconditioner, apply
+/// threads) go into one [`SolveConfig`] that every backend reads; the
+/// arithmetic precision is the backend's own ([`Backend::host`] is `f64`,
+/// [`Backend::host_f32`] `f32`, the device backends `f32`).
 #[derive(Clone, Debug)]
 pub struct Simulation {
     workload: Workload,
@@ -75,14 +80,6 @@ impl Simulation {
     /// Override the iteration cap for every backend.
     pub fn max_iterations(mut self, max_iterations: usize) -> Self {
         self.config.max_iterations = Some(max_iterations);
-        self
-    }
-
-    /// Set the host-solve precision used when no backend is registered (a
-    /// registered [`Backend::Host`] carries its own precision; the device
-    /// backends always run `f32`).
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.config.precision = precision;
         self
     }
 
@@ -264,9 +261,7 @@ impl Simulation {
 
     /// The backend `run()`/`monitor()` executes.
     fn primary_backend(&self) -> Backend {
-        self.backends.first().copied().unwrap_or(Backend::Host {
-            precision: self.config.precision,
-        })
+        self.backends.first().copied().unwrap_or_else(Backend::host)
     }
 
     /// The root span a solve or transient run records under, when tracing:
@@ -693,7 +688,7 @@ mod tests {
     #[test]
     fn precision_selects_the_host_arithmetic() {
         let report = Simulation::from_spec(&WorkloadSpec::quickstart())
-            .precision(Precision::F32)
+            .backend(Backend::host_f32())
             .tolerance(1e-9)
             .run()
             .unwrap();

@@ -130,7 +130,7 @@ proptest! {
         let dirichlet = dirichlet_variant(dims, variant, seed);
         let w = heterogeneous_workload(dims, seed);
         // Tiny coarse target so even these small grids build real hierarchies.
-        let config = MgConfig { coarse_cells: 8, ..MgConfig::default() };
+        let config = MgConfig { coarse_cells: 8 };
         let mg = MultigridVcycle::<f64>::new(
             w.transmissibility().convert(),
             &dirichlet,
