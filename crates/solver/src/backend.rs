@@ -448,7 +448,8 @@ pub trait SolveBackend {
         request: &mut SolveRequest<'_>,
     ) -> Result<SolveReport, SolveError>;
 
-    /// The arithmetic precision this backend steps transient systems at.
+    /// The arithmetic precision this backend computes in — its steady
+    /// solves and the transient systems it steps alike.
     ///
     /// Defaults to `f64`; device-style backends (the paper's machines
     /// compute in single precision) override it to [`Precision::F32`], and
