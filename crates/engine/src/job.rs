@@ -14,7 +14,7 @@ use mffv_solver::backend::{
 };
 use mffv_solver::context::SolveContextCache;
 use mffv_solver::monitor::{SolveMonitor, StopPolicy, StopReason};
-use mffv_solver::transient::run_transient;
+use mffv_solver::transient::run_transient_summary;
 
 /// One unit of work for the engine: solve `workload_spec` on `backend` under
 /// `solve_config`, with stochastic permeability reseeded from `seed` and the
@@ -42,7 +42,9 @@ pub struct JobSpec {
     /// When set, the job runs the transient scenario instead of a single
     /// steady solve: the full backward-Euler schedule executes on the
     /// worker and the job completes with the run's summary report (final
-    /// pressure, concatenated per-step CG history).
+    /// pressure, concatenated per-step CG history) — bitwise the
+    /// [`TransientReport::summary_report`](mffv_solver::transient::TransientReport::summary_report)
+    /// of the same run.
     pub transient: Option<TransientSpec>,
 }
 
@@ -156,7 +158,9 @@ impl JobSpec {
 
     /// Run the job to completion on the calling thread: validation,
     /// workload materialisation, then the steady solve or the transient
-    /// schedule (whose summary report is returned).
+    /// schedule.  A transient job returns its run's summary report, folded
+    /// step by step ([`run_transient_summary`]): the job holds one pressure
+    /// field, not one per step.
     ///
     /// `request` carries the job's live observer, span and cache:
     /// * its monitor sees the job's full
@@ -191,7 +195,7 @@ impl JobSpec {
         let backend = self.backend.instantiate();
         let observer = request.monitor.as_deref_mut();
         let result = match &self.transient {
-            Some(transient) => run_transient(
+            Some(transient) => run_transient_summary(
                 backend.as_ref(),
                 &workload,
                 transient,
@@ -203,8 +207,7 @@ impl JobSpec {
                     span: request.span,
                     cache: Some(&mut *cache),
                 },
-            )
-            .map(|report| report.summary_report()),
+            ),
             None => self.stop_policy.observe(observer, |monitor| {
                 backend.solve(
                     &workload,

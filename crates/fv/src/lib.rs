@@ -10,8 +10,8 @@
 //! The crate is host-side: it defines the *mathematics* that both the dataflow
 //! implementation (`mffv-core`) and the GPU-style reference (`mffv-gpu-ref`) must
 //! reproduce, and is the oracle used by their tests.  The hot apply path runs
-//! through a precomputed [`plan::StencilPlan`] — branch-free x-line runs
-//! specialised on each cell's neighbour set, fused CG kernels, and an optional
+//! through a precomputed [`plan::StencilPlan`] — slab-long branch-free runs
+//! specialised on one of 16 array-neighbour sets, fused CG kernels, and an optional
 //! scoped-thread parallel apply whose results are bitwise identical for every
 //! thread count.
 //!

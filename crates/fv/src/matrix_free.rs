@@ -15,12 +15,13 @@ use mffv_mesh::{CellField, Dims, Direction, DirichletSet, Scalar, Transmissibili
 /// Jacobian without assembling it.
 ///
 /// At construction the operator precomputes a [`StencilPlan`] — the partition
-/// of the grid into branch-free x-line runs and a general remainder of
+/// of the grid into slab-long branch-free runs and a general remainder of
 /// Dirichlet cells and their neighbours —
-/// so [`apply_spd`](Self::apply_spd) runs the planned kernel by default.  The
-/// planned apply is bitwise identical to the naive per-neighbour loop (kept as
-/// [`apply_spd_naive`](Self::apply_spd_naive)) for every thread count; see the
-/// [`plan`](crate::plan) module for the determinism contract.
+/// so [`apply_spd`](Self::apply_spd) runs the planned kernel by default.  For
+/// finite input the planned apply is bitwise identical to the naive
+/// per-neighbour loop (kept as [`apply_spd_naive`](Self::apply_spd_naive))
+/// for every thread count; see the [`plan`](crate::plan) module for the
+/// determinism contract and the non-finite case.
 #[derive(Clone, Debug)]
 pub struct MatrixFreeOperator<T: Scalar> {
     dims: Dims,

@@ -6,14 +6,17 @@
 //! `Option` lookups and Dirichlet branches.  A [`StencilPlan`] is a precomputed
 //! partition of the grid into
 //!
-//! * **runs** — maximal stretches of an x-line (clipped to a slab) whose cells
-//!   share one *neighbour set* (which of the six directions have a neighbour)
-//!   and whose closed stencil contains no Dirichlet cell.  Every neighbour sits
-//!   at a fixed linear offset (`±1`, `±nx`, `±nx·ny`), so one generic kernel,
-//!   specialised at compile time on the 6-bit neighbour set, applies a run as
-//!   a tight, branch-free, autovectorizable loop over raw slices.  Interior
-//!   cells, domain-boundary faces, edges and corners are all runs; and
-//! * a **general remainder** — exactly the Dirichlet cells and their
+//! * **runs** — maximal stretches of the linear cell range (clipped to a
+//!   slab) whose cells share one *neighbour set* and whose closed stencil
+//!   contains no Dirichlet cell.  A run's neighbour set is chosen by array
+//!   position: the directions whose offset (`±1`, `±nx`, `±nx·ny`) stays
+//!   inside the array.  Only 16 such sets exist, so one generic kernel,
+//!   specialised at compile time on the set, applies a run as a tight,
+//!   branch-free, autovectorizable loop over raw slices.  A run spans whole
+//!   x-lines and planes: it ends only at a slab edge, at a Dirichlet
+//!   neighbourhood, or where the set changes (near the first and last row
+//!   and plane of the array); and
+//! * a **general remainder** — exactly the Dirichlet cells and their domain
 //!   neighbours, handled by the same per-neighbour logic as the naive kernel.
 //!
 //! The kernels read the coefficient table as its three face arrays
@@ -22,13 +25,21 @@
 //! the +y entry of `k − nx` and the +z entry of `k − nx·ny`.  An apply thus
 //! streams five arrays per cell ([`APPLY_STREAMS_PER_CELL`]).
 //!
-//! Every cell's output value is computed with *exactly* the arithmetic (same
-//! operations, same order) as the naive `apply_spd` loop: the run kernel adds
-//! one `coeff · (x_K − x_L)` term per present neighbour in [`Direction::ALL`]
-//! order, skips exactly the absent ones (a zero coefficient or a
-//! self-neighbour term would change the bits when `x` holds a non-finite
-//! value), and adds the diagonal-shift term last.  Planned and naive applies
-//! are bitwise identical.
+//! For finite `x`, every cell's output value is bitwise identical to the
+//! naive `apply_spd` loop's.  The run kernel adds one `coeff · (x_K − x_L)`
+//! term per array neighbour in [`Direction::ALL`] order, then the
+//! diagonal-shift term.  Where the array neighbour is no domain neighbour
+//! (`k ± 1` across an x-line's end, `k ± nx` across a plane's edge row), the
+//! coefficient is a plus-boundary face, which the table stores as `+0`, so
+//! the term is `±0`; the accumulator starts at `+0` and never becomes `−0`,
+//! so adding it changes no bit.
+//!
+//! A non-finite `x_L` is the one difference: it now also reaches its array
+//! neighbour across a domain face, as `+0 · ∞ = NaN` (or `+0 · NaN`), where
+//! the naive kernel skips the term.  Results can differ only once a field
+//! is already non-finite, and the Krylov loop's stop tests treat NaN and ∞
+//! alike: breakdown fires on `!dᵀAd.is_finite()` and divergence on
+//! `!rᵀr.is_finite()`, so no stop reason changes.
 //!
 //! # Deterministic slabs
 //!
@@ -79,15 +90,16 @@ const YM: u8 = 1 << 3;
 const ZP: u8 = 1 << 4;
 const ZM: u8 = 1 << 5;
 
-/// One maximal branch-free stretch of an x-line (clipped to a slab) whose
-/// cells share one neighbour set.
+/// One maximal branch-free stretch of the linear cell range (clipped to a
+/// slab) whose cells share one array-neighbour set.
 #[derive(Clone, Copy, Debug)]
 struct Run {
     /// Linear index of the first cell.
     start: usize,
     /// Number of cells.
     len: usize,
-    /// The directions every cell of the run has a neighbour in (see [`XP`]).
+    /// The directions every cell of the run has an array neighbour in (see
+    /// [`XP`] and [`array_neighbours`]).
     neighbours: u8,
 }
 
@@ -169,24 +181,25 @@ impl StencilPlan {
         };
 
         let (nx, sy, sz) = (dims.nx, dims.y_stride(), dims.z_stride());
+        let mut open: Option<(usize, u8)> = None;
         for (y, z, line) in dims.iter_x_lines() {
-            // The y and z neighbours are the same for the whole line.
-            let line_neighbours = bit(y + 1 < dims.ny, YP)
+            // The y and z domain neighbours are the same for the whole line.
+            let line_domain = bit(y + 1 < dims.ny, YP)
                 | bit(y > 0, YM)
                 | bit(z + 1 < dims.nz, ZP)
                 | bit(z > 0, ZM);
-            let mut open: Option<(usize, u8)> = None;
             for x in 0..nx {
                 let k = line.start + x;
-                let neighbours = line_neighbours | bit(x + 1 < nx, XP) | bit(x > 0, XM);
+                let domain = line_domain | bit(x + 1 < nx, XP) | bit(x > 0, XM);
                 // A run cell's closed stencil holds no Dirichlet cell.
                 let touches_dirichlet = dirichlet_mask[k]
-                    || (neighbours & XP != 0 && dirichlet_mask[k + 1])
-                    || (neighbours & XM != 0 && dirichlet_mask[k - 1])
-                    || (neighbours & YP != 0 && dirichlet_mask[k + sy])
-                    || (neighbours & YM != 0 && dirichlet_mask[k - sy])
-                    || (neighbours & ZP != 0 && dirichlet_mask[k + sz])
-                    || (neighbours & ZM != 0 && dirichlet_mask[k - sz]);
+                    || (domain & XP != 0 && dirichlet_mask[k + 1])
+                    || (domain & XM != 0 && dirichlet_mask[k - 1])
+                    || (domain & YP != 0 && dirichlet_mask[k + sy])
+                    || (domain & YM != 0 && dirichlet_mask[k - sy])
+                    || (domain & ZP != 0 && dirichlet_mask[k + sz])
+                    || (domain & ZM != 0 && dirichlet_mask[k - sz]);
+                let neighbours = array_neighbours(k, n, sy, sz);
                 let continues = matches!(open, Some((_, set)) if set == neighbours);
                 if touches_dirichlet || !continues {
                     if let Some((start, set)) = open.take() {
@@ -200,9 +213,9 @@ impl StencilPlan {
                     open = Some((k, neighbours));
                 }
             }
-            if let Some((start, set)) = open {
-                push_run(&mut slabs, &mut stats, start, line.end, set);
-            }
+        }
+        if let Some((start, set)) = open {
+            push_run(&mut slabs, &mut stats, start, n, set);
         }
         Self { dims, slabs, stats }
     }
@@ -466,6 +479,22 @@ fn bit(present: bool, set: u8) -> u8 {
     }
 }
 
+/// The directions in which cell `k` of an `n`-cell grid (strides `sy`, `sz`)
+/// has an *array* neighbour: `k ± 1`, `k ± sy` and `k ± sz` inside `0..n`.
+///
+/// `1 ≤ sy ≤ sz`, so each side's set is one of four nested sets: ∅ ⊂ XM ⊂
+/// XM|YM ⊂ XM|YM|ZM below and ∅ ⊂ XP ⊂ XP|YP ⊂ XP|YP|ZP above.  16 sets can
+/// occur, and the set changes at most six times along the array.
+#[inline]
+fn array_neighbours(k: usize, n: usize, sy: usize, sz: usize) -> u8 {
+    bit(k + 1 < n, XP)
+        | bit(k >= 1, XM)
+        | bit(k + sy < n, YP)
+        | bit(k >= sy, YM)
+        | bit(k + sz < n, ZP)
+        | bit(k >= sz, ZM)
+}
+
 fn push_run(slabs: &mut [Slab], stats: &mut PlanStats, start: usize, end: usize, neighbours: u8) {
     // Clip the run at slab boundaries so each slab owns its cells exclusively.
     let mut s = start;
@@ -546,24 +575,36 @@ macro_rules! run_kernel_table {
                     ($set, false) => apply_run::<T, $set, false>,
                     ($set, true) => apply_run::<T, $set, true>,
                 )*
-                // audit: allow(panic) — invariant: `StencilPlan::new` builds every
-                // neighbour set from the six direction bits, so it is below 64
-                _ => unreachable!("neighbour set {neighbours:#b} has more than six bits"),
+                // audit: allow(panic) — invariant: `StencilPlan::new` takes every
+                // set from `array_neighbours`, whose sides are nested
+                _ => unreachable!("neighbour set {neighbours:#b} is not a nested set"),
             }
         }
     };
 }
 
+// The 16 sets `array_neighbours` can return: each of ∅, XM, XM|YM and
+// XM|YM|ZM (0, 2, 10, 42) joined with each of ∅, XP, XP|YP and XP|YP|ZP
+// (0, 1, 5, 21).
 run_kernel_table!(
-    0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
-    32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63
+    0 2 10 42
+    1 3 11 43
+    5 7 15 47
+    21 23 31 63
 );
 
-/// The branch-free inner loop for cells with neighbour set `N`: one
+/// The branch-free inner loop for cells with array-neighbour set `N`: one
 /// `acc += coeff · (x_K − x_L)` per present neighbour in [`Direction::ALL`]
 /// order, then `diag · x_K` when `SHIFT`.  `N` and `SHIFT` are compile-time
 /// constants, so the absent terms vanish and equal-length pre-sliced windows
 /// let the bounds checks fold away and the loop autovectorize.
+///
+/// An array neighbour need not be a domain neighbour: `k ± 1` wraps past an
+/// x-line's ends into the adjacent row, and `k ± sy` past a plane's first and
+/// last rows into the adjacent plane.  Such a term reads a plus-boundary
+/// face, which holds `+0`, so it is `+0 · (x_K − x_L) = ±0` for finite `x`.
+/// `acc` starts at `+0` and never becomes `−0`, so adding `±0` changes no
+/// bit: the run matches the naive kernel, which skips the term.
 fn apply_run<T: Scalar, const N: u8, const SHIFT: bool>(
     run: Run,
     ctx: &KernelCtx<'_, T>,
@@ -592,7 +633,9 @@ fn apply_run<T: Scalar, const N: u8, const SHIFT: bool>(
     for (i, o) in out.iter_mut().enumerate() {
         let xk = xc[i];
         // Same operations in the same Direction::ALL order as the naive
-        // kernel, skipping exactly the neighbours it skips.
+        // kernel, plus a ±0 term per domain face the run reaches across.
+        // With a non-finite x_L there that term is +0 · ∞ = NaN, where the
+        // naive kernel skips it (see the module docs).
         let mut acc = T::ZERO;
         if N & XP != 0 {
             acc += c_xp[i] * (xk - x_xp[i]);
@@ -766,8 +809,21 @@ mod tests {
             .collect()
     }
 
+    /// The directions whose linear offset keeps cell `k` inside the array.
+    fn array_set(dims: Dims, k: usize) -> u8 {
+        let (sy, sz) = (dims.y_stride() as isize, dims.z_stride() as isize);
+        Direction::ALL
+            .iter()
+            .filter(|&&d| {
+                let (dx, dy, dz) = d.offset();
+                let l = k as isize + dx + dy * sy + dz * sz;
+                (0..dims.num_cells() as isize).contains(&l)
+            })
+            .fold(0u8, |set, &d| set | 1 << d.index())
+    }
+
     /// Every cell is covered exactly once, by the slab that owns it, and
-    /// each run's cells share the neighbour set the run records.
+    /// each run's cells share the array-neighbour set the run records.
     fn assert_partition(plan: &StencilPlan) {
         let dims = plan.dims();
         let mut seen = vec![0u8; dims.num_cells()];
@@ -778,12 +834,8 @@ mod tests {
                 let cells = seen.iter_mut().enumerate().skip(run.start);
                 for (k, count) in cells.take(run.len) {
                     *count += 1;
-                    let c = dims.unlinear(k);
-                    let expect = Direction::ALL
-                        .iter()
-                        .filter(|&&d| dims.neighbor(c, d).is_some())
-                        .fold(0u8, |set, &d| set | 1 << d.index());
-                    assert_eq!(run.neighbours, expect, "cell {c:?} in {dims}");
+                    let expect = array_set(dims, k);
+                    assert_eq!(run.neighbours, expect, "cell {k} in {dims}");
                 }
             }
             for &k in &slab.general {
@@ -805,8 +857,10 @@ mod tests {
         assert_eq!(stats.run_cells, dims.num_cells());
         assert_eq!(stats.general_cells, 0);
         assert_eq!(stats.dirichlet_cells, 0);
-        // Three runs per x-line: the x = 0 cell, the inner cells, x = nx − 1.
-        assert_eq!(stats.num_runs, 3 * dims.ny * dims.nz);
+        // One slab, and seven array-neighbour sets along it: k = 0, the rest
+        // of the first row, the rest of the first plane, the inner planes, the
+        // last plane but its last row, that row but its last cell, k = n − 1.
+        assert_eq!(stats.num_runs, 7);
     }
 
     #[test]
@@ -822,6 +876,93 @@ mod tests {
             assert_partition(&plan);
             assert_eq!(plan.stats().run_cells, dims.num_cells(), "{dims}");
             assert_eq!(plan.stats().general_cells, 0, "{dims}");
+        }
+    }
+
+    /// The 16 sets `array_neighbours` can return: a nested minus side joined
+    /// with a nested plus side.
+    fn nested_sets() -> Vec<u8> {
+        let minus = [0, XM, XM | YM, XM | YM | ZM];
+        let plus = [0, XP, XP | YP, XP | YP | ZP];
+        minus
+            .iter()
+            .flat_map(|&m| plus.iter().map(move |&p| m | p))
+            .collect()
+    }
+
+    /// Positive pseudorandom interior faces, `+0` on the plus boundary.
+    fn pseudorandom_faces(dims: Dims, seed: u64) -> Transmissibilities<f64> {
+        let r = pseudorandom_field(dims, seed);
+        let faces = std::array::from_fn(|axis| {
+            (0..dims.num_cells())
+                .map(|k| {
+                    let c = dims.unlinear(k);
+                    let on_plus_boundary =
+                        [c.x + 1 == dims.nx, c.y + 1 == dims.ny, c.z + 1 == dims.nz][axis];
+                    if on_plus_boundary {
+                        0.0
+                    } else {
+                        1.0 + r.get(k).abs() * (axis + 1) as f64
+                    }
+                })
+                .collect()
+        });
+        Transmissibilities::from_faces(dims, faces)
+    }
+
+    #[test]
+    fn every_run_uses_a_nested_set_and_every_set_matches_the_general_path() {
+        // Grids small and thin enough to reach all 16 sets between them.
+        let grids = [
+            Dims::new(1, 1, 1),
+            Dims::new(2, 1, 1),
+            Dims::new(3, 1, 1),
+            Dims::new(2, 2, 1),
+            Dims::new(3, 2, 2),
+            Dims::new(1, 6, 6),
+            Dims::new(6, 1, 6),
+            Dims::new(7, 5, 1),
+            Dims::new(7, 5, 4),
+            Dims::new(33, 17, 9),
+        ];
+        let sets = nested_sets();
+        let mut used: Vec<u8> = Vec::new();
+        for dims in grids {
+            let n = dims.num_cells();
+            let mask = vec![false; n];
+            let plan = StencilPlan::new(dims, &mask);
+            for run in plan.slabs.iter().flat_map(|s| &s.runs) {
+                assert!(sets.contains(&run.neighbours), "{dims}: {run:?}");
+                if !used.contains(&run.neighbours) {
+                    used.push(run.neighbours);
+                }
+            }
+            // Each run kernel, with and without the shift, gives the general
+            // path's bits on every cell.
+            let coeffs = pseudorandom_faces(dims, 20);
+            let x = pseudorandom_field(dims, 21);
+            let shift: Vec<f64> = (0..n).map(|k| 0.5 + (k % 5) as f64).collect();
+            for diag in [None, Some(shift.as_slice())] {
+                let mut y = CellField::zeros(dims);
+                plan.apply(&coeffs, &mask, diag, &x, &mut y, 1);
+                let ctx = KernelCtx::new(dims, &coeffs, &mask, diag);
+                for k in 0..n {
+                    let expect = general_cell(k, &ctx, x.as_slice());
+                    assert_eq!(y.get(k).to_bits(), expect.to_bits(), "{dims}: cell {k}");
+                }
+            }
+        }
+        used.sort_unstable();
+        let mut all = sets.clone();
+        all.sort_unstable();
+        assert_eq!(used, all, "the grids reach every set");
+        // The kernel table resolves every set, shifted or not (an unlisted
+        // set would hit its `unreachable!`).
+        for &set in &sets {
+            for shift in [false, true] {
+                let _ = run_kernel::<f64>(set, shift);
+                let _ = run_kernel::<f32>(set, shift);
+            }
         }
     }
 

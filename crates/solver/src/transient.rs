@@ -32,7 +32,10 @@
 //! zero starts while remaining fully deterministic.  [`run_transient`]
 //! drives the schedule of a [`TransientSpec`] and assembles the
 //! [`TransientReport`]: per-step [`SolveReport`]s, requested pressure
-//! snapshots, and cumulative per-well volumes.
+//! snapshots, and cumulative per-well volumes.  [`run_transient_summary`]
+//! runs the same stepping loop but folds each step into the report's
+//! [`summary_report`](TransientReport::summary_report) as it finishes, so
+//! it holds one pressure field rather than one per step.
 
 use crate::backend::{Precision, SolveBackend, SolveConfig, SolveError, SolveReport, SolveRequest};
 use crate::cg::ConjugateGradient;
@@ -376,17 +379,11 @@ impl TransientReport {
     /// iteration of every step, so `iterations` is the run total.
     /// `converged` means the run finished and every step converged.
     pub fn merged_history(&self) -> ConvergenceHistory {
-        let mut merged = match self.steps.first() {
-            Some(first) => ConvergenceHistory::starting_from(first.report.history.initial_rr()),
-            None => return ConvergenceHistory::default(),
-        };
+        let mut merged = MergedHistory::new();
         for step in &self.steps {
-            for &rr in &step.report.history.residual_norms_squared[1..] {
-                merged.record(rr);
-            }
+            merged.add(&step.report.history);
         }
-        merged.converged = self.all_converged();
-        merged
+        merged.finish(self.stopped)
     }
 
     /// Condense the run into one [`SolveReport`] (the shape engine batches
@@ -435,6 +432,47 @@ impl std::fmt::Display for TransientReport {
     }
 }
 
+/// Step histories appended into one, as [`TransientReport::merged_history`]
+/// defines it; [`run_transient_summary`] folds each step in as it finishes.
+struct MergedHistory {
+    /// `None` until the first step arrives.
+    history: Option<ConvergenceHistory>,
+    /// Whether every step so far converged.
+    converged: bool,
+}
+
+impl MergedHistory {
+    fn new() -> Self {
+        Self {
+            history: None,
+            converged: true,
+        }
+    }
+
+    /// Append one step's iterations (its initial `rᵀr` only for the first).
+    fn add(&mut self, step: &ConvergenceHistory) {
+        let merged = self
+            .history
+            .get_or_insert_with(|| ConvergenceHistory::starting_from(step.initial_rr()));
+        for &rr in &step.residual_norms_squared[1..] {
+            merged.record(rr);
+        }
+        self.converged &= step.converged;
+    }
+
+    /// The merged history: `converged` when the run was not stopped and
+    /// every step converged; the empty default when no step ran.
+    fn finish(self, stopped: Option<StopReason>) -> ConvergenceHistory {
+        match self.history {
+            Some(mut merged) => {
+                merged.converged = stopped.is_none() && self.converged;
+                merged
+            }
+            None => ConvergenceHistory::default(),
+        }
+    }
+}
+
 /// Drive a [`TransientSpec`]'s full schedule on `backend`'s step precision,
 /// warm-starting successive steps and threading `policy` through every
 /// per-step session (one shared wall-clock deadline; per-step budgets and
@@ -470,6 +508,144 @@ pub fn run_transient(
     policy: &StopPolicy,
     request: &mut SolveRequest<'_>,
 ) -> Result<TransientReport, SolveError> {
+    let mut steps: Vec<TransientStep> = Vec::new();
+    // One slot per requested time, filled at capture and flattened in
+    // request order at the end.
+    let mut snapshots: Vec<Option<PressureSnapshot>> = vec![None; spec.snapshot_times.len()];
+    let mut wells: Vec<WellTotal> = spec
+        .wells
+        .wells()
+        .iter()
+        .map(|w| WellTotal {
+            name: w.name.clone(),
+            net_volume: 0.0,
+            injected: 0.0,
+            produced: 0.0,
+        })
+        .collect();
+    let end = step_through(backend, workload, spec, config, policy, request, |step| {
+        // The well ledger and snapshots only credit *completed* steps: a
+        // stopped step's pressure is an unconverged partial iterate, so
+        // billing its full dt of well volume would overstate what was
+        // simulated (the partial step stays inspectable in `steps`).
+        if step.report.stopped.is_none() {
+            for (total, &rate) in wells.iter_mut().zip(&step.well_rates) {
+                let volume = rate * step.dt;
+                total.net_volume += volume;
+                if volume >= 0.0 {
+                    total.injected += volume;
+                } else {
+                    total.produced -= volume;
+                }
+            }
+            // Relative guard so a requested time equal to the horizon (or
+            // a step boundary) is captured despite float dust in the
+            // accumulated time.
+            let snap_eps = spec.total_time * 1e-9;
+            for (slot, &ts) in snapshots.iter_mut().zip(&spec.snapshot_times) {
+                if slot.is_none() && step.end_time() >= ts - snap_eps {
+                    *slot = Some(PressureSnapshot {
+                        requested_time: ts,
+                        // Label the field with the time it actually
+                        // corresponds to — the step end — not the
+                        // request.
+                        time: step.end_time(),
+                        pressure: step.report.pressure.clone(),
+                    });
+                }
+            }
+        }
+        let pressure = step.report.pressure.clone();
+        steps.push(step);
+        pressure
+    })?;
+    Ok(TransientReport {
+        backend: backend.name(),
+        steps,
+        snapshots: snapshots.into_iter().flatten().collect(),
+        wells,
+        initial_pressure: initial_pressure(workload, spec),
+        stopped: end.stopped,
+        host_wall_seconds: end.host_wall_seconds,
+    })
+}
+
+/// Run a transient exactly as [`run_transient`] does, but keep only its
+/// summary: the returned report equals
+/// [`run_transient`]`(..)?.`[`summary_report`](TransientReport::summary_report)`()`
+/// bit for bit in every field but `host_wall_seconds`.
+///
+/// Each finished step is folded in as it ends (its history appended, its
+/// residual kept only while it is the last), and the final pressure is the
+/// loop's own field, moved.  So the run holds one pressure field however
+/// many steps it takes, where the full report keeps one per step.  This is
+/// the path of engine and daemon transient jobs.
+pub fn run_transient_summary(
+    backend: &dyn SolveBackend,
+    workload: &Workload,
+    spec: &TransientSpec,
+    config: &SolveConfig,
+    policy: &StopPolicy,
+    request: &mut SolveRequest<'_>,
+) -> Result<SolveReport, SolveError> {
+    let mut history = MergedHistory::new();
+    let mut final_residual_max = 0.0;
+    let end = step_through(backend, workload, spec, config, policy, request, |step| {
+        history.add(&step.report.history);
+        final_residual_max = step.report.final_residual_max;
+        step.report.pressure
+    })?;
+    Ok(SolveReport {
+        backend: backend.name(),
+        pressure: end.pressure,
+        history: history.finish(end.stopped),
+        final_residual_max,
+        host_wall_seconds: end.host_wall_seconds,
+        device: None,
+        stopped: end.stopped,
+    })
+}
+
+/// The pressure a run starts from, `p⁰`: the spec's uniform initial
+/// pressure with the Dirichlet values imposed, or the workload's own.
+fn initial_pressure(workload: &Workload, spec: &TransientSpec) -> CellField<f64> {
+    match spec.initial_pressure {
+        Some(p0) => {
+            let mut field = CellField::constant(workload.dims(), p0);
+            workload.dirichlet().impose(&mut field);
+            field
+        }
+        None => workload.initial_pressure(),
+    }
+}
+
+/// How [`step_through`] ended a run.
+struct RunEnd {
+    /// The last step's `p^{n+1}` (partial when the run was stopped), or `p⁰`
+    /// when no step ran.
+    pressure: CellField<f64>,
+    stopped: Option<StopReason>,
+    /// Wall-clock seconds of the whole run on the host.
+    host_wall_seconds: f64,
+}
+
+/// The one stepping loop behind [`run_transient`] and
+/// [`run_transient_summary`]: validate the spec, then step its schedule
+/// from [`initial_pressure`] as [`run_transient`] documents.
+///
+/// Each finished step, the partial step of a stopped run included, goes to
+/// `keep`, inside the step's `accounting` span.  `keep` keeps what its
+/// caller needs and hands back the step's end pressure `p^{n+1}`, which
+/// the next step starts from.
+fn step_through(
+    backend: &dyn SolveBackend,
+    workload: &Workload,
+    spec: &TransientSpec,
+    config: &SolveConfig,
+    policy: &StopPolicy,
+    request: &mut SolveRequest<'_>,
+    mut keep: impl FnMut(TransientStep) -> CellField<f64>,
+) -> Result<RunEnd, SolveError> {
     let name = backend.name();
     let dims = workload.dims();
     spec.validate(dims)
@@ -503,15 +679,7 @@ pub fn run_transient(
         true,
     );
     let precision = backend.step_precision();
-    let mut pressure: CellField<f64> = match spec.initial_pressure {
-        Some(p0) => {
-            let mut field = CellField::constant(dims, p0);
-            workload.dirichlet().impose(&mut field);
-            field
-        }
-        None => workload.initial_pressure(),
-    };
-    let initial_pressure = pressure.clone();
+    let mut pressure = initial_pressure(workload, spec);
 
     let acc_rate = |delta: &CellField<f64>, dt: f64| -> f64 {
         let coeff = workload.mesh().cell_volume() * spec.total_compressibility / dt;
@@ -524,24 +692,8 @@ pub fn run_transient(
         coeff * sum
     };
 
-    let mut steps: Vec<TransientStep> = Vec::new();
     let mut warm: Option<CellField<f64>> = None;
-    // One slot per requested time, filled at capture and flattened in
-    // request order at the end.
-    let mut snapshots: Vec<Option<PressureSnapshot>> = vec![None; spec.snapshot_times.len()];
-    let mut totals: Vec<WellTotal> = spec
-        .wells
-        .wells()
-        .iter()
-        .map(|w| WellTotal {
-            name: w.name.clone(),
-            net_volume: 0.0,
-            injected: 0.0,
-            produced: 0.0,
-        })
-        .collect();
     let mut run_stopped = None;
-
     for (index, (time, dt)) in spec.schedule().into_iter().enumerate() {
         let step_request = StepRequest {
             workload,
@@ -596,28 +748,13 @@ pub fn run_transient(
         }
 
         let stopped = outcome.stopped;
-        // The well ledger and snapshots only credit *completed* steps: a
-        // stopped step's pressure is an unconverged partial iterate, so
-        // billing its full dt of well volume would overstate what was
-        // simulated (the partial step stays inspectable in `steps`).
-        if stopped.is_none() {
-            for (total, &rate) in totals.iter_mut().zip(&outcome.well_rates) {
-                let volume = rate * dt;
-                total.net_volume += volume;
-                if volume >= 0.0 {
-                    total.injected += volume;
-                } else {
-                    total.produced -= volume;
-                }
-            }
-        }
-        steps.push(TransientStep {
+        pressure = keep(TransientStep {
             index,
             start_time: time,
             dt,
             report: SolveReport {
                 backend: name.clone(),
-                pressure: outcome.pressure.clone(),
+                pressure: outcome.pressure,
                 history: outcome.history,
                 final_residual_max: step_residual_max,
                 host_wall_seconds: step_wall,
@@ -628,27 +765,7 @@ pub fn run_transient(
             accumulation_rate,
             boundary_inflow,
         });
-        pressure = outcome.pressure;
         warm = Some(outcome.delta);
-
-        // Relative guard so a requested time equal to the horizon (or a step
-        // boundary) is captured despite float dust in the accumulated time.
-        // Stopped (partial) steps capture nothing.
-        let snap_eps = spec.total_time * 1e-9;
-        if stopped.is_none() {
-            for (slot, &ts) in snapshots.iter_mut().zip(&spec.snapshot_times) {
-                if slot.is_none() && time + dt >= ts - snap_eps {
-                    *slot = Some(PressureSnapshot {
-                        requested_time: ts,
-                        // Label the field with the time it actually
-                        // corresponds to — the step end — not the request.
-                        time: time + dt,
-                        pressure: pressure.clone(),
-                    });
-                }
-            }
-        }
-
         accounting.finish();
 
         if let Some(reason) = stopped {
@@ -657,12 +774,8 @@ pub fn run_transient(
         }
     }
 
-    Ok(TransientReport {
-        backend: name,
-        steps,
-        snapshots: snapshots.into_iter().flatten().collect(),
-        wells: totals,
-        initial_pressure,
+    Ok(RunEnd {
+        pressure,
         stopped: run_stopped,
         host_wall_seconds: started.elapsed().as_secs_f64(),
     })

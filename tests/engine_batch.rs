@@ -491,3 +491,79 @@ fn duplicate_backend_name_suffixes_are_deterministic_in_submission_order() {
             .collect::<Vec<_>>()
     );
 }
+
+/// Assert two transient summaries agree in every `SolveReport` field but
+/// `host_wall_seconds`, floats compared by their bits.
+fn assert_same_summary(got: &mffv::SolveReport, want: &mffv::SolveReport, what: &str) {
+    assert_eq!(got.backend, want.backend, "{what}: backend");
+    assert_eq!(pressure_bits(got), pressure_bits(want), "{what}: pressure");
+    assert_eq!(history_bits(got), history_bits(want), "{what}: history");
+    assert_eq!(got.iterations(), want.iterations(), "{what}: iterations");
+    assert_eq!(got.converged(), want.converged(), "{what}: converged");
+    assert_eq!(
+        got.final_residual_max.to_bits(),
+        want.final_residual_max.to_bits(),
+        "{what}: final residual"
+    );
+    assert_eq!(got.device, want.device, "{what}: device section");
+    assert_eq!(got.stopped, want.stopped, "{what}: stop reason");
+}
+
+#[test]
+fn engine_transient_summaries_equal_the_full_reports_summary_in_every_field() {
+    let budgeted =
+        |job: JobSpec, budget| job.with_stop_policy(StopPolicy::new().iteration_budget(budget));
+    let on_f32 = |job: JobSpec| JobSpec {
+        backend: Backend::host_f32(),
+        ..job
+    };
+    // 4608 cells: more than one slab, so the V-cycle has two levels.
+    let wide = |job: JobSpec| JobSpec {
+        workload_spec: WorkloadSpec {
+            dims: Dims::new(24, 24, 8),
+            ..job.workload_spec
+        },
+        ..job
+    };
+    // The budgets let the first step converge and stop the second.
+    let jobs = vec![
+        budgeted(
+            ramped_transient_job("budget-cg", PreconditionerKind::None),
+            106,
+        ),
+        budgeted(
+            on_f32(ramped_transient_job(
+                "f32-budget-jacobi",
+                PreconditionerKind::Jacobi,
+            )),
+            108,
+        ),
+        on_f32(wide(ramped_transient_job("f32-mg", PreconditionerKind::Mg))),
+    ];
+    let reference: Vec<TransientReport> = jobs
+        .iter()
+        .map(|job| {
+            Simulation::new(Workload::try_from_spec(&job.effective_spec()).unwrap())
+                .backend(job.backend)
+                .preconditioner(job.solve_config.preconditioner)
+                .stop_policy(job.stop_policy.clone())
+                .transient(job.transient.as_ref().unwrap())
+                .unwrap()
+        })
+        .collect();
+    for full in &reference[..2] {
+        assert_eq!(full.stopped, Some(StopReason::IterationBudget));
+        assert_eq!(full.num_steps(), 2, "stopped mid-schedule");
+    }
+    assert!(reference[2].all_converged());
+
+    for (i, (job, full)) in jobs.iter().zip(&reference).enumerate() {
+        let serial = job.execute(&mut SolveRequest::new()).unwrap();
+        assert_same_summary(&serial, &full.summary_report(), &format!("job {i}, serial"));
+    }
+    let batch = Engine::new(2).run(jobs);
+    for (i, (outcome, full)) in batch.outcomes.iter().zip(&reference).enumerate() {
+        let report = outcome.report().or(outcome.partial_report()).unwrap();
+        assert_same_summary(report, &full.summary_report(), &format!("job {i}, engine"));
+    }
+}
