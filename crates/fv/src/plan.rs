@@ -34,7 +34,7 @@
 //! the term is `±0`; the accumulator starts at `+0` and never becomes `−0`,
 //! so adding it changes no bit.
 //!
-//! A non-finite `x_L` is the one difference: it now also reaches its array
+//! A non-finite `x_L` is the one difference: it also reaches its array
 //! neighbour across a domain face, as `+0 · ∞ = NaN` (or `+0 · NaN`), where
 //! the naive kernel skips the term.  Results can differ only once a field
 //! is already non-finite, and the Krylov loop's stop tests treat NaN and ∞
@@ -598,13 +598,6 @@ run_kernel_table!(
 /// order, then `diag · x_K` when `SHIFT`.  `N` and `SHIFT` are compile-time
 /// constants, so the absent terms vanish and equal-length pre-sliced windows
 /// let the bounds checks fold away and the loop autovectorize.
-///
-/// An array neighbour need not be a domain neighbour: `k ± 1` wraps past an
-/// x-line's ends into the adjacent row, and `k ± sy` past a plane's first and
-/// last rows into the adjacent plane.  Such a term reads a plus-boundary
-/// face, which holds `+0`, so it is `+0 · (x_K − x_L) = ±0` for finite `x`.
-/// `acc` starts at `+0` and never becomes `−0`, so adding `±0` changes no
-/// bit: the run matches the naive kernel, which skips the term.
 fn apply_run<T: Scalar, const N: u8, const SHIFT: bool>(
     run: Run,
     ctx: &KernelCtx<'_, T>,
@@ -633,9 +626,10 @@ fn apply_run<T: Scalar, const N: u8, const SHIFT: bool>(
     for (i, o) in out.iter_mut().enumerate() {
         let xk = xc[i];
         // Same operations in the same Direction::ALL order as the naive
-        // kernel, plus a ±0 term per domain face the run reaches across.
-        // With a non-finite x_L there that term is +0 · ∞ = NaN, where the
-        // naive kernel skips it (see the module docs).
+        // kernel, plus a ±0 term for each array neighbour across a domain
+        // face: its coefficient is a plus-boundary face, stored as +0.  For
+        // a non-finite x_L that term is +0 · ∞ = NaN, where the naive
+        // kernel skips it (see the module docs).
         let mut acc = T::ZERO;
         if N & XP != 0 {
             acc += c_xp[i] * (xk - x_xp[i]);
@@ -879,17 +873,6 @@ mod tests {
         }
     }
 
-    /// The 16 sets `array_neighbours` can return: a nested minus side joined
-    /// with a nested plus side.
-    fn nested_sets() -> Vec<u8> {
-        let minus = [0, XM, XM | YM, XM | YM | ZM];
-        let plus = [0, XP, XP | YP, XP | YP | ZP];
-        minus
-            .iter()
-            .flat_map(|&m| plus.iter().map(move |&p| m | p))
-            .collect()
-    }
-
     /// Positive pseudorandom interior faces, `+0` on the plus boundary.
     fn pseudorandom_faces(dims: Dims, seed: u64) -> Transmissibilities<f64> {
         let r = pseudorandom_field(dims, seed);
@@ -925,7 +908,12 @@ mod tests {
             Dims::new(7, 5, 4),
             Dims::new(33, 17, 9),
         ];
-        let sets = nested_sets();
+        // The 16 sets `array_neighbours` can return: a nested minus side
+        // joined with a nested plus side.
+        let sets: Vec<u8> = [0, XM, XM | YM, XM | YM | ZM]
+            .iter()
+            .flat_map(|&m| [0, XP, XP | YP, XP | YP | ZP].map(|p| m | p))
+            .collect();
         let mut used: Vec<u8> = Vec::new();
         for dims in grids {
             let n = dims.num_cells();
