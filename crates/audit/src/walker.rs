@@ -5,7 +5,7 @@
 //! subtrees are deliberately outside the audit's jurisdiction:
 //!
 //! * `crates/shims/` — offline stand-ins for third-party dependencies
-//!   (`criterion`, `proptest`); they model external code, not ours.
+//!   (`proptest`); they model external code, not ours.
 //! * `crates/audit/tests/fixtures/` — the rule fixtures *are* deliberate
 //!   violations; scanning them would make the pass fail on its own tests.
 

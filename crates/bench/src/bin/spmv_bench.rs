@@ -1,8 +1,10 @@
-//! Matrix-free apply kernel benchmark: naive vs planned vs fused vs threaded.
+//! Matrix-free apply kernel benchmark: naive vs planned vs fused vs threaded,
+//! and the assembled CSR baseline.
 //!
 //! Measures the hot `y = A x` path of the workspace — the naive per-neighbour
 //! loop against the planned branch-free kernel (`mffv_fv::plan`), the fused
-//! apply+dot kernel, and the scoped-thread parallel apply — and emits a
+//! apply+dot kernel, the scoped-thread parallel apply, and the assembled
+//! sparse Jacobian the matrix-free design avoids (§II-A) — and emits a
 //! machine-readable `BENCH_spmv.json` (seconds, cells/s, effective GB/s,
 //! speedup vs naive) to seed the repository's performance trajectory.
 //!
@@ -15,12 +17,15 @@
 //! kernel actually touches per cell (`APPLY_STREAMS_PER_CELL`): the three
 //! face arrays, the input read and the output write (`5 · sizeof(T)` bytes
 //! per cell); stencil reuse of `x` and of the faces, and the Dirichlet mask
-//! are not charged.
+//! are not charged.  The `csr` row is charged with its own traffic instead:
+//! the matrix (`CsrMatrix::bytes`: values, column indices and row offsets)
+//! plus the input read and the output write.  It also records the matrix's
+//! `matrix_bytes` and the `assembly_seconds` of one assembly.
 //!
 //! Every timed kernel checks its own bits: each `planned` output, at every
-//! `--threads` value, and the `fused-apply-dot` output must equal the naive
-//! `apply_spd_naive` output bit for bit, or the bin exits non-zero without
-//! writing the report.
+//! `--threads` value, the `fused-apply-dot` output and the `csr` output must
+//! equal the naive `apply_spd_naive` output bit for bit, or the bin exits
+//! non-zero without writing the report.
 
 use mffv::prelude::*;
 use mffv_bench::{machine_json, Flags};
@@ -32,16 +37,23 @@ struct Row {
     threads: usize,
     seconds: f64,
     speedup_vs_naive: f64,
+    /// Bytes one apply moves per cell under the kernel's traffic model.
+    bytes_per_cell: f64,
+    /// `matrix_bytes` and `assembly_seconds` of the assembled `csr` row.
+    assembled: Option<(usize, f64)>,
 }
 
 impl Row {
-    fn json(&self, cells: usize, bytes_per_cell: usize) -> String {
+    fn json(&self, cells: usize) -> String {
         let cells_per_s = cells as f64 / self.seconds;
-        let gb_per_s = cells_per_s * bytes_per_cell as f64 / 1e9;
+        let gb_per_s = cells_per_s * self.bytes_per_cell / 1e9;
+        let assembled = self.assembled.map_or(String::new(), |(bytes, seconds)| {
+            format!(", \"matrix_bytes\": {bytes}, \"assembly_seconds\": {seconds:.6e}")
+        });
         format!(
             "    {{\"kernel\": \"{}\", \"precision\": \"{}\", \"threads\": {}, \
              \"seconds\": {:.6e}, \"cells_per_s\": {:.4e}, \"gb_per_s\": {:.3}, \
-             \"speedup_vs_naive\": {:.3}}}",
+             \"speedup_vs_naive\": {:.3}{assembled}}}",
             self.kernel,
             self.precision,
             self.threads,
@@ -75,13 +87,16 @@ fn bench_precision<T: Scalar>(
 
     let naive = time_best_of(reps, || op.apply_spd_naive(&x, &mut y));
     let oracle = bits(&y);
-    rows.push(Row {
-        kernel: "naive",
+    let row = |kernel, threads, seconds: f64| Row {
+        kernel,
         precision,
-        threads: 1,
-        seconds: naive,
-        speedup_vs_naive: 1.0,
-    });
+        threads,
+        seconds,
+        speedup_vs_naive: naive / seconds,
+        bytes_per_cell: (APPLY_STREAMS_PER_CELL * std::mem::size_of::<T>()) as f64,
+        assembled: None,
+    };
+    rows.push(row("naive", 1, naive));
     // Poison the output before each kernel, so a kernel that skips a cell
     // cannot pass on a previous kernel's value.
     let mut check = |y: &mut CellField<T>, kernel: &str, threads: usize| {
@@ -96,25 +111,31 @@ fn bench_precision<T: Scalar>(
     for &t in threads {
         let threaded = op.clone().with_threads(t);
         let planned = time_best_of(reps, || threaded.apply_spd(&x, &mut y));
-        check(&mut y, "planned", t);
-        rows.push(Row {
-            kernel: "planned",
-            precision,
-            threads: t,
-            seconds: planned,
-            speedup_vs_naive: naive / planned,
-        });
+        check(&mut y, "planned", threaded.threads());
+        rows.push(row("planned", threaded.threads(), planned));
     }
     let fused = time_best_of(reps, || {
         std::hint::black_box(op.apply_dot(&x, &mut y));
     });
     check(&mut y, "fused-apply-dot", 1);
+    rows.push(row("fused-apply-dot", 1, fused));
+
+    // The paper grid's transmissibilities are 0 or 1 and `x` is in
+    // sixteenths, so every product and partial sum is exact in either
+    // precision: the CSR's own term order cannot move a bit, and its output
+    // takes the same bit check as the matrix-free kernels.
+    let watch = Stopwatch::start();
+    let csr = AssembledOperator::<T>::from_workload(workload);
+    let assembly_seconds = watch.elapsed_seconds();
+    let matrix_bytes = csr.matrix().bytes();
+    let seconds = time_best_of(reps, || csr.apply(&x, &mut y));
+    check(&mut y, "csr", 1);
+    let cells = dims.num_cells();
+    let vectors = 2 * cells * std::mem::size_of::<T>();
     rows.push(Row {
-        kernel: "fused-apply-dot",
-        precision,
-        threads: 1,
-        seconds: fused,
-        speedup_vs_naive: naive / fused,
+        bytes_per_cell: (matrix_bytes + vectors) as f64 / cells as f64,
+        assembled: Some((matrix_bytes, assembly_seconds)),
+        ..row("csr", 1, seconds)
     });
     mismatches
 }
@@ -139,32 +160,23 @@ fn main() {
         stats.num_slabs
     );
 
-    let mut rows32 = Vec::new();
-    let mut mismatches = bench_precision::<f32>(&workload, "f32", reps, &threads, &mut rows32);
-    let mut rows64 = Vec::new();
+    let mut rows = Vec::new();
+    let mut mismatches = bench_precision::<f32>(&workload, "f32", reps, &threads, &mut rows);
     mismatches.extend(bench_precision::<f64>(
-        &workload,
-        "f64",
-        reps,
-        &threads,
-        &mut rows64,
+        &workload, "f64", reps, &threads, &mut rows,
     ));
 
-    let bytes32 = APPLY_STREAMS_PER_CELL * std::mem::size_of::<f32>();
-    let bytes64 = APPLY_STREAMS_PER_CELL * std::mem::size_of::<f64>();
     let mut result_lines = Vec::new();
-    for (rows, bytes_per_cell) in [(&rows32, bytes32), (&rows64, bytes64)] {
-        for row in rows.iter() {
-            println!(
-                "  {:>16} {} x{:<2} {:>10.3} ms  {:>7.2}x vs naive",
-                row.kernel,
-                row.precision,
-                row.threads,
-                row.seconds * 1e3,
-                row.speedup_vs_naive
-            );
-            result_lines.push(row.json(cells, bytes_per_cell));
-        }
+    for row in &rows {
+        println!(
+            "  {:>16} {} x{:<2} {:>10.3} ms  {:>7.2}x vs naive",
+            row.kernel,
+            row.precision,
+            row.threads,
+            row.seconds * 1e3,
+            row.speedup_vs_naive
+        );
+        result_lines.push(row.json(cells));
     }
 
     if !mismatches.is_empty() {
@@ -189,8 +201,8 @@ fn main() {
         stats.num_runs,
         stats.num_slabs,
         stats.run_fraction(),
-        bytes32,
-        bytes64,
+        APPLY_STREAMS_PER_CELL * std::mem::size_of::<f32>(),
+        APPLY_STREAMS_PER_CELL * std::mem::size_of::<f64>(),
         result_lines.join(",\n"),
     );
     std::fs::write(&out, &json).expect("write JSON report");

@@ -1,12 +1,16 @@
 #![forbid(unsafe_code)]
-//! Shared helpers for the benchmark harness and the table/figure report binaries.
+//! Shared helpers for the table/figure report binaries and the kernel bench
+//! binaries in `src/bin/` (the README's "Running things" lists them).
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper (see
-//! `DESIGN.md` §5 for the per-experiment index); the Criterion benches in
-//! `benches/` measure the executed kernels and the ablations of the §III-E design
-//! choices.  Executed runs use scaled grids (the paper's full 687-million-cell mesh
-//! does not fit host memory); the analytic models in `mffv-perf` are additionally
-//! evaluated at the paper's full sizes.
+//! `table2`–`table5`, `table_memory`, `fig5` and `fig6` each regenerate one
+//! table or figure of the paper.  The kernel bench bins (`spmv_bench`,
+//! `mg_bench`, `telemetry_bench`, `engine_bench`) read their flags through
+//! [`Flags`], time through `mffv_perf::timing::time_rounds` and write a
+//! `BENCH_*.json` report carrying [`machine_json`]; `spmv_bench`'s `csr` row
+//! is the §II-A ablation of the assembled sparse Jacobian against the
+//! matrix-free apply.  Executed runs use scaled grids (the paper's full
+//! 687-million-cell mesh does not fit host memory); the analytic models in
+//! `mffv-perf` are additionally evaluated at the paper's full sizes.
 
 use std::collections::BTreeMap;
 use std::str::FromStr;
@@ -43,16 +47,6 @@ pub fn paper_table3_iterations() -> Vec<usize> {
 /// A homogeneous paper-style workload at the requested (already scaled) extents.
 pub fn executed_workload(dims: Dims) -> Workload {
     WorkloadSpec::paper_grid(dims.nx, dims.ny, dims.nz).build()
-}
-
-/// A small workload suitable for Criterion iteration counts.
-pub fn bench_workload() -> Workload {
-    WorkloadSpec::paper_grid(16, 12, 24).build()
-}
-
-/// A mid-size workload for end-to-end solve benches.
-pub fn bench_workload_large() -> Workload {
-    WorkloadSpec::paper_grid(24, 20, 36).build()
 }
 
 /// The `"machine"` object every `BENCH_*.json` report carries: core count,
@@ -244,9 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_workloads_build() {
-        assert_eq!(bench_workload().dims(), Dims::new(16, 12, 24));
-        assert_eq!(bench_workload_large().dims(), Dims::new(24, 20, 36));
+    fn executed_workload_keeps_its_extents() {
         assert_eq!(
             executed_workload(Dims::new(4, 5, 6)).dims(),
             Dims::new(4, 5, 6)

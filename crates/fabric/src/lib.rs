@@ -4,8 +4,7 @@
 //! A software simulator of a wafer-scale **dataflow fabric** in the style of the
 //! Cerebras WSE-2 the paper targets (§III, Figure 2).  The real machine is
 //! programmed in CSL and is not reachable from Rust, so this crate substitutes a
-//! functional, instrumented model of the same architectural ingredients
-//! (`DESIGN.md` §2):
+//! functional, instrumented model of the same architectural ingredients:
 //!
 //! * a 2-D Cartesian mesh of **processing elements** ([`pe::ProcessingElement`]),
 //!   each with its own private local memory ([`memory::PeMemory`], 48 KiB budget)

@@ -5,8 +5,8 @@
 //! in a second step to perform a standard matrix-vector multiplication" (§II-A).
 //! This module provides exactly that baseline: a CSR matrix assembled from the TPFA
 //! coefficients, a standard SpMV, and a [`LinearOperator`] wrapper so the same CG
-//! solver can run on top of it.  The ablation benchmark
-//! `benches/matrix_free_vs_assembled.rs` quantifies the memory and assembly cost the
+//! solver can run on top of it.  The `csr` rows of `spmv_bench` (recorded in
+//! `BENCH_spmv.json`) quantify the memory, assembly time and apply time the
 //! matrix-free approach removes.
 
 use crate::operator::LinearOperator;
@@ -91,8 +91,9 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Assemble the SPD Newton operator `A` (Dirichlet-eliminated form, `DESIGN.md`
-    /// §4) from the TPFA coefficient table and the Dirichlet set.
+    /// Assemble the SPD Newton operator `A` (the Dirichlet-eliminated form of the
+    /// crate docs' "Sign convention") from the TPFA coefficient table and the
+    /// Dirichlet set.
     pub fn assemble_spd(coeffs: &Transmissibilities<T>, dirichlet: &DirichletSet) -> Self {
         let dims = coeffs.dims();
         let n = dims.num_cells();

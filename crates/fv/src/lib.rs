@@ -20,7 +20,7 @@
 //! Eq. (6) of the paper defines `(Jx)_K = Σ Υλ (x_L − x_K)` for interior cells.  CG
 //! requires a symmetric positive definite operator, so the operator actually handed
 //! to the solver is the standard Dirichlet-eliminated, positive form
-//! `(A x)_K = Σ Υλ (x_K − x_L·[L ∉ T_D])` (see `DESIGN.md` §4).  Both forms are
+//! `(A x)_K = Σ Υλ (x_K − x_L·[L ∉ T_D])`.  Both forms are
 //! provided; [`matrix_free::MatrixFreeOperator::apply_paper_jx`] is the literal
 //! Eq. (6) and is related to the SPD form by a sign flip plus the treatment of
 //! Dirichlet couplings.

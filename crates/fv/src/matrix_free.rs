@@ -169,8 +169,8 @@ impl<T: Scalar> MatrixFreeOperator<T> {
     }
 
     /// The SPD form handed to CG: `(A x)_K = Σ_L Υλ (x_K − x_L·[L ∉ T_D])` for
-    /// non-Dirichlet cells and `x_K` for Dirichlet cells (Dirichlet elimination,
-    /// `DESIGN.md` §4).
+    /// non-Dirichlet cells and `x_K` for Dirichlet cells (Dirichlet elimination;
+    /// see the crate docs' "Sign convention").
     ///
     /// Runs the planned branch-free kernel on [`threads`](Self::threads)
     /// scoped threads; bitwise identical to

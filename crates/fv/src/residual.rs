@@ -4,7 +4,8 @@
 //! interfacial fluxes towards its neighbours; for a Dirichlet cell it is
 //! `p_K − p_K^D`.  Because the single-phase incompressible problem is linear, one
 //! Newton step `J δp = −r(p⁰)` solves it exactly; [`newton_rhs`] builds the
-//! right-hand side of the SPD system actually handed to CG (see `DESIGN.md` §4).
+//! right-hand side of the SPD system actually handed to CG (see the crate docs'
+//! "Sign convention").
 
 use crate::flux::interfacial_flux;
 use mffv_mesh::{CellField, Direction, DirichletSet, Scalar, Transmissibilities};

@@ -1,10 +1,9 @@
 //! Synthetic permeability models.
 //!
 //! The paper's simulations consume "highly detailed geomodels" that are proprietary.
-//! Per the reproduction's substitution rule (see `DESIGN.md`), this module provides
-//! synthetic permeability generators that exercise the same code path — the
-//! transmissibility computation and the heterogeneous matrix-free operator — with
-//! controlled heterogeneity:
+//! In their place this module provides synthetic permeability generators that
+//! exercise the same code path — the transmissibility computation and the
+//! heterogeneous matrix-free operator — with controlled heterogeneity:
 //!
 //! * [`PermeabilityModel::Homogeneous`] — a single scalar permeability;
 //! * [`PermeabilityModel::Layered`] — piecewise-constant layers along Z, the

@@ -9,7 +9,7 @@
 //! paper grid can be **scaled**: [`WorkloadSpec::scaled`] divides each extent by a
 //! factor while keeping the aspect ratio, so executed experiments sweep the same
 //! shape and the analytic performance models are evaluated at the paper's full
-//! logical sizes (see `DESIGN.md` §2).
+//! logical sizes.
 
 use crate::boundary::DirichletSet;
 use crate::dims::Dims;

@@ -228,16 +228,23 @@ fn transient_jobs_differing_only_in_compressibility_keep_their_own_shift() {
                 .with(Well::bhp("prod", CellIndex::new(9, 7, 4), 5.0, 0.5)),
         )
         .with_initial_pressure(10.0);
-    let jobs: Vec<JobSpec> = [PreconditionerKind::Jacobi, PreconditionerKind::Mg]
-        .into_iter()
-        .flat_map(|preconditioner| {
-            SweepBuilder::new(sealed_reservoir("ct-sweep"))
-                .transient(transient.clone())
-                .compressibilities([1e-3, 1e-5, 1e-3])
-                .preconditioners([preconditioner])
-                .jobs()
-        })
-        .collect();
+    // On 12×10×6 the MG hierarchy is one level; the 24×24×8 set also carries
+    // the shift down to coarse levels.
+    let jobs: Vec<JobSpec> = [
+        (PreconditionerKind::Jacobi, Dims::new(12, 10, 6)),
+        (PreconditionerKind::Mg, Dims::new(12, 10, 6)),
+        (PreconditionerKind::Mg, Dims::new(24, 24, 8)),
+    ]
+    .into_iter()
+    .flat_map(|(preconditioner, grid)| {
+        SweepBuilder::new(sealed_reservoir("ct-sweep"))
+            .grids([grid])
+            .transient(transient.clone())
+            .compressibilities([1e-3, 1e-5, 1e-3])
+            .preconditioners([preconditioner])
+            .jobs()
+    })
+    .collect();
     let batch = Engine::new(1).run(jobs.clone());
     assert!(batch.all_succeeded());
     for (i, (outcome, job)) in batch.outcomes.iter().zip(&jobs).enumerate() {
