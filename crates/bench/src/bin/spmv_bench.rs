@@ -8,6 +8,11 @@
 //! machine-readable `BENCH_spmv.json` (seconds, cells/s, effective GB/s,
 //! speedup vs naive) to seed the repository's performance trajectory.
 //!
+//! Every row's `seconds` is the best of `--reps` rounds, and the derived
+//! cells/s, GB/s and speedup use it; `seconds_median`, `seconds_q1` and
+//! `seconds_q3` give the spread of the same rounds (nearest rank), so a
+//! change between two reports can be read against the noise of each.
+//!
 //! ```text
 //! cargo run --release -p mffv-bench --bin spmv_bench -- \
 //!     --nx 128 --ny 128 --nz 128 --reps 5 --threads 1,2 --out BENCH_spmv.json
@@ -27,15 +32,38 @@
 //! equal the naive `apply_spd_naive` output bit for bit, or the bin exits
 //! non-zero without writing the report.
 
+use mffv::perf::timing::{percentile, time_rounds};
 use mffv::prelude::*;
 use mffv_bench::{machine_json, Flags};
+
+/// The best, first-quartile, median and third-quartile seconds of a
+/// kernel's timed rounds.
+#[derive(Clone, Copy)]
+struct Timing {
+    best: f64,
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+/// Time `reps` rounds of `f` (after one untimed warmup) and summarise them.
+fn time_spread(reps: usize, mut f: impl FnMut()) -> Timing {
+    let [mut rounds] = time_rounds(reps, [&mut f]);
+    rounds.sort_by(f64::total_cmp);
+    Timing {
+        best: rounds[0],
+        q1: percentile(&rounds, 0.25),
+        median: percentile(&rounds, 0.5),
+        q3: percentile(&rounds, 0.75),
+    }
+}
 
 /// One measured kernel configuration.
 struct Row {
     kernel: &'static str,
     precision: &'static str,
     threads: usize,
-    seconds: f64,
+    time: Timing,
     speedup_vs_naive: f64,
     /// Bytes one apply moves per cell under the kernel's traffic model.
     bytes_per_cell: f64,
@@ -45,22 +73,24 @@ struct Row {
 
 impl Row {
     fn json(&self, cells: usize) -> String {
-        let cells_per_s = cells as f64 / self.seconds;
+        let Timing {
+            best,
+            q1,
+            median,
+            q3,
+        } = self.time;
+        let cells_per_s = cells as f64 / best;
         let gb_per_s = cells_per_s * self.bytes_per_cell / 1e9;
         let assembled = self.assembled.map_or(String::new(), |(bytes, seconds)| {
             format!(", \"matrix_bytes\": {bytes}, \"assembly_seconds\": {seconds:.6e}")
         });
         format!(
             "    {{\"kernel\": \"{}\", \"precision\": \"{}\", \"threads\": {}, \
-             \"seconds\": {:.6e}, \"cells_per_s\": {:.4e}, \"gb_per_s\": {:.3}, \
+             \"seconds\": {best:.6e}, \"seconds_median\": {median:.6e}, \
+             \"seconds_q1\": {q1:.6e}, \"seconds_q3\": {q3:.6e}, \
+             \"cells_per_s\": {:.4e}, \"gb_per_s\": {:.3}, \
              \"speedup_vs_naive\": {:.3}{assembled}}}",
-            self.kernel,
-            self.precision,
-            self.threads,
-            self.seconds,
-            cells_per_s,
-            gb_per_s,
-            self.speedup_vs_naive
+            self.kernel, self.precision, self.threads, cells_per_s, gb_per_s, self.speedup_vs_naive
         )
     }
 }
@@ -85,14 +115,14 @@ fn bench_precision<T: Scalar>(
         f.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
     };
 
-    let naive = time_best_of(reps, || op.apply_spd_naive(&x, &mut y));
+    let naive = time_spread(reps, || op.apply_spd_naive(&x, &mut y));
     let oracle = bits(&y);
-    let row = |kernel, threads, seconds: f64| Row {
+    let row = |kernel, threads, time: Timing| Row {
         kernel,
         precision,
         threads,
-        seconds,
-        speedup_vs_naive: naive / seconds,
+        time,
+        speedup_vs_naive: naive.best / time.best,
         bytes_per_cell: (APPLY_STREAMS_PER_CELL * std::mem::size_of::<T>()) as f64,
         assembled: None,
     };
@@ -110,11 +140,11 @@ fn bench_precision<T: Scalar>(
     y.fill(T::from_f64(f64::NAN));
     for &t in threads {
         let threaded = op.clone().with_threads(t);
-        let planned = time_best_of(reps, || threaded.apply_spd(&x, &mut y));
+        let planned = time_spread(reps, || threaded.apply_spd(&x, &mut y));
         check(&mut y, "planned", threaded.threads());
         rows.push(row("planned", threaded.threads(), planned));
     }
-    let fused = time_best_of(reps, || {
+    let fused = time_spread(reps, || {
         std::hint::black_box(op.apply_dot(&x, &mut y));
     });
     check(&mut y, "fused-apply-dot", 1);
@@ -128,14 +158,14 @@ fn bench_precision<T: Scalar>(
     let csr = AssembledOperator::<T>::from_workload(workload);
     let assembly_seconds = watch.elapsed_seconds();
     let matrix_bytes = csr.matrix().bytes();
-    let seconds = time_best_of(reps, || csr.apply(&x, &mut y));
+    let time = time_spread(reps, || csr.apply(&x, &mut y));
     check(&mut y, "csr", 1);
     let cells = dims.num_cells();
     let vectors = 2 * cells * std::mem::size_of::<T>();
     rows.push(Row {
         bytes_per_cell: (matrix_bytes + vectors) as f64 / cells as f64,
         assembled: Some((matrix_bytes, assembly_seconds)),
-        ..row("csr", 1, seconds)
+        ..row("csr", 1, time)
     });
     mismatches
 }
@@ -169,11 +199,14 @@ fn main() {
     let mut result_lines = Vec::new();
     for row in &rows {
         println!(
-            "  {:>16} {} x{:<2} {:>10.3} ms  {:>7.2}x vs naive",
+            "  {:>16} {} x{:<2} {:>10.3} ms best, {:.3} ms median ({:.3}-{:.3})  {:>7.2}x vs naive",
             row.kernel,
             row.precision,
             row.threads,
-            row.seconds * 1e3,
+            row.time.best * 1e3,
+            row.time.median * 1e3,
+            row.time.q1 * 1e3,
+            row.time.q3 * 1e3,
             row.speedup_vs_naive
         );
         result_lines.push(row.json(cells));

@@ -12,79 +12,82 @@
 use crate::operator::LinearOperator;
 use mffv_mesh::{CellField, Dims, Direction, DirichletSet, Scalar, Transmissibilities};
 
-/// A compressed-sparse-row matrix.
+/// A row's entries in column order: the −z, −y and −x neighbours, the
+/// diagonal (`None`), then the +x, +y and +z neighbours.
+const ROW_ORDER: [Option<Direction>; 7] = [
+    Some(Direction::ZM),
+    Some(Direction::YM),
+    Some(Direction::XM),
+    None,
+    Some(Direction::XP),
+    Some(Direction::YP),
+    Some(Direction::ZP),
+];
+
+/// A compressed-sparse-row matrix with 32-bit column indices.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CsrMatrix<T: Scalar> {
     num_rows: usize,
     num_cols: usize,
     row_offsets: Vec<usize>,
-    col_indices: Vec<usize>,
+    col_indices: Vec<u32>,
     values: Vec<T>,
 }
 
 impl<T: Scalar> CsrMatrix<T> {
-    /// Build a CSR matrix from a list of `(row, col, value)` triplets.  Duplicate
-    /// entries are summed; rows and columns beyond the given dimensions panic.
-    ///
-    /// Assembly is the classic two-pass count/prefix-sum scheme: one pass
-    /// counts entries per row, a prefix sum turns the counts into scatter
-    /// offsets, and a second pass scatters the triplets into a single flat
-    /// buffer — no per-row `Vec` allocations, regardless of matrix size.
-    pub fn from_triplets(num_rows: usize, num_cols: usize, triplets: &[(usize, usize, T)]) -> Self {
-        // Pass 1: count entries per row (shifted by one so the prefix sum
-        // yields scatter offsets in place).
-        let mut offsets = vec![0usize; num_rows + 1];
-        for &(r, c, _) in triplets {
-            assert!(
-                r < num_rows && c < num_cols,
-                "triplet ({r}, {c}) out of bounds"
-            );
-            offsets[r + 1] += 1;
-        }
-        for i in 0..num_rows {
-            offsets[i + 1] += offsets[i];
-        }
-        // Pass 2: scatter every triplet into its row segment of one flat buffer.
-        let mut entries: Vec<(usize, T)> = vec![(0, T::ZERO); triplets.len()];
-        let mut cursor = offsets.clone();
-        for &(r, c, v) in triplets {
-            entries[cursor[r]] = (c, v);
-            cursor[r] += 1;
-        }
-        // Sort each row segment by column and merge duplicates while writing
-        // the final arrays.
-        let mut row_offsets = Vec::with_capacity(num_rows + 1);
-        let mut col_indices = Vec::with_capacity(triplets.len());
-        let mut values = Vec::with_capacity(triplets.len());
+    /// Assemble a 7-point operator on `coeffs`' grid, writing each row in
+    /// [`ROW_ORDER`], which is column order.  A Dirichlet row is the identity.
+    /// Any other row holds `off(coeff, neighbour_is_dirichlet)` for each domain
+    /// neighbour where that is `Some`, and the diagonal folded by `diagonal`
+    /// from zero over the row's coefficients in [`Direction::ALL`] order.
+    fn assemble(
+        coeffs: &Transmissibilities<T>,
+        dirichlet: &DirichletSet,
+        off: impl Fn(T, bool) -> Option<T>,
+        diagonal: impl Fn(T, T) -> T,
+    ) -> Self {
+        let dims = coeffs.dims();
+        let n = dims.num_cells();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "{n} columns do not fit 32-bit column indices"
+        );
+        let mut row_offsets = Vec::with_capacity(n + 1);
+        let mut col_indices = Vec::with_capacity(7 * n);
+        let mut values = Vec::with_capacity(7 * n);
         row_offsets.push(0);
-        for r in 0..num_rows {
-            let segment = &mut entries[offsets[r]..offsets[r + 1]];
-            // Stable sort: duplicates keep their insertion order, so they are
-            // summed deterministically first-to-last (rows of the 7-point
-            // operator are tiny, so this stays on the allocation-free
-            // small-slice path).
-            segment.sort_by_key(|&(c, _)| c);
-            let row_start = col_indices.len();
-            for &(c, v) in segment.iter() {
-                // Merge a duplicate into the entry just pushed for this row;
-                // the `last_mut` match keeps the hot loop free of unwraps.
-                match (col_indices.last(), values.last_mut()) {
-                    (Some(&last_col), Some(last_val))
-                        if col_indices.len() > row_start && last_col == c =>
-                    {
-                        *last_val += v;
-                    }
-                    _ => {
-                        col_indices.push(c);
-                        values.push(v);
-                    }
+        for c in dims.iter_cells() {
+            let k = dims.linear(c);
+            if dirichlet.contains_linear(k) {
+                col_indices.push(k as u32);
+                values.push(T::ONE);
+                row_offsets.push(col_indices.len());
+                continue;
+            }
+            let mut diag = T::ZERO;
+            for dir in Direction::ALL {
+                if dims.neighbor(c, dir).is_some() {
+                    diag = diagonal(diag, coeffs.get(k, dir));
+                }
+            }
+            for slot in ROW_ORDER {
+                let entry = match slot {
+                    None => Some((k, diag)),
+                    Some(dir) => dims.neighbor(c, dir).and_then(|nb| {
+                        let l = dims.linear(nb);
+                        off(coeffs.get(k, dir), dirichlet.contains_linear(l)).map(|v| (l, v))
+                    }),
+                };
+                if let Some((col, value)) = entry {
+                    col_indices.push(col as u32);
+                    values.push(value);
                 }
             }
             row_offsets.push(col_indices.len());
         }
         Self {
-            num_rows,
-            num_cols,
+            num_rows: n,
+            num_cols: n,
             row_offsets,
             col_indices,
             values,
@@ -95,29 +98,12 @@ impl<T: Scalar> CsrMatrix<T> {
     /// crate docs' "Sign convention") from the TPFA coefficient table and the
     /// Dirichlet set.
     pub fn assemble_spd(coeffs: &Transmissibilities<T>, dirichlet: &DirichletSet) -> Self {
-        let dims = coeffs.dims();
-        let n = dims.num_cells();
-        let mut triplets: Vec<(usize, usize, T)> = Vec::with_capacity(7 * n);
-        for c in dims.iter_cells() {
-            let k = dims.linear(c);
-            if dirichlet.contains_linear(k) {
-                triplets.push((k, k, T::ONE));
-                continue;
-            }
-            let mut diag = T::ZERO;
-            for dir in Direction::ALL {
-                if let Some(nb) = dims.neighbor(c, dir) {
-                    let l = dims.linear(nb);
-                    let coeff = coeffs.get(k, dir);
-                    diag += coeff;
-                    if !dirichlet.contains_linear(l) {
-                        triplets.push((k, l, -coeff));
-                    }
-                }
-            }
-            triplets.push((k, k, diag));
-        }
-        Self::from_triplets(n, n, &triplets)
+        Self::assemble(
+            coeffs,
+            dirichlet,
+            |coeff, neighbour_is_dirichlet| (!neighbour_is_dirichlet).then(|| -coeff),
+            |diag, coeff| diag + coeff,
+        )
     }
 
     /// Assemble the literal Eq. (6) Jacobian (paper sign convention, Dirichlet rows
@@ -127,27 +113,12 @@ impl<T: Scalar> CsrMatrix<T> {
         coeffs: &Transmissibilities<T>,
         dirichlet: &DirichletSet,
     ) -> Self {
-        let dims = coeffs.dims();
-        let n = dims.num_cells();
-        let mut triplets: Vec<(usize, usize, T)> = Vec::with_capacity(7 * n);
-        for c in dims.iter_cells() {
-            let k = dims.linear(c);
-            if dirichlet.contains_linear(k) {
-                triplets.push((k, k, T::ONE));
-                continue;
-            }
-            let mut diag = T::ZERO;
-            for dir in Direction::ALL {
-                if let Some(nb) = dims.neighbor(c, dir) {
-                    let l = dims.linear(nb);
-                    let coeff = coeffs.get(k, dir);
-                    diag -= coeff;
-                    triplets.push((k, l, coeff));
-                }
-            }
-            triplets.push((k, k, diag));
-        }
-        Self::from_triplets(n, n, &triplets)
+        Self::assemble(
+            coeffs,
+            dirichlet,
+            |coeff, _| Some(coeff),
+            |diag, coeff| diag - coeff,
+        )
     }
 
     /// Number of rows.
@@ -169,7 +140,7 @@ impl<T: Scalar> CsrMatrix<T> {
     /// row offsets) — the storage the matrix-free approach avoids.
     pub fn bytes(&self) -> usize {
         self.values.len() * std::mem::size_of::<T>()
-            + self.col_indices.len() * std::mem::size_of::<usize>()
+            + self.col_indices.len() * std::mem::size_of::<u32>()
             + self.row_offsets.len() * std::mem::size_of::<usize>()
     }
 
@@ -177,6 +148,7 @@ impl<T: Scalar> CsrMatrix<T> {
     pub fn get(&self, row: usize, col: usize) -> Option<T> {
         let start = self.row_offsets[row];
         let end = self.row_offsets[row + 1];
+        let col = u32::try_from(col).ok()?;
         let cols = &self.col_indices[start..end];
         cols.binary_search(&col)
             .ok()
@@ -192,7 +164,7 @@ impl<T: Scalar> CsrMatrix<T> {
             let end = self.row_offsets[row + 1];
             let mut acc = T::ZERO;
             for idx in start..end {
-                acc = self.values[idx].mul_add(x[self.col_indices[idx]], acc);
+                acc = self.values[idx].mul_add(x[self.col_indices[idx] as usize], acc);
             }
             *out = acc;
         }
@@ -204,7 +176,7 @@ impl<T: Scalar> CsrMatrix<T> {
         let mut worst = 0.0f64;
         for row in 0..self.num_rows {
             for idx in self.row_offsets[row]..self.row_offsets[row + 1] {
-                let col = self.col_indices[idx];
+                let col = self.col_indices[idx] as usize;
                 let a = self.values[idx].to_f64();
                 let b = self.get(col, row).map(|v| v.to_f64()).unwrap_or(0.0);
                 let denom = a.abs().max(b.abs());
@@ -266,21 +238,33 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn triplet_assembly_merges_duplicates() {
-        let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0f64), (0, 0, 2.0), (1, 0, 4.0)]);
-        assert_eq!(m.nnz(), 2);
-        assert_eq!(m.get(0, 0), Some(3.0));
-        assert_eq!(m.get(1, 0), Some(4.0));
-        assert_eq!(m.get(1, 1), None);
+    fn spmv_matches_dense_computation() {
+        // Two cells joined by one face of coefficient 2:
+        // [[2, -2], [-2, 2]] * [1, 3] = [-4, 4]
+        let dims = mffv_mesh::Dims::new(2, 1, 1);
+        let coeffs = Transmissibilities::<f64>::uniform(dims, 2.0);
+        let m = CsrMatrix::assemble_spd(&coeffs, &DirichletSet::empty());
+        assert_eq!(m.get(0, 1), Some(-2.0));
+        assert_eq!(m.get(1, 1), Some(2.0));
+        let mut y = vec![0.0; 2];
+        m.spmv(&[1.0, 3.0], &mut y);
+        assert_eq!(y, vec![-4.0, 4.0]);
     }
 
     #[test]
-    fn spmv_matches_dense_computation() {
-        // [[2, 1], [0, 3]] * [1, 2] = [4, 6]
-        let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 2.0f64), (0, 1, 1.0), (1, 1, 3.0)]);
-        let mut y = vec![0.0; 2];
-        m.spmv(&[1.0, 2.0], &mut y);
-        assert_eq!(y, vec![4.0, 6.0]);
+    fn rows_are_written_in_column_order_with_their_diagonal() {
+        let w = WorkloadSpec::fig5(mffv_mesh::Dims::new(6, 5, 4)).build();
+        let coeffs = w.transmissibility().clone();
+        for m in [
+            CsrMatrix::assemble_spd(&coeffs, w.dirichlet()),
+            CsrMatrix::assemble_paper_jacobian(&coeffs, w.dirichlet()),
+        ] {
+            for row in 0..m.num_rows() {
+                let cols = &m.col_indices[m.row_offsets[row]..m.row_offsets[row + 1]];
+                assert!(cols.windows(2).all(|pair| pair[0] < pair[1]), "row {row}");
+                assert!(m.get(row, row).is_some(), "row {row}");
+            }
+        }
     }
 
     #[test]

@@ -51,11 +51,15 @@
 //!   per-slab partials are combined in slab order.  [`det_dot`] /
 //!   [`det_norm_squared`] implement the identical order for unfused callers, so
 //!   fused and unfused CG produce bitwise-identical residual histories; and
-//! * **thread scheduling** — the threaded kernels assign whole slabs to scoped
-//!   threads ([`std::thread::scope`], std-only).  Thread count only changes
-//!   *which* thread computes a slab, never the arithmetic, so results are
-//!   bitwise identical for any thread count — the same determinism contract
-//!   `mffv-engine` guarantees across worker counts.
+//! * **thread scheduling** — one slab loop runs every kernel and [`det_dot`].
+//!   With one thread (or one slab) it runs the slabs in order on the calling
+//!   thread and allocates nothing; otherwise it splits them into balanced,
+//!   contiguous groups, one per scoped thread ([`std::thread::scope`],
+//!   std-only, spawned on each call).  Thread count only changes *which*
+//!   thread computes a slab, never the arithmetic or the order the partials
+//!   are folded in, so results are bitwise identical for any thread count —
+//!   the same determinism contract `mffv-engine` guarantees across worker
+//!   counts.
 //!
 //! Grids of at most [`SLAB_CELLS`] cells have a single slab, in which case the
 //! deterministic reductions degenerate to the plain left-to-right FMA chain of
@@ -165,17 +169,16 @@ impl StencilPlan {
             "Dirichlet mask length mismatch"
         );
         let n = dims.num_cells();
-        let num_slabs = n.div_ceil(SLAB_CELLS);
-        let mut slabs: Vec<Slab> = (0..num_slabs)
-            .map(|i| Slab {
-                range: i * SLAB_CELLS..((i + 1) * SLAB_CELLS).min(n),
+        let mut slabs: Vec<Slab> = slab_ranges(0..n)
+            .map(|range| Slab {
+                range,
                 runs: Vec::new(),
                 general: Vec::new(),
             })
             .collect();
         let mut stats = PlanStats {
             num_cells: n,
-            num_slabs,
+            num_slabs: slabs.len(),
             dirichlet_cells: dirichlet_mask.iter().filter(|&&d| d).count(),
             ..PlanStats::default()
         };
@@ -251,29 +254,10 @@ impl StencilPlan {
         self.check_fields(coeffs, mask, diag, x.dims(), y.dims());
         let ctx = KernelCtx::new(self.dims, coeffs, mask, diag);
         let xs = x.as_slice();
-        if self.group_count(threads) == 1 {
-            for slab in &self.slabs {
-                apply_slab(slab, &ctx, xs, y.as_mut_slice(), 0);
-            }
-            return;
-        }
-        let groups = self.thread_groups(threads);
-        std::thread::scope(|scope| {
-            let mut rest = y.as_mut_slice();
-            let mut consumed = 0usize;
-            for group in &groups {
-                let group_end = self.slabs[group.end - 1].range.end;
-                let (part, tail) = rest.split_at_mut(group_end - consumed);
-                rest = tail;
-                let offset = consumed;
-                consumed = group_end;
-                let slabs = &self.slabs[group.clone()];
-                scope.spawn(move || {
-                    for slab in slabs {
-                        apply_slab(slab, &ctx, xs, part, offset);
-                    }
-                });
-            }
+        let n = self.dims.num_cells();
+        for_each_slab(n, threads, [y.as_mut_slice()], |range, [ys]| {
+            apply_slab(&self.slabs[range.start / SLAB_CELLS], &ctx, xs, ys);
+            T::ZERO
         });
     }
 
@@ -295,48 +279,11 @@ impl StencilPlan {
         self.check_fields(coeffs, mask, diag, d.dims(), ad.dims());
         let ctx = KernelCtx::new(self.dims, coeffs, mask, diag);
         let ds = d.as_slice();
-        if self.group_count(threads) == 1 {
-            // Serial path: fold the per-slab partials inline in slab order —
-            // bitwise identical to `combine_partials` over a materialised
-            // buffer, with no per-call allocation (the steady-state serving
-            // path runs this once per CG iteration).
-            let out = ad.as_mut_slice();
-            let mut acc: Option<T> = None;
-            for slab in &self.slabs {
-                apply_slab(slab, &ctx, ds, out, 0);
-                let p = slab_dot(&ds[slab.range.clone()], &out[slab.range.clone()]);
-                acc = Some(match acc {
-                    None => p,
-                    Some(acc) => acc + p,
-                });
-            }
-            return acc.unwrap_or(T::ZERO);
-        }
-        let groups = self.thread_groups(threads);
-        let mut partials = vec![T::ZERO; self.slabs.len()];
-        std::thread::scope(|scope| {
-            let mut rest = ad.as_mut_slice();
-            let mut partial_rest = partials.as_mut_slice();
-            let mut consumed = 0usize;
-            for group in &groups {
-                let group_end = self.slabs[group.end - 1].range.end;
-                let (part, tail) = rest.split_at_mut(group_end - consumed);
-                rest = tail;
-                let (parts, ptail) = partial_rest.split_at_mut(group.len());
-                partial_rest = ptail;
-                let offset = consumed;
-                consumed = group_end;
-                let slabs = &self.slabs[group.clone()];
-                scope.spawn(move || {
-                    for (slab, partial) in slabs.iter().zip(parts.iter_mut()) {
-                        apply_slab(slab, &ctx, ds, part, offset);
-                        let local = slab.range.start - offset..slab.range.end - offset;
-                        *partial = slab_dot(&ds[slab.range.clone()], &part[local]);
-                    }
-                });
-            }
-        });
-        combine_partials(&partials)
+        let n = self.dims.num_cells();
+        for_each_slab(n, threads, [ad.as_mut_slice()], |range, [ads]| {
+            apply_slab(&self.slabs[range.start / SLAB_CELLS], &ctx, ds, ads);
+            slab_dot(&ds[range], ads)
+        })
     }
 
     /// Fused CG update: `x += α d`, `r −= α (A d)` and the new `rᵀr`, in a
@@ -359,92 +306,10 @@ impl StencilPlan {
         assert_eq!(r.dims(), self.dims, "residual dimension mismatch");
         let ds = d.as_slice();
         let ads = ad.as_slice();
-        if self.group_count(threads) == 1 {
-            // Serial path: inline partial fold, no per-call allocation (see
-            // `apply_dot` — same bitwise-equivalence argument).
-            let xs = x.as_mut_slice();
-            let rs = r.as_mut_slice();
-            let mut acc: Option<T> = None;
-            for slab in &self.slabs {
-                let range = slab.range.clone();
-                let p = update_slab(
-                    alpha,
-                    &ds[range.clone()],
-                    &ads[range.clone()],
-                    &mut xs[range.clone()],
-                    &mut rs[range],
-                );
-                acc = Some(match acc {
-                    None => p,
-                    Some(acc) => acc + p,
-                });
-            }
-            return acc.unwrap_or(T::ZERO);
-        }
-        let groups = self.thread_groups(threads);
-        let mut partials = vec![T::ZERO; self.slabs.len()];
-        {
-            std::thread::scope(|scope| {
-                let mut x_rest = x.as_mut_slice();
-                let mut r_rest = r.as_mut_slice();
-                let mut partial_rest = partials.as_mut_slice();
-                let mut consumed = 0usize;
-                for group in &groups {
-                    let group_end = self.slabs[group.end - 1].range.end;
-                    let (x_part, x_tail) = x_rest.split_at_mut(group_end - consumed);
-                    x_rest = x_tail;
-                    let (r_part, r_tail) = r_rest.split_at_mut(group_end - consumed);
-                    r_rest = r_tail;
-                    let (parts, ptail) = partial_rest.split_at_mut(group.len());
-                    partial_rest = ptail;
-                    let offset = consumed;
-                    consumed = group_end;
-                    let slabs = &self.slabs[group.clone()];
-                    scope.spawn(move || {
-                        for (slab, partial) in slabs.iter().zip(parts.iter_mut()) {
-                            let local = slab.range.start - offset..slab.range.end - offset;
-                            *partial = update_slab(
-                                alpha,
-                                &ds[slab.range.clone()],
-                                &ads[slab.range.clone()],
-                                &mut x_part[local.clone()],
-                                &mut r_part[local],
-                            );
-                        }
-                    });
-                }
-            });
-        }
-        combine_partials(&partials)
-    }
-
-    /// Number of groups [`thread_groups`](Self::thread_groups) would build,
-    /// without materialising them.  The kernels test this for 1 to take the
-    /// serial path with no per-call allocation — the steady-state serving
-    /// hot loop depends on that.
-    fn group_count(&self, threads: usize) -> usize {
-        threads.clamp(1, self.slabs.len().max(1))
-    }
-
-    /// Contiguous slab-index groups for `threads` scoped threads: a balanced
-    /// partition (the first `slabs % threads` groups take one extra slab), so
-    /// every requested thread gets work whenever there are enough slabs.  At
-    /// most one group per slab; a single group short-circuits the spawn
-    /// entirely.  Grouping never affects results — reductions are combined in
-    /// slab order, not group order.
-    fn thread_groups(&self, threads: usize) -> Vec<Range<usize>> {
-        let slabs = self.slabs.len();
-        let threads = threads.clamp(1, slabs.max(1));
-        let base = slabs / threads;
-        let extra = slabs % threads;
-        let mut groups = Vec::with_capacity(threads);
-        let mut start = 0;
-        for t in 0..threads {
-            let len = base + usize::from(t < extra);
-            groups.push(start..start + len);
-            start += len;
-        }
-        groups
+        let outs = [x.as_mut_slice(), r.as_mut_slice()];
+        for_each_slab(self.dims.num_cells(), threads, outs, |range, [xs, rs]| {
+            update_slab(alpha, &ds[range.clone()], &ads[range], xs, rs)
+        })
     }
 
     fn check_fields<T: Scalar>(
@@ -512,9 +377,8 @@ fn push_run(slabs: &mut [Slab], stats: &mut PlanStats, start: usize, end: usize,
     }
 }
 
-/// Shared read-only inputs of the apply kernels (Copy, so each scoped thread
-/// captures its own copy).
-#[derive(Clone, Copy)]
+/// Shared read-only inputs of the apply kernels: every slab borrows the one
+/// context, on whichever thread runs it.
 struct KernelCtx<'a, T: Scalar> {
     dims: Dims,
     coeffs: &'a Transmissibilities<T>,
@@ -543,26 +407,21 @@ impl<'a, T: Scalar> KernelCtx<'a, T> {
     }
 }
 
-/// Apply one slab into `y_part`, the output sub-slice starting at global cell
-/// index `offset`.
-fn apply_slab<T: Scalar>(
-    slab: &Slab,
-    ctx: &KernelCtx<'_, T>,
-    x: &[T],
-    y_part: &mut [T],
-    offset: usize,
-) {
+/// Apply one slab into `y_slab`, the slab's cells of the output.
+fn apply_slab<T: Scalar>(slab: &Slab, ctx: &KernelCtx<'_, T>, x: &[T], y_slab: &mut [T]) {
     let shift = ctx.diag.is_some();
+    let offset = slab.range.start;
     for run in &slab.runs {
-        run_kernel::<T>(run.neighbours, shift)(*run, ctx, x, y_part, offset);
+        run_kernel::<T>(run.neighbours, shift)(*run, ctx, x, y_slab, offset);
     }
     for &k in &slab.general {
-        y_part[k - offset] = general_cell(k, ctx, x);
+        y_slab[k - offset] = general_cell(k, ctx, x);
     }
 }
 
-/// A run kernel: `(run, ctx, x, y_part, offset)`, writing the run's cells of
-/// `y_part` (the output sub-slice starting at global cell `offset`).
+/// A run kernel: `(run, ctx, x, y_slab, offset)`, writing the run's cells of
+/// `y_slab` (the output cells of the run's slab, which starts at global cell
+/// `offset`).
 type RunKernel<T> = fn(Run, &KernelCtx<'_, T>, &[T], &mut [T], usize);
 
 macro_rules! run_kernel_table {
@@ -602,13 +461,13 @@ fn apply_run<T: Scalar, const N: u8, const SHIFT: bool>(
     run: Run,
     ctx: &KernelCtx<'_, T>,
     x: &[T],
-    y_part: &mut [T],
+    y_slab: &mut [T],
     offset: usize,
 ) {
     let [fx, fy, fz] = ctx.faces;
     let (sy, sz) = (ctx.dims.y_stride(), ctx.dims.z_stride());
     let Run { start, len, .. } = run;
-    let out = &mut y_part[start - offset..start - offset + len];
+    let out = &mut y_slab[start - offset..start - offset + len];
     let xc = &x[start..start + len];
     let (c_xp, x_xp) = window(N & XP != 0, fx, start, x, start + 1, xc);
     let below = start.wrapping_sub(1);
@@ -725,16 +584,91 @@ fn update_slab<T: Scalar>(alpha: T, d: &[T], ad: &[T], x: &mut [T], r: &mut [T])
     acc
 }
 
-/// Combine per-slab partials in slab order.  The first partial seeds the
+/// The deterministic slabs of the cell range `cells`: consecutive
+/// [`SLAB_CELLS`]-cell chunks from its start, the last one possibly shorter.
+fn slab_ranges(cells: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let end = cells.end;
+    cells
+        .step_by(SLAB_CELLS)
+        .map(move |start| start..(start + SLAB_CELLS).min(end))
+}
+
+/// The slab counts of the groups `threads` threads split `slabs` slabs into:
+/// one group per thread, capped at one per slab, the first `slabs % groups`
+/// taking one extra slab, so the groups are balanced and every thread gets
+/// work.  Grouping never affects results — partials are folded in slab
+/// order, not group order.
+fn group_sizes(slabs: usize, threads: usize) -> impl ExactSizeIterator<Item = usize> {
+    let groups = threads.clamp(1, slabs.max(1));
+    let (base, extra) = (slabs / groups, slabs % groups);
+    (0..groups).map(move |g| base + usize::from(g < extra))
+}
+
+/// The one slab loop behind every planned kernel and [`det_dot`].
+///
+/// Calls `kernel(range, cells)` once per slab of the `n`-cell range, where
+/// `range` is the slab's cell range and `cells` holds each of `outs`' cells
+/// of it, and folds the returned partials in slab order ([`fold_partials`]).
+/// With one group (one thread, or at most one slab) the slabs run in order
+/// on the calling thread and nothing is allocated — the steady-state
+/// serving path depends on that.  Otherwise the slabs split into the
+/// contiguous groups of [`group_sizes`], each run in order on a scoped
+/// thread of its own.
+fn for_each_slab<T: Scalar, const M: usize>(
+    n: usize,
+    threads: usize,
+    mut outs: [&mut [T]; M],
+    kernel: impl Fn(Range<usize>, [&mut [T]; M]) -> T + Sync,
+) -> T {
+    let slabs = n.div_ceil(SLAB_CELLS);
+    let groups = group_sizes(slabs, threads);
+    if groups.len() == 1 {
+        return fold_partials(run_slabs(0..n, outs, &kernel));
+    }
+    let mut partials = vec![T::ZERO; slabs];
+    std::thread::scope(|scope| {
+        let (mut start, mut rest) = (0, [partials.as_mut_slice()]);
+        for len in groups {
+            let [group] = split_off(&mut rest, len);
+            let end = (start + len * SLAB_CELLS).min(n);
+            let run = run_slabs(start..end, split_off(&mut outs, end - start), &kernel);
+            scope.spawn(move || group.iter_mut().zip(run).for_each(|(p, v)| *p = v));
+            start = end;
+        }
+    });
+    fold_partials(partials)
+}
+
+/// `kernel`'s partial of each slab of `cells`, in slab order, where each of
+/// `outs` holds exactly the cells of `cells`.
+fn run_slabs<'a, T: Scalar, const M: usize, K>(
+    cells: Range<usize>,
+    mut outs: [&'a mut [T]; M],
+    kernel: &'a K,
+) -> impl Iterator<Item = T> + 'a
+where
+    K: Fn(Range<usize>, [&mut [T]; M]) -> T,
+{
+    slab_ranges(cells).map(move |range| kernel(range.clone(), split_off(&mut outs, range.len())))
+}
+
+/// Split the first `len` entries off each of `rest`.
+fn split_off<'a, T, const M: usize>(rest: &mut [&'a mut [T]; M], len: usize) -> [&'a mut [T]; M] {
+    rest.each_mut().map(|rest| {
+        let (head, tail) = std::mem::take(rest).split_at_mut(len);
+        *rest = tail;
+        head
+    })
+}
+
+/// Fold per-slab partials in slab order.  The first partial seeds the
 /// accumulator (no spurious leading `0 +`), so a single-slab reduction is
 /// exactly the plain FMA chain.
-#[inline]
-fn combine_partials<T: Scalar>(partials: &[T]) -> T {
-    let mut iter = partials.iter();
-    let Some(&first) = iter.next() else {
-        return T::ZERO;
-    };
-    iter.fold(first, |acc, &p| acc + p)
+fn fold_partials<T: Scalar>(partials: impl IntoIterator<Item = T>) -> T {
+    let mut partials = partials.into_iter();
+    partials
+        .next()
+        .map_or(T::ZERO, |first| partials.fold(first, |acc, p| acc + p))
 }
 
 /// Deterministic slab-ordered dot product: a left-to-right FMA chain within
@@ -747,19 +681,10 @@ fn combine_partials<T: Scalar>(partials: &[T]) -> T {
 /// [`CellField::dot`] exactly.
 pub fn det_dot<T: Scalar>(a: &CellField<T>, b: &CellField<T>) -> T {
     assert_eq!(a.dims(), b.dims(), "field dimension mismatch");
-    let mut partial_acc: Option<T> = None;
-    for (ca, cb) in a
-        .as_slice()
-        .chunks(SLAB_CELLS)
-        .zip(b.as_slice().chunks(SLAB_CELLS))
-    {
-        let p = slab_dot(ca, cb);
-        partial_acc = Some(match partial_acc {
-            None => p,
-            Some(acc) => acc + p,
-        });
-    }
-    partial_acc.unwrap_or(T::ZERO)
+    let (a, b) = (a.as_slice(), b.as_slice());
+    for_each_slab(a.len(), 1, [], |range, []| {
+        slab_dot(&a[range.clone()], &b[range])
+    })
 }
 
 /// Deterministic slab-ordered squared norm (see [`det_dot`]).
@@ -1005,16 +930,14 @@ mod tests {
             dims.num_cells().div_ceil(SLAB_CELLS)
         );
         for threads in [1, 2, 3, 8, 1000] {
-            let groups = plan.thread_groups(threads);
+            let groups: Vec<usize> = group_sizes(plan.slabs.len(), threads).collect();
             // Balanced: every requested thread gets a non-empty group (capped
             // at one group per slab), groups tile the slab range contiguously.
             assert_eq!(groups.len(), threads.min(plan.slabs.len()));
-            assert!(groups.iter().all(|g| !g.is_empty()));
-            assert_eq!(groups.first().unwrap().start, 0);
-            assert_eq!(groups.last().unwrap().end, plan.slabs.len());
-            for pair in groups.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start);
-            }
+            assert!(groups.iter().all(|&g| g > 0));
+            assert_eq!(groups.iter().sum::<usize>(), plan.slabs.len());
+            // The first groups take the extra slabs.
+            assert!(groups.windows(2).all(|p| p[0] == p[1] || p[0] == p[1] + 1));
         }
     }
 
@@ -1039,76 +962,92 @@ mod tests {
 
     #[test]
     fn fused_kernels_match_their_unfused_counterparts_bitwise() {
-        let dims = Dims::new(33, 17, 9); // odd extents, > 1 slab
-        let coeffs = Transmissibilities::<f64>::uniform(dims, 1.5);
-        let dirichlet = DirichletSet::x_faces(dims, 1.0, 0.0);
-        let mask: Vec<bool> = (0..dims.num_cells())
-            .map(|k| dirichlet.contains_linear(k))
-            .collect();
-        let plan = StencilPlan::new(dims, &mask);
-        let d = pseudorandom_field(dims, 7);
+        // Odd extents, > 1 slab.  41×29×17 has five slabs, the last one
+        // short, which 2, 3 and 4 threads split into uneven groups.
+        for (dims, thread_counts) in [
+            (Dims::new(33, 17, 9), &[1, 2, 8][..]),
+            (Dims::new(41, 29, 17), &[1, 2, 3, 4, 8][..]),
+        ] {
+            let coeffs = Transmissibilities::<f64>::uniform(dims, 1.5);
+            let dirichlet = DirichletSet::x_faces(dims, 1.0, 0.0);
+            let mask: Vec<bool> = (0..dims.num_cells())
+                .map(|k| dirichlet.contains_linear(k))
+                .collect();
+            let plan = StencilPlan::new(dims, &mask);
+            let d = pseudorandom_field(dims, 7);
 
-        for threads in [1, 2, 8] {
-            // apply + det_dot == apply_dot
-            let mut ad_ref = CellField::zeros(dims);
-            plan.apply(&coeffs, &mask, None, &d, &mut ad_ref, 1);
-            let unfused = det_dot(&d, &ad_ref);
-            let mut ad = CellField::zeros(dims);
-            let fused = plan.apply_dot(&coeffs, &mask, None, &d, &mut ad, threads);
-            assert_eq!(fused.to_bits(), unfused.to_bits(), "threads = {threads}");
-            assert_eq!(ad, ad_ref);
+            for &threads in thread_counts {
+                // apply + det_dot == apply_dot
+                let mut ad_ref = CellField::zeros(dims);
+                plan.apply(&coeffs, &mask, None, &d, &mut ad_ref, 1);
+                let unfused = det_dot(&d, &ad_ref);
+                let mut ad = CellField::zeros(dims);
+                let fused = plan.apply_dot(&coeffs, &mask, None, &d, &mut ad, threads);
+                assert_eq!(
+                    fused.to_bits(),
+                    unfused.to_bits(),
+                    "{dims}, {threads} threads"
+                );
+                assert_eq!(ad, ad_ref);
 
-            // axpy/axpy/det_norm == cg_update
-            let alpha = 0.37f64;
-            let mut x_ref = pseudorandom_field(dims, 8);
-            let mut r_ref = pseudorandom_field(dims, 9);
-            let mut x = x_ref.clone();
-            let mut r = r_ref.clone();
-            x_ref.axpy(alpha, &d);
-            r_ref.axpy(-alpha, &ad_ref);
-            let rr_ref = det_norm_squared(&r_ref);
-            let rr = plan.cg_update(alpha, &d, &ad_ref, &mut x, &mut r, threads);
-            assert_eq!(rr.to_bits(), rr_ref.to_bits(), "threads = {threads}");
-            assert_eq!(x, x_ref);
-            assert_eq!(r, r_ref);
+                // axpy/axpy/det_norm == cg_update
+                let alpha = 0.37f64;
+                let mut x_ref = pseudorandom_field(dims, 8);
+                let mut r_ref = pseudorandom_field(dims, 9);
+                let mut x = x_ref.clone();
+                let mut r = r_ref.clone();
+                x_ref.axpy(alpha, &d);
+                r_ref.axpy(-alpha, &ad_ref);
+                let rr_ref = det_norm_squared(&r_ref);
+                let rr = plan.cg_update(alpha, &d, &ad_ref, &mut x, &mut r, threads);
+                assert_eq!(rr.to_bits(), rr_ref.to_bits(), "{dims}, {threads} threads");
+                assert_eq!(x, x_ref);
+                assert_eq!(r, r_ref);
+            }
         }
     }
 
     #[test]
     fn diagonal_shift_adds_dx_on_non_dirichlet_rows_only() {
-        let dims = Dims::new(9, 7, 5);
-        let coeffs = Transmissibilities::<f64>::uniform(dims, 1.25);
-        let dirichlet = DirichletSet::x_faces(dims, 1.0, 0.0);
-        let mask: Vec<bool> = (0..dims.num_cells())
-            .map(|k| dirichlet.contains_linear(k))
-            .collect();
-        let plan = StencilPlan::new(dims, &mask);
-        let x = pseudorandom_field(dims, 11);
-        let diag: Vec<f64> = (0..dims.num_cells())
-            .map(|k| 0.5 + (k % 7) as f64)
-            .collect();
+        // 41×29×17: five slabs in uneven thread groups (see above).
+        for (dims, thread_counts) in [
+            (Dims::new(9, 7, 5), &[1, 2, 8][..]),
+            (Dims::new(41, 29, 17), &[1, 2, 3, 4, 8][..]),
+        ] {
+            let coeffs = Transmissibilities::<f64>::uniform(dims, 1.25);
+            let dirichlet = DirichletSet::x_faces(dims, 1.0, 0.0);
+            let mask: Vec<bool> = (0..dims.num_cells())
+                .map(|k| dirichlet.contains_linear(k))
+                .collect();
+            let plan = StencilPlan::new(dims, &mask);
+            let x = pseudorandom_field(dims, 11);
+            let diag: Vec<f64> = (0..dims.num_cells())
+                .map(|k| 0.5 + (k % 7) as f64)
+                .collect();
 
-        let mut plain = CellField::zeros(dims);
-        plan.apply(&coeffs, &mask, None, &x, &mut plain, 1);
-        for threads in [1, 2, 8] {
-            let mut shifted = CellField::zeros(dims);
-            plan.apply(&coeffs, &mask, Some(&diag), &x, &mut shifted, threads);
-            for k in 0..dims.num_cells() {
-                let expect = if mask[k] {
-                    plain.get(k)
-                } else {
-                    plain.get(k) + diag[k] * x.get(k)
-                };
-                assert_eq!(shifted.get(k).to_bits(), expect.to_bits(), "cell {k}");
+            let mut plain = CellField::zeros(dims);
+            plan.apply(&coeffs, &mask, None, &x, &mut plain, 1);
+            for &threads in thread_counts {
+                let mut shifted = CellField::zeros(dims);
+                plan.apply(&coeffs, &mask, Some(&diag), &x, &mut shifted, threads);
+                for k in 0..dims.num_cells() {
+                    let expect = if mask[k] {
+                        plain.get(k)
+                    } else {
+                        plain.get(k) + diag[k] * x.get(k)
+                    };
+                    let what = format!("{dims}, {threads} threads, cell {k}");
+                    assert_eq!(shifted.get(k).to_bits(), expect.to_bits(), "{what}");
+                }
+
+                // The fused shifted apply_dot matches apply + det_dot bitwise.
+                let mut ad = CellField::zeros(dims);
+                let fused = plan.apply_dot(&coeffs, &mask, Some(&diag), &x, &mut ad, threads);
+                let mut ad_ref = CellField::zeros(dims);
+                plan.apply(&coeffs, &mask, Some(&diag), &x, &mut ad_ref, 1);
+                assert_eq!(fused.to_bits(), det_dot(&x, &ad_ref).to_bits());
+                assert_eq!(ad, ad_ref);
             }
-
-            // The fused shifted apply_dot matches apply + det_dot bitwise.
-            let mut ad = CellField::zeros(dims);
-            let fused = plan.apply_dot(&coeffs, &mask, Some(&diag), &x, &mut ad, threads);
-            let mut ad_ref = CellField::zeros(dims);
-            plan.apply(&coeffs, &mask, Some(&diag), &x, &mut ad_ref, 1);
-            assert_eq!(fused.to_bits(), det_dot(&x, &ad_ref).to_bits());
-            assert_eq!(ad, ad_ref);
         }
     }
 }

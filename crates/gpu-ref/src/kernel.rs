@@ -1,4 +1,4 @@
-//! The CUDA-style matrix-free device kernel and its block-parallel execution.
+//! The CUDA-style matrix-free device kernel and its block-by-block launch.
 //!
 //! "Each GPU kernel is scheduled to concurrently invoke a device function that
 //! performs the matrix-free FV computation … each GPU thread handles a cell K …
@@ -6,9 +6,10 @@
 //! its six neighboring cells" (§IV).
 //!
 //! [`device_thread`] is that device function; [`GpuMatrixFreeOperator`] launches it
-//! over the 16×8×8 block grid, with blocks distributed across host threads via
-//! `std::thread::scope`.  The arithmetic is identical to the sequential
-//! `mffv_fv::MatrixFreeOperator`, which the tests verify.
+//! over the 16×8×8 block grid, running the blocks one after another in launch
+//! order on the calling thread, each writing its cells of the output in place.
+//! Blocks write disjoint cells, so the order changes no result.  The arithmetic
+//! matches the sequential `mffv_fv::MatrixFreeOperator`, which the tests verify.
 
 use crate::launch::LaunchConfig;
 use mffv_fv::LinearOperator;
@@ -82,39 +83,24 @@ pub fn device_thread(arrays: &DeviceArrays, x: &[f32], cell: CellIndex) -> f32 {
     acc
 }
 
-/// The GPU-style matrix-free operator: block-parallel launch of [`device_thread`].
+/// The GPU-style matrix-free operator: a block-by-block launch of [`device_thread`].
 #[derive(Clone, Debug)]
 pub struct GpuMatrixFreeOperator {
     arrays: DeviceArrays,
     launch: LaunchConfig,
-    host_threads: usize,
 }
 
 impl GpuMatrixFreeOperator {
     /// Build the operator from device arrays with the paper's launch configuration.
     pub fn new(arrays: DeviceArrays) -> Self {
         let launch = LaunchConfig::paper(arrays.dims());
-        let host_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self {
-            arrays,
-            launch,
-            host_threads,
-        }
+        Self { arrays, launch }
     }
 
     /// Build directly from a workload (converts coefficients to `f32`).
     pub fn from_workload(workload: &mffv_mesh::Workload) -> Self {
         let coeffs: Transmissibilities<f32> = workload.transmissibility().convert();
         Self::new(DeviceArrays::upload(&coeffs, workload.dirichlet()))
-    }
-
-    /// Override the number of host threads used to execute blocks (tests use 1 for
-    /// determinism checks).
-    pub fn with_host_threads(mut self, threads: usize) -> Self {
-        self.host_threads = threads.max(1);
-        self
     }
 
     /// The launch configuration.
@@ -127,49 +113,21 @@ impl GpuMatrixFreeOperator {
         &self.arrays
     }
 
-    /// Execute one kernel launch: `out = A x` with one logical GPU thread per cell.
+    /// Execute one kernel launch: `out = A x` with one logical GPU thread per cell,
+    /// the blocks run in launch order.
     pub fn launch_apply(&self, x: &[f32], out: &mut [f32]) {
         let dims = self.arrays.dims;
         assert_eq!(x.len(), dims.num_cells());
         assert_eq!(out.len(), dims.num_cells());
-        let blocks = self.launch.blocks();
-        // Distribute whole blocks across host threads; each block writes a disjoint
-        // set of cells, so the output can be split without synchronisation.
-        let chunk_size = blocks.len().div_ceil(self.host_threads);
-        // Collect per-block results then scatter — mirrors the independence of CUDA
-        // blocks while staying in safe Rust.
-        let block_outputs: Vec<(usize, Vec<(usize, f32)>)> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (chunk_idx, chunk) in blocks.chunks(chunk_size.max(1)).enumerate() {
-                let arrays = &self.arrays;
-                let launch = &self.launch;
-                handles.push(scope.spawn(move || {
-                    let mut local = Vec::new();
-                    for &(bx, by, bz) in chunk {
-                        let (rx, ry, rz) = launch.block_cell_ranges(bx, by, bz);
-                        for z in rz {
-                            for y in ry.clone() {
-                                for xx in rx.clone() {
-                                    let cell = CellIndex::new(xx, y, z);
-                                    let k = arrays.dims.linear(cell);
-                                    local.push((k, device_thread(arrays, x, cell)));
-                                }
-                            }
-                        }
+        for (bx, by, bz) in self.launch.blocks() {
+            let (rx, ry, rz) = self.launch.block_cell_ranges(bx, by, bz);
+            for z in rz {
+                for y in ry.clone() {
+                    for xx in rx.clone() {
+                        let cell = CellIndex::new(xx, y, z);
+                        out[dims.linear(cell)] = device_thread(&self.arrays, x, cell);
                     }
-                    (chunk_idx, local)
-                }));
-            }
-            handles
-                .into_iter()
-                // audit: allow(panic) — invariant: join only fails if a block
-                // closure panicked, which is itself a bug worth propagating.
-                .map(|h| h.join().expect("block execution panicked"))
-                .collect()
-        });
-        for (_, entries) in block_outputs {
-            for (k, v) in entries {
-                out[k] = v;
+                }
             }
         }
     }
@@ -208,17 +166,6 @@ mod tests {
             diff <= 1e-6 * y_seq.max_abs().max(1.0),
             "gpu vs sequential gap {diff}"
         );
-    }
-
-    #[test]
-    fn single_threaded_and_multi_threaded_launches_agree_exactly() {
-        let w = WorkloadSpec::quickstart().build();
-        let gpu_multi = GpuMatrixFreeOperator::from_workload(&w);
-        let gpu_single = GpuMatrixFreeOperator::from_workload(&w).with_host_threads(1);
-        let x = CellField::<f32>::from_fn(w.dims(), |c| (c.x + 3 * c.y + 7 * c.z) as f32 * 0.1);
-        let a = gpu_multi.apply_new(&x);
-        let b = gpu_single.apply_new(&x);
-        assert_eq!(a, b, "block decomposition must be deterministic");
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //!
 //! CUDA and the NVIDIA GPUs themselves are not available from Rust in this
 //! environment, so the *execution* substrate is the host CPU:
-//! the block/thread decomposition is preserved exactly and blocks are executed in
-//! parallel with `std::thread`, which keeps the kernel structure, memory-access
-//! pattern and numerics of the CUDA reference while remaining runnable anywhere.
-//! The *device time* of the real GPUs is modelled separately in [`device_model`]
-//! from the rooflines the paper publishes for the A100/H100 (memory-bound kernel,
-//! ≈78 % of the bandwidth ceiling).
+//! the block/thread decomposition is preserved exactly and the blocks run one
+//! after another in launch order on the calling thread, which keeps the kernel
+//! structure, memory-access pattern and numerics of the CUDA reference while
+//! remaining runnable anywhere.  Only the report's `host_wall_seconds` measures
+//! that host execution: the *device time* of the real GPUs is modelled
+//! separately in [`device_model`] from the rooflines the paper publishes for the
+//! A100/H100 (memory-bound kernel, ≈78 % of the bandwidth ceiling).
 
 pub mod backend;
 pub mod device_model;

@@ -29,8 +29,8 @@ use mffv_telemetry::Span;
 /// The reuse key of a cached operator + preconditioner pair.
 ///
 /// Two solves may share a context exactly when every field matches: the grid
-/// shape, the apply thread count (threads change work *partitioning*, and the
-/// planned operator bakes its slab schedule in), the preconditioner kind, the
+/// shape, the apply thread count (the planned operator stores it; its slabs,
+/// and so its results, do not depend on it), the preconditioner kind, the
 /// Dirichlet set (indices *and* values), the transmissibility table, and
 /// whether the operator carries a transient diagonal shift.  Value equality
 /// is tracked by FNV-1a fingerprints over the exact bit patterns
@@ -43,7 +43,7 @@ use mffv_telemetry::Span;
 pub struct ContextKey {
     /// Grid shape.
     pub dims: Dims,
-    /// Apply thread count baked into the planned operator.
+    /// Apply thread count the planned operator stores.
     pub threads: usize,
     /// Which preconditioner the cached pair was built for.
     pub kind: PreconditionerKind,

@@ -156,20 +156,37 @@ fn ramped_transient_job(name: &str, preconditioner: PreconditionerKind) -> JobSp
     JobSpec::transient(spec, Backend::host(), transient).with_preconditioner(preconditioner)
 }
 
+/// `job` on a 24×24×8 grid: 4608 cells, more than one slab, so a multigrid
+/// hierarchy has two levels and its smoother and coarse-level shift swap run
+/// (on 12×10×6 it has one).
+fn wide(job: JobSpec) -> JobSpec {
+    JobSpec {
+        workload_spec: WorkloadSpec {
+            dims: Dims::new(24, 24, 8),
+            ..job.workload_spec
+        },
+        ..job
+    }
+}
+
 #[test]
 fn a_ramped_mg_transient_job_builds_its_operator_once() {
-    let job = ramped_transient_job("ramped-mg", PreconditionerKind::Mg);
-    let steps = job.transient.as_ref().unwrap().num_steps();
-    assert!(steps > 3);
-    let mut cache = SolveContextCache::new();
-    let report = job
-        .execute(&mut SolveRequest::new().cache(&mut cache))
-        .unwrap();
-    assert!(report.converged());
-    // One build; every step's in-place shift swap is a hit.
-    let stats = cache.f64_context.stats();
-    assert_eq!(stats.misses, 1);
-    assert_eq!(stats.hits as usize, steps - 1);
+    for job in [
+        ramped_transient_job("ramped-mg", PreconditionerKind::Mg),
+        wide(ramped_transient_job("wide-mg", PreconditionerKind::Mg)),
+    ] {
+        let steps = job.transient.as_ref().unwrap().num_steps();
+        assert!(steps > 3);
+        let mut cache = SolveContextCache::new();
+        let report = job
+            .execute(&mut SolveRequest::new().cache(&mut cache))
+            .unwrap();
+        assert!(report.converged());
+        // One build; every step's in-place shift swap is a hit.
+        let stats = cache.f64_context.stats();
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits as usize, steps - 1);
+    }
 }
 
 #[test]
@@ -183,6 +200,8 @@ fn engine_transient_jobs_match_simulation_transient_bitwise() {
         ramped_transient_job("ramped-mg", PreconditionerKind::Mg),
         ramped_transient_job("ramped-jacobi", PreconditionerKind::Jacobi),
         ramped_transient_job("ramped-cg", PreconditionerKind::None),
+        wide(ramped_transient_job("wide-mg", PreconditionerKind::Mg)),
+        wide(ramped_transient_job("wide-mg", PreconditionerKind::Mg)),
     ];
     let reference: Vec<Option<TransientReport>> = jobs
         .iter()
@@ -522,14 +541,6 @@ fn engine_transient_summaries_equal_the_full_reports_summary_in_every_field() {
         |job: JobSpec, budget| job.with_stop_policy(StopPolicy::new().iteration_budget(budget));
     let on_f32 = |job: JobSpec| JobSpec {
         backend: Backend::host_f32(),
-        ..job
-    };
-    // 4608 cells: more than one slab, so the V-cycle has two levels.
-    let wide = |job: JobSpec| JobSpec {
-        workload_spec: WorkloadSpec {
-            dims: Dims::new(24, 24, 8),
-            ..job.workload_spec
-        },
         ..job
     };
     // The budgets let the first step converge and stop the second.

@@ -162,56 +162,62 @@ fn mass_balance_also_closes_against_a_dirichlet_boundary() {
 fn full_trajectories_are_bitwise_identical_across_1_2_8_threads() {
     // ≥50 chained solves on the host backend: thread count must not change a
     // single bit anywhere in the trajectory, in any snapshot, or in any
-    // history entry.
-    let dims = Dims::new(12, 10, 6);
-    let workload = sealed_workload(dims, 1e-18);
-    let spec = TransientSpec::new(12.5, 0.25, 1e-3)
-        .with_wells(
-            WellSet::empty()
-                .with(Well::rate("inj", CellIndex::new(1, 1, 1), 1.0).scheduled(0.0, 8.0))
-                .with(Well::bhp(
-                    "prod",
-                    CellIndex::new(dims.nx - 2, dims.ny - 2, dims.nz - 2),
-                    5.0,
-                    0.5,
-                )),
-        )
-        .with_initial_pressure(10.0)
-        .with_snapshots([2.5, 10.0]);
-    assert_eq!(spec.num_steps(), 50);
+    // history entry.  12×10×6 is one slab; the two-step run on 24×20×20
+    // has three slabs, the last one short, which 2 threads split unevenly.
+    for (dims, total_time, snapshots, steps) in [
+        (Dims::new(12, 10, 6), 12.5, [2.5, 10.0], 50),
+        (Dims::new(24, 20, 20), 0.5, [0.25, 0.5], 2),
+    ] {
+        let workload = sealed_workload(dims, 1e-18);
+        let spec = TransientSpec::new(total_time, 0.25, 1e-3)
+            .with_wells(
+                WellSet::empty()
+                    .with(Well::rate("inj", CellIndex::new(1, 1, 1), 1.0).scheduled(0.0, 8.0))
+                    .with(Well::bhp(
+                        "prod",
+                        CellIndex::new(dims.nx - 2, dims.ny - 2, dims.nz - 2),
+                        5.0,
+                        0.5,
+                    )),
+            )
+            .with_initial_pressure(10.0)
+            .with_snapshots(snapshots);
+        assert_eq!(spec.num_steps(), steps);
 
-    let run = |threads: usize| {
-        Simulation::new(workload.clone())
-            .tolerance(1e-18)
-            .threads(threads)
-            .transient(&spec)
-            .unwrap()
-    };
-    let reference = run(1);
-    assert_eq!(reference.num_steps(), 50);
-    assert!(reference.all_converged());
-    let trajectory =
-        |r: &TransientReport| common::fields_checksum(r.steps.iter().map(|s| &s.report.pressure));
-    let reference_trajectory = trajectory(&reference);
-    for threads in [2, 8] {
-        let report = run(threads);
-        assert_eq!(
-            trajectory(&report),
-            reference_trajectory,
-            "{threads}-thread trajectory diverged bitwise"
-        );
-        for (a, b) in reference.steps.iter().zip(report.steps.iter()) {
+        let run = |threads: usize| {
+            Simulation::new(workload.clone())
+                .tolerance(1e-18)
+                .threads(threads)
+                .transient(&spec)
+                .unwrap()
+        };
+        let reference = run(1);
+        assert_eq!(reference.num_steps(), steps);
+        assert!(reference.all_converged());
+        let trajectory = |r: &TransientReport| {
+            common::fields_checksum(r.steps.iter().map(|s| &s.report.pressure))
+        };
+        let reference_trajectory = trajectory(&reference);
+        for threads in [2, 8] {
+            let report = run(threads);
             assert_eq!(
-                a.report.history, b.report.history,
-                "step {} history differs at {threads} threads",
-                a.index
+                trajectory(&report),
+                reference_trajectory,
+                "{dims}: {threads}-thread trajectory diverged bitwise"
             );
-        }
-        for (a, b) in reference.snapshots.iter().zip(report.snapshots.iter()) {
-            assert_eq!(
-                common::field_checksum(&a.pressure),
-                common::field_checksum(&b.pressure)
-            );
+            for (a, b) in reference.steps.iter().zip(report.steps.iter()) {
+                assert_eq!(
+                    a.report.history, b.report.history,
+                    "{dims}: step {} history differs at {threads} threads",
+                    a.index
+                );
+            }
+            for (a, b) in reference.snapshots.iter().zip(report.snapshots.iter()) {
+                assert_eq!(
+                    common::field_checksum(&a.pressure),
+                    common::field_checksum(&b.pressure)
+                );
+            }
         }
     }
 }
