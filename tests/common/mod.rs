@@ -36,16 +36,37 @@ pub fn field_checksum(field: &CellField<f64>) -> String {
 /// FNV-1a (64-bit) chained over several fields in order — fingerprints a
 /// whole pressure *trajectory*.
 pub fn fields_checksum<'a>(fields: impl IntoIterator<Item = &'a CellField<f64>>) -> String {
+    values_checksum(
+        fields
+            .into_iter()
+            .flat_map(|field| field.as_slice().iter().copied()),
+    )
+}
+
+/// FNV-1a (64-bit) over the IEEE bit patterns of a sequence of values.
+pub fn values_checksum(values: impl IntoIterator<Item = f64>) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for field in fields {
-        for v in field.as_slice() {
-            for byte in v.to_bits().to_le_bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x1000_0000_01b3);
-            }
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            hash ^= byte as u64;
+            hash = hash.wrapping_mul(0x1000_0000_01b3);
         }
     }
     format!("{hash:016x}")
+}
+
+/// FNV-1a over every step's mass ledger, in step order: its accumulation
+/// rate, boundary inflow, transient-equation residual and well rates.
+pub fn step_ledger_checksum(report: &mffv::TransientReport) -> String {
+    values_checksum(report.steps.iter().flat_map(|step| {
+        [
+            step.accumulation_rate,
+            step.boundary_inflow,
+            step.report.final_residual_max,
+        ]
+        .into_iter()
+        .chain(step.well_rates.iter().copied())
+    }))
 }
 
 /// One golden record: ordered `key: value` pairs serialised as a flat JSON

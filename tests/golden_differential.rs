@@ -2,8 +2,9 @@
 //! trajectories compared against each other and against pinned fixtures.
 //!
 //! The long per-step solve chains of transient simulation are where silent
-//! numerical drift hides; these tests pin the full 50-step trajectories as
-//! bitwise checksums under `tests/golden/` (regenerate with
+//! numerical drift hides; these tests pin the full 50-step trajectories and
+//! their per-step mass ledgers as bitwise checksums under `tests/golden/`
+//! (regenerate with
 //! `MFFV_BLESS=1 cargo test`, see `tests/common/mod.rs`) and assert the
 //! cross-backend agreement tolerances stated inline.
 
@@ -80,6 +81,30 @@ fn device_transient_trajectory_matches_the_pinned_fixture() {
     assert_eq!(report.num_steps(), 50);
     assert!(report.all_converged());
     golden_record("transient_gpu_ref", &report).check();
+}
+
+/// The record of a run's per-step mass ledger: every step's accumulation
+/// rate, boundary inflow, transient-equation residual and well rates.
+fn ledger_record(name: &str, report: &TransientReport) -> common::Golden {
+    common::Golden::new(name)
+        .str("backend", &report.backend)
+        .int("steps", report.num_steps())
+        .str("ledger_checksum", common::step_ledger_checksum(report))
+}
+
+#[test]
+fn host_step_ledger_matches_the_pinned_fixture() {
+    let report = run(Backend::host());
+    assert_eq!(report.num_steps(), 50);
+    ledger_record("transient_ledger_host_f64", &report).check();
+}
+
+#[test]
+fn device_step_ledger_matches_the_pinned_fixture() {
+    // gpu-ref steps in f32; its ledger is still kept in f64.
+    let report = run(Backend::gpu_ref());
+    assert_eq!(report.num_steps(), 50);
+    ledger_record("transient_ledger_gpu_ref", &report).check();
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! * `gpu-ref` and `dataflow` steady solves under every preconditioner;
 //! * `host-f64` transients under Jacobi and multigrid with a ramped `dt` and
 //!   a scheduled well, so the step operator's diagonal shift changes every
-//!   step.
+//!   step, and each step's mass ledger.
 //!
 //! Each record pins the iteration count and FNV-1a checksums of the
 //! convergence history and the pressure.  Regenerate with `MFFV_BLESS=1`
@@ -116,8 +116,8 @@ fn dataflow_steady_solves_match_the_pinned_fixtures() {
     }
 }
 
-#[test]
-fn ramped_preconditioned_transients_match_the_pinned_fixtures() {
+/// The ramped transient on [`heterogeneous_spec`]'s grid under `kind`.
+fn ramped_transient(kind: PreconditionerKind) -> TransientReport {
     let workload = WorkloadSpec {
         boundary: BoundarySpec::XFaces {
             left_pressure: 10.0,
@@ -136,11 +136,16 @@ fn ramped_preconditioned_transients_match_the_pinned_fixtures() {
                 .with(Well::bhp("prod", CellIndex::new(18, 5, 3), 6.0, 0.8)),
         )
         .with_initial_pressure(9.0);
+    Simulation::new(workload)
+        .preconditioner(kind)
+        .transient(&spec)
+        .unwrap()
+}
+
+#[test]
+fn ramped_preconditioned_transients_match_the_pinned_fixtures() {
     for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Mg] {
-        let report = Simulation::new(workload.clone())
-            .preconditioner(kind)
-            .transient(&spec)
-            .unwrap();
+        let report = ramped_transient(kind);
         assert!(report.all_converged(), "{kind:?}");
         let histories: Vec<CellField<f64>> = report
             .steps
@@ -160,6 +165,18 @@ fn ramped_preconditioned_transients_match_the_pinned_fixtures() {
                 "final_pressure_checksum",
                 common::field_checksum(report.final_pressure()),
             )
+            .check();
+    }
+}
+
+#[test]
+fn ramped_transient_step_ledgers_match_the_pinned_fixtures() {
+    for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Mg] {
+        let report = ramped_transient(kind);
+        common::Golden::new(format!("transient_ledger_host_f64_ramp_{}", kind.label()))
+            .str("backend", &report.backend)
+            .int("steps", report.num_steps())
+            .str("ledger_checksum", common::step_ledger_checksum(&report))
             .check();
     }
 }
