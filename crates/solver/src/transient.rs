@@ -26,16 +26,19 @@
 //! [`step_precision`](SolveBackend::step_precision): the operator and
 //! preconditioner are built once per run, and a step only swaps the
 //! `V·c_t/Δt`/well diagonal in place when that coefficient or the active
-//! wells change.  Steps **warm-start**: each CG solve begins from the
-//! previous step's `δ` (successive updates are similar for smooth
-//! schedules), which measurably reduces total CG iterations against cold
-//! zero starts while remaining fully deterministic.  [`run_transient`]
-//! drives the schedule of a [`TransientSpec`] and assembles the
-//! [`TransientReport`]: per-step [`SolveReport`]s, requested pressure
-//! snapshots, and cumulative per-well volumes.  [`run_transient_summary`]
-//! runs the same stepping loop but folds each step into the report's
-//! [`summary_report`](TransientReport::summary_report) as it finishes, so
-//! it holds one pressure field rather than one per step.
+//! wells change.  Beside the context's buffers a run owns two `f64` fields:
+//! the pressure, which each step advances in place from `pⁿ` to `p^{n+1}`,
+//! and `δ`, which each step overwrites.  Steps **warm-start**: each CG solve
+//! begins from the previous step's `δ` (successive updates are similar for
+//! smooth schedules), which measurably reduces total CG iterations against
+//! cold zero starts while remaining fully deterministic.  A step's mass
+//! ledger is one pass over the non-Dirichlet cells at `p^{n+1}`.
+//! [`run_transient`] drives the schedule of a [`TransientSpec`] and
+//! assembles the [`TransientReport`]: per-step [`SolveReport`]s, requested
+//! pressure snapshots, and cumulative per-well volumes.
+//! [`run_transient_summary`] runs the same stepping loop but folds each step
+//! into the report's [`summary_report`](TransientReport::summary_report) as
+//! it finishes, so it copies no pressure field per step.
 
 use crate::backend::{Precision, SolveBackend, SolveConfig, SolveError, SolveReport, SolveRequest};
 use crate::cg::ConjugateGradient;
@@ -43,22 +46,18 @@ use crate::context::{ContextKey, SolveContext, SolveContextCache};
 use crate::convergence::ConvergenceHistory;
 use crate::monitor::{SolveMonitor, StopPolicy, StopReason};
 use crate::trace::traced;
-use mffv_fv::residual::{interior_mass_imbalance, residual};
+use mffv_fv::residual::flux_residual;
 use mffv_fv::{newton_rhs_into, residual_into};
 use mffv_mesh::{CellField, Scalar, TransientSpec, Well, Workload};
 use mffv_telemetry::{Span, Stopwatch};
 
-/// Everything one backward-Euler step needs, borrowed from the driver's
-/// state: the (steady) workload, the transient spec, the current pressure
-/// `pⁿ` and the optional warm-start update from the previous step.
+/// What one backward-Euler step reads besides the run's two fields: the
+/// (steady) workload, the transient spec and where the step sits in time.
 struct StepRequest<'a> {
     workload: &'a Workload,
     spec: &'a TransientSpec,
-    /// Pressure at the start of the step, `pⁿ` (Dirichlet values imposed).
-    pressure: &'a CellField<f64>,
-    /// The previous step's `δ`, when warm starting; `None` starts CG from
-    /// zero.
-    warm_delta: Option<&'a CellField<f64>>,
+    /// Whether CG starts from the previous step's `δ` rather than from zero.
+    warm: bool,
     /// Step start time, seconds (well schedules are evaluated here).
     time: f64,
     /// Step size, seconds.
@@ -67,7 +66,8 @@ struct StepRequest<'a> {
 
 impl StepRequest<'_> {
     /// The accumulation diagonal coefficient `V·c_t/Δt` (uniform over the
-    /// grid: the mesh has uniform spacing).
+    /// grid: the mesh has uniform spacing).  The step's shift and its ledger
+    /// both read it here.
     fn accumulation_coefficient(&self) -> f64 {
         self.workload.mesh().cell_volume() * self.spec.total_compressibility / self.dt
     }
@@ -94,6 +94,57 @@ impl StepRequest<'_> {
         }
         diag
     }
+
+    /// The step's mass ledger at its end pressure `p^{n+1}` and update `δ`:
+    /// well rates at `p^{n+1}`, then one pass over the non-Dirichlet cells
+    /// in index order that sums `δ` and the flux residual `r(p^{n+1})` and
+    /// takes the max-norm of the defect `V·c_t/Δt·δ − r − q`.
+    fn ledger(&self, pressure: &CellField<f64>, delta: &CellField<f64>) -> StepLedger {
+        let (dims, dirichlet) = (self.workload.dims(), self.workload.dirichlet());
+        let wells = self.spec.wells.wells();
+        let well_rates: Vec<f64> = wells
+            .iter()
+            .map(|w| {
+                if w.is_active(self.time) {
+                    w.rate_at(pressure.get(dims.linear(w.cell)))
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let coefficient = self.accumulation_coefficient();
+        let (mut stored, mut boundary_inflow, mut residual_max) = (0.0, 0.0, 0.0f64);
+        for c in dims.iter_cells() {
+            let k = dims.linear(c);
+            if dirichlet.contains_linear(k) {
+                continue;
+            }
+            let r = flux_residual(pressure, self.workload.transmissibility(), c);
+            let q = wells
+                .iter()
+                .zip(&well_rates)
+                .filter(|(w, _)| w.cell == c)
+                .fold(0.0, |q, (_, rate)| q + rate);
+            stored += delta.get(k);
+            boundary_inflow += r;
+            residual_max = residual_max.max((coefficient * delta.get(k) - r - q).abs());
+        }
+        StepLedger {
+            well_rates,
+            accumulation_rate: coefficient * stored,
+            boundary_inflow,
+            residual_max,
+        }
+    }
+}
+
+/// The [`TransientStep`] ledger fields of one step, plus the max-norm of its
+/// transient-equation defect (the step report's `final_residual_max`).
+struct StepLedger {
+    well_rates: Vec<f64>,
+    accumulation_rate: f64,
+    boundary_inflow: f64,
+    residual_max: f64,
 }
 
 /// Identifies a step's diagonal shift without touching the field: the bits
@@ -122,21 +173,10 @@ impl ShiftKey {
     }
 }
 
-/// What one backward-Euler step produced.
-struct StepOutcome {
-    /// Pressure at the end of the step, `p^{n+1}`, in canonical `f64`.
-    pressure: CellField<f64>,
-    /// The update `δ = p^{n+1} − pⁿ` (the next step's warm start).
-    delta: CellField<f64>,
-    history: ConvergenceHistory,
-    stopped: Option<StopReason>,
-    /// Per-well volumetric rate (m³/s, positive = injection) evaluated at
-    /// `p^{n+1}`, in the spec's well order; zero for inactive wells.
-    well_rates: Vec<f64>,
-}
-
 /// Solve one backward-Euler step at precision `T` on `ctx` (prepared for
-/// `key`, the run's shifted context key).
+/// `key`, the run's shifted context key): advance `pressure` in place from
+/// `pⁿ` to `p^{n+1}` and leave `δ` in `delta`, which on entry holds the warm
+/// start when `request.warm` is set.
 ///
 /// The step system `(A + D + W) δ = r(pⁿ) + q(pⁿ)` is SPD for any `Δt > 0`
 /// (even without Dirichlet cells: the accumulation diagonal regularises the
@@ -146,9 +186,11 @@ fn step<T: Scalar>(
     ctx: &mut SolveContext<T>,
     key: ContextKey,
     request: &StepRequest<'_>,
+    pressure: &mut CellField<f64>,
+    delta: &mut CellField<f64>,
     config: &SolveConfig,
     monitor: &mut dyn SolveMonitor,
-) -> StepOutcome {
+) -> (ConvergenceHistory, Option<StopReason>) {
     let workload = request.workload;
     let dims = workload.dims();
     let active = request.active_wells();
@@ -165,7 +207,7 @@ fn step<T: Scalar>(
 
     // RHS: flux residual at pⁿ (Dirichlet rows zeroed) plus well sources,
     // evaluated with the operator's own converted coefficient table.
-    buffers.pressure.convert_from(request.pressure);
+    buffers.pressure.convert_from(pressure);
     residual_into(
         &buffers.pressure,
         operator.coefficients(),
@@ -174,12 +216,12 @@ fn step<T: Scalar>(
     );
     newton_rhs_into(&buffers.residual, workload.dirichlet(), &mut buffers.rhs);
     for &(k, well) in &active {
-        let source = T::from_f64(well.rate_at(request.pressure.get(k)));
+        let source = T::from_f64(well.rate_at(pressure.get(k)));
         buffers.rhs.set(k, buffers.rhs.get(k) + source);
     }
     // The pressure buffer is free once the RHS is built: it carries the
     // warm start.
-    let x0 = request.warm_delta.map(|delta| {
+    let x0 = request.warm.then(|| {
         buffers.pressure.convert_from(delta);
         &buffers.pressure
     });
@@ -192,30 +234,9 @@ fn step<T: Scalar>(
         &Span::null(),
         &mut buffers.cg,
     );
-
-    let delta: CellField<f64> = buffers.cg.solution().convert();
-    let mut pressure = request.pressure.clone();
-    pressure.axpy(1.0, &delta);
-    let well_rates = request
-        .spec
-        .wells
-        .wells()
-        .iter()
-        .map(|w| {
-            if w.is_active(request.time) {
-                w.rate_at(pressure.get(dims.linear(w.cell)))
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    StepOutcome {
-        pressure,
-        delta,
-        history: buffers.cg.history().clone(),
-        stopped,
-        well_rates,
-    }
+    delta.convert_from(buffers.cg.solution());
+    pressure.axpy(1.0, delta);
+    (buffers.cg.history().clone(), stopped)
 }
 
 /// One completed (or stopped) step of a transient run.
@@ -577,9 +598,9 @@ pub fn run_transient(
 ///
 /// Each finished step is folded in as it ends (its history appended, its
 /// residual kept only while it is the last), and the final pressure is the
-/// loop's own field, moved.  So the run holds one pressure field however
-/// many steps it takes, where the full report keeps one per step.  This is
-/// the path of engine and daemon transient jobs.
+/// loop's own field, moved.  So the run holds its two fields, the pressure
+/// and `δ`, however many steps it takes, where the full report keeps one
+/// pressure per step.  This is the path of engine and daemon transient jobs.
 pub fn run_transient_summary(
     backend: &dyn SolveBackend,
     workload: &Workload,
@@ -633,10 +654,12 @@ struct RunEnd {
 /// [`run_transient_summary`]: validate the spec, then step its schedule
 /// from [`initial_pressure`] as [`run_transient`] documents.
 ///
-/// Each finished step, the partial step of a stopped run included, goes to
-/// `keep`, inside the step's `accounting` span.  `keep` keeps what its
-/// caller needs and hands back the step's end pressure `p^{n+1}`, which
-/// the next step starts from.
+/// The loop owns the run's two `f64` fields: the pressure, which each step
+/// advances in place, and `δ`, which each step overwrites (the next step's
+/// warm start).  Each finished step, the partial step of a stopped run
+/// included, goes to `keep` inside the step's `accounting` span, with the
+/// pressure field moved into its report.  `keep` keeps what its caller
+/// needs and hands the field, `p^{n+1}`, back for the next step.
 fn step_through(
     backend: &dyn SolveBackend,
     workload: &Workload,
@@ -680,26 +703,13 @@ fn step_through(
     );
     let precision = backend.step_precision();
     let mut pressure = initial_pressure(workload, spec);
-
-    let acc_rate = |delta: &CellField<f64>, dt: f64| -> f64 {
-        let coeff = workload.mesh().cell_volume() * spec.total_compressibility / dt;
-        let mut sum = 0.0;
-        for k in 0..dims.num_cells() {
-            if !workload.dirichlet().contains_linear(k) {
-                sum += delta.get(k);
-            }
-        }
-        coeff * sum
-    };
-
-    let mut warm: Option<CellField<f64>> = None;
+    let mut delta = CellField::zeros(dims);
     let mut run_stopped = None;
     for (index, (time, dt)) in spec.schedule().into_iter().enumerate() {
         let step_request = StepRequest {
             workload,
             spec,
-            pressure: &pressure,
-            warm_delta: if spec.warm_start { warm.as_ref() } else { None },
+            warm: spec.warm_start && index > 0,
             time,
             dt,
         };
@@ -708,64 +718,51 @@ fn step_through(
         // One monitor per step: the policy session (its deadline shared
         // across the run) ahead of the request's observer, mirrored into
         // the step's CG spans.  Observers change no arithmetic.
-        let outcome = policy.consume_deadline(started.elapsed()).observe(
+        let (history, stopped) = policy.consume_deadline(started.elapsed()).observe(
             request.monitor.as_deref_mut(),
             |monitor| {
                 traced(&step_span, monitor, |monitor| match precision {
-                    Precision::F64 => {
-                        step(&mut cache.f64_context, key, &step_request, config, monitor)
-                    }
-                    Precision::F32 => {
-                        step(&mut cache.f32_context, key, &step_request, config, monitor)
-                    }
+                    Precision::F64 => step(
+                        &mut cache.f64_context,
+                        key,
+                        &step_request,
+                        &mut pressure,
+                        &mut delta,
+                        config,
+                        monitor,
+                    ),
+                    Precision::F32 => step(
+                        &mut cache.f32_context,
+                        key,
+                        &step_request,
+                        &mut pressure,
+                        &mut delta,
+                        config,
+                        monitor,
+                    ),
                 })
             },
         );
         let step_wall = step_started.elapsed_seconds();
         let accounting = step_span.child("accounting");
-
-        // Transient-equation residual and boundary inflow at p^{n+1}.
-        let r_new = residual(
-            &outcome.pressure,
-            workload.transmissibility(),
-            workload.dirichlet(),
-        );
-        let boundary_inflow = interior_mass_imbalance(&r_new, workload.dirichlet());
-        let accumulation_rate = acc_rate(&outcome.delta, dt);
-        let acc_coeff = workload.mesh().cell_volume() * spec.total_compressibility / dt;
-        let mut step_residual_max = 0.0f64;
-        {
-            let mut q = vec![0.0f64; dims.num_cells()];
-            for (well, &rate) in spec.wells.wells().iter().zip(&outcome.well_rates) {
-                q[dims.linear(well.cell)] += rate;
-            }
-            for (k, &qk) in q.iter().enumerate() {
-                if !workload.dirichlet().contains_linear(k) {
-                    let defect = acc_coeff * outcome.delta.get(k) - r_new.get(k) - qk;
-                    step_residual_max = step_residual_max.max(defect.abs());
-                }
-            }
-        }
-
-        let stopped = outcome.stopped;
+        let ledger = step_request.ledger(&pressure, &delta);
         pressure = keep(TransientStep {
             index,
             start_time: time,
             dt,
             report: SolveReport {
                 backend: name.clone(),
-                pressure: outcome.pressure,
-                history: outcome.history,
-                final_residual_max: step_residual_max,
+                pressure,
+                history,
+                final_residual_max: ledger.residual_max,
                 host_wall_seconds: step_wall,
                 device: None,
                 stopped,
             },
-            well_rates: outcome.well_rates,
-            accumulation_rate,
-            boundary_inflow,
+            well_rates: ledger.well_rates,
+            accumulation_rate: ledger.accumulation_rate,
+            boundary_inflow: ledger.boundary_inflow,
         });
-        warm = Some(outcome.delta);
         accounting.finish();
 
         if let Some(reason) = stopped {

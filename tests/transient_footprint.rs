@@ -1,9 +1,11 @@
 //! Heap footprint of an engine transient job.
 //!
-//! The contract under test: a transient job returns its run's summary
+//! The contracts under test: a transient job returns its run's summary
 //! report, folded step by step, so its peak heap does not grow with its
 //! step count.  The job keeps one pressure field for the run, where the full
-//! `TransientReport` keeps one per step.
+//! `TransientReport` keeps one per step.  On a warm cache the job's run
+//! holds two fields beside the cached context, the pressure and the step
+//! update `δ`, and a step allocates no field of its own.
 //!
 //! A global allocator tracks each thread's live and peak heap bytes.  The
 //! job runs on one apply thread, so every byte it holds is counted on the
@@ -125,5 +127,25 @@ fn a_transient_jobs_peak_heap_does_not_grow_with_its_step_count() {
         "24 more steps raised the peak heap by {} B (one field is {FIELD_BYTES} B): \
          8 steps peaked at {short} B, 32 at {long} B",
         long - short
+    );
+}
+
+#[test]
+fn a_warm_transient_job_holds_two_fields_beside_its_context() {
+    let job = mg_transient_job(8);
+    let mut cache = SolveContextCache::new();
+    let mut execute = || {
+        let report = job
+            .execute(&mut SolveRequest::new().cache(&mut cache))
+            .expect("the transient job runs");
+        assert!(report.converged());
+    };
+    // The first run builds the operator, the hierarchy and the buffers.
+    execute();
+    let warm = peak_heap_growth(execute);
+    assert!(
+        warm < 3 * FIELD_BYTES,
+        "a warm re-run peaked {warm} B above its start, {:.1} fields of {FIELD_BYTES} B",
+        warm as f64 / FIELD_BYTES as f64
     );
 }
