@@ -390,7 +390,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::backend::Backend;
-    use mffv_mesh::WorkloadSpec;
+    use mffv_mesh::workload::BoundarySpec;
+    use mffv_mesh::{CellIndex, Dims, TransientSpec, Well, WellSet, WorkloadSpec};
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -414,20 +415,36 @@ mod tests {
         service.shutdown(ShutdownMode::Drain);
     }
 
+    /// A job only a cancel can end: 10⁶ transient steps on a 4×4×2 grid,
+    /// each a cold-started CG capped at 20 iterations, far short of its
+    /// 1e-300 tolerance.  An injector with no Dirichlet boundary keeps the
+    /// pressure rising, so every step iterates.  A steady solve cannot plug
+    /// a worker: even at 1e-30 it converges within milliseconds.
+    fn plug_job() -> JobSpec {
+        let workload = WorkloadSpec {
+            name: "plug-4x4x2".to_string(),
+            dims: Dims::new(4, 4, 2),
+            boundary: BoundarySpec::None,
+            tolerance: 1e-300,
+            max_iterations: 20,
+            ..WorkloadSpec::quickstart()
+        };
+        let injector = Well::rate("inj", CellIndex::new(1, 1, 0), 1.0);
+        let transient = TransientSpec::new(1e6, 1.0, 1e-3)
+            .with_wells(WellSet::empty().with(injector))
+            .with_initial_pressure(0.0)
+            .cold_start();
+        JobSpec::transient(workload, Backend::host(), transient)
+    }
+
     #[test]
     fn abort_stops_the_in_flight_job_and_drains_the_queue_unexecuted() {
-        // One worker plugged by a slow job, two quick jobs queued behind it.
+        // One worker plugged by a job only the abort can end, two quick
+        // jobs queued behind it.
         let registry = MetricsRegistry::new();
         let service = Engine::new(1).with_metrics(registry.clone()).start();
         let (tx, rx) = mpsc::channel();
-        let slow = JobSpec::new(
-            WorkloadSpec {
-                tolerance: 1e-30,
-                max_iterations: 200_000,
-                ..WorkloadSpec::quickstart()
-            },
-            Backend::host(),
-        );
+        let slow = plug_job();
         let (started_tx, started_rx) = mpsc::channel::<()>();
         let plug_tx = tx.clone();
         service
