@@ -9,9 +9,10 @@
 //!
 //! where the checksum covers `version + tag + body`.  The length prefix is
 //! bounded by [`MAX_FRAME_LEN`]; a header announcing more is rejected before
-//! any allocation, so a hostile peer cannot make the daemon reserve memory
-//! it never sends.  The version byte is checked before the tag, so a future
-//! protocol revision can change everything after it.
+//! any allocation, and a payload buffer grows with the bytes that arrive, so
+//! a hostile peer cannot make the daemon reserve memory it never sends.  The
+//! version byte is checked before the tag, so a future protocol revision can
+//! change everything after it.
 
 use crate::wire::{ByteReader, ByteWriter, WireDecode, WireEncode, WireError, WireJobSpec};
 use mffv_solver::backend::SolveReport;
@@ -33,6 +34,10 @@ pub const MIN_WIRE_VERSION: u8 = 1;
 /// pressure field of any workload this daemon serves, small enough that a
 /// forged length prefix cannot drive an absurd allocation.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
+
+/// The most [`Frame::read_from`] reserves for a payload before its bytes
+/// arrive (64 KiB).
+const READ_CHUNK: usize = 64 * 1024;
 
 /// How the daemon should wind down when asked to stop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -425,7 +430,8 @@ impl Frame {
     }
 
     /// Read exactly one frame from a stream.  Returns `Ok(None)` on a clean
-    /// EOF at a frame boundary; EOF mid-frame is [`WireError::Truncated`].
+    /// EOF at a frame boundary; EOF mid-frame is [`WireError::Truncated`],
+    /// with the payload bytes that did arrive.
     pub fn read_from<R: Read>(reader: &mut R) -> Result<Option<Self>, WireError> {
         let mut len_bytes = [0u8; 4];
         match read_exact_or_eof(reader, &mut len_bytes)? {
@@ -439,17 +445,19 @@ impl Frame {
                 max: MAX_FRAME_LEN,
             });
         }
-        let mut payload = vec![0u8; len];
-        reader.read_exact(&mut payload).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                WireError::Truncated {
-                    needed: len,
-                    available: 0,
-                }
-            } else {
-                WireError::Io(e.to_string())
-            }
-        })?;
+        // The buffer grows with the bytes that arrive, from at most
+        // READ_CHUNK, never to the announced length up front.
+        let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+        reader
+            .take(len as u64)
+            .read_to_end(&mut payload)
+            .map_err(|e| WireError::Io(e.to_string()))?;
+        if payload.len() < len {
+            return Err(WireError::Truncated {
+                needed: len,
+                available: payload.len(),
+            });
+        }
         Frame::from_payload(&payload).map(Some)
     }
 }
@@ -632,5 +640,42 @@ mod tests {
             Frame::read_from(&mut partial),
             Err(WireError::Truncated { .. })
         ));
+
+        // A frame cut after 100 of its 1000 payload bytes reports the 100.
+        let mut cut = 1000u32.to_be_bytes().to_vec();
+        cut.extend([0u8; 100]);
+        assert_eq!(
+            Frame::read_from(&mut std::io::Cursor::new(cut)).unwrap_err(),
+            WireError::Truncated {
+                needed: 1000,
+                available: 100
+            }
+        );
+
+        // A bare header announcing the largest frame, then EOF: the reader
+        // is never handed a buffer sized by the announcement.
+        struct Recording {
+            bytes: std::io::Cursor<Vec<u8>>,
+            largest: usize,
+        }
+        impl Read for Recording {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.bytes.read(buf)
+            }
+        }
+        let header = (MAX_FRAME_LEN as u32).to_be_bytes().to_vec();
+        let mut bare = Recording {
+            bytes: std::io::Cursor::new(header),
+            largest: 0,
+        };
+        assert_eq!(
+            Frame::read_from(&mut bare).unwrap_err(),
+            WireError::Truncated {
+                needed: MAX_FRAME_LEN,
+                available: 0
+            }
+        );
+        assert!(bare.largest <= 64 * 1024, "{} B buffer", bare.largest);
     }
 }
