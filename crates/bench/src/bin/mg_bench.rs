@@ -8,6 +8,10 @@
 //! iteration counts stay flat as the grid is refined, where CG and
 //! Jacobi-PCG grow roughly with the grid edge.
 //!
+//! Every row's `seconds` is the best of `--reps` rounds, and
+//! `speedup_vs_cg` uses it; `seconds_median`, `seconds_q1` and `seconds_q3`
+//! give the spread of the same rounds (nearest rank).
+//!
 //! ```text
 //! cargo run --release -p mffv-bench --bin mg_bench -- \
 //!     --sizes 32,64,128 --reps 3 --out BENCH_mg.json
@@ -18,7 +22,7 @@
 //! exiting non-zero otherwise.
 
 use mffv::prelude::*;
-use mffv_bench::{machine_json, Flags};
+use mffv_bench::{machine_json, time_spread, Flags, Timing};
 use mffv_solver::newton::{solve_pressure, NewtonScratch};
 
 /// One measured solve configuration.
@@ -29,7 +33,7 @@ struct Row {
     cells: usize,
     iterations: usize,
     converged: bool,
-    seconds: f64,
+    time: Timing,
     speedup_vs_cg: f64,
 }
 
@@ -37,15 +41,14 @@ impl Row {
     fn json(&self) -> String {
         format!(
             "    {{\"method\": \"{}\", \"precision\": \"{}\", \"n\": {}, \"cells\": {}, \
-             \"iterations\": {}, \"converged\": {}, \"seconds\": {:.6e}, \
-             \"speedup_vs_cg\": {:.3}}}",
+             \"iterations\": {}, \"converged\": {}, {}, \"speedup_vs_cg\": {:.3}}}",
             self.method,
             self.precision,
             self.n,
             self.cells,
             self.iterations,
             self.converged,
-            self.seconds,
+            self.time.json(),
             self.speedup_vs_cg
         )
     }
@@ -78,7 +81,7 @@ fn bench_precision<T: Scalar>(
     let mut newton = NewtonScratch::new(workload.dims());
     let mut cg_seconds = 0.0;
     for (method, preconditioner) in methods {
-        let seconds = time_best_of(reps, || {
+        let time = time_spread(reps, || {
             solve_pressure(
                 workload,
                 operator.coefficients(),
@@ -91,7 +94,7 @@ fn bench_precision<T: Scalar>(
             );
         });
         if preconditioner.is_none() {
-            cg_seconds = seconds;
+            cg_seconds = time.best;
         }
         rows.push(Row {
             method,
@@ -100,8 +103,8 @@ fn bench_precision<T: Scalar>(
             cells,
             iterations: newton.history().iterations,
             converged: newton.history().converged,
-            seconds,
-            speedup_vs_cg: cg_seconds / seconds,
+            time,
+            speedup_vs_cg: cg_seconds / time.best,
         });
     }
 }
@@ -129,12 +132,13 @@ fn main() {
 
     for row in &rows {
         println!(
-            "  {:>10} {} {:>4}^3  {:>6} iters  {:>10.3} ms  {:>6.2}x vs cg",
+            "  {:>10} {} {:>4}^3  {:>6} iters  {:>10.3} ms (median {:.3})  {:>6.2}x vs cg",
             row.method,
             row.precision,
             row.n,
             row.iterations,
-            row.seconds * 1e3,
+            row.time.best * 1e3,
+            row.time.median * 1e3,
             row.speedup_vs_cg
         );
     }

@@ -32,31 +32,8 @@
 //! equal the naive `apply_spd_naive` output bit for bit, or the bin exits
 //! non-zero without writing the report.
 
-use mffv::perf::timing::{percentile, time_rounds};
 use mffv::prelude::*;
-use mffv_bench::{machine_json, Flags};
-
-/// The best, first-quartile, median and third-quartile seconds of a
-/// kernel's timed rounds.
-#[derive(Clone, Copy)]
-struct Timing {
-    best: f64,
-    q1: f64,
-    median: f64,
-    q3: f64,
-}
-
-/// Time `reps` rounds of `f` (after one untimed warmup) and summarise them.
-fn time_spread(reps: usize, mut f: impl FnMut()) -> Timing {
-    let [mut rounds] = time_rounds(reps, [&mut f]);
-    rounds.sort_by(f64::total_cmp);
-    Timing {
-        best: rounds[0],
-        q1: percentile(&rounds, 0.25),
-        median: percentile(&rounds, 0.5),
-        q3: percentile(&rounds, 0.75),
-    }
-}
+use mffv_bench::{machine_json, time_spread, Flags, Timing};
 
 /// One measured kernel configuration.
 struct Row {
@@ -73,24 +50,22 @@ struct Row {
 
 impl Row {
     fn json(&self, cells: usize) -> String {
-        let Timing {
-            best,
-            q1,
-            median,
-            q3,
-        } = self.time;
-        let cells_per_s = cells as f64 / best;
+        let cells_per_s = cells as f64 / self.time.best;
         let gb_per_s = cells_per_s * self.bytes_per_cell / 1e9;
         let assembled = self.assembled.map_or(String::new(), |(bytes, seconds)| {
             format!(", \"matrix_bytes\": {bytes}, \"assembly_seconds\": {seconds:.6e}")
         });
         format!(
-            "    {{\"kernel\": \"{}\", \"precision\": \"{}\", \"threads\": {}, \
-             \"seconds\": {best:.6e}, \"seconds_median\": {median:.6e}, \
-             \"seconds_q1\": {q1:.6e}, \"seconds_q3\": {q3:.6e}, \
+            "    {{\"kernel\": \"{}\", \"precision\": \"{}\", \"threads\": {}, {}, \
              \"cells_per_s\": {:.4e}, \"gb_per_s\": {:.3}, \
              \"speedup_vs_naive\": {:.3}{assembled}}}",
-            self.kernel, self.precision, self.threads, cells_per_s, gb_per_s, self.speedup_vs_naive
+            self.kernel,
+            self.precision,
+            self.threads,
+            self.time.json(),
+            cells_per_s,
+            gb_per_s,
+            self.speedup_vs_naive
         )
     }
 }

@@ -17,6 +17,7 @@ use std::str::FromStr;
 
 use mffv_mesh::workload::WorkloadSpec;
 use mffv_mesh::{Dims, Workload};
+use mffv_perf::timing::{percentile, time_rounds};
 
 /// The default scale factor applied to the paper's grids for *executed* runs:
 /// each extent is divided by this factor.
@@ -71,6 +72,46 @@ pub fn machine_json() -> String {
         cfg!(target_feature = "avx"),
         cfg!(target_feature = "avx2"),
     )
+}
+
+/// The best, first-quartile, median and third-quartile seconds of a
+/// kernel's timed rounds (nearest rank).
+#[derive(Clone, Copy)]
+pub struct Timing {
+    /// The fastest round.
+    pub best: f64,
+    /// The first quartile.
+    pub q1: f64,
+    /// The median round.
+    pub median: f64,
+    /// The third quartile.
+    pub q3: f64,
+}
+
+impl Timing {
+    /// The JSON keys every kernel bench row carries for its timing:
+    /// `seconds` (the best round), `seconds_median`, `seconds_q1` and
+    /// `seconds_q3`.
+    pub fn json(&self) -> String {
+        format!(
+            "\"seconds\": {:.6e}, \"seconds_median\": {:.6e}, \"seconds_q1\": {:.6e}, \
+             \"seconds_q3\": {:.6e}",
+            self.best, self.median, self.q1, self.q3
+        )
+    }
+}
+
+/// Time `reps` rounds of `f` (after one untimed warmup, through
+/// `time_rounds`) and summarise them.
+pub fn time_spread(reps: usize, mut f: impl FnMut()) -> Timing {
+    let [mut rounds] = time_rounds(reps.max(1), [&mut f]);
+    rounds.sort_by(f64::total_cmp);
+    Timing {
+        best: rounds[0],
+        q1: percentile(&rounds, 0.25),
+        median: percentile(&rounds, 0.5),
+        q3: percentile(&rounds, 0.75),
+    }
 }
 
 /// A report binary's command line: `--flag value` pairs and bare switches.

@@ -79,10 +79,10 @@ pub const SLAB_CELLS: usize = 4096;
 
 /// Memory streams the planned apply touches per cell: the three face arrays
 /// (+x, +y, +z) plus the input read and the output write.  Multiplied by
-/// `size_of::<T>()` this is the charged bytes/cell of the effective-bandwidth
-/// model shared by the `spmv_bench` report bin and the `roofline_report`
-/// example (stencil reuse of `x` and of the face arrays, and the Dirichlet
-/// mask are deliberately not charged).
+/// `size_of::<T>()` this is the charged bytes/cell of the `spmv_bench`
+/// report bin's measured GB/s (stencil reuse of `x` and of the face arrays,
+/// and the Dirichlet mask are deliberately not charged); the `fig6` bin
+/// prints the modelled device rooflines it is read against.
 pub const APPLY_STREAMS_PER_CELL: usize = 5;
 
 /// Neighbour-set bits, one per direction at its [`Direction::index`]: a cell

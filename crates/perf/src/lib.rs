@@ -16,7 +16,7 @@ pub mod timing;
 pub use machine::MachineSpec;
 pub use opcount::{CellOpCounts, InstructionClass, OpCountRow};
 pub use roofline::{Roofline, RooflinePoint};
-pub use timing::{time_best_of, AnalyticTiming, LatencyStats, ScalingRow};
+pub use timing::{AnalyticTiming, LatencyStats, ScalingRow};
 
 /// Convenient glob import.
 pub mod prelude {
@@ -24,5 +24,5 @@ pub mod prelude {
     pub use crate::opcount::{CellOpCounts, InstructionClass, OpCountRow};
     pub use crate::report::format_table;
     pub use crate::roofline::{Roofline, RooflinePoint};
-    pub use crate::timing::{time_best_of, AnalyticTiming, LatencyStats, ScalingRow};
+    pub use crate::timing::{AnalyticTiming, LatencyStats, ScalingRow};
 }

@@ -40,13 +40,6 @@ pub fn time_rounds<const N: usize>(reps: usize, mut runs: [&mut dyn FnMut(); N])
     rounds
 }
 
-/// Best-of-`reps` wall time of `f` in seconds, after one untimed warmup:
-/// the fastest of [`time_rounds`]' rounds.
-pub fn time_best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let [rounds] = time_rounds(reps.max(1), [&mut f]);
-    rounds.into_iter().fold(f64::INFINITY, f64::min)
-}
-
 /// Nearest-rank percentile of an **ascending-sorted** sample set; `q` in
 /// `[0, 1]`.  Empty samples yield `0.0`.
 pub fn percentile(sorted: &[f64], q: f64) -> f64 {
