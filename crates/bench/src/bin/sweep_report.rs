@@ -6,8 +6,9 @@
 //! grid sizes × two backends × two permeability seeds (12 jobs), the engine
 //! executes the batch on a worker pool, and the `BatchReport` prints per-job
 //! status plus aggregate throughput and latency percentiles.  A second pass
-//! re-runs the host-backend jobs at worker counts 1, 2 and 8 to measure the
-//! pool's wall-clock scaling on this machine.
+//! re-runs the host-backend jobs at worker counts 1, 2, 4, … up to the
+//! machine's hardware threads to measure the pool's wall-clock scaling; a
+//! worker count above them would measure oversubscription, not scaling.
 //!
 //! Run with `cargo run --release -p mffv-bench --bin sweep_report`.
 
@@ -54,8 +55,12 @@ fn main() {
     assert_eq!(batch.jobs(), 12);
 
     // 2. Worker scaling on the host backend: the same 3 grids × 2 seeds at
-    //    1, 2 and 8 workers.  Results are bitwise identical at every worker
-    //    count; only the wall clock changes.
+    //    powers of two up to the hardware threads.  Results are bitwise
+    //    identical at every worker count; only the wall clock changes.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let ladder: Vec<usize> = std::iter::successors(Some(1usize), |w| Some(w * 2))
+        .take_while(|&w| w <= cores)
+        .collect();
     let host_jobs = SweepBuilder::new(sweep_base())
         .grids(grids())
         .seeds([1, 2])
@@ -67,15 +72,12 @@ fn main() {
     );
     let mut rows = Vec::new();
     let mut baseline_wall = None;
-    let mut speedup_at_8 = 1.0;
-    for workers in [1usize, 2, 8] {
+    let mut speedup = 1.0;
+    for &workers in &ladder {
         let report = Engine::new(workers).run(host_jobs.clone());
         assert!(report.all_succeeded());
         let baseline = *baseline_wall.get_or_insert(report.wall_seconds);
-        let speedup = baseline / report.wall_seconds;
-        if workers == 8 {
-            speedup_at_8 = speedup;
-        }
+        speedup = baseline / report.wall_seconds;
         rows.push(vec![
             workers.to_string(),
             format!("{:.3}", report.wall_seconds),
@@ -99,10 +101,10 @@ fn main() {
             &rows
         )
     );
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("Available hardware threads: {cores}; measured 8-worker speedup: {speedup_at_8:.2}x");
+    let widest = ladder.last().copied().unwrap_or(1);
+    println!(
+        "Available hardware threads: {cores}; measured {widest}-worker speedup: {speedup:.2}x"
+    );
     if cores == 1 {
         println!("(single hardware thread — worker scaling cannot exceed ~1x on this machine)");
     }
