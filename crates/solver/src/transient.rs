@@ -120,11 +120,8 @@ impl StepRequest<'_> {
                 continue;
             }
             let r = flux_residual(pressure, self.workload.transmissibility(), c);
-            let q = wells
-                .iter()
-                .zip(&well_rates)
-                .filter(|(w, _)| w.cell == c)
-                .fold(0.0, |q, (_, rate)| q + rate);
+            let sources = wells.iter().zip(&well_rates).filter(|(w, _)| w.cell == c);
+            let q = mffv_fv::seq_sum(sources.map(|(_, &rate)| rate));
             stored += delta.get(k);
             boundary_inflow += r;
             residual_max = residual_max.max((coefficient * delta.get(k) - r - q).abs());
