@@ -89,9 +89,8 @@ pub struct Timing {
 }
 
 impl Timing {
-    /// The JSON keys every kernel bench row carries for its timing:
-    /// `seconds` (the best round), `seconds_median`, `seconds_q1` and
-    /// `seconds_q3`.
+    /// The timing keys of a `spmv_bench` or `mg_bench` row: `seconds` (the
+    /// best round), `seconds_median`, `seconds_q1` and `seconds_q3`.
     pub fn json(&self) -> String {
         format!(
             "\"seconds\": {:.6e}, \"seconds_median\": {:.6e}, \"seconds_q1\": {:.6e}, \
