@@ -7,6 +7,8 @@
 //! * steady `host-f64` and `host-f32` solves under every preconditioner, on
 //!   a heterogeneous grid larger than one reduction slab, at 1 and 2 apply
 //!   threads (both thread counts must reproduce the same fixture);
+//! * steady `host-f64` and `host-f32` plain-CG and multigrid solves on the
+//!   same field over eleven reduction slabs, at 1 and 3 apply threads;
 //! * `gpu-ref` and `dataflow` steady solves under every preconditioner;
 //! * `host-f64` transients under Jacobi and multigrid with a ramped `dt` and
 //!   a scheduled well, so the step operator's diagonal shift changes every
@@ -72,7 +74,19 @@ fn steady(backend: Backend, kind: PreconditionerKind, threads: usize) -> mffv::S
         } => 1e-12,
         _ => 1e-8,
     };
-    let report = Simulation::new(heterogeneous_spec("golden-solve-paths").build())
+    let spec = heterogeneous_spec("golden-solve-paths");
+    solve(spec, tolerance, backend, kind, threads)
+}
+
+/// One converged steady solve of `spec`.
+fn solve(
+    spec: WorkloadSpec,
+    tolerance: f64,
+    backend: Backend,
+    kind: PreconditionerKind,
+    threads: usize,
+) -> mffv::SolveReport {
+    let report = Simulation::new(spec.build())
         .tolerance(tolerance)
         .backend(backend)
         .preconditioner(kind)
@@ -98,6 +112,39 @@ fn host_steady_solves_match_the_pinned_fixtures_at_1_and_2_threads() {
             one.check();
         }
     }
+}
+
+/// [`heterogeneous_spec`]'s field on 45×40×24: 43 200 cells, ten full
+/// `SLAB_CELLS` reduction slabs and a short eleventh of 2 240 cells.  Three
+/// apply threads split the eleven slabs 4/4/3.
+fn eleven_slab_spec() -> WorkloadSpec {
+    WorkloadSpec {
+        dims: Dims::new(45, 40, 24),
+        ..heterogeneous_spec("golden-eleven-slabs")
+    }
+}
+
+/// Plain CG and multigrid on [`eleven_slab_spec`] at tolerance 1e-8: each
+/// solve at 1 apply thread is pinned, and 3 threads must reproduce it.
+fn check_eleven_slab_solves(backend: Backend, precision: &str) {
+    for kind in [PreconditionerKind::None, PreconditionerKind::Mg] {
+        let name = format!("steady_host_{precision}_{}_45x40x24", kind.label());
+        let solve_at = |threads| solve(eleven_slab_spec(), 1e-8, backend, kind, threads);
+        let one = steady_record(&name, &solve_at(1));
+        let three = steady_record(&name, &solve_at(3));
+        assert_eq!(one.to_json(), three.to_json(), "{name}: 1 vs 3 threads");
+        one.check();
+    }
+}
+
+#[test]
+fn host_f64_eleven_slab_solves_match_the_pinned_fixtures_at_1_and_3_threads() {
+    check_eleven_slab_solves(Backend::host(), "f64");
+}
+
+#[test]
+fn host_f32_eleven_slab_solves_match_the_pinned_fixtures_at_1_and_3_threads() {
+    check_eleven_slab_solves(Backend::host_f32(), "f32");
 }
 
 #[test]
