@@ -27,10 +27,12 @@
 //! plus the input read and the output write.  It also records the matrix's
 //! `matrix_bytes` and the `assembly_seconds` of one assembly.
 //!
-//! Every timed kernel checks its own bits: each `planned` output, at every
-//! `--threads` value, the `fused-apply-dot` output and the `csr` output must
-//! equal the naive `apply_spd_naive` output bit for bit, or the bin exits
-//! non-zero without writing the report.
+//! Every timed kernel checks its own bits: each `planned` and
+//! `fused-apply-dot` output, at every `--threads` value, and the `csr` output
+//! must equal the naive `apply_spd_naive` output bit for bit, and each
+//! `fused-apply-dot` return must equal `xᵀ(A x)` chained here from the naive
+//! output in slab order, or the bin exits non-zero without writing the
+//! report.
 
 use mffv::prelude::*;
 use mffv_bench::{machine_json, time_spread, Flags, Timing};
@@ -70,8 +72,24 @@ impl Row {
     }
 }
 
+/// `aᵀb` in the planned kernels' order, written out here: a `mul_add` chain
+/// from +0 over each `SLAB_CELLS` chunk, the chunks' partials added in chunk
+/// order with the first as the seed.
+fn slab_ordered_dot<T: Scalar>(a: &[T], b: &[T]) -> T {
+    let mut total = None;
+    for (a, b) in a.chunks(SLAB_CELLS).zip(b.chunks(SLAB_CELLS)) {
+        let mut acc = T::ZERO;
+        for (x, y) in a.iter().zip(b) {
+            acc = x.mul_add(*y, acc);
+        }
+        total = Some(total.map_or(acc, |t: T| t + acc));
+    }
+    total.unwrap_or(T::ZERO)
+}
+
 /// Time every kernel of one precision into `rows`, and return a message for
-/// each kernel whose output differs from the naive oracle's in any bit.
+/// each kernel whose output differs from the naive oracle's in any bit, or
+/// whose returned `xᵀ(A x)` differs from [`slab_ordered_dot`]'s.
 fn bench_precision<T: Scalar>(
     workload: &Workload,
     precision: &'static str,
@@ -92,6 +110,9 @@ fn bench_precision<T: Scalar>(
 
     let naive = time_spread(reps, || op.apply_spd_naive(&x, &mut y));
     let oracle = bits(&y);
+    let dot_oracle = slab_ordered_dot(x.as_slice(), y.as_slice())
+        .to_f64()
+        .to_bits();
     let row = |kernel, threads, time: Timing| Row {
         kernel,
         precision,
@@ -103,11 +124,18 @@ fn bench_precision<T: Scalar>(
     };
     rows.push(row("naive", 1, naive));
     // Poison the output before each kernel, so a kernel that skips a cell
-    // cannot pass on a previous kernel's value.
-    let mut check = |y: &mut CellField<T>, kernel: &str, threads: usize| {
+    // cannot pass on a previous kernel's value.  A fused kernel's returned
+    // dot product is checked too.
+    let mut check = |y: &mut CellField<T>, kernel: &str, threads: usize, dot: Option<T>| {
         if bits(y) != oracle {
             mismatches.push(format!(
                 "{kernel} {precision} x{threads} differs from naive"
+            ));
+        }
+        if let Some(dot) = dot.filter(|d| d.to_f64().to_bits() != dot_oracle) {
+            mismatches.push(format!(
+                "{kernel} {precision} x{threads} returns {dot:?}, the slab-ordered chain {:?}",
+                f64::from_bits(dot_oracle)
             ));
         }
         y.fill(T::from_f64(f64::NAN));
@@ -116,14 +144,16 @@ fn bench_precision<T: Scalar>(
     for &t in threads {
         let threaded = op.clone().with_threads(t);
         let planned = time_spread(reps, || threaded.apply_spd(&x, &mut y));
-        check(&mut y, "planned", threaded.threads());
+        check(&mut y, "planned", threaded.threads(), None);
         rows.push(row("planned", threaded.threads(), planned));
     }
-    let fused = time_spread(reps, || {
-        std::hint::black_box(op.apply_dot(&x, &mut y));
-    });
-    check(&mut y, "fused-apply-dot", 1);
-    rows.push(row("fused-apply-dot", 1, fused));
+    for &t in threads {
+        let threaded = op.clone().with_threads(t);
+        let mut dot = T::ZERO;
+        let fused = time_spread(reps, || dot = threaded.apply_dot(&x, &mut y));
+        check(&mut y, "fused-apply-dot", threaded.threads(), Some(dot));
+        rows.push(row("fused-apply-dot", threaded.threads(), fused));
+    }
 
     // The paper grid's transmissibilities are 0 or 1 and `x` is in
     // sixteenths, so every product and partial sum is exact in either
@@ -134,7 +164,7 @@ fn bench_precision<T: Scalar>(
     let assembly_seconds = watch.elapsed_seconds();
     let matrix_bytes = csr.matrix().bytes();
     let time = time_spread(reps, || csr.apply(&x, &mut y));
-    check(&mut y, "csr", 1);
+    check(&mut y, "csr", 1, None);
     let cells = dims.num_cells();
     let vectors = 2 * cells * std::mem::size_of::<T>();
     rows.push(Row {

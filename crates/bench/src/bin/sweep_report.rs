@@ -9,11 +9,20 @@
 //! re-runs the host-backend jobs at worker counts 1, 2, 4, … up to the
 //! machine's hardware threads to measure the pool's wall-clock scaling; a
 //! worker count above them would measure oversubscription, not scaling.
+//! That batch takes milliseconds, so each worker count is timed over
+//! [`ROUNDS`] rounds and reported as the median with its q1–q3 spread, and a
+//! speedup is named only when the spreads of 1 worker and of the widest
+//! count do not overlap.
 //!
 //! Run with `cargo run --release -p mffv-bench --bin sweep_report`.
 
 use mffv::prelude::*;
+use mffv_bench::{time_spread, Timing};
 use mffv_perf::report::format_table;
+
+/// Timed rounds of the host batch at each worker count, after one untimed
+/// warm-up.
+const ROUNDS: usize = 15;
 
 /// The sweep base: quickstart-like physics with a stochastic permeability
 /// field, so the seed axis produces genuinely different scenarios.
@@ -71,28 +80,35 @@ fn main() {
         host_jobs.len()
     );
     let mut rows = Vec::new();
-    let mut baseline_wall = None;
-    let mut speedup = 1.0;
+    let mut walls: Vec<Timing> = Vec::new();
     for &workers in &ladder {
-        let report = Engine::new(workers).run(host_jobs.clone());
-        assert!(report.all_succeeded());
-        let baseline = *baseline_wall.get_or_insert(report.wall_seconds);
-        speedup = baseline / report.wall_seconds;
+        let engine = Engine::new(workers);
+        let mut last = None;
+        let wall = time_spread(ROUNDS, || {
+            let report = engine.run(host_jobs.clone());
+            assert!(report.all_succeeded());
+            last = Some(report);
+        });
+        let report = last.expect("time_spread runs the batch");
+        let baseline = walls.first().map_or(wall.median, |one| one.median);
         rows.push(vec![
             workers.to_string(),
-            format!("{:.3}", report.wall_seconds),
-            format!("{:.2}", report.jobs_per_second()),
+            format!("{:.4}", wall.median),
+            format!("{:.4}-{:.4}", wall.q1, wall.q3),
+            format!("{:.2}", host_jobs.len() as f64 / wall.median),
             format!("{:.3e}", report.latency.p50),
             format!("{:.3e}", report.latency.p95),
-            format!("{speedup:.2}x"),
+            format!("{:.2}x", baseline / wall.median),
         ]);
+        walls.push(wall);
     }
     println!(
         "{}",
         format_table(
             &[
                 "Workers",
-                "Wall [s]",
+                "Wall median [s]",
+                "Wall q1-q3 [s]",
                 "Jobs/s",
                 "p50 [s]",
                 "p95 [s]",
@@ -101,11 +117,22 @@ fn main() {
             &rows
         )
     );
+    println!("(wall times over {ROUNDS} rounds; speedup is a ratio of medians)");
     let widest = ladder.last().copied().unwrap_or(1);
-    println!(
-        "Available hardware threads: {cores}; measured {widest}-worker speedup: {speedup:.2}x"
-    );
-    if cores == 1 {
-        println!("(single hardware thread — worker scaling cannot exceed ~1x on this machine)");
+    let (one, far) = (walls[0], walls[walls.len() - 1]);
+    if widest == 1 {
+        println!("Available hardware threads: {cores}; a single worker, so no scaling to measure");
+    } else if far.q3 < one.q1 || one.q3 < far.q1 {
+        println!(
+            "Available hardware threads: {cores}; {widest}-worker speedup: {:.2}x (the q1-q3 \
+             spreads of 1 and {widest} workers do not overlap)",
+            one.median / far.median
+        );
+    } else {
+        println!(
+            "Available hardware threads: {cores}; {widest} workers ({:.4} s median, {:.4}-{:.4}) \
+             against 1 ({:.4} s, {:.4}-{:.4}): the difference is within the spread",
+            far.median, far.q1, far.q3, one.median, one.q1, one.q3
+        );
     }
 }

@@ -47,8 +47,8 @@
 //! [`SLAB_CELLS`] cells.  Slabs are the unit of both
 //!
 //! * **reduction determinism** — every dot product in the planned/fused path is
-//!   accumulated as a left-to-right FMA chain *within* each slab, and the
-//!   per-slab partials are combined in slab order.  [`det_dot`] /
+//!   accumulated as a left-to-right FMA chain from `+0` *within* each slab,
+//!   and the per-slab partials are combined in slab order.  [`det_dot`] /
 //!   [`det_norm_squared`] implement the identical order for unfused callers, so
 //!   fused and unfused CG produce bitwise-identical residual histories; and
 //! * **thread scheduling** — one slab loop runs every kernel and [`det_dot`].
@@ -60,6 +60,15 @@
 //!   are folded in, so results are bitwise identical for any thread count —
 //!   the same determinism contract `mffv-engine` guarantees across worker
 //!   counts.
+//!
+//! Each FMA of a slab's chain waits for the one before it.  So the slab loop
+//! hands its kernels **blocks** of up to eight consecutive slabs (each thread
+//! group cuts its own slabs into blocks), and one helper advances the eight
+//! chains of a block in lockstep: one FMA of each chain per step, so each
+//! chain's latency hides behind the other seven.  Blocking changes no bit:
+//! each chain still starts from `+0` and takes only its own slab's cells, in
+//! increasing order, and the partials are still folded one per slab, in
+//! slab order.  Only the interleaving of independent chains changes.
 //!
 //! Grids of at most [`SLAB_CELLS`] cells have a single slab, in which case the
 //! deterministic reductions degenerate to the plain left-to-right FMA chain of
@@ -76,6 +85,16 @@ use std::ops::Range;
 /// working set (solution, residual, direction, `A d`, coefficients) inside
 /// a typical L2 cache, which is what makes slab-level fusion profitable.
 pub const SLAB_CELLS: usize = 4096;
+
+/// Slabs per block, whose reduction chains advance in lockstep: two FMA
+/// ports times a four-cycle FMA latency.  Eight slabs of two `f64` arrays
+/// (512 KiB) stay in L2.
+const LANES: usize = 8;
+
+/// Cells of each slab that [`StencilPlan::cg_update`] updates across a
+/// block before it advances the block's `rᵀr` chains over them, while `r`
+/// is still in L1.
+const UPDATE_STRETCH: usize = 256;
 
 /// Memory streams the planned apply touches per cell: the three face arrays
 /// (+x, +y, +z) plus the input read and the output write.  Multiplied by
@@ -169,7 +188,7 @@ impl StencilPlan {
             "Dirichlet mask length mismatch"
         );
         let n = dims.num_cells();
-        let mut slabs: Vec<Slab> = slab_ranges(0..n)
+        let mut slabs: Vec<Slab> = chunks(0..n, SLAB_CELLS)
             .map(|range| Slab {
                 range,
                 runs: Vec::new(),
@@ -255,9 +274,9 @@ impl StencilPlan {
         let ctx = KernelCtx::new(self.dims, coeffs, mask, diag);
         let xs = x.as_slice();
         let n = self.dims.num_cells();
-        for_each_slab(n, threads, [y.as_mut_slice()], |range, [ys]| {
-            apply_slab(&self.slabs[range.start / SLAB_CELLS], &ctx, xs, ys);
-            T::ZERO
+        for_each_slab(n, threads, [y.as_mut_slice()], |block, [ys]| {
+            self.apply_block(&ctx, xs, block, ys);
+            [T::ZERO; LANES]
         });
     }
 
@@ -280,9 +299,11 @@ impl StencilPlan {
         let ctx = KernelCtx::new(self.dims, coeffs, mask, diag);
         let ds = d.as_slice();
         let n = self.dims.num_cells();
-        for_each_slab(n, threads, [ad.as_mut_slice()], |range, [ads]| {
-            apply_slab(&self.slabs[range.start / SLAB_CELLS], &ctx, ds, ads);
-            slab_dot(&ds[range], ads)
+        for_each_slab(n, threads, [ad.as_mut_slice()], |block, [ads]| {
+            self.apply_block(&ctx, ds, block.clone(), ads);
+            let mut chains = [T::ZERO; LANES];
+            advance_chains(&mut chains, &ds[block], ads, 0..SLAB_CELLS);
+            chains
         })
     }
 
@@ -307,9 +328,35 @@ impl StencilPlan {
         let ds = d.as_slice();
         let ads = ad.as_slice();
         let outs = [x.as_mut_slice(), r.as_mut_slice()];
-        for_each_slab(self.dims.num_cells(), threads, outs, |range, [xs, rs]| {
-            update_slab(alpha, &ds[range.clone()], &ads[range], xs, rs)
+        for_each_slab(self.dims.num_cells(), threads, outs, |block, [xs, rs]| {
+            let (ds, ads) = (&ds[block.clone()], &ads[block]);
+            let mut chains = [T::ZERO; LANES];
+            for stretch in chunks(0..SLAB_CELLS, UPDATE_STRETCH) {
+                for slab in chunks(0..ds.len(), SLAB_CELLS) {
+                    let cells = slab.start + stretch.start.min(slab.len())
+                        ..slab.start + stretch.end.min(slab.len());
+                    let (d, ad) = (&ds[cells.clone()], &ads[cells.clone()]);
+                    update_cells(alpha, d, ad, &mut xs[cells.clone()], &mut rs[cells]);
+                }
+                advance_chains(&mut chains, rs, rs, stretch);
+            }
+            chains
         })
+    }
+
+    /// Apply the slabs of `block`, a cell range of whole slabs, into
+    /// `y_block`, the block's cells of the output.
+    fn apply_block<T: Scalar>(
+        &self,
+        ctx: &KernelCtx<'_, T>,
+        x: &[T],
+        block: Range<usize>,
+        y_block: &mut [T],
+    ) {
+        for slab in &self.slabs[block.start / SLAB_CELLS..block.end.div_ceil(SLAB_CELLS)] {
+            let cells = slab.range.start - block.start..slab.range.end - block.start;
+            apply_slab(slab, ctx, x, &mut y_block[cells]);
+        }
     }
 
     fn check_fields<T: Scalar>(
@@ -559,38 +606,95 @@ fn general_cell<T: Scalar>(k: usize, ctx: &KernelCtx<'_, T>, x: &[T]) -> T {
     acc
 }
 
-/// Left-to-right FMA chain over one slab — the unit of deterministic
-/// reduction.
+/// The CG update's two axpys over a stretch of cells: `x += α d` and
+/// `r −= α (A d)`.
 #[inline]
-fn slab_dot<T: Scalar>(a: &[T], b: &[T]) -> T {
-    let mut acc = T::ZERO;
-    for (va, vb) in a.iter().zip(b.iter()) {
-        acc = va.mul_add(*vb, acc);
-    }
-    acc
-}
-
-/// Fused per-slab CG update returning the slab's `rᵀr` partial.
-#[inline]
-fn update_slab<T: Scalar>(alpha: T, d: &[T], ad: &[T], x: &mut [T], r: &mut [T]) -> T {
+fn update_cells<T: Scalar>(alpha: T, d: &[T], ad: &[T], x: &mut [T], r: &mut [T]) {
     let neg_alpha = -alpha;
-    let mut acc = T::ZERO;
-    for i in 0..d.len() {
-        x[i] = alpha.mul_add(d[i], x[i]);
-        let rv = neg_alpha.mul_add(ad[i], r[i]);
-        r[i] = rv;
-        acc = rv.mul_add(rv, acc);
+    for (((x, r), &d), &ad) in x.iter_mut().zip(r.iter_mut()).zip(d).zip(ad) {
+        *x = alpha.mul_add(d, *x);
+        *r = neg_alpha.mul_add(ad, *r);
     }
-    acc
 }
 
-/// The deterministic slabs of the cell range `cells`: consecutive
-/// [`SLAB_CELLS`]-cell chunks from its start, the last one possibly shorter.
-fn slab_ranges(cells: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+/// Advance the reduction chains of one block's slabs over the cells
+/// `stretch` of each slab, in lockstep: for each offset `i` of `stretch`
+/// in increasing order, chain `s` takes `chains[s] = a[k].mul_add(b[k],
+/// chains[s])` at `k = s · SLAB_CELLS + i`, for every slab `s` of the block
+/// that holds cell `k`.
+///
+/// `a` and `b` hold the block's cells: whole slabs, the last one possibly
+/// short.  Past the last slab's end only the full slabs' chains go on.
+/// Each chain takes its own slab's cells in increasing order, so a chain
+/// run from `+0` over its slab is the slab's serial left-to-right FMA chain
+/// bit for bit, whichever chains advance beside it.
+fn advance_chains<T: Scalar>(chains: &mut [T; LANES], a: &[T], b: &[T], stretch: Range<usize>) {
+    let slabs = a.len().div_ceil(SLAB_CELLS);
+    let last = a.len() - (slabs - 1) * SLAB_CELLS;
+    let cut = stretch.end.min(last).max(stretch.start);
+    lockstep(&mut chains[..slabs], a, b, stretch.start..cut);
+    lockstep(&mut chains[..slabs - 1], a, b, cut..stretch.end);
+}
+
+/// Advance `chains`, those of the block's first `chains.len()` slabs, over
+/// `cells`, which each of those slabs holds (see [`advance_chains`]).
+fn lockstep<T: Scalar>(chains: &mut [T], a: &[T], b: &[T], cells: Range<usize>) {
+    if cells.is_empty() {
+        return;
+    }
+    match chains.len() {
+        0 => {}
+        1 => lanes::<T, 1>(chains, a, b, cells),
+        2 => lanes::<T, 2>(chains, a, b, cells),
+        3 => lanes::<T, 3>(chains, a, b, cells),
+        4 => lanes::<T, 4>(chains, a, b, cells),
+        5 => lanes::<T, 5>(chains, a, b, cells),
+        6 => lanes::<T, 6>(chains, a, b, cells),
+        7 => lanes::<T, 7>(chains, a, b, cells),
+        // A block holds at most `LANES` slabs.
+        _ => lanes::<T, LANES>(chains, a, b, cells),
+    }
+}
+
+/// [`lockstep`] on `L` chains, their accumulators held in registers.  Each
+/// slab's window is read four cells at a time, so the loads are vectors;
+/// only the FMAs run one cell at a time, one per chain.
+#[inline(always)]
+fn lanes<T: Scalar, const L: usize>(chains: &mut [T], a: &[T], b: &[T], cells: Range<usize>) {
+    const TILE: usize = 4;
+    let len = cells.len();
+    // Equal-length windows, one per slab, so the bounds checks fold away.
+    let a: [&[T]; L] = std::array::from_fn(|s| &a[s * SLAB_CELLS + cells.start..][..len]);
+    let b: [&[T]; L] = std::array::from_fn(|s| &b[s * SLAB_CELLS + cells.start..][..len]);
+    let mut acc: [T; L] = std::array::from_fn(|s| chains[s]);
+    let tiles = len / TILE;
+    for t in 0..tiles {
+        let tile = |f: &[&[T]; L]| -> [[T; TILE]; L] {
+            std::array::from_fn(|s| std::array::from_fn(|j| f[s][t * TILE + j]))
+        };
+        let (at, bt) = (tile(&a), tile(&b));
+        for j in 0..TILE {
+            for (s, acc) in acc.iter_mut().enumerate() {
+                *acc = at[s][j].mul_add(bt[s][j], *acc);
+            }
+        }
+    }
+    for i in tiles * TILE..len {
+        for (s, acc) in acc.iter_mut().enumerate() {
+            *acc = a[s][i].mul_add(b[s][i], *acc);
+        }
+    }
+    chains.copy_from_slice(&acc);
+}
+
+/// Consecutive `len`-cell chunks of the cell range `cells` from its start,
+/// the last one possibly shorter: the slabs ([`SLAB_CELLS`]) and the blocks
+/// of slabs ([`LANES`] slabs).
+fn chunks(cells: Range<usize>, len: usize) -> impl Iterator<Item = Range<usize>> {
     let end = cells.end;
     cells
-        .step_by(SLAB_CELLS)
-        .map(move |start| start..(start + SLAB_CELLS).min(end))
+        .step_by(len)
+        .map(move |start| start..(start + len).min(end))
 }
 
 /// The slab counts of the groups `threads` threads split `slabs` slabs into:
@@ -606,24 +710,29 @@ fn group_sizes(slabs: usize, threads: usize) -> impl ExactSizeIterator<Item = us
 
 /// The one slab loop behind every planned kernel and [`det_dot`].
 ///
-/// Calls `kernel(range, cells)` once per slab of the `n`-cell range, where
-/// `range` is the slab's cell range and `cells` holds each of `outs`' cells
-/// of it, and folds the returned partials in slab order ([`fold_partials`]).
-/// With one group (one thread, or at most one slab) the slabs run in order
-/// on the calling thread and nothing is allocated — the steady-state
+/// Calls `kernel(block, cells)` once per block of up to [`LANES`]
+/// consecutive slabs of the `n`-cell range, where `block` is the block's
+/// cell range and `cells` holds each of `outs`' cells of it.  The kernel
+/// returns one partial per slab of the block, in slab order (entries past
+/// the block's slab count are ignored), and the partials of all slabs are
+/// folded in slab order ([`fold_partials`]).  Up to eight FMA chains of a
+/// block advance in lockstep ([`advance_chains`]); each is still its own
+/// slab's serial chain, so neither the blocks nor the thread groups move a
+/// bit.  With one group (one thread, or at most one slab) the blocks run in
+/// order on the calling thread and nothing is allocated — the steady-state
 /// serving path depends on that.  Otherwise the slabs split into the
-/// contiguous groups of [`group_sizes`], each run in order on a scoped
-/// thread of its own.
+/// contiguous groups of [`group_sizes`]; each group cuts its own slabs into
+/// blocks and runs them in order on a scoped thread of its own.
 fn for_each_slab<T: Scalar, const M: usize>(
     n: usize,
     threads: usize,
     mut outs: [&mut [T]; M],
-    kernel: impl Fn(Range<usize>, [&mut [T]; M]) -> T + Sync,
+    kernel: impl Fn(Range<usize>, [&mut [T]; M]) -> [T; LANES] + Sync,
 ) -> T {
     let slabs = n.div_ceil(SLAB_CELLS);
     let groups = group_sizes(slabs, threads);
     if groups.len() == 1 {
-        return fold_partials(run_slabs(0..n, outs, &kernel));
+        return fold_partials(run_blocks(0..n, outs, &kernel));
     }
     let mut partials = vec![T::ZERO; slabs];
     std::thread::scope(|scope| {
@@ -631,7 +740,7 @@ fn for_each_slab<T: Scalar, const M: usize>(
         for len in groups {
             let [group] = split_off(&mut rest, len);
             let end = (start + len * SLAB_CELLS).min(n);
-            let run = run_slabs(start..end, split_off(&mut outs, end - start), &kernel);
+            let run = run_blocks(start..end, split_off(&mut outs, end - start), &kernel);
             scope.spawn(move || group.iter_mut().zip(run).for_each(|(p, v)| *p = v));
             start = end;
         }
@@ -639,17 +748,22 @@ fn for_each_slab<T: Scalar, const M: usize>(
     fold_partials(partials)
 }
 
-/// `kernel`'s partial of each slab of `cells`, in slab order, where each of
-/// `outs` holds exactly the cells of `cells`.
-fn run_slabs<'a, T: Scalar, const M: usize, K>(
+/// `kernel`'s partial of each slab of `cells`, in slab order, where `cells`
+/// starts on a slab and each of `outs` holds exactly its cells: `kernel`
+/// runs once per block of [`LANES`] slabs from the start of `cells`.
+fn run_blocks<'a, T: Scalar, const M: usize, K>(
     cells: Range<usize>,
     mut outs: [&'a mut [T]; M],
     kernel: &'a K,
 ) -> impl Iterator<Item = T> + 'a
 where
-    K: Fn(Range<usize>, [&mut [T]; M]) -> T,
+    K: Fn(Range<usize>, [&mut [T]; M]) -> [T; LANES],
 {
-    slab_ranges(cells).map(move |range| kernel(range.clone(), split_off(&mut outs, range.len())))
+    chunks(cells, LANES * SLAB_CELLS).flat_map(move |block| {
+        let slabs = block.len().div_ceil(SLAB_CELLS);
+        let partials = kernel(block.clone(), split_off(&mut outs, block.len()));
+        partials.into_iter().take(slabs)
+    })
 }
 
 /// Split the first `len` entries off each of `rest`.
@@ -682,8 +796,10 @@ fn fold_partials<T: Scalar>(partials: impl IntoIterator<Item = T>) -> T {
 pub fn det_dot<T: Scalar>(a: &CellField<T>, b: &CellField<T>) -> T {
     assert_eq!(a.dims(), b.dims(), "field dimension mismatch");
     let (a, b) = (a.as_slice(), b.as_slice());
-    for_each_slab(a.len(), 1, [], |range, []| {
-        slab_dot(&a[range.clone()], &b[range])
+    for_each_slab(a.len(), 1, [], |block, []| {
+        let mut chains = [T::ZERO; LANES];
+        advance_chains(&mut chains, &a[block.clone()], &b[block], 0..SLAB_CELLS);
+        chains
     })
 }
 
@@ -1003,6 +1119,68 @@ mod tests {
                 assert_eq!(rr.to_bits(), rr_ref.to_bits(), "{dims}, {threads} threads");
                 assert_eq!(x, x_ref);
                 assert_eq!(r, r_ref);
+            }
+        }
+    }
+
+    /// The slab-ordered dot product written out with nothing shared with the
+    /// kernels: a `mul_add` chain from +0 over each `SLAB_CELLS` chunk, the
+    /// chunks' partials folded in chunk order with the first as the seed.
+    fn reference_dot(a: &CellField<f64>, b: &CellField<f64>) -> f64 {
+        let (a, b) = (a.as_slice(), b.as_slice());
+        let mut partials = Vec::new();
+        for (a, b) in a.chunks(SLAB_CELLS).zip(b.chunks(SLAB_CELLS)) {
+            let mut acc = 0.0;
+            for (x, y) in a.iter().zip(b) {
+                acc = x.mul_add(*y, acc);
+            }
+            partials.push(acc);
+        }
+        let mut total = partials[0];
+        for p in &partials[1..] {
+            total += p;
+        }
+        total
+    }
+
+    #[test]
+    fn reductions_match_a_plain_slab_ordered_reference_bitwise() {
+        // 45×40×24 has ten full slabs and a short eleventh: a block of eight
+        // slabs and one of three, the last short; 3 threads split them 4/4/3.
+        // 41×29×17 has five slabs, the last one short.
+        for dims in [Dims::new(45, 40, 24), Dims::new(41, 29, 17)] {
+            let n = dims.num_cells();
+            let coeffs = pseudorandom_faces(dims, 30);
+            let dirichlet = DirichletSet::x_faces(dims, 1.0, 0.0);
+            let mask: Vec<bool> = (0..n).map(|k| dirichlet.contains_linear(k)).collect();
+            let plan = StencilPlan::new(dims, &mask);
+            let shift: Vec<f64> = (0..n).map(|k| 0.5 + (k % 5) as f64).collect();
+            let fields = [31, 32, 33, 34].map(|seed| pseudorandom_field(dims, seed));
+            // The whole fields, then the fields cut to one slab each.  A
+            // reduction of the latter is that slab's chain alone (every other
+            // partial is +0, which the fold adds exactly), so a change in any
+            // one chain shows in the bits.
+            let slabs = (0..n.div_ceil(SLAB_CELLS)).map(|s| s * SLAB_CELLS..(s + 1) * SLAB_CELLS);
+            for cells in std::iter::once(0..n).chain(slabs) {
+                let [d, e, x0, r0] = fields.clone().map(|f| {
+                    let cut = |(k, v): (usize, &f64)| if cells.contains(&k) { *v } else { 0.0 };
+                    CellField::from_vec(dims, f.as_slice().iter().enumerate().map(cut).collect())
+                });
+                let what = format!("{dims}, cells {cells:?}");
+                let expect = reference_dot(&d, &e).to_bits();
+                assert_eq!(det_dot(&d, &e).to_bits(), expect, "det_dot, {what}");
+                for threads in [1, 2, 3, 8] {
+                    let what = format!("{what}, {threads} threads");
+                    let mut ad = CellField::zeros(dims);
+                    let dad = plan.apply_dot(&coeffs, &mask, Some(&shift), &d, &mut ad, threads);
+                    let expect = reference_dot(&d, &ad).to_bits();
+                    assert_eq!(dad.to_bits(), expect, "apply_dot, {what}");
+
+                    let (mut x, mut r) = (x0.clone(), r0.clone());
+                    let rr = plan.cg_update(0.37, &d, &e, &mut x, &mut r, threads);
+                    let expect = reference_dot(&r, &r).to_bits();
+                    assert_eq!(rr.to_bits(), expect, "cg_update, {what}");
+                }
             }
         }
     }
