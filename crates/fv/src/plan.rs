@@ -63,9 +63,9 @@
 //!
 //! Each FMA of a slab's chain waits for the one before it.  So the slab loop
 //! hands its kernels **blocks** of up to eight consecutive slabs (each thread
-//! group cuts its own slabs into blocks), and one helper advances the eight
-//! chains of a block in lockstep: one FMA of each chain per step, so each
-//! chain's latency hides behind the other seven.  Blocking changes no bit:
+//! group cuts its own slabs into blocks), and one helper advances a block's
+//! chains in lockstep: one FMA of each chain per step, so in a block of eight
+//! each chain's latency hides behind the other seven.  Blocking changes no bit:
 //! each chain still starts from `+0` and takes only its own slab's cells, in
 //! increasing order, and the partials are still folded one per slab, in
 //! slab order.  Only the interleaving of independent chains changes.
