@@ -68,11 +68,6 @@ impl Fabric {
         &mut self.pes[idx]
     }
 
-    /// Iterate over all PEs.
-    pub fn iter_pes(&self) -> impl Iterator<Item = &ProcessingElement> {
-        self.pes.iter()
-    }
-
     /// Fabric-wide traffic statistics.
     pub fn stats(&self) -> &FabricStats {
         &self.stats

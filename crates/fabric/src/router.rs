@@ -112,11 +112,6 @@ impl SwitchConfig {
             self.current = 0;
         }
     }
-
-    /// Number of positions.
-    pub fn num_positions(&self) -> usize {
-        self.positions.len()
-    }
 }
 
 /// The router of one PE: a per-colour table of switch configurations.

@@ -110,21 +110,6 @@ impl DirichletSet {
         }
     }
 
-    /// FNV-1a fingerprint of the Dirichlet topology *and* pinned values:
-    /// every `(linear index, value bits)` pair in sorted-index order — the
-    /// boundary component of a solve-context cache key (see
-    /// [`crate::fingerprint`]).  Moving a cell, adding one, or nudging a
-    /// pinned pressure by one ulp all change the digest.
-    pub fn fingerprint(&self) -> u64 {
-        let mut hash = crate::fingerprint::Fnv1a::new();
-        hash.write_usize(self.sorted_indices.len());
-        for &(idx, v) in &self.sorted_indices {
-            hash.write_usize(idx);
-            hash.write_f64(v);
-        }
-        hash.finish()
-    }
-
     /// A full vertical column of Dirichlet cells at fabric position `(x, y)` — the
     /// shape of the injector and producer "wells" in the Figure-5 scenario.
     pub fn well_column(dims: Dims, x: usize, y: usize, value: f64) -> Vec<DirichletCell> {

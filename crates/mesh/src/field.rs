@@ -77,11 +77,6 @@ impl<T: Scalar> CellField<T> {
         &mut self.data
     }
 
-    /// Consume the field, returning its storage.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Value at a cell.
     #[inline]
     pub fn at(&self, c: CellIndex) -> T {
@@ -180,12 +175,13 @@ impl<T: Scalar> CellField<T> {
         self.norm_squared().sqrt()
     }
 
-    /// Maximum absolute entry.
+    /// Maximum absolute entry; NaN when any entry is NaN.
     pub fn max_abs(&self) -> T {
         self.data.iter().fold(T::ZERO, |m, &v| m.max_with(v.abs()))
     }
 
-    /// Maximum absolute difference against another field.
+    /// Maximum absolute difference against another field; NaN when any
+    /// difference is NaN.
     pub fn max_abs_diff(&self, other: &Self) -> T {
         self.check_same_dims(other);
         self.data
@@ -299,6 +295,19 @@ mod tests {
         assert!((a.norm() - (96.0f64).sqrt()).abs() < 1e-12);
         assert_eq!(a.max_abs(), 2.0);
         assert_eq!(a.max_abs_diff(&b), 1.0);
+    }
+
+    #[test]
+    fn max_norms_report_a_nan_cell() {
+        let zeros = CellField::<f64>::zeros(dims());
+        let mut poisoned = zeros.clone();
+        poisoned.set(5, f64::NAN);
+        assert!(poisoned.max_abs().is_nan());
+        assert!(poisoned.max_abs_diff(&zeros).is_nan());
+        assert!(zeros.max_abs_diff(&poisoned).is_nan());
+        let mut f32_field = CellField::<f32>::constant(dims(), 3.0);
+        f32_field.set(23, f32::NAN);
+        assert!(f32_field.max_abs().is_nan());
     }
 
     #[test]

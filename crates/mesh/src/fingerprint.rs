@@ -1,20 +1,16 @@
-//! Deterministic structural fingerprints for solve-context cache keys.
+//! A deterministic 64-bit FNV-1a hasher over exact bit patterns.
 //!
-//! A pooled serving path reuses a planned operator and preconditioner only
-//! when the problem *structure* is unchanged: same grid extents, same
-//! Dirichlet topology (cells **and** pinned values), same transmissibility
-//! table bit for bit.  The fingerprints here hash exactly those bits —
-//! `f64::to_bits`/`usize` words fed through FNV-1a in a fixed order — so two
-//! workloads collide only when their solve trajectories would be bitwise
-//! identical anyway.  No wall clock, no randomness, no pointer identity:
-//! the same inputs fingerprint to the same value in every process.
+//! [`Fnv1a`] feeds `u64` words, and `f64` values by their exact bit
+//! patterns, through FNV-1a in the order they are written.  No wall clock,
+//! no randomness, no pointer identity: the same inputs hash to the same
+//! value in every process, which is what a checksum of a pressure field
+//! needs (perfbench checks its solves with one).
 
 /// A 64-bit FNV-1a hasher over explicit `u64` words.
 ///
-/// FNV-1a is tiny, dependency-free and stable across platforms — exactly
-/// what a cache key needs (this is *not* a collision-resistant hash; keys
-/// additionally compare dims and kind, and a collision merely reuses a
-/// compatible-shaped arena).
+/// FNV-1a is tiny, dependency-free and stable across platforms.  It is
+/// *not* collision resistant: a checksum can show that two results differ,
+/// but equal digests do not prove equal inputs.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv1a {
     state: u64,
@@ -39,13 +35,8 @@ impl Fnv1a {
         self.state = h;
     }
 
-    /// Absorb a `usize` (widened to 64 bits).
-    pub fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
     /// Absorb an `f64` by its exact bit pattern (`-0.0` ≠ `+0.0`, NaN
-    /// payloads distinguish — the cache must be strictly bitwise).
+    /// payloads distinguish — a checksum is strictly bitwise).
     pub fn write_f64(&mut self, value: f64) {
         self.write_u64(value.to_bits());
     }

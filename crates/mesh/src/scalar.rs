@@ -60,7 +60,8 @@ pub trait Scalar:
     /// a call into libm's `fma`.  IEEE 754 defines the fused result exactly,
     /// so both builds return the same value.
     fn mul_add(self, a: Self, b: Self) -> Self;
-    /// Elementwise maximum.
+    /// Elementwise maximum; NaN when either operand is NaN (where `f64::max`
+    /// would return the other one), so a max-norm cannot skip a NaN cell.
     fn max_with(self, other: Self) -> Self;
     /// Elementwise minimum.
     fn min_with(self, other: Self) -> Self;
@@ -97,7 +98,11 @@ macro_rules! impl_scalar {
             }
             #[inline]
             fn max_with(self, other: Self) -> Self {
-                <$t>::max(self, other)
+                if self.is_nan() || other.is_nan() {
+                    <$t>::NAN
+                } else {
+                    <$t>::max(self, other)
+                }
             }
             #[inline]
             fn min_with(self, other: Self) -> Self {
@@ -174,6 +179,7 @@ mod tests {
         assert_eq!((-2.0f32).abs(), 2.0);
         assert_eq!(1.0f64.max_with(2.0), 2.0);
         assert_eq!(1.0f64.min_with(2.0), 1.0);
+        assert!(f64::NAN.max_with(2.0).is_nan() && 2.0f32.max_with(f32::NAN).is_nan());
     }
 
     #[test]

@@ -201,12 +201,6 @@ impl TransientSpec {
         self
     }
 
-    /// Override the compressibility.
-    pub fn with_compressibility(mut self, total_compressibility: f64) -> Self {
-        self.total_compressibility = total_compressibility;
-        self
-    }
-
     /// The `(start_time, dt)` schedule of the whole run: nominal policy steps
     /// clipped so the last step lands exactly on `total_time`.  Purely a
     /// function of the spec — every backend steps the identical schedule.

@@ -202,25 +202,6 @@ impl<T: Scalar> Transmissibilities<T> {
             }),
         }
     }
-
-    /// FNV-1a fingerprint over the grid extents and every coefficient's
-    /// exact bit pattern, in fixed cell-then-direction order (all six of
-    /// each cell, as [`all`](Self::all) returns them) — the
-    /// transmissibility component of a solve-context cache key (see
-    /// [`crate::fingerprint`]).  Equal tables fingerprint equal; any single
-    /// bit of any coefficient changes the digest.
-    pub fn fingerprint(&self) -> u64 {
-        let mut hash = crate::fingerprint::Fnv1a::new();
-        hash.write_usize(self.dims.nx);
-        hash.write_usize(self.dims.ny);
-        hash.write_usize(self.dims.nz);
-        for k in 0..self.dims.num_cells() {
-            for v in self.all(k) {
-                hash.write_f64(v.to_f64());
-            }
-        }
-        hash.finish()
-    }
 }
 
 /// Linear-index distance between a cell and its plus neighbour along `axis`.

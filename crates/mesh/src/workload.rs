@@ -258,6 +258,34 @@ impl WorkloadSpec {
     pub fn build(&self) -> Workload {
         Workload::from_spec(self)
     }
+
+    /// Whether `self` and `other` build the same operator: equal values of
+    /// the five fields [`Workload::try_from_spec`] reads for the mesh, the
+    /// transmissibility table and the Dirichlet set (`dims`, `spacing`,
+    /// `permeability`, `viscosity`, `boundary`).  `name`, `tolerance` and
+    /// `max_iterations` only steer the solve, so specs that differ in them
+    /// alone share a cached operator.  Two permeability models that happen
+    /// to generate equal fields still compare unequal, and so does a NaN
+    /// (say, a boundary pressure) with itself.
+    pub fn same_operator(&self, other: &WorkloadSpec) -> bool {
+        // Exhaustive: a new spec field does not compile until it is sorted
+        // in (it shapes the operator) or out (it only steers the solve).
+        let WorkloadSpec {
+            name: _,
+            dims,
+            spacing,
+            permeability,
+            viscosity,
+            boundary,
+            tolerance: _,
+            max_iterations: _,
+        } = self;
+        *dims == other.dims
+            && *spacing == other.spacing
+            && *permeability == other.permeability
+            && *viscosity == other.viscosity
+            && *boundary == other.boundary
+    }
 }
 
 /// A fully materialised problem: mesh, permeability, transmissibilities, boundary
@@ -563,6 +591,22 @@ mod tests {
             ..WorkloadSpec::quickstart()
         };
         let _ = bad.build();
+    }
+
+    #[test]
+    fn same_operator_compares_models_not_generated_fields() {
+        let spec = WorkloadSpec::quickstart();
+        let layered = WorkloadSpec {
+            permeability: PermeabilityModel::Layered {
+                layer_values: vec![1.0],
+            },
+            ..spec.clone()
+        };
+        assert_eq!(
+            spec.build().transmissibility(),
+            layered.build().transmissibility()
+        );
+        assert!(!spec.same_operator(&layered));
     }
 
     #[test]

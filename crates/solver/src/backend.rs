@@ -25,7 +25,7 @@
 //! in their own crates (`mffv-gpu-ref`, `mffv-core`); the umbrella `mffv` crate
 //! wires all three into the `Simulation` builder.
 
-use crate::context::{ContextKey, SolveContextCache};
+use crate::context::SolveContextCache;
 use crate::convergence::ConvergenceHistory;
 use crate::monitor::{NullMonitor, SolveMonitor, StopReason};
 use crate::trace::traced;
@@ -471,16 +471,10 @@ pub trait SolveBackend {
         config: &SolveConfig,
     ) -> Result<SolveContextCache, SolveError> {
         let mut cache = SolveContextCache::new();
-        let key = ContextKey::of(
-            workload,
-            config.effective_threads(),
-            config.preconditioner,
-            true,
-        );
         let span = Span::null();
         match self.step_precision() {
-            Precision::F64 => cache.f64_context.prepare(workload, key, &span),
-            Precision::F32 => cache.f32_context.prepare(workload, key, &span),
+            Precision::F64 => cache.f64_context.prepare(workload, config, true, &span),
+            Precision::F32 => cache.f32_context.prepare(workload, config, true, &span),
         };
         Ok(cache)
     }

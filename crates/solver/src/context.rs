@@ -1,19 +1,22 @@
 //! Pooled solve contexts: the one operator/preconditioner cache.
 //!
 //! Every host solve runs on a [`SolveContext`]: the planned operator, its
-//! preconditioner and every Newton/Krylov buffer, kept warm across solves
-//! and keyed by [`ContextKey`] — identical dims + apply threads +
-//! preconditioner kind + Dirichlet topology + transmissibility values ⇒
-//! reuse, anything else ⇒ rebuild.  A one-shot steady solve runs on a
-//! throwaway context, an engine worker on its long-lived
-//! [`SolveContextCache`], and a transient run on one context for all of its
-//! steps: a step only swaps its `Δt`/well diagonal shift in place (operator,
-//! Jacobi diagonal, multigrid levels), keyed by the bits of the step's
-//! accumulation coefficient `V·c_t/Δt` and its active-well productivity
-//! indices so that no step hashes a field.  Every reused buffer is fully
-//! overwritten before it is read, so a warm context is **bitwise
-//! identical** to a cold one — turning reuse on or off never changes a
-//! residual history.
+//! preconditioner and every Newton/Krylov buffer, kept warm across solves.
+//! The context keeps the [`WorkloadSpec`] its operator was built from, and a
+//! solve reuses the operator when its spec builds the same one
+//! ([`WorkloadSpec::same_operator`]: dims, spacing, permeability model,
+//! viscosity and boundary) under the same apply threads, preconditioner
+//! kind and shift presence; anything else rebuilds.  Nothing is hashed: a
+//! [`Workload`] is a pure function of its spec, so five spec fields decide
+//! reuse.  A one-shot steady solve runs on a throwaway context, an engine
+//! worker on its long-lived [`SolveContextCache`], and a transient run on
+//! one context for all of its steps: a step only swaps its `Δt`/well
+//! diagonal shift in place (operator, Jacobi diagonal, multigrid levels),
+//! keyed by the bits of the step's accumulation coefficient `V·c_t/Δt` and
+//! its active-well productivity indices so that no step hashes a field.
+//! Every reused buffer is fully overwritten before it is read, so a warm
+//! context is **bitwise identical** to a cold one — turning reuse on or off
+//! never changes a residual history.
 
 use crate::backend::{PreconditionerKind, SolveConfig};
 use crate::cg::ConjugateGradient;
@@ -26,56 +29,6 @@ use mffv_fv::{MatrixFreeOperator, MgConfig, MultigridVcycle, Preconditioner};
 use mffv_mesh::{CellField, Dims, Scalar, Workload, WorkloadSpec};
 use mffv_telemetry::Span;
 
-/// The reuse key of a cached operator + preconditioner pair.
-///
-/// Two solves may share a context exactly when every field matches: the grid
-/// shape, the apply thread count (the planned operator stores it; its slabs,
-/// and so its results, do not depend on it), the preconditioner kind, the
-/// Dirichlet set (indices *and* values), the transmissibility table, and
-/// whether the operator carries a transient diagonal shift.  Value equality
-/// is tracked by FNV-1a fingerprints over the exact bit patterns
-/// ([`mffv_mesh::Fnv1a`]) — a collision could only alias two different
-/// workloads onto one operator, and 64-bit FNV over deterministic inputs
-/// makes that vanishingly unlikely while keeping the key `Copy` and
-/// comparison O(1).  Computing a key hashes the whole transmissibility
-/// table, so multi-solve drivers (transient runs) compute it once.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ContextKey {
-    /// Grid shape.
-    pub dims: Dims,
-    /// Apply thread count the planned operator stores.
-    pub threads: usize,
-    /// Which preconditioner the cached pair was built for.
-    pub kind: PreconditionerKind,
-    /// Fingerprint of the Dirichlet cells (sorted indices + values).
-    pub dirichlet_fp: u64,
-    /// Fingerprint of the transmissibility table (all face coefficients).
-    pub transmissibility_fp: u64,
-    /// Whether the operator carries a transient diagonal shift.  *Which*
-    /// shift is tracked per step (its `V·c_t/Δt` and active-well
-    /// signature): swapping it is in place, not a rebuild.
-    pub shifted: bool,
-}
-
-impl ContextKey {
-    /// Compute the key for `workload` under the given solve knobs.
-    pub fn of(
-        workload: &Workload,
-        threads: usize,
-        kind: PreconditionerKind,
-        shifted: bool,
-    ) -> Self {
-        Self {
-            dims: workload.dims(),
-            threads,
-            kind,
-            dirichlet_fp: workload.dirichlet().fingerprint(),
-            transmissibility_fp: workload.transmissibility().fingerprint(),
-            shifted,
-        }
-    }
-}
-
 /// The one operator of a cached context: alone, with its Jacobi
 /// preconditioner, or as level 0 of a multigrid hierarchy.
 enum Prepared<T: Scalar> {
@@ -84,10 +37,19 @@ enum Prepared<T: Scalar> {
     Mg(MultigridVcycle<T>),
 }
 
-/// A cached operator (+ preconditioner), the key it was built for and the
+/// A cached operator (+ preconditioner), what it was built for and the
 /// diagonal shift currently installed in it.
 struct ContextState<T: Scalar> {
-    key: ContextKey,
+    /// The spec the operator was built from.
+    spec: WorkloadSpec,
+    /// Apply thread count the planned operator stores (its slabs, and so
+    /// its results, do not depend on it).
+    threads: usize,
+    /// Which preconditioner `prepared` holds.
+    kind: PreconditionerKind,
+    /// Whether the operator carries a transient diagonal shift.  *Which*
+    /// shift is `shift`'s business: swapping it is in place, not a rebuild.
+    shifted: bool,
     prepared: Prepared<T>,
     shift: Option<ShiftKey>,
 }
@@ -147,11 +109,16 @@ impl<T: Scalar> SolveContext<T> {
         self.stats
     }
 
-    /// Ensure the cached operator + preconditioner match `key` (computed
-    /// for `workload`), rebuilding on a mismatch.  Returns `true` on a cache
-    /// hit.  A rebuild frees the old pair first, so a context never holds
-    /// two operators at once, and starts without a diagonal shift.  An MG
-    /// context's one operator is its hierarchy's level 0.
+    /// Ensure the cached operator + preconditioner were built for
+    /// `workload` under `config`'s apply threads and preconditioner, with
+    /// (`shifted`) or without a transient diagonal shift, rebuilding on a
+    /// mismatch.  The cached operator is reused when the spec it was built
+    /// from and `workload`'s spec build the same operator
+    /// ([`WorkloadSpec::same_operator`]) and the threads, kind and shift
+    /// presence match.  Returns `true` on a cache hit.  A rebuild frees the
+    /// old pair first, so a context never holds two operators at once, and
+    /// starts without a diagonal shift.  An MG context's one operator is its
+    /// hierarchy's level 0.
     ///
     /// Build-phase spans (`build-operator`, `mg.build`) are recorded under
     /// `span` on hits and misses alike — on a hit they close immediately, so
@@ -159,15 +126,28 @@ impl<T: Scalar> SolveContext<T> {
     /// assignment varies with worker count, and shape is pinned across
     /// worker counts by `tests/telemetry.rs`).  The cache counters, not span
     /// presence, are the reuse observable.
-    pub fn prepare(&mut self, workload: &Workload, key: ContextKey, span: &Span) -> bool {
-        if self.state.as_ref().is_some_and(|state| state.key == key) {
+    pub(crate) fn prepare(
+        &mut self,
+        workload: &Workload,
+        config: &SolveConfig,
+        shifted: bool,
+        span: &Span,
+    ) -> bool {
+        let (threads, kind) = (config.effective_threads(), config.preconditioner);
+        let hit = self.state.as_ref().is_some_and(|state| {
+            state.threads == threads
+                && state.kind == kind
+                && state.shifted == shifted
+                && state.spec.same_operator(workload.spec())
+        });
+        if hit {
             self.stats.hits += 1;
             // Emit the build-phase skeleton even when nothing rebuilds: a
             // null span makes these free, and a recording span keeps the
             // tree shape identical whether this worker's cache was warm or
             // cold.
             span.child("build-operator").finish();
-            if matches!(key.kind, PreconditionerKind::Mg) {
+            if matches!(kind, PreconditionerKind::Mg) {
                 span.child("mg.build").finish();
             }
             return true;
@@ -175,9 +155,9 @@ impl<T: Scalar> SolveContext<T> {
         self.stats.misses += 1;
         self.state = None;
         let build = span.child("build-operator");
-        let operator = MatrixFreeOperator::<T>::from_workload(workload).with_threads(key.threads);
+        let operator = MatrixFreeOperator::<T>::from_workload(workload).with_threads(threads);
         build.finish();
-        let prepared = match key.kind {
+        let prepared = match kind {
             PreconditionerKind::None => Prepared::Plain(operator),
             PreconditionerKind::Jacobi => {
                 let jacobi = JacobiPreconditioner::from_operator(&operator);
@@ -191,7 +171,10 @@ impl<T: Scalar> SolveContext<T> {
             }
         };
         self.state = Some(ContextState {
-            key,
+            spec: workload.spec().clone(),
+            threads,
+            kind,
+            shifted,
             prepared,
             shift: None,
         });
@@ -261,13 +244,7 @@ impl<T: Scalar> SolveContext<T> {
         monitor: &mut dyn SolveMonitor,
         span: &Span,
     ) -> Option<StopReason> {
-        let key = ContextKey::of(
-            workload,
-            config.effective_threads(),
-            config.preconditioner,
-            false,
-        );
-        self.prepare(workload, key, span);
+        self.prepare(workload, config, false, span);
         let solver = ConjugateGradient::with_tolerance(
             config.effective_tolerance(workload),
             config.effective_max_iterations(workload),
@@ -392,14 +369,19 @@ mod tests {
     use super::*;
     use crate::backend::{HostBackend, SolveBackend, SolveRequest};
     use crate::monitor::NullMonitor;
-    use mffv_mesh::WorkloadSpec;
+    use mffv_mesh::workload::BoundarySpec;
+    use mffv_mesh::PermeabilityModel;
 
     fn workload() -> Workload {
         WorkloadSpec::quickstart().build()
     }
 
-    fn key(w: &Workload, threads: usize, kind: PreconditionerKind, shifted: bool) -> ContextKey {
-        ContextKey::of(w, threads, kind, shifted)
+    fn config(threads: usize, kind: PreconditionerKind) -> SolveConfig {
+        SolveConfig {
+            threads: Some(threads),
+            preconditioner: kind,
+            ..SolveConfig::default()
+        }
     }
 
     fn shift_key(dt: f64) -> ShiftKey {
@@ -414,15 +396,14 @@ mod tests {
         let w = workload();
         let mut ctx = SolveContext::<f64>::new();
         let span = Span::null();
-        let steady = key(&w, 1, PreconditionerKind::Jacobi, false);
-        let shifted = key(&w, 1, PreconditionerKind::Jacobi, true);
-        assert!(!ctx.prepare(&w, steady, &span));
-        assert!(ctx.prepare(&w, steady, &span));
+        let jacobi = config(1, PreconditionerKind::Jacobi);
+        assert!(!ctx.prepare(&w, &jacobi, false, &span));
+        assert!(ctx.prepare(&w, &jacobi, false, &span));
         // A shifted operator is a different operator: same topology, new key.
-        assert!(!ctx.prepare(&w, shifted, &span));
+        assert!(!ctx.prepare(&w, &jacobi, true, &span));
         let mut built = 0;
         for dt in [0.5, 0.5, 0.25, 0.25, 0.5] {
-            assert!(ctx.prepare(&w, shifted, &span));
+            assert!(ctx.prepare(&w, &jacobi, true, &span));
             ctx.set_shift(shift_key(dt), || {
                 built += 1;
                 CellField::constant(w.dims(), 1.0 / dt)
@@ -433,7 +414,7 @@ mod tests {
         assert_eq!(ctx.stats().hits, 6);
         assert_eq!(ctx.stats().misses, 2);
         // Back to the steady key: the cache holds one entry, so this rebuilds.
-        assert!(!ctx.prepare(&w, steady, &span));
+        assert!(!ctx.prepare(&w, &jacobi, false, &span));
     }
 
     #[test]
@@ -442,7 +423,8 @@ mod tests {
         let w = WorkloadSpec::fig5(Dims::new(36, 24, 8)).build();
         let dims = w.dims();
         let mut ctx = SolveContext::<f64>::new();
-        assert!(!ctx.prepare(&w, key(&w, 1, PreconditionerKind::Mg, true), &Span::null()));
+        let mg = config(1, PreconditionerKind::Mg);
+        assert!(!ctx.prepare(&w, &mg, true, &Span::null()));
         let first = CellField::from_fn(dims, |c| 0.5 + c.x as f64);
         let last = CellField::from_fn(dims, |c| 2.0 + (c.y + 3 * c.z) as f64 * 0.25);
         ctx.set_shift(shift_key(0.5), || first);
@@ -490,24 +472,66 @@ mod tests {
         let w = workload();
         let mut ctx = SolveContext::<f64>::new();
         let span = Span::null();
-        assert!(!ctx.prepare(&w, key(&w, 1, PreconditionerKind::None, false), &span));
-        assert!(!ctx.prepare(&w, key(&w, 2, PreconditionerKind::None, false), &span));
-        assert!(!ctx.prepare(&w, key(&w, 2, PreconditionerKind::Jacobi, false), &span));
-        assert!(ctx.prepare(&w, key(&w, 2, PreconditionerKind::Jacobi, false), &span));
+        assert!(!ctx.prepare(&w, &config(1, PreconditionerKind::None), false, &span));
+        assert!(!ctx.prepare(&w, &config(2, PreconditionerKind::None), false, &span));
+        assert!(!ctx.prepare(&w, &config(2, PreconditionerKind::Jacobi), false, &span));
+        assert!(ctx.prepare(&w, &config(2, PreconditionerKind::Jacobi), false, &span));
     }
 
     #[test]
-    fn transmissibility_and_dirichlet_changes_miss() {
-        let spec = WorkloadSpec::quickstart();
-        let w1 = spec.build();
-        let mut thick = spec.clone();
-        thick.viscosity *= 2.0;
-        let w2 = thick.build();
-        let mut ctx = SolveContext::<f64>::new();
+    fn operator_inputs_miss_and_solve_settings_hit() {
+        // A stochastic permeability model, so its seed is an operator input.
+        let base = WorkloadSpec {
+            permeability: PermeabilityModel::LogNormal {
+                mean_log: 0.0,
+                std_log: 0.5,
+                seed: 1,
+            },
+            ..WorkloadSpec::quickstart()
+        };
+        let edited = |edit: fn(&mut WorkloadSpec)| {
+            let mut spec = base.clone();
+            edit(&mut spec);
+            spec
+        };
+        let cases = [
+            ("dims", false, edited(|s| s.dims = Dims::new(16, 16, 9))),
+            ("spacing", false, edited(|s| s.spacing[2] = 2.0)),
+            ("permeability seed", false, base.with_permeability_seed(2)),
+            ("viscosity", false, edited(|s| s.viscosity *= 2.0)),
+            (
+                "boundary",
+                false,
+                edited(|s| {
+                    s.boundary = BoundarySpec::XFaces {
+                        left_pressure: 1.0,
+                        right_pressure: 0.0,
+                    }
+                }),
+            ),
+            ("name", true, edited(|s| s.name.push_str("-renamed"))),
+            ("tolerance", true, edited(|s| s.tolerance = 1e-6)),
+            ("iteration cap", true, edited(|s| s.max_iterations = 7)),
+        ];
+        let first = base.build();
+        let config = SolveConfig::default();
         let span = Span::null();
-        assert!(!ctx.prepare(&w1, key(&w1, 1, PreconditionerKind::None, false), &span));
-        assert!(!ctx.prepare(&w2, key(&w2, 1, PreconditionerKind::None, false), &span));
-        assert!(ctx.prepare(&w2, key(&w2, 1, PreconditionerKind::None, false), &span));
+        for (field, hits, spec) in cases {
+            let w = spec.build();
+            let mut ctx = SolveContext::<f64>::new();
+            ctx.solve(&first, &config, &mut NullMonitor, &span);
+            ctx.solve(&w, &config, &mut NullMonitor, &span);
+            assert_eq!(ctx.stats().hits, u64::from(hits), "{field}");
+            assert_eq!(ctx.stats().misses, 2 - u64::from(hits), "{field}");
+            let mut fresh = SolveContext::<f64>::new();
+            fresh.solve(&w, &config, &mut NullMonitor, &span);
+            assert_eq!(
+                ctx.history().residual_norms_squared,
+                fresh.history().residual_norms_squared,
+                "{field}: a reused operator must solve like a fresh one"
+            );
+            assert_eq!(ctx.pressure().as_slice(), fresh.pressure().as_slice());
+        }
     }
 
     #[test]
@@ -578,16 +602,10 @@ mod tests {
         let spec = WorkloadSpec::quickstart();
         let fresh = Workload::try_from_spec(&spec).unwrap();
         let first = cache.checkout_workload(&spec).unwrap();
-        assert_eq!(
-            first.transmissibility().fingerprint(),
-            fresh.transmissibility().fingerprint()
-        );
+        assert_eq!(first.transmissibility(), fresh.transmissibility());
         cache.checkin_workload(spec.clone(), first);
         let again = cache.checkout_workload(&spec).unwrap();
-        assert_eq!(
-            again.dirichlet().fingerprint(),
-            fresh.dirichlet().fingerprint()
-        );
+        assert_eq!(again.dirichlet(), fresh.dirichlet());
         cache.checkin_workload(spec.clone(), again);
         // A different spec misses and drops the stale entry.
         let mut other = spec.clone();

@@ -29,7 +29,7 @@ pub use backend::{
     SolveError, SolveReport, SolveRequest,
 };
 pub use cg::{CgScratch, ConjugateGradient, SolveOutcome};
-pub use context::{ContextKey, ContextStats, SolveContext, SolveContextCache};
+pub use context::{ContextStats, SolveContext, SolveContextCache};
 pub use convergence::{ConvergenceHistory, StoppingCriterion};
 pub use mffv_fv::{MgConfig, MultigridVcycle, Preconditioner};
 pub use monitor::{
@@ -48,7 +48,7 @@ pub mod prelude {
         SolveError, SolveReport, SolveRequest,
     };
     pub use crate::cg::{CgScratch, ConjugateGradient, SolveOutcome};
-    pub use crate::context::{ContextKey, ContextStats, SolveContext, SolveContextCache};
+    pub use crate::context::{ContextStats, SolveContext, SolveContextCache};
     pub use crate::convergence::{ConvergenceHistory, StoppingCriterion};
     pub use crate::monitor::{
         monitor_fn, CancelToken, Flow, FnMonitor, MonitorFanout, NullMonitor, PolicySession,

@@ -42,7 +42,7 @@
 
 use crate::backend::{Precision, SolveBackend, SolveConfig, SolveError, SolveReport, SolveRequest};
 use crate::cg::ConjugateGradient;
-use crate::context::{ContextKey, SolveContext, SolveContextCache};
+use crate::context::{SolveContext, SolveContextCache};
 use crate::convergence::ConvergenceHistory;
 use crate::monitor::{SolveMonitor, StopPolicy, StopReason};
 use crate::trace::traced;
@@ -98,7 +98,8 @@ impl StepRequest<'_> {
     /// The step's mass ledger at its end pressure `p^{n+1}` and update `δ`:
     /// well rates at `p^{n+1}`, then one pass over the non-Dirichlet cells
     /// in index order that sums `δ` and the flux residual `r(p^{n+1})` and
-    /// takes the max-norm of the defect `V·c_t/Δt·δ − r − q`.
+    /// takes the max-norm of the defect `V·c_t/Δt·δ − r − q` (NaN when any
+    /// cell's defect is NaN).
     fn ledger(&self, pressure: &CellField<f64>, delta: &CellField<f64>) -> StepLedger {
         let (dims, dirichlet) = (self.workload.dims(), self.workload.dirichlet());
         let wells = self.spec.wells.wells();
@@ -124,7 +125,7 @@ impl StepRequest<'_> {
             let q = mffv_fv::seq_sum(sources.map(|(_, &rate)| rate));
             stored += delta.get(k);
             boundary_inflow += r;
-            residual_max = residual_max.max((coefficient * delta.get(k) - r - q).abs());
+            residual_max = residual_max.max_with((coefficient * delta.get(k) - r - q).abs());
         }
         StepLedger {
             well_rates,
@@ -170,10 +171,10 @@ impl ShiftKey {
     }
 }
 
-/// Solve one backward-Euler step at precision `T` on `ctx` (prepared for
-/// `key`, the run's shifted context key): advance `pressure` in place from
-/// `pⁿ` to `p^{n+1}` and leave `δ` in `delta`, which on entry holds the warm
-/// start when `request.warm` is set.
+/// Solve one backward-Euler step at precision `T` on `ctx`, which holds the
+/// run's shifted operator (built on the first step, reused by the rest):
+/// advance `pressure` in place from `pⁿ` to `p^{n+1}` and leave `δ` in
+/// `delta`, which on entry holds the warm start when `request.warm` is set.
 ///
 /// The step system `(A + D + W) δ = r(pⁿ) + q(pⁿ)` is SPD for any `Δt > 0`
 /// (even without Dirichlet cells: the accumulation diagonal regularises the
@@ -181,7 +182,6 @@ impl ShiftKey {
 /// rows are pinned to `δ = 0`, keeping boundary pressures exact.
 fn step<T: Scalar>(
     ctx: &mut SolveContext<T>,
-    key: ContextKey,
     request: &StepRequest<'_>,
     pressure: &mut CellField<f64>,
     delta: &mut CellField<f64>,
@@ -192,7 +192,7 @@ fn step<T: Scalar>(
     let dims = workload.dims();
     let active = request.active_wells();
     // Build-phase spans stay off the step: the run's operator is built once.
-    ctx.prepare(workload, key, &Span::null());
+    ctx.prepare(workload, config, true, &Span::null());
     ctx.set_shift(ShiftKey::of(request, &active), || {
         request.diagonal_shift(&active)
     });
@@ -382,14 +382,15 @@ impl TransientReport {
         mffv_fv::seq_sum(self.wells.iter().map(|w| w.produced))
     }
 
-    /// The worst per-step mass-balance defect (m³/s).
+    /// The worst per-step mass-balance defect (m³/s); NaN when any step's
+    /// defect is NaN.
     pub fn max_mass_balance_error(&self) -> f64 {
         self.steps
             .iter()
             .map(|s| s.mass_balance_error().abs())
-            // audit: allow(float-reduction) — reassociation-safe: max is
-            // associative and commutative over the non-NaN values here.
-            .fold(0.0, f64::max)
+            // audit: allow(float-reduction) — reassociation-safe: a
+            // NaN-propagating max is associative and commutative.
+            .fold(0.0, Scalar::max_with)
     }
 
     /// All step histories concatenated into one [`ConvergenceHistory`]:
@@ -691,13 +692,6 @@ fn step_through(
         Some(cache) => cache,
         None => &mut fresh,
     };
-    // Hashed once per run: every step prepares the same operator.
-    let key = ContextKey::of(
-        workload,
-        config.effective_threads(),
-        config.preconditioner,
-        true,
-    );
     let precision = backend.step_precision();
     let mut pressure = initial_pressure(workload, spec);
     let mut delta = CellField::zeros(dims);
@@ -721,7 +715,6 @@ fn step_through(
                 traced(&step_span, monitor, |monitor| match precision {
                     Precision::F64 => step(
                         &mut cache.f64_context,
-                        key,
                         &step_request,
                         &mut pressure,
                         &mut delta,
@@ -730,7 +723,6 @@ fn step_through(
                     ),
                     Precision::F32 => step(
                         &mut cache.f32_context,
-                        key,
                         &step_request,
                         &mut pressure,
                         &mut delta,

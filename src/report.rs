@@ -9,7 +9,7 @@
 
 pub use mffv_solver::backend::{DeviceSection, SolveError, SolveReport};
 
-use mffv_mesh::Dims;
+use mffv_mesh::{Dims, Scalar};
 use mffv_perf::report::format_table;
 
 /// Maximum pressure disagreement between one pair of backends.
@@ -88,24 +88,26 @@ impl AgreementReport {
         self.reports.iter().find(|r| r.backend == backend)
     }
 
-    /// Largest absolute pressure disagreement over all backend pairs.
+    /// Largest absolute pressure disagreement over all backend pairs (NaN
+    /// when a pressure holds a NaN cell).
     pub fn max_pairwise_diff(&self) -> f64 {
         self.pairwise
             .iter()
             .map(|p| p.max_abs_diff)
-            // audit: allow(float-reduction) — reassociation-safe: max is
-            // associative and commutative over the non-NaN values here.
-            .fold(0.0, f64::max)
+            // audit: allow(float-reduction) — reassociation-safe: a
+            // NaN-propagating max is associative and commutative.
+            .fold(0.0, Scalar::max_with)
     }
 
-    /// Largest relative pressure disagreement over all backend pairs.
+    /// Largest relative pressure disagreement over all backend pairs (NaN
+    /// when a pressure holds a NaN cell).
     pub fn max_pairwise_rel_diff(&self) -> f64 {
         self.pairwise
             .iter()
             .map(|p| p.max_rel_diff)
-            // audit: allow(float-reduction) — reassociation-safe: max is
-            // associative and commutative over the non-NaN values here.
-            .fold(0.0, f64::max)
+            // audit: allow(float-reduction) — reassociation-safe: a
+            // NaN-propagating max is associative and commutative.
+            .fold(0.0, Scalar::max_with)
     }
 
     /// Whether every pair of backends agrees to `tolerance` in the relative
@@ -214,6 +216,21 @@ mod tests {
         assert!(agreement.agrees_within(0.6));
         assert!(agreement.report("b").is_some());
         assert!(agreement.report("missing").is_none());
+    }
+
+    #[test]
+    fn a_pressure_with_nan_cells_never_agrees() {
+        let dims = Dims::new(2, 2, 2);
+        let mut poisoned = fake_report("b", 1.0);
+        for k in (0..dims.num_cells()).step_by(2) {
+            poisoned.pressure.set(k, f64::NAN);
+        }
+        let agreement =
+            AgreementReport::from_reports("test", dims, vec![fake_report("a", 1.0), poisoned]);
+        assert!(agreement.max_pairwise_diff().is_nan());
+        assert!(agreement.max_pairwise_rel_diff().is_nan());
+        assert!(!agreement.agrees_within(1e-3));
+        assert!(!agreement.agrees_within(f64::INFINITY));
     }
 
     #[test]

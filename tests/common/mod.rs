@@ -16,25 +16,26 @@
 //! MFFV_BLESS=1 cargo test --test table_reproduction --test golden_differential
 //! ```
 //!
-//! Checksums are FNV-1a over the IEEE bit patterns, so a fixture pins the
-//! *exact* floating-point trajectory: any silent numerical drift across the
-//! hundreds of chained solves of a transient run fails the comparison, while
-//! every platform computing correct IEEE arithmetic (Rust never reassociates
-//! floats, and `mul_add` has exact fused semantics everywhere) reproduces it.
+//! Checksums hash the IEEE bit patterns (see [`values_checksum`] for the
+//! hash), so a fixture pins the *exact* floating-point trajectory: any
+//! silent numerical drift across the hundreds of chained solves of a
+//! transient run fails the comparison, while every platform computing
+//! correct IEEE arithmetic (Rust never reassociates floats, and `mul_add`
+//! has exact fused semantics everywhere) reproduces it.
 
 #![allow(dead_code)]
 
 use mffv_mesh::CellField;
 use std::path::PathBuf;
 
-/// FNV-1a (64-bit) over the IEEE bit patterns of a field — the bitwise
+/// [`values_checksum`] over the IEEE bit patterns of a field — the bitwise
 /// fingerprint golden fixtures pin.
 pub fn field_checksum(field: &CellField<f64>) -> String {
     fields_checksum(std::iter::once(field))
 }
 
-/// FNV-1a (64-bit) chained over several fields in order — fingerprints a
-/// whole pressure *trajectory*.
+/// [`values_checksum`] chained over several fields in order — fingerprints
+/// a whole pressure *trajectory*.
 pub fn fields_checksum<'a>(fields: impl IntoIterator<Item = &'a CellField<f64>>) -> String {
     values_checksum(
         fields
@@ -43,7 +44,13 @@ pub fn fields_checksum<'a>(fields: impl IntoIterator<Item = &'a CellField<f64>>)
     )
 }
 
-/// FNV-1a (64-bit) over the IEEE bit patterns of a sequence of values.
+/// A 64-bit checksum of the IEEE bit patterns of a sequence of values: each
+/// value's eight little-endian bytes are xored in and multiplied by
+/// `0x1000_0000_01b3` (17 592 186 044 851), starting from FNV-1a's offset
+/// basis.  It is FNV-1a's shape with another multiplier: FNV-1a's 64-bit
+/// prime, which `mffv_mesh::Fnv1a` uses, is `0x100_0000_01b3`
+/// (1 099 511 628 211).  Every checksum under `tests/golden/` was blessed
+/// with this multiplier, so changing it rewrites all of them.
 pub fn values_checksum(values: impl IntoIterator<Item = f64>) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for v in values {
@@ -55,8 +62,9 @@ pub fn values_checksum(values: impl IntoIterator<Item = f64>) -> String {
     format!("{hash:016x}")
 }
 
-/// FNV-1a over every step's mass ledger, in step order: its accumulation
-/// rate, boundary inflow, transient-equation residual and well rates.
+/// [`values_checksum`] over every step's mass ledger, in step order: its
+/// accumulation rate, boundary inflow, transient-equation residual and well
+/// rates.
 pub fn step_ledger_checksum(report: &mffv::TransientReport) -> String {
     values_checksum(report.steps.iter().flat_map(|step| {
         [

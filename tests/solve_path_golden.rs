@@ -14,8 +14,9 @@
 //!   a scheduled well, so the step operator's diagonal shift changes every
 //!   step, and each step's mass ledger.
 //!
-//! Each record pins the iteration count and FNV-1a checksums of the
-//! convergence history and the pressure.  Regenerate with `MFFV_BLESS=1`
+//! Each record pins the iteration count and checksums of the convergence
+//! history and the pressure (`common::values_checksum`, whose multiplier is
+//! `0x1000_0000_01b3`, not FNV-1a's prime).  Regenerate with `MFFV_BLESS=1`
 //! (see `tests/common/mod.rs`) only after a reviewed numerical change.
 
 use mffv::prelude::*;
@@ -49,7 +50,7 @@ fn history_field(history: &ConvergenceHistory) -> CellField<f64> {
     )
 }
 
-/// FNV-1a over the bit patterns of a convergence history's `rᵀr` entries.
+/// The golden checksum of a convergence history's `rᵀr` bit patterns.
 fn history_checksum(history: &ConvergenceHistory) -> String {
     common::field_checksum(&history_field(history))
 }
