@@ -12,7 +12,10 @@
 //! * `gpu-ref` and `dataflow` steady solves under every preconditioner;
 //! * `host-f64` transients under Jacobi and multigrid with a ramped `dt` and
 //!   a scheduled well, so the step operator's diagonal shift changes every
-//!   step, and each step's mass ledger.
+//!   step, and each step's mass ledger;
+//! * fixed-`dt` `host-f64` multigrid transients on the eleven-slab field,
+//!   whose hierarchy has three levels and odd extents, one sealed and one
+//!   with X-face Dirichlet cells, at 1 and 3 apply threads.
 //!
 //! Each record pins the iteration count and checksums of the convergence
 //! history and the pressure (`common::values_checksum`, whose multiplier is
@@ -214,6 +217,72 @@ fn ramped_preconditioned_transients_match_the_pinned_fixtures() {
                 common::field_checksum(report.final_pressure()),
             )
             .check();
+    }
+}
+
+/// A fixed-`dt`, 3-step multigrid transient on [`eleven_slab_spec`]'s field
+/// with `boundary`, a rate injector and a BHP producer, at `threads` apply
+/// threads.  The hierarchy has three levels (45×40×24, 23×20×12, 12×10×6),
+/// and the odd extents make the transfers clamp.
+fn three_level_transient(boundary: BoundarySpec, threads: usize) -> TransientReport {
+    let workload = WorkloadSpec {
+        boundary,
+        ..eleven_slab_spec()
+    }
+    .build();
+    let spec = TransientSpec::new(3.0, 1.0, 1e-3)
+        .with_wells(
+            WellSet::empty()
+                .with(Well::rate("inj", CellIndex::new(10, 12, 20), 1.5))
+                .with(Well::bhp("prod", CellIndex::new(36, 30, 4), 6.0, 0.8)),
+        )
+        .with_initial_pressure(9.0);
+    Simulation::new(workload)
+        .preconditioner(PreconditionerKind::Mg)
+        .threads(threads)
+        .transient(&spec)
+        .unwrap()
+}
+
+fn three_level_record(name: &str, report: &TransientReport) -> common::Golden {
+    let histories: Vec<CellField<f64>> = report
+        .steps
+        .iter()
+        .map(|s| history_field(&s.report.history))
+        .collect();
+    common::Golden::new(name)
+        .str("backend", &report.backend)
+        .int("steps", report.num_steps())
+        .int("total_iterations", report.total_iterations())
+        .str("history_checksum", common::fields_checksum(&histories))
+        .str(
+            "trajectory_checksum",
+            common::fields_checksum(report.steps.iter().map(|s| &s.report.pressure)),
+        )
+        .str("ledger_checksum", common::step_ledger_checksum(report))
+}
+
+#[test]
+fn three_level_mg_transients_match_the_pinned_fixtures_at_1_and_3_threads() {
+    let cases = [
+        ("sealed", BoundarySpec::None),
+        (
+            "xfaces",
+            BoundarySpec::XFaces {
+                left_pressure: 10.0,
+                right_pressure: 8.0,
+            },
+        ),
+    ];
+    for (label, boundary) in cases {
+        let name = format!("transient_host_f64_mg_45x40x24_{label}");
+        let one = three_level_transient(boundary.clone(), 1);
+        assert!(one.all_converged(), "{name}");
+        assert_eq!(one.num_steps(), 3, "{name}");
+        let one = three_level_record(&name, &one);
+        let three = three_level_record(&name, &three_level_transient(boundary, 3));
+        assert_eq!(one.to_json(), three.to_json(), "{name}: 1 vs 3 threads");
+        one.check();
     }
 }
 
