@@ -12,6 +12,12 @@
 //! `speedup_vs_cg` uses it; `seconds_median`, `seconds_q1` and `seconds_q3`
 //! give the spread of the same rounds (nearest rank).
 //!
+//! Each size and precision also gets one `vcycle` row: the time of one
+//! V-cycle on the Newton right-hand side, and `fine_applies`, that time over
+//! the time of one fine-level operator apply (both per call, from rounds of
+//! [`CALLS_PER_ROUND`] calls).  A V(2,2) cycle's work model is about five
+//! fine applies.
+//!
 //! ```text
 //! cargo run --release -p mffv-bench --bin mg_bench -- \
 //!     --sizes 32,64,128 --reps 3 --out BENCH_mg.json
@@ -23,7 +29,12 @@
 
 use mffv::prelude::*;
 use mffv_bench::{machine_json, time_spread, Flags, Timing};
+use mffv_fv::{newton_rhs, residual};
 use mffv_solver::newton::{solve_pressure, NewtonScratch};
+
+/// Calls in each timed round of a `vcycle` row, so that a small grid's round
+/// is more than a few timer ticks.
+const CALLS_PER_ROUND: usize = 10;
 
 /// One measured solve configuration.
 struct Row {
@@ -54,12 +65,54 @@ impl Row {
     }
 }
 
+/// One V-cycle's cost, alone and in fine-level applies.
+struct CycleRow {
+    precision: &'static str,
+    n: usize,
+    cells: usize,
+    levels: usize,
+    time: Timing,
+    fine_applies: f64,
+}
+
+impl CycleRow {
+    fn json(&self) -> String {
+        format!(
+            "    {{\"method\": \"vcycle\", \"precision\": \"{}\", \"n\": {}, \"cells\": {}, \
+             \"levels\": {}, {}, \"fine_applies\": {:.3}}}",
+            self.precision,
+            self.n,
+            self.cells,
+            self.levels,
+            self.time.json(),
+            self.fine_applies
+        )
+    }
+}
+
+/// [`time_spread`] of rounds of [`CALLS_PER_ROUND`] calls of `f`, per call.
+fn per_call(reps: usize, mut f: impl FnMut()) -> Timing {
+    let t = time_spread(reps, || {
+        for _ in 0..CALLS_PER_ROUND {
+            f();
+        }
+    });
+    let calls = CALLS_PER_ROUND as f64;
+    Timing {
+        best: t.best / calls,
+        q1: t.q1 / calls,
+        median: t.median / calls,
+        q3: t.q3 / calls,
+    }
+}
+
 fn bench_precision<T: Scalar>(
     workload: &Workload,
     n: usize,
     precision: &'static str,
     reps: usize,
     rows: &mut Vec<Row>,
+    cycles: &mut Vec<CycleRow>,
 ) {
     let cells = workload.dims().num_cells();
     let tolerance = workload.tolerance();
@@ -107,6 +160,25 @@ fn bench_precision<T: Scalar>(
             speedup_vs_cg: cg_seconds / time.best,
         });
     }
+
+    // One V-cycle against one fine apply, on the Newton right-hand side.
+    let mut r = residual(
+        &workload.initial_pressure(),
+        operator.coefficients(),
+        workload.dirichlet(),
+    );
+    newton_rhs(&mut r, workload.dirichlet());
+    let mut z = CellField::zeros(workload.dims());
+    let time = per_call(reps, || mg.apply(&r, &mut z));
+    let apply = per_call(reps, || operator.apply(&r, &mut z));
+    cycles.push(CycleRow {
+        precision,
+        n,
+        cells,
+        levels: mg.num_levels(),
+        time,
+        fine_applies: time.best / apply.best,
+    });
 }
 
 fn main() {
@@ -117,6 +189,7 @@ fn main() {
     let check = flags.switch("--check");
     flags.finish();
     let mut rows: Vec<Row> = Vec::new();
+    let mut cycles: Vec<CycleRow> = Vec::new();
     for &n in &sizes {
         let workload = WorkloadSpec::paper_grid(n, n, n).build();
         let levels =
@@ -126,8 +199,8 @@ fn main() {
             workload.dims().num_cells(),
             levels
         );
-        bench_precision::<f32>(&workload, n, "f32", reps, &mut rows);
-        bench_precision::<f64>(&workload, n, "f64", reps, &mut rows);
+        bench_precision::<f32>(&workload, n, "f32", reps, &mut rows, &mut cycles);
+        bench_precision::<f64>(&workload, n, "f64", reps, &mut rows, &mut cycles);
     }
 
     for row in &rows {
@@ -142,8 +215,24 @@ fn main() {
             row.speedup_vs_cg
         );
     }
+    for row in &cycles {
+        println!(
+            "  {:>10} {} {:>4}^3  {:>6} levels {:>9.3} ms (median {:.3})  {:>6.2} fine applies",
+            "vcycle",
+            row.precision,
+            row.n,
+            row.levels,
+            row.time.best * 1e3,
+            row.time.median * 1e3,
+            row.fine_applies
+        );
+    }
 
-    let result_lines: Vec<String> = rows.iter().map(Row::json).collect();
+    let result_lines: Vec<String> = rows
+        .iter()
+        .map(Row::json)
+        .chain(cycles.iter().map(CycleRow::json))
+        .collect();
     let json = format!(
         "{{\n  \"bench\": \"mg\",\n  \"machine\": {},\n  \"sizes\": {sizes:?},\n  \"reps\": {reps},\n  \"threads\": 1,\n  \
          \"results\": [\n{}\n  ]\n}}\n",

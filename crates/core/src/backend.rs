@@ -214,8 +214,8 @@ impl DataflowBackend {
         // and initial condition from the host as well): r₀ and the rhs columns.
         let coeffs32 = workload.transmissibility().convert::<f32>();
         let p0: CellField<f32> = workload.initial_pressure();
-        let r0 = residual(&p0, &coeffs32, workload.dirichlet());
-        let rhs = newton_rhs(&r0, workload.dirichlet());
+        let mut rhs = residual(&p0, &coeffs32, workload.dirichlet());
+        newton_rhs(&mut rhs, workload.dirichlet());
         for (idx, bufs) in buffers.iter().enumerate() {
             let pe_id = fabric.dims().unlinear(idx);
             let column = rhs.column(pe_id.x, pe_id.y);

@@ -41,7 +41,7 @@ pub use operator::{LinearOperator, Preconditioner};
 pub use plan::{
     det_dot, det_norm_squared, PlanStats, StencilPlan, APPLY_STREAMS_PER_CELL, SLAB_CELLS,
 };
-pub use residual::{newton_rhs, newton_rhs_into, residual, residual_into};
+pub use residual::{newton_rhs, residual, residual_into};
 pub use velocity::FluxField;
 // The small-scale deterministic folds live in `mffv-mesh` (the bottom of the
 // crate stack, so mesh itself can use them without a cycle); re-exported here
@@ -59,6 +59,6 @@ pub mod prelude {
     pub use crate::plan::{
         det_dot, det_norm_squared, PlanStats, StencilPlan, APPLY_STREAMS_PER_CELL, SLAB_CELLS,
     };
-    pub use crate::residual::{newton_rhs, newton_rhs_into, residual, residual_into};
+    pub use crate::residual::{newton_rhs, residual, residual_into};
     pub use crate::velocity::{cell_velocity, FluxField};
 }

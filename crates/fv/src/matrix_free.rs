@@ -94,13 +94,23 @@ impl<T: Scalar> MatrixFreeOperator<T> {
     /// rebuilding the coefficient table or the stencil plan.
     pub fn set_diagonal_shift(&mut self, diag: &CellField<f64>) {
         assert_eq!(diag.dims(), self.dims, "diagonal shift dimension mismatch");
-        let mut values: Vec<T> = diag.as_slice().iter().map(|&v| T::from_f64(v)).collect();
-        for (k, v) in values.iter_mut().enumerate() {
-            if self.dirichlet_mask[k] {
-                *v = T::ZERO;
-            }
+        self.set_diagonal_shift_with(|k| diag.get(k));
+    }
+
+    /// [`set_diagonal_shift`](Self::set_diagonal_shift) from the shift's
+    /// value at each linear cell index, read only on non-Dirichlet rows and
+    /// converted to `T` there.  The shift is written into the operator's own
+    /// array, which only the first install allocates.
+    pub fn set_diagonal_shift_with(&mut self, shift: impl Fn(usize) -> f64) {
+        let n = self.dims.num_cells();
+        let values = self.diagonal.get_or_insert_with(|| vec![T::ZERO; n]);
+        for (k, (v, &dirichlet)) in values.iter_mut().zip(&self.dirichlet_mask).enumerate() {
+            *v = if dirichlet {
+                T::ZERO
+            } else {
+                T::from_f64(shift(k))
+            };
         }
-        self.diagonal = Some(values);
     }
 
     /// The active diagonal shift, when one is set.
@@ -109,13 +119,22 @@ impl<T: Scalar> MatrixFreeOperator<T> {
     }
 
     /// `1/diag(A)` of the operator as it stands, diagonal shift included
-    /// (see [`inverse_diagonal`]): what Jacobi and every smoother apply.
+    /// (see [`inverse_diagonal_into`]): what Jacobi and every smoother apply.
     pub fn inverse_diagonal(&self) -> Vec<T> {
-        inverse_diagonal(
+        let mut inv = vec![T::ONE; self.dims.num_cells()];
+        self.inverse_diagonal_into(&mut inv);
+        inv
+    }
+
+    /// [`inverse_diagonal`](Self::inverse_diagonal) into a caller-owned
+    /// slice of one entry per cell, every entry overwritten.
+    pub fn inverse_diagonal_into(&self, out: &mut [T]) {
+        inverse_diagonal_into(
             &self.coeffs,
             |k| self.dirichlet_mask[k],
             self.diagonal.as_deref(),
-        )
+            out,
+        );
     }
 
     /// The precomputed stencil execution plan.
@@ -228,14 +247,21 @@ impl<T: Scalar> MatrixFreeOperator<T> {
 
 /// The inverse diagonal `1/(row_sum(k) + shift[k])` of the SPD operator of a
 /// coefficient table, a Dirichlet predicate and an optional diagonal shift,
-/// with 1 on Dirichlet rows and on rows whose sum is not positive.
-pub fn inverse_diagonal<T: Scalar>(
+/// with 1 on Dirichlet rows and on rows whose sum is not positive, written
+/// into `out` (one entry per cell, every entry overwritten).
+pub fn inverse_diagonal_into<T: Scalar>(
     coeffs: &Transmissibilities<T>,
     is_dirichlet: impl Fn(usize) -> bool,
     shift: Option<&[T]>,
-) -> Vec<T> {
-    let mut inv = vec![T::ONE; coeffs.dims().num_cells()];
-    for (k, inv_k) in inv.iter_mut().enumerate() {
+    out: &mut [T],
+) {
+    assert_eq!(
+        out.len(),
+        coeffs.dims().num_cells(),
+        "inverse diagonal length mismatch"
+    );
+    for (k, inv_k) in out.iter_mut().enumerate() {
+        *inv_k = T::ONE;
         if is_dirichlet(k) {
             continue;
         }
@@ -250,7 +276,6 @@ pub fn inverse_diagonal<T: Scalar>(
             *inv_k = T::ONE / acc;
         }
     }
-    inv
 }
 
 impl<T: Scalar> LinearOperator<T> for MatrixFreeOperator<T> {
@@ -456,7 +481,7 @@ mod tests {
     }
 
     /// The neighbour loop `JacobiPreconditioner::from_coefficients` ran
-    /// before it shared [`inverse_diagonal`].
+    /// before it shared [`inverse_diagonal_into`].
     fn neighbour_loop_reference<T: Scalar>(
         coeffs: &Transmissibilities<T>,
         dirichlet: &DirichletSet,
@@ -486,7 +511,7 @@ mod tests {
     }
 
     /// The shifted-Jacobi closure the solve context ran before it shared
-    /// [`inverse_diagonal`].
+    /// [`inverse_diagonal_into`].
     fn shifted_row_sum_reference<T: Scalar>(
         op: &MatrixFreeOperator<T>,
         shift: &CellField<f64>,

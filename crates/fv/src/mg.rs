@@ -40,18 +40,30 @@
 //!
 //! ## Cycle
 //!
+//! * **Level 0 runs in the caller's buffers**: the cycle reads the Krylov
+//!   loop's `r` and writes its `z`, with no copy in or out.  For finite `r`,
+//!   `r`'s Dirichlet entries are ignored: their smoother weights are +0, the
+//!   level-0 residual is zeroed on Dirichlet rows before restriction, and
+//!   `z` is +0 there.  Every coarser level owns its right-hand side and
+//!   correction.
 //! * **Smoother**: weighted Jacobi `z ← z + ω D⁻¹ (r − A z)` with ω = 2/3 —
 //!   symmetric, colouring-free, and built on the planned `apply` kernel so
 //!   smoothing inherits the bitwise thread-count independence of the fine
-//!   operator.
+//!   operator.  Each level precomputes its weights `ω·D⁻¹`, +0 on Dirichlet
+//!   rows, and its list of Dirichlet cells, so a sweep is the apply plus one
+//!   branch-free slice loop, and zeroing a level's Dirichlet rows walks the
+//!   list.
 //! * **Transfer**: trilinear prolongation (per-axis weights ¾/¼, clamped at
 //!   boundaries) and its exact transpose as full-weighting restriction.  Both
 //!   run as branch-free precomputed-weight sweeps in fixed cell order, so
 //!   they are bitwise deterministic and never appear in a float-reduction
-//!   context (see AUDIT.md on blessed reduction homes).
+//!   context (see AUDIT.md on blessed reduction homes).  Prolongation sums
+//!   each of the four coarse x-lines around a fine line once, into a line
+//!   buffer, and interpolates along x from those line sums.
 //! * **Coarsest level** (≤ [`SLAB_CELLS`] cells): unpreconditioned CG on the
-//!   level operator's fused kernels, driven to a tight relative tolerance so
-//!   the V-cycle stays (numerically) a fixed linear operation.
+//!   level operator's fused kernels, in a residual and direction buffer of
+//!   its own, driven to a tight relative tolerance so the V-cycle stays
+//!   (numerically) a fixed linear operation.
 //!
 //! The V-cycle uses the same pre- and post-smoother, `R = Pᵀ` and symmetric
 //! level operators, so `M⁻¹` is symmetric — the property PCG needs and the
@@ -60,7 +72,7 @@
 use crate::matrix_free::MatrixFreeOperator;
 use crate::operator::{LinearOperator, Preconditioner};
 use crate::plan::{det_norm_squared, SLAB_CELLS};
-use mffv_mesh::{CellField, Dims, Direction, DirichletSet, Scalar};
+use mffv_mesh::{CellField, CellIndex, Dims, Direction, DirichletSet, Scalar};
 use mffv_telemetry::Span;
 use std::cell::RefCell;
 
@@ -146,6 +158,13 @@ impl<T: Scalar> Transfer<T> {
         }
     }
 
+    /// The fine x-lines in order, each with its y and z weights.
+    fn fine_lines(&self) -> impl Iterator<Item = (&AxisWeights<T>, &AxisWeights<T>)> {
+        self.z
+            .iter()
+            .flat_map(move |wz| self.y.iter().map(move |wy| (wy, wz)))
+    }
+
     /// Full-weighting restriction `rc = Pᵀ rf`: a fixed-order scatter of each
     /// fine cell into its (up to) eight coarse neighbours.  Sequential and
     /// branch-free in the inner loop, so bitwise deterministic for every
@@ -186,72 +205,130 @@ impl<T: Scalar> Transfer<T> {
         }
     }
 
-    /// Trilinear prolongation-and-correct `zf += P ec`: a fixed-order gather
-    /// of the eight surrounding coarse values into each fine cell.
-    fn prolong_add(&self, coarse: &CellField<T>, fine: &mut CellField<T>) {
+    /// Trilinear prolongation-and-correct `zf += P ec`.  For each fine
+    /// x-line, the weighted sum of its four surrounding coarse x-lines is
+    /// formed once per coarse x index into `line`, in the order a per-cell
+    /// gather of the eight coarse values would sum them; each fine cell then
+    /// interpolates along x from the two line sums it sits between.
+    fn prolong_add(&self, coarse: &CellField<T>, fine: &mut CellField<T>, line: &mut [T]) {
         let cd = self.coarse_dims;
-        let cys = cd.nx;
-        let czs = cd.nx * cd.ny;
+        let (cnx, czs) = (cd.nx, cd.nx * cd.ny);
         let ec = coarse.as_slice();
-        let zf = fine.as_mut_slice();
-        let mut f = 0usize;
-        for wz in &self.z {
-            for wy in &self.y {
-                let base00 = wy.lo * cys + wz.lo * czs;
-                let base01 = wy.lo * cys + wz.hi * czs;
-                let base10 = wy.hi * cys + wz.lo * czs;
-                let base11 = wy.hi * cys + wz.hi * czs;
-                let w00 = wy.w_lo * wz.w_lo;
-                let w01 = wy.w_lo * wz.w_hi;
-                let w10 = wy.w_hi * wz.w_lo;
-                let w11 = wy.w_hi * wz.w_hi;
-                for wx in &self.x {
-                    let lo = w00 * ec[base00 + wx.lo]
-                        + w10 * ec[base10 + wx.lo]
-                        + w01 * ec[base01 + wx.lo]
-                        + w11 * ec[base11 + wx.lo];
-                    let hi = w00 * ec[base00 + wx.hi]
-                        + w10 * ec[base10 + wx.hi]
-                        + w01 * ec[base01 + wx.hi]
-                        + w11 * ec[base11 + wx.hi];
-                    zf[f] += wx.w_lo * lo + wx.w_hi * hi;
-                    f += 1;
-                }
+        let line = &mut line[..cnx];
+        let rows = fine.as_mut_slice().chunks_exact_mut(self.x.len());
+        for (zf, (wy, wz)) in rows.zip(self.fine_lines()) {
+            let coarse_line = |y: usize, z: usize| {
+                let start = y * cnx + z * czs;
+                &ec[start..start + cnx]
+            };
+            let (c00, c01) = (coarse_line(wy.lo, wz.lo), coarse_line(wy.lo, wz.hi));
+            let (c10, c11) = (coarse_line(wy.hi, wz.lo), coarse_line(wy.hi, wz.hi));
+            let w00 = wy.w_lo * wz.w_lo;
+            let w01 = wy.w_lo * wz.w_hi;
+            let w10 = wy.w_hi * wz.w_lo;
+            let w11 = wy.w_hi * wz.w_hi;
+            for (sum, ((&a, &b), (&c, &d))) in line
+                .iter_mut()
+                .zip(c00.iter().zip(c10).zip(c01.iter().zip(c11)))
+            {
+                *sum = w00 * a + w10 * b + w01 * c + w11 * d;
+            }
+            for (z, wx) in zf.iter_mut().zip(&self.x) {
+                *z += wx.w_lo * line[wx.lo] + wx.w_hi * line[wx.hi];
             }
         }
     }
 }
 
-/// One level of the hierarchy: a planned 7-point operator plus the smoother
-/// diagonal and (except on the coarsest level) the transfer downward.
+/// One level of the hierarchy: a planned 7-point operator, the smoother's
+/// weights, the level's Dirichlet cells and (except on the coarsest level)
+/// the transfer downward.
 #[derive(Clone, Debug)]
 struct MgLevel<T: Scalar> {
     operator: MatrixFreeOperator<T>,
-    /// `1/diag(A)` with 1 on Dirichlet rows (and on degenerate rows).
-    inv_diag: Vec<T>,
+    /// `ω/diag(A)` (the operator's inverse diagonal times ω), +0 on
+    /// Dirichlet rows.
+    weights: Vec<T>,
+    /// The Dirichlet cells' linear indices, in increasing order.
+    dirichlet: Vec<usize>,
     transfer: Option<Transfer<T>>,
 }
 
 impl<T: Scalar> MgLevel<T> {
     fn new(operator: MatrixFreeOperator<T>) -> Self {
-        Self {
-            inv_diag: operator.inverse_diagonal(),
+        let cells = operator.dims().num_cells();
+        let mut level = Self {
+            weights: vec![T::ZERO; cells],
+            dirichlet: (0..cells).filter(|&k| operator.is_dirichlet(k)).collect(),
             operator,
             transfer: None,
+        };
+        level.update_weights();
+        level
+    }
+
+    /// Rewrite the smoother weights in place from the operator as it stands:
+    /// `ω · inv_diag` (the product a sweep formed per cell before the weights
+    /// were stored), then +0 on Dirichlet rows.
+    fn update_weights(&mut self) {
+        let omega = T::from_f64(OMEGA);
+        self.operator.inverse_diagonal_into(&mut self.weights);
+        for w in &mut self.weights {
+            *w = omega * *w;
         }
+        zero_rows(&self.dirichlet, &mut self.weights);
     }
 }
 
-/// Per-level scratch vectors, reused across applies so a V-cycle allocates
-/// nothing.  Every buffer is fully overwritten before use.
+/// Set the `rows` entries of `values` to +0.
+fn zero_rows<T: Scalar>(rows: &[usize], values: &mut [T]) {
+    for &k in rows {
+        values[k] = T::ZERO;
+    }
+}
+
+/// The right-hand side, correction and `A z` scratch of one level below
+/// level 0.
 #[derive(Clone, Debug)]
-struct LevelWorkspace<T: Scalar> {
-    /// The level's right-hand side (the restricted residual).
+struct CoarseFields<T: Scalar> {
+    /// The level's right-hand side: the restricted residual.
     r: CellField<T>,
-    /// The level's solution / correction.
+    /// The level's correction.
     z: CellField<T>,
-    /// `A z` scratch, reused to hold the pre-smoothed residual.
+    /// `A z` scratch, reused to hold the level's residual.
     ax: CellField<T>,
+}
+
+/// Scratch the cycle shares across levels.
+#[derive(Clone, Debug)]
+struct CycleScratch<T: Scalar> {
+    /// Prolongation's line sums, as long as the longest coarse x-line
+    /// (level 1's).
+    line: Vec<T>,
+    /// The coarsest-level CG's residual.
+    residual: CellField<T>,
+    /// The coarsest-level CG's search direction.
+    direction: CellField<T>,
+}
+
+/// Every buffer of the cycle, allocated at build and reused by every cycle,
+/// so a V-cycle allocates nothing.  Every buffer is fully overwritten before
+/// it is read.
+#[derive(Clone, Debug)]
+struct Workspace<T: Scalar> {
+    /// Level 0's `A z` scratch, reused to hold its residual; level 0's `r`
+    /// and `z` are the caller's.
+    fine_ax: CellField<T>,
+    /// Levels 1, 2, …: entry `l − 1` holds level `l`'s fields.
+    coarse: Vec<CoarseFields<T>>,
+    scratch: CycleScratch<T>,
+}
+
+/// One level's vectors as the cycle sees them.
+struct LevelVectors<'a, T: Scalar> {
+    r: &'a CellField<T>,
+    z: &'a mut CellField<T>,
+    ax: &'a mut CellField<T>,
 }
 
 /// The geometric-multigrid V-cycle preconditioner (the tentpole of the MG
@@ -261,11 +338,7 @@ struct LevelWorkspace<T: Scalar> {
 #[derive(Debug)]
 pub struct MultigridVcycle<T: Scalar> {
     levels: Vec<MgLevel<T>>,
-    omega: T,
-    workspace: RefCell<Vec<LevelWorkspace<T>>>,
-    /// The coarsest-level CG's search direction, the one extra buffer that
-    /// level's solve needs beyond its workspace.
-    coarse_direction: RefCell<CellField<T>>,
+    workspace: RefCell<Workspace<T>>,
 }
 
 impl<T: Scalar> MultigridVcycle<T> {
@@ -301,26 +374,31 @@ impl<T: Scalar> MultigridVcycle<T> {
             coarsest.transfer = Some(Transfer::new(fine_dims, coarse_dims));
             levels.push(std::mem::replace(&mut coarsest, MgLevel::new(coarse)));
         }
-        let coarse_direction = RefCell::new(CellField::zeros(coarsest.operator.dims()));
+        let coarsest_dims = coarsest.operator.dims();
         levels.push(coarsest);
-        let workspace = RefCell::new(
-            levels
-                .iter()
-                .map(|l| {
-                    let dims = l.operator.dims();
-                    LevelWorkspace {
-                        r: CellField::zeros(dims),
-                        z: CellField::zeros(dims),
-                        ax: CellField::zeros(dims),
-                    }
-                })
-                .collect(),
-        );
+        let coarse = levels[1..]
+            .iter()
+            .map(|l| {
+                let dims = l.operator.dims();
+                CoarseFields {
+                    r: CellField::zeros(dims),
+                    z: CellField::zeros(dims),
+                    ax: CellField::zeros(dims),
+                }
+            })
+            .collect();
+        let workspace = Workspace {
+            fine_ax: CellField::zeros(levels[0].operator.dims()),
+            coarse,
+            scratch: CycleScratch {
+                line: vec![T::ZERO; levels.get(1).map_or(0, |l| l.operator.dims().nx)],
+                residual: CellField::zeros(coarsest_dims),
+                direction: CellField::zeros(coarsest_dims),
+            },
+        };
         Self {
             levels,
-            omega: T::from_f64(OMEGA),
-            workspace,
-            coarse_direction,
+            workspace: RefCell::new(workspace),
         }
     }
 
@@ -373,140 +451,179 @@ impl<T: Scalar> MultigridVcycle<T> {
     /// transfers are untouched, so swapping the `Δt`-dependent diagonal
     /// between transient steps costs only the diagonal rebuild.
     pub fn set_diagonal_shift(&mut self, diag: &CellField<f64>) {
-        let mut shift = diag.clone();
-        for level in &mut self.levels {
-            level.operator.set_diagonal_shift(&shift);
-            level.inv_diag = level.operator.inverse_diagonal();
-            if let Some(transfer) = &level.transfer {
-                shift = coarsen_shift(&shift, level.operator.dims(), transfer.coarse_dims);
-            }
+        assert_eq!(
+            diag.dims(),
+            self.fine_operator().dims(),
+            "diagonal shift dimension mismatch"
+        );
+        self.set_diagonal_shift_with(|k| diag.get(k));
+    }
+
+    /// [`set_diagonal_shift`](Self::set_diagonal_shift) from the fine
+    /// shift's value at each linear cell index, with no field of its own:
+    /// each level's shift and smoother weights are written into the level's
+    /// own arrays, and a coarse cell's `f64` shift is summed from its
+    /// children's, added in increasing child index order: the values and
+    /// order of a scatter over the finer level's cells, so each level's sums
+    /// keep their bits without an `f64` field per level.
+    pub fn set_diagonal_shift_with(&mut self, shift: impl Fn(usize) -> f64) {
+        for l in 0..self.levels.len() {
+            let (finer, rest) = self.levels.split_at_mut(l);
+            let level = &mut rest[0];
+            let dims = level.operator.dims();
+            level
+                .operator
+                .set_diagonal_shift_with(|k| level_shift(finer, dims, k, &shift));
+            level.update_weights();
         }
     }
 
     /// One V-cycle `z = M⁻¹ r`, with `mg.vcycle` / per-level `mg.level`
     /// telemetry spans when `span` is recording.  Tracing never changes the
     /// arithmetic.
+    ///
+    /// Level 0 runs in `r` and `z` themselves: the cycle reads `r` and
+    /// writes every entry of `z`, copying neither.  For finite `r`, `r`'s
+    /// entries on Dirichlet rows are ignored (`z` is the cycle of `r` with
+    /// them zeroed, bit for bit) and `z` is +0 on those rows.
     pub fn apply_cycle(&self, r: &CellField<T>, z: &mut CellField<T>, span: &Span) {
         let fine_dims = self.levels[0].operator.dims();
         assert_eq!(r.dims(), fine_dims, "residual dimension mismatch");
         assert_eq!(z.dims(), fine_dims, "output dimension mismatch");
         let vspan = span.child("mg.vcycle");
         let mut ws = self.workspace.borrow_mut();
-        // Seed the fine level's rhs; Dirichlet entries are zeroed so every
-        // level solves a homogeneous-Dirichlet error equation.
-        ws[0].r.as_mut_slice().copy_from_slice(r.as_slice());
-        self.zero_dirichlet(0, &mut ws[0].r);
-        self.cycle(0, &mut ws, &vspan);
-        z.as_mut_slice().copy_from_slice(ws[0].z.as_slice());
+        let Workspace {
+            fine_ax,
+            coarse,
+            scratch,
+        } = &mut *ws;
+        let fine = LevelVectors { r, z, ax: fine_ax };
+        self.cycle(0, fine, coarse, scratch, &vspan);
         vspan.finish();
     }
 
-    fn cycle(&self, l: usize, ws: &mut [LevelWorkspace<T>], span: &Span) {
+    /// The cycle from level `l` down: `v` holds level `l`'s vectors and
+    /// `coarse` the fields of the levels below it.
+    fn cycle(
+        &self,
+        l: usize,
+        v: LevelVectors<'_, T>,
+        coarse: &mut [CoarseFields<T>],
+        scratch: &mut CycleScratch<T>,
+        span: &Span,
+    ) {
         let lspan = span.child_on_lane("mg.level", l as u32);
         let level = &self.levels[l];
-        let coarsest = l + 1 == self.levels.len();
-        if coarsest {
-            // audit: allow(panic) — invariant: one workspace per level, ws is never empty here
-            let (head, _) = ws.split_first_mut().expect("workspace per level");
-            self.coarse_solve(level, head);
+        let LevelVectors { r, z, ax } = v;
+        let Some(transfer) = &level.transfer else {
+            // Only the coarsest level has no transfer.
+            Self::coarse_solve(level, r, z, ax, scratch);
             lspan.finish();
             return;
-        }
-        // audit: allow(panic) — invariant: one workspace per level, ws is never empty here
-        let (head, rest) = ws.split_first_mut().expect("workspace per level");
+        };
 
         // Pre-smooth from the zero initial guess: the first sweep collapses
         // to z = ω D⁻¹ r (A·0 = 0), later sweeps do the full correction.
-        head.z.fill(T::ZERO);
-        self.smooth_first(level, &head.r, &mut head.z);
+        Self::smooth_first(level, r, z);
         for _ in 1..PRE_SWEEPS {
-            self.smooth(level, &head.r, &mut head.z, &mut head.ax);
+            Self::smooth(level, r, z, ax);
         }
 
-        // Fine residual rf = r − A z, written into the ax scratch.
-        level.operator.apply(&head.z, &mut head.ax);
-        {
-            let rf = head.ax.as_mut_slice();
-            let r = head.r.as_slice();
-            for k in 0..rf.len() {
-                rf[k] = r[k] - rf[k];
-            }
+        // Fine residual rf = r − A z, written into the ax scratch, and +0 on
+        // Dirichlet rows (where level 0's r may hold anything finite).
+        level.operator.apply(z, ax);
+        for (rf, &r) in ax.as_mut_slice().iter_mut().zip(r.as_slice()) {
+            *rf = r - *rf;
         }
+        zero_rows(&level.dirichlet, ax.as_mut_slice());
 
         // Restrict, recurse, correct.
-        // audit: allow(panic) — invariant: every non-coarsest level was built with a transfer
-        let transfer = level.transfer.as_ref().expect("non-coarsest level");
-        transfer.restrict(&head.ax, &mut rest[0].r);
-        self.zero_dirichlet(l + 1, &mut rest[0].r);
-        self.cycle(l + 1, rest, span);
-        transfer.prolong_add(&rest[0].z, &mut head.z);
-        self.zero_dirichlet(l, &mut head.z);
+        // audit: allow(panic) — invariant: a level with a transfer has a coarser level, and every coarser level has fields
+        let (next, rest) = coarse.split_first_mut().expect("fields per coarse level");
+        transfer.restrict(ax, &mut next.r);
+        zero_rows(&self.levels[l + 1].dirichlet, next.r.as_mut_slice());
+        let lower = LevelVectors {
+            r: &next.r,
+            z: &mut next.z,
+            ax: &mut next.ax,
+        };
+        self.cycle(l + 1, lower, rest, scratch, span);
+        transfer.prolong_add(&next.z, z, &mut scratch.line);
+        zero_rows(&level.dirichlet, z.as_mut_slice());
 
         // Post-smooth (same smoother: the cycle stays symmetric).
         for _ in 0..POST_SWEEPS {
-            self.smooth(level, &head.r, &mut head.z, &mut head.ax);
+            Self::smooth(level, r, z, ax);
         }
         lspan.finish();
     }
 
-    /// One weighted-Jacobi sweep `z ← z + ω D⁻¹ (r − A z)`; Dirichlet rows
-    /// keep their exact value 0.
-    fn smooth(
-        &self,
+    /// One weighted-Jacobi sweep `z ← z + ω D⁻¹ (r − A z)`.  A Dirichlet
+    /// row's weight is +0, so for finite `r` its `z` stays +0.
+    fn smooth(level: &MgLevel<T>, r: &CellField<T>, z: &mut CellField<T>, ax: &mut CellField<T>) {
+        level.operator.apply(z, ax);
+        let zs = z.as_mut_slice().iter_mut();
+        for ((z, &w), (&r, &ax)) in zs
+            .zip(&level.weights)
+            .zip(r.as_slice().iter().zip(ax.as_slice()))
+        {
+            *z += w * (r - ax);
+        }
+    }
+
+    /// The first sweep from z = 0: `z = ω D⁻¹ r` without the operator
+    /// apply, and +0 on Dirichlet rows.
+    fn smooth_first(level: &MgLevel<T>, r: &CellField<T>, z: &mut CellField<T>) {
+        for ((z, &w), &r) in z
+            .as_mut_slice()
+            .iter_mut()
+            .zip(&level.weights)
+            .zip(r.as_slice())
+        {
+            *z = w * r;
+        }
+        zero_rows(&level.dirichlet, z.as_mut_slice());
+    }
+
+    /// Coarsest-level solve `A z = r`: plain CG on the level's fused kernels
+    /// to a tight relative tolerance (floored at the precision's attainable
+    /// accuracy), with the standard breakdown guards so degenerate levels —
+    /// singular operators under an empty Dirichlet set, 1-thin grids — stay
+    /// finite.  The residual starts as `r` with its Dirichlet rows zeroed,
+    /// in the scratch's own buffer (`r` is the caller's on a one-level
+    /// hierarchy); `A d` goes to `ax`.
+    fn coarse_solve(
         level: &MgLevel<T>,
         r: &CellField<T>,
         z: &mut CellField<T>,
         ax: &mut CellField<T>,
+        scratch: &mut CycleScratch<T>,
     ) {
-        level.operator.apply(z, ax);
-        let zs = z.as_mut_slice();
-        let rs = r.as_slice();
-        let axs = ax.as_slice();
-        for k in 0..zs.len() {
-            if !level.operator.is_dirichlet(k) {
-                zs[k] += self.omega * level.inv_diag[k] * (rs[k] - axs[k]);
-            }
-        }
-    }
-
-    /// The first sweep from z = 0: `z = ω D⁻¹ r` without the operator apply.
-    fn smooth_first(&self, level: &MgLevel<T>, r: &CellField<T>, z: &mut CellField<T>) {
-        let zs = z.as_mut_slice();
-        let rs = r.as_slice();
-        for k in 0..zs.len() {
-            if !level.operator.is_dirichlet(k) {
-                zs[k] = self.omega * level.inv_diag[k] * rs[k];
-            }
-        }
-    }
-
-    /// Coarsest-level solve: plain CG on the level's fused kernels to a tight
-    /// relative tolerance (floored at the precision's attainable accuracy),
-    /// with the standard breakdown guards so degenerate levels — singular
-    /// operators under an empty Dirichlet set, 1-thin grids — stay finite.
-    fn coarse_solve(&self, level: &MgLevel<T>, ws: &mut LevelWorkspace<T>) {
-        // CG in preallocated buffers: the residual in place in `ws.r` (the
-        // level's right-hand side is not read again this cycle), `A d` in
-        // `ws.ax` and the direction in `coarse_direction`.
-        ws.z.fill(T::ZERO);
-        let rr0 = det_norm_squared(&ws.r).to_f64();
+        let CycleScratch {
+            residual,
+            direction,
+            ..
+        } = scratch;
+        residual.copy_from(r);
+        zero_rows(&level.dirichlet, residual.as_mut_slice());
+        z.fill(T::ZERO);
+        let rr0 = det_norm_squared(residual).to_f64();
         if rr0 <= 0.0 || !rr0.is_finite() {
             return;
         }
         let eps = T::EPSILON.to_f64() * 8.0;
         let threshold = rr0 * COARSE_RR_REDUCTION.max(eps * eps);
-        let mut direction = self.coarse_direction.borrow_mut();
-        direction.copy_from(&ws.r);
+        direction.copy_from(residual);
         let mut rr = rr0;
         for _ in 0..COARSE_MAX_ITERATIONS {
-            let d_ad = level.operator.apply_dot(&direction, &mut ws.ax).to_f64();
+            let d_ad = level.operator.apply_dot(direction, ax).to_f64();
             if d_ad <= 0.0 || !d_ad.is_finite() {
                 break;
             }
             let alpha = T::from_f64(rr / d_ad);
             let rr_new = level
                 .operator
-                .cg_update(alpha, &direction, &ws.ax, &mut ws.z, &mut ws.r)
+                .cg_update(alpha, direction, ax, z, residual)
                 .to_f64();
             if !rr_new.is_finite() {
                 break;
@@ -515,18 +632,8 @@ impl<T: Scalar> MultigridVcycle<T> {
                 break;
             }
             let beta = T::from_f64(rr_new / rr);
-            direction.xpby(&ws.r, beta);
+            direction.xpby(residual, beta);
             rr = rr_new;
-        }
-    }
-
-    fn zero_dirichlet(&self, l: usize, field: &mut CellField<T>) {
-        let op = &self.levels[l].operator;
-        let fs = field.as_mut_slice();
-        for (k, v) in fs.iter_mut().enumerate() {
-            if op.is_dirichlet(k) {
-                *v = T::ZERO;
-            }
         }
     }
 }
@@ -594,21 +701,40 @@ fn coarsen_dirichlet<T: Scalar>(fine: &MatrixFreeOperator<T>, coarse_dims: Dims)
     coarse
 }
 
-/// Sum a fine diagonal shift into its parents (fixed fine-cell order).
-fn coarsen_shift(fine: &CellField<f64>, fine_dims: Dims, coarse_dims: Dims) -> CellField<f64> {
-    let mut coarse = CellField::zeros(coarse_dims);
-    for c in fine_dims.iter_cells() {
-        let k = fine_dims.linear(c);
-        let parent = coarse_dims.linear(parent_of(c, coarse_dims));
-        let cs = coarse.as_mut_slice();
-        cs[parent] += fine.get(k);
+/// The `f64` diagonal shift of cell `k` on a level of extents `dims`, below
+/// the levels `finer` (finest first; empty for level 0, whose shift is
+/// `fine(k)`): the sum of its children's shifts, added to +0 in increasing
+/// child index order.  That is the order a fixed fine-cell-order scatter
+/// into the parents adds them in, so each level's sums keep their bits
+/// without a field per level.  Children are `2c` and `2c + 1` on each axis,
+/// where they exist: a coarse extent is half the finer one rounded up, so
+/// no child index is clamped.
+fn level_shift<T: Scalar>(
+    finer: &[MgLevel<T>],
+    dims: Dims,
+    k: usize,
+    fine: &impl Fn(usize) -> f64,
+) -> f64 {
+    let Some((child_level, rest)) = finer.split_last() else {
+        return fine(k);
+    };
+    let child_dims = child_level.operator.dims();
+    let c = dims.unlinear(k);
+    let mut sum = 0.0;
+    for z in 2 * c.z..(2 * c.z + 2).min(child_dims.nz) {
+        for y in 2 * c.y..(2 * c.y + 2).min(child_dims.ny) {
+            for x in 2 * c.x..(2 * c.x + 2).min(child_dims.nx) {
+                let child = child_dims.linear(CellIndex::new(x, y, z));
+                sum += level_shift(rest, child_dims, child, fine);
+            }
+        }
     }
-    coarse
+    sum
 }
 
 #[inline]
-fn parent_of(c: mffv_mesh::CellIndex, coarse_dims: Dims) -> mffv_mesh::CellIndex {
-    mffv_mesh::CellIndex::new(
+fn parent_of(c: CellIndex, coarse_dims: Dims) -> CellIndex {
+    CellIndex::new(
         (c.x / 2).min(coarse_dims.nx - 1),
         (c.y / 2).min(coarse_dims.ny - 1),
         (c.z / 2).min(coarse_dims.nz - 1),
@@ -679,7 +805,7 @@ mod tests {
         });
         let ec = CellField::from_fn(coarse, |c| ((c.x * 5 + c.y * 3 + c.z) % 7) as f64 - 3.0);
         let mut p_ec = CellField::zeros(fine);
-        t.prolong_add(&ec, &mut p_ec);
+        t.prolong_add(&ec, &mut p_ec, &mut vec![0.0; coarse.nx]);
         let mut rt_rf = CellField::zeros(coarse);
         t.restrict(&rf, &mut rt_rf);
         let lhs = det_dot(&p_ec, &rf);
@@ -867,6 +993,272 @@ mod tests {
         assert!((a - b).abs() / scale < 1e-8, "asymmetry: {a} vs {b}");
         assert!(det_dot(&r1, &z1) > 0.0);
         assert!(det_dot(&r2, &z2) > 0.0);
+    }
+
+    /// The V-cycle as it stood before the stored smoother weights, the
+    /// prolongation line sums and level 0 in the caller's buffers: a plain
+    /// copy with fresh buffers on every level, for bitwise comparison.
+    fn reference_cycle<T: Scalar>(mg: &MultigridVcycle<T>, r: &CellField<T>) -> CellField<T> {
+        let mut rhs = r.clone();
+        reference_zero_dirichlet(&mg.levels[0].operator, &mut rhs);
+        reference_level(mg, 0, rhs)
+    }
+
+    fn reference_zero_dirichlet<T: Scalar>(op: &MatrixFreeOperator<T>, field: &mut CellField<T>) {
+        for (k, v) in field.as_mut_slice().iter_mut().enumerate() {
+            if op.is_dirichlet(k) {
+                *v = T::ZERO;
+            }
+        }
+    }
+
+    /// One level of [`reference_cycle`]: the correction for `r`.
+    fn reference_level<T: Scalar>(
+        mg: &MultigridVcycle<T>,
+        l: usize,
+        mut r: CellField<T>,
+    ) -> CellField<T> {
+        let op = &mg.levels[l].operator;
+        let dims = op.dims();
+        let omega = T::from_f64(OMEGA);
+        let inv_diag = op.inverse_diagonal();
+        let mut z = CellField::zeros(dims);
+        let mut ax = CellField::zeros(dims);
+        let Some(transfer) = &mg.levels[l].transfer else {
+            reference_coarse_solve(op, &mut r, &mut z);
+            return z;
+        };
+        let smooth = |z: &mut CellField<T>, ax: &mut CellField<T>, r: &CellField<T>| {
+            op.apply(z, ax);
+            for (k, &inv) in inv_diag.iter().enumerate() {
+                if !op.is_dirichlet(k) {
+                    z.set(k, z.get(k) + omega * inv * (r.get(k) - ax.get(k)));
+                }
+            }
+        };
+        for (k, &inv) in inv_diag.iter().enumerate() {
+            if !op.is_dirichlet(k) {
+                z.set(k, omega * inv * r.get(k));
+            }
+        }
+        for _ in 1..PRE_SWEEPS {
+            smooth(&mut z, &mut ax, &r);
+        }
+        op.apply(&z, &mut ax);
+        for k in 0..dims.num_cells() {
+            ax.set(k, r.get(k) - ax.get(k));
+        }
+        let mut rc = CellField::zeros(transfer.coarse_dims);
+        reference_restrict(transfer, &ax, &mut rc);
+        reference_zero_dirichlet(&mg.levels[l + 1].operator, &mut rc);
+        let ec = reference_level(mg, l + 1, rc);
+        reference_prolong_add(transfer, &ec, &mut z);
+        reference_zero_dirichlet(op, &mut z);
+        for _ in 0..POST_SWEEPS {
+            smooth(&mut z, &mut ax, &r);
+        }
+        z
+    }
+
+    /// The per-cell scatter restriction.
+    fn reference_restrict<T: Scalar>(
+        t: &Transfer<T>,
+        fine: &CellField<T>,
+        coarse: &mut CellField<T>,
+    ) {
+        coarse.fill(T::ZERO);
+        let cd = t.coarse_dims;
+        let (cys, czs) = (cd.nx, cd.nx * cd.ny);
+        let (rf, rc) = (fine.as_slice(), coarse.as_mut_slice());
+        let mut f = 0usize;
+        for wz in &t.z {
+            for wy in &t.y {
+                let base00 = wy.lo * cys + wz.lo * czs;
+                let base01 = wy.lo * cys + wz.hi * czs;
+                let base10 = wy.hi * cys + wz.lo * czs;
+                let base11 = wy.hi * cys + wz.hi * czs;
+                let w00 = wy.w_lo * wz.w_lo;
+                let w01 = wy.w_lo * wz.w_hi;
+                let w10 = wy.w_hi * wz.w_lo;
+                let w11 = wy.w_hi * wz.w_hi;
+                for wx in &t.x {
+                    let v = rf[f];
+                    f += 1;
+                    let vl = wx.w_lo * v;
+                    let vh = wx.w_hi * v;
+                    rc[base00 + wx.lo] += w00 * vl;
+                    rc[base00 + wx.hi] += w00 * vh;
+                    rc[base10 + wx.lo] += w10 * vl;
+                    rc[base10 + wx.hi] += w10 * vh;
+                    rc[base01 + wx.lo] += w01 * vl;
+                    rc[base01 + wx.hi] += w01 * vh;
+                    rc[base11 + wx.lo] += w11 * vl;
+                    rc[base11 + wx.hi] += w11 * vh;
+                }
+            }
+        }
+    }
+
+    /// The per-cell gather prolongation: eight coarse values per fine cell.
+    fn reference_prolong_add<T: Scalar>(
+        t: &Transfer<T>,
+        coarse: &CellField<T>,
+        fine: &mut CellField<T>,
+    ) {
+        let cd = t.coarse_dims;
+        let (cys, czs) = (cd.nx, cd.nx * cd.ny);
+        let (ec, zf) = (coarse.as_slice(), fine.as_mut_slice());
+        let mut f = 0usize;
+        for wz in &t.z {
+            for wy in &t.y {
+                let base00 = wy.lo * cys + wz.lo * czs;
+                let base01 = wy.lo * cys + wz.hi * czs;
+                let base10 = wy.hi * cys + wz.lo * czs;
+                let base11 = wy.hi * cys + wz.hi * czs;
+                let w00 = wy.w_lo * wz.w_lo;
+                let w01 = wy.w_lo * wz.w_hi;
+                let w10 = wy.w_hi * wz.w_lo;
+                let w11 = wy.w_hi * wz.w_hi;
+                for wx in &t.x {
+                    let lo = w00 * ec[base00 + wx.lo]
+                        + w10 * ec[base10 + wx.lo]
+                        + w01 * ec[base01 + wx.lo]
+                        + w11 * ec[base11 + wx.lo];
+                    let hi = w00 * ec[base00 + wx.hi]
+                        + w10 * ec[base10 + wx.hi]
+                        + w01 * ec[base01 + wx.hi]
+                        + w11 * ec[base11 + wx.hi];
+                    zf[f] += wx.w_lo * lo + wx.w_hi * hi;
+                    f += 1;
+                }
+            }
+        }
+    }
+
+    /// The coarsest-level CG, with its residual in place in `r`.
+    fn reference_coarse_solve<T: Scalar>(
+        op: &MatrixFreeOperator<T>,
+        r: &mut CellField<T>,
+        z: &mut CellField<T>,
+    ) {
+        z.fill(T::ZERO);
+        let rr0 = det_norm_squared(r).to_f64();
+        if rr0 <= 0.0 || !rr0.is_finite() {
+            return;
+        }
+        let eps = T::EPSILON.to_f64() * 8.0;
+        let threshold = rr0 * COARSE_RR_REDUCTION.max(eps * eps);
+        let mut direction = r.clone();
+        let mut ad = CellField::zeros(op.dims());
+        let mut rr = rr0;
+        for _ in 0..COARSE_MAX_ITERATIONS {
+            let d_ad = op.apply_dot(&direction, &mut ad).to_f64();
+            if d_ad <= 0.0 || !d_ad.is_finite() {
+                break;
+            }
+            let alpha = T::from_f64(rr / d_ad);
+            let rr_new = op.cg_update(alpha, &direction, &ad, z, r).to_f64();
+            if !rr_new.is_finite() || rr_new <= threshold {
+                break;
+            }
+            direction.xpby(r, T::from_f64(rr_new / rr));
+            rr = rr_new;
+        }
+    }
+
+    /// A fine shift summed into its parents in fixed fine-cell order.
+    fn reference_coarsen_shift(fine: &CellField<f64>, coarse_dims: Dims) -> CellField<f64> {
+        let fine_dims = fine.dims();
+        let mut coarse = CellField::zeros(coarse_dims);
+        for c in fine_dims.iter_cells() {
+            let parent = coarse_dims.linear(parent_of(c, coarse_dims));
+            let cs = coarse.as_mut_slice();
+            cs[parent] += fine.get(fine_dims.linear(c));
+        }
+        coarse
+    }
+
+    fn bits<T: Scalar>(values: &[T]) -> Vec<u64> {
+        values.iter().map(|v| v.to_f64().to_bits()).collect()
+    }
+
+    #[test]
+    fn the_cycle_equals_the_plain_reference_cycle_bit_for_bit() {
+        fn check<T: Scalar>(dims: Dims, levels: usize) {
+            let w = test_workload(dims);
+            let dirichlet = |k: usize| w.dirichlet().contains_linear(k);
+            // Mixed signs, +0 and −0 off the Dirichlet cells.
+            let clean = CellField::from_fn(dims, |c| {
+                let k = dims.linear(c);
+                match k % 11 {
+                    _ if dirichlet(k) => T::ZERO,
+                    3 => T::from_f64(-0.0),
+                    7 => T::ZERO,
+                    m => T::from_f64((m as f64 - 5.0) * 0.37 + (k % 7) as f64 * 1e-3),
+                }
+            });
+            // The same r with finite non-zero or −0 entries on Dirichlet rows.
+            let dirty = CellField::from_fn(dims, |c| {
+                let k = dims.linear(c);
+                match k % 4 {
+                    _ if !dirichlet(k) => clean.get(k),
+                    0 => T::from_f64(-0.0),
+                    1 => T::from_f64(3.5),
+                    2 => T::from_f64(-1e3),
+                    _ => T::from_f64(1e-30),
+                }
+            });
+            // Accumulation everywhere, a larger well index at a few cells.
+            let shift = CellField::from_fn(dims, |c| {
+                let well = if dims.linear(c).is_multiple_of(97) {
+                    0.8
+                } else {
+                    0.0
+                };
+                0.05 + (c.x + 2 * c.y + 3 * c.z) as f64 * 1e-3 + well
+            });
+            for shifted in [false, true] {
+                for threads in [1, 3] {
+                    let case = format!("{dims}, shifted {shifted}, {threads} threads");
+                    let mut mg =
+                        MultigridVcycle::<T>::from_workload(&w, threads, MgConfig::default());
+                    assert_eq!(mg.num_levels(), levels, "{case}");
+                    if shifted {
+                        mg.set_diagonal_shift(&shift);
+                        // Each level's shift is its parent-order sum, as a
+                        // field per level would have held it.
+                        let mut want = shift.clone();
+                        for (l, level) in mg.levels.iter().enumerate() {
+                            let got = level.operator.diagonal_shift().expect("installed");
+                            let want_t: Vec<T> = (0..want.len())
+                                .map(|k| {
+                                    if level.operator.is_dirichlet(k) {
+                                        T::ZERO
+                                    } else {
+                                        T::from_f64(want.get(k))
+                                    }
+                                })
+                                .collect();
+                            assert_eq!(bits(got), bits(&want_t), "{case}: level {l} shift");
+                            if let Some(t) = &level.transfer {
+                                want = reference_coarsen_shift(&want, t.coarse_dims);
+                            }
+                        }
+                    }
+                    let want = bits(reference_cycle(&mg, &clean).as_slice());
+                    for (label, r) in [("clean", &clean), ("dirty", &dirty)] {
+                        // A stale output must not leak into the cycle.
+                        let mut z = CellField::constant(dims, T::from_f64(f64::NAN));
+                        mg.apply_cycle(r, &mut z, &Span::null());
+                        assert_eq!(bits(z.as_slice()), want, "{case}: {label} r");
+                    }
+                }
+            }
+        }
+        for (dims, levels) in [(Dims::new(45, 40, 24), 3), (Dims::new(33, 17, 9), 2)] {
+            check::<f64>(dims, levels);
+            check::<f32>(dims, levels);
+        }
     }
 
     #[test]

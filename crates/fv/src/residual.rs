@@ -4,10 +4,10 @@
 //! interfacial fluxes towards its neighbours ([`flux_residual`]); for a
 //! Dirichlet cell it is `p_K − p_K^D`.  Because the single-phase incompressible
 //! problem is linear, one Newton step `J δp = −r(p⁰)` solves it exactly;
-//! [`newton_rhs`] builds the right-hand side of the SPD system actually handed
-//! to CG (see the crate docs' "Sign convention").  A transient step's mass
-//! ledger reads [`flux_residual`] cell by cell instead of a whole residual
-//! field.
+//! [`newton_rhs`] turns the residual, in place, into the right-hand side of
+//! the SPD system actually handed to CG (see the crate docs' "Sign
+//! convention").  A transient step's mass ledger reads [`flux_residual`] cell
+//! by cell instead of a whole residual field.
 
 use crate::flux::interfacial_flux;
 use mffv_mesh::{CellField, CellIndex, Direction, DirichletSet, Scalar, Transmissibilities};
@@ -64,31 +64,14 @@ pub fn flux_residual<T: Scalar>(
     acc
 }
 
-/// The right-hand side of the SPD Newton system `A δp = b` given the residual at the
-/// current pressure: `b_K = r_K` for interior cells and `b_K = 0` for Dirichlet cells
-/// (whose update is pinned to zero because the initial pressure already satisfies the
-/// Dirichlet condition exactly).
-pub fn newton_rhs<T: Scalar>(residual: &CellField<T>, dirichlet: &DirichletSet) -> CellField<T> {
-    let mut b = CellField::zeros(residual.dims());
-    newton_rhs_into(residual, dirichlet, &mut b);
-    b
-}
-
-/// [`newton_rhs`] into a caller-owned buffer — bitwise the same field, zero
-/// allocations.  Every entry of `out` is overwritten.
-pub fn newton_rhs_into<T: Scalar>(
-    residual: &CellField<T>,
-    dirichlet: &DirichletSet,
-    out: &mut CellField<T>,
-) {
+/// Turn the residual at the current pressure into the right-hand side of the SPD
+/// Newton system `A δp = b`, in place: `b_K = r_K` for interior cells and `b_K = 0`
+/// for Dirichlet cells (whose update is pinned to zero because the initial pressure
+/// already satisfies the Dirichlet condition exactly).
+pub fn newton_rhs<T: Scalar>(residual: &mut CellField<T>, dirichlet: &DirichletSet) {
     let dims = residual.dims();
-    assert_eq!(dims, out.dims(), "rhs buffer dimension mismatch");
-    for k in 0..dims.num_cells() {
-        if dirichlet.contains_linear(k) {
-            out.set(k, T::ZERO);
-        } else {
-            out.set(k, residual.get(k));
-        }
+    for d in dirichlet.cells() {
+        residual.set(dims.linear(d.cell), T::ZERO);
     }
 }
 
@@ -153,8 +136,8 @@ mod tests {
     fn newton_rhs_zeroes_dirichlet_rows() {
         let dims = Dims::new(3, 3, 2);
         let dirichlet = DirichletSet::source_producer(dims, 1.0, 0.0);
-        let r = CellField::constant(dims, 4.0);
-        let b = newton_rhs(&r, &dirichlet);
+        let mut b = CellField::constant(dims, 4.0);
+        newton_rhs(&mut b, &dirichlet);
         for k in 0..dims.num_cells() {
             if dirichlet.contains_linear(k) {
                 assert_eq!(b.get(k), 0.0);

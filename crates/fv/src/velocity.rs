@@ -181,8 +181,8 @@ mod tests {
         let w = WorkloadSpec::quickstart().build();
         let op = MatrixFreeOperator::<f64>::from_workload(&w);
         let p0: CellField<f64> = w.initial_pressure();
-        let r = crate::residual::residual(&p0, w.transmissibility(), w.dirichlet());
-        let b = crate::residual::newton_rhs(&r, w.dirichlet());
+        let mut b = crate::residual::residual(&p0, w.transmissibility(), w.dirichlet());
+        crate::residual::newton_rhs(&mut b, w.dirichlet());
         // Plain CG, reimplemented minimally here to avoid a dev-dependency cycle on
         // mffv-solver: the quickstart problem is small enough for a few hundred
         // iterations of the textbook recurrence.

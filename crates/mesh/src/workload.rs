@@ -45,6 +45,69 @@ impl std::fmt::Display for WorkloadError {
 
 impl std::error::Error for WorkloadError {}
 
+/// A [`WorkloadError`] naming `what` unless `value` is finite.
+fn finite(what: &str, value: f64) -> Result<(), WorkloadError> {
+    if value.is_finite() {
+        Ok(())
+    } else {
+        Err(WorkloadError::new(format!(
+            "{what} must be finite, got {value}"
+        )))
+    }
+}
+
+/// A [`WorkloadError`] naming `what` unless `value` is finite and positive.
+fn finite_positive(what: &str, value: f64) -> Result<(), WorkloadError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(WorkloadError::new(format!(
+            "{what} must be finite and positive, got {value}"
+        )))
+    }
+}
+
+/// Reject a permeability model with a non-finite parameter, or with a value
+/// [`PermeabilityModel::generate`] needs positive (or, for `std_log`,
+/// non-negative) that is not.  An empty layer list is left to `generate`,
+/// which panics on it.
+fn validate_permeability(model: &PermeabilityModel) -> Result<(), WorkloadError> {
+    match model {
+        PermeabilityModel::Homogeneous { value } => finite_positive("permeability", *value),
+        PermeabilityModel::Layered { layer_values } => layer_values
+            .iter()
+            .try_for_each(|&v| finite_positive("layer permeability", v)),
+        PermeabilityModel::LogNormal {
+            mean_log, std_log, ..
+        } => {
+            finite("mean_log", *mean_log)?;
+            if std_log.is_finite() && *std_log >= 0.0 {
+                Ok(())
+            } else {
+                Err(WorkloadError::new(format!(
+                    "std_log must be finite and non-negative, got {std_log}"
+                )))
+            }
+        }
+        PermeabilityModel::Channelized {
+            background,
+            channel,
+            num_channels,
+            half_width,
+            amplitude,
+            ..
+        } => {
+            finite_positive("background permeability", *background)?;
+            finite_positive("channel permeability", *channel)?;
+            if *num_channels == 0 {
+                return Err(WorkloadError::new("num_channels must be positive, got 0"));
+            }
+            finite("half_width", *half_width)?;
+            finite("amplitude", *amplitude)
+        }
+    }
+}
+
 /// The CG convergence tolerance used throughout the paper's evaluation (§V-C).
 pub const PAPER_TOLERANCE: f64 = 2e-10;
 
@@ -249,7 +312,24 @@ impl WorkloadSpec {
                 "max_iterations must be non-zero (the solver could never step)",
             ));
         }
-        Ok(())
+        match self.boundary {
+            BoundarySpec::SourceProducer {
+                source_pressure,
+                producer_pressure,
+            } => {
+                finite("source_pressure", source_pressure)?;
+                finite("producer_pressure", producer_pressure)?;
+            }
+            BoundarySpec::XFaces {
+                left_pressure,
+                right_pressure,
+            } => {
+                finite("left_pressure", left_pressure)?;
+                finite("right_pressure", right_pressure)?;
+            }
+            BoundarySpec::None => {}
+        }
+        validate_permeability(&self.permeability)
     }
 
     /// Materialise the spec into a [`Workload`] (computes permeability and
@@ -571,6 +651,88 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("viscosity"));
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_boundary_and_permeability_values() {
+        let base = WorkloadSpec::quickstart();
+        let source_producer = |source_pressure, producer_pressure| BoundarySpec::SourceProducer {
+            source_pressure,
+            producer_pressure,
+        };
+        let x_faces = |left_pressure, right_pressure| BoundarySpec::XFaces {
+            left_pressure,
+            right_pressure,
+        };
+        let lognormal = |mean_log, std_log| PermeabilityModel::LogNormal {
+            mean_log,
+            std_log,
+            seed: 1,
+        };
+        let channels = |background, channel, num_channels, half_width, amplitude| {
+            PermeabilityModel::Channelized {
+                background,
+                channel,
+                num_channels,
+                half_width,
+                amplitude,
+                seed: 1,
+            }
+        };
+        let layered = |layer_values: &[f64]| PermeabilityModel::Layered {
+            layer_values: layer_values.to_vec(),
+        };
+        let boundaries = [
+            ("source_pressure", source_producer(f64::NAN, 0.0)),
+            ("producer_pressure", source_producer(1.0, f64::INFINITY)),
+            ("left_pressure", x_faces(f64::NEG_INFINITY, 0.0)),
+            ("right_pressure", x_faces(1.0, f64::NAN)),
+        ];
+        for (field, boundary) in boundaries {
+            let spec = WorkloadSpec {
+                boundary,
+                ..base.clone()
+            };
+            let e = spec.validate().unwrap_err().to_string();
+            assert!(e.contains(field), "{field}: {e}");
+        }
+        let models = [
+            (
+                "permeability",
+                PermeabilityModel::Homogeneous { value: f64::NAN },
+            ),
+            (
+                "permeability",
+                PermeabilityModel::Homogeneous { value: 0.0 },
+            ),
+            ("layer permeability", layered(&[1.0, f64::INFINITY])),
+            ("layer permeability", layered(&[-1.0])),
+            ("mean_log", lognormal(f64::NAN, 1.0)),
+            ("std_log", lognormal(0.0, f64::INFINITY)),
+            ("std_log", lognormal(0.0, -0.5)),
+            ("background", channels(f64::NAN, 1.0, 2, 1.0, 1.0)),
+            ("channel", channels(1.0, 0.0, 2, 1.0, 1.0)),
+            ("num_channels", channels(1.0, 2.0, 0, 1.0, 1.0)),
+            ("half_width", channels(1.0, 2.0, 2, f64::NAN, 1.0)),
+            ("amplitude", channels(1.0, 2.0, 2, 1.0, f64::INFINITY)),
+        ];
+        for (field, permeability) in models {
+            let spec = WorkloadSpec {
+                permeability: permeability.clone(),
+                ..base.clone()
+            };
+            let e = spec.validate().unwrap_err().to_string();
+            assert!(e.contains(field), "{permeability:?}: {e}");
+            // The same error surfaces instead of `generate`'s panic.
+            assert!(Workload::try_from_spec(&spec).is_err());
+        }
+        // Finite values still pass, negative boundary pressures included.
+        let fine = WorkloadSpec {
+            boundary: x_faces(-1.0, 0.0),
+            permeability: channels(1.0, 2.0, 1, 0.0, 0.0),
+            ..base
+        };
+        assert!(fine.validate().is_ok());
     }
 
     #[test]

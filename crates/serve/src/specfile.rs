@@ -69,10 +69,17 @@ fn err(line: usize, message: impl Into<String>) -> SpecError {
     }
 }
 
+/// A finite number: `nan`, `inf` and values that overflow to infinity are
+/// errors too.
 fn parse_f64(line: usize, token: &str, what: &str) -> Result<f64, SpecError> {
-    token
-        .parse::<f64>()
-        .map_err(|_| err(line, format!("{what}: `{token}` is not a number")))
+    match token.parse::<f64>() {
+        Ok(value) if value.is_finite() => Ok(value),
+        Ok(_) => Err(err(
+            line,
+            format!("{what}: `{token}` is not a finite number"),
+        )),
+        Err(_) => Err(err(line, format!("{what}: `{token}` is not a number"))),
+    }
 }
 
 fn parse_usize(line: usize, token: &str, what: &str) -> Result<usize, SpecError> {
@@ -435,6 +442,21 @@ well = prod bhp 6 6 2 1e6 1e-9
         let e = parse_spec("name = x\nbackend = host\nprecision = f32\n").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("backend = host-f32"), "{e}");
+    }
+
+    #[test]
+    fn non_finite_numbers_are_errors() {
+        for (text, what) in [
+            ("boundary = source-producer nan 0\n", "source_pressure"),
+            ("permeability = homogeneous inf\n", "permeability"),
+            ("viscosity = -inf\n", "viscosity"),
+            ("spacing = 1 1e400 1\n", "spacing"),
+        ] {
+            let e = parse_spec(text).unwrap_err();
+            assert_eq!(e.line, 1, "{text}");
+            assert!(e.message.contains(what), "{text}: {e}");
+            assert!(e.message.contains("not a finite number"), "{text}: {e}");
+        }
     }
 
     #[test]

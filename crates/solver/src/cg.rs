@@ -337,8 +337,8 @@ mod tests {
 
         let mut p0 = CellField::constant(dims, 0.5);
         dirichlet.impose(&mut p0);
-        let r = residual(&p0, &coeffs, &dirichlet);
-        let b = newton_rhs(&r, &dirichlet);
+        let mut b = residual(&p0, &coeffs, &dirichlet);
+        newton_rhs(&mut b, &dirichlet);
         let out = ConjugateGradient::with_tolerance(1e-20, 500).solve(
             &op,
             None,
@@ -368,8 +368,8 @@ mod tests {
         let mf = MatrixFreeOperator::<f64>::from_workload(&w);
         let asm = AssembledOperator::<f64>::from_workload(&w);
         let p0: CellField<f64> = w.initial_pressure();
-        let r = residual(&p0, w.transmissibility(), w.dirichlet());
-        let b = newton_rhs(&r, w.dirichlet());
+        let mut b = residual(&p0, w.transmissibility(), w.dirichlet());
+        newton_rhs(&mut b, w.dirichlet());
         let solver = ConjugateGradient::with_tolerance(1e-18, 500);
         let out_mf = solver.solve(&mf, None, &b, &CellField::zeros(w.dims()), &mut NullMonitor);
         let out_asm = solver.solve(
@@ -422,8 +422,8 @@ mod tests {
         let w = WorkloadSpec::quickstart().build();
         let op = MatrixFreeOperator::<f64>::from_workload(&w);
         let p0: CellField<f64> = w.initial_pressure();
-        let r = residual(&p0, w.transmissibility(), w.dirichlet());
-        let b = newton_rhs(&r, w.dirichlet());
+        let mut b = residual(&p0, w.transmissibility(), w.dirichlet());
+        newton_rhs(&mut b, w.dirichlet());
         let out = ConjugateGradient::with_tolerance(1e-16, 2000).solve(
             &op,
             None,
@@ -441,8 +441,8 @@ mod tests {
         let w = WorkloadSpec::quickstart().build();
         let op = MatrixFreeOperator::<f64>::from_workload(&w);
         let p0: CellField<f64> = w.initial_pressure();
-        let r = residual(&p0, w.transmissibility(), w.dirichlet());
-        let b = newton_rhs(&r, w.dirichlet());
+        let mut b = residual(&p0, w.transmissibility(), w.dirichlet());
+        newton_rhs(&mut b, w.dirichlet());
         let solver = ConjugateGradient::with_tolerance(1e-12, 2000);
         let x0 = CellField::zeros(w.dims());
 
@@ -515,8 +515,8 @@ mod tests {
         let w = WorkloadSpec::quickstart().build();
         let op = MatrixFreeOperator::<f64>::from_workload(&w);
         let p0: CellField<f64> = w.initial_pressure();
-        let r = residual(&p0, w.transmissibility(), w.dirichlet());
-        let b = newton_rhs(&r, w.dirichlet());
+        let mut b = residual(&p0, w.transmissibility(), w.dirichlet());
+        newton_rhs(&mut b, w.dirichlet());
         let solver = ConjugateGradient::with_tolerance(1e-12, 2000);
         let fresh = solver.solve(&op, None, &b, &CellField::zeros(w.dims()), &mut NullMonitor);
 
@@ -554,8 +554,8 @@ mod tests {
         let w = WorkloadSpec::quickstart().scaled(2).build();
         let op = MatrixFreeOperator::<f32>::from_workload(&w);
         let p0: CellField<f32> = w.initial_pressure();
-        let r = residual(&p0, &w.transmissibility().convert(), w.dirichlet());
-        let b = newton_rhs(&r, w.dirichlet());
+        let mut b = residual(&p0, &w.transmissibility().convert(), w.dirichlet());
+        newton_rhs(&mut b, w.dirichlet());
         let out = ConjugateGradient::with_tolerance(1e-10, 2000).solve(
             &op,
             None,

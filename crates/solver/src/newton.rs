@@ -12,19 +12,19 @@
 use crate::cg::{CgScratch, ConjugateGradient};
 use crate::convergence::ConvergenceHistory;
 use crate::monitor::{SolveMonitor, StopReason};
-use mffv_fv::{newton_rhs_into, residual_into, LinearOperator, Preconditioner};
+use mffv_fv::{newton_rhs, residual_into, LinearOperator, Preconditioner};
 use mffv_mesh::{CellField, Dims, Scalar, Transmissibilities, Workload};
 use mffv_telemetry::Span;
 
-/// Reusable buffers of one Newton step: the pressure iterate, the Eq. (3)
-/// residual, the Krylov right-hand side and the [`CgScratch`] of the inner
-/// solve.  Every buffer is fully overwritten before it is read, so reuse is
-/// bitwise invisible.
+/// Reusable buffers of one Newton step: the pressure iterate, one buffer
+/// that holds the Eq. (3) residual and, turned in place, the Krylov
+/// right-hand side, and the [`CgScratch`] of the inner solve.  Every buffer
+/// is fully overwritten before it is read, so reuse is bitwise invisible.
 #[derive(Clone, Debug)]
 pub struct NewtonScratch<T: Scalar> {
     pub(crate) pressure: CellField<T>,
+    /// The residual at the pressure; the right-hand side while CG runs.
     pub(crate) residual: CellField<T>,
-    pub(crate) rhs: CellField<T>,
     pub(crate) cg: CgScratch<T>,
 }
 
@@ -34,7 +34,6 @@ impl<T: Scalar> NewtonScratch<T> {
         Self {
             pressure: CellField::zeros(dims),
             residual: CellField::zeros(dims),
-            rhs: CellField::zeros(dims),
             cg: CgScratch::new(dims),
         }
     }
@@ -70,7 +69,9 @@ impl<T: Scalar> NewtonScratch<T> {
 /// assembled baseline or the GPU reference kernel.  The residual is
 /// evaluated with `coefficients`, so a caller that already holds the
 /// converted table (every operator does) never converts it twice.  The
-/// inner [`ConjugateGradient::solve_into`] starts from zero and threads
+/// residual buffer becomes the right-hand side in place ([`newton_rhs`]) and
+/// goes to CG as is; the inner [`ConjugateGradient::solve_into`] starts from
+/// zero and threads
 /// `monitor`, `span` and `preconditioner` through unchanged; when `monitor`
 /// stops it, the partial Newton update is still applied and the reason is
 /// returned.  Results stay in `buffers`.
@@ -93,11 +94,11 @@ pub fn solve_pressure<T: Scalar, Op: LinearOperator<T>>(
         dirichlet,
         &mut buffers.residual,
     );
-    newton_rhs_into(&buffers.residual, dirichlet, &mut buffers.rhs);
+    newton_rhs(&mut buffers.residual, dirichlet);
     let stopped = solver.solve_into(
         operator,
         preconditioner,
-        &buffers.rhs,
+        &buffers.residual,
         None,
         monitor,
         span,

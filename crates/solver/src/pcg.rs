@@ -11,7 +11,7 @@
 //! win is iteration *count* roughly flat in grid size); the ablation
 //! benchmarks compare all of them against plain CG.
 
-use mffv_fv::matrix_free::inverse_diagonal;
+use mffv_fv::matrix_free::inverse_diagonal_into;
 use mffv_fv::{MatrixFreeOperator, Preconditioner};
 use mffv_mesh::{CellField, Dims, DirichletSet, Scalar, Transmissibilities};
 
@@ -38,23 +38,32 @@ impl<T: Scalar> JacobiPreconditioner<T> {
     /// Build the diagonal of the SPD FV operator directly from the TPFA coefficient
     /// table: `diag_K = Σ_L Υ_KL λ_KL` for interior cells and 1 for Dirichlet cells.
     pub fn from_coefficients(coeffs: &Transmissibilities<T>, dirichlet: &DirichletSet) -> Self {
-        Self {
-            inverse_diagonal: CellField::from_vec(
-                coeffs.dims(),
-                inverse_diagonal(coeffs, |k| dirichlet.contains_linear(k), None),
-            ),
-        }
+        let mut inverse_diagonal = CellField::zeros(coeffs.dims());
+        inverse_diagonal_into(
+            coeffs,
+            |k| dirichlet.contains_linear(k),
+            None,
+            inverse_diagonal.as_mut_slice(),
+        );
+        Self { inverse_diagonal }
     }
 
     /// The Jacobi preconditioner of an operator as it stands, its diagonal
-    /// shift included ([`MatrixFreeOperator::inverse_diagonal`]).
+    /// shift included ([`MatrixFreeOperator::inverse_diagonal_into`]).
     pub fn from_operator(operator: &MatrixFreeOperator<T>) -> Self {
-        Self {
-            inverse_diagonal: CellField::from_vec(
-                operator.coefficients().dims(),
-                operator.inverse_diagonal(),
-            ),
-        }
+        let mut jacobi = Self {
+            inverse_diagonal: CellField::zeros(operator.coefficients().dims()),
+        };
+        jacobi.set_from_operator(operator);
+        jacobi
+    }
+
+    /// In-place form of [`from_operator`](Self::from_operator): rewrite the
+    /// inverse diagonal from `operator` as it stands, into this
+    /// preconditioner's own field.  A step that swaps the operator's
+    /// diagonal shift refreshes its Jacobi preconditioner this way.
+    pub fn set_from_operator(&mut self, operator: &MatrixFreeOperator<T>) {
+        operator.inverse_diagonal_into(self.inverse_diagonal.as_mut_slice());
     }
 
     /// Apply `z = M⁻¹ r`.
@@ -136,8 +145,8 @@ mod tests {
         let op = MatrixFreeOperator::<f64>::from_workload(&w);
         let pc = JacobiPreconditioner::from_coefficients(op.coefficients(), w.dirichlet());
         let p0: CellField<f64> = w.initial_pressure();
-        let r = residual(&p0, w.transmissibility(), w.dirichlet());
-        let b = newton_rhs(&r, w.dirichlet());
+        let mut b = residual(&p0, w.transmissibility(), w.dirichlet());
+        newton_rhs(&mut b, w.dirichlet());
         let x0 = CellField::zeros(w.dims());
 
         let solver = ConjugateGradient::with_tolerance(1e-18, 5000);
@@ -183,8 +192,8 @@ mod tests {
         let op = MatrixFreeOperator::<f64>::from_workload(&w);
         let pc = JacobiPreconditioner::from_coefficients(op.coefficients(), w.dirichlet());
         let p0: CellField<f64> = w.initial_pressure();
-        let r = residual(&p0, w.transmissibility(), w.dirichlet());
-        let b = newton_rhs(&r, w.dirichlet());
+        let mut b = residual(&p0, w.transmissibility(), w.dirichlet());
+        newton_rhs(&mut b, w.dirichlet());
         let solver = ConjugateGradient::with_tolerance(1e-18, 5000);
         let zeros = CellField::zeros(w.dims());
         let fresh = solver.solve(&op, Some(&pc), &b, &zeros, &mut NullMonitor);

@@ -47,7 +47,7 @@ use crate::convergence::ConvergenceHistory;
 use crate::monitor::{SolveMonitor, StopPolicy, StopReason};
 use crate::trace::traced;
 use mffv_fv::residual::flux_residual;
-use mffv_fv::{newton_rhs_into, residual_into};
+use mffv_fv::{newton_rhs, residual_into};
 use mffv_mesh::{CellField, Scalar, TransientSpec, Well, Workload};
 use mffv_telemetry::{Span, Stopwatch};
 
@@ -85,14 +85,20 @@ impl StepRequest<'_> {
             .collect()
     }
 
-    /// The step's diagonal shift `D + W`: accumulation everywhere plus WI
-    /// at the `active` BHP wells.
-    fn diagonal_shift(&self, active: &[(usize, &Well)]) -> CellField<f64> {
-        let mut diag = CellField::constant(self.workload.dims(), self.accumulation_coefficient());
-        for &(k, well) in active {
-            diag.set(k, diag.get(k) + well.diagonal_coefficient());
+    /// The step's diagonal shift `D + W` by linear cell index: accumulation
+    /// everywhere plus, in well order, the WI of each of the `active` wells
+    /// completed in the cell (a rate well's is 0).
+    fn diagonal_shift<'a>(&self, active: &'a [(usize, &Well)]) -> impl Fn(usize) -> f64 + 'a {
+        let accumulation = self.accumulation_coefficient();
+        move |k| {
+            let mut value = accumulation;
+            for &(cell, well) in active {
+                if cell == k {
+                    value += well.diagonal_coefficient();
+                }
+            }
+            value
         }
-        diag
     }
 
     /// The step's mass ledger at its end pressure `p^{n+1}` and update `δ`:
@@ -193,17 +199,19 @@ fn step<T: Scalar>(
     let active = request.active_wells();
     // Build-phase spans stay off the step: the run's operator is built once.
     ctx.prepare(workload, config, true, &Span::null());
-    ctx.set_shift(ShiftKey::of(request, &active), || {
-        request.diagonal_shift(&active)
-    });
+    ctx.set_shift(
+        ShiftKey::of(request, &active),
+        request.diagonal_shift(&active),
+    );
     let solver = ConjugateGradient::with_tolerance(
         config.effective_tolerance(workload),
         config.effective_max_iterations(workload),
     );
     let (operator, precond, buffers) = ctx.parts(dims);
 
-    // RHS: flux residual at pⁿ (Dirichlet rows zeroed) plus well sources,
-    // evaluated with the operator's own converted coefficient table.
+    // RHS, in the residual buffer: flux residual at pⁿ (Dirichlet rows
+    // zeroed) plus well sources, evaluated with the operator's own converted
+    // coefficient table.
     buffers.pressure.convert_from(pressure);
     residual_into(
         &buffers.pressure,
@@ -211,10 +219,10 @@ fn step<T: Scalar>(
         workload.dirichlet(),
         &mut buffers.residual,
     );
-    newton_rhs_into(&buffers.residual, workload.dirichlet(), &mut buffers.rhs);
+    newton_rhs(&mut buffers.residual, workload.dirichlet());
     for &(k, well) in &active {
         let source = T::from_f64(well.rate_at(pressure.get(k)));
-        buffers.rhs.set(k, buffers.rhs.get(k) + source);
+        buffers.residual.set(k, buffers.residual.get(k) + source);
     }
     // The pressure buffer is free once the RHS is built: it carries the
     // warm start.
@@ -225,7 +233,7 @@ fn step<T: Scalar>(
     let stopped = solver.solve_into(
         operator,
         precond,
-        &buffers.rhs,
+        &buffers.residual,
         x0,
         monitor,
         &Span::null(),

@@ -341,6 +341,42 @@ fn panicking_and_invalid_jobs_are_reported_without_poisoning_the_pool() {
 }
 
 #[test]
+fn jobs_with_non_finite_inputs_get_a_typed_error_not_a_nan_report() {
+    let base = WorkloadSpec::quickstart().scaled(2);
+    // A NaN boundary pressure used to solve to a NaN pressure and report
+    // success; a NaN permeability used to panic inside generation.
+    let nan_boundary = WorkloadSpec {
+        boundary: BoundarySpec::SourceProducer {
+            source_pressure: f64::NAN,
+            producer_pressure: 0.0,
+        },
+        ..base.clone()
+    };
+    let nan_permeability = WorkloadSpec {
+        permeability: PermeabilityModel::Homogeneous { value: f64::NAN },
+        ..base.clone()
+    };
+    let jobs = vec![
+        JobSpec::new(nan_boundary, Backend::host()),
+        JobSpec::new(nan_permeability, Backend::host()),
+        JobSpec::new(base, Backend::host()),
+    ];
+    let batch = Engine::new(2).run(jobs);
+    for (i, field) in [(0, "source_pressure"), (1, "permeability")] {
+        let outcome = &batch.outcomes[i];
+        assert!(
+            matches!(outcome.status, JobStatus::Failed(_)),
+            "job {i}: {}",
+            outcome.status_label()
+        );
+        assert!(outcome.report().is_none(), "job {i} carries no report");
+        let message = outcome.failure().unwrap();
+        assert!(message.contains(field), "job {i}: {message}");
+    }
+    assert!(batch.outcomes[2].report().unwrap().converged());
+}
+
+#[test]
 fn a_tripped_cancel_token_drains_queued_jobs_as_stopped_not_failed() {
     // Regression: a cancelled batch must drain-and-stop cleanly — queued
     // jobs report `Stopped(Cancelled)` instead of blocking the pool, and

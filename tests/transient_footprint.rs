@@ -5,7 +5,8 @@
 //! step count.  The job keeps one pressure field for the run, where the full
 //! `TransientReport` keeps one per step.  On a warm cache the job's run
 //! holds two fields beside the cached context, the pressure and the step
-//! update `δ`, and a step allocates no field of its own.
+//! update `δ`, and a step allocates no field of its own, also when its `Δt`
+//! changes: a new diagonal shift is written into the context's own arrays.
 //!
 //! A global allocator tracks each thread's live and peak heap bytes.  The
 //! job runs on one apply thread, so every byte it holds is counted on the
@@ -77,9 +78,11 @@ const DIMS: (usize, usize, usize) = (24, 24, 8);
 /// Bytes of one `f64` pressure field on [`DIMS`] (36 KiB).
 const FIELD_BYTES: isize = (DIMS.0 * DIMS.1 * DIMS.2 * std::mem::size_of::<f64>()) as isize;
 
-/// A sealed reservoir with an injector and a BHP producer, stepped `steps`
-/// times at a fixed `dt` under the multigrid preconditioner.
-fn mg_transient_job(steps: usize) -> JobSpec {
+/// A sealed reservoir with an injector and a BHP producer, stepped over
+/// `steps` times a fixed `dt` under the multigrid preconditioner: at that
+/// `dt`, or on a `Δt` that ramps up to it when `ramped`, so the first steps
+/// each install a new diagonal shift.
+fn mg_transient_job(steps: usize, ramped: bool) -> JobSpec {
     let spec = WorkloadSpec {
         name: "footprint".to_string(),
         dims: Dims::new(DIMS.0, DIMS.1, DIMS.2),
@@ -93,13 +96,16 @@ fn mg_transient_job(steps: usize) -> JobSpec {
         ..WorkloadSpec::quickstart()
     };
     let dt = 0.25;
-    let transient = TransientSpec::new(steps as f64 * dt, dt, 1e-3)
+    let mut transient = TransientSpec::new(steps as f64 * dt, dt, 1e-3)
         .with_wells(
             WellSet::empty()
                 .with(Well::rate("inj", CellIndex::new(3, 3, 2), 1.0))
                 .with(Well::bhp("prod", CellIndex::new(20, 20, 5), 5.0, 0.5)),
         )
         .with_initial_pressure(10.0);
+    if ramped {
+        transient = transient.with_dt_policy(DtPolicy::ramp(dt / 8.0, 2.0, dt));
+    }
     JobSpec::transient(spec, Backend::host(), transient)
         .with_preconditioner(PreconditionerKind::Mg)
         .with_threads(1)
@@ -107,7 +113,7 @@ fn mg_transient_job(steps: usize) -> JobSpec {
 
 /// Peak heap growth of one fresh-cache execution of a `steps`-step job.
 fn job_peak(steps: usize) -> isize {
-    let job = mg_transient_job(steps);
+    let job = mg_transient_job(steps, false);
     peak_heap_growth(|| {
         let report = job
             .execute(&mut SolveRequest::new())
@@ -132,20 +138,23 @@ fn a_transient_jobs_peak_heap_does_not_grow_with_its_step_count() {
 
 #[test]
 fn a_warm_transient_job_holds_two_fields_beside_its_context() {
-    let job = mg_transient_job(8);
-    let mut cache = SolveContextCache::new();
-    let mut execute = || {
-        let report = job
-            .execute(&mut SolveRequest::new().cache(&mut cache))
-            .expect("the transient job runs");
-        assert!(report.converged());
-    };
-    // The first run builds the operator, the hierarchy and the buffers.
-    execute();
-    let warm = peak_heap_growth(execute);
-    assert!(
-        warm < 3 * FIELD_BYTES,
-        "a warm re-run peaked {warm} B above its start, {:.1} fields of {FIELD_BYTES} B",
-        warm as f64 / FIELD_BYTES as f64
-    );
+    for ramped in [false, true] {
+        let job = mg_transient_job(8, ramped);
+        let mut cache = SolveContextCache::new();
+        let mut execute = || {
+            let report = job
+                .execute(&mut SolveRequest::new().cache(&mut cache))
+                .expect("the transient job runs");
+            assert!(report.converged());
+        };
+        // The first run builds the operator, the hierarchy and the buffers.
+        execute();
+        let warm = peak_heap_growth(execute);
+        assert!(
+            warm < 3 * FIELD_BYTES,
+            "a warm re-run (ramped dt: {ramped}) peaked {warm} B above its start, \
+             {:.1} fields of {FIELD_BYTES} B",
+            warm as f64 / FIELD_BYTES as f64
+        );
+    }
 }
