@@ -158,13 +158,6 @@ impl<T: Scalar> Transfer<T> {
         }
     }
 
-    /// The fine x-lines in order, each with its y and z weights.
-    fn fine_lines(&self) -> impl Iterator<Item = (&AxisWeights<T>, &AxisWeights<T>)> {
-        self.z
-            .iter()
-            .flat_map(move |wz| self.y.iter().map(move |wy| (wy, wz)))
-    }
-
     /// Full-weighting restriction `rc = Pᵀ rf`: a fixed-order scatter of each
     /// fine cell into its (up to) eight coarse neighbours.  Sequential and
     /// branch-free in the inner loop, so bitwise deterministic for every
@@ -216,7 +209,11 @@ impl<T: Scalar> Transfer<T> {
         let ec = coarse.as_slice();
         let line = &mut line[..cnx];
         let rows = fine.as_mut_slice().chunks_exact_mut(self.x.len());
-        for (zf, (wy, wz)) in rows.zip(self.fine_lines()) {
+        let weights = self
+            .z
+            .iter()
+            .flat_map(|wz| self.y.iter().map(move |wy| (wy, wz)));
+        for (zf, (wy, wz)) in rows.zip(weights) {
             let coarse_line = |y: usize, z: usize| {
                 let start = y * cnx + z * czs;
                 &ec[start..start + cnx]
