@@ -308,14 +308,11 @@ struct CycleScratch<T: Scalar> {
     direction: CellField<T>,
 }
 
-/// Every buffer of the cycle, allocated at build and reused by every cycle,
-/// so a V-cycle allocates nothing.  Every buffer is fully overwritten before
-/// it is read.
+/// Every buffer of the cycle below level 0, allocated at build and reused
+/// by every cycle, so a V-cycle allocates nothing.  Every buffer is fully
+/// overwritten before it is read.
 #[derive(Clone, Debug)]
 struct Workspace<T: Scalar> {
-    /// Level 0's `A z` scratch, reused to hold its residual; level 0's `r`
-    /// and `z` are the caller's.
-    fine_ax: CellField<T>,
     /// Levels 1, 2, …: entry `l − 1` holds level `l`'s fields.
     coarse: Vec<CoarseFields<T>>,
     scratch: CycleScratch<T>,
@@ -336,6 +333,12 @@ struct LevelVectors<'a, T: Scalar> {
 pub struct MultigridVcycle<T: Scalar> {
     levels: Vec<MgLevel<T>>,
     workspace: RefCell<Workspace<T>>,
+    /// Level 0's `A z` scratch for the cycles whose caller lends none
+    /// ([`apply_cycle`](Self::apply_cycle)), allocated by the first of them.
+    /// PCG lends its `A·d` buffer instead
+    /// ([`Preconditioner::apply_traced`]), so a hierarchy that only
+    /// preconditions the Krylov loop never holds it.
+    own_ax: RefCell<Option<CellField<T>>>,
 }
 
 impl<T: Scalar> MultigridVcycle<T> {
@@ -385,7 +388,6 @@ impl<T: Scalar> MultigridVcycle<T> {
             })
             .collect();
         let workspace = Workspace {
-            fine_ax: CellField::zeros(levels[0].operator.dims()),
             coarse,
             scratch: CycleScratch {
                 line: vec![T::ZERO; levels.get(1).map_or(0, |l| l.operator.dims().nx)],
@@ -396,6 +398,7 @@ impl<T: Scalar> MultigridVcycle<T> {
         Self {
             levels,
             workspace: RefCell::new(workspace),
+            own_ax: RefCell::new(None),
         }
     }
 
@@ -482,20 +485,28 @@ impl<T: Scalar> MultigridVcycle<T> {
     /// Level 0 runs in `r` and `z` themselves: the cycle reads `r` and
     /// writes every entry of `z`, copying neither.  For finite `r`, `r`'s
     /// entries on Dirichlet rows are ignored (`z` is the cycle of `r` with
-    /// them zeroed, bit for bit) and `z` is +0 on those rows.
+    /// them zeroed, bit for bit) and `z` is +0 on those rows.  Each sweep
+    /// applies the level's precomputed smoother weights, and prolongation
+    /// interpolates from per-line sums of the coarse correction (see the
+    /// [module docs](self)).  Level 0's `A z` scratch is the hierarchy's
+    /// own, allocated by the first such call; the Krylov loop lends its own
+    /// buffer through [`Preconditioner::apply_traced`] instead.
     pub fn apply_cycle(&self, r: &CellField<T>, z: &mut CellField<T>, span: &Span) {
+        let mut own = self.own_ax.borrow_mut();
+        let ax = own.get_or_insert_with(|| CellField::zeros(self.levels[0].operator.dims()));
+        self.cycle_in(r, z, ax, span);
+    }
+
+    /// [`apply_cycle`](Self::apply_cycle) with level 0's `A z` in `ax`.
+    fn cycle_in(&self, r: &CellField<T>, z: &mut CellField<T>, ax: &mut CellField<T>, span: &Span) {
         let fine_dims = self.levels[0].operator.dims();
         assert_eq!(r.dims(), fine_dims, "residual dimension mismatch");
         assert_eq!(z.dims(), fine_dims, "output dimension mismatch");
+        assert_eq!(ax.dims(), fine_dims, "scratch dimension mismatch");
         let vspan = span.child("mg.vcycle");
         let mut ws = self.workspace.borrow_mut();
-        let Workspace {
-            fine_ax,
-            coarse,
-            scratch,
-        } = &mut *ws;
-        let fine = LevelVectors { r, z, ax: fine_ax };
-        self.cycle(0, fine, coarse, scratch, &vspan);
+        let Workspace { coarse, scratch } = &mut *ws;
+        self.cycle(0, LevelVectors { r, z, ax }, coarse, scratch, &vspan);
         vspan.finish();
     }
 
@@ -644,8 +655,15 @@ impl<T: Scalar> Preconditioner<T> for MultigridVcycle<T> {
         self.apply_cycle(r, z, &Span::null());
     }
 
-    fn apply_traced(&self, r: &CellField<T>, z: &mut CellField<T>, span: &Span) {
-        self.apply_cycle(r, z, span);
+    /// One cycle with level 0's `A z` in `scratch`.
+    fn apply_traced(
+        &self,
+        r: &CellField<T>,
+        z: &mut CellField<T>,
+        scratch: &mut CellField<T>,
+        span: &Span,
+    ) {
+        self.cycle_in(r, z, scratch, span);
     }
 
     fn label(&self) -> &'static str {
@@ -1245,9 +1263,14 @@ mod tests {
                     let want = bits(reference_cycle(&mg, &clean).as_slice());
                     for (label, r) in [("clean", &clean), ("dirty", &dirty)] {
                         // A stale output must not leak into the cycle.
-                        let mut z = CellField::constant(dims, T::from_f64(f64::NAN));
+                        let nan = || CellField::constant(dims, T::from_f64(f64::NAN));
+                        let mut z = nan();
                         mg.apply_cycle(r, &mut z, &Span::null());
                         assert_eq!(bits(z.as_slice()), want, "{case}: {label} r");
+                        // Nor may a lent scratch, as the Krylov loop lends it.
+                        let (mut z, mut lent) = (nan(), nan());
+                        mg.apply_traced(r, &mut z, &mut lent, &Span::null());
+                        assert_eq!(bits(z.as_slice()), want, "{case}: {label} r, lent");
                     }
                 }
             }

@@ -78,12 +78,21 @@ pub trait Preconditioner<T: Scalar> {
     /// Apply `z = M⁻¹ r`. `z` must already have the right dimensions.
     fn apply(&self, r: &CellField<T>, z: &mut CellField<T>);
 
-    /// Apply `z = M⁻¹ r` under a telemetry span.  The default ignores the
-    /// span; structured preconditioners (the multigrid V-cycle) override it
-    /// to emit their phase spans.  Tracing never changes the arithmetic:
-    /// traced and untraced applies are bitwise identical.
-    fn apply_traced(&self, r: &CellField<T>, z: &mut CellField<T>, span: &Span) {
-        let _ = span;
+    /// Apply `z = M⁻¹ r` under a telemetry span, with `scratch` — a field
+    /// of `r`'s shape whose contents the caller neither needs nor reads
+    /// afterwards — as work space (the Krylov loop lends its `A·d` buffer).
+    /// The default ignores both; structured preconditioners (the multigrid
+    /// V-cycle) override it to emit their phase spans and to work in
+    /// `scratch`.  Tracing never changes the arithmetic, and neither does
+    /// the scratch's prior content: the result is bitwise that of `apply`.
+    fn apply_traced(
+        &self,
+        r: &CellField<T>,
+        z: &mut CellField<T>,
+        scratch: &mut CellField<T>,
+        span: &Span,
+    ) {
+        let _ = (scratch, span);
         self.apply(r, z);
     }
 

@@ -74,7 +74,9 @@ pub struct CgScratch<T: Scalar> {
     pub(crate) solution: CellField<T>,
     pub(crate) residual: CellField<T>,
     pub(crate) direction: CellField<T>,
-    /// The `A·d` product; also reused for the initial `A·x₀`.
+    /// The `A·d` product; also reused for the initial `A·x₀`, and lent to
+    /// the preconditioner as work space, since nothing reads it between
+    /// the update and the next `A·d`.
     pub(crate) ad: CellField<T>,
     /// The preconditioned residual (unpreconditioned solves never touch it).
     pub(crate) z: CellField<T>,
@@ -177,8 +179,9 @@ impl ConjugateGradient {
     /// solve early by returning [`Flow::Stop`]; the reason is returned and
     /// the partial solution stays in `scratch`.  Every preconditioner
     /// application runs under `span`, so the multigrid V-cycle emits its
-    /// `mg.vcycle` / `mg.level` spans; monitoring and tracing perform no
-    /// arithmetic, so they never change a result.
+    /// `mg.vcycle` / `mg.level` spans, and borrows the scratch's `A·d`
+    /// buffer as work space; monitoring and tracing perform no arithmetic,
+    /// so they never change a result.
     ///
     /// Every scratch buffer is fully overwritten before it is read, so
     /// results are bitwise identical to a fresh-allocation solve.  On a
@@ -221,7 +224,7 @@ impl ConjugateGradient {
         let rr0 = det_norm_squared(&scratch.residual).to_f64();
         let mut rz = match preconditioner {
             Some(pc) => {
-                pc.apply_traced(&scratch.residual, &mut scratch.z, span);
+                pc.apply_traced(&scratch.residual, &mut scratch.z, &mut scratch.ad, span);
                 scratch.direction.copy_from(&scratch.z);
                 det_dot(&scratch.residual, &scratch.z).to_f64()
             }
@@ -284,7 +287,7 @@ impl ConjugateGradient {
             // the fused kernel's rᵀr reused) when unpreconditioned.
             let (rz_new, z) = match preconditioner {
                 Some(pc) => {
-                    pc.apply_traced(&scratch.residual, &mut scratch.z, span);
+                    pc.apply_traced(&scratch.residual, &mut scratch.z, &mut scratch.ad, span);
                     (det_dot(&scratch.residual, &scratch.z).to_f64(), &scratch.z)
                 }
                 None => (rr, &scratch.residual),
