@@ -580,7 +580,10 @@ impl<T: Scalar> MultigridVcycle<T> {
     }
 
     /// The first sweep from z = 0: `z = ω D⁻¹ r` without the operator
-    /// apply, and +0 on Dirichlet rows.
+    /// apply.  A Dirichlet row takes `+0 · r`, ±0 for finite `r`: until the
+    /// correction zeroes those rows, nothing reads them but their own rows
+    /// (the operator drops Dirichlet couplings, and the residual is zeroed
+    /// there before restriction).
     fn smooth_first(level: &MgLevel<T>, r: &CellField<T>, z: &mut CellField<T>) {
         for ((z, &w), &r) in z
             .as_mut_slice()
@@ -590,7 +593,6 @@ impl<T: Scalar> MultigridVcycle<T> {
         {
             *z = w * r;
         }
-        zero_rows(&level.dirichlet, z.as_mut_slice());
     }
 
     /// Coarsest-level solve `A z = r`: plain CG on the level's fused kernels

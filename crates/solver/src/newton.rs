@@ -71,10 +71,9 @@ impl<T: Scalar> NewtonScratch<T> {
 /// converted table (every operator does) never converts it twice.  The
 /// residual buffer becomes the right-hand side in place ([`newton_rhs`]) and
 /// goes to CG as is; the inner [`ConjugateGradient::solve_into`] starts from
-/// zero and threads
-/// `monitor`, `span` and `preconditioner` through unchanged; when `monitor`
-/// stops it, the partial Newton update is still applied and the reason is
-/// returned.  Results stay in `buffers`.
+/// zero and threads `monitor`, `span` and `preconditioner` through
+/// unchanged; when `monitor` stops it, the partial Newton update is still
+/// applied and the reason is returned.  Results stay in `buffers`.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_pressure<T: Scalar, Op: LinearOperator<T>>(
     workload: &Workload,
