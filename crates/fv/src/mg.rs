@@ -265,8 +265,9 @@ impl<T: Scalar> MgLevel<T> {
     }
 
     /// Rewrite the smoother weights in place from the operator as it stands:
-    /// `ω · inv_diag` (the product a sweep formed per cell before the weights
-    /// were stored), then +0 on Dirichlet rows.
+    /// `ω · inv_diag`, then +0 on Dirichlet rows.  A sweep's
+    /// `ω · inv_diag · (r − A z)` evaluates as `(ω · inv_diag) · (r − A z)`,
+    /// so storing the product keeps its bits.
     fn update_weights(&mut self) {
         let omega = T::from_f64(OMEGA);
         self.operator.inverse_diagonal_into(&mut self.weights);
