@@ -56,17 +56,6 @@ impl AllReduce {
         })
     }
 
-    /// The colours used, in (row-reduce, col-reduce, col-broadcast, row-broadcast)
-    /// order.
-    pub fn colors(&self) -> [Color; 4] {
-        [
-            self.row_reduce,
-            self.col_reduce,
-            self.col_broadcast,
-            self.row_broadcast,
-        ]
-    }
-
     /// Reduce one value per PE (summation) and broadcast the result back so every PE
     /// holds it.  `local[fabric.dims().linear(pe)]` is PE `pe`'s contribution; the
     /// returned vector holds the value each PE ends up with (they are all equal).

@@ -34,9 +34,8 @@ use mffv_solver::backend::{
 };
 use mffv_solver::convergence::{ConvergenceHistory, StoppingCriterion};
 use mffv_solver::monitor::{Flow, SolveEvent, SolveMonitor, StopReason};
-use mffv_solver::trace::Span;
 use mffv_solver::{MgConfig, MultigridVcycle, Preconditioner};
-use std::time::Instant;
+use mffv_telemetry::{Span, Stopwatch};
 
 /// The simulated WSE-2 dataflow fabric as a facade backend.
 #[derive(Clone, Copy, Debug, Default)]
@@ -171,10 +170,7 @@ impl DataflowBackend {
         monitor: &mut dyn SolveMonitor,
         span: &Span,
     ) -> Result<SolveReport> {
-        // audit: allow(wall-clock) — telemetry: feeds the report's elapsed
-        // seconds, never a numeric decision.
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now();
+        let start = Stopwatch::start();
         let dims = workload.dims();
         let spec = self
             .spec
@@ -469,7 +465,7 @@ impl DataflowBackend {
             max_per_pe_compute: fabric.max_per_pe_compute(),
             fabric: *fabric.stats(),
             critical_path_hops,
-            host_wall_seconds: start.elapsed().as_secs_f64(),
+            host_wall_seconds: start.elapsed_seconds(),
         };
         let modelled_time =
             stats.modelled_time(spec, self.options.overlap, self.options.simd_efficiency());

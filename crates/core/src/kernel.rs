@@ -122,26 +122,6 @@ pub fn local_dot_rr(pe: &mut ProcessingElement, bufs: &PeColumnBuffers) -> Resul
     pe.dot_local(Dsd::full(bufs.residual, nz), Dsd::full(bufs.residual, nz))
 }
 
-/// `solution += α · direction` and `residual −= α · operator_out` (CG lines 6–7).
-pub fn apply_alpha_updates(
-    pe: &mut ProcessingElement,
-    bufs: &PeColumnBuffers,
-    alpha: f32,
-) -> Result<()> {
-    let nz = pe.memory().len(bufs.solution)?;
-    pe.axpy(
-        Dsd::full(bufs.solution, nz),
-        Dsd::full(bufs.direction, nz),
-        alpha,
-    )?;
-    pe.axpy(
-        Dsd::full(bufs.residual, nz),
-        Dsd::full(bufs.operator_out, nz),
-        -alpha,
-    )?;
-    Ok(())
-}
-
 /// `z ← D⁻¹ · r`: the on-fabric Jacobi preconditioner, one fill plus one fused
 /// multiply-accumulate over the resident inverse-diagonal column.
 pub fn jacobi_precond(pe: &mut ProcessingElement, bufs: &PeColumnBuffers) -> Result<()> {
@@ -335,12 +315,6 @@ mod tests {
         let expected_rr: f32 = rhs.iter().map(|v| v * v).sum();
         assert!((rr - expected_rr).abs() < 1e-4);
 
-        // operator_out left as zero: apply alpha updates and check the arithmetic.
-        apply_alpha_updates(&mut pe, &bufs, 2.0).unwrap();
-        let sol = pe.memory().read(bufs.solution, 0, nz).unwrap();
-        for z in 0..nz {
-            assert!((sol[z] - 2.0 * rhs[z]).abs() < 1e-6);
-        }
         apply_beta_update(&mut pe, &bufs, 0.5).unwrap();
         let dir = pe.memory().read(bufs.direction, 0, nz).unwrap();
         for z in 0..nz {

@@ -27,8 +27,9 @@
 //! * [`options`] — the optimisation toggles of §III-E (buffer reuse, communication
 //!   overlap, vectorisation) and the communication-only mode, used by the ablation
 //!   benchmarks;
-//! * [`stats`] — the per-run statistics behind Table IV (data-movement versus
-//!   computation time split) and the roofline inputs.
+//! * [`stats`] — the per-run counters and the modelled device time they imply,
+//!   which the backend reports (`table4` splits that time from two runs' device
+//!   counters).
 
 pub mod allreduce;
 pub mod backend;

@@ -12,7 +12,7 @@
 //! [`MemoryPlan::max_nz`] answers "what is the deepest column a 48 KiB PE can hold?",
 //! which is the quantity that decides whether the paper's 922-deep column fits.
 
-use mffv_fabric::{BufferId, FabricDims, PeId, ProcessingElement};
+use mffv_fabric::{BufferId, FabricDims, ProcessingElement};
 use mffv_mesh::{Dims, Workload};
 
 use mffv_fabric::error::FabricError;
@@ -130,25 +130,6 @@ impl ProblemMapping {
     pub fn fabric_dims(&self) -> FabricDims {
         FabricDims::new(self.dims.nx, self.dims.ny)
     }
-
-    /// The PE that owns the column at `(x, y)`.
-    pub fn pe_for_column(&self, x: usize, y: usize) -> PeId {
-        assert!(
-            x < self.dims.nx && y < self.dims.ny,
-            "column outside the mesh"
-        );
-        PeId::new(x, y)
-    }
-
-    /// The mesh column owned by a PE.
-    pub fn column_for_pe(&self, pe: PeId) -> (usize, usize) {
-        (pe.x, pe.y)
-    }
-
-    /// Number of cells each PE holds.
-    pub fn cells_per_pe(&self) -> usize {
-        self.dims.nz
-    }
 }
 
 /// Handles to the buffers a PE holds for the matrix-free CG kernel.  The executed
@@ -265,26 +246,13 @@ impl PeColumnBuffers {
             inv_diag,
         })
     }
-
-    /// The halo buffer that stores data arriving *from* the given cardinal
-    /// direction.
-    pub fn halo_for(&self, dir: mffv_mesh::Direction) -> BufferId {
-        match dir {
-            mffv_mesh::Direction::XM => self.halo_west,
-            mffv_mesh::Direction::XP => self.halo_east,
-            mffv_mesh::Direction::YM => self.halo_north,
-            mffv_mesh::Direction::YP => self.halo_south,
-            // audit: allow(panic) — invariant: z-columns are PE-local (§III-B
-            // mapping), so halo exchange only ever names lateral directions.
-            _ => panic!("vertical directions have no halo buffer"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mffv_fabric::memory::PE_MEMORY_BYTES;
+    use mffv_fabric::PeId;
     use mffv_mesh::workload::WorkloadSpec;
 
     /// Code/runtime reservation assumed for the FV kernel when checking what fits.
@@ -294,9 +262,6 @@ mod tests {
     fn mapping_associates_columns_and_pes() {
         let m = ProblemMapping::new(Dims::new(6, 4, 9));
         assert_eq!(m.fabric_dims(), FabricDims::new(6, 4));
-        assert_eq!(m.pe_for_column(5, 3), PeId::new(5, 3));
-        assert_eq!(m.column_for_pe(PeId::new(2, 1)), (2, 1));
-        assert_eq!(m.cells_per_pe(), 9);
     }
 
     #[test]
@@ -362,7 +327,6 @@ mod tests {
             pe.memory().read(bufs.transmissibility[0], 0, nz).unwrap(),
             east
         );
-        assert_eq!(bufs.halo_for(mffv_mesh::Direction::XM), bufs.halo_west);
     }
 
     #[test]
@@ -381,14 +345,5 @@ mod tests {
         let bufs2 = PeColumnBuffers::allocate(&mut pe2, &w, 3, 3).unwrap();
         let mask2 = pe2.memory().read(bufs2.dirichlet_mask, 0, nz).unwrap();
         assert!(mask2.iter().all(|&m| m == 0.0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn halo_for_vertical_direction_panics() {
-        let w = WorkloadSpec::quickstart().build();
-        let mut pe = ProcessingElement::new(PeId::new(2, 2));
-        let bufs = PeColumnBuffers::allocate(&mut pe, &w, 2, 2).unwrap();
-        let _ = bufs.halo_for(mffv_mesh::Direction::ZP);
     }
 }

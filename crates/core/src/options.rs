@@ -63,21 +63,9 @@ impl SolverOptions {
         }
     }
 
-    /// Disable the overlap optimisation (ablation).
-    pub fn without_overlap(mut self) -> Self {
-        self.overlap = OverlapMode::Serialized;
-        self
-    }
-
     /// Disable vectorisation (ablation).
     pub fn without_vectorization(mut self) -> Self {
         self.vectorized = false;
-        self
-    }
-
-    /// Use the straightforward (no reuse) memory plan (ablation).
-    pub fn without_buffer_reuse(mut self) -> Self {
-        self.reuse = ReuseStrategy::None;
         self
     }
 
@@ -109,14 +97,9 @@ mod tests {
     #[test]
     fn ablation_builders_flip_exactly_one_knob() {
         let base = SolverOptions::paper();
-        let no_overlap = base.without_overlap();
-        assert_eq!(no_overlap.overlap, OverlapMode::Serialized);
-        assert_eq!(no_overlap.reuse, base.reuse);
         let scalar = base.without_vectorization();
         assert!(!scalar.vectorized);
         assert_eq!(scalar.simd_efficiency(), 0.5);
-        let naive = base.without_buffer_reuse();
-        assert_eq!(naive.reuse, ReuseStrategy::None);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! traffic, fabric traffic, hop depths — exact, from the functional execution) and
 //! **modelled device time** (derived from those counts and the machine ceilings of
 //! [`mffv_fabric::WseSpec`]).  [`DataflowRunStats`] collects both and derives the
-//! paper's reported quantities: the data-movement/computation split of Table IV, the
-//! Gcell/s throughput of Table III and the achieved FLOP/s of Figure 6.
+//! modelled device time and the achieved FLOP/s of Figure 6.
 
 use mffv_fabric::stats::{FabricStats, OpCounters};
 use mffv_fabric::timing::{DeviceTimeModel, OverlapMode, TimeBreakdown, WseSpec};
@@ -30,37 +29,6 @@ pub struct DataflowRunStats {
     pub host_wall_seconds: f64,
 }
 
-/// The Table-IV style decomposition of modelled device time.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TimeSplit {
-    /// Modelled data-movement time, s.
-    pub data_movement: f64,
-    /// Modelled non-overlapped computation time, s.
-    pub computation: f64,
-    /// Modelled total device time, s.
-    pub total: f64,
-}
-
-impl TimeSplit {
-    /// Percentage of total time spent on data movement.
-    pub fn data_movement_percent(&self) -> f64 {
-        if self.total <= 0.0 {
-            0.0
-        } else {
-            100.0 * self.data_movement / self.total
-        }
-    }
-
-    /// Percentage of total time spent on computation.
-    pub fn computation_percent(&self) -> f64 {
-        if self.total <= 0.0 {
-            0.0
-        } else {
-            100.0 * self.computation / self.total
-        }
-    }
-}
-
 impl DataflowRunStats {
     /// Model the device time of this run on a machine, with the given overlap
     /// assumption and SIMD efficiency (1.0 = vectorised, 0.5 = scalar).
@@ -78,44 +46,6 @@ impl DataflowRunStats {
             counters.flops = (counters.flops as f64 / simd_efficiency).round() as u64;
         }
         model.estimate(&counters, self.critical_path_hops, overlap)
-    }
-
-    /// The Table-IV decomposition: data movement vs computation under the given
-    /// machine spec.  Data movement is what remains when FLOPs are removed (fabric
-    /// bandwidth + hop latency); computation is the per-PE compute/memory time.
-    pub fn time_split(&self, spec: WseSpec, simd_efficiency: f64) -> TimeSplit {
-        let model = DeviceTimeModel::new(spec);
-        let mut counters = self.max_per_pe_compute;
-        if simd_efficiency > 0.0 && simd_efficiency < 1.0 {
-            counters.flops = (counters.flops as f64 / simd_efficiency).round() as u64;
-        }
-        let full = model.estimate(&counters, self.critical_path_hops, OverlapMode::Overlapped);
-        // Communication-only run: zero the floating-point and local-memory work,
-        // keep the fabric traffic — exactly the paper's methodology for Table IV.
-        let comm_only = OpCounters {
-            flops: 0,
-            mem_load_bytes: 0,
-            mem_store_bytes: 0,
-            ..counters
-        };
-        let comm = model.estimate(&comm_only, self.critical_path_hops, OverlapMode::Overlapped);
-        let data_movement = comm.total;
-        let computation = (full.compute_time.max(full.memory_time)).max(full.total - data_movement);
-        TimeSplit {
-            data_movement,
-            computation,
-            total: full.total,
-        }
-    }
-
-    /// Throughput in cells per second given a modelled total time (the Gcell/s
-    /// column of Table III divides by 10⁹).
-    pub fn throughput_cells_per_second(&self, total_time: f64) -> f64 {
-        if total_time <= 0.0 {
-            0.0
-        } else {
-            (self.total_cells as f64 * self.iterations.max(1) as f64) / total_time
-        }
     }
 
     /// Achieved FLOP/s given a modelled total time (the Figure-6 dot).
@@ -157,17 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn time_split_percentages_sum_close_to_or_above_total() {
-        let stats = sample_stats();
-        let split = stats.time_split(WseSpec::cs2(), 1.0);
-        assert!(split.total > 0.0);
-        assert!(split.data_movement > 0.0);
-        assert!(split.computation > 0.0);
-        assert!(split.data_movement_percent() > 0.0 && split.data_movement_percent() <= 100.0);
-        assert!(split.computation_percent() > 0.0 && split.computation_percent() <= 100.0);
-    }
-
-    #[test]
     fn scalar_execution_increases_modelled_time() {
         let stats = sample_stats();
         let vectorised = stats.modelled_time(WseSpec::cs2(), OverlapMode::Overlapped, 1.0);
@@ -186,11 +105,7 @@ mod tests {
     #[test]
     fn throughput_and_flops_scale_with_time() {
         let stats = sample_stats();
-        let t1 = stats.throughput_cells_per_second(1.0);
-        let t2 = stats.throughput_cells_per_second(2.0);
-        assert!((t1 / t2 - 2.0).abs() < 1e-12);
         assert_eq!(stats.achieved_flops(2.0), 48_000.0);
         assert_eq!(stats.achieved_flops(0.0), 0.0);
-        assert_eq!(stats.throughput_cells_per_second(0.0), 0.0);
     }
 }

@@ -174,6 +174,7 @@ mod tests {
     use crate::StopPolicy;
     use mffv_mesh::{PermeabilityModel, WorkloadSpec};
     use mffv_solver::backend::SolveRequest;
+    use mffv_solver::monitor::{Flow, SolveEvent};
 
     fn tiny_jobs(n: usize) -> Vec<JobSpec> {
         (0..n)
@@ -312,8 +313,8 @@ mod tests {
             },
             Backend::host(),
         );
-        // An empty layer list passes intake but panics on the worker.
-        let panicking = JobSpec::new(
+        // So is an empty layer list.
+        let no_layers = JobSpec::new(
             WorkloadSpec {
                 permeability: PermeabilityModel::Layered {
                     layer_values: Vec::new(),
@@ -323,17 +324,23 @@ mod tests {
             Backend::host(),
         );
         let registry = MetricsRegistry::new();
-        let report = Engine::new(2)
-            .with_metrics(registry.clone())
-            .run(vec![completed, stopped, invalid, panicking]);
+        let engine = Engine::new(2).with_metrics(registry.clone());
+        let report = engine.run(vec![completed.clone(), stopped, invalid, no_layers]);
         let labels: Vec<&str> = report.outcomes.iter().map(|o| o.status_label()).collect();
-        assert_eq!(labels, ["ok", "stopped", "failed", "panicked"]);
-        // Batches publish under the daemon's namespace, panics included.
+        assert_eq!(labels, ["ok", "stopped", "failed", "failed"]);
+        // A job whose event callback panics, on a service of the same engine.
+        let service = engine.start();
+        let panicking = ServiceJob::new(completed, |_| {})
+            .with_events(|_: &SolveEvent| -> Flow { panic!("event callback exploded") });
+        assert!(service.submit(panicking).is_ok());
+        service.shutdown(ShutdownMode::Drain);
+        // Batches and services publish under the daemon's namespace, panics
+        // included.
         for (status, count) in [
-            ("submitted", 4),
+            ("submitted", 5),
             ("ok", 1),
             ("stopped", 1),
-            ("failed", 1),
+            ("failed", 2),
             ("panicked", 1),
         ] {
             let name = format!("engine.service.jobs.{status}");
@@ -359,7 +366,7 @@ mod tests {
                 .histogram("engine.service.exec_seconds")
                 .unwrap()
                 .count(),
-            4
+            5
         );
     }
 }

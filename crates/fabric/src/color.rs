@@ -72,58 +72,6 @@ impl ColorAllocator {
     pub fn allocate_many(&mut self, n: usize) -> Result<Vec<Color>, FabricError> {
         (0..n).map(|_| self.allocate()).collect()
     }
-
-    /// Number of colours already allocated.
-    pub fn allocated(&self) -> usize {
-        self.next as usize
-    }
-}
-
-/// The colour roles used by the paper's communication schedule (Table I) and
-/// all-reduce.  Provided here so `mffv-core` and tests share one naming.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PaperColors {
-    /// C1, C2: action colours for the X-dimension exchange.
-    pub x_actions: [Color; 2],
-    /// C3, C4: action colours for the Y-dimension exchange.
-    pub y_actions: [Color; 2],
-    /// C5–C12: completion-callback colours (east-send, west-recv, north-send,
-    /// south-recv, west-send, east-recv, south-send, north-recv).
-    pub callbacks: [Color; 8],
-    /// Colours used by the whole-fabric all-reduce (row reduce, column reduce,
-    /// column broadcast, row broadcast).
-    pub allreduce: [Color; 4],
-}
-
-impl PaperColors {
-    /// Allocate the full paper colour set from a fresh allocator.
-    pub fn allocate(alloc: &mut ColorAllocator) -> Result<Self, FabricError> {
-        Ok(Self {
-            x_actions: [alloc.allocate()?, alloc.allocate()?],
-            y_actions: [alloc.allocate()?, alloc.allocate()?],
-            callbacks: [
-                alloc.allocate()?,
-                alloc.allocate()?,
-                alloc.allocate()?,
-                alloc.allocate()?,
-                alloc.allocate()?,
-                alloc.allocate()?,
-                alloc.allocate()?,
-                alloc.allocate()?,
-            ],
-            allreduce: [
-                alloc.allocate()?,
-                alloc.allocate()?,
-                alloc.allocate()?,
-                alloc.allocate()?,
-            ],
-        })
-    }
-
-    /// Total number of colours the schedule consumes.
-    pub fn total(&self) -> usize {
-        2 + 2 + 8 + 4
-    }
 }
 
 #[cfg(test)]
@@ -153,17 +101,5 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), 24);
         assert!(alloc.allocate().is_err());
-    }
-
-    #[test]
-    fn paper_color_set_fits_in_the_routable_budget() {
-        let mut alloc = ColorAllocator::new();
-        let set = PaperColors::allocate(&mut alloc).unwrap();
-        assert_eq!(set.total(), 16);
-        assert_eq!(alloc.allocated(), 16);
-        assert!(alloc.allocated() <= NUM_ROUTABLE_COLORS as usize);
-        // Distinct roles must use distinct colours.
-        assert_ne!(set.x_actions[0], set.y_actions[0]);
-        assert_ne!(set.callbacks[0], set.allreduce[0]);
     }
 }

@@ -3,15 +3,15 @@
 //! "In the Cerebras architecture, this functionality is achieved through special
 //! registers known as Data Structure Descriptors (DSDs), which serve as vectors upon
 //! which specific instructions can operate.  The DSDs contain information regarding
-//! the address, length, and stride of the arrays" (§III-E3).  A [`Dsd`] is exactly
-//! that: a (buffer, offset, length, stride) view into a PE's local memory, consumed
-//! by the vectorised instructions implemented on
-//! [`crate::pe::ProcessingElement`].
+//! the address, length, and stride of the arrays" (§III-E3).  A [`Dsd`] is a
+//! (buffer, offset, length) view into a PE's local memory, consumed by the
+//! vectorised instructions implemented on [`crate::pe::ProcessingElement`].  Every
+//! kernel here walks dense columns, so the stride is always 1 and not stored.
 
 use crate::error::FabricError;
 use crate::memory::{BufferId, PeMemory};
 
-/// A strided view into a PE-local buffer.
+/// A dense view into a PE-local buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Dsd {
     /// The buffer the view refers to.
@@ -20,8 +20,6 @@ pub struct Dsd {
     pub offset: usize,
     /// Number of elements the view covers.
     pub len: usize,
-    /// Distance (in elements) between consecutive view elements.
-    pub stride: usize,
 }
 
 impl Dsd {
@@ -31,18 +29,6 @@ impl Dsd {
             buffer,
             offset,
             len,
-            stride: 1,
-        }
-    }
-
-    /// A strided view.
-    pub fn strided(buffer: BufferId, offset: usize, len: usize, stride: usize) -> Self {
-        assert!(stride >= 1, "stride must be at least 1");
-        Self {
-            buffer,
-            offset,
-            len,
-            stride,
         }
     }
 
@@ -52,8 +38,8 @@ impl Dsd {
     }
 
     /// The element indices the view touches, in order.
-    pub fn indices(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).map(move |i| self.offset + i * self.stride)
+    pub fn indices(&self) -> std::ops::Range<usize> {
+        self.offset..self.offset + self.len
     }
 
     /// Index of the last element touched (if any).
@@ -61,7 +47,7 @@ impl Dsd {
         if self.len == 0 {
             None
         } else {
-            Some(self.offset + (self.len - 1) * self.stride)
+            Some(self.offset + self.len - 1)
         }
     }
 
@@ -133,21 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn strided_view_touches_every_other_element() {
-        let (mut m, b) = memory_with_buffer(8);
-        m.write(b, 0, &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
-            .unwrap();
-        let view = Dsd::strided(b, 1, 3, 2);
-        assert_eq!(view.gather(&m).unwrap(), vec![1.0, 3.0, 5.0]);
-        assert_eq!(view.last_index(), Some(5));
-        view.scatter(&mut m, &[10.0, 30.0, 50.0]).unwrap();
-        assert_eq!(
-            m.read(b, 0, 8).unwrap(),
-            vec![0.0, 10.0, 2.0, 30.0, 4.0, 50.0, 6.0, 7.0]
-        );
-    }
-
-    #[test]
     fn out_of_range_view_rejected() {
         let (m, b) = memory_with_buffer(4);
         let view = Dsd::new(b, 2, 3);
@@ -169,12 +140,5 @@ mod tests {
         let (mut m, b) = memory_with_buffer(4);
         let view = Dsd::new(b, 0, 2);
         assert!(view.scatter(&mut m, &[1.0]).is_err());
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_stride_rejected() {
-        let (_, b) = memory_with_buffer(4);
-        let _ = Dsd::strided(b, 0, 2, 0);
     }
 }

@@ -73,14 +73,6 @@ impl Fabric {
         &self.stats
     }
 
-    /// Reset fabric traffic statistics and every PE's compute counters.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-        for pe in &mut self.pes {
-            pe.reset_counters();
-        }
-    }
-
     /// Sum of all PE compute counters.
     pub fn total_compute(&self) -> OpCounters {
         self.pes
@@ -424,7 +416,5 @@ mod tests {
         assert_eq!(total.flops, 4);
         let max = fabric.max_per_pe_compute();
         assert_eq!(max.flops, 4);
-        fabric.reset_stats();
-        assert_eq!(fabric.total_compute().flops, 0);
     }
 }

@@ -101,12 +101,6 @@ impl FabricDims {
         let (w, h) = (self.width, self.height);
         (0..h).flat_map(move |y| (0..w).map(move |x| PeId { x, y }))
     }
-
-    /// Manhattan distance between two PEs — the hop count of a dimension-ordered
-    /// route, used by the timing model for reduction/broadcast latencies.
-    pub fn manhattan(&self, a: PeId, b: PeId) -> usize {
-        a.x.abs_diff(b.x) + a.y.abs_diff(b.y)
-    }
 }
 
 impl PeId {
@@ -179,13 +173,6 @@ mod tests {
             assert_eq!(p.entry_on_neighbor().entry_on_neighbor(), p);
         }
         assert_eq!(Port::Ramp.entry_on_neighbor(), Port::Ramp);
-    }
-
-    #[test]
-    fn manhattan_distance() {
-        let d = FabricDims::new(10, 10);
-        assert_eq!(d.manhattan(PeId::new(0, 0), PeId::new(3, 4)), 7);
-        assert_eq!(d.manhattan(PeId::new(5, 5), PeId::new(5, 5)), 0);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   each with its own private local memory ([`memory::PeMemory`], 48 KiB budget)
 //!   and its own **router** ([`router::Router`]) with five full-duplex links
 //!   (RAMP, North, East, South, West);
-//! * **colours** ([`color::Color`]) tagging 32-bit wavelets ([`packet`]) and
-//!   selecting per-colour routes with programmable **switch positions** and ring
-//!   mode, replicating the CSL router programming of the paper's Listing 1;
+//! * **colours** ([`color::Color`]) tagging the 32-bit wavelets a message is
+//!   carried in and selecting per-colour routes with programmable **switch
+//!   positions** and ring mode, replicating the CSL router programming of the
+//!   paper's Listing 1;
 //! * fabric-level message routing with hop/wavelet accounting ([`fabric::Fabric`]);
 //! * **DSD-style vector operations** ([`dsd`]) that perform the per-PE arithmetic
 //!   while counting FLOPs and memory traffic exactly as Table V does;
@@ -29,7 +30,6 @@ pub mod error;
 pub mod fabric;
 pub mod geometry;
 pub mod memory;
-pub mod packet;
 pub mod pe;
 pub mod router;
 pub mod stats;

@@ -107,11 +107,6 @@ impl ProcessingElement {
             .ok_or(FabricError::EmptyMailbox { pe: self.id, color })
     }
 
-    /// Pop the oldest message of a colour, if any.
-    pub fn try_take_message(&mut self, color: Color) -> Option<Vec<f32>> {
-        self.mailboxes[color.index()].pop_front()
-    }
-
     // ------------------------------------------------------- vectorised compute
 
     /// Allocate a named buffer in local memory.
@@ -144,22 +139,6 @@ impl ProcessingElement {
     /// `dst[i] = a[i] - b[i]` (FSUB: 1 FLOP, 2 loads + 1 store per element).
     pub fn fsubs(&mut self, dst: Dsd, a: Dsd, b: Dsd) -> Result<(), FabricError> {
         self.binary_op(dst, a, b, |x, y| x - y, 1)
-    }
-
-    /// `dst[i] = a[i] * b[i]` (FMUL: 1 FLOP, 2 loads + 1 store per element).
-    pub fn fmuls(&mut self, dst: Dsd, a: Dsd, b: Dsd) -> Result<(), FabricError> {
-        self.binary_op(dst, a, b, |x, y| x * y, 1)
-    }
-
-    /// `dst[i] = -src[i]` (FNEG: 1 FLOP, 1 load + 1 store per element).
-    pub fn fnegs(&mut self, dst: Dsd, src: Dsd) -> Result<(), FabricError> {
-        let values: Vec<f32> = src.gather(&self.memory)?.iter().map(|v| -v).collect();
-        self.check_same_len(dst, src)?;
-        dst.scatter(&mut self.memory, &values)?;
-        self.counters.flops += values.len() as u64;
-        self.counters.mem_load_bytes += values.len() as u64 * F32_BYTES;
-        self.counters.mem_store_bytes += values.len() as u64 * F32_BYTES;
-        Ok(())
     }
 
     /// `dst[i] = acc[i] + a[i] * b[i]` (FMA: 2 FLOPs, 3 loads + 1 store per element).
@@ -329,17 +308,11 @@ mod tests {
             pe.memory().read(c, 0, 4).unwrap(),
             vec![9.0, 18.0, 27.0, 36.0]
         );
-        pe.fmuls(Dsd::full(c, 4), Dsd::full(a, 4), Dsd::full(b, 4))
-            .unwrap();
-        assert_eq!(
-            pe.memory().read(c, 0, 4).unwrap(),
-            vec![10.0, 40.0, 90.0, 160.0]
-        );
-        // 3 binary ops × 4 elements × 1 FLOP each.
-        assert_eq!(pe.counters().flops, 12);
-        // 3 ops × 4 elements × (2 loads + 1 store) × 4 bytes.
-        assert_eq!(pe.counters().mem_load_bytes, 3 * 4 * 2 * 4);
-        assert_eq!(pe.counters().mem_store_bytes, 3 * 4 * 4);
+        // 2 binary ops × 4 elements × 1 FLOP each.
+        assert_eq!(pe.counters().flops, 8);
+        // 2 ops × 4 elements × (2 loads + 1 store) × 4 bytes.
+        assert_eq!(pe.counters().mem_load_bytes, 2 * 4 * 2 * 4);
+        assert_eq!(pe.counters().mem_store_bytes, 2 * 4 * 4);
     }
 
     #[test]
@@ -356,12 +329,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(pe.memory().read(c, 0, 3).unwrap(), vec![5.0, 11.0, 19.0]);
-        pe.fnegs(Dsd::full(c, 3), Dsd::full(c, 3)).unwrap();
-        assert_eq!(pe.memory().read(c, 0, 3).unwrap(), vec![-5.0, -11.0, -19.0]);
         pe.fmovs(Dsd::full(a, 3), Dsd::full(c, 3)).unwrap();
-        assert_eq!(pe.memory().read(a, 0, 3).unwrap(), vec![-5.0, -11.0, -19.0]);
-        // FMA counts 2 FLOPs per element, FNEG 1, FMOV 0.
-        assert_eq!(pe.counters().flops, 3 * 2 + 3);
+        assert_eq!(pe.memory().read(a, 0, 3).unwrap(), vec![5.0, 11.0, 19.0]);
+        // FMA counts 2 FLOPs per element, FMOV 0.
+        assert_eq!(pe.counters().flops, 3 * 2);
     }
 
     #[test]
@@ -388,7 +359,7 @@ mod tests {
         pe.deliver(c, vec![2.0]);
         assert_eq!(pe.pending(c), 2);
         assert_eq!(pe.take_message(c).unwrap(), vec![1.0]);
-        assert_eq!(pe.try_take_message(c), Some(vec![2.0]));
+        assert_eq!(pe.take_message(c).unwrap(), vec![2.0]);
         assert!(pe.take_message(c).is_err());
         assert_eq!(pe.counters().fabric_recv_wavelets, 2);
     }

@@ -88,22 +88,6 @@ pub struct FabricStats {
     pub max_route_depth: u64,
 }
 
-impl FabricStats {
-    /// Reset all statistics.
-    pub fn reset(&mut self) {
-        *self = FabricStats::default();
-    }
-
-    /// Average number of links each message crossed.
-    pub fn mean_route_depth(&self) -> f64 {
-        if self.messages_sent == 0 {
-            0.0
-        } else {
-            self.link_crossings as f64 / self.messages_sent as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,16 +132,5 @@ mod tests {
         let mut c = m;
         c.reset();
         assert_eq!(c, OpCounters::default());
-    }
-
-    #[test]
-    fn fabric_stats_mean_depth() {
-        let mut s = FabricStats::default();
-        assert_eq!(s.mean_route_depth(), 0.0);
-        s.messages_sent = 4;
-        s.link_crossings = 10;
-        assert_eq!(s.mean_route_depth(), 2.5);
-        s.reset();
-        assert_eq!(s, FabricStats::default());
     }
 }

@@ -109,18 +109,6 @@ pub struct TimeBreakdown {
     pub total: f64,
 }
 
-impl TimeBreakdown {
-    /// Fraction of total time spent moving data (fabric bandwidth + latency), the
-    /// quantity Table IV reports as "Data Movement".
-    pub fn data_movement_fraction(&self) -> f64 {
-        if self.total <= 0.0 {
-            0.0
-        } else {
-            (self.fabric_time + self.latency_time) / self.total
-        }
-    }
-}
-
 impl DeviceTimeModel {
     /// A model over a machine spec.
     pub fn new(spec: WseSpec) -> Self {
@@ -228,7 +216,6 @@ mod tests {
         let overlapped = model.estimate(&counters, 100, OverlapMode::Overlapped);
         let serialized = model.estimate(&counters, 100, OverlapMode::Serialized);
         assert!(overlapped.total < serialized.total);
-        assert!(serialized.data_movement_fraction() > 0.0);
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl<T: Scalar> CsrMatrix<T> {
         self.num_cols
     }
 
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// Memory footprint of the assembled matrix in bytes (values + column indices +
     /// row offsets) — the storage the matrix-free approach avoids.
     pub fn bytes(&self) -> usize {
@@ -312,9 +307,6 @@ mod tests {
         let dims = mffv_mesh::Dims::new(4, 4, 4);
         let coeffs = Transmissibilities::<f64>::uniform(dims, 1.0);
         let m = CsrMatrix::assemble_spd(&coeffs, &DirichletSet::empty());
-        // 64 diagonal entries + 2 * number of interior faces.
-        let faces = 3 * 4 * 4 * 3; // (nx-1)*ny*nz per axis, symmetric grid
-        assert_eq!(m.nnz(), 64 + 2 * faces);
         assert!(m.bytes() > 0);
         assert_eq!(m.num_rows(), 64);
         assert_eq!(m.num_cols(), 64);

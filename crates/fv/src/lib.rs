@@ -32,7 +32,6 @@ pub mod mg;
 pub mod operator;
 pub mod plan;
 pub mod residual;
-pub mod velocity;
 
 pub use csr::{AssembledOperator, CsrMatrix};
 pub use matrix_free::MatrixFreeOperator;
@@ -42,7 +41,6 @@ pub use plan::{
     det_dot, det_norm_squared, PlanStats, StencilPlan, APPLY_STREAMS_PER_CELL, SLAB_CELLS,
 };
 pub use residual::{newton_rhs, residual, residual_into};
-pub use velocity::FluxField;
 // The small-scale deterministic folds live in `mffv-mesh` (the bottom of the
 // crate stack, so mesh itself can use them without a cycle); re-exported here
 // beside `det_dot`/`det_norm_squared` so solver-side code finds the whole
@@ -60,5 +58,4 @@ pub mod prelude {
         det_dot, det_norm_squared, PlanStats, StencilPlan, APPLY_STREAMS_PER_CELL, SLAB_CELLS,
     };
     pub use crate::residual::{newton_rhs, residual, residual_into};
-    pub use crate::velocity::{cell_velocity, FluxField};
 }

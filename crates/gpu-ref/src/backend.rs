@@ -20,6 +20,7 @@ use mffv_solver::cg::ConjugateGradient;
 use mffv_solver::newton::{solve_pressure, NewtonScratch};
 use mffv_solver::pcg::JacobiPreconditioner;
 use mffv_solver::{MgConfig, MultigridVcycle, Preconditioner};
+use mffv_telemetry::Stopwatch;
 
 /// The GPU-style reference as a facade backend: the CUDA block/thread kernel
 /// structure executed on the host, with device time modelled on `spec`.
@@ -77,10 +78,7 @@ impl SolveBackend for GpuRefBackend {
         config: &SolveConfig,
         request: &mut SolveRequest<'_>,
     ) -> Result<SolveReport, SolveError> {
-        // audit: allow(wall-clock) — telemetry: feeds the report's elapsed
-        // seconds, never a numeric decision.
-        #[allow(clippy::disallowed_methods)]
-        let start = std::time::Instant::now();
+        let start = Stopwatch::start();
         let n = workload.dims().num_cells();
         let mut transfers = HostDeviceTransfers::default();
         let (newton, stopped) = request.run(|monitor, span, _| {
@@ -159,7 +157,7 @@ impl SolveBackend for GpuRefBackend {
             pressure,
             history: newton.history().clone(),
             final_residual_max,
-            host_wall_seconds: start.elapsed().as_secs_f64(),
+            host_wall_seconds: start.elapsed_seconds(),
             device: Some(device),
             stopped,
         })

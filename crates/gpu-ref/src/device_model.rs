@@ -92,14 +92,6 @@ impl GpuTimeModel {
         self.kernel_time(dims) * iterations.max(1) as f64
     }
 
-    /// Whether the whole problem (device arrays + CG vectors) fits device memory —
-    /// the condition for the paper's "no domain decomposition" strategy.
-    pub fn fits_in_memory(&self, dims: Dims) -> bool {
-        // 6 coefficients + mask + 5 CG vectors, 4 B each.
-        let bytes = dims.num_cells() * (6 + 1 + 5) * 4;
-        bytes <= self.spec.memory_capacity
-    }
-
     /// Achieved FLOP/s implied by the model for a mesh (96 FLOPs per cell per
     /// iteration, Table V).
     pub fn achieved_flops(&self, dims: Dims) -> f64 {
@@ -149,18 +141,6 @@ mod tests {
             th > 2.0 && th < 30.0,
             "modelled H100 time {th} s out of expected range"
         );
-    }
-
-    #[test]
-    fn memory_fit_check() {
-        let model = GpuTimeModel::new(GpuSpec::a100());
-        assert!(model.fits_in_memory(Dims::new(200, 200, 922)));
-        // 750x994x922 needs ~33 GB of arrays: it still fits the 40 GB A100 (the
-        // paper keeps the whole mesh resident), but would not fit a 16 GB card.
-        assert!(model.fits_in_memory(Dims::new(750, 994, 922)));
-        let mut small = GpuSpec::a100();
-        small.memory_capacity = 16 * 1024 * 1024 * 1024;
-        assert!(!GpuTimeModel::new(small).fits_in_memory(Dims::new(750, 994, 922)));
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl GpuMatrixFreeOperator {
         Self::new(DeviceArrays::upload(&coeffs, workload.dirichlet()))
     }
 
-    /// The launch configuration.
-    pub fn launch_config(&self) -> &LaunchConfig {
-        &self.launch
-    }
-
     /// The uploaded device arrays.
     pub fn device_arrays(&self) -> &DeviceArrays {
         &self.arrays
@@ -187,6 +182,5 @@ mod tests {
         let gpu = GpuMatrixFreeOperator::from_workload(&w);
         let n = w.dims().num_cells();
         assert_eq!(gpu.device_arrays().bytes(), n * 6 * 4 + n * 4);
-        assert_eq!(gpu.launch_config().dims, w.dims());
     }
 }

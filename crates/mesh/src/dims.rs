@@ -106,13 +106,6 @@ impl Dims {
         })
     }
 
-    /// Iterate over every (x, y) column in row-major order — the set of processing
-    /// elements under the paper's data mapping.
-    pub fn iter_columns(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let (nx, ny) = (self.nx, self.ny);
-        (0..ny).flat_map(move |y| (0..nx).map(move |x| (x, y)))
-    }
-
     /// Linear index of the first (z = 0) cell of column `(x, y)`.
     #[inline]
     pub fn column_base(&self, x: usize, y: usize) -> usize {
@@ -243,16 +236,6 @@ mod tests {
             next = range.end;
         }
         assert_eq!(next, d.num_cells());
-    }
-
-    #[test]
-    fn iter_columns_covers_all_pes() {
-        let d = Dims::new(3, 4, 5);
-        let cols: Vec<(usize, usize)> = d.iter_columns().collect();
-        assert_eq!(cols.len(), 12);
-        assert_eq!(cols[0], (0, 0));
-        assert_eq!(cols[1], (1, 0));
-        assert_eq!(cols[3], (0, 1));
     }
 
     #[test]

@@ -170,11 +170,6 @@ impl<T: Scalar> CellField<T> {
         self.dot(self)
     }
 
-    /// Euclidean norm.
-    pub fn norm(&self) -> T {
-        self.norm_squared().sqrt()
-    }
-
     /// Maximum absolute entry; NaN when any entry is NaN.
     pub fn max_abs(&self) -> T {
         self.data.iter().fold(T::ZERO, |m, &v| m.max_with(v.abs()))
@@ -292,7 +287,6 @@ mod tests {
         let b = CellField::<f64>::constant(d, 3.0);
         assert_eq!(a.dot(&b), 6.0 * 24.0);
         assert_eq!(a.norm_squared(), 4.0 * 24.0);
-        assert!((a.norm() - (96.0f64).sqrt()).abs() < 1e-12);
         assert_eq!(a.max_abs(), 2.0);
         assert_eq!(a.max_abs_diff(&b), 1.0);
     }

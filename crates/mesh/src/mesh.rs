@@ -5,7 +5,7 @@
 //! the (uniform) cell spacing from which face areas, cell volumes and the geometric
 //! part of the TPFA transmissibility are computed.
 
-use crate::dims::{CellIndex, Dims};
+use crate::dims::Dims;
 use crate::neighbors::Direction;
 
 /// A uniform 3-D Cartesian mesh.
@@ -73,24 +73,6 @@ impl CartesianMesh {
         self.spacing[dir.axis()]
     }
 
-    /// Physical coordinates of a cell centre.
-    pub fn cell_center(&self, c: CellIndex) -> [f64; 3] {
-        [
-            (c.x as f64 + 0.5) * self.spacing[0],
-            (c.y as f64 + 0.5) * self.spacing[1],
-            (c.z as f64 + 0.5) * self.spacing[2],
-        ]
-    }
-
-    /// Physical extent of the whole domain.
-    pub fn domain_size(&self) -> [f64; 3] {
-        [
-            self.dims.nx as f64 * self.spacing[0],
-            self.dims.ny as f64 * self.spacing[1],
-            self.dims.nz as f64 * self.spacing[2],
-        ]
-    }
-
     /// The geometric half-transmissibility of cell `c` towards direction `dir`:
     /// `A / (d/2)` where `A` is the face area and `d` the centre distance.  Combined
     /// with permeability and harmonically averaged across the face, this yields the
@@ -113,7 +95,6 @@ mod tests {
             assert_eq!(m.center_distance(dir), 1.0);
             assert_eq!(m.half_geometric_factor(dir), 2.0);
         }
-        assert_eq!(m.domain_size(), [4.0, 5.0, 6.0]);
     }
 
     #[test]
@@ -125,13 +106,6 @@ mod tests {
         assert_eq!(m.face_area(Direction::ZP), 200.0); // dx*dy
         assert_eq!(m.center_distance(Direction::XP), 10.0);
         assert_eq!(m.half_geometric_factor(Direction::ZM), 200.0 / 1.0);
-    }
-
-    #[test]
-    fn cell_centers() {
-        let m = CartesianMesh::with_spacing(Dims::new(3, 3, 3), 2.0, 2.0, 2.0);
-        assert_eq!(m.cell_center(CellIndex::new(0, 0, 0)), [1.0, 1.0, 1.0]);
-        assert_eq!(m.cell_center(CellIndex::new(2, 1, 0)), [5.0, 3.0, 1.0]);
     }
 
     #[test]

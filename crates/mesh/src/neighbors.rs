@@ -34,13 +34,6 @@ impl Direction {
         Direction::ZM,
     ];
 
-    /// The four horizontal (cardinal) directions that require fabric communication.
-    pub const HORIZONTAL: [Direction; 4] =
-        [Direction::XP, Direction::XM, Direction::YP, Direction::YM];
-
-    /// The two vertical directions resolved inside a PE's local memory.
-    pub const VERTICAL: [Direction; 2] = [Direction::ZP, Direction::ZM];
-
     /// Index of the direction in [`Direction::ALL`]; used as the per-cell
     /// transmissibility slot.
     #[inline]
@@ -79,19 +72,6 @@ impl Direction {
             Direction::ZP => Direction::ZM,
             Direction::ZM => Direction::ZP,
         }
-    }
-
-    /// Whether the neighbour in this direction lives on a different processing
-    /// element under the paper's z-column-per-PE mapping.
-    #[inline]
-    pub fn is_horizontal(self) -> bool {
-        !matches!(self, Direction::ZP | Direction::ZM)
-    }
-
-    /// Whether the neighbour in this direction lives in the same PE's local memory.
-    #[inline]
-    pub fn is_vertical(self) -> bool {
-        !self.is_horizontal()
     }
 
     /// Which grid axis the direction moves along (0 = X, 1 = Y, 2 = Z).
@@ -151,20 +131,6 @@ mod tests {
             let (dx, dy, dz) = dir.offset();
             let (ox, oy, oz) = dir.opposite().offset();
             assert_eq!((dx + ox, dy + oy, dz + oz), (0, 0, 0));
-        }
-    }
-
-    #[test]
-    fn horizontal_vertical_partition() {
-        assert_eq!(Direction::HORIZONTAL.len() + Direction::VERTICAL.len(), 6);
-        for dir in Direction::HORIZONTAL {
-            assert!(dir.is_horizontal());
-            assert!(!dir.is_vertical());
-            assert!(dir.axis() < 2);
-        }
-        for dir in Direction::VERTICAL {
-            assert!(dir.is_vertical());
-            assert_eq!(dir.axis(), 2);
         }
     }
 

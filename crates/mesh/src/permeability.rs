@@ -190,11 +190,6 @@ pub fn mean(perm: &CellField<f64>) -> f64 {
     crate::reduce::seq_sum(perm.as_slice().iter().copied()) / perm.len() as f64
 }
 
-/// Evaluate the layer index a given depth belongs to (exposed for tests).
-pub fn layer_of(z: usize, nz: usize, n_layers: usize) -> usize {
-    ((z * n_layers) / nz).min(n_layers - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,13 +289,6 @@ mod tests {
             .label(),
             "layered"
         );
-    }
-
-    #[test]
-    fn layer_of_covers_range() {
-        assert_eq!(layer_of(0, 10, 3), 0);
-        assert_eq!(layer_of(9, 10, 3), 2);
-        assert_eq!(layer_of(5, 10, 3), 1);
     }
 
     #[test]

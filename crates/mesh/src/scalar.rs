@@ -45,14 +45,8 @@ pub trait Scalar:
     fn from_f64(v: f64) -> Self;
     /// Lossless widening to `f64`.
     fn to_f64(self) -> f64;
-    /// Conversion from a cell count / index.
-    fn from_usize(v: usize) -> Self {
-        Self::from_f64(v as f64)
-    }
     /// Absolute value.
     fn abs(self) -> Self;
-    /// Square root.
-    fn sqrt(self) -> Self;
     /// Fused multiply-add `self * a + b`, rounded once (maps onto the FMA
     /// instruction counted in Table V of the paper).  On x86-64 the
     /// repository's `.cargo/config.toml` enables the `fma` target feature, so
@@ -63,8 +57,6 @@ pub trait Scalar:
     /// Elementwise maximum; NaN when either operand is NaN (where `f64::max`
     /// would return the other one), so a max-norm cannot skip a NaN cell.
     fn max_with(self, other: Self) -> Self;
-    /// Elementwise minimum.
-    fn min_with(self, other: Self) -> Self;
     /// Whether the value is finite (not NaN / ±inf).
     fn is_finite(self) -> bool;
 }
@@ -89,10 +81,6 @@ macro_rules! impl_scalar {
                 <$t>::abs(self)
             }
             #[inline]
-            fn sqrt(self) -> Self {
-                <$t>::sqrt(self)
-            }
-            #[inline]
             fn mul_add(self, a: Self, b: Self) -> Self {
                 <$t>::mul_add(self, a, b)
             }
@@ -105,10 +93,6 @@ macro_rules! impl_scalar {
                 }
             }
             #[inline]
-            fn min_with(self, other: Self) -> Self {
-                <$t>::min(self, other)
-            }
-            #[inline]
             fn is_finite(self) -> bool {
                 <$t>::is_finite(self)
             }
@@ -118,15 +102,6 @@ macro_rules! impl_scalar {
 
 impl_scalar!(f32);
 impl_scalar!(f64);
-
-/// Relative comparison helper used throughout the test suites.
-///
-/// Returns `true` when `|a - b| <= atol + rtol * max(|a|, |b|)`.
-pub fn approx_eq<T: Scalar>(a: T, b: T, rtol: f64, atol: f64) -> bool {
-    let a = a.to_f64();
-    let b = b.to_f64();
-    (a - b).abs() <= atol + rtol * a.abs().max(b.abs())
-}
 
 #[cfg(test)]
 mod tests {
@@ -144,7 +119,6 @@ mod tests {
         let x = 3.25f64;
         assert_eq!(f64::from_f64(x), x);
         assert_eq!(f32::from_f64(x).to_f64(), 3.25);
-        assert_eq!(f32::from_usize(7), 7.0);
     }
 
     #[test]
@@ -178,7 +152,6 @@ mod tests {
     fn min_max_and_abs() {
         assert_eq!((-2.0f32).abs(), 2.0);
         assert_eq!(1.0f64.max_with(2.0), 2.0);
-        assert_eq!(1.0f64.min_with(2.0), 1.0);
         assert!(f64::NAN.max_with(2.0).is_nan() && 2.0f32.max_with(f32::NAN).is_nan());
     }
 
@@ -187,12 +160,5 @@ mod tests {
         assert!(1.0f32.is_finite());
         assert!(!(f32::INFINITY).is_finite());
         assert!(!(f64::NAN).is_finite());
-    }
-
-    #[test]
-    fn approx_eq_behaviour() {
-        assert!(approx_eq(1.0f64, 1.0 + 1e-12, 1e-9, 0.0));
-        assert!(!approx_eq(1.0f64, 1.1, 1e-9, 0.0));
-        assert!(approx_eq(0.0f32, 1e-9f32, 0.0, 1e-6));
     }
 }

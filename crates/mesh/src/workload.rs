@@ -67,16 +67,22 @@ fn finite_positive(what: &str, value: f64) -> Result<(), WorkloadError> {
     }
 }
 
-/// Reject a permeability model with a non-finite parameter, or with a value
+/// Reject a permeability model with a non-finite parameter, with a value
 /// [`PermeabilityModel::generate`] needs positive (or, for `std_log`,
-/// non-negative) that is not.  An empty layer list is left to `generate`,
-/// which panics on it.
+/// non-negative) that is not, or with no layers.
 fn validate_permeability(model: &PermeabilityModel) -> Result<(), WorkloadError> {
     match model {
         PermeabilityModel::Homogeneous { value } => finite_positive("permeability", *value),
-        PermeabilityModel::Layered { layer_values } => layer_values
-            .iter()
-            .try_for_each(|&v| finite_positive("layer permeability", v)),
+        PermeabilityModel::Layered { layer_values } => {
+            if layer_values.is_empty() {
+                return Err(WorkloadError::new(
+                    "a layered permeability needs at least one layer",
+                ));
+            }
+            layer_values
+                .iter()
+                .try_for_each(|&v| finite_positive("layer permeability", v))
+        }
         PermeabilityModel::LogNormal {
             mean_log, std_log, ..
         } => {
@@ -110,9 +116,6 @@ fn validate_permeability(model: &PermeabilityModel) -> Result<(), WorkloadError>
 
 /// The CG convergence tolerance used throughout the paper's evaluation (§V-C).
 pub const PAPER_TOLERANCE: f64 = 2e-10;
-
-/// The fabric extent available on the CS-2 ("the grid size is 750 × 994", §V-A).
-pub const PAPER_FABRIC: (usize, usize) = (750, 994);
 
 /// The Z depth used in every paper experiment.
 pub const PAPER_NZ: usize = 922;
@@ -224,11 +227,6 @@ impl WorkloadSpec {
             (750, 950, PAPER_NZ),
             (750, 994, PAPER_NZ),
         ]
-    }
-
-    /// The largest grid of the paper (Table II / Table IV: `750 × 994 × 922`).
-    pub fn table2_grid() -> (usize, usize, usize) {
-        (PAPER_FABRIC.0, PAPER_FABRIC.1, PAPER_NZ)
     }
 
     /// Scale every extent down by `factor` (each extent is divided by `factor` and
@@ -509,7 +507,6 @@ mod tests {
         assert_eq!(grids[6], (750, 994, 922));
         let cells: usize = grids[6].0 * grids[6].1 * grids[6].2;
         assert_eq!(cells, 687_351_000);
-        assert_eq!(WorkloadSpec::table2_grid(), (750, 994, 922));
     }
 
     #[test]
@@ -553,7 +550,6 @@ mod tests {
     #[test]
     fn paper_tolerance_constant() {
         assert_eq!(PAPER_TOLERANCE, 2e-10);
-        assert_eq!(PAPER_FABRIC, (750, 994));
         assert_eq!(PAPER_NZ, 922);
     }
 
@@ -733,6 +729,19 @@ mod tests {
             ..base
         };
         assert!(fine.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_layer_list() {
+        let spec = WorkloadSpec {
+            permeability: PermeabilityModel::Layered {
+                layer_values: Vec::new(),
+            },
+            ..WorkloadSpec::quickstart()
+        };
+        let e = spec.validate().unwrap_err().to_string();
+        assert!(e.contains("at least one layer"), "{e}");
+        assert!(Workload::try_from_spec(&spec).is_err());
     }
 
     #[test]

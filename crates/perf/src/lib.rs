@@ -15,7 +15,7 @@ pub mod timing;
 
 pub use machine::MachineSpec;
 pub use opcount::{CellOpCounts, InstructionClass, OpCountRow};
-pub use roofline::{Roofline, RooflinePoint};
+pub use roofline::Roofline;
 pub use timing::{AnalyticTiming, LatencyStats, ScalingRow};
 
 /// Convenient glob import.
@@ -23,6 +23,6 @@ pub mod prelude {
     pub use crate::machine::MachineSpec;
     pub use crate::opcount::{CellOpCounts, InstructionClass, OpCountRow};
     pub use crate::report::format_table;
-    pub use crate::roofline::{Roofline, RooflinePoint};
+    pub use crate::roofline::Roofline;
     pub use crate::timing::{AnalyticTiming, LatencyStats, ScalingRow};
 }

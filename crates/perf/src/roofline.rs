@@ -9,18 +9,6 @@
 
 use crate::machine::MachineSpec;
 
-/// A kernel plotted on the roofline: its arithmetic intensity with respect to one
-/// traffic class and its achieved performance.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RooflinePoint {
-    /// Label for reports ("memory", "fabric", …).
-    pub label: &'static str,
-    /// Arithmetic intensity, FLOP/byte.
-    pub arithmetic_intensity: f64,
-    /// Achieved performance, FLOP/s.
-    pub achieved_flops: f64,
-}
-
 /// A roofline for one machine.
 #[derive(Clone, Debug)]
 pub struct Roofline {
@@ -58,23 +46,6 @@ impl Roofline {
     /// Whether a kernel with this intensity is compute-bound against a ceiling.
     pub fn is_compute_bound(&self, arithmetic_intensity: f64, bandwidth: Option<&str>) -> bool {
         self.attainable(arithmetic_intensity, bandwidth) >= self.spec.peak_flops
-    }
-
-    /// The intensity at which a bandwidth ceiling meets the compute peak (the
-    /// "ridge point" of the roofline).
-    pub fn ridge_intensity(&self, bandwidth: Option<&str>) -> f64 {
-        let bw = match bandwidth {
-            Some(name) => {
-                self.spec
-                    .bandwidth(name)
-                    // audit: allow(panic) — invariant: documented panicking
-                    // lookup; callers pass names enumerated by the spec itself.
-                    .expect("unknown bandwidth level")
-                    .bytes_per_second
-            }
-            None => self.spec.slowest_bandwidth().bytes_per_second,
-        };
-        self.spec.peak_flops / bw
     }
 
     /// Fraction of the attainable ceiling a measured performance achieves at a given
@@ -131,7 +102,6 @@ mod tests {
         let counts = CellOpCounts::paper_table5();
         // Against the HBM ceiling the kernel intensity is far below the ridge point.
         assert!(!roofline.is_compute_bound(counts.memory_arithmetic_intensity(), Some("HBM")));
-        assert!(roofline.ridge_intensity(Some("HBM")) > counts.memory_arithmetic_intensity());
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::opcount::CellOpCounts;
 use mffv_fabric::timing::WseSpec;
 use mffv_gpu_ref::device_model::{GpuSpec, GpuTimeModel};
 use mffv_mesh::Dims;
-use mffv_telemetry::LogHistogram;
 
 /// Wall time in seconds of every round of `runs`, after one untimed warmup
 /// each — the measurement loop of the kernel report binaries.  Each of the
@@ -98,26 +97,6 @@ impl LatencyStats {
             p95: percentile(&sorted, 0.95),
             p99: percentile(&sorted, 0.99),
             p999: percentile(&sorted, 0.999),
-        }
-    }
-
-    /// Summarise a streaming [`LogHistogram`] instead of a sample buffer.
-    ///
-    /// `samples`/`min`/`max`/`mean` are exact (the histogram tracks them
-    /// alongside its buckets); percentiles are log₂-bucket estimates
-    /// (within ~2× of the sorted-sample value, monotone in `q`).  This is
-    /// the hot-path constructor: workers keep allocation-free per-worker
-    /// histograms and merge them instead of collecting every sample.
-    pub fn from_histogram(hist: &LogHistogram) -> Self {
-        Self {
-            samples: hist.count() as usize,
-            min: hist.min_seconds(),
-            max: hist.max_seconds(),
-            mean: hist.mean(),
-            p50: hist.p50(),
-            p95: hist.p95(),
-            p99: hist.p99(),
-            p999: hist.p999(),
         }
     }
 }
@@ -314,26 +293,6 @@ mod tests {
         assert_eq!(stats.p95, 1.0);
         assert_eq!(stats.p99, 1.0);
         assert_eq!(stats.p999, 1.0);
-    }
-
-    #[test]
-    fn latency_stats_from_histogram_match_exact_moments() {
-        let mut hist = LogHistogram::new();
-        let samples = [0.25, 0.5, 1.0, 2.0];
-        for v in samples {
-            hist.record(v);
-        }
-        let stats = LatencyStats::from_histogram(&hist);
-        let exact = LatencyStats::from_samples(&samples);
-        assert_eq!(stats.samples, exact.samples);
-        assert_eq!(stats.min, exact.min);
-        assert_eq!(stats.max, exact.max);
-        assert!((stats.mean - exact.mean).abs() < 1e-12);
-        // Percentiles are log2-bucket estimates: monotone and within 2x.
-        assert!(stats.p50 <= stats.p95 && stats.p95 <= stats.p99 && stats.p99 <= stats.p999);
-        assert!(stats.p50 >= exact.p50 / 2.0 && stats.p50 <= exact.p50 * 2.0);
-        let empty = LatencyStats::from_histogram(&LogHistogram::new());
-        assert_eq!(empty, LatencyStats::from_samples(&[]));
     }
 
     #[test]

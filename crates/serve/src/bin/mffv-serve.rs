@@ -10,7 +10,7 @@
 //! `Shutdown` frame — `Drain` finishes every accepted job first, `Abort`
 //! cancels at the next iteration boundary.
 
-use mffv_serve::{RunningServer, ServeConfig, Server};
+use mffv_serve::{RunningServer, ServeConfig, Server, WireError};
 use mffv_telemetry::MetricsRegistry;
 use std::process::ExitCode;
 
@@ -74,7 +74,12 @@ fn run(args: Args) -> Result<(), String> {
     if let Some(registry) = &registry {
         server = server.with_metrics(registry.clone());
     }
-    let running: RunningServer = server.bind().map_err(|e| format!("bind failed: {e}"))?;
+    let running: RunningServer = server.bind().map_err(|e| match e {
+        // A ceiling that is not a deadline is a bad flag value, refused
+        // before anything binds.
+        WireError::BadDeadline { .. } => format!("{e}\n{}", usage()),
+        e => format!("bind failed: {e}"),
+    })?;
     let addr = running.local_addr();
     println!("mffv-serve listening on {addr}");
     if let Some(path) = &args.port_file {

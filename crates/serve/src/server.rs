@@ -37,7 +37,7 @@
 //!   submit that loses the race with either gets `Rejected`.
 
 use crate::frame::{Frame, WireShutdownMode};
-use crate::wire::WireError;
+use crate::wire::{deadline, WireError};
 use mffv_engine::{Engine, EngineService, JobStatus, ServiceJob, ShutdownMode};
 use mffv_solver::monitor::{CancelToken, Flow, SolveEvent};
 use mffv_telemetry::{MetricsRegistry, Tracer};
@@ -190,8 +190,13 @@ impl Server {
     }
 
     /// Bind the listener, start the engine service and the accept loop, and
-    /// return the running daemon's handle.
+    /// return the running daemon's handle.  A `max_session_seconds` that is
+    /// NaN, negative or too large for a `Duration` is a
+    /// [`WireError::BadDeadline`], refused before anything binds.
     pub fn bind(self) -> Result<RunningServer, WireError> {
+        if let Some(seconds) = self.config.max_session_seconds {
+            deadline("max_session_seconds", seconds)?;
+        }
         let listener = TcpListener::bind(&self.config.addr)?;
         let local_addr = listener.local_addr()?;
         let mut engine = Engine::new(self.config.workers).with_tracer(self.tracer.clone());
@@ -424,7 +429,13 @@ fn handle_submit(
         reject(shared, session, job_id, "daemon is shutting down");
         return;
     }
-    let mut job_spec = spec.to_job_spec(shared.config.max_session_seconds);
+    let mut job_spec = match spec.to_job_spec(shared.config.max_session_seconds) {
+        Ok(job_spec) => job_spec,
+        Err(error) => {
+            reject(shared, session, job_id, &error.to_string());
+            return;
+        }
+    };
     if let Err(error) = job_spec.validate() {
         reject(shared, session, job_id, &error.to_string());
         return;
@@ -533,6 +544,20 @@ mod tests {
     use super::*;
     use mffv_telemetry::Stopwatch;
     use std::time::Duration;
+
+    #[test]
+    fn bind_refuses_a_session_ceiling_that_is_not_a_deadline() {
+        for seconds in [f64::INFINITY, 1e300, f64::NAN, -1.0] {
+            let config = ServeConfig::default().with_max_session_seconds(seconds);
+            assert!(matches!(
+                Server::new(config).bind(),
+                Err(WireError::BadDeadline {
+                    field: "max_session_seconds",
+                    ..
+                })
+            ));
+        }
+    }
 
     /// Connection churn must not grow the daemon: the handles of finished
     /// session readers are dropped as new connections arrive.

@@ -37,7 +37,7 @@
 //! `f32`).  A spec that sets `precision` fails with a [`SpecError`] that
 //! names `backend = host-f32`.
 
-use crate::wire::{BackendSel, WireJobSpec, WirePolicy};
+use crate::wire::{deadline, BackendSel, WireJobSpec, WirePolicy};
 use mffv_mesh::workload::BoundarySpec;
 use mffv_mesh::{
     CellIndex, Dims, DtPolicy, PermeabilityModel, TransientSpec, Well, WellControl, WellSet,
@@ -320,7 +320,9 @@ pub fn parse_spec(text: &str) -> Result<WireJobSpec, SpecError> {
                 policy.iteration_budget = Some(parse_usize(line, value, "iteration_budget")?)
             }
             "deadline_seconds" => {
-                policy.deadline_seconds = Some(parse_f64(line, value, "deadline_seconds")?)
+                let seconds = parse_f64(line, value, "deadline_seconds")?;
+                deadline("deadline_seconds", seconds).map_err(|e| err(line, e.to_string()))?;
+                policy.deadline_seconds = Some(seconds);
             }
             "stagnation" => {
                 let parts: Vec<&str> = value.split_whitespace().collect();
@@ -457,6 +459,20 @@ well = prod bhp 6 6 2 1e6 1e-9
             assert!(e.message.contains(what), "{text}: {e}");
             assert!(e.message.contains("not a finite number"), "{text}: {e}");
         }
+    }
+
+    #[test]
+    fn a_deadline_that_is_not_one_is_a_line_numbered_error() {
+        for text in [
+            "backend = host\ndeadline_seconds = 1e300\n",
+            "backend = host\ndeadline_seconds = -1\n",
+        ] {
+            let e = parse_spec(text).unwrap_err();
+            assert_eq!(e.line, 2, "{text}");
+            assert!(e.message.contains("deadline_seconds"), "{text}: {e}");
+        }
+        let job = parse_spec("deadline_seconds = 0.5\n").expect("parses");
+        assert_eq!(job.policy.deadline_seconds, Some(0.5));
     }
 
     #[test]

@@ -37,7 +37,7 @@ use std::time::Duration;
 
 /// Typed decode/transport failure.  Every malformed input maps onto one of
 /// these variants; the wire layer has no panicking path.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WireError {
     /// The buffer ended before the announced content did.
     Truncated {
@@ -84,6 +84,13 @@ pub enum WireError {
     Malformed(String),
     /// The underlying socket failed (read/write/connect).
     Io(String),
+    /// A deadline that is NaN, negative or too large for a [`Duration`].
+    BadDeadline {
+        /// The field or setting that carried it.
+        field: &'static str,
+        /// The value, as given.
+        seconds: f64,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -115,6 +122,11 @@ impl std::fmt::Display for WireError {
             }
             WireError::Malformed(detail) => write!(f, "malformed payload: {detail}"),
             WireError::Io(detail) => write!(f, "transport error: {detail}"),
+            WireError::BadDeadline { field, seconds } => write!(
+                f,
+                "{field} = {seconds:?} is not a deadline: it must be a non-negative \
+                 number of seconds below 2^64 (about 1.8e19)"
+            ),
         }
     }
 }
@@ -125,6 +137,12 @@ impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e.to_string())
     }
+}
+
+/// `seconds` as a solve deadline.  NaN, a negative value or one too large
+/// for a [`Duration`] is a [`WireError::BadDeadline`] naming `field`.
+pub(crate) fn deadline(field: &'static str, seconds: f64) -> Result<Duration, WireError> {
+    Duration::try_from_secs_f64(seconds).map_err(|_| WireError::BadDeadline { field, seconds })
 }
 
 /// Append-only big-endian byte sink.
@@ -157,11 +175,6 @@ impl ByteWriter {
     /// One raw byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Big-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Big-endian `u32`.
@@ -289,12 +302,6 @@ impl<'a> ByteReader<'a> {
     /// One raw byte.
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Big-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
     }
 
     /// Big-endian `u32`.
@@ -1161,20 +1168,27 @@ impl WirePolicy {
     /// Build the solver-side policy, clamping the requested deadline to
     /// `max_deadline` (the server's per-session ceiling; `None` = no cap).
     /// A server with a ceiling applies it even when the client asked for no
-    /// deadline at all.
-    pub fn to_stop_policy(&self, max_deadline: Option<f64>) -> StopPolicy {
+    /// deadline at all.  Either deadline that is NaN, negative or too large
+    /// for a [`Duration`] is a [`WireError::BadDeadline`] naming its field,
+    /// checked before the clamp.
+    pub fn to_stop_policy(&self, max_deadline: Option<f64>) -> Result<StopPolicy, WireError> {
         let mut policy = StopPolicy::new();
         if let Some(budget) = self.iteration_budget {
             policy = policy.iteration_budget(budget);
         }
-        let deadline = match (self.deadline_seconds, max_deadline) {
+        let requested = self
+            .deadline_seconds
+            .map(|seconds| deadline("deadline_seconds", seconds))
+            .transpose()?;
+        let ceiling = max_deadline
+            .map(|seconds| deadline("max_session_seconds", seconds))
+            .transpose()?;
+        let armed = match (requested, ceiling) {
             (Some(requested), Some(ceiling)) => Some(requested.min(ceiling)),
-            (Some(requested), None) => Some(requested),
-            (None, Some(ceiling)) => Some(ceiling),
-            (None, None) => None,
+            (requested, ceiling) => requested.or(ceiling),
         };
-        if let Some(seconds) = deadline {
-            policy = policy.deadline(Duration::from_secs_f64(seconds.max(0.0)));
+        if let Some(armed) = armed {
+            policy = policy.deadline(armed);
         }
         if let Some((window, min_rel)) = self.stagnation {
             policy = policy.stagnation(window, min_rel);
@@ -1182,7 +1196,7 @@ impl WirePolicy {
         if let Some(factor) = self.divergence_factor {
             policy = policy.divergence(factor);
         }
-        policy
+        Ok(policy)
     }
 }
 
@@ -1250,20 +1264,24 @@ impl WireJobSpec {
     }
 
     /// The engine job this spec describes.  `max_deadline` is the server's
-    /// per-session deadline ceiling (see [`WirePolicy::to_stop_policy`]);
-    /// session-local cancel tokens are attached by the caller afterwards via
+    /// per-session deadline ceiling (see [`WirePolicy::to_stop_policy`],
+    /// whose deadline errors this returns); session-local cancel tokens are
+    /// attached by the caller afterwards via
     /// [`mffv_engine::JobSpec::with_stop_policy`]'s composition.
-    pub fn to_job_spec(&self, max_deadline: Option<f64>) -> mffv_engine::JobSpec {
+    pub fn to_job_spec(
+        &self,
+        max_deadline: Option<f64>,
+    ) -> Result<mffv_engine::JobSpec, WireError> {
         let mut job = mffv_engine::JobSpec::new(self.workload.clone(), self.backend.to_backend())
             .with_config(self.config)
-            .with_stop_policy(self.policy.to_stop_policy(max_deadline));
+            .with_stop_policy(self.policy.to_stop_policy(max_deadline)?);
         if let Some(seed) = self.seed {
             job = job.with_seed(seed);
         }
         if let Some(transient) = &self.transient {
             job = job.with_transient(transient.clone());
         }
-        job
+        Ok(job)
     }
 }
 
@@ -1323,7 +1341,6 @@ mod tests {
     fn primitives_roundtrip_bitwise() {
         let mut w = ByteWriter::new();
         w.put_u8(0xAB);
-        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
         w.put_bool(true);
@@ -1333,7 +1350,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 0xAB);
-        assert_eq!(r.u16().unwrap(), 0xBEEF);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert!(r.bool().unwrap());
@@ -1491,6 +1507,32 @@ mod tests {
     }
 
     #[test]
+    fn deadlines_that_are_not_one_are_errors_naming_their_field() {
+        for seconds in [f64::INFINITY, 1e300, f64::NAN, -1.0] {
+            let asked = WirePolicy {
+                deadline_seconds: Some(seconds),
+                ..WirePolicy::default()
+            };
+            assert!(matches!(
+                asked.to_stop_policy(Some(30.0)),
+                Err(WireError::BadDeadline {
+                    field: "deadline_seconds",
+                    ..
+                })
+            ));
+            assert!(matches!(
+                WirePolicy::default().to_stop_policy(Some(seconds)),
+                Err(WireError::BadDeadline {
+                    field: "max_session_seconds",
+                    ..
+                })
+            ));
+        }
+        assert_eq!(deadline("d", 0.0), Ok(Duration::ZERO));
+        assert_eq!(deadline("d", 2.5), Ok(Duration::from_millis(2500)));
+    }
+
+    #[test]
     fn wire_job_spec_builds_the_equivalent_engine_job() {
         let wire_job = WireJobSpec {
             seed: Some(7),
@@ -1500,7 +1542,7 @@ mod tests {
             },
             ..WireJobSpec::new(WorkloadSpec::quickstart(), BackendSel::HostF32)
         };
-        let job = wire_job.to_job_spec(Some(30.0));
+        let job = wire_job.to_job_spec(Some(30.0)).unwrap();
         assert_eq!(job.backend.name(), "host-f32");
         assert_eq!(job.seed, Some(7));
         assert!(!job.stop_policy.is_empty());

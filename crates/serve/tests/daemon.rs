@@ -1,7 +1,8 @@
 //! End-to-end daemon tests over real sockets: streamed-event bitwise
 //! fidelity on every backend, typed Busy back-pressure, duplicate job ids,
 //! per-job cancel isolation, concurrent-client progress with the worker
-//! busy, deadline ceilings, and drain and abort shutdown.
+//! busy, deadline ceilings, rejected deadlines, orphan cancellation on
+//! hang-up, and drain and abort shutdown.
 
 use mffv_mesh::workload::BoundarySpec;
 use mffv_mesh::{CellIndex, Dims, TransientSpec, Well, WellSet, WorkloadSpec};
@@ -10,8 +11,10 @@ use mffv_serve::wire::{BackendSel, WireJobSpec, WirePolicy};
 use mffv_serve::{Client, ClientControl, JobEnd, RunningServer, ServeConfig, Server};
 use mffv_solver::backend::SolveRequest;
 use mffv_solver::monitor::{RecordingMonitor, SolveEvent, StopReason};
+use mffv_telemetry::{MetricsRegistry, Stopwatch};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 fn start(config: ServeConfig) -> RunningServer {
     Server::new(config).bind().expect("bind")
@@ -106,6 +109,7 @@ fn streamed_events_are_bitwise_the_inprocess_history_on_every_backend() {
         let mut recorder = RecordingMonitor::new();
         let report = spec
             .to_job_spec(None)
+            .expect("valid spec")
             .execute(&mut SolveRequest::new().monitor(&mut recorder))
             .expect("in-process solve");
 
@@ -340,6 +344,92 @@ fn the_session_deadline_ceiling_stops_runaway_jobs() {
         JobEnd::Stopped { reason, .. } => assert_eq!(reason, StopReason::DeadlineExpired),
         other => panic!("expected Stopped(DeadlineExpired), got {other:?}"),
     }
+    server.shutdown(WireShutdownMode::Drain);
+}
+
+/// A daemon whose metrics the test can read.
+fn start_with_metrics() -> (RunningServer, MetricsRegistry) {
+    let metrics = MetricsRegistry::new();
+    let server = Server::new(ServeConfig::default())
+        .with_metrics(metrics.clone())
+        .bind()
+        .expect("bind");
+    (server, metrics)
+}
+
+/// Wait, generously, until counter `name` reads `value`.
+fn wait_for_counter(metrics: &MetricsRegistry, name: &str, value: u64) {
+    let waited = Stopwatch::start();
+    while metrics.counter(name) < value {
+        assert!(
+            waited.elapsed_seconds() < 60.0,
+            "{name} stayed at {} (waiting for {value})",
+            metrics.counter(name)
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(metrics.counter(name), value, "{name}");
+}
+
+/// A client that hangs up with a job in flight gets that job stopped: the
+/// session's disconnect token cancels the orphan at its next iteration
+/// boundary.  The plug has no deadline and no budget, so only the cancel
+/// can stop it.
+#[test]
+fn a_hung_up_sessions_in_flight_job_is_cancelled() {
+    let (server, metrics) = start_with_metrics();
+    let mut stream = raw_session(server.local_addr(), "orphan");
+    submit(&mut stream, 1, plug_spec());
+    assert!(matches!(
+        next_past_events(&mut stream, 1),
+        Frame::Accepted { job_id: 1 }
+    ));
+    drop(stream);
+    wait_for_counter(&metrics, "engine.service.jobs.stopped", 1);
+    assert_eq!(metrics.counter("engine.service.jobs.ok"), 0);
+    wait_for_counter(&metrics, "serve.sessions.closed", 1);
+    server.shutdown(WireShutdownMode::Drain);
+}
+
+/// Deadlines that are not one — infinite, too large for a `Duration`, NaN
+/// or negative — are a typed `Rejected` naming the field.  They leave the
+/// session working: a later job still completes, and the hang-up still
+/// cancels the job in flight.
+#[test]
+fn bad_deadlines_are_rejected_and_the_session_still_cancels_its_orphans() {
+    let (server, metrics) = start_with_metrics();
+    let mut stream = raw_session(server.local_addr(), "bad-deadlines");
+    submit(&mut stream, 1, plug_spec());
+    assert!(matches!(
+        next_past_events(&mut stream, 1),
+        Frame::Accepted { job_id: 1 }
+    ));
+    for (job_id, seconds) in [(2, f64::INFINITY), (3, 1e300), (4, f64::NAN), (5, -1.0)] {
+        let mut spec = quick_spec(BackendSel::HostF64);
+        spec.policy.deadline_seconds = Some(seconds);
+        submit(&mut stream, job_id, spec);
+        match next_past_events(&mut stream, 1) {
+            Frame::Rejected { job_id: id, reason } => {
+                assert_eq!(id, job_id);
+                assert!(reason.contains("deadline_seconds"), "{seconds}: {reason}");
+            }
+            other => panic!("deadline {seconds}: expected Rejected, got {other:?}"),
+        }
+    }
+    assert_eq!(metrics.counter("serve.jobs.rejected"), 4);
+
+    submit(&mut stream, 6, quick_spec(BackendSel::HostF64));
+    loop {
+        match next_past_events(&mut stream, 1) {
+            Frame::Accepted { job_id: 6 } | Frame::Event { job_id: 6, .. } => continue,
+            Frame::Done { job_id: 6, .. } => break,
+            other => panic!("expected job 6 to complete, got {other:?}"),
+        }
+    }
+    drop(stream);
+    wait_for_counter(&metrics, "engine.service.jobs.stopped", 1);
+    assert_eq!(metrics.counter("engine.service.jobs.ok"), 1);
+    wait_for_counter(&metrics, "serve.sessions.closed", 1);
     server.shutdown(WireShutdownMode::Drain);
 }
 

@@ -90,11 +90,6 @@ impl ConvergenceHistory {
         *self.residual_norms_squared.last().unwrap_or(&f64::NAN)
     }
 
-    /// Overall residual-norm reduction factor `sqrt(rr_final / rr_initial)`.
-    pub fn reduction_factor(&self) -> f64 {
-        (self.final_rr() / self.initial_rr()).sqrt()
-    }
-
     /// Whether the recorded residual history is monotonically non-increasing within
     /// a tolerance factor (CG residual norms are not strictly monotone, but the
     /// paper's SPD systems should show a broadly decreasing trend; this helper lets
@@ -145,7 +140,6 @@ mod tests {
         assert_eq!(h.iterations, 2);
         assert_eq!(h.initial_rr(), 100.0);
         assert_eq!(h.final_rr(), 1.0);
-        assert!((h.reduction_factor() - 0.1).abs() < 1e-12);
         assert!(h.is_broadly_decreasing(1.0));
     }
 

@@ -2,10 +2,11 @@
 //! histograms behind one mutex.
 //!
 //! The registry is for *cold* paths — job completions, queue high-water
-//! marks, per-batch rollups.  Hot loops keep a private [`LogHistogram`]
-//! (allocation-free, no lock) and fold it in once at the end via
-//! [`MetricsRegistry::merge_histogram`]; that is how the engine's workers
-//! report per-job execution latency without contending per sample.
+//! marks, per-batch rollups.  The engine's workers record each finished
+//! job's execution time with one [`MetricsRegistry::observe`].  A hot loop
+//! that records many samples can keep a private [`LogHistogram`]
+//! (allocation-free, no lock) instead and fold it in once at the end with
+//! [`MetricsRegistry::merge_histogram`].
 //!
 //! All maps are `BTreeMap`s, so snapshots iterate in sorted name order and
 //! JSON exports are canonical.

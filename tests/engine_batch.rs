@@ -4,6 +4,7 @@
 //! concurrency), and a panicking job must be reported as failed without
 //! poisoning the pool.
 
+use mffv::engine::{ServiceJob, ShutdownMode};
 use mffv::prelude::*;
 use mffv_mesh::workload::BoundarySpec;
 use mffv_mesh::CellIndex;
@@ -289,9 +290,8 @@ fn transient_jobs_differing_only_in_compressibility_keep_their_own_shift() {
 #[test]
 fn panicking_and_invalid_jobs_are_reported_without_poisoning_the_pool() {
     let good = JobSpec::new(WorkloadSpec::quickstart().scaled(2), Backend::host());
-    // An empty layer list passes intake validation but panics inside
-    // permeability generation on the worker thread.
-    let panicking = JobSpec::new(
+    // An empty layer list is rejected at job intake with a typed error.
+    let no_layers = JobSpec::new(
         WorkloadSpec {
             permeability: PermeabilityModel::Layered {
                 layer_values: Vec::new(),
@@ -300,7 +300,7 @@ fn panicking_and_invalid_jobs_are_reported_without_poisoning_the_pool() {
         },
         Backend::host(),
     );
-    // A zero iteration cap is rejected at job intake with a typed error.
+    // So is a zero iteration cap.
     let invalid = JobSpec::new(
         WorkloadSpec {
             max_iterations: 0,
@@ -308,16 +308,16 @@ fn panicking_and_invalid_jobs_are_reported_without_poisoning_the_pool() {
         },
         Backend::host(),
     );
-    let jobs = vec![good.clone(), panicking, good.clone(), invalid, good];
+    let jobs = vec![good.clone(), no_layers, good.clone(), invalid, good.clone()];
 
     let batch = Engine::new(2).run(jobs);
     assert_eq!(batch.jobs(), 5);
     assert_eq!(batch.succeeded(), 3);
     assert_eq!(batch.failed(), 2);
 
-    assert!(matches!(batch.outcomes[1].status, JobStatus::Panicked(_)));
-    let panic_msg = batch.outcomes[1].failure().unwrap();
-    assert!(panic_msg.contains("layer"), "{panic_msg}");
+    assert!(matches!(batch.outcomes[1].status, JobStatus::Failed(_)));
+    let layer_msg = batch.outcomes[1].failure().unwrap();
+    assert!(layer_msg.contains("layer"), "{layer_msg}");
 
     assert!(matches!(batch.outcomes[3].status, JobStatus::Failed(_)));
     let intake_msg = batch.outcomes[3].failure().unwrap();
@@ -331,7 +331,33 @@ fn panicking_and_invalid_jobs_are_reported_without_poisoning_the_pool() {
 
     // The rendered report carries per-job status plus the aggregate line.
     let text = batch.to_string();
-    for needle in ["ok", "panicked", "failed", "jobs/s", "p50", "p95"] {
+    for needle in ["ok", "failed", "jobs/s", "p50", "p95"] {
+        assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
+    }
+
+    // A job whose event callback panics ends `Panicked` with the panic's
+    // message, and the next job on the same worker still succeeds.
+    let service = Engine::new(1).start();
+    let (sender, outcomes) = std::sync::mpsc::channel();
+    let deliver = |sender: std::sync::mpsc::Sender<JobOutcome>| {
+        move |outcome| sender.send(outcome).expect("test holds the receiver")
+    };
+    let panicking = ServiceJob::new(good.clone(), deliver(sender.clone()))
+        .with_events(|_: &SolveEvent| -> Flow { panic!("event callback exploded") });
+    assert!(service.submit(panicking).is_ok());
+    assert!(service
+        .submit(ServiceJob::new(good, deliver(sender)))
+        .is_ok());
+    let panicked = outcomes.recv().expect("first outcome");
+    let next = outcomes.recv().expect("second outcome");
+    service.shutdown(ShutdownMode::Drain);
+    assert!(matches!(panicked.status, JobStatus::Panicked(_)));
+    let panic_msg = panicked.failure().unwrap();
+    assert!(panic_msg.contains("event callback exploded"), "{panic_msg}");
+    assert!(next.is_success(), "the job after the panic must survive");
+    assert!(next.report().unwrap().converged());
+    let text = BatchReport::new(vec![panicked, next], 1, 1.0).to_string();
+    for needle in ["panicked", "ok"] {
         assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
     }
 
