@@ -13,18 +13,21 @@
 //! The unified [`SolveReport`] carries the pressure field (for numerical
 //! integrity checks against the host and GPU-reference solvers, §V-B), the
 //! convergence history, and a device section with the measured counters and the
-//! modelled device time.  The §III-E toggles of [`SolverOptions`] shape the
-//! device-time model and the memory plan; communication-only runs keep their
-//! forced iteration count and plain CG's schedule.
+//! modelled device time.  The device-time model assumes overlapped
+//! communication and the memory plan aggressive buffer reuse (§III-E); the
+//! [`SolverOptions`] vectorisation toggle scales the modelled FLOP rate, and
+//! communication-only runs keep their forced iteration count and plain CG's
+//! schedule.
 
 use crate::allreduce::AllReduce;
 use crate::comm::CardinalExchange;
 use crate::kernel;
-use crate::mapping::{MemoryPlan, PeColumnBuffers, ProblemMapping};
+use crate::mapping::{MemoryPlan, PeColumnBuffers, ProblemMapping, ReuseStrategy};
 use crate::options::SolverOptions;
 use crate::state_machine::{CgEvent, CgState, CgStateMachine};
 use crate::stats::DataflowRunStats;
 use mffv_fabric::error::Result;
+use mffv_fabric::timing::OverlapMode;
 use mffv_fabric::{ColorAllocator, Fabric, WseSpec};
 use mffv_fv::residual::{newton_rhs, residual};
 use mffv_mesh::{CellField, Dims, Workload};
@@ -40,8 +43,8 @@ use mffv_telemetry::{Span, Stopwatch};
 /// The simulated WSE-2 dataflow fabric as a facade backend.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DataflowBackend {
-    /// The §III-E optimisation toggles (buffer reuse, overlap, vectorisation,
-    /// communication-only mode).
+    /// The dataflow-specific settings (vectorisation, communication-only
+    /// mode).
     pub options: SolverOptions,
     /// Machine spec for the device-time model; `None` models a CS-2 region
     /// matching the problem's fabric footprint (the historical default).
@@ -467,9 +470,12 @@ impl DataflowBackend {
             critical_path_hops,
             host_wall_seconds: start.elapsed_seconds(),
         };
-        let modelled_time =
-            stats.modelled_time(spec, self.options.overlap, self.options.simd_efficiency());
-        let memory_plan = MemoryPlan::new(dims.nz, self.options.reuse);
+        let modelled_time = stats.modelled_time(
+            spec,
+            OverlapMode::Overlapped,
+            self.options.simd_efficiency(),
+        );
+        let memory_plan = MemoryPlan::new(dims.nz, ReuseStrategy::Aggressive);
         let counters = [
             ("total_flops", stats.total_compute.flops as f64),
             ("total_mem_bytes", stats.total_compute.mem_bytes() as f64),

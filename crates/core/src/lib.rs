@@ -24,9 +24,8 @@
 //!   preconditioner from the facade's `SolveConfig`, runs the state machine on a
 //!   freshly loaded fabric in `f32`, and returns the unified `SolveReport` with the
 //!   measured counters and modelled device time;
-//! * [`options`] — the optimisation toggles of §III-E (buffer reuse, communication
-//!   overlap, vectorisation) and the communication-only mode, used by the ablation
-//!   benchmarks;
+//! * [`options`] — the dataflow-specific settings: the §III-E vectorisation
+//!   toggle and the Table-IV communication-only mode;
 //! * [`stats`] — the per-run counters and the modelled device time they imply,
 //!   which the backend reports (`table4` splits that time from two runs' device
 //!   counters).

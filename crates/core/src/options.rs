@@ -1,27 +1,20 @@
-//! Solver options: the §III-E optimisation toggles.
+//! Solver options: the dataflow-specific settings of a solve.
 //!
-//! The paper highlights three algorithmic enhancements — PE-memory buffer reuse,
-//! asynchronous communication overlapped with compute, and DSD vectorisation.  The
-//! toggles here let the ablation benchmarks quantify each one, and the
-//! `compute_enabled` switch reproduces the Table-IV experiment in which "all
+//! The paper highlights three algorithmic enhancements (§III-E) — PE-memory buffer
+//! reuse, asynchronous communication overlapped with compute, and DSD
+//! vectorisation.  The backend always plans aggressive buffer reuse and models
+//! overlapped communication; the `vectorized` toggle switches the third off, and
+//! the `compute_enabled` switch reproduces the Table-IV experiment in which "all
 //! floating-point operations" are excluded to measure data-communication time alone.
 //!
 //! These are the only dataflow-specific settings.  Tolerance, iteration cap and
 //! preconditioner come from the facade's
 //! [`SolveConfig`](mffv_solver::SolveConfig), like on every other backend.
 
-use crate::mapping::ReuseStrategy;
-use mffv_fabric::timing::OverlapMode;
-
 /// The dataflow-specific half of a solve's configuration: how the fabric
 /// program is built and modelled.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SolverOptions {
-    /// Buffer-reuse strategy assumed by the memory plan (§III-E1).
-    pub reuse: ReuseStrategy,
-    /// Whether asynchronous communication is assumed to overlap with computation in
-    /// the device-time model (§III-E2).
-    pub overlap: OverlapMode,
     /// Whether the per-PE kernel is assumed to use the dual SIMD units via DSD
     /// vectorisation (§III-E3); scalar execution halves the effective FLOP rate in
     /// the device-time model.
@@ -39,8 +32,6 @@ pub struct SolverOptions {
 impl Default for SolverOptions {
     fn default() -> Self {
         Self {
-            reuse: ReuseStrategy::Aggressive,
-            overlap: OverlapMode::Overlapped,
             vectorized: true,
             compute_enabled: true,
             forced_iterations: 0,
@@ -87,8 +78,6 @@ mod tests {
     fn default_is_the_paper_configuration() {
         let o = SolverOptions::default();
         assert_eq!(o, SolverOptions::paper());
-        assert_eq!(o.reuse, ReuseStrategy::Aggressive);
-        assert_eq!(o.overlap, OverlapMode::Overlapped);
         assert!(o.vectorized);
         assert!(o.compute_enabled);
         assert_eq!(o.simd_efficiency(), 1.0);

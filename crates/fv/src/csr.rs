@@ -307,6 +307,9 @@ mod tests {
         let dims = mffv_mesh::Dims::new(4, 4, 4);
         let coeffs = Transmissibilities::<f64>::uniform(dims, 1.0);
         let m = CsrMatrix::assemble_spd(&coeffs, &DirichletSet::empty());
+        // 64 diagonal entries + 2 * number of interior faces.
+        let faces = 3 * 4 * 4 * 3; // (nx-1)*ny*nz per axis, symmetric grid
+        assert_eq!(m.values.len(), 64 + 2 * faces);
         assert!(m.bytes() > 0);
         assert_eq!(m.num_rows(), 64);
         assert_eq!(m.num_cols(), 64);

@@ -46,6 +46,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Lock a mutex, recovering the guard from a poisoned lock: the daemon's
 /// shared maps stay usable even if some thread panicked mid-update.
@@ -139,6 +140,8 @@ struct ServerShared {
     metrics: Option<MetricsRegistry>,
     /// The engine every session reader submits into.
     service: EngineService,
+    /// `config.max_session_seconds` as a `Duration`, checked once at bind.
+    max_deadline: Option<Duration>,
     /// Once true, new connections and new `Submit`s are refused.
     shutting: AtomicBool,
     sessions: Mutex<BTreeMap<u64, Arc<Session>>>,
@@ -194,9 +197,11 @@ impl Server {
     /// NaN, negative or too large for a `Duration` is a
     /// [`WireError::BadDeadline`], refused before anything binds.
     pub fn bind(self) -> Result<RunningServer, WireError> {
-        if let Some(seconds) = self.config.max_session_seconds {
-            deadline("max_session_seconds", seconds)?;
-        }
+        let max_deadline = self
+            .config
+            .max_session_seconds
+            .map(|seconds| deadline("max_session_seconds", seconds))
+            .transpose()?;
         let listener = TcpListener::bind(&self.config.addr)?;
         let local_addr = listener.local_addr()?;
         let mut engine = Engine::new(self.config.workers).with_tracer(self.tracer.clone());
@@ -208,6 +213,7 @@ impl Server {
             tracer: self.tracer,
             metrics: self.metrics,
             service: engine.start(),
+            max_deadline,
             shutting: AtomicBool::new(false),
             sessions: Mutex::new(BTreeMap::new()),
             readers: Mutex::new(Vec::new()),
@@ -429,7 +435,7 @@ fn handle_submit(
         reject(shared, session, job_id, "daemon is shutting down");
         return;
     }
-    let mut job_spec = match spec.to_job_spec(shared.config.max_session_seconds) {
+    let mut job_spec = match spec.to_job_spec(shared.max_deadline) {
         Ok(job_spec) => job_spec,
         Err(error) => {
             reject(shared, session, job_id, &error.to_string());
@@ -543,7 +549,6 @@ fn reject(shared: &ServerShared, session: &Session, job_id: u64, reason: &str) {
 mod tests {
     use super::*;
     use mffv_telemetry::Stopwatch;
-    use std::time::Duration;
 
     #[test]
     fn bind_refuses_a_session_ceiling_that_is_not_a_deadline() {

@@ -1168,10 +1168,10 @@ impl WirePolicy {
     /// Build the solver-side policy, clamping the requested deadline to
     /// `max_deadline` (the server's per-session ceiling; `None` = no cap).
     /// A server with a ceiling applies it even when the client asked for no
-    /// deadline at all.  Either deadline that is NaN, negative or too large
-    /// for a [`Duration`] is a [`WireError::BadDeadline`] naming its field,
-    /// checked before the clamp.
-    pub fn to_stop_policy(&self, max_deadline: Option<f64>) -> Result<StopPolicy, WireError> {
+    /// deadline at all.  A requested `deadline_seconds` that is NaN,
+    /// negative or too large for a [`Duration`] is a
+    /// [`WireError::BadDeadline`].
+    pub fn to_stop_policy(&self, max_deadline: Option<Duration>) -> Result<StopPolicy, WireError> {
         let mut policy = StopPolicy::new();
         if let Some(budget) = self.iteration_budget {
             policy = policy.iteration_budget(budget);
@@ -1180,10 +1180,7 @@ impl WirePolicy {
             .deadline_seconds
             .map(|seconds| deadline("deadline_seconds", seconds))
             .transpose()?;
-        let ceiling = max_deadline
-            .map(|seconds| deadline("max_session_seconds", seconds))
-            .transpose()?;
-        let armed = match (requested, ceiling) {
+        let armed = match (requested, max_deadline) {
             (Some(requested), Some(ceiling)) => Some(requested.min(ceiling)),
             (requested, ceiling) => requested.or(ceiling),
         };
@@ -1270,7 +1267,7 @@ impl WireJobSpec {
     /// [`mffv_engine::JobSpec::with_stop_policy`]'s composition.
     pub fn to_job_spec(
         &self,
-        max_deadline: Option<f64>,
+        max_deadline: Option<Duration>,
     ) -> Result<mffv_engine::JobSpec, WireError> {
         let mut job = mffv_engine::JobSpec::new(self.workload.clone(), self.backend.to_backend())
             .with_config(self.config)
@@ -1514,16 +1511,9 @@ mod tests {
                 ..WirePolicy::default()
             };
             assert!(matches!(
-                asked.to_stop_policy(Some(30.0)),
+                asked.to_stop_policy(Some(Duration::from_secs(30))),
                 Err(WireError::BadDeadline {
                     field: "deadline_seconds",
-                    ..
-                })
-            ));
-            assert!(matches!(
-                WirePolicy::default().to_stop_policy(Some(seconds)),
-                Err(WireError::BadDeadline {
-                    field: "max_session_seconds",
                     ..
                 })
             ));
@@ -1542,7 +1532,7 @@ mod tests {
             },
             ..WireJobSpec::new(WorkloadSpec::quickstart(), BackendSel::HostF32)
         };
-        let job = wire_job.to_job_spec(Some(30.0)).unwrap();
+        let job = wire_job.to_job_spec(Some(Duration::from_secs(30))).unwrap();
         assert_eq!(job.backend.name(), "host-f32");
         assert_eq!(job.seed, Some(7));
         assert!(!job.stop_policy.is_empty());
