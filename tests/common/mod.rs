@@ -77,6 +77,24 @@ pub fn step_ledger_checksum(report: &mffv::TransientReport) -> String {
     }))
 }
 
+/// A record of a solve's device section: the device label, the modelled
+/// device time and every counter in report order, each number written to
+/// round-trip exactly.
+pub fn device_golden(
+    name: impl Into<String>,
+    device: &mffv::solver::backend::DeviceSection,
+) -> Golden {
+    let record = Golden::new(name)
+        .str("device", &device.device)
+        .num("modelled_time_seconds", device.modelled_time_seconds);
+    device
+        .counters
+        .iter()
+        .fold(record, |record, (counter, value)| {
+            record.num(counter, *value)
+        })
+}
+
 /// One golden record: ordered `key: value` pairs serialised as a flat JSON
 /// object.  Keys keep insertion order so fixtures read like the test wrote
 /// them.

@@ -9,7 +9,8 @@
 //!   threads (both thread counts must reproduce the same fixture);
 //! * steady `host-f64` and `host-f32` plain-CG and multigrid solves on the
 //!   same field over eleven reduction slabs, at 1 and 3 apply threads;
-//! * `gpu-ref` and `dataflow` steady solves under every preconditioner;
+//! * `gpu-ref` and `dataflow` steady solves under every preconditioner, with
+//!   each solve's device section (label, modelled time and every counter);
 //! * `host-f64` transients under Jacobi and multigrid with a ramped `dt` and
 //!   a scheduled well, so the step operator's diagonal shift changes every
 //!   step, and each step's mass ledger;
@@ -67,6 +68,15 @@ fn steady_record(name: &str, report: &mffv::SolveReport) -> common::Golden {
             "pressure_checksum",
             common::field_checksum(&report.pressure),
         )
+}
+
+/// A steady solve's device section: its label, modelled time and counters.
+fn device_record(name: &str, report: &mffv::SolveReport) -> common::Golden {
+    let device = report
+        .device
+        .as_ref()
+        .expect("device backends model a device");
+    common::device_golden(name, device)
 }
 
 /// One steady solve; single-precision backends stop at a tolerance `f32`
@@ -156,6 +166,7 @@ fn gpu_ref_steady_solves_match_the_pinned_fixtures() {
     for kind in PreconditionerKind::ALL {
         let report = steady(Backend::gpu_ref(), kind, 1);
         steady_record(&format!("steady_gpu_ref_{}", kind.label()), &report).check();
+        device_record(&format!("steady_gpu_ref_{}_device", kind.label()), &report).check();
     }
 }
 
@@ -164,6 +175,7 @@ fn dataflow_steady_solves_match_the_pinned_fixtures() {
     for kind in PreconditionerKind::ALL {
         let report = steady(Backend::dataflow(), kind, 1);
         steady_record(&format!("steady_dataflow_{}", kind.label()), &report).check();
+        device_record(&format!("steady_dataflow_{}_device", kind.label()), &report).check();
     }
 }
 

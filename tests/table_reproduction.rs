@@ -160,4 +160,5 @@ fn communication_only_run_reproduces_table4_methodology() {
         )
         .str("pressure_checksum", common::field_checksum(&full.pressure))
         .check();
+    common::device_golden("table4_comm_only_10x8x12_device", comm_device).check();
 }
