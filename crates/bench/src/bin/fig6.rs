@@ -18,17 +18,16 @@ fn main() {
     let iterations = 225;
 
     // ------------------------------------------------------------------- CS-2
-    let cs2 = Roofline::new(MachineSpec::cs2());
+    let cs2_spec = MachineSpec::cs2();
+    let ceilings_line = ceilings(&cs2_spec, "PB/s", 1e15);
+    let cs2 = Roofline::new(cs2_spec);
     let timing = AnalyticTiming::paper();
     // The roofline dot uses the matrix-free kernel rate (Algorithm 2), which is the
     // quantity the paper's 1.217 PFLOP/s headline corresponds to; the full
     // Algorithm-1 rate (including reduction latency) is printed separately below.
     let cs2_achieved = timing.cs2_alg2_achieved_flops(paper_dims, iterations);
     println!("Figure 6 (top) — CS-2 roofline\n");
-    println!(
-        "Ceilings: peak {}  |  Memory 20 PB/s  |  Fabric 3.3 PB/s",
-        fmt_flops(1.785e15)
-    );
+    println!("{ceilings_line}");
     let rows = vec![
         vec![
             "memory".to_string(),
@@ -84,13 +83,12 @@ fn main() {
     }
 
     // ------------------------------------------------------------------- A100
-    let a100 = Roofline::new(MachineSpec::a100());
+    let a100_spec = MachineSpec::a100();
+    let ceilings_line = ceilings(&a100_spec, "GB/s", 1e9);
+    let a100 = Roofline::new(a100_spec);
     let gpu_achieved = GpuTimeModel::new(GpuSpec::a100()).achieved_flops(paper_dims);
     println!("\nFigure 6 (bottom) — A100 roofline\n");
-    println!(
-        "Ceilings: peak {}  |  L1 19353.6 GB/s  |  L2 3705.0 GB/s  |  HBM 1262.9 GB/s",
-        fmt_flops(14.7e12)
-    );
+    println!("{ceilings_line}");
     let ai_dram = 96.0 / mffv_gpu_ref::device_model::DRAM_BYTES_PER_CELL_PER_ITERATION;
     let rows = vec![vec![
         "HBM".to_string(),
@@ -121,4 +119,15 @@ fn main() {
     for (ai, perf) in a100.chart_series(Some("HBM"), 1e-2, 1e2, 17) {
         println!("  {ai:10.4}, {:14.1}", perf / 1e9);
     }
+}
+
+/// A roofline's `Ceilings:` line: the compute peak, then every bandwidth
+/// level in `unit`, which is `scale` bytes/s.
+fn ceilings(spec: &MachineSpec, unit: &str, scale: f64) -> String {
+    let mut line = format!("Ceilings: peak {}", fmt_flops(spec.peak_flops));
+    for level in &spec.bandwidths {
+        let value = level.bytes_per_second / scale;
+        line.push_str(&format!("  |  {} {value:.1} {unit}", level.name));
+    }
+    line
 }

@@ -59,9 +59,7 @@ fn main() {
     let full_device = full.device.as_ref().expect("dataflow models a device");
     let full_iterations = full.iterations();
     let comm_only = Simulation::new(workload)
-        .backend(Backend::dataflow_with(SolverOptions::communication_only(
-            full_iterations,
-        )))
+        .backend(Backend::dataflow_communication_only(full_iterations))
         .run()
         .expect("communication-only run failed");
     let comm_device = comm_only.device.as_ref().expect("dataflow models a device");

@@ -13,22 +13,21 @@
 //! The unified [`SolveReport`] carries the pressure field (for numerical
 //! integrity checks against the host and GPU-reference solvers, §V-B), the
 //! convergence history, and a device section with the measured counters and the
-//! modelled device time.  The device-time model assumes overlapped
-//! communication and the memory plan aggressive buffer reuse (§III-E); the
-//! [`SolverOptions`] vectorisation toggle scales the modelled FLOP rate, and
-//! communication-only runs keep their forced iteration count and plain CG's
-//! schedule.
+//! modelled device time.  The backend runs the §III program with all three
+//! §III-E enhancements on: the device-time model assumes vectorised kernels
+//! and overlapped communication, and the memory plan aggressive buffer reuse.
+//! Its one setting is the Table-IV communication-only run, which keeps a
+//! fixed iteration count and plain CG's schedule.
 
 use crate::allreduce::AllReduce;
 use crate::comm::CardinalExchange;
 use crate::kernel;
-use crate::mapping::{MemoryPlan, PeColumnBuffers, ProblemMapping, ReuseStrategy};
-use crate::options::SolverOptions;
+use crate::mapping::{MemoryPlan, PeColumnBuffers, ReuseStrategy};
 use crate::state_machine::{CgEvent, CgState, CgStateMachine};
-use crate::stats::DataflowRunStats;
 use mffv_fabric::error::Result;
-use mffv_fabric::timing::OverlapMode;
-use mffv_fabric::{ColorAllocator, Fabric, WseSpec};
+use mffv_fabric::{
+    ColorAllocator, DeviceTimeModel, Fabric, FabricDims, ProcessingElement, WseSpec,
+};
 use mffv_fv::residual::{newton_rhs, residual};
 use mffv_mesh::{CellField, Dims, Workload};
 use mffv_solver::backend::{
@@ -40,39 +39,29 @@ use mffv_solver::monitor::{Flow, SolveEvent, SolveMonitor, StopReason};
 use mffv_solver::{MgConfig, MultigridVcycle, Preconditioner};
 use mffv_telemetry::{Span, Stopwatch};
 
-/// The simulated WSE-2 dataflow fabric as a facade backend.
+/// The simulated WSE-2 dataflow fabric as a facade backend, with device
+/// time modelled on a CS-2 region the size of the problem's fabric footprint.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DataflowBackend {
-    /// The dataflow-specific settings (vectorisation, communication-only
-    /// mode).
-    pub options: SolverOptions,
-    /// Machine spec for the device-time model; `None` models a CS-2 region
-    /// matching the problem's fabric footprint (the historical default).
-    pub spec: Option<WseSpec>,
+    /// `Some(n)` runs the Table-IV communication-only experiment, in which
+    /// "all floating-point operations" are excluded: only the communication
+    /// schedule runs, for exactly `n` iterations of plain CG's schedule,
+    /// whatever the `SolveConfig`'s iteration cap and preconditioner.
+    pub comm_only_iterations: Option<usize>,
 }
 
 impl DataflowBackend {
-    /// The paper's production configuration: every optimisation on, device time
-    /// modelled on a problem-sized CS-2 region.
+    /// The paper's production configuration: the full solve.
     pub fn paper() -> Self {
-        Self {
-            options: SolverOptions::paper(),
-            spec: None,
-        }
+        Self::default()
     }
 
-    /// A backend with explicit dataflow options.
-    pub fn with_options(options: SolverOptions) -> Self {
+    /// The Table-IV communication-only run, terminated at `iterations` (the
+    /// paper stops it at the converged run's step count).
+    pub fn communication_only(iterations: usize) -> Self {
         Self {
-            options,
-            spec: None,
+            comm_only_iterations: Some(iterations),
         }
-    }
-
-    /// Override the machine spec used by the device-time model.
-    pub fn with_spec(mut self, spec: WseSpec) -> Self {
-        self.spec = Some(spec);
-        self
     }
 }
 
@@ -175,12 +164,10 @@ impl DataflowBackend {
     ) -> Result<SolveReport> {
         let start = Stopwatch::start();
         let dims = workload.dims();
-        let spec = self
-            .spec
-            .unwrap_or_else(|| WseSpec::cs2_region(dims.nx, dims.ny));
+        let compute = self.comm_only_iterations.is_none();
         let build = span.child("build-fabric-program");
-        let mapping = ProblemMapping::new(dims);
-        let mut fabric = Fabric::new(mapping.fabric_dims());
+        // One z-column of cells per PE (§III-A).
+        let mut fabric = Fabric::new(FabricDims::new(dims.nx, dims.ny));
         let mut colors = ColorAllocator::new();
 
         // ---------------------------------------------------------------- setup
@@ -197,7 +184,7 @@ impl DataflowBackend {
 
         // Arm the configured preconditioner (communication-only runs skip all
         // floating-point work, so they keep plain CG's schedule).
-        let precond = if !self.options.compute_enabled {
+        let precond = if !compute {
             FabricPrecond::None
         } else {
             match config.preconditioner {
@@ -223,18 +210,37 @@ impl DataflowBackend {
         build.finish();
 
         let tolerance = config.effective_tolerance(workload);
-        let max_iterations = if self.options.compute_enabled {
-            config.effective_max_iterations(workload)
-        } else {
-            self.options.forced_iterations
+        let max_iterations = match self.comm_only_iterations {
+            None => config.effective_max_iterations(workload),
+            Some(iterations) => iterations,
         };
         let criterion =
             StoppingCriterion::new(tolerance.max(f64::MIN_POSITIVE), max_iterations.max(1));
 
         // ------------------------------------------------------------ state machine
+        // Latency-critical hops: exchange steps and all-reduce chains.
+        let mut hops = 0usize;
+        // One dot product over the fabric: `local` computes each PE's partial
+        // over its column, the all-reduce sums the partials, and its hops
+        // join the critical path.  A communication-only run reduces zeroed
+        // partials.
+        let global_dot = |fabric: &mut Fabric,
+                          hops: &mut usize,
+                          local: fn(&mut ProcessingElement, &PeColumnBuffers) -> Result<f32>|
+         -> Result<f32> {
+            let mut partials = vec![0.0f32; fabric.num_pes()];
+            if compute {
+                for (idx, (partial, bufs)) in partials.iter_mut().zip(&buffers).enumerate() {
+                    let pe_id = fabric.dims().unlinear(idx);
+                    *partial = local(fabric.pe_mut(pe_id), bufs)?;
+                }
+            }
+            let (value, report) = allreduce.reduce_scalar(fabric, &partials)?;
+            *hops += report.critical_path_hops;
+            Ok(value)
+        };
         let mut machine = CgStateMachine::new(max_iterations);
-        let mut critical_path_hops = 0usize;
-        let mut rr = self.global_rr(&mut fabric, &allreduce, &buffers, &mut critical_path_hops)?;
+        let mut rr = global_dot(&mut fabric, &mut hops, kernel::local_dot_rr)?;
         let mut history = ConvergenceHistory::starting_from(rr as f64);
         machine
             .advance(CgEvent::Initialized)
@@ -257,10 +263,10 @@ impl DataflowBackend {
                 let pe_id = fabric.dims().unlinear(idx);
                 kernel::set_direction_from_z(fabric.pe_mut(pe_id), bufs)?;
             }
-            rz = self.global_rz(&mut fabric, &allreduce, &buffers, &mut critical_path_hops)?;
+            rz = global_dot(&mut fabric, &mut hops, kernel::local_dot_rz)?;
         }
 
-        if self.options.compute_enabled && criterion.is_converged(rr as f64) {
+        if compute && criterion.is_converged(rr as f64) {
             history.converged = true;
             monitor.on_event(&SolveEvent::Started {
                 initial_rr: rr as f64,
@@ -289,11 +295,11 @@ impl DataflowBackend {
                     exchange.exchange(&mut fabric, &buffers)?;
                     // The four steps are dependency-chained; each step is a one-hop
                     // transfer overlapped across the fabric.
-                    critical_path_hops += 4;
+                    hops += 4;
                     CgEvent::ExchangeComplete
                 }
                 CgState::ComputeJx => {
-                    if self.options.compute_enabled {
+                    if compute {
                         for (idx, bufs) in buffers.iter().enumerate() {
                             let pe_id = fabric.dims().unlinear(idx);
                             kernel::compute_jd(fabric.pe_mut(pe_id), bufs)?;
@@ -303,21 +309,11 @@ impl DataflowBackend {
                 }
                 CgState::LocalDotDAd => CgEvent::LocalDotReady,
                 CgState::AllReduceDAd => {
-                    let mut partials = vec![0.0f32; fabric.num_pes()];
-                    if self.options.compute_enabled {
-                        for idx in 0..fabric.num_pes() {
-                            let pe_id = fabric.dims().unlinear(idx);
-                            partials[idx] =
-                                kernel::local_dot_d_ad(fabric.pe_mut(pe_id), &buffers[idx])?;
-                        }
-                    }
-                    let (value, report) = allreduce.reduce_scalar(&mut fabric, &partials)?;
-                    critical_path_hops += report.critical_path_hops;
-                    d_ad = value;
+                    d_ad = global_dot(&mut fabric, &mut hops, kernel::local_dot_d_ad)?;
                     CgEvent::ReduceComplete
                 }
                 CgState::ComputeAlpha => {
-                    if self.options.compute_enabled {
+                    if compute {
                         if d_ad <= 0.0 || !d_ad.is_finite() {
                             // Breakdown (loss of positive definiteness in f32):
                             // terminate cleanly rather than diverge.
@@ -346,7 +342,7 @@ impl DataflowBackend {
                     CgEvent::ScalarReady
                 }
                 CgState::UpdateSolution => {
-                    if self.options.compute_enabled {
+                    if compute {
                         for (idx, bufs) in buffers.iter().enumerate() {
                             let pe_id = fabric.dims().unlinear(idx);
                             let pe = fabric.pe_mut(pe_id);
@@ -361,7 +357,7 @@ impl DataflowBackend {
                     CgEvent::UpdateComplete
                 }
                 CgState::UpdateResidual => {
-                    if self.options.compute_enabled {
+                    if compute {
                         for (idx, bufs) in buffers.iter().enumerate() {
                             let pe_id = fabric.dims().unlinear(idx);
                             let pe = fabric.pe_mut(pe_id);
@@ -377,13 +373,12 @@ impl DataflowBackend {
                 }
                 CgState::LocalDotRR => CgEvent::LocalDotReady,
                 CgState::AllReduceRR => {
-                    rr_new =
-                        self.global_rr(&mut fabric, &allreduce, &buffers, &mut critical_path_hops)?;
+                    rr_new = global_dot(&mut fabric, &mut hops, kernel::local_dot_rr)?;
                     CgEvent::ReduceComplete
                 }
                 CgState::ThresholdCheck => {
                     history.record(rr_new as f64);
-                    if self.options.compute_enabled && criterion.is_converged(rr_new as f64) {
+                    if compute && criterion.is_converged(rr_new as f64) {
                         history.converged = true;
                         monitor.on_event(&SolveEvent::Iteration {
                             k: history.iterations,
@@ -408,7 +403,7 @@ impl DataflowBackend {
                     }
                 }
                 CgState::UpdateDirection => {
-                    if self.options.compute_enabled {
+                    if compute {
                         if precond.is_none() {
                             let beta = if rr > 0.0 { rr_new / rr } else { 0.0 };
                             for (idx, bufs) in buffers.iter().enumerate() {
@@ -420,12 +415,7 @@ impl DataflowBackend {
                             // d = z + β d.  The extra r·z all-reduce rides the
                             // same fabric reduction tree as α's denominator.
                             precond.apply(&mut fabric, &buffers, dims)?;
-                            let rz_new = self.global_rz(
-                                &mut fabric,
-                                &allreduce,
-                                &buffers,
-                                &mut critical_path_hops,
-                            )?;
+                            let rz_new = global_dot(&mut fabric, &mut hops, kernel::local_dot_rz)?;
                             let beta = if rz > 0.0 { rz_new / rz } else { 0.0 };
                             for (idx, bufs) in buffers.iter().enumerate() {
                                 let pe_id = fabric.dims().unlinear(idx);
@@ -461,31 +451,23 @@ impl DataflowBackend {
         let pressure: CellField<f64> = pressure.convert();
         let final_residual_max = final_residual_max_f64(workload, &pressure);
 
-        let stats = DataflowRunStats {
-            iterations: machine.iteration(),
-            total_cells: dims.num_cells(),
-            total_compute: fabric.total_compute(),
-            max_per_pe_compute: fabric.max_per_pe_compute(),
-            fabric: *fabric.stats(),
-            critical_path_hops,
-            host_wall_seconds: start.elapsed_seconds(),
-        };
-        let modelled_time = stats.modelled_time(
-            spec,
-            OverlapMode::Overlapped,
-            self.options.simd_efficiency(),
-        );
+        let host_wall_seconds = start.elapsed_seconds();
+        // The slowest PE bounds each bulk-synchronous step.
+        let spec = WseSpec::cs2_region(dims.nx, dims.ny);
+        let modelled_time = DeviceTimeModel::new(spec).estimate(&fabric.max_per_pe_compute(), hops);
+        let total_compute = fabric.total_compute();
+        let fabric_stats = fabric.stats();
         let memory_plan = MemoryPlan::new(dims.nz, ReuseStrategy::Aggressive);
         let counters = [
-            ("total_flops", stats.total_compute.flops as f64),
-            ("total_mem_bytes", stats.total_compute.mem_bytes() as f64),
+            ("total_flops", total_compute.flops as f64),
+            ("total_mem_bytes", total_compute.mem_bytes() as f64),
             (
                 "total_fabric_recv_wavelets",
-                stats.total_compute.fabric_recv_wavelets as f64,
+                total_compute.fabric_recv_wavelets as f64,
             ),
-            ("fabric_link_bytes", stats.fabric.link_bytes as f64),
-            ("fabric_messages", stats.fabric.messages_sent as f64),
-            ("critical_path_hops", stats.critical_path_hops as f64),
+            ("fabric_link_bytes", fabric_stats.link_bytes as f64),
+            ("fabric_messages", fabric_stats.messages_sent as f64),
+            ("critical_path_hops", hops as f64),
             ("memory_plan_bytes", memory_plan.data_bytes() as f64),
             ("compute_time_seconds", modelled_time.compute_time),
             ("fabric_time_seconds", modelled_time.fabric_time),
@@ -504,48 +486,10 @@ impl DataflowBackend {
             pressure,
             history,
             final_residual_max,
-            host_wall_seconds: stats.host_wall_seconds,
+            host_wall_seconds,
             device: Some(device),
             stopped,
         })
-    }
-
-    /// Per-PE `r·z` partials reduced over the fabric (PCG's α/β numerator).
-    fn global_rz(
-        &self,
-        fabric: &mut Fabric,
-        allreduce: &AllReduce,
-        buffers: &[PeColumnBuffers],
-        critical_path_hops: &mut usize,
-    ) -> Result<f32> {
-        let mut partials = vec![0.0f32; fabric.num_pes()];
-        for idx in 0..fabric.num_pes() {
-            let pe_id = fabric.dims().unlinear(idx);
-            partials[idx] = kernel::local_dot_rz(fabric.pe_mut(pe_id), &buffers[idx])?;
-        }
-        let (value, report) = allreduce.reduce_scalar(fabric, &partials)?;
-        *critical_path_hops += report.critical_path_hops;
-        Ok(value)
-    }
-
-    /// Per-PE `r·r` partials reduced over the fabric.
-    fn global_rr(
-        &self,
-        fabric: &mut Fabric,
-        allreduce: &AllReduce,
-        buffers: &[PeColumnBuffers],
-        critical_path_hops: &mut usize,
-    ) -> Result<f32> {
-        let mut partials = vec![0.0f32; fabric.num_pes()];
-        if self.options.compute_enabled {
-            for idx in 0..fabric.num_pes() {
-                let pe_id = fabric.dims().unlinear(idx);
-                partials[idx] = kernel::local_dot_rr(fabric.pe_mut(pe_id), &buffers[idx])?;
-            }
-        }
-        let (value, report) = allreduce.reduce_scalar(fabric, &partials)?;
-        *critical_path_hops += report.critical_path_hops;
-        Ok(value)
     }
 }
 
@@ -597,19 +541,11 @@ mod tests {
     #[test]
     fn communication_only_mode_survives_the_facade_config() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
-        let backend = DataflowBackend::with_options(SolverOptions::communication_only(5));
+        let backend = DataflowBackend::communication_only(5);
         let report = solve(backend, &w, &SolveConfig::default());
         assert_eq!(report.iterations(), 5);
         let device = report.device.unwrap();
         assert!(device.counter("fabric_link_bytes").unwrap() > 0.0);
-    }
-
-    #[test]
-    fn explicit_spec_changes_the_device_label() {
-        let w = WorkloadSpec::quickstart().scaled(4).build();
-        let backend = DataflowBackend::paper().with_spec(WseSpec::cs2());
-        let report = solve(backend, &w, &SolveConfig::default());
-        assert_eq!(report.device.unwrap().device, "CS-2 region 750x994");
     }
 
     #[test]
@@ -674,7 +610,7 @@ mod tests {
         let w = WorkloadSpec::quickstart().scaled(2).build();
         let full = solve(DataflowBackend::paper(), &w, &SolveConfig::default());
         let comm = solve(
-            DataflowBackend::with_options(SolverOptions::communication_only(5)),
+            DataflowBackend::communication_only(5),
             &w,
             &SolveConfig::default(),
         );

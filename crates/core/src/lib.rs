@@ -23,36 +23,27 @@
 //!   [`solve`](mffv_solver::SolveBackend::solve) reads tolerance, iteration cap and
 //!   preconditioner from the facade's `SolveConfig`, runs the state machine on a
 //!   freshly loaded fabric in `f32`, and returns the unified `SolveReport` with the
-//!   measured counters and modelled device time;
-//! * [`options`] — the dataflow-specific settings: the §III-E vectorisation
-//!   toggle and the Table-IV communication-only mode;
-//! * [`stats`] — the per-run counters and the modelled device time they imply,
-//!   which the backend reports (`table4` splits that time from two runs' device
-//!   counters).
+//!   measured counters and the device time they imply; its one setting is the
+//!   Table-IV communication-only run (`table4` splits the modelled time from
+//!   two runs' device counters).
 
 pub mod allreduce;
 pub mod backend;
 pub mod comm;
 pub mod kernel;
 pub mod mapping;
-pub mod options;
 pub mod state_machine;
-pub mod stats;
 
 pub use backend::DataflowBackend;
 pub use comm::CardinalExchange;
-pub use mapping::{MemoryPlan, PeColumnBuffers, ProblemMapping, ReuseStrategy};
-pub use options::SolverOptions;
+pub use mapping::{MemoryPlan, PeColumnBuffers, ReuseStrategy};
 pub use state_machine::{CgEvent, CgState, CgStateMachine};
-pub use stats::DataflowRunStats;
 
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::allreduce::AllReduce;
     pub use crate::backend::DataflowBackend;
     pub use crate::comm::CardinalExchange;
-    pub use crate::mapping::{MemoryPlan, ProblemMapping, ReuseStrategy};
-    pub use crate::options::SolverOptions;
+    pub use crate::mapping::{MemoryPlan, ReuseStrategy};
     pub use crate::state_machine::{CgEvent, CgState, CgStateMachine};
-    pub use crate::stats::DataflowRunStats;
 }

@@ -12,8 +12,8 @@
 //! [`MemoryPlan::max_nz`] answers "what is the deepest column a 48 KiB PE can hold?",
 //! which is the quantity that decides whether the paper's 922-deep column fits.
 
-use mffv_fabric::{BufferId, FabricDims, ProcessingElement};
-use mffv_mesh::{Dims, Workload};
+use mffv_fabric::{BufferId, ProcessingElement};
+use mffv_mesh::Workload;
 
 use mffv_fabric::error::FabricError;
 
@@ -108,27 +108,6 @@ impl MemoryPlan {
         let per_cell = Self::new(1, strategy).data_bytes();
         let available = capacity.saturating_sub(code_reservation);
         available / per_cell
-    }
-}
-
-/// The problem-to-fabric mapping: grid extents, the fabric they occupy and the
-/// association between mesh columns and PEs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProblemMapping {
-    /// Mesh extents.
-    pub dims: Dims,
-}
-
-impl ProblemMapping {
-    /// Build the mapping for a mesh; the fabric must be exactly `nx × ny` PEs, one
-    /// per vertical column of cells.
-    pub fn new(dims: Dims) -> Self {
-        Self { dims }
-    }
-
-    /// The fabric extents this problem occupies.
-    pub fn fabric_dims(&self) -> FabricDims {
-        FabricDims::new(self.dims.nx, self.dims.ny)
     }
 }
 
@@ -257,12 +236,6 @@ mod tests {
 
     /// Code/runtime reservation assumed for the FV kernel when checking what fits.
     const KERNEL_CODE_BYTES: usize = 2048;
-
-    #[test]
-    fn mapping_associates_columns_and_pes() {
-        let m = ProblemMapping::new(Dims::new(6, 4, 9));
-        assert_eq!(m.fabric_dims(), FabricDims::new(6, 4));
-    }
 
     #[test]
     fn naive_plan_is_larger_than_aggressive_plan() {

@@ -11,8 +11,7 @@
 //! [`JobSpec`](crate::JobSpec)s can name their target; the umbrella `mffv`
 //! crate re-exports it from its original `mffv::backend` path.
 
-use mffv_core::{DataflowBackend, SolverOptions};
-use mffv_fabric::WseSpec;
+use mffv_core::DataflowBackend;
 use mffv_gpu_ref::{GpuRefBackend, GpuSpec};
 use mffv_solver::backend::{HostBackend, Precision, SolveBackend};
 
@@ -32,11 +31,9 @@ pub enum Backend {
     },
     /// The simulated WSE-2 dataflow fabric (§III).
     Dataflow {
-        /// The §III-E optimisation toggles.
-        options: SolverOptions,
-        /// Machine spec for the device-time model; `None` models a CS-2
-        /// region matching the problem's fabric footprint.
-        spec: Option<WseSpec>,
+        /// `Some(n)`: the Table-IV communication-only run of `n` iterations
+        /// (see [`DataflowBackend::comm_only_iterations`]).
+        comm_only_iterations: Option<usize>,
     },
 }
 
@@ -67,19 +64,18 @@ impl Backend {
         Backend::GpuRef { spec }
     }
 
-    /// The dataflow fabric with the paper's production options.
+    /// The dataflow fabric running the full solve.
     pub fn dataflow() -> Self {
         Backend::Dataflow {
-            options: SolverOptions::paper(),
-            spec: None,
+            comm_only_iterations: None,
         }
     }
 
-    /// The dataflow fabric with explicit options.
-    pub fn dataflow_with(options: SolverOptions) -> Self {
+    /// The dataflow fabric's Table-IV communication-only run, terminated at
+    /// `iterations`.
+    pub fn dataflow_communication_only(iterations: usize) -> Self {
         Backend::Dataflow {
-            options,
-            spec: None,
+            comm_only_iterations: Some(iterations),
         }
     }
 
@@ -100,7 +96,11 @@ impl Backend {
         match *self {
             Backend::Host { precision } => Box::new(HostBackend { precision }),
             Backend::GpuRef { spec } => Box::new(GpuRefBackend::new(spec)),
-            Backend::Dataflow { options, spec } => Box::new(DataflowBackend { options, spec }),
+            Backend::Dataflow {
+                comm_only_iterations,
+            } => Box::new(DataflowBackend {
+                comm_only_iterations,
+            }),
         }
     }
 }
@@ -119,13 +119,11 @@ mod tests {
 
     #[test]
     fn dataflow_constructors_carry_their_options() {
-        let comm = Backend::dataflow_with(SolverOptions::communication_only(7));
+        let comm = Backend::dataflow_communication_only(7);
         match comm {
-            Backend::Dataflow { options, spec } => {
-                assert!(!options.compute_enabled);
-                assert_eq!(options.forced_iterations, 7);
-                assert!(spec.is_none());
-            }
+            Backend::Dataflow {
+                comm_only_iterations,
+            } => assert_eq!(comm_only_iterations, Some(7)),
             _ => panic!("expected a dataflow backend"),
         }
     }

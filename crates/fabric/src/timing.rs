@@ -7,7 +7,7 @@
 //! fabric bandwidth over the 750 × 994 usable fabric.  The model deliberately
 //! mirrors the paper's own reasoning: per-PE time is the larger of the FLOP time and
 //! the memory-traffic time (compute-bound kernels sit at the FLOP ceiling), fabric
-//! transfers either overlap with compute (§III-E2) or serialise with it, and
+//! transfers overlap with compute (the §III-E2 asynchronous communication), and
 //! long-range collectives add a per-hop latency term that grows with the fabric
 //! diagonal — which is exactly why Algorithm 1 scales slightly worse than
 //! Algorithm 2 in Table III.
@@ -78,16 +78,6 @@ impl WseSpec {
     }
 }
 
-/// How communication is assumed to interact with computation in the time model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OverlapMode {
-    /// Asynchronous sends overlap with compute (the paper's §III-E2 optimisation):
-    /// device time is `max(compute, communication)` plus collective latency.
-    Overlapped,
-    /// Fully serialised communication: device time is `compute + communication`.
-    Serialized,
-}
-
 /// The device-time model.
 #[derive(Clone, Copy, Debug)]
 pub struct DeviceTimeModel {
@@ -115,20 +105,12 @@ impl DeviceTimeModel {
         Self { spec }
     }
 
-    /// The machine spec.
-    pub fn spec(&self) -> &WseSpec {
-        &self.spec
-    }
-
     /// Model device time from the *per-PE maximum* counters (the slowest PE bounds a
-    /// bulk-synchronous step), a critical-path hop count for collectives, and the
-    /// overlap assumption.
-    pub fn estimate(
-        &self,
-        max_per_pe: &OpCounters,
-        critical_path_hops: usize,
-        overlap: OverlapMode,
-    ) -> TimeBreakdown {
+    /// bulk-synchronous step) and a critical-path hop count for collectives.
+    /// Asynchronous sends overlap with compute (§III-E2), so the total is the
+    /// larger of the local and the communication time, plus the launch
+    /// overhead.
+    pub fn estimate(&self, max_per_pe: &OpCounters, critical_path_hops: usize) -> TimeBreakdown {
         let compute_time = max_per_pe.flops as f64 / self.spec.per_pe_flops();
         let memory_time = max_per_pe.mem_bytes() as f64 / self.spec.per_pe_memory_bandwidth();
         let fabric_time = max_per_pe.fabric_bytes() as f64 / self.spec.per_pe_fabric_bandwidth();
@@ -138,26 +120,13 @@ impl DeviceTimeModel {
         // slower of the two ceilings bounds the local step.
         let local = compute_time.max(memory_time);
         let comm = fabric_time + latency_time;
-        let total = match overlap {
-            OverlapMode::Overlapped => local.max(comm),
-            OverlapMode::Serialized => local + comm,
-        } + self.spec.launch_overhead;
+        let total = local.max(comm) + self.spec.launch_overhead;
         TimeBreakdown {
             compute_time,
             memory_time,
             fabric_time,
             latency_time,
             total,
-        }
-    }
-
-    /// Achieved FLOP/s for a given total FLOP count (over all PEs) and a modelled
-    /// time — the number plotted on the roofline (Figure 6 reports 1.217 PFLOP/s).
-    pub fn achieved_flops(&self, total_flops: u64, time: f64) -> f64 {
-        if time <= 0.0 {
-            0.0
-        } else {
-            total_flops as f64 / time
         }
     }
 }
@@ -198,24 +167,9 @@ mod tests {
             fabric_recv_wavelets: 8,
             fabric_sent_wavelets: 0,
         };
-        let t = model.estimate(&per_cell, 0, OverlapMode::Overlapped);
+        let t = model.estimate(&per_cell, 0);
         assert!(t.compute_time > t.memory_time);
         assert!(t.compute_time > t.fabric_time);
-    }
-
-    #[test]
-    fn overlap_reduces_total_time() {
-        let model = DeviceTimeModel::new(WseSpec::cs2());
-        let counters = OpCounters {
-            flops: 1_000_000,
-            mem_load_bytes: 2_000_000,
-            mem_store_bytes: 500_000,
-            fabric_recv_wavelets: 100_000,
-            fabric_sent_wavelets: 100_000,
-        };
-        let overlapped = model.estimate(&counters, 100, OverlapMode::Overlapped);
-        let serialized = model.estimate(&counters, 100, OverlapMode::Serialized);
-        assert!(overlapped.total < serialized.total);
     }
 
     #[test]
@@ -225,16 +179,9 @@ mod tests {
             flops: 10,
             ..Default::default()
         };
-        let near = model.estimate(&c, 10, OverlapMode::Serialized);
-        let far = model.estimate(&c, 1000, OverlapMode::Serialized);
+        let near = model.estimate(&c, 10);
+        let far = model.estimate(&c, 1000);
         assert!(far.total > near.total);
         assert!((far.latency_time - 1000.0 * WseSpec::cs2().hop_latency).abs() < 1e-12);
-    }
-
-    #[test]
-    fn achieved_flops_division() {
-        let model = DeviceTimeModel::new(WseSpec::cs2());
-        assert_eq!(model.achieved_flops(1_000, 0.5), 2_000.0);
-        assert_eq!(model.achieved_flops(1_000, 0.0), 0.0);
     }
 }

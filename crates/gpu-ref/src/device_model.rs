@@ -20,9 +20,6 @@ pub struct GpuSpec {
     /// Fraction of the bandwidth ceiling the kernel achieves (the paper reports
     /// ≈78 % of peak for its memory-bound kernel).
     pub achieved_fraction: f64,
-    /// Device memory capacity, bytes (the paper relies on the mesh fitting entirely
-    /// in device memory to avoid domain decomposition).
-    pub memory_capacity: usize,
 }
 
 impl GpuSpec {
@@ -33,7 +30,6 @@ impl GpuSpec {
             peak_flops: 14.7e12,
             hbm_bandwidth: 1.2629e12,
             achieved_fraction: 0.78,
-            memory_capacity: 40 * 1024 * 1024 * 1024,
         }
     }
 
@@ -44,7 +40,6 @@ impl GpuSpec {
             peak_flops: 66.9e12,
             hbm_bandwidth: 3.35e12,
             achieved_fraction: 0.62,
-            memory_capacity: 95 * 1024 * 1024 * 1024,
         }
     }
 
@@ -74,11 +69,6 @@ impl GpuTimeModel {
     /// A model over a GPU spec.
     pub fn new(spec: GpuSpec) -> Self {
         Self { spec }
-    }
-
-    /// The spec.
-    pub fn spec(&self) -> &GpuSpec {
-        &self.spec
     }
 
     /// Time of a single matrix-free operator application over the mesh, seconds.

@@ -4,9 +4,7 @@
 //! to device memory … we avoid data domain decomposition and avoid frequent data
 //! transfers between host and device memory" (§IV).  The reference implementation
 //! transfers everything once up front and the solution once at the end; this module
-//! counts those bytes and models the PCIe/NVLink time they cost, so the benchmark
-//! reports can show the transfer cost is negligible relative to kernel time (which
-//! is why the paper ignores it).
+//! counts those bytes for the report's device section.
 
 /// Running totals of host↔device traffic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -15,34 +13,17 @@ pub struct HostDeviceTransfers {
     pub host_to_device_bytes: usize,
     /// Bytes copied device → host.
     pub device_to_host_bytes: usize,
-    /// Number of individual transfer operations.
-    pub transfer_count: usize,
 }
-
-/// Nominal host↔device interconnect bandwidth (PCIe 4.0 x16), bytes/s.
-pub const INTERCONNECT_BANDWIDTH: f64 = 25.0e9;
 
 impl HostDeviceTransfers {
     /// Record a host → device copy.
     pub fn record_host_to_device(&mut self, bytes: usize) {
         self.host_to_device_bytes += bytes;
-        self.transfer_count += 1;
     }
 
     /// Record a device → host copy.
     pub fn record_device_to_host(&mut self, bytes: usize) {
         self.device_to_host_bytes += bytes;
-        self.transfer_count += 1;
-    }
-
-    /// Total bytes moved in either direction.
-    pub fn total_bytes(&self) -> usize {
-        self.host_to_device_bytes + self.device_to_host_bytes
-    }
-
-    /// Modelled transfer time at the nominal interconnect bandwidth, seconds.
-    pub fn modelled_time(&self) -> f64 {
-        self.total_bytes() as f64 / INTERCONNECT_BANDWIDTH
     }
 }
 
@@ -58,18 +39,5 @@ mod tests {
         t.record_device_to_host(200);
         assert_eq!(t.host_to_device_bytes, 1500);
         assert_eq!(t.device_to_host_bytes, 200);
-        assert_eq!(t.total_bytes(), 1700);
-        assert_eq!(t.transfer_count, 3);
-        assert!(t.modelled_time() > 0.0);
-    }
-
-    #[test]
-    fn transfer_time_is_negligible_for_one_shot_upload_at_paper_scale() {
-        // Uploading the full 750×994×922 problem (~33 GB) once costs ~1.3 s at PCIe
-        // bandwidth — visible, but incurred once, not per iteration, which is why
-        // the paper keeps the whole mesh device-resident.
-        let mut t = HostDeviceTransfers::default();
-        t.record_host_to_device(750 * 994 * 922 * 12 * 4);
-        assert!(t.modelled_time() < 2.0);
     }
 }

@@ -1,8 +1,14 @@
-//! Machine descriptions used by the roofline and timing models.
+//! Machine descriptions used by the roofline model.
 //!
 //! The ceilings are the ones the paper itself prints on its Figure-6 rooflines:
 //! CS-2 — 1.785 PFLOP/s fp32, 20 PB/s memory, 3.3 PB/s fabric; A100 — 14.7 TFLOP/s,
-//! L1 19 353.6 GB/s, L2 3 705.0 GB/s, HBM 1 262.9 GB/s.
+//! L1 19 353.6 GB/s, L2 3 705.0 GB/s, HBM 1 262.9 GB/s.  The device-time models
+//! own the figures they share with the rooflines: the CS-2's come from
+//! [`WseSpec::cs2`], the A100's peak and HBM bandwidth from [`GpuSpec::a100`].
+//! The A100's L1 and L2 levels are stated only here.
+
+use mffv_fabric::WseSpec;
+use mffv_gpu_ref::GpuSpec;
 
 /// A named bandwidth level (roofline slope).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,17 +34,18 @@ pub struct MachineSpec {
 impl MachineSpec {
     /// The CS-2 as characterised in the paper (Figure 6, top).
     pub fn cs2() -> Self {
+        let cs2 = WseSpec::cs2();
         Self {
             name: "CS-2",
-            peak_flops: 1.785e15,
+            peak_flops: cs2.peak_flops,
             bandwidths: vec![
                 BandwidthLevel {
                     name: "Memory",
-                    bytes_per_second: 20.0e15,
+                    bytes_per_second: cs2.memory_bandwidth,
                 },
                 BandwidthLevel {
                     name: "Fabric",
-                    bytes_per_second: 3.3e15,
+                    bytes_per_second: cs2.fabric_bandwidth,
                 },
             ],
         }
@@ -46,9 +53,10 @@ impl MachineSpec {
 
     /// The A100 as characterised in the paper (Figure 6, bottom).
     pub fn a100() -> Self {
+        let a100 = GpuSpec::a100();
         Self {
-            name: "A100",
-            peak_flops: 14.7e12,
+            name: a100.name,
+            peak_flops: a100.peak_flops,
             bandwidths: vec![
                 BandwidthLevel {
                     name: "L1",
@@ -60,22 +68,9 @@ impl MachineSpec {
                 },
                 BandwidthLevel {
                     name: "HBM",
-                    bytes_per_second: 1_262.9e9,
+                    bytes_per_second: a100.hbm_bandwidth,
                 },
             ],
-        }
-    }
-
-    /// The H100 of the Grace Hopper superchip used for the Table-II comparison
-    /// (nominal public ceilings; the paper does not print an H100 roofline).
-    pub fn h100() -> Self {
-        Self {
-            name: "H100",
-            peak_flops: 66.9e12,
-            bandwidths: vec![BandwidthLevel {
-                name: "HBM3",
-                bytes_per_second: 3.35e12,
-            }],
         }
     }
 
@@ -121,7 +116,6 @@ mod tests {
     #[test]
     fn cs2_peak_dwarfs_the_gpus() {
         assert!(MachineSpec::cs2().peak_flops / MachineSpec::a100().peak_flops > 100.0);
-        assert!(MachineSpec::h100().peak_flops > MachineSpec::a100().peak_flops);
     }
 
     #[test]

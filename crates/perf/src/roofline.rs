@@ -21,11 +21,6 @@ impl Roofline {
         Self { spec }
     }
 
-    /// The machine.
-    pub fn spec(&self) -> &MachineSpec {
-        &self.spec
-    }
-
     /// Attainable FLOP/s at an arithmetic intensity, against a named bandwidth
     /// ceiling (`None` uses the slowest level).
     pub fn attainable(&self, arithmetic_intensity: f64, bandwidth: Option<&str>) -> f64 {

@@ -499,14 +499,11 @@ mod tests {
 
     #[test]
     fn duplicate_backend_names_are_disambiguated() {
-        use mffv_core::SolverOptions;
         let reports = all_reports(
             Simulation::from_spec(&WorkloadSpec::quickstart())
                 .tolerance(1e-10)
                 .backend(Backend::dataflow())
-                .backend(Backend::dataflow_with(
-                    SolverOptions::paper().without_vectorization(),
-                ))
+                .backend(Backend::dataflow())
                 .run_all(),
         );
         assert_eq!(reports[0].backend, "dataflow");
@@ -561,13 +558,10 @@ mod tests {
 
     #[test]
     fn batch_disambiguates_duplicate_backend_names() {
-        use mffv_core::SolverOptions;
         let batch = Simulation::from_spec(&WorkloadSpec::quickstart())
             .tolerance(1e-10)
             .backend(Backend::dataflow())
-            .backend(Backend::dataflow_with(
-                SolverOptions::paper().without_vectorization(),
-            ))
+            .backend(Backend::dataflow())
             .batch(2);
         assert!(batch.all_succeeded());
         let names: Vec<&str> = batch

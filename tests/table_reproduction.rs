@@ -137,9 +137,7 @@ fn communication_only_run_reproduces_table4_methodology() {
     let full_device = full.device.as_ref().unwrap();
     let full_iterations = full.iterations();
     let comm = Simulation::new(simulation.workload().clone())
-        .backend(Backend::dataflow_with(SolverOptions::communication_only(
-            full_iterations,
-        )))
+        .backend(Backend::dataflow_communication_only(full_iterations))
         .run()
         .unwrap();
     let comm_device = comm.device.as_ref().unwrap();
