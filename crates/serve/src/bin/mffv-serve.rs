@@ -77,7 +77,7 @@ fn run(args: Args) -> Result<(), String> {
     let running: RunningServer = server.bind().map_err(|e| match e {
         // A ceiling that is not a deadline is a bad flag value, refused
         // before anything binds.
-        WireError::BadDeadline { .. } => format!("{e}\n{}", usage()),
+        WireError::OutOfRange { .. } => format!("{e}\n{}", usage()),
         e => format!("bind failed: {e}"),
     })?;
     let addr = running.local_addr();

@@ -195,7 +195,7 @@ impl Server {
     /// Bind the listener, start the engine service and the accept loop, and
     /// return the running daemon's handle.  A `max_session_seconds` that is
     /// NaN, negative or too large for a `Duration` is a
-    /// [`WireError::BadDeadline`], refused before anything binds.
+    /// [`WireError::OutOfRange`], refused before anything binds.
     pub fn bind(self) -> Result<RunningServer, WireError> {
         let max_deadline = self
             .config
@@ -556,7 +556,7 @@ mod tests {
             let config = ServeConfig::default().with_max_session_seconds(seconds);
             assert!(matches!(
                 Server::new(config).bind(),
-                Err(WireError::BadDeadline {
+                Err(WireError::OutOfRange {
                     field: "max_session_seconds",
                     ..
                 })

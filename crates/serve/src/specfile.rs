@@ -37,7 +37,7 @@
 //! `f32`).  A spec that sets `precision` fails with a [`SpecError`] that
 //! names `backend = host-f32`.
 
-use crate::wire::{deadline, BackendSel, WireJobSpec, WirePolicy};
+use crate::wire::{deadline, divergence_factor, stagnation, BackendSel, WireJobSpec, WirePolicy};
 use mffv_mesh::workload::BoundarySpec;
 use mffv_mesh::{
     CellIndex, Dims, DtPolicy, PermeabilityModel, TransientSpec, Well, WellControl, WellSet,
@@ -326,15 +326,22 @@ pub fn parse_spec(text: &str) -> Result<WireJobSpec, SpecError> {
             }
             "stagnation" => {
                 let parts: Vec<&str> = value.split_whitespace().collect();
-                policy.stagnation = match parts.as_slice() {
-                    [window, min_rel] => Some((
+                let (window, min_rel) = match parts.as_slice() {
+                    [window, min_rel] => (
                         parse_usize(line, window, "stagnation window")?,
                         parse_f64(line, min_rel, "stagnation min improvement")?,
-                    )),
+                    ),
                     _ => return Err(err(line, "stagnation is `<window> <min_rel_improvement>`")),
                 };
+                let rule = stagnation(window, min_rel).map_err(|e| err(line, e.to_string()))?;
+                policy.stagnation = Some(rule);
             }
-            "divergence" => policy.divergence_factor = Some(parse_f64(line, value, "divergence")?),
+            "divergence" => {
+                let factor = parse_f64(line, value, "divergence")?;
+                let factor = divergence_factor("divergence", factor)
+                    .map_err(|e| err(line, e.to_string()))?;
+                policy.divergence_factor = Some(factor);
+            }
             other => return Err(err(line, format!("unknown key `{other}`"))),
         }
     }
@@ -463,13 +470,31 @@ well = prod bhp 6 6 2 1e6 1e-9
 
     #[test]
     fn a_deadline_that_is_not_one_is_a_line_numbered_error() {
-        for text in [
-            "backend = host\ndeadline_seconds = 1e300\n",
-            "backend = host\ndeadline_seconds = -1\n",
+        for (text, field) in [
+            (
+                "backend = host\ndeadline_seconds = 1e300\n",
+                "deadline_seconds",
+            ),
+            (
+                "backend = host\ndeadline_seconds = -1\n",
+                "deadline_seconds",
+            ),
+            ("backend = host\ndivergence = -5\n", "divergence"),
+            ("backend = host\ndivergence = 0.5\n", "divergence"),
+            ("backend = host\nstagnation = 0 1e-3\n", "stagnation window"),
+            (
+                "backend = host\nstagnation = 2 -0.5\n",
+                "stagnation min_rel_improvement",
+            ),
+            (
+                "backend = host\nstagnation = 2 1.5\n",
+                "stagnation min_rel_improvement",
+            ),
         ] {
             let e = parse_spec(text).unwrap_err();
             assert_eq!(e.line, 2, "{text}");
-            assert!(e.message.contains("deadline_seconds"), "{text}: {e}");
+            assert!(e.message.contains(field), "{text}: {e}");
+            assert!(e.message.contains("out of range"), "{text}: {e}");
         }
         let job = parse_spec("deadline_seconds = 0.5\n").expect("parses");
         assert_eq!(job.policy.deadline_seconds, Some(0.5));

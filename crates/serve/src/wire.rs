@@ -84,12 +84,17 @@ pub enum WireError {
     Malformed(String),
     /// The underlying socket failed (read/write/connect).
     Io(String),
-    /// A deadline that is NaN, negative or too large for a [`Duration`].
-    BadDeadline {
+    /// A stop rule or session ceiling outside its range: a deadline that is
+    /// NaN, negative or too large for a [`Duration`], a divergence factor
+    /// that is NaN or below 1, a stagnation window of 0, or a stagnation
+    /// `min_rel_improvement` that is NaN or outside [0, 1].
+    OutOfRange {
         /// The field or setting that carried it.
         field: &'static str,
         /// The value, as given.
-        seconds: f64,
+        value: f64,
+        /// What the value must be.
+        expected: &'static str,
     },
 }
 
@@ -122,10 +127,13 @@ impl std::fmt::Display for WireError {
             }
             WireError::Malformed(detail) => write!(f, "malformed payload: {detail}"),
             WireError::Io(detail) => write!(f, "transport error: {detail}"),
-            WireError::BadDeadline { field, seconds } => write!(
+            WireError::OutOfRange {
+                field,
+                value,
+                expected,
+            } => write!(
                 f,
-                "{field} = {seconds:?} is not a deadline: it must be a non-negative \
-                 number of seconds below 2^64 (about 1.8e19)"
+                "{field} = {value:?} is out of range: it must be {expected}"
             ),
         }
     }
@@ -140,9 +148,52 @@ impl From<std::io::Error> for WireError {
 }
 
 /// `seconds` as a solve deadline.  NaN, a negative value or one too large
-/// for a [`Duration`] is a [`WireError::BadDeadline`] naming `field`.
+/// for a [`Duration`] is a [`WireError::OutOfRange`] naming `field`.
 pub(crate) fn deadline(field: &'static str, seconds: f64) -> Result<Duration, WireError> {
-    Duration::try_from_secs_f64(seconds).map_err(|_| WireError::BadDeadline { field, seconds })
+    Duration::try_from_secs_f64(seconds).map_err(|_| WireError::OutOfRange {
+        field,
+        value: seconds,
+        expected: "a non-negative number of seconds below 2^64 (about 1.8e19)",
+    })
+}
+
+/// `factor` as a divergence factor: a solve stops as diverged once `rᵀr`
+/// exceeds its smallest value so far by this factor.  NaN or a factor below
+/// 1 is a [`WireError::OutOfRange`] naming `field`.
+pub(crate) fn divergence_factor(field: &'static str, factor: f64) -> Result<f64, WireError> {
+    if factor >= 1.0 {
+        Ok(factor)
+    } else {
+        Err(WireError::OutOfRange {
+            field,
+            value: factor,
+            expected: "a factor of at least 1",
+        })
+    }
+}
+
+/// `(window, min_rel_improvement)` as a stagnation rule.  A window of 0, or
+/// an improvement that is NaN or outside [0, 1], is a
+/// [`WireError::OutOfRange`] naming that half of the rule.
+pub(crate) fn stagnation(
+    window: usize,
+    min_rel_improvement: f64,
+) -> Result<(usize, f64), WireError> {
+    if window == 0 {
+        return Err(WireError::OutOfRange {
+            field: "stagnation window",
+            value: 0.0,
+            expected: "at least 1 iteration",
+        });
+    }
+    if !(0.0..=1.0).contains(&min_rel_improvement) {
+        return Err(WireError::OutOfRange {
+            field: "stagnation min_rel_improvement",
+            value: min_rel_improvement,
+            expected: "a fraction in [0, 1]",
+        });
+    }
+    Ok((window, min_rel_improvement))
 }
 
 /// Append-only big-endian byte sink.
@@ -1168,9 +1219,11 @@ impl WirePolicy {
     /// Build the solver-side policy, clamping the requested deadline to
     /// `max_deadline` (the server's per-session ceiling; `None` = no cap).
     /// A server with a ceiling applies it even when the client asked for no
-    /// deadline at all.  A requested `deadline_seconds` that is NaN,
-    /// negative or too large for a [`Duration`] is a
-    /// [`WireError::BadDeadline`].
+    /// deadline at all.  A rule outside its range is a
+    /// [`WireError::OutOfRange`] naming its field: a `deadline_seconds` that
+    /// is NaN, negative or too large for a [`Duration`], a
+    /// `divergence_factor` that is NaN or below 1, or a `stagnation` rule
+    /// whose window is 0 or whose improvement is NaN or outside [0, 1].
     pub fn to_stop_policy(&self, max_deadline: Option<Duration>) -> Result<StopPolicy, WireError> {
         let mut policy = StopPolicy::new();
         if let Some(budget) = self.iteration_budget {
@@ -1188,10 +1241,11 @@ impl WirePolicy {
             policy = policy.deadline(armed);
         }
         if let Some((window, min_rel)) = self.stagnation {
+            let (window, min_rel) = stagnation(window, min_rel)?;
             policy = policy.stagnation(window, min_rel);
         }
         if let Some(factor) = self.divergence_factor {
-            policy = policy.divergence(factor);
+            policy = policy.divergence(divergence_factor("divergence_factor", factor)?);
         }
         Ok(policy)
     }
@@ -1505,18 +1559,40 @@ mod tests {
 
     #[test]
     fn deadlines_that_are_not_one_are_errors_naming_their_field() {
-        for seconds in [f64::INFINITY, 1e300, f64::NAN, -1.0] {
-            let asked = WirePolicy {
+        let deadlines = [f64::INFINITY, 1e300, f64::NAN, -1.0].map(|seconds| {
+            let policy = WirePolicy {
                 deadline_seconds: Some(seconds),
                 ..WirePolicy::default()
             };
-            assert!(matches!(
-                asked.to_stop_policy(Some(Duration::from_secs(30))),
-                Err(WireError::BadDeadline {
-                    field: "deadline_seconds",
-                    ..
-                })
-            ));
+            (policy, "deadline_seconds")
+        });
+        let divergences = [f64::NAN, -5.0, 0.5].map(|factor| {
+            let policy = WirePolicy {
+                divergence_factor: Some(factor),
+                ..WirePolicy::default()
+            };
+            (policy, "divergence_factor")
+        });
+        let stagnations = [
+            ((0, 1e-3), "stagnation window"),
+            ((2, f64::NAN), "stagnation min_rel_improvement"),
+            ((2, -0.5), "stagnation min_rel_improvement"),
+            ((2, 1.5), "stagnation min_rel_improvement"),
+        ]
+        .map(|(rule, field)| {
+            let policy = WirePolicy {
+                stagnation: Some(rule),
+                ..WirePolicy::default()
+            };
+            (policy, field)
+        });
+        for (asked, field) in deadlines.into_iter().chain(divergences).chain(stagnations) {
+            match asked.to_stop_policy(Some(Duration::from_secs(30))) {
+                Err(WireError::OutOfRange { field: named, .. }) => {
+                    assert_eq!(named, field, "{asked:?}")
+                }
+                other => panic!("{asked:?}: expected OutOfRange, got {other:?}"),
+            }
         }
         assert_eq!(deadline("d", 0.0), Ok(Duration::ZERO));
         assert_eq!(deadline("d", 2.5), Ok(Duration::from_millis(2500)));

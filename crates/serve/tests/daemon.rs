@@ -404,26 +404,55 @@ fn bad_deadlines_are_rejected_and_the_session_still_cancels_its_orphans() {
         next_past_events(&mut stream, 1),
         Frame::Accepted { job_id: 1 }
     ));
-    for (job_id, seconds) in [(2, f64::INFINITY), (3, 1e300), (4, f64::NAN), (5, -1.0)] {
+    let deadline = |seconds| WirePolicy {
+        deadline_seconds: Some(seconds),
+        ..WirePolicy::default()
+    };
+    let divergence = |factor| WirePolicy {
+        divergence_factor: Some(factor),
+        ..WirePolicy::default()
+    };
+    let stagnation = |window, min_rel| WirePolicy {
+        stagnation: Some((window, min_rel)),
+        ..WirePolicy::default()
+    };
+    let bad_rules = [
+        (deadline(f64::INFINITY), "deadline_seconds"),
+        (deadline(1e300), "deadline_seconds"),
+        (deadline(f64::NAN), "deadline_seconds"),
+        (deadline(-1.0), "deadline_seconds"),
+        (divergence(f64::NAN), "divergence_factor"),
+        (divergence(-5.0), "divergence_factor"),
+        (stagnation(0, 1e-3), "stagnation window"),
+        (stagnation(2, f64::NAN), "stagnation min_rel_improvement"),
+        (stagnation(2, 1.5), "stagnation min_rel_improvement"),
+    ];
+    let mut job_id = 1;
+    for (policy, field) in bad_rules.clone() {
+        job_id += 1;
         let mut spec = quick_spec(BackendSel::HostF64);
-        spec.policy.deadline_seconds = Some(seconds);
+        spec.policy = policy.clone();
         submit(&mut stream, job_id, spec);
         match next_past_events(&mut stream, 1) {
             Frame::Rejected { job_id: id, reason } => {
                 assert_eq!(id, job_id);
-                assert!(reason.contains("deadline_seconds"), "{seconds}: {reason}");
+                assert!(reason.contains(field), "{policy:?}: {reason}");
             }
-            other => panic!("deadline {seconds}: expected Rejected, got {other:?}"),
+            other => panic!("{policy:?}: expected Rejected, got {other:?}"),
         }
     }
-    assert_eq!(metrics.counter("serve.jobs.rejected"), 4);
+    assert_eq!(
+        metrics.counter("serve.jobs.rejected"),
+        bad_rules.len() as u64
+    );
 
-    submit(&mut stream, 6, quick_spec(BackendSel::HostF64));
+    let good = job_id + 1;
+    submit(&mut stream, good, quick_spec(BackendSel::HostF64));
     loop {
         match next_past_events(&mut stream, 1) {
-            Frame::Accepted { job_id: 6 } | Frame::Event { job_id: 6, .. } => continue,
-            Frame::Done { job_id: 6, .. } => break,
-            other => panic!("expected job 6 to complete, got {other:?}"),
+            Frame::Accepted { job_id } | Frame::Event { job_id, .. } if job_id == good => continue,
+            Frame::Done { job_id, .. } if job_id == good => break,
+            other => panic!("expected job {good} to complete, got {other:?}"),
         }
     }
     drop(stream);
