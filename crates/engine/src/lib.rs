@@ -70,9 +70,9 @@
 //!
 //! ## Telemetry
 //!
-//! Every run collects per-worker busy/idle stats, a mergeable log₂-bucket
-//! execution-latency histogram and the queue's high-water depth into the
-//! [`BatchReport`].  Attach a recording `Tracer`
+//! Every run collects per-worker busy/idle stats and the queue's high-water
+//! depth into the [`BatchReport`], beside the latency percentiles of its
+//! jobs.  Attach a recording `Tracer`
 //! ([`Engine::with_tracer`](pool::Engine::with_tracer)) to additionally get
 //! a span tree — `engine-batch` → per-job label → `queue-wait`/`execute` —
 //! exportable as a Chrome trace via `mffv_telemetry`; job results stay

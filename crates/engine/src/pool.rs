@@ -13,8 +13,8 @@
 //! emits a span tree — `engine-batch` → one span per job label →
 //! `queue-wait` (opened at submission, closed at pop) and `execute` on the
 //! executing worker's lane — whose aggregated *shape* is identical for any
-//! worker count.  Per-worker busy/idle stats and a merged execution-latency
-//! histogram land in the report either way, and an attached
+//! worker count.  Per-worker busy/idle stats land in the report either way,
+//! and an attached
 //! [`MetricsRegistry`] ([`Engine::with_metrics`]) receives the same
 //! `engine.service.*` and `engine.context.*` metrics as the daemon's.
 //!
@@ -24,7 +24,7 @@ use crate::job::{JobOutcome, JobSpec};
 use crate::report::BatchReport;
 use crate::service::{ServiceJob, ShutdownMode};
 use mffv_solver::monitor::CancelToken;
-use mffv_telemetry::{LogHistogram, MetricsRegistry, Stopwatch, Tracer};
+use mffv_telemetry::{MetricsRegistry, Stopwatch, Tracer};
 use std::sync::mpsc;
 
 /// The concurrent batch-solve engine.
@@ -142,12 +142,7 @@ impl Engine {
         }
         drop(sender);
         let queue_high_water = service.queue_high_water();
-        let (worker_stats, histograms): (Vec<_>, Vec<_>) =
-            service.join(ShutdownMode::Drain).into_iter().unzip();
-        let mut exec_histogram = LogHistogram::new();
-        for hist in &histograms {
-            exec_histogram.merge(hist);
-        }
+        let worker_stats = service.join(ShutdownMode::Drain);
         let mut slots: Vec<Option<JobOutcome>> = (0..total).map(|_| None).collect();
         for outcome in receiver {
             let index = outcome.index;
@@ -159,11 +154,8 @@ impl Engine {
             // worker fires each popped job's `on_done` before popping again.
             .map(|slot| slot.expect("every submitted job reports its outcome"))
             .collect();
-        BatchReport::new(outcomes, workers, started.elapsed_seconds()).with_engine_stats(
-            worker_stats,
-            exec_histogram,
-            queue_high_water,
-        )
+        BatchReport::new(outcomes, workers, started.elapsed_seconds())
+            .with_engine_stats(worker_stats, queue_high_water)
     }
 }
 
@@ -230,7 +222,6 @@ mod tests {
         // No phantom workers: nothing ran, so no WorkerStats rows either.
         assert_eq!(report.workers, 0);
         assert!(report.worker_stats.is_empty());
-        assert_eq!(report.exec_histogram.count(), 0);
     }
 
     #[test]
@@ -276,7 +267,7 @@ mod tests {
         assert_eq!(report.worker_stats.len(), 3);
         let jobs: usize = report.worker_stats.iter().map(|w| w.jobs).sum();
         assert_eq!(jobs, 5);
-        assert_eq!(report.exec_histogram.count(), 5);
+        assert_eq!(report.latency.samples, 5);
         assert!(report.queue_high_water >= 1);
         assert!(report.queue_high_water <= 5);
         for (i, w) in report.worker_stats.iter().enumerate() {

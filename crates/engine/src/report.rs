@@ -5,9 +5,8 @@
 //! jobs/s and cells/s, and latency percentiles over the per-job solve times
 //! (via [`mffv_perf::LatencyStats`]).  When the batch ran through
 //! [`Engine::run`](crate::Engine::run) the report also carries the engine's
-//! own telemetry: per-worker busy/idle accounting ([`WorkerStats`]), a
-//! mergeable log₂-bucket execution-latency histogram, and the queue's
-//! high-water depth.  Its `Display` impl prints the per-job status table
+//! own telemetry: per-worker busy/idle accounting ([`WorkerStats`]) and the
+//! queue's high-water depth.  Its `Display` impl prints the per-job status table
 //! followed by the aggregate lines — the output the sweep report binary and
 //! the CI smoke step show.
 
@@ -15,7 +14,6 @@ use crate::job::JobOutcome;
 use mffv_perf::report::format_table;
 use mffv_perf::LatencyStats;
 use mffv_solver::backend::SolveReport;
-use mffv_telemetry::LogHistogram;
 
 /// Busy/idle accounting for one worker thread of a batch.
 #[derive(Clone, Debug, Default)]
@@ -60,10 +58,6 @@ pub struct BatchReport {
     /// Per-worker busy/idle accounting, by worker index.  Empty for reports
     /// assembled outside [`Engine::run`](crate::Engine::run).
     pub worker_stats: Vec<WorkerStats>,
-    /// Log₂-bucket histogram of per-job execution latencies, merged from the
-    /// workers' thread-local histograms.  Empty when the engine did not
-    /// collect one.
-    pub exec_histogram: LogHistogram,
     /// Largest depth the job queue reached (at most the number of jobs in
     /// the batch).
     pub queue_high_water: usize,
@@ -88,21 +82,18 @@ impl BatchReport {
             wall_seconds,
             latency: LatencyStats::from_samples(&latencies),
             worker_stats: Vec::new(),
-            exec_histogram: LogHistogram::new(),
             queue_high_water: 0,
         }
     }
 
-    /// Attach the engine's own telemetry: per-worker busy/idle stats, the
-    /// merged execution-latency histogram, and the queue high-water mark.
+    /// Attach the engine's own telemetry: per-worker busy/idle stats and the
+    /// queue high-water mark.
     pub fn with_engine_stats(
         mut self,
         worker_stats: Vec<WorkerStats>,
-        exec_histogram: LogHistogram,
         queue_high_water: usize,
     ) -> Self {
         self.worker_stats = worker_stats;
-        self.exec_histogram = exec_histogram;
         self.queue_high_water = queue_high_water;
         self
     }
@@ -370,8 +361,6 @@ mod tests {
 
     #[test]
     fn engine_stats_attach_and_render() {
-        let mut hist = LogHistogram::new();
-        hist.record(0.25);
         let report = BatchReport::new(
             vec![outcome(
                 0,
@@ -394,11 +383,10 @@ mod tests {
                     busy_seconds: 0.0,
                 },
             ],
-            hist,
             3,
         );
         assert_eq!(report.queue_high_water, 3);
-        assert_eq!(report.exec_histogram.count(), 1);
+        assert_eq!(report.latency.samples, 1);
         assert!((report.worker_stats[0].idle_seconds(1.0) - 0.75).abs() < 1e-12);
         assert!((report.worker_stats[0].utilisation(1.0) - 0.25).abs() < 1e-12);
         let text = report.to_string();

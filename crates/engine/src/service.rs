@@ -39,7 +39,7 @@ use crate::report::WorkerStats;
 use mffv_solver::backend::{SolveError, SolveReport, SolveRequest};
 use mffv_solver::context::{ContextStats, SolveContextCache};
 use mffv_solver::monitor::{monitor_fn, CancelToken, Flow, SolveEvent, SolveMonitor, StopReason};
-use mffv_telemetry::{LogHistogram, MetricsRegistry, Span, Stopwatch, Tracer};
+use mffv_telemetry::{MetricsRegistry, Span, Stopwatch, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -116,10 +116,6 @@ struct ServiceShared {
     metrics: Option<MetricsRegistry>,
 }
 
-/// What a worker hands back when it is joined: its busy/idle stats and the
-/// histogram of the execution latencies of the jobs it ran.
-pub(crate) type WorkerTally = (WorkerStats, LogHistogram);
-
 /// Handle to a started engine service: submit jobs, shut down.  Both take
 /// `&self`, so one handle can be shared by every submitting thread.
 /// Dropping the handle without calling [`shutdown`](EngineService::shutdown)
@@ -127,7 +123,7 @@ pub(crate) type WorkerTally = (WorkerStats, LogHistogram);
 pub struct EngineService {
     shared: Arc<ServiceShared>,
     /// Taken (left empty) by the first shutdown.
-    workers: Mutex<Vec<JoinHandle<WorkerTally>>>,
+    workers: Mutex<Vec<JoinHandle<WorkerStats>>>,
     tracer: Tracer,
     /// Parent of every job's label span: `engine-batch` for a batch; `None`
     /// roots each job's span at the tracer.
@@ -216,9 +212,9 @@ impl EngineService {
         self.join(mode);
     }
 
-    /// [`shutdown`](Self::shutdown), returning each joined worker's tally in
-    /// worker order.
-    pub(crate) fn join(&self, mode: ShutdownMode) -> Vec<WorkerTally> {
+    /// [`shutdown`](Self::shutdown), returning each joined worker's
+    /// busy/idle stats in worker order.
+    pub(crate) fn join(&self, mode: ShutdownMode) -> Vec<WorkerStats> {
         if matches!(mode, ShutdownMode::Abort) {
             self.shared.cancel.cancel();
         }
@@ -228,7 +224,7 @@ impl EngineService {
             .unwrap_or_else(PoisonError::into_inner)
             .drain(..)
             // A worker that panicked outside job isolation has already lost
-            // its thread and its tally; joining the rest is still the right
+            // its thread and its stats; joining the rest is still the right
             // cleanup.
             .filter_map(|handle| handle.join().ok())
             .collect()
@@ -245,13 +241,12 @@ impl Drop for EngineService {
 
 /// The one worker loop, shared by the daemon's service and
 /// [`Engine::run`].
-fn worker_loop(shared: &ServiceShared, worker: usize) -> WorkerTally {
+fn worker_loop(shared: &ServiceShared, worker: usize) -> WorkerStats {
     let mut worker_stats = WorkerStats {
         worker,
         jobs: 0,
         busy_seconds: 0.0,
     };
-    let mut exec_histogram = LogHistogram::new();
     // One warm solve context per worker, kept across jobs for the lifetime
     // of the pool: after the first job of a spec, repeats reuse the
     // operator, preconditioner and CG scratch (results are bitwise identical
@@ -300,7 +295,6 @@ fn worker_loop(shared: &ServiceShared, worker: usize) -> WorkerTally {
             exec_span.finish();
             let exec_seconds = started.elapsed_seconds();
             worker_stats.busy_seconds += exec_seconds;
-            exec_histogram.record(exec_seconds);
             if let Some(metrics) = &shared.metrics {
                 metrics.observe("engine.service.exec_seconds", exec_seconds);
             }
@@ -342,7 +336,7 @@ fn worker_loop(shared: &ServiceShared, worker: usize) -> WorkerTally {
         // callback must not take the worker down with it.
         let _ = catch_unwind(AssertUnwindSafe(move || (on_done)(outcome)));
     }
-    (worker_stats, exec_histogram)
+    worker_stats
 }
 
 /// `job` with the service's cancel token added to its stop policy, so a

@@ -184,7 +184,7 @@ fn batch_reports_carry_the_latency_split_and_worker_stats() {
         assert_eq!(outcome.latency_seconds(), outcome.exec_seconds);
     }
     assert_eq!(report.worker_stats.len(), 2);
-    assert_eq!(report.exec_histogram.count() as usize, report.jobs());
+    assert_eq!(report.latency.samples, report.jobs());
     assert!(report.queue_high_water >= 1);
     let busy: f64 = report.busy_seconds();
     let per_worker = report.worker_stats.iter().map(|w| w.busy_seconds);
