@@ -14,9 +14,9 @@
 //! `queue-wait` (opened at submission, closed at pop) and `execute` on the
 //! executing worker's lane — whose aggregated *shape* is identical for any
 //! worker count.  Per-worker busy/idle stats land in the report either way,
-//! and an attached
-//! [`MetricsRegistry`] ([`Engine::with_metrics`]) receives the same
-//! `engine.service.*` and `engine.context.*` metrics as the daemon's.
+//! and an attached [`MetricsRegistry`] ([`Engine::with_metrics`]) receives
+//! the same `engine.service.*` and `engine.context.*` metrics as the
+//! daemon's.
 //!
 //! [`EngineService::submit`]: crate::EngineService::submit
 

@@ -6,9 +6,9 @@
 //! (via [`mffv_perf::LatencyStats`]).  When the batch ran through
 //! [`Engine::run`](crate::Engine::run) the report also carries the engine's
 //! own telemetry: per-worker busy/idle accounting ([`WorkerStats`]) and the
-//! queue's high-water depth.  Its `Display` impl prints the per-job status table
-//! followed by the aggregate lines — the output the sweep report binary and
-//! the CI smoke step show.
+//! queue's high-water depth.  Its `Display` impl prints the per-job status
+//! table followed by the aggregate lines — the output the sweep report binary
+//! and the CI smoke step show.
 
 use crate::job::JobOutcome;
 use mffv_perf::report::format_table;
