@@ -427,11 +427,9 @@ fn bad_deadlines_are_rejected_and_the_session_still_cancels_its_orphans() {
         (stagnation(2, f64::NAN), "stagnation min_rel_improvement"),
         (stagnation(2, 1.5), "stagnation min_rel_improvement"),
     ];
-    let mut job_id = 1;
-    for (policy, field) in bad_rules.clone() {
-        job_id += 1;
+    for (job_id, (policy, field)) in (2..).zip(bad_rules) {
         let mut spec = quick_spec(BackendSel::HostF64);
-        spec.policy = policy.clone();
+        spec.policy = policy;
         submit(&mut stream, job_id, spec);
         match next_past_events(&mut stream, 1) {
             Frame::Rejected { job_id: id, reason } => {
@@ -446,7 +444,7 @@ fn bad_deadlines_are_rejected_and_the_session_still_cancels_its_orphans() {
         bad_rules.len() as u64
     );
 
-    let good = job_id + 1;
+    let good = 2 + bad_rules.len() as u64;
     submit(&mut stream, good, quick_spec(BackendSel::HostF64));
     loop {
         match next_past_events(&mut stream, 1) {
