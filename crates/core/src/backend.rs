@@ -452,8 +452,8 @@ impl DataflowBackend {
         let final_residual_max = final_residual_max_f64(workload, &pressure);
 
         let host_wall_seconds = start.elapsed_seconds();
-        // The slowest PE bounds each bulk-synchronous step.
         let spec = WseSpec::cs2_region(dims.nx, dims.ny);
+        // The slowest PE bounds each bulk-synchronous step.
         let modelled_time = DeviceTimeModel::new(spec).estimate(&fabric.max_per_pe_compute(), hops);
         let total_compute = fabric.total_compute();
         let fabric_stats = fabric.stats();
