@@ -8,11 +8,9 @@
 //!
 //! Run with `cargo run --release -p mffv-bench --bin table_memory`.
 
-use mffv_core::{MemoryPlan, ReuseStrategy};
+use mffv_core::{MemoryPlan, ReuseStrategy, KERNEL_CODE_BYTES};
 use mffv_fabric::memory::PE_MEMORY_BYTES;
 use mffv_perf::report::format_table;
-
-const KERNEL_CODE_BYTES: usize = 2048;
 
 fn print_plan(plan: &MemoryPlan) {
     println!(
@@ -21,7 +19,7 @@ fn print_plan(plan: &MemoryPlan) {
         plan.strategy,
         plan.data_bytes(),
         KERNEL_CODE_BYTES,
-        plan.total_bytes(KERNEL_CODE_BYTES)
+        plan.total_bytes()
     );
     let rows: Vec<Vec<String>> = plan
         .allocations
@@ -42,29 +40,18 @@ fn main() {
     let naive = MemoryPlan::new(922, ReuseStrategy::None);
     let reuse = MemoryPlan::new(922, ReuseStrategy::Aggressive);
     print_plan(&naive);
-    println!(
-        "Fits the paper's Nz = 922 column: {}\n",
-        naive.fits(PE_MEMORY_BYTES, KERNEL_CODE_BYTES)
-    );
+    println!("Fits the paper's Nz = 922 column: {}\n", naive.fits());
     print_plan(&reuse);
-    println!(
-        "Fits the paper's Nz = 922 column: {}\n",
-        reuse.fits(PE_MEMORY_BYTES, KERNEL_CODE_BYTES)
-    );
+    println!("Fits the paper's Nz = 922 column: {}\n", reuse.fits());
 
     let rows = vec![
         vec![
             "Straightforward (no reuse)".to_string(),
-            MemoryPlan::max_nz(ReuseStrategy::None, PE_MEMORY_BYTES, KERNEL_CODE_BYTES).to_string(),
+            MemoryPlan::max_nz(ReuseStrategy::None).to_string(),
         ],
         vec![
             "Buffer reuse (§III-E1)".to_string(),
-            MemoryPlan::max_nz(
-                ReuseStrategy::Aggressive,
-                PE_MEMORY_BYTES,
-                KERNEL_CODE_BYTES,
-            )
-            .to_string(),
+            MemoryPlan::max_nz(ReuseStrategy::Aggressive).to_string(),
         ],
     ];
     println!(

@@ -4,7 +4,9 @@
 //! [`DataflowBackend::solve`] loads a workload onto the fabric (one z-column per
 //! PE, §III-A), builds the right-hand side of the Newton system, and then drives
 //! the 14-state CG state machine under the [`SolveConfig`]'s tolerance,
-//! iteration cap and preconditioner: each iteration performs the Table-I halo
+//! iteration cap and preconditioner, plain CG or Jacobi (multigrid is refused
+//! with a [`SolveError`]: the device model prices no V-cycle, so it runs on
+//! the host backends only): each iteration performs the Table-I halo
 //! exchange of the direction column, the per-PE matrix-free operator application
 //! (Algorithm 2), two whole-fabric all-reduces for α and the convergence test,
 //! and the vector updates — all through the fabric's DSD instruction set so
@@ -29,14 +31,13 @@ use mffv_fabric::{
     ColorAllocator, DeviceTimeModel, Fabric, FabricDims, ProcessingElement, WseSpec,
 };
 use mffv_fv::residual::{newton_rhs, residual};
-use mffv_mesh::{CellField, Dims, Workload};
+use mffv_mesh::{CellField, Workload};
 use mffv_solver::backend::{
     final_residual_max_f64, DeviceSection, Precision, PreconditionerKind, SolveBackend,
     SolveConfig, SolveError, SolveReport, SolveRequest,
 };
 use mffv_solver::convergence::{ConvergenceHistory, StoppingCriterion};
 use mffv_solver::monitor::{Flow, SolveEvent, SolveMonitor, StopReason};
-use mffv_solver::{MgConfig, MultigridVcycle, Preconditioner};
 use mffv_telemetry::{Span, Stopwatch};
 
 /// The simulated WSE-2 dataflow fabric as a facade backend, with device
@@ -65,58 +66,14 @@ impl DataflowBackend {
     }
 }
 
-/// The armed preconditioner of a dataflow solve: Jacobi lives on the fabric
-/// (a resident inverse-diagonal column, see [`kernel::jacobi_precond`]); the
-/// multigrid V-cycle runs host-assisted, reading the residual columns back
-/// and writing the correction columns per application.
-enum FabricPrecond {
-    None,
-    Jacobi,
-    Mg(Box<MultigridVcycle<f32>>),
-}
-
-impl FabricPrecond {
-    fn is_none(&self) -> bool {
-        matches!(self, FabricPrecond::None)
+/// `z = D⁻¹ · r` on every PE: Jacobi lives on the fabric, a resident
+/// inverse-diagonal column per PE (see [`kernel::jacobi_precond`]).
+fn apply_jacobi(fabric: &mut Fabric, buffers: &[PeColumnBuffers]) -> Result<()> {
+    for (idx, bufs) in buffers.iter().enumerate() {
+        let pe_id = fabric.dims().unlinear(idx);
+        kernel::jacobi_precond(fabric.pe_mut(pe_id), bufs)?;
     }
-
-    /// Fill every PE's `precond_z` column with `M⁻¹ · residual`.
-    fn apply(&self, fabric: &mut Fabric, buffers: &[PeColumnBuffers], dims: Dims) -> Result<()> {
-        match self {
-            FabricPrecond::None => Ok(()),
-            FabricPrecond::Jacobi => {
-                for (idx, bufs) in buffers.iter().enumerate() {
-                    let pe_id = fabric.dims().unlinear(idx);
-                    kernel::jacobi_precond(fabric.pe_mut(pe_id), bufs)?;
-                }
-                Ok(())
-            }
-            FabricPrecond::Mg(mg) => {
-                // Host-assisted V-cycle: download the residual columns, run
-                // the cycle on the host, upload the correction columns.  The
-                // column reads/writes are accounted as PE memory traffic.
-                let nz = dims.nz;
-                let mut r = CellField::<f32>::zeros(dims);
-                for (idx, bufs) in buffers.iter().enumerate() {
-                    let pe_id = fabric.dims().unlinear(idx);
-                    let pe = fabric.pe_mut(pe_id);
-                    let column = pe.memory().read(bufs.residual, 0, nz)?;
-                    pe.counters_mut().mem_load_bytes += nz as u64 * 4;
-                    r.set_column(pe_id.x, pe_id.y, &column);
-                }
-                let mut z = CellField::<f32>::zeros(dims);
-                mg.apply(&r, &mut z);
-                for (idx, bufs) in buffers.iter().enumerate() {
-                    let pe_id = fabric.dims().unlinear(idx);
-                    let pe = fabric.pe_mut(pe_id);
-                    pe.memory_mut()
-                        .write(bufs.precond_z, 0, &z.column(pe_id.x, pe_id.y))?;
-                    pe.counters_mut().mem_store_bytes += nz as u64 * 4;
-                }
-                Ok(())
-            }
-        }
-    }
+    Ok(())
 }
 
 impl SolveBackend for DataflowBackend {
@@ -139,13 +96,21 @@ impl SolveBackend for DataflowBackend {
     /// [`Flow::Stop`] exits the state machine at that boundary; the partial
     /// solution columns are still extracted from the PEs and reported.  A
     /// fabric error (a column that overflows PE memory, …) is a
-    /// [`SolveError`] naming this backend.
+    /// [`SolveError`] naming this backend, and so is a full solve under
+    /// [`PreconditionerKind::Mg`], refused before any fabric is built.
     fn solve(
         &self,
         workload: &Workload,
         config: &SolveConfig,
         request: &mut SolveRequest<'_>,
     ) -> std::result::Result<SolveReport, SolveError> {
+        if self.comm_only_iterations.is_none() && config.preconditioner == PreconditionerKind::Mg {
+            return Err(SolveError::new(
+                self.name(),
+                "the `mg` preconditioner runs on the host backends only; \
+                 the CS-2 model prices plain CG and Jacobi",
+            ));
+        }
         request
             .run(|monitor, span, _| self.run(workload, config, monitor, span))
             .map_err(|e| SolveError::new(self.name(), e.to_string()))
@@ -182,19 +147,10 @@ impl DataflowBackend {
         let mut exchange = CardinalExchange::new(&mut fabric, &mut colors)?;
         let allreduce = AllReduce::new(&mut colors)?;
 
-        // Arm the configured preconditioner (communication-only runs skip all
-        // floating-point work, so they keep plain CG's schedule).
-        let precond = if !compute {
-            FabricPrecond::None
-        } else {
-            match config.preconditioner {
-                PreconditionerKind::None => FabricPrecond::None,
-                PreconditionerKind::Jacobi => FabricPrecond::Jacobi,
-                PreconditionerKind::Mg => FabricPrecond::Mg(Box::new(
-                    MultigridVcycle::<f32>::from_workload(workload, 1, MgConfig::default()),
-                )),
-            }
-        };
+        // Jacobi is the one preconditioner on the fabric (`solve` refuses
+        // multigrid); communication-only runs skip all floating-point work,
+        // so they keep plain CG's schedule under any preconditioner.
+        let jacobi = compute && config.preconditioner == PreconditionerKind::Jacobi;
 
         // Host-side initialisation of the Newton system (the paper loads the mesh
         // and initial condition from the host as well): r₀ and the rhs columns.
@@ -253,12 +209,12 @@ impl DataflowBackend {
         let mut rr_new = rr;
         let mut stopped: Option<StopReason> = None;
 
-        // PCG initialisation: z₀ = M⁻¹ r₀, d₀ = z₀, and the α/β numerator
+        // PCG initialisation: z₀ = D⁻¹ r₀, d₀ = z₀, and the α/β numerator
         // r·z.  Convergence stays on the unpreconditioned rᵀr, so histories
         // remain directly comparable with plain CG.
         let mut rz = rr;
-        if !precond.is_none() {
-            precond.apply(&mut fabric, &buffers, dims)?;
+        if jacobi {
+            apply_jacobi(&mut fabric, &buffers)?;
             for (idx, bufs) in buffers.iter().enumerate() {
                 let pe_id = fabric.dims().unlinear(idx);
                 kernel::set_direction_from_z(fabric.pe_mut(pe_id), bufs)?;
@@ -331,11 +287,7 @@ impl DataflowBackend {
                             }
                             continue;
                         }
-                        alpha = if precond.is_none() {
-                            rr / d_ad
-                        } else {
-                            rz / d_ad
-                        };
+                        alpha = if jacobi { rz / d_ad } else { rr / d_ad };
                     } else {
                         alpha = 0.0;
                     }
@@ -404,17 +356,11 @@ impl DataflowBackend {
                 }
                 CgState::UpdateDirection => {
                     if compute {
-                        if precond.is_none() {
-                            let beta = if rr > 0.0 { rr_new / rr } else { 0.0 };
-                            for (idx, bufs) in buffers.iter().enumerate() {
-                                let pe_id = fabric.dims().unlinear(idx);
-                                kernel::apply_beta_update(fabric.pe_mut(pe_id), bufs, beta)?;
-                            }
-                        } else {
-                            // PCG direction update: z = M⁻¹ r, β = r·z / rz,
+                        if jacobi {
+                            // PCG direction update: z = D⁻¹ r, β = r·z / rz,
                             // d = z + β d.  The extra r·z all-reduce rides the
                             // same fabric reduction tree as α's denominator.
-                            precond.apply(&mut fabric, &buffers, dims)?;
+                            apply_jacobi(&mut fabric, &buffers)?;
                             let rz_new = global_dot(&mut fabric, &mut hops, kernel::local_dot_rz)?;
                             let beta = if rz > 0.0 { rz_new / rz } else { 0.0 };
                             for (idx, bufs) in buffers.iter().enumerate() {
@@ -422,6 +368,12 @@ impl DataflowBackend {
                                 kernel::apply_beta_update_z(fabric.pe_mut(pe_id), bufs, beta)?;
                             }
                             rz = rz_new;
+                        } else {
+                            let beta = if rr > 0.0 { rr_new / rr } else { 0.0 };
+                            for (idx, bufs) in buffers.iter().enumerate() {
+                                let pe_id = fabric.dims().unlinear(idx);
+                                kernel::apply_beta_update(fabric.pe_mut(pe_id), bufs, beta)?;
+                            }
                         }
                         rr = rr_new;
                     }
@@ -497,7 +449,9 @@ impl DataflowBackend {
 mod tests {
     use super::*;
     use mffv_mesh::workload::WorkloadSpec;
+    use mffv_mesh::Dims;
     use mffv_solver::backend::HostBackend;
+    use mffv_solver::monitor::RecordingMonitor;
 
     fn oracle(w: &Workload) -> SolveReport {
         HostBackend::oracle()
@@ -575,26 +529,50 @@ mod tests {
         let w = WorkloadSpec::quickstart().scaled(2).build();
         let oracle = oracle(&w);
         let plain = solve(DataflowBackend::paper(), &w, &config(1e-10));
-        for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Mg] {
-            let cfg = SolveConfig {
-                tolerance: Some(1e-10),
-                preconditioner: kind,
-                ..SolveConfig::default()
-            };
-            let report = solve(DataflowBackend::paper(), &w, &cfg);
-            assert!(report.converged(), "{} did not converge", kind.label());
-            let diff = oracle.pressure.max_abs_diff(&report.pressure);
-            assert!(diff < 1e-3, "{} vs oracle gap {diff}", kind.label());
-            // A preconditioner must not take more iterations than plain CG
-            // allowing slack for f32 effects on this small problem.
-            assert!(
-                report.iterations() <= plain.iterations() + 5,
-                "{}: {} iters vs plain {}",
-                kind.label(),
-                report.iterations(),
-                plain.iterations()
-            );
+        let cfg = SolveConfig {
+            preconditioner: PreconditionerKind::Jacobi,
+            ..config(1e-10)
+        };
+        let report = solve(DataflowBackend::paper(), &w, &cfg);
+        assert!(report.converged(), "jacobi did not converge");
+        let diff = oracle.pressure.max_abs_diff(&report.pressure);
+        assert!(diff < 1e-3, "jacobi vs oracle gap {diff}");
+        // A preconditioner must not take more iterations than plain CG
+        // allowing slack for f32 effects on this small problem.
+        assert!(
+            report.iterations() <= plain.iterations() + 5,
+            "jacobi: {} iters vs plain {}",
+            report.iterations(),
+            plain.iterations()
+        );
+    }
+
+    #[test]
+    fn multigrid_is_refused_before_a_fabric_is_built() {
+        let mg = SolveConfig {
+            preconditioner: PreconditionerKind::Mg,
+            ..SolveConfig::default()
+        };
+        // A column too deep for PE memory: building its fabric fails, so
+        // an error that names `mg` was returned before any fabric existed.
+        let deep = WorkloadSpec::paper_grid(2, 2, 3000).build();
+        let plain = DataflowBackend::paper()
+            .solve(&deep, &SolveConfig::default(), &mut SolveRequest::new())
+            .unwrap_err();
+        assert!(plain.detail().contains("out of local memory"), "{plain}");
+        for w in [WorkloadSpec::quickstart().scaled(2).build(), deep] {
+            let mut monitor = RecordingMonitor::new();
+            let err = DataflowBackend::paper()
+                .solve(&w, &mg, &mut SolveRequest::new().monitor(&mut monitor))
+                .unwrap_err();
+            assert_eq!(err.backend_name(), "dataflow");
+            assert!(err.detail().contains("`mg`"), "{err}");
+            assert!(monitor.events.is_empty(), "a refused solve starts nothing");
         }
+        // The communication-only run ignores the preconditioner.
+        let w = WorkloadSpec::quickstart().scaled(2).build();
+        let comm = solve(DataflowBackend::communication_only(5), &w, &mg);
+        assert_eq!(comm.iterations(), 5);
     }
 
     #[test]

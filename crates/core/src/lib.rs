@@ -36,7 +36,7 @@ pub mod state_machine;
 
 pub use backend::DataflowBackend;
 pub use comm::CardinalExchange;
-pub use mapping::{MemoryPlan, PeColumnBuffers, ReuseStrategy};
+pub use mapping::{MemoryPlan, PeColumnBuffers, ReuseStrategy, KERNEL_CODE_BYTES};
 pub use state_machine::{CgEvent, CgState, CgStateMachine};
 
 /// Convenient glob import.

@@ -12,10 +12,16 @@
 //! [`MemoryPlan::max_nz`] answers "what is the deepest column a 48 KiB PE can hold?",
 //! which is the quantity that decides whether the paper's 922-deep column fits.
 
+use mffv_fabric::error::FabricError;
+use mffv_fabric::memory::PE_MEMORY_BYTES;
 use mffv_fabric::{BufferId, ProcessingElement};
 use mffv_mesh::Workload;
 
-use mffv_fabric::error::FabricError;
+/// Code and runtime bytes a [`MemoryPlan`] reserves on each PE for the FV
+/// kernel.  The executed PE reserves
+/// [`DEFAULT_CODE_RESERVATION_BYTES`](mffv_fabric::memory::DEFAULT_CODE_RESERVATION_BYTES)
+/// instead.
+pub const KERNEL_CODE_BYTES: usize = 2048;
 
 /// How aggressively PE-local buffers are reused (§III-E1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,23 +97,22 @@ impl MemoryPlan {
         self.allocations.iter().map(|(_, b)| b).sum()
     }
 
-    /// Total bytes including a code/runtime reservation.
-    pub fn total_bytes(&self, code_reservation: usize) -> usize {
-        self.data_bytes() + code_reservation
+    /// Total bytes including the [`KERNEL_CODE_BYTES`] reservation.
+    pub fn total_bytes(&self) -> usize {
+        self.data_bytes() + KERNEL_CODE_BYTES
     }
 
-    /// Whether the plan fits a PE of `capacity` bytes with the given code
-    /// reservation.
-    pub fn fits(&self, capacity: usize, code_reservation: usize) -> bool {
-        self.total_bytes(code_reservation) <= capacity
+    /// Whether the plan fits a PE's [`PE_MEMORY_BYTES`].
+    pub fn fits(&self) -> bool {
+        self.total_bytes() <= PE_MEMORY_BYTES
     }
 
-    /// The deepest column a PE of `capacity` bytes can hold under a strategy.
-    pub fn max_nz(strategy: ReuseStrategy, capacity: usize, code_reservation: usize) -> usize {
+    /// The deepest column a PE's [`PE_MEMORY_BYTES`] can hold under a
+    /// strategy.
+    pub fn max_nz(strategy: ReuseStrategy) -> usize {
         // Bytes per cell of column depth: derived from the plan of a unit column.
         let per_cell = Self::new(1, strategy).data_bytes();
-        let available = capacity.saturating_sub(code_reservation);
-        available / per_cell
+        (PE_MEMORY_BYTES - KERNEL_CODE_BYTES) / per_cell
     }
 }
 
@@ -129,8 +134,6 @@ pub struct PeColumnBuffers {
     pub transmissibility: [BufferId; 6],
     /// Dirichlet mask (1.0 where the cell is a Dirichlet cell).
     pub dirichlet_mask: BufferId,
-    /// Dirichlet prescribed values (only meaningful where the mask is 1).
-    pub dirichlet_value: BufferId,
     /// Halo buffers for the four cardinal neighbours' direction columns
     /// (W, E, S, N order to match Table I's fill order).
     pub halo_west: BufferId,
@@ -173,18 +176,14 @@ impl PeColumnBuffers {
             transmissibility[i] = buf;
         }
         let dirichlet_mask = pe.alloc("dirichlet_mask", nz)?;
-        let dirichlet_value = pe.alloc("dirichlet_value", nz)?;
         let mut mask = vec![0.0f32; nz];
-        let mut values = vec![0.0f32; nz];
-        for z in 0..nz {
+        for (z, flag) in mask.iter_mut().enumerate() {
             let linear = dims.linear(mffv_mesh::CellIndex::new(x, y, z));
-            if let Some(v) = workload.dirichlet().value_at_linear(linear) {
-                mask[z] = 1.0;
-                values[z] = v as f32;
+            if workload.dirichlet().contains_linear(linear) {
+                *flag = 1.0;
             }
         }
         pe.memory_mut().write(dirichlet_mask, 0, &mask)?;
-        pe.memory_mut().write(dirichlet_value, 0, &values)?;
 
         let halo_west = pe.alloc("halo_west", nz)?;
         let halo_east = pe.alloc("halo_east", nz)?;
@@ -216,7 +215,6 @@ impl PeColumnBuffers {
             operator_out,
             transmissibility,
             dirichlet_mask,
-            dirichlet_value,
             halo_west,
             halo_east,
             halo_south,
@@ -230,12 +228,8 @@ impl PeColumnBuffers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mffv_fabric::memory::PE_MEMORY_BYTES;
     use mffv_fabric::PeId;
     use mffv_mesh::workload::WorkloadSpec;
-
-    /// Code/runtime reservation assumed for the FV kernel when checking what fits.
-    const KERNEL_CODE_BYTES: usize = 2048;
 
     #[test]
     fn naive_plan_is_larger_than_aggressive_plan() {
@@ -254,18 +248,14 @@ mod tests {
         // straightforward allocation does not fit.
         let naive = MemoryPlan::new(922, ReuseStrategy::None);
         let reuse = MemoryPlan::new(922, ReuseStrategy::Aggressive);
-        assert!(!naive.fits(PE_MEMORY_BYTES, KERNEL_CODE_BYTES));
-        assert!(reuse.fits(PE_MEMORY_BYTES, KERNEL_CODE_BYTES));
+        assert!(!naive.fits());
+        assert!(reuse.fits());
     }
 
     #[test]
     fn max_nz_brackets_the_paper_depth() {
-        let max_naive = MemoryPlan::max_nz(ReuseStrategy::None, PE_MEMORY_BYTES, KERNEL_CODE_BYTES);
-        let max_reuse = MemoryPlan::max_nz(
-            ReuseStrategy::Aggressive,
-            PE_MEMORY_BYTES,
-            KERNEL_CODE_BYTES,
-        );
+        let max_naive = MemoryPlan::max_nz(ReuseStrategy::None);
+        let max_reuse = MemoryPlan::max_nz(ReuseStrategy::Aggressive);
         assert!(
             max_naive < 922,
             "naive plan unexpectedly fits 922 (max {max_naive})"
@@ -277,9 +267,9 @@ mod tests {
         assert!(max_reuse > max_naive);
         // Consistency: a plan at exactly max_nz fits, one cell deeper does not.
         let plan = MemoryPlan::new(max_reuse, ReuseStrategy::Aggressive);
-        assert!(plan.fits(PE_MEMORY_BYTES, KERNEL_CODE_BYTES));
+        assert!(plan.fits());
         let over = MemoryPlan::new(max_reuse + 1, ReuseStrategy::Aggressive);
-        assert!(!over.fits(PE_MEMORY_BYTES, KERNEL_CODE_BYTES));
+        assert!(!over.fits());
     }
 
     #[test]
@@ -305,14 +295,12 @@ mod tests {
     #[test]
     fn dirichlet_columns_are_marked() {
         let w = WorkloadSpec::quickstart().build();
-        // Column (0, 0) is the source well: every cell is Dirichlet with value 1.
+        // Column (0, 0) is the source well: every cell is Dirichlet.
         let mut pe = ProcessingElement::new(PeId::new(0, 0));
         let bufs = PeColumnBuffers::allocate(&mut pe, &w, 0, 0).unwrap();
         let nz = w.dims().nz;
         let mask = pe.memory().read(bufs.dirichlet_mask, 0, nz).unwrap();
-        let values = pe.memory().read(bufs.dirichlet_value, 0, nz).unwrap();
         assert!(mask.iter().all(|&m| m == 1.0));
-        assert!(values.iter().all(|&v| v == 1.0));
         // An interior column has no Dirichlet cells.
         let mut pe2 = ProcessingElement::new(PeId::new(3, 3));
         let bufs2 = PeColumnBuffers::allocate(&mut pe2, &w, 3, 3).unwrap();

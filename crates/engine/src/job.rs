@@ -91,7 +91,9 @@ impl JobSpec {
 
     /// Select the preconditioner of the job's Krylov loop — Jacobi diagonal
     /// scaling or the matrix-free multigrid V-cycle
-    /// ([`PreconditionerKind::None`], the default, keeps plain CG).
+    /// ([`PreconditionerKind::None`], the default, keeps plain CG).  A
+    /// steady job under multigrid on a device backend fails with the
+    /// backend's [`SolveError`]: multigrid runs on the host backends only.
     pub fn with_preconditioner(mut self, preconditioner: PreconditionerKind) -> Self {
         self.solve_config.preconditioner = preconditioner;
         self

@@ -52,8 +52,8 @@
 //!
 //! ## Scenario sweeps
 //!
-//! [`SweepBuilder`] fans one base spec across grids × anisotropy ratios ×
-//! tolerances × permeability seeds × backends:
+//! [`SweepBuilder`] fans one base spec across grids × tolerances ×
+//! permeability seeds × transient axes × preconditioners × backends:
 //!
 //! ```
 //! use mffv_engine::{Backend, Engine, SweepBuilder};

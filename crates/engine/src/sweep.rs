@@ -2,12 +2,13 @@
 //!
 //! A [`SweepBuilder`] is the comparison-study generator the batch engine
 //! feeds on: from a single base spec it produces the cartesian product of
-//! grid sizes × vertical-anisotropy ratios × tolerances × permeability seeds
-//! × backends as a flat, deterministically ordered `Vec<JobSpec>`.  Axes you
-//! do not set stay at the base spec's own value, so
-//! `SweepBuilder::new(spec).jobs()` is exactly one host job.
+//! grid sizes × tolerances × permeability seeds × the transient axes (time
+//! step, compressibility, well schedule) × preconditioners × backends as a
+//! flat, deterministically ordered `Vec<JobSpec>`.  Axes you do not set stay
+//! at the base spec's own value, so `SweepBuilder::new(spec).jobs()` is
+//! exactly one host job.
 //!
-//! Job names encode the varied axes (`-az2`, `-tol1e-8`, `-seed3`, and the
+//! Job names encode the varied axes (`-tol1e-8`, `-seed3`, `-pcmg`, and the
 //! grid extents), so every row of the resulting
 //! [`BatchReport`](crate::BatchReport) is self-describing.
 
@@ -21,7 +22,6 @@ use mffv_solver::backend::PreconditionerKind;
 pub struct SweepBuilder {
     base: WorkloadSpec,
     grids: Vec<Dims>,
-    anisotropy: Vec<f64>,
     tolerances: Vec<f64>,
     seeds: Vec<Option<u64>>,
     backends: Vec<Backend>,
@@ -37,16 +37,14 @@ pub struct SweepBuilder {
 
 impl SweepBuilder {
     /// A sweep around `base`, with every axis at the base value: one grid
-    /// (the base dims), isotropic spacing, the base tolerance, the base
-    /// spec's own permeability seed, and
-    /// the host backend.
+    /// (the base dims), the base tolerance, the base spec's own permeability
+    /// seed, plain CG and the host backend.
     pub fn new(base: WorkloadSpec) -> Self {
         let dims = base.dims;
         let tolerance = base.tolerance;
         Self {
             base,
             grids: vec![dims],
-            anisotropy: vec![1.0],
             tolerances: vec![tolerance],
             seeds: vec![None],
             backends: vec![Backend::host()],
@@ -104,27 +102,6 @@ impl SweepBuilder {
         self
     }
 
-    /// Sweep over down-scalings of the base grid: each factor divides every
-    /// extent (floored at 2 cells), like [`WorkloadSpec::scaled`].
-    pub fn scales(self, factors: impl IntoIterator<Item = usize>) -> Self {
-        let base = self.base.dims;
-        let scale = |n: usize, f: usize| (n / f.max(1)).max(2);
-        let grids: Vec<Dims> = factors
-            .into_iter()
-            .map(|f| Dims::new(scale(base.nx, f), scale(base.ny, f), scale(base.nz, f)))
-            .collect();
-        self.grids(grids)
-    }
-
-    /// Sweep over vertical anisotropy ratios: each ratio multiplies the base
-    /// Z cell spacing, stretching (ratio > 1) or flattening (ratio < 1) the
-    /// cells and thereby the Z-transmissibility contrast.
-    pub fn anisotropy_ratios(mut self, ratios: impl IntoIterator<Item = f64>) -> Self {
-        self.anisotropy = ratios.into_iter().collect();
-        assert!(!self.anisotropy.is_empty(), "at least one ratio required");
-        self
-    }
-
     /// Sweep over CG tolerances (set on the workload spec).
     pub fn tolerances(mut self, tolerances: impl IntoIterator<Item = f64>) -> Self {
         self.tolerances = tolerances.into_iter().collect();
@@ -173,7 +150,6 @@ impl SweepBuilder {
     /// Number of jobs the sweep will generate.
     pub fn job_count(&self) -> usize {
         self.grids.len()
-            * self.anisotropy.len()
             * self.tolerances.len()
             * self.seeds.len()
             * self.dts.len()
@@ -184,8 +160,8 @@ impl SweepBuilder {
     }
 
     /// Generate the jobs: the cartesian product in deterministic order
-    /// (grids, then anisotropy, then tolerances, then seeds, then the
-    /// transient axes dt / compressibility / well schedule, with backends
+    /// (grids, then tolerances, then seeds, then the transient axes dt /
+    /// compressibility / well schedule, then preconditioners, with backends
     /// innermost so cross-backend comparisons of one scenario sit adjacent).
     ///
     /// Panics when a transient axis was set without a base
@@ -200,36 +176,31 @@ impl SweepBuilder {
         );
         let mut jobs = Vec::with_capacity(self.job_count());
         for &dims in &self.grids {
-            for &ratio in &self.anisotropy {
-                for &tolerance in &self.tolerances {
-                    for &seed in &self.seeds {
-                        let spec = self.scenario_spec(dims, ratio, tolerance, seed);
-                        for &dt in &self.dts {
-                            for &ct in &self.compressibilities {
-                                for (wi, wells) in self.well_schedules.iter().enumerate() {
-                                    let transient = self.transient_variant(dt, ct, wells.as_ref());
+            for &tolerance in &self.tolerances {
+                for &seed in &self.seeds {
+                    let spec = self.scenario_spec(dims, tolerance, seed);
+                    for &dt in &self.dts {
+                        for &ct in &self.compressibilities {
+                            for (wi, wells) in self.well_schedules.iter().enumerate() {
+                                let transient = self.transient_variant(dt, ct, wells.as_ref());
+                                let mut spec = spec.clone();
+                                spec.name = self.transient_name(spec.name, dt, ct, wi);
+                                for &preconditioner in &self.preconditioners {
                                     let mut spec = spec.clone();
-                                    spec.name = self.transient_name(spec.name, dt, ct, wi);
-                                    for &preconditioner in &self.preconditioners {
-                                        let mut spec = spec.clone();
-                                        if self.preconditioners.len() > 1 {
-                                            spec.name = format!(
-                                                "{}-pc{}",
-                                                spec.name,
-                                                preconditioner.label()
-                                            );
+                                    if self.preconditioners.len() > 1 {
+                                        spec.name =
+                                            format!("{}-pc{}", spec.name, preconditioner.label());
+                                    }
+                                    for &backend in &self.backends {
+                                        let mut job = JobSpec::new(spec.clone(), backend)
+                                            .with_preconditioner(preconditioner);
+                                        if let Some(seed) = seed {
+                                            job = job.with_seed(seed);
                                         }
-                                        for &backend in &self.backends {
-                                            let mut job = JobSpec::new(spec.clone(), backend)
-                                                .with_preconditioner(preconditioner);
-                                            if let Some(seed) = seed {
-                                                job = job.with_seed(seed);
-                                            }
-                                            if let Some(transient) = transient.clone() {
-                                                job = job.with_transient(transient);
-                                            }
-                                            jobs.push(job);
+                                        if let Some(transient) = transient.clone() {
+                                            job = job.with_transient(transient);
                                         }
+                                        jobs.push(job);
                                     }
                                 }
                             }
@@ -283,19 +254,10 @@ impl SweepBuilder {
     }
 
     /// The workload spec of one scenario, named after its varied axes.
-    fn scenario_spec(
-        &self,
-        dims: Dims,
-        ratio: f64,
-        tolerance: f64,
-        seed: Option<u64>,
-    ) -> WorkloadSpec {
+    fn scenario_spec(&self, dims: Dims, tolerance: f64, seed: Option<u64>) -> WorkloadSpec {
         let mut name = self.base.name.clone();
         if self.grids.len() > 1 || dims != self.base.dims {
             name = format!("{name}-{dims}");
-        }
-        if self.anisotropy.len() > 1 || ratio != 1.0 {
-            name = format!("{name}-az{ratio}");
         }
         if self.tolerances.len() > 1 {
             name = format!("{name}-tol{tolerance:e}");
@@ -306,11 +268,6 @@ impl SweepBuilder {
         WorkloadSpec {
             name,
             dims,
-            spacing: [
-                self.base.spacing[0],
-                self.base.spacing[1],
-                self.base.spacing[2] * ratio,
-            ],
             tolerance,
             max_iterations: self.max_iterations.unwrap_or(self.base.max_iterations),
             ..self.base.clone()
@@ -407,24 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn scales_divide_the_base_grid_with_a_floor() {
-        let sweep = SweepBuilder::new(WorkloadSpec::paper_grid(100, 80, 60)).scales([2, 100]);
-        let jobs = sweep.jobs();
-        assert_eq!(jobs[0].workload_spec.dims, Dims::new(50, 40, 30));
-        assert_eq!(jobs[1].workload_spec.dims, Dims::new(2, 2, 2));
-    }
-
-    #[test]
-    fn anisotropy_scales_the_z_spacing_and_names_the_job() {
-        let jobs = SweepBuilder::new(WorkloadSpec::quickstart())
-            .anisotropy_ratios([1.0, 4.0])
-            .jobs();
-        assert_eq!(jobs[0].workload_spec.spacing, [1.0, 1.0, 1.0]);
-        assert_eq!(jobs[1].workload_spec.spacing, [1.0, 1.0, 4.0]);
-        assert!(jobs[1].workload_spec.name.contains("az4"));
-    }
-
-    #[test]
     fn tolerances_and_max_iterations_reach_the_spec() {
         let jobs = SweepBuilder::new(WorkloadSpec::quickstart())
             .tolerances([1e-6, 1e-12])
@@ -502,8 +441,7 @@ mod tests {
     #[test]
     fn every_generated_job_passes_intake_validation() {
         let sweep = SweepBuilder::new(WorkloadSpec::fig5(Dims::new(12, 10, 6)))
-            .scales([1, 2])
-            .anisotropy_ratios([0.5, 2.0])
+            .grids([Dims::new(12, 10, 6), Dims::new(6, 5, 3)])
             .backends(Backend::standard_set());
         for job in sweep.jobs() {
             job.validate().expect("sweep jobs must be valid");

@@ -4,8 +4,10 @@
 //! operator application; dot products and vector updates are further device kernels.
 //! [`GpuRefBackend::solve`] expresses the same structure by running `mffv_solver`'s
 //! Newton step and CG loop on top of [`GpuMatrixFreeOperator`], under the
-//! [`SolveConfig`]'s tolerance, iteration cap and preconditioner.  The report's
-//! device section carries the host/device transfer accounting of
+//! [`SolveConfig`]'s tolerance, iteration cap and preconditioner, plain CG or
+//! Jacobi (multigrid is refused with a [`SolveError`]: the device model prices
+//! no V-cycle, so it runs on the host backends only).  The report's device
+//! section carries the host/device transfer accounting of
 //! [`HostDeviceTransfers`] and the kernel time [`GpuTimeModel`] models on the GPU.
 
 use crate::device_model::{GpuSpec, GpuTimeModel};
@@ -19,7 +21,7 @@ use mffv_solver::backend::{
 use mffv_solver::cg::ConjugateGradient;
 use mffv_solver::newton::{solve_pressure, NewtonScratch};
 use mffv_solver::pcg::JacobiPreconditioner;
-use mffv_solver::{MgConfig, MultigridVcycle, Preconditioner};
+use mffv_solver::Preconditioner;
 use mffv_telemetry::Stopwatch;
 
 /// The GPU-style reference as a facade backend: the CUDA block/thread kernel
@@ -67,17 +69,23 @@ impl SolveBackend for GpuRefBackend {
     /// Run the host-resident CG loop (§IV keeps the loop on the host, one
     /// kernel launch per operator application) as an observable, cancellable
     /// session.  Jacobi is one extra elementwise device kernel per iteration
-    /// on an uploaded inverse diagonal; the multigrid V-cycle runs
-    /// host-assisted, with the residual downloaded and the correction
-    /// uploaded on every application (accounted in the transfer totals).  A
-    /// monitor stop still downloads and reports the partial pressure and
-    /// history.
+    /// on an uploaded inverse diagonal.  [`PreconditionerKind::Mg`] is a
+    /// [`SolveError`] naming this backend, returned before any device
+    /// operator is built.  A monitor stop still downloads and reports the
+    /// partial pressure and history.
     fn solve(
         &self,
         workload: &Workload,
         config: &SolveConfig,
         request: &mut SolveRequest<'_>,
     ) -> Result<SolveReport, SolveError> {
+        if config.preconditioner == PreconditionerKind::Mg {
+            return Err(SolveError::new(
+                self.name(),
+                "the `mg` preconditioner runs on the host backends only; \
+                 the GPU model prices plain CG and Jacobi",
+            ));
+        }
         let start = Stopwatch::start();
         let n = workload.dims().num_cells();
         let mut transfers = HostDeviceTransfers::default();
@@ -89,22 +97,12 @@ impl SolveBackend for GpuRefBackend {
             transfers.record_host_to_device(operator.device_arrays().bytes());
             transfers.record_host_to_device(2 * n * 4);
             let coeffs = workload.transmissibility().convert::<f32>();
-            let precond: Option<Box<dyn Preconditioner<f32>>> =
-                match config.preconditioner {
-                    PreconditionerKind::None => None,
-                    PreconditionerKind::Jacobi => {
-                        // The inverse diagonal lives on the device: one extra
-                        // upload, then no per-iteration transfers.
-                        transfers.record_host_to_device(n * 4);
-                        Some(Box::new(JacobiPreconditioner::from_coefficients(
-                            &coeffs,
-                            workload.dirichlet(),
-                        )))
-                    }
-                    PreconditionerKind::Mg => Some(Box::new(
-                        MultigridVcycle::<f32>::from_workload(workload, 1, MgConfig::default()),
-                    )),
-                };
+            let jacobi = (config.preconditioner == PreconditionerKind::Jacobi).then(|| {
+                // The inverse diagonal lives on the device: one extra
+                // upload, then no per-iteration transfers.
+                transfers.record_host_to_device(n * 4);
+                JacobiPreconditioner::from_coefficients(&coeffs, workload.dirichlet())
+            });
             build.finish();
             let solver = ConjugateGradient::with_tolerance(
                 config.effective_tolerance(workload),
@@ -115,7 +113,7 @@ impl SolveBackend for GpuRefBackend {
                 workload,
                 &coeffs,
                 &operator,
-                precond.as_deref(),
+                jacobi.as_ref().map(|j| j as &dyn Preconditioner<f32>),
                 &solver,
                 monitor,
                 span,
@@ -124,12 +122,6 @@ impl SolveBackend for GpuRefBackend {
             (newton, stopped)
         });
         let iterations = newton.history().iterations;
-        if config.preconditioner == PreconditionerKind::Mg {
-            // One V-cycle per iteration plus the initial z0 = M⁻¹ r0, each a
-            // residual download and a correction upload.
-            transfers.record_device_to_host((iterations + 1) * n * 4);
-            transfers.record_host_to_device((iterations + 1) * n * 4);
-        }
         // Final download of the pressure field.
         transfers.record_device_to_host(n * 4);
 
@@ -170,6 +162,8 @@ mod tests {
     use mffv_mesh::workload::WorkloadSpec;
     use mffv_mesh::Dims;
     use mffv_solver::backend::HostBackend;
+    use mffv_solver::monitor::RecordingMonitor;
+    use mffv_telemetry::Tracer;
 
     fn config(tolerance: f64) -> SolveConfig {
         SolveConfig {
@@ -227,35 +221,42 @@ mod tests {
         let base = GpuRefBackend::a100()
             .solve(&w, &config(1e-12), &mut SolveRequest::new())
             .unwrap();
-        for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Mg] {
-            let cfg = SolveConfig {
-                tolerance: Some(1e-12),
-                preconditioner: kind,
-                ..SolveConfig::default()
-            };
-            let report = GpuRefBackend::a100()
-                .solve(&w, &cfg, &mut SolveRequest::new())
-                .unwrap();
-            assert!(report.converged(), "{} did not converge", kind.label());
-            let diff = report.max_abs_diff(&base);
-            assert!(diff < 1e-3, "{} pressure gap {diff}", kind.label());
-            // The host-assisted V-cycle must account its per-iteration
-            // residual/correction round trips.
-            if kind == PreconditionerKind::Mg {
-                let d2h = report
-                    .device
-                    .as_ref()
-                    .unwrap()
-                    .counter("device_to_host_bytes")
-                    .unwrap();
-                let base_d2h = base
-                    .device
-                    .as_ref()
-                    .unwrap()
-                    .counter("device_to_host_bytes")
-                    .unwrap();
-                assert!(d2h > base_d2h);
-            }
+        let cfg = SolveConfig {
+            preconditioner: PreconditionerKind::Jacobi,
+            ..config(1e-12)
+        };
+        let report = GpuRefBackend::a100()
+            .solve(&w, &cfg, &mut SolveRequest::new())
+            .unwrap();
+        assert!(report.converged(), "jacobi did not converge");
+        let diff = report.max_abs_diff(&base);
+        assert!(diff < 1e-3, "jacobi pressure gap {diff}");
+    }
+
+    #[test]
+    fn multigrid_is_refused_before_a_device_operator_is_built() {
+        let w = WorkloadSpec::quickstart().build();
+        let mg = SolveConfig {
+            preconditioner: PreconditionerKind::Mg,
+            ..SolveConfig::default()
+        };
+        for backend in [GpuRefBackend::a100(), GpuRefBackend::h100()] {
+            let tracer = Tracer::new();
+            let root = tracer.span("solve");
+            let mut monitor = RecordingMonitor::new();
+            let err = backend
+                .solve(
+                    &w,
+                    &mg,
+                    &mut SolveRequest::new().monitor(&mut monitor).span(&root),
+                )
+                .unwrap_err();
+            root.finish();
+            assert_eq!(err.backend_name(), backend.name());
+            assert!(err.detail().contains("`mg`"), "{err}");
+            assert!(monitor.events.is_empty(), "a refused solve starts nothing");
+            let spans: Vec<String> = tracer.records().into_iter().map(|r| r.name).collect();
+            assert_eq!(spans, ["solve"], "no device model was built");
         }
     }
 

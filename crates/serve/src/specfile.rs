@@ -14,7 +14,7 @@
 //! boundary        = source-producer 2e7 1e7
 //! tolerance       = 1e-10
 //! max_iterations  = 4000
-//! preconditioner  = mg
+//! preconditioner  = jacobi
 //! iteration_budget = 2000
 //!
 //! [transient]

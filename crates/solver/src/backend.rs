@@ -59,9 +59,11 @@ impl Precision {
 ///
 /// The default is [`PreconditionerKind::None`] — plain CG, the paper's
 /// Algorithm 1 — so existing configurations and histories are unchanged.
-/// All three backends honour the selection; histories always record the
-/// *unpreconditioned* `rᵀr`, so convergence curves stay comparable across
-/// kinds.
+/// The host backends honour every kind; the device backends (GPU reference
+/// and dataflow) run `None` and `Jacobi` and answer `Mg` with a
+/// [`SolveError`], since their device models price no V-cycle.  Histories
+/// always record the *unpreconditioned* `rᵀr`, so convergence curves stay
+/// comparable across kinds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PreconditionerKind {
     /// Plain CG (Algorithm 1 of the paper).

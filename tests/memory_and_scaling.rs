@@ -4,10 +4,8 @@
 use mffv::prelude::*;
 use mffv_core::mapping::PeColumnBuffers;
 use mffv_core::{MemoryPlan, ReuseStrategy};
-use mffv_fabric::memory::{PeMemory, PE_MEMORY_BYTES};
+use mffv_fabric::memory::PeMemory;
 use mffv_fabric::{PeId, ProcessingElement};
-
-const KERNEL_CODE_BYTES: usize = 2048;
 
 #[test]
 fn paper_column_depth_requires_buffer_reuse() {
@@ -15,22 +13,16 @@ fn paper_column_depth_requires_buffer_reuse() {
     // buffer reuse.
     let naive = MemoryPlan::new(922, ReuseStrategy::None);
     let reuse = MemoryPlan::new(922, ReuseStrategy::Aggressive);
-    assert!(!naive.fits(PE_MEMORY_BYTES, KERNEL_CODE_BYTES));
-    assert!(reuse.fits(PE_MEMORY_BYTES, KERNEL_CODE_BYTES));
-    assert!(
-        MemoryPlan::max_nz(
-            ReuseStrategy::Aggressive,
-            PE_MEMORY_BYTES,
-            KERNEL_CODE_BYTES
-        ) >= 922
-    );
+    assert!(!naive.fits());
+    assert!(reuse.fits());
+    assert!(MemoryPlan::max_nz(ReuseStrategy::Aggressive) >= 922);
 }
 
 #[test]
 fn executed_allocation_is_rejected_when_the_column_does_not_fit() {
-    // The executed (straightforward) buffer set allocates 17 full columns plus the
-    // Dirichlet values; on a deliberately tiny PE memory the allocation must fail
-    // with an out-of-memory error instead of silently overflowing.
+    // The executed (straightforward) buffer set allocates 17 full columns; on a
+    // deliberately tiny PE memory the allocation must fail with an
+    // out-of-memory error instead of silently overflowing.
     let workload = WorkloadSpec::paper_grid(4, 4, 64).build();
     let small_memory = PeMemory::with_capacity(PeId::new(1, 1), 2 * 1024, 256);
     let mut pe = ProcessingElement::with_memory(PeId::new(1, 1), small_memory);

@@ -9,7 +9,8 @@
 //!   threads (both thread counts must reproduce the same fixture);
 //! * steady `host-f64` and `host-f32` plain-CG and multigrid solves on the
 //!   same field over eleven reduction slabs, at 1 and 3 apply threads;
-//! * `gpu-ref` and `dataflow` steady solves under every preconditioner, with
+//! * `gpu-ref` and `dataflow` steady solves under plain CG and Jacobi, the
+//!   preconditioners their device models price (both refuse multigrid), with
 //!   each solve's device section (label, modelled time and every counter);
 //! * `host-f64` transients under Jacobi and multigrid with a ramped `dt` and
 //!   a scheduled well, so the step operator's diagonal shift changes every
@@ -163,7 +164,7 @@ fn host_f32_eleven_slab_solves_match_the_pinned_fixtures_at_1_and_3_threads() {
 
 #[test]
 fn gpu_ref_steady_solves_match_the_pinned_fixtures() {
-    for kind in PreconditionerKind::ALL {
+    for kind in [PreconditionerKind::None, PreconditionerKind::Jacobi] {
         let report = steady(Backend::gpu_ref(), kind, 1);
         steady_record(&format!("steady_gpu_ref_{}", kind.label()), &report).check();
         device_record(&format!("steady_gpu_ref_{}_device", kind.label()), &report).check();
@@ -172,7 +173,7 @@ fn gpu_ref_steady_solves_match_the_pinned_fixtures() {
 
 #[test]
 fn dataflow_steady_solves_match_the_pinned_fixtures() {
-    for kind in PreconditionerKind::ALL {
+    for kind in [PreconditionerKind::None, PreconditionerKind::Jacobi] {
         let report = steady(Backend::dataflow(), kind, 1);
         steady_record(&format!("steady_dataflow_{}", kind.label()), &report).check();
         device_record(&format!("steady_dataflow_{}_device", kind.label()), &report).check();
