@@ -560,17 +560,21 @@ mod tests {
             .solve(&deep, &SolveConfig::default(), &mut SolveRequest::new())
             .unwrap_err();
         assert!(plain.detail().contains("out of local memory"), "{plain}");
-        for w in [WorkloadSpec::quickstart().scaled(2).build(), deep] {
+        let w = WorkloadSpec::quickstart().scaled(2).build();
+        for workload in [&w, &deep] {
             let mut monitor = RecordingMonitor::new();
             let err = DataflowBackend::paper()
-                .solve(&w, &mg, &mut SolveRequest::new().monitor(&mut monitor))
+                .solve(
+                    workload,
+                    &mg,
+                    &mut SolveRequest::new().monitor(&mut monitor),
+                )
                 .unwrap_err();
             assert_eq!(err.backend_name(), "dataflow");
             assert!(err.detail().contains("`mg`"), "{err}");
             assert!(monitor.events.is_empty(), "a refused solve starts nothing");
         }
         // The communication-only run ignores the preconditioner.
-        let w = WorkloadSpec::quickstart().scaled(2).build();
         let comm = solve(DataflowBackend::communication_only(5), &w, &mg);
         assert_eq!(comm.iterations(), 5);
     }
